@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     HeisgroundError,
     InsufficientDataError,
-    NonConvergenceError,
     NumericError,
 )
 from .heis_core import (

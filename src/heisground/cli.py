@@ -12,11 +12,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields as dc_fields
 
 from . import cc_diag, hgf, solvers
@@ -43,7 +43,6 @@ class RunConfig:
     max_iters: int = 40000
     grad_tol: float = 1e-6
     path_points: int = 11
-    seed: int = 0
     out: str = ""
     report: str = ""
 
@@ -72,7 +71,6 @@ class RunConfig:
             max_iters=self.max_iters,
             grad_tol=self.grad_tol,
             path_points=self.path_points,
-            seed=self.seed,
         )
 
 
@@ -133,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-iters", type=int, default=40000)
     ps.add_argument("--grad-tol", type=float, default=1e-6)
     ps.add_argument("--path-points", type=int, default=11)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default="", help="HGF output path for the field")
     ps.add_argument("--report", default="", help="JSON report path")
 
@@ -146,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--max-iters", type=int, default=40000)
     pe.add_argument("--grad-tol", type=float, default=1e-6)
     pe.add_argument("--path-points", type=int, default=11)
-    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--out-csv", default="exhaust.csv")
     pe.add_argument("--out-json", default="exhaust.json")
 
@@ -193,7 +189,6 @@ def cmd_solve(args) -> int:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         path_points=args.path_points,
-        seed=args.seed,
         out=args.out,
         report=args.report,
     )
@@ -219,46 +214,20 @@ def cmd_solve(args) -> int:
 
 
 def _parse_radii(text: str):
+    """Comma-separated radii, each finite and positive."""
     try:
         radii = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"bad radii list {text!r}") from exc
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
-        raise ConfigurationError("radii must be strictly increasing (>= 2 values)")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ConfigurationError(f"radii must be finite and positive, got {text!r}")
     return radii
-
-
-def _solo_exhaust_entry(payload):
-    radii, cfg_dict, k = payload
-    cfg = solvers.SolverConfig(**cfg_dict)
-    cfg.ball_radius = radii[-1]
-    master = solvers.make_domain(cfg)
-    from .grid import ball_mask, zero_extend
-
-    mask = ball_mask(master.grid, k)
-    u0 = solvers.pick_u0(
-        solvers.Domain(master.grid, ball_mask(master.grid, radii[0]), radii[0]), cfg.p
-    )
-    rep = solvers.solve_mountain_pass(
-        cfg, domain=solvers.Domain(master.grid, mask, k),
-        u0=zero_extend(u0, mask),
-    )
-    decay = solvers.fit_decay(rep.field, ball_radius=k)
-    from .heis_core import gauge
-
-    return {
-        "radius": k,
-        "level": rep.level,
-        "max_value": rep.max_value,
-        "xi_gauge": gauge(rep.max_point),
-        "delta": decay.delta,
-        "r_squared": decay.r_squared,
-        "converged": rep.converged,
-    }
 
 
 def cmd_exhaust(args) -> int:
     radii = _parse_radii(args.radii)
+    if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
+        raise ConfigurationError("radii must be strictly increasing (>= 2 values)")
     cfg = solvers.SolverConfig(
         p=args.p,
         ball_radius=radii[-1],
@@ -271,34 +240,20 @@ def cmd_exhaust(args) -> int:
     cfg.validate()
     rows = []
     failed = False
-    if args.jobs > 1:
-        payloads = [(radii, cfg.__dict__, k) for k in radii]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for entry in pool.map(_solo_exhaust_entry, payloads):
-                rows.append(entry)
-                failed = failed or not entry["converged"]
-        levels = [r["level"] for r in rows]
-        slack = max(
-            ((b - a) / abs(a) for a, b in zip(levels[:-1], levels[1:])),
-            default=0.0,
-        )
-        monotone = slack <= 1e-6
-        verdict = {"monotone": monotone, "monotone_slack": slack, "entries": rows}
+    try:
+        report = solvers.exhaust_domains(radii, cfg)
+    except HeisgroundError as exc:
+        print(f"exhaust failed: {exc}", file=sys.stderr)
+        failed = True
+        report = None
+    if report is not None:
+        verdict = report.as_dict()
+        rows = verdict["entries"]
+        for entry, e in zip(rows, report.entries):
+            entry["converged"] = e.report.converged
+            failed = failed or not e.report.converged
     else:
-        try:
-            report = solvers.exhaust_domains(radii, cfg)
-        except HeisgroundError as exc:
-            print(f"exhaust failed: {exc}", file=sys.stderr)
-            failed = True
-            report = None
-        if report is not None:
-            verdict = report.as_dict()
-            rows = verdict["entries"]
-            for entry, e in zip(rows, report.entries):
-                entry["converged"] = e.report.converged
-                failed = failed or not e.report.converged
-        else:
-            verdict = {"monotone": False, "entries": []}
+        verdict = {"monotone": False, "entries": []}
     _write_csv(
         args.out_csv,
         ["k", "c_k", "max_value", "xi_gauge", "delta", "r2"],
@@ -313,7 +268,7 @@ def cmd_exhaust(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
+    radii = _parse_radii(args.radii)
     if len(args.inputs) < 3:
         print("classify needs at least 3 input fields", file=sys.stderr)
         return EXIT_USAGE

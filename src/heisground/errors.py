@@ -25,9 +25,5 @@ class AlgorithmError(HeisgroundError, RuntimeError):
     """An iterative procedure reached a state it cannot recover from."""
 
 
-class NonConvergenceError(AlgorithmError):
-    """An iteration budget was exhausted before the tolerance was met."""
-
-
 class InsufficientDataError(HeisgroundError, ValueError):
     """Not enough usable samples to produce a meaningful fit/verdict."""

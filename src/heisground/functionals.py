@@ -7,7 +7,10 @@ I(u) = 1/2 int |grad_H u|^2 + u^2                             (quadratic part)
 The nonlinear term uses the positive part u_+, which makes nonnegativity of
 converged states automatic and is invisible once u > 0.  The gradient is the
 exact derivative of the discrete energy (discretize-then-differentiate), so
-descent line searches are variationally consistent with the stencils.
+descent line searches are variationally consistent with the stencil.  The
+gradients go through the grid's one assembled operator A (grad I = A v, with
+v the field's mask values); the energy's value is summed as squares of the
+same forward differences (see `grid`), I(u) = w v^T A v / 2.
 """
 
 from __future__ import annotations
@@ -17,21 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import (
-    ScalarField,
-    e_norm_sq,
-    energy_and_sublaplacian,
-    inner,
-    l2_norm,
-    sublaplacian_values,
-)
+from .grid import ScalarField, e_norm_sq, energy_operator, l2_norm
 
 __all__ = [
     "EnergyBreakdown",
     "check_exponent",
     "eval_J",
     "eval_I",
-    "eval_J_and_grad",
     "grad_J",
     "residual",
     "nehari_scale",
@@ -51,7 +46,9 @@ def check_exponent(p: float) -> None:
 def _pos_pow_sum(values: np.ndarray, expo: float) -> float:
     up = np.maximum(values, 0.0)
     if expo == 3.0:
-        return float(np.sum(up * up * up))
+        cube = up * up
+        cube *= up
+        return float(cube.sum())
     return float(np.sum(up**expo))
 
 
@@ -73,26 +70,18 @@ def eval_J(u: ScalarField, p: float) -> float:
 
 
 def grad_J(u: ScalarField, p: float) -> ScalarField:
-    """L^2 representative of dJ: (-Delta_h u + u - u_+^p) on interior nodes."""
+    """L^2 representative of dJ: A v - v_+^p on interior nodes."""
     check_exponent(p)
-    g = -sublaplacian_values(u) + u.values - _pos_pow(u.values, p)
-    return ScalarField(u.grid, np.where(u.mask, g, 0.0), u.mask)
-
-
-def eval_J_and_grad(u: ScalarField, p: float):
-    """(J(u), grad_J(u)) in one stencil pass (see energy_and_sublaplacian)."""
-    check_exponent(p)
-    w = u.grid.cell_volume
-    nsq, lap = energy_and_sublaplacian(u)
-    j = 0.5 * nsq - w * _pos_pow_sum(u.values, p + 1.0) / (p + 1.0)
-    g = -lap + u.values - _pos_pow(u.values, p)
-    return j, ScalarField(u.grid, np.where(u.mask, g, 0.0), u.mask)
+    v = u.interior()
+    g = energy_operator(u.grid, u.mask) @ v - _pos_pow(v, p)
+    return ScalarField.from_interior(u.grid, u.mask, g)
 
 
 def grad_I(u: ScalarField) -> ScalarField:
-    """L^2 representative of dI: (-Delta_h u + u) on interior nodes."""
-    g = -sublaplacian_values(u) + u.values
-    return ScalarField(u.grid, np.where(u.mask, g, 0.0), u.mask)
+    """L^2 representative of dI: A v = -Delta_h u + u on interior nodes."""
+    return ScalarField.from_interior(
+        u.grid, u.mask, energy_operator(u.grid, u.mask) @ u.interior()
+    )
 
 
 def residual(u: ScalarField, p: float, eps: float = 1.0) -> ScalarField:
@@ -100,8 +89,9 @@ def residual(u: ScalarField, p: float, eps: float = 1.0) -> ScalarField:
     check_exponent(p)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    r = eps * eps * sublaplacian_values(u) - u.values + _pos_pow(u.values, p)
-    return ScalarField(u.grid, np.where(u.mask, r, 0.0), u.mask)
+    v = u.interior()
+    lap = v - energy_operator(u.grid, u.mask) @ v
+    return ScalarField.from_interior(u.grid, u.mask, eps * eps * lap - v + _pos_pow(v, p))
 
 
 def nehari_scale(u: ScalarField, p: float):

@@ -26,15 +26,16 @@ from .errors import (
     ConfigurationError,
     DomainError,
     InsufficientDataError,
+    NumericError,
 )
 from .functionals import (
     EnergyBreakdown,
+    _pos_pow,
+    _pos_pow_sum,
     check_exponent,
     critical_identity_defect,
     energy_breakdown,
-    eval_I,
     eval_J,
-    grad_I,
     grad_J,
     nehari_scale,
 )
@@ -43,7 +44,8 @@ from .grid import (
     ScalarField,
     ball_mask,
     build_ball_grid,
-    e_norm_sq,
+    e_norm_sq_values,
+    energy_operator,
     inner,
     l2_norm,
     zero_extend,
@@ -82,20 +84,16 @@ class SolverConfig:
     max_iters: int = 40000
     grad_tol: float = 1e-6
     path_points: int = 11
-    seed: int = 0
 
     def validate(self) -> None:
         check_exponent(self.p)
-        if self.ball_radius <= 0:
-            raise ConfigurationError(f"ball radius must be positive, got {self.ball_radius}")
+        for name in ("ball_radius", "eps", "step_size", "grad_tol"):
+            value = getattr(self, name)
+            # Written so that NaN fails it too.
+            if not 0.0 < value < np.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.nodes_per_axis < 8:
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.nodes_per_axis}")
-        if self.eps <= 0:
-            raise ConfigurationError(f"eps must be positive, got {self.eps}")
-        if self.step_size <= 0:
-            raise ConfigurationError(f"step size must be positive, got {self.step_size}")
-        if self.grad_tol <= 0:
-            raise ConfigurationError(f"grad tolerance must be positive, got {self.grad_tol}")
         if self.path_points < 9:
             raise ConfigurationError(f"need >= 9 path points, got {self.path_points}")
 
@@ -278,25 +276,31 @@ def _local_path_max(path, energies, i, p):
     return best_u, best_j
 
 
-def _armijo_descent(u, j_u, g, gn_sq, tau, p, *, c1=1e-4, shrink=0.5, grow=1.3,
-                    max_backtracks=40, objective=None):
-    """Backtracking line search along -g; returns (u_new, f_new, tau)."""
-    f = objective if objective is not None else (lambda v: eval_J(v, p))
+def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
+                    grow=1.3, max_backtracks=40):
+    """Backtracking line search from the array x along -g.
+
+    objective(candidate array) returns (f, state); the result is
+    (state, f, tau) of the accepted step, so the caller keeps what the
+    objective built on the way (the candidate field, or the renormalized
+    candidate vector).
+    """
     for _ in range(max_backtracks):
-        cand = u.with_values(u.values - tau * g.values)
-        f_cand = f(cand)
-        if f_cand <= j_u - c1 * tau * gn_sq:
-            return cand, f_cand, min(tau * grow, 1.0)
+        f_cand, state = objective(x - tau * g)
+        if f_cand <= f_x - c1 * tau * gn_sq:
+            return state, f_cand, min(tau * grow, 1.0)
         tau *= shrink
     raise AlgorithmError("line search failed to find a descent step")
 
 
-def _ray_objective(v: ScalarField, p: float) -> float:
-    """max_t J(t v); +inf when the ray has no positive-part mass."""
+def _ray_objective(u: ScalarField, values: np.ndarray, p: float):
+    """(max_t J(t v), v) for v = u with the given values; the max is +inf
+    when the ray has no positive-part mass."""
+    v = u.with_values(values)
     try:
-        return nehari_scale(v, p)[1]
+        return nehari_scale(v, p)[1], v
     except DomainError:
-        return np.inf
+        return np.inf, v
 
 
 def _ray_descent(u, p, tau, grad_tol, max_iters, trace, it0=0):
@@ -320,8 +324,8 @@ def _ray_descent(u, p, tau, grad_tol, max_iters, trace, it0=0):
             return w, j_max, True, it + 1, gn, tau
         g = g_w.with_values(t_star * g_w.values)
         u, j_max, tau = _armijo_descent(
-            u, j_max, g, inner(g, g), tau, p,
-            objective=lambda v: _ray_objective(v, p),
+            u.values, j_max, g.values, inner(g, g), tau,
+            lambda values: _ray_objective(u, values, p),
         )
     t_star, j_max = nehari_scale(u, p)
     w = u.with_values(t_star * u.values)
@@ -542,57 +546,75 @@ def solve_mountain_pass(
 # ---------------------------------------------------------------------------
 
 
-def _constraint_mass(u: ScalarField, p: float) -> float:
-    up = np.maximum(u.values, 0.0)
-    return float(np.sum(up ** (p + 1.0))) * u.grid.cell_volume
+def _constraint_mass(v: np.ndarray, p: float, w: float) -> float:
+    """int v_+^(p+1) of the mask-node vector v, w the cell volume."""
+    return _pos_pow_sum(v, p + 1.0) * w
 
 
-def _renormalize(u: ScalarField, p: float) -> ScalarField:
-    mass = _constraint_mass(u, p)
+def _renormalize(v: np.ndarray, p: float, w: float) -> np.ndarray:
+    mass = _constraint_mass(v, p, w)
     if mass <= 0.0:
         raise AlgorithmError("flow escaped: positive-part mass vanished")
-    return u.with_values(u.values / mass ** (1.0 / (p + 1.0)))
+    return v / mass ** (1.0 / (p + 1.0))
 
 
 def solve_constrained_min(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> SolveReport:
-    """Projected gradient flow on {int u_+^(p+1) = 1}, minimizing I."""
+    """Projected gradient flow on {int u_+^(p+1) = 1}, minimizing I.
+
+    The flow runs on mask-node vectors v: grad I = A v with the cached
+    operator A, and I is summed as squares on one reused box array.
+    Fields are built only from the starting bump and for the report.
+    """
     config.validate()
     if domain is None:
         domain = make_domain(config)
     p = config.p
-    u = _renormalize(radial_bump(domain), p)
+    grid, mask = domain.grid, domain.mask
+    w = grid.cell_volume
+    A = energy_operator(grid, mask)
+    box = np.zeros(grid.shape)  # zero off the mask for good
+
+    def l2_inner(a, b):
+        return float(a @ b) * w
+
+    def constrained_energy(c):
+        """(I of the renormalized candidate, that candidate)."""
+        c = _renormalize(c, p, w)
+        box[mask] = c
+        return 0.5 * e_norm_sq_values(grid, box), c
+
+    i_u, v = constrained_energy(radial_bump(domain).interior())
+    av = A @ v
     tau = config.step_size
     trace = []
     converged = False
     gn = np.inf
-    i_u = eval_I(u)
     it = 0
     for it in range(config.max_iters):
-        gi = grad_I(u)
-        upow = np.where(u.mask, np.maximum(u.values, 0.0) ** p, 0.0)
-        normal = u.with_values(upow)
-        nn = inner(normal, normal)
-        mu = inner(gi, normal) / nn if nn > 0 else 0.0
-        g = u.with_values(gi.values - mu * normal.values)
-        gn = l2_norm(g)
+        normal = _pos_pow(v, p)
+        nn = l2_inner(normal, normal)
+        mu = l2_inner(av, normal) / nn if nn > 0 else 0.0
+        g = av - mu * normal
+        gn = l2_inner(g, g) ** 0.5
+        if not (np.isfinite(gn) and np.isfinite(i_u)):
+            raise NumericError(f"non-finite flow at iteration {it}: I = {i_u}, |g| = {gn}")
         trace.append((it, i_u, gn))
         if gn < config.grad_tol:
             converged = True
             break
-        u, i_u, tau = _armijo_descent(
-            u, i_u, g, gn * gn, tau, p,
-            objective=lambda v: eval_I(_renormalize(v, p)),
-        )
-        u = _renormalize(u, p)
+        v, i_u, tau = _armijo_descent(v, i_u, g, gn * gn, tau, constrained_energy)
+        av = A @ v
 
     # Final positivity projection + exact renormalization; for a converged
     # run this is a no-op beyond stripping round-off undershoots.
-    u = _renormalize(u.with_values(np.maximum(u.values, 0.0)), p)
-    alpha = eval_I(u)
-    lam = e_norm_sq(u)
-    u_star = u.with_values(lam ** (1.0 / (p - 1.0)) * u.values)
+    v = _renormalize(np.maximum(v, 0.0), p, w)
+    box[mask] = v
+    lam = e_norm_sq_values(grid, box)
+    alpha = 0.5 * lam
+    u = ScalarField.from_interior(grid, mask, v)
+    u_star = ScalarField.from_interior(grid, mask, lam ** (1.0 / (p - 1.0)) * v)
     bd = energy_breakdown(u_star, p, config.eps)
     return SolveReport(
         field=u_star,
@@ -607,7 +629,7 @@ def solve_constrained_min(
         method="constrained-min",
         extra={
             "grad_norm": float(gn),
-            "constraint_defect": abs(_constraint_mass(u, p) - 1.0),
+            "constraint_defect": abs(_constraint_mass(v, p, w) - 1.0),
             "constrained_field": u,
             "residual_rel": bd.residual_l2 / l2_norm(u_star),
             "identity_defect": critical_identity_defect(u_star, p),

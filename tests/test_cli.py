@@ -80,6 +80,9 @@ class TestSolve:
     def test_rejects_tiny_grid(self, capsys):
         assert main(["solve", "--radius", "2.0", "--grid", "4"]) == 64
 
+    def test_rejects_nan_radius(self, capsys):
+        assert main(["solve", "--radius", "nan", "--grid", "10"]) == 64
+
 
 class TestExhaust:
     def test_two_radii(self, tmp_path, capsys):
@@ -149,6 +152,10 @@ class TestClassify:
         paths = self._write_sequence(tmp_path, "translating")
         paths[1] = str(tmp_path / "missing.hgf")
         assert main(["classify", "--inputs", *paths]) == 66
+
+    def test_rejects_nonnumeric_radii(self, tmp_path, capsys):
+        paths = self._write_sequence(tmp_path, "translating")
+        assert main(["classify", "--inputs", *paths, "--radii", "a,b"]) == 64
 
     def test_too_few_inputs(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "translating")[:2]

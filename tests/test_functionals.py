@@ -10,7 +10,6 @@ from heisground.functionals import (
     energy_breakdown,
     eval_I,
     eval_J,
-    eval_J_and_grad,
     grad_J,
     nehari_scale,
     residual,
@@ -103,12 +102,6 @@ class TestGradient:
             fd = (jp - jm) / (2.0 * eps)
             worst = max(worst, abs(g - fd) / max(1.0, abs(g)))
         assert worst <= 1e-6
-
-    def test_fused_eval_matches(self, setup):
-        _, _, bump = setup
-        j, g = eval_J_and_grad(bump, P)
-        assert j == pytest.approx(eval_J(bump, P), rel=1e-13)
-        assert np.allclose(g.values, grad_J(bump, P).values, atol=1e-12)
 
     def test_residual_is_negated_gradient(self, setup):
         _, _, bump = setup

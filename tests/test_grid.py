@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion
 
+from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
 from heisground.grid import (
     Grid3,
@@ -14,7 +15,8 @@ from heisground.grid import (
     build_ball_grid,
     e_norm_sq,
     embedding_ratio,
-    energy_and_sublaplacian,
+    energy_operator,
+    full_mask,
     inner,
     integrate,
     l2_norm,
@@ -129,13 +131,85 @@ class TestOperators:
         direct = inner(gx, gx) + inner(gy, gy)
         assert quad == pytest.approx(direct, rel=1e-12)
 
-    def test_energy_and_sublaplacian_consistent(self):
-        rng = np.random.default_rng(13)
+
+def reference_energy(u):
+    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2 by plain forward differences on the box."""
+
+    def fwd(values, axis, h):
+        out = -values.copy()
+        head = [slice(None)] * 3
+        tail = [slice(None)] * 3
+        head[axis] = slice(None, -1)
+        tail[axis] = slice(1, None)
+        out[tuple(head)] += values[tuple(tail)]
+        return out / h
+
+    hx, hy, ht = u.grid.spacing
+    xs, ys, _ = u.grid.coordinate_arrays()
+    f = u.values
+    gx = fwd(f, 0, hx) + 2.0 * ys * fwd(f, 2, ht)
+    gy = fwd(f, 1, hy) - 2.0 * xs * fwd(f, 2, ht)
+    return float(np.sum(gx * gx) + np.sum(gy * gy) + np.sum(f * f)) * u.grid.cell_volume
+
+
+class TestEnergyOperator:
+    @pytest.mark.parametrize("k, n", [(1.5, 12), (4.0, 32)])
+    def test_exactly_symmetric(self, k, n):
+        grid, mask = build_ball_grid(k, n)
+        a = energy_operator(grid, mask)
+        assert (a != a.T).nnz == 0
+
+    @pytest.mark.parametrize(
+        "k, n, box", [(1.5, 12, False), (4.0, 32, False), (1.5, 12, True)]
+    )
+    def test_quadratic_form_matches_reference(self, k, n, box):
+        rng = np.random.default_rng(16)
+        grid, mask = build_ball_grid(k, n)
+        if box:
+            mask = full_mask(grid)
+        a = energy_operator(grid, mask)
+        for _ in range(3):
+            u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
+            v = u.interior()
+            ref = reference_energy(u)
+            assert float(v @ (a @ v)) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
+            assert e_norm_sq(u) == pytest.approx(ref, rel=1e-13)
+
+    def test_cached_per_grid_and_mask(self):
         grid, mask = build_ball_grid(1.5, 12)
-        u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
-        nsq, lap = energy_and_sublaplacian(u)
-        assert nsq == pytest.approx(e_norm_sq(u), rel=1e-13)
-        assert np.allclose(lap, sublaplacian_values(u), atol=1e-12)
+        a = energy_operator(grid, mask)
+        assert energy_operator(grid, mask) is a
+        assert energy_operator(grid, mask.copy()) is a
+        assert energy_operator(grid, ball_mask(grid, 1.0)) is not a
+        mask[tuple(n // 2 for n in grid.shape)] = False  # edited in place
+        b = energy_operator(grid, mask)
+        assert b is not a and b.shape[0] == a.shape[0] - 1
+
+    def test_cache_bounded_across_exhaustion(self):
+        from heisground.solvers import SolverConfig, exhaust_domains
+
+        cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-3)
+        radii = [1.5, 1.75, 2.0, 2.25, 2.5]
+        exhaust_domains(radii, cfg)
+        assert len(radii) > grid_module._OPERATOR_CACHE_SIZE
+        assert len(grid_module._operator_cache) <= grid_module._OPERATOR_CACHE_SIZE
+
+    def test_constrained_min_regression(self, small_cm):
+        # k = 2.5, N = 12, grad_tol 1e-4: the figures of the stencil solver.
+        assert small_cm.iterations == 1016
+        assert small_cm.level == pytest.approx(3.361380577693041, rel=1e-12)
+
+    def test_energy_precise_enough_for_default_tolerance(self):
+        # Evaluated as w v^T A v, the energy's rounding noise stalled this
+        # flow's line search at |grad| = 1.6e-6; the stencil solver reached
+        # the default 1e-6 after 6968 iterations.
+        from heisground.solvers import SolverConfig, solve_constrained_min
+
+        rep = solve_constrained_min(
+            SolverConfig(p=2.0, ball_radius=4.0, nodes_per_axis=32, grad_tol=1e-6)
+        )
+        assert rep.converged
+        assert rep.level == pytest.approx(3.5661065625, rel=1e-9)
 
 
 class TestQuadrature:

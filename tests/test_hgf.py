@@ -1,10 +1,14 @@
 """HGF field file format: header, payload, round-trips."""
 
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisground.grid import ScalarField, build_ball_grid
 from heisground.hgf import MAGIC, read_hgf, write_hgf
@@ -71,3 +75,139 @@ def test_no_temp_files_left(tmp_path, sample_field):
     write_hgf(str(path), sample_field, ball_radius=1.5, p=2.0)
     leftovers = [q for q in tmp_path.iterdir() if q.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _hgf_bytes(header, payload: bytes) -> bytes:
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+
+def _valid_header(field):
+    return {
+        "n": 1,
+        "extents": list(field.grid.shape),
+        "spacing": list(field.grid.spacing),
+        "origin": list(field.grid.corner),
+        "ball_radius": 1.5,
+        "p": 2.0,
+        "metadata": {},
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "non_utf8_header",
+        "one_byte_header_length",
+        "bad_json",
+        "missing_extents",
+        "negative_extents",
+        "list_header",
+        "trailing_bytes",
+        "header_length_past_end",
+        "nan_spacing",
+        "two_extents",
+        "float_extents",
+        "negative_ball_radius",
+        "grid_too_small",
+        "nan_payload",
+    ],
+)
+def test_read_rejects_malformed(tmp_path, sample_field, case):
+    from heisground.errors import DomainError
+
+    header = _valid_header(sample_field)
+    payload = np.ascontiguousarray(sample_field.values, dtype="<f8").tobytes()
+    edits = {
+        "missing_extents": lambda h: h.pop("extents"),
+        "negative_extents": lambda h: h.update(extents=[-10, -10, 10]),
+        "nan_spacing": lambda h: h.update(spacing=[float("nan"), 0.3, 0.45]),
+        "two_extents": lambda h: h.update(extents=h["extents"][:2]),
+        "float_extents": lambda h: h.update(extents=[float(n) for n in h["extents"]]),
+        "negative_ball_radius": lambda h: h.update(ball_radius=-1.5),
+    }
+    if case in edits:
+        edits[case](header)
+        data = _hgf_bytes(header, payload)
+    elif case == "non_utf8_header":
+        data = _hgf_bytes(b"\xff\xfe{}", payload)
+    elif case == "one_byte_header_length":
+        data = MAGIC + b"\x05"
+    elif case == "bad_json":
+        data = _hgf_bytes(b"{not json", payload)
+    elif case == "list_header":
+        data = _hgf_bytes(b"[1, 2, 3]", payload)
+    elif case == "trailing_bytes":
+        data = _hgf_bytes(header, payload) + b"\x00"
+    elif case == "header_length_past_end":
+        data = MAGIC + struct.pack("<I", 1 << 20) + b"{}"
+    elif case == "grid_too_small":
+        header.update(extents=[4, 4, 4])
+        data = _hgf_bytes(header, bytes(8 * 64))
+    else:  # nan_payload
+        values = sample_field.values.copy()
+        values.flat[0] = np.nan
+        data = _hgf_bytes(header, np.ascontiguousarray(values, dtype="<f8").tobytes())
+    path = tmp_path / "bad.hgf"
+    path.write_bytes(data)
+    with pytest.raises(DomainError):
+        read_hgf(str(path))
+
+
+def _classify_inputs():
+    """Raw bytes of a 3-field sequence on a small ball grid (valid HGF files)."""
+    import tempfile
+
+    grid, mask = build_ball_grid(1.5, 10)
+    rho = grid.gauge_array()
+    out = []
+    with tempfile.TemporaryDirectory() as d:
+        for m in range(3):
+            path = f"{d}/s{m}.hgf"
+            values = np.exp(-((rho / (0.5 + 0.2 * m)) ** 2))
+            write_hgf(path, ScalarField(grid, values, mask), ball_radius=1.5, p=2.0)
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+    return out
+
+
+_SEQUENCE = _classify_inputs()
+_HEADER_END = 8 + struct.unpack("<I", _SEQUENCE[0][4:8])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.integers(0, 2),
+    edits=st.lists(
+        st.tuples(
+            # Half the edits land in the magic, length or JSON header.
+            st.one_of(st.integers(0, _HEADER_END - 1),
+                      st.integers(0, len(_SEQUENCE[0]) - 1)),
+            st.integers(0, 255),
+        ),
+        max_size=6,
+    ),
+    cut=st.one_of(st.none(), st.integers(0, len(_SEQUENCE[0]))),
+    tail=st.binary(max_size=9),
+)
+def test_classify_survives_byte_mutations(target, edits, cut, tail):
+    """Whatever the bytes, classify ends in a documented exit code."""
+    import tempfile
+
+    from heisground.cli import main
+
+    data = bytearray(_SEQUENCE[target])
+    for pos, byte in edits:
+        data[pos] = byte
+    data = bytes(data[:cut]) + tail
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for m, raw in enumerate(_SEQUENCE):
+            path = f"{d}/s{m}.hgf"
+            with open(path, "wb") as fh:
+                fh.write(data if m == target else raw)
+            paths.append(path)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["classify", "--inputs", *paths, "--out", f"{d}/v.json"])
+    assert code in {0, 1, 2, 64, 66}

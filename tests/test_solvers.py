@@ -24,6 +24,8 @@ class TestConfig:
             SolverConfig(step_size=0.0).validate()
         with pytest.raises(ConfigurationError):
             SolverConfig(path_points=5).validate()
+        with pytest.raises(ConfigurationError):
+            SolverConfig(ball_radius=float("nan")).validate()
         SolverConfig().validate()
 
 
