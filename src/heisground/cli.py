@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields as dc_fields
+from dataclasses import asdict
 
 from . import cc_diag, hgf, solvers
 from .errors import ConfigurationError, DomainError, HeisgroundError
@@ -30,48 +30,17 @@ EXIT_USAGE = 64
 EXIT_IO = 66
 
 
-@dataclass
-class RunConfig:
-    """Flat, serializable mirror of SolverConfig plus I/O paths."""
-
-    method: str = "constrained-min"
-    p: float = 2.0
-    radius: float = 6.0
-    grid: int = 48
-    eps: float = 1.0
-    tau: float = 5e-3
-    max_iters: int = 40000
-    grad_tol: float = 1e-6
-    path_points: int = 11
-    out: str = ""
-    report: str = ""
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.method not in ("mountain-pass", "constrained-min"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
-        self.to_solver_config().validate()
-
-    def to_solver_config(self) -> solvers.SolverConfig:
-        return solvers.SolverConfig(
-            p=self.p,
-            ball_radius=self.radius,
-            nodes_per_axis=self.grid,
-            eps=self.eps,
-            step_size=self.tau,
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-            path_points=self.path_points,
-        )
+# Solver flags of `solve` and `exhaust`: flag -> SolverConfig field.  Each
+# flag takes its type and default from the field's default.
+_SOLVER_FLAGS = {
+    "--p": "p",
+    "--radius": "ball_radius",
+    "--grid": "nodes_per_axis",
+    "--tau": "step_size",
+    "--max-iters": "max_iters",
+    "--grad-tol": "grad_tol",
+    "--path-points": "path_points",
+}
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -111,6 +80,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _add_solver_flags(parser, skip=None) -> None:
+    defaults = asdict(solvers.SolverConfig())
+    for flag, name in _SOLVER_FLAGS.items():
+        if flag != skip:
+            parser.add_argument(flag, dest=name, type=type(defaults[name]),
+                                default=defaults[name],
+                                help=f"SolverConfig.{name} (default %(default)s)")
+
+
+def _solver_config(args) -> solvers.SolverConfig:
+    """The SolverConfig of the parsed solver flags (unparsed fields keep
+    their defaults)."""
+    return solvers.SolverConfig(
+        **{name: getattr(args, name) for name in _SOLVER_FLAGS.values() if name in args}
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heisground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,26 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="compute a ground state on one gauge ball")
     ps.add_argument("--method", choices=["mountain-pass", "constrained-min"],
                     default="constrained-min")
-    ps.add_argument("--p", type=float, default=2.0)
-    ps.add_argument("--radius", type=float, default=6.0)
-    ps.add_argument("--grid", type=int, default=48)
-    ps.add_argument("--eps", type=float, default=1.0)
-    ps.add_argument("--tau", type=float, default=5e-3)
-    ps.add_argument("--max-iters", type=int, default=40000)
-    ps.add_argument("--grad-tol", type=float, default=1e-6)
-    ps.add_argument("--path-points", type=int, default=11)
+    _add_solver_flags(ps)
     ps.add_argument("--out", default="", help="HGF output path for the field")
     ps.add_argument("--report", default="", help="JSON report path")
 
     pe = sub.add_parser("exhaust", help="mountain-pass levels on nested balls")
     pe.add_argument("--radii", default="2,3,4,5,6",
                     help="comma-separated increasing ball radii")
-    pe.add_argument("--p", type=float, default=2.0)
-    pe.add_argument("--grid", type=int, default=48)
-    pe.add_argument("--tau", type=float, default=5e-3)
-    pe.add_argument("--max-iters", type=int, default=40000)
-    pe.add_argument("--grad-tol", type=float, default=1e-6)
-    pe.add_argument("--path-points", type=int, default=11)
+    _add_solver_flags(pe, skip="--radius")  # --radii sets the balls
     pe.add_argument("--out-csv", default="exhaust.csv")
     pe.add_argument("--out-json", default="exhaust.json")
 
@@ -179,32 +153,19 @@ def cmd_calculus_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = RunConfig(
-        method=args.method,
-        p=args.p,
-        radius=args.radius,
-        grid=args.grid,
-        eps=args.eps,
-        tau=args.tau,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        path_points=args.path_points,
-        out=args.out,
-        report=args.report,
-    )
-    cfg.validate()
-    scfg = cfg.to_solver_config()
+    cfg = _solver_config(args)
     if args.method == "mountain-pass":
-        rep = solvers.solve_mountain_pass(scfg)
+        rep = solvers.solve_mountain_pass(cfg)
     else:
-        rep = solvers.solve_constrained_min(scfg)
+        rep = solvers.solve_constrained_min(cfg)
     report = {
-        "config": asdict(cfg),
+        "config": {"method": args.method, **asdict(cfg), "out": args.out,
+                   "report": args.report},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         **rep.as_dict(),
     }
     if args.out:
-        hgf.write_hgf(args.out, rep.field, ball_radius=cfg.radius, p=cfg.p,
+        hgf.write_hgf(args.out, rep.field, ball_radius=cfg.ball_radius, p=cfg.p,
                       metadata={"method": args.method})
     if args.report:
         _write_json(args.report, report)
@@ -226,22 +187,13 @@ def _parse_radii(text: str):
 
 def cmd_exhaust(args) -> int:
     radii = _parse_radii(args.radii)
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
-        raise ConfigurationError("radii must be strictly increasing (>= 2 values)")
-    cfg = solvers.SolverConfig(
-        p=args.p,
-        ball_radius=radii[-1],
-        nodes_per_axis=args.grid,
-        step_size=args.tau,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        path_points=args.path_points,
-    )
-    cfg.validate()
+    cfg = _solver_config(args)
     rows = []
     failed = False
     try:
         report = solvers.exhaust_domains(radii, cfg)
+    except ConfigurationError:
+        raise  # bad radii: a usage error, not a failed solve
     except HeisgroundError as exc:
         print(f"exhaust failed: {exc}", file=sys.stderr)
         failed = True

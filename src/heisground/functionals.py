@@ -84,14 +84,12 @@ def grad_I(u: ScalarField) -> ScalarField:
     )
 
 
-def residual(u: ScalarField, p: float, eps: float = 1.0) -> ScalarField:
-    """Pointwise eps^2 Delta_h u - u + u_+^p on interior nodes."""
+def residual(u: ScalarField, p: float) -> ScalarField:
+    """Pointwise Delta_h u - u + u_+^p on interior nodes."""
     check_exponent(p)
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
     v = u.interior()
     lap = v - energy_operator(u.grid, u.mask) @ v
-    return ScalarField.from_interior(u.grid, u.mask, eps * eps * lap - v + _pos_pow(v, p))
+    return ScalarField.from_interior(u.grid, u.mask, lap - v + _pos_pow(v, p))
 
 
 def nehari_scale(u: ScalarField, p: float):
@@ -138,7 +136,7 @@ class EnergyBreakdown:
         }
 
 
-def energy_breakdown(u: ScalarField, p: float, eps: float = 1.0) -> EnergyBreakdown:
+def energy_breakdown(u: ScalarField, p: float) -> EnergyBreakdown:
     check_exponent(p)
     w = u.grid.cell_volume
     nsq = e_norm_sq(u)
@@ -148,6 +146,6 @@ def energy_breakdown(u: ScalarField, p: float, eps: float = 1.0) -> EnergyBreakd
         I=0.5 * nsq,
         e_norm_sq=nsq,
         lp1_norm=mass ** (1.0 / (p + 1.0)),
-        residual_l2=l2_norm(residual(u, p, eps)),
+        residual_l2=l2_norm(residual(u, p)),
         p=p,
     )

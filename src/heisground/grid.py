@@ -148,19 +148,18 @@ class ScalarField:
         return self.grid.node_point(idx)
 
 
-def build_ball_grid(k: float, nodes_per_axis: int, t_spacing: float = None):
+def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
 
-    The t spacing defaults to h_x * k, which keeps all three node counts
-    equal despite the parabolic t extent.
+    The t spacing is h_x * k, rounded to a whole number of nodes, which
+    keeps all three node counts equal despite the parabolic t extent.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
     if nodes_per_axis < 8:
         raise ConfigurationError(f"need >= 8 nodes per axis, got {nodes_per_axis}")
     hx = 2.0 * k / nodes_per_axis
-    ht = hx * k if t_spacing is None else t_spacing
-    nt = max(8, int(round(2.0 * k * k / ht)))
+    nt = max(8, int(round(2.0 * k * k / (hx * k))))
     ht = 2.0 * k * k / nt
     grid = Grid3(
         shape=(nodes_per_axis, nodes_per_axis, nt),

@@ -95,7 +95,8 @@ def read_hgf(path: str) -> tuple:
     The mask is reconstructed from header ball_radius (gauge ball) or is
     the full box when no radius was recorded.  Every malformed file --
     short, bad header, sizes that disagree with the file length, trailing
-    bytes, non-finite values -- raises DomainError.
+    bytes, non-finite values, nonzero values outside the ball -- raises
+    DomainError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -128,6 +129,11 @@ def read_hgf(path: str) -> tuple:
         )
         radius = header.get("ball_radius")
         mask = full_mask(grid) if radius is None else ball_mask(grid, float(radius))
+        outside = np.count_nonzero(values[~mask])
+        if outside:
+            raise DomainError(
+                f"{path}: {outside} nonzero values outside the ball of radius {radius}"
+            )
         return ScalarField(grid, values, mask), header
     except ConfigurationError as exc:  # grid too small, non-finite values
         raise DomainError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -72,28 +72,33 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solvers; defaults suit the desk-scale runs."""
+    """Knobs shared by both solvers; defaults suit the desk-scale runs.
+
+    Checked on construction (and so by `dataclasses.replace`): an invalid
+    config raises ConfigurationError and never exists.
+    """
 
     p: float = 2.0
     ball_radius: float = 6.0
     nodes_per_axis: int = 48
-    eps: float = 1.0
     step_size: float = 5e-3
     max_iters: int = 40000
     grad_tol: float = 1e-6
     path_points: int = 11
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_exponent(self.p)
-        for name in ("ball_radius", "eps", "step_size", "grad_tol"):
+        for name in ("ball_radius", "step_size", "grad_tol"):
             value = getattr(self, name)
             # Written so that NaN fails it too.
             if not 0.0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.nodes_per_axis < 8:
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.nodes_per_axis}")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"need >= 1 iteration, got max_iters = {self.max_iters}")
         if self.path_points < 9:
             raise ConfigurationError(f"need >= 9 path points, got {self.path_points}")
 
@@ -106,9 +111,11 @@ class Domain:
 
 
 def make_domain(config: SolverConfig) -> Domain:
-    config.validate()
     grid, mask = build_ball_grid(config.ball_radius, config.nodes_per_axis)
     return Domain(grid, mask, config.ball_radius)
+
+
+_TRACE_STRIDE = 50  # a report keeps every 50th trace record, and the last
 
 
 @dataclass
@@ -125,7 +132,7 @@ class SolveReport:
     method: str
     extra: dict = dc_field(default_factory=dict)
 
-    def as_dict(self, trace_stride: int = 50) -> dict:
+    def as_dict(self) -> dict:
         return {
             "method": self.method,
             "level": self.level,
@@ -139,7 +146,7 @@ class SolveReport:
                 "t": float(self.max_point.t),
             },
             "max_value": self.max_value,
-            "trace": [list(rec) for rec in self.trace[::trace_stride]]
+            "trace": [list(rec) for rec in self.trace[::_TRACE_STRIDE]]
             + ([list(self.trace[-1])] if self.trace else []),
             **{k: v for k, v in self.extra.items() if _jsonable(v)},
         }
@@ -283,14 +290,15 @@ def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
     objective(candidate array) returns (f, state); the result is
     (state, f, tau) of the accepted step, so the caller keeps what the
     objective built on the way (the candidate field, or the renormalized
-    candidate vector).
+    candidate vector).  None means no step descends: f has reached its
+    rounding floor, and the caller stops at x, unconverged.
     """
     for _ in range(max_backtracks):
         f_cand, state = objective(x - tau * g)
         if f_cand <= f_x - c1 * tau * gn_sq:
             return state, f_cand, min(tau * grow, 1.0)
         tau *= shrink
-    raise AlgorithmError("line search failed to find a descent step")
+    return None
 
 
 def _ray_objective(u: ScalarField, values: np.ndarray, p: float):
@@ -323,10 +331,13 @@ def _ray_descent(u, p, tau, grad_tol, max_iters, trace, it0=0):
         if gn < grad_tol:
             return w, j_max, True, it + 1, gn, tau
         g = g_w.with_values(t_star * g_w.values)
-        u, j_max, tau = _armijo_descent(
+        step = _armijo_descent(
             u.values, j_max, g.values, inner(g, g), tau,
             lambda values: _ray_objective(u, values, p),
         )
+        if step is None:
+            return w, j_max, False, it + 1, gn, tau
+        u, j_max, tau = step
     t_star, j_max = nehari_scale(u, p)
     w = u.with_values(t_star * u.values)
     return w, j_max, False, it + 1, gn, tau
@@ -362,7 +373,6 @@ def solve_mountain_pass(
     path_init: Optional[list] = None,
 ) -> SolveReport:
     """Discretized-path deformation toward the min-max critical point."""
-    config.validate()
     if domain is None:
         domain = make_domain(config)
     p = config.p
@@ -518,7 +528,7 @@ def solve_mountain_pass(
         _, level = nehari_scale(u_k, p)
     except DomainError:
         level = eval_J(u_k, p)
-    bd = energy_breakdown(u_k, p, config.eps)
+    bd = energy_breakdown(u_k, p)
     return SolveReport(
         field=u_k,
         level=level,
@@ -567,7 +577,6 @@ def solve_constrained_min(
     operator A, and I is summed as squares on one reused box array.
     Fields are built only from the starting bump and for the report.
     """
-    config.validate()
     if domain is None:
         domain = make_domain(config)
     p = config.p
@@ -604,7 +613,10 @@ def solve_constrained_min(
         if gn < config.grad_tol:
             converged = True
             break
-        v, i_u, tau = _armijo_descent(v, i_u, g, gn * gn, tau, constrained_energy)
+        step = _armijo_descent(v, i_u, g, gn * gn, tau, constrained_energy)
+        if step is None:
+            break
+        v, i_u, tau = step
         av = A @ v
 
     # Final positivity projection + exact renormalization; for a converged
@@ -615,7 +627,7 @@ def solve_constrained_min(
     alpha = 0.5 * lam
     u = ScalarField.from_interior(grid, mask, v)
     u_star = ScalarField.from_interior(grid, mask, lam ** (1.0 / (p - 1.0)) * v)
-    bd = energy_breakdown(u_star, p, config.eps)
+    bd = energy_breakdown(u_star, p)
     return SolveReport(
         field=u_star,
         level=alpha,
@@ -650,7 +662,6 @@ def nehari_descent(
     Independent route to the mountain-pass level: at the minimum t* = 1
     and the minimizer is the ground state itself.
     """
-    config.validate()
     if domain is None:
         domain = make_domain(config)
     p = config.p
@@ -660,7 +671,7 @@ def nehari_descent(
         config.max_iters, trace,
     )
     u = w.with_values(np.maximum(w.values, 0.0))
-    bd = energy_breakdown(u, p, config.eps)
+    bd = energy_breakdown(u, p)
     return SolveReport(
         field=u,
         level=eval_J(u, p),
@@ -780,9 +791,10 @@ class ExhaustionReport:
         }
 
 
-def exhaust_domains(
-    radii, config: SolverConfig, rel_slack: float = 1e-6
-) -> ExhaustionReport:
+_MONOTONE_REL_SLACK = 1e-6  # relative rise of c_k still counted as monotone
+
+
+def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     """Mountain-pass solves on nested balls B_k sharing one master grid.
 
     All balls are masks on the grid of the largest radius, so the nesting
@@ -793,8 +805,7 @@ def exhaust_domains(
     radii = list(radii)
     if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
         raise ConfigurationError("radii must be a strictly increasing list (>= 2)")
-    cfg = SolverConfig(**{**config.__dict__, "ball_radius": radii[-1]})
-    cfg.validate()
+    cfg = replace(config, ball_radius=radii[-1])
     master = make_domain(cfg)
     masks = {k: ball_mask(master.grid, k) for k in radii}
     u0 = pick_u0(Domain(master.grid, masks[radii[0]], radii[0]), cfg.p)
@@ -825,7 +836,7 @@ def exhaust_domains(
     for a, b in zip(entries[:-1], entries[1:]):
         excess = (b.level - a.level) / abs(a.level)
         slack = max(slack, excess)
-        if excess > rel_slack:
+        if excess > _MONOTONE_REL_SLACK:
             monotone = False
     return ExhaustionReport(entries=entries, monotone=monotone, monotone_slack=slack)
 
@@ -881,7 +892,6 @@ def compare_methods(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> ComparisonReport:
     """Run both methods on one instance and check they agree."""
-    config.validate()
     if domain is None:
         domain = make_domain(config)
     rep_mp = solve_mountain_pass(config, domain=domain)

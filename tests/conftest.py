@@ -6,6 +6,7 @@ fixture also records its wall-clock time for the runtime budgets.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def nd_run(desk_config, desk_domain):
 
 @pytest.fixture(scope="session")
 def exhaust_run(desk_config):
-    cfg = SolverConfig(**{**desk_config.__dict__, "grad_tol": 1e-4})
+    cfg = replace(desk_config, grad_tol=1e-4)
     return _timed(exhaust_domains, [2.0, 3.0, 4.0, 5.0, 6.0], cfg)
 
 

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from heisground.cli import main
+from heisground.cli import _build_parser, main
 from heisground.grid import Grid3, ScalarField, full_mask
 from heisground.hgf import write_hgf
+from heisground.solvers import SolverConfig
 
 SOLVE_FAST = [
     "--radius", "2.0", "--grid", "10", "--grad-tol", "1e-3",
@@ -44,6 +46,11 @@ class TestSolve:
         doc = json.loads(report.read_text())
         assert doc["converged"] is True
         assert doc["level"] > 0.0
+        assert doc["config"] == {
+            "method": "constrained-min", "p": 2.0, "ball_radius": 2.0,
+            "nodes_per_axis": 10, "step_size": 5e-3, "max_iters": 6000,
+            "grad_tol": 1e-3, "path_points": 11, "out": str(out), "report": str(report),
+        }
         assert out.exists()
 
     def test_mountain_pass(self, tmp_path, capsys):
@@ -82,6 +89,39 @@ class TestSolve:
 
     def test_rejects_nan_radius(self, capsys):
         assert main(["solve", "--radius", "nan", "--grid", "10"]) == 64
+
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    def test_rejects_no_iterations(self, capsys, max_iters):
+        assert main(["solve", "--radius", "2", "--grid", "10",
+                     "--max-iters", max_iters]) == 64
+
+    def test_rejects_eps(self, capsys):
+        assert main(["solve", "--eps", "0.5", *SOLVE_FAST]) == 64
+
+    def test_line_search_stall_writes_report(self, tmp_path, capsys):
+        # At grad_tol 1e-7 the energy reaches its rounding floor on this
+        # ball first: the line search finds no descent step.
+        report = tmp_path / "r.json"
+        code = main(["solve", "--radius", "2.5", "--grid", "12", "--grad-tol", "1e-7",
+                     "--report", str(report)])
+        assert code == 2
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["converged"] is False
+        assert doc["iterations"] < doc["config"]["max_iters"]
+        assert np.isfinite(doc["level"]) and np.isfinite(doc["grad_norm"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["solve", "exhaust"])
+def test_solver_flag_defaults_match_config(command):
+    args = vars(_build_parser().parse_args([command]))
+    defaults = asdict(SolverConfig())
+    if command == "exhaust":  # the radii flag sets the ball radius
+        del defaults["ball_radius"]
+    assert {name: args[name] for name in defaults} == defaults
 
 
 class TestExhaust:

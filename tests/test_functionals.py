@@ -105,14 +105,9 @@ class TestGradient:
 
     def test_residual_is_negated_gradient(self, setup):
         _, _, bump = setup
-        r = residual(bump, P, 1.0)
+        r = residual(bump, P)
         g = grad_J(bump, P)
         assert np.allclose(r.values, -g.values, atol=1e-12)
-
-    def test_residual_rejects_bad_eps(self, setup):
-        _, _, bump = setup
-        with pytest.raises(DomainError):
-            residual(bump, P, eps=0.0)
 
 
 class TestNehari:

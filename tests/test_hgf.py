@@ -111,6 +111,7 @@ def _valid_header(field):
         "negative_ball_radius",
         "grid_too_small",
         "nan_payload",
+        "nonzero_outside_ball",
     ],
 )
 def test_read_rejects_malformed(tmp_path, sample_field, case):
@@ -144,6 +145,8 @@ def test_read_rejects_malformed(tmp_path, sample_field, case):
     elif case == "grid_too_small":
         header.update(extents=[4, 4, 4])
         data = _hgf_bytes(header, bytes(8 * 64))
+    elif case == "nonzero_outside_ball":  # a full-box field of ones
+        data = _hgf_bytes(header, np.ones(sample_field.grid.shape, dtype="<f8").tobytes())
     else:  # nan_payload
         values = sample_field.values.copy()
         values.flat[0] = np.nan
@@ -173,6 +176,20 @@ def _classify_inputs():
 
 _SEQUENCE = _classify_inputs()
 _HEADER_END = 8 + struct.unpack("<I", _SEQUENCE[0][4:8])[0]
+
+
+def test_classify_refuses_values_outside_ball(tmp_path, capsys):
+    from heisground.cli import main
+
+    grid, mask = build_ball_grid(1.5, 10)
+    paths = [str(tmp_path / f"s{m}.hgf") for m in range(3)]
+    for path, raw in zip(paths, _SEQUENCE):
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    ones = ScalarField(grid, np.ones(grid.shape), np.ones(grid.shape, dtype=bool))
+    write_hgf(paths[1], ones, ball_radius=1.5)
+    assert main(["classify", "--inputs", *paths]) == 66
+    assert f"{(~mask).sum()} nonzero values outside the ball" in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Solvers on a small, fast instance; full-scale runs live in acceptance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from heisground.grid import ScalarField, ball_mask, build_ball_grid, l2_norm, ze
 from heisground.solvers import (
     Domain,
     SolverConfig,
+    compare_methods,
     exhaust_domains,
     fit_decay,
     make_domain,
@@ -19,14 +22,18 @@ from heisground.solvers import (
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SolverConfig(p=3.0).validate()
+            SolverConfig(p=3.0)
         with pytest.raises(ConfigurationError):
-            SolverConfig(step_size=0.0).validate()
+            SolverConfig(step_size=0.0)
         with pytest.raises(ConfigurationError):
-            SolverConfig(path_points=5).validate()
+            SolverConfig(path_points=5)
         with pytest.raises(ConfigurationError):
-            SolverConfig(ball_radius=float("nan")).validate()
-        SolverConfig().validate()
+            SolverConfig(ball_radius=float("nan"))
+        with pytest.raises(ConfigurationError):
+            SolverConfig(max_iters=0)
+        with pytest.raises(ConfigurationError):
+            replace(SolverConfig(), nodes_per_axis=4)
+        SolverConfig()
 
 
 class TestPickU0:
@@ -111,6 +118,12 @@ class TestCrossMethod:
         bridge = (p - 1.0) / (2.0 * (p + 1.0)) * lam ** ((p + 1.0) / (p - 1.0))
         assert abs(bridge - small_mp.level) / small_mp.level < 1e-2
 
+    def test_compare_methods(self, small_config, small_domain):
+        rep = compare_methods(small_config, domain=small_domain)
+        assert rep.level_gap_rel < 1e-2
+        assert rep.bridge_defect_rel < 1e-2
+        assert rep.both_positive
+
 
 class TestFitDecay:
     def test_recovers_exact_exponential(self):
@@ -139,7 +152,7 @@ class TestFitDecay:
 
 class TestExhaustion:
     def test_monotone_levels(self, small_config):
-        cfg = SolverConfig(**{**small_config.__dict__, "grad_tol": 1e-3})
+        cfg = replace(small_config, grad_tol=1e-3)
         rep = exhaust_domains([1.5, 2.0, 2.5], cfg)
         assert rep.monotone
         assert rep.monotone_slack <= 1e-6
