@@ -10,6 +10,7 @@ Ball geometry is the group geometry throughout: the ball around z is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -52,7 +53,8 @@ class MassDensity:
 
 
 def normalize_mass(u: ScalarField, q: float) -> MassDensity:
-    """Density |u|^q / int |u|^q."""
+    """Density |u|^q / int |u|^q, for a finite q >= 1."""
+    _check_exponent(q)
     dens = np.abs(u.values) ** q
     total = float(dens.sum()) * u.grid.cell_volume
     if total <= 0.0:
@@ -73,82 +75,175 @@ def _gauge_dist_sq4(grid: Grid3, center: GroupPoint):
     return r2 * r2 + dt * dt
 
 
-def _candidate_centers(grid: Grid3, stride: int):
-    xs = grid.axis_coords(0)[::stride]
-    ys = grid.axis_coords(1)[::stride]
-    ts = grid.axis_coords(2)[::stride]
-    return xs, ys, ts
+def _check_exponent(q: float) -> None:
+    if not (math.isfinite(q) and q >= 1.0):
+        raise DomainError(f"mass exponent q must be finite and >= 1, got {q}")
 
 
-def _padded_t_cumsum(values: np.ndarray) -> np.ndarray:
-    csum = np.cumsum(values, axis=2)
-    return np.concatenate([np.zeros(values.shape[:2] + (1,)), csum], axis=2)
+def _check_stride(center_stride) -> None:
+    if not (isinstance(center_stride, (int, np.integer)) and center_stride >= 1):
+        raise DomainError(f"center stride must be an integer >= 1, got {center_stride!r}")
 
 
-def _ball_masses_xy(grid, padded_csum, R, a, b, t_centers):
-    """Ball masses for one (a, b) and many t-centers at once.
+def _check_radius(R: float) -> None:
+    if not R > 0:
+        raise DomainError(f"ball radius must be positive, got {R}")
+
+
+# Elements in one temporary of the ball-mass kernel.  The center batch is
+# cut into chunks of this size, which keeps a call's working set at about
+# that of a loop over single centers (0.8 MB at R = 2 on a 20x20x70 box).
+_CHUNK = 1 << 14
+
+
+def _radius_cap(grid: Grid3, a, b, c) -> float:
+    """A radius whose gauge ball about every center (a_k, b_k, c_l) holds
+    every node: twice a bound on rho(z^-1 w) over the nodes w, plus a cell.
+
+    Clamping R to it changes no mass and keeps R^4 finite.
+    """
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    xs, ys, ts = (grid.axis_coords(i) for i in range(3))
+    dx = max(xs[-1] - a.min(), a.max() - xs[0])
+    dy = max(ys[-1] - b.min(), b.max() - ys[0])
+    xm = max(-xs[0], xs[-1])
+    ym = max(-ys[0], ys[-1])
+    # dt = t - c - 2 b x + 2 a y
+    dt = (max(ts[-1] - c.min(), c.max() - ts[0])
+          + 2.0 * np.abs(b).max() * xm + 2.0 * np.abs(a).max() * ym)
+    r2 = dx * dx + dy * dy
+    return 2.0 * math.sqrt(math.sqrt(r2 * r2 + dt * dt)) + max(grid.spacing)
+
+
+def _disc_offsets(grid: Grid3, R: float, slack_x: float, slack_y: float):
+    """Column offsets (ox, oy), in row-major order, that a gauge ball of
+    radius R can reach from a center within (slack_x, slack_y) of its
+    anchor column.
+
+    A column at horizontal distance >= R from the center has s = 0 and
+    holds no mass; the margin on R keeps every column whose rounded r2
+    could still fall below R^2.  The window is capped at the grid size.
+    """
+    hx, hy = grid.spacing[:2]
+    nx, ny = grid.shape[:2]
+    reach = R * (1.0 + 1e-9) + 1e-6 * max(hx, hy)
+    wx = min(int((reach + slack_x) / hx), nx - 1)
+    wy = min(int((reach + slack_y) / hy), ny - 1)
+    ox, oy = np.meshgrid(np.arange(-wx, wx + 1), np.arange(-wy, wy + 1), indexing="ij")
+    gx = np.maximum(np.abs(ox) * hx - slack_x, 0.0)
+    gy = np.maximum(np.abs(oy) * hy - slack_y, 0.0)
+    keep = gx * gx + gy * gy < reach * reach
+    return ox[keep], oy[keep]
+
+
+def _ceil_index(x: np.ndarray, nt: int, start: np.ndarray) -> np.ndarray:
+    """Flat cumsum index start + clip(ceil(x), 0, nt); x is overwritten.
+
+    Both ends of a column go through here, and ceil and clip are monotone,
+    so hi >= lo whenever s >= 0.
+    """
+    idx = np.ceil(x, out=x).astype(np.int64)
+    np.clip(idx, 0, nt, out=idx)
+    idx += start
+    return idx
+
+
+def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, ts):
+    """Gauge-ball masses about every xy-center (a[k], b[k]) and t-center ts[l].
 
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
-    s = (R^4 - r2^2)^(1/2); interval sums come from a t-axis cumulative
-    sum, so each center costs O(N_x N_y) instead of a full-grid sweep.
+    s = (R^4 - r2^2)^(1/2); interval sums are differences of a t-axis
+    cumulative sum.  Center k visits only the columns (ia[k], ib[k]) +
+    (ox, oy) within reach of R, off-grid ones reading a zero column, and
+    sums them in row-major order.  Returns masses of shape (len(a), len(ts)).
     """
-    xs = grid.axis_coords(0)
-    ys = grid.axis_coords(1)
-    ht = grid.spacing[2]
-    t0 = grid.corner[2]
-    nt = grid.shape[2]
-    dx = xs - a
-    dy = ys - b
-    r2 = dx[:, None] ** 2 + dy[None, :] ** 2
-    s = np.sqrt(np.maximum(R**4 - r2 * r2, 0.0))
-    shift = 2.0 * b * dx[:, None] - 2.0 * a * dy[None, :]
-    # node t_l = t0 + (l + 1/2) ht lies in (c + shift - s, c + shift + s)
-    base = (shift[:, :, None] + np.asarray(t_centers)[None, None, :] - t0) / ht - 0.5
-    half = s[:, :, None] / ht
-    lo = np.ceil(base - half).astype(np.int64)
-    hi = np.ceil(base + half).astype(np.int64)
-    np.clip(lo, 0, nt, out=lo)
-    np.clip(hi, 0, nt, out=hi)
-    np.maximum(hi, lo, out=hi)
-    col = np.take_along_axis(padded_csum, hi, axis=2) - np.take_along_axis(
-        padded_csum, lo, axis=2
+    grid = density.field.grid
+    nx, ny, nt = grid.shape
+    ht, t0 = grid.spacing[2], grid.corner[2]
+    ts = np.asarray(ts, dtype=float)
+    R = min(R, _radius_cap(grid, a, b, ts))
+    xs, ys = grid.axis_coords(0), grid.axis_coords(1)
+    ox, oy = _disc_offsets(
+        grid, R, float(np.abs(a - xs[ia]).max()), float(np.abs(b - ys[ib]).max())
     )
-    return col.sum(axis=(0, 1)) * grid.cell_volume
+    # t-cumsum per column, plus one zero column for every off-grid column
+    csum = np.zeros((nx * ny + 1, nt + 1))
+    np.cumsum(density.field.values.reshape(nx * ny, nt), axis=1, out=csum[:-1, 1:])
+    flat = csum.ravel()
+    hx, hy = grid.spacing[:2]
+    R4 = R**4
+
+    ncol, nxy, ntc = len(ox), len(a), len(ts)
+    pairs = max(1, _CHUNK // ncol)  # (xy-center, t-center) pairs per chunk
+    t_step = min(ntc, pairs)
+    xy_step = max(1, pairs // ntc)
+    masses = np.empty((nxy, ntc))
+    for k0 in range(0, nxy, xy_step):
+        k = slice(k0, k0 + xy_step)
+        # skip the offsets that leave the grid for every center of the chunk
+        use = ((ox >= -ia[k].max()) & (ox < nx - ia[k].min())
+               & (oy >= -ib[k].max()) & (oy < ny - ib[k].min()))
+        ci = ia[k, None] + ox[use]
+        cj = ib[k, None] + oy[use]
+        # column coordinates by the same expression as Grid3.axis_coords
+        dx = (grid.corner[0] + (ci + 0.5) * hx) - a[k, None]
+        dy = (grid.corner[1] + (cj + 0.5) * hy) - b[k, None]
+        r2 = dx * dx + dy * dy
+        half = (np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht)[:, :, None]
+        shift = (2.0 * b[k, None] * dx - 2.0 * a[k, None] * dy)[:, :, None]
+        on_grid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
+        start = (np.where(on_grid, ci * ny + cj, nx * ny) * (nt + 1))[:, :, None]
+        for l0 in range(0, ntc, t_step):
+            # node t_l = t0 + (l + 1/2) ht lies in (c + shift - s, c + shift + s);
+            # worked in place, one end at a time, to keep few chunk-sized
+            # arrays alive
+            base = shift + ts[l0:l0 + t_step]
+            base -= t0
+            base /= ht
+            base -= 0.5
+            col = flat.take(_ceil_index(base + half, nt, start))
+            base -= half
+            col -= flat.take(_ceil_index(base, nt, start))
+            masses[k, l0:l0 + t_step] = col.sum(axis=1) * grid.cell_volume
+    return masses
 
 
 def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
     """Mass of the gauge ball B_R(center)."""
-    if R <= 0:
-        raise DomainError(f"ball radius must be positive, got {R}")
+    _check_radius(R)
+    if not center.is_finite():
+        raise DomainError(f"ball center must be finite, got {center}")
     grid = density.field.grid
-    padded = _padded_t_cumsum(density.field.values)
-    masses = _ball_masses_xy(
-        grid, padded, R, float(center.x[0]), float(center.y[0]), [float(center.t)]
+    a, b = float(center.x[0]), float(center.y[0])
+    # anchor the window at the node column nearest the center
+    ia = np.clip(np.rint((a - grid.corner[0]) / grid.spacing[0] - 0.5), 0, grid.shape[0] - 1)
+    ib = np.clip(np.rint((b - grid.corner[1]) / grid.spacing[1] - 0.5), 0, grid.shape[1] - 1)
+    masses = _ball_masses(
+        density, R, np.array([int(ia)]), np.array([int(ib)]),
+        np.array([a]), np.array([b]), [float(center.t)],
     )
-    return float(masses[0])
+    return float(masses[0, 0])
 
 
 def concentration(density: MassDensity, R: float, center_stride: int = 2):
     """Max gauge-ball mass over a strided lattice of candidate centers.
 
-    Returns (mass, argmax center).  Stride error is bounded by the mass of
-    one cell shell, which is all the classifier needs.
+    Returns (mass, argmax center), the first maximum in (x, y, t) order.
+    Stride error is bounded by the mass of one cell shell, which is all the
+    classifier needs.
     """
-    if R <= 0:
-        raise DomainError(f"ball radius must be positive, got {R}")
+    _check_radius(R)
+    _check_stride(center_stride)
     grid = density.field.grid
-    padded = _padded_t_cumsum(density.field.values)
-    best, best_center = -1.0, None
-    cxs, cys, cts = _candidate_centers(grid, max(1, center_stride))
-    for a in cxs:
-        for b in cys:
-            masses = _ball_masses_xy(grid, padded, R, float(a), float(b), cts)
-            j = int(np.argmax(masses))
-            if masses[j] > best:
-                best = float(masses[j])
-                best_center = GroupPoint.of(float(a), float(b), float(cts[j]))
-    return best, best_center
+    ia = np.arange(0, grid.shape[0], center_stride)
+    ib = np.arange(0, grid.shape[1], center_stride)
+    cts = grid.axis_coords(2)[::center_stride]
+    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    masses = _ball_masses(density, R, ia, ib, a, b, cts)
+    k, l = divmod(int(np.argmax(masses)), len(cts))
+    return float(masses[k, l]), GroupPoint.of(float(a[k]), float(b[k]), float(cts[l]))
 
 
 @dataclass
@@ -202,22 +297,45 @@ def group_translate_field(u: ScalarField, z0: GroupPoint) -> ScalarField:
     py = np.broadcast_to(ys + b, u.grid.shape)
     pt = np.broadcast_to(ts + c + 2.0 * (b * xs - a * ys), u.grid.shape)
     pts = np.stack([px.ravel(), py.ravel(), pt.ravel()], axis=1)
-    vals = _interpolator(u)(pts).reshape(u.grid.shape)
-    return ScalarField(u.grid, vals, full_mask(u.grid))
+    # one x-slab at a time: the interpolator's temporaries for the whole
+    # grid at once are about 20 times the field
+    interp = _interpolator(u)
+    vals = np.concatenate([interp(p) for p in np.split(pts, u.grid.shape[0])])
+    return ScalarField(u.grid, vals.reshape(u.grid.shape), full_mask(u.grid))
+
+
+def _linear_weights(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Matrix of 1-D linear interpolation from `nodes` to `points`, with
+    rows of zeros for points outside [nodes[0], nodes[-1]]."""
+    n = len(nodes)
+    i = np.clip(np.searchsorted(nodes, points) - 1, 0, n - 2)
+    w = (points - nodes[i]) / (nodes[i + 1] - nodes[i])
+    inside = (points >= nodes[0]) & (points <= nodes[-1])
+    rows = np.arange(len(points))
+    m = np.zeros((len(points), n))
+    m[rows, i] = np.where(inside, 1.0 - w, 0.0)
+    m[rows, i + 1] = np.where(inside, w, 0.0)
+    return m
 
 
 def dilate_field(u: ScalarField, lam: float, q: float) -> ScalarField:
     """nu(z) = lam^(Q/q) u(delta_lam z); preserves the L^q mass exactly in
-    the continuum (lam^-Q Jacobian of the dilations)."""
+    the continuum (lam^-Q Jacobian of the dilations).
+
+    delta_lam maps x, y and t independently (x -> lam x, y -> lam y,
+    t -> lam^2 t), so the trilinear resample with zero fill is one 1-D
+    interpolation matrix applied along each axis.
+    """
     if lam <= 0:
         raise DomainError(f"dilation factor must be positive, got {lam}")
-    xs, ys, ts = u.grid.coordinate_arrays()
-    px = np.broadcast_to(lam * xs, u.grid.shape)
-    py = np.broadcast_to(lam * ys, u.grid.shape)
-    pt = np.broadcast_to(lam * lam * ts, u.grid.shape)
-    pts = np.stack([px.ravel(), py.ravel(), pt.ravel()], axis=1)
-    vals = lam ** (_Q_HOM / q) * _interpolator(u)(pts).reshape(u.grid.shape)
-    return ScalarField(u.grid, vals, full_mask(u.grid))
+    _check_exponent(q)
+    xs, ys, ts = (u.grid.axis_coords(i) for i in range(3))
+    mx = _linear_weights(xs, lam * xs)
+    my = _linear_weights(ys, lam * ys)
+    mt = _linear_weights(ts, lam * lam * ts)
+    vals = (mx @ u.values.reshape(len(xs), -1)).reshape(u.grid.shape)
+    vals = (my @ vals) @ mt.T
+    return ScalarField(u.grid, lam ** (_Q_HOM / q) * vals, full_mask(u.grid))
 
 
 def _lq_mass(u: ScalarField, q: float) -> float:
@@ -362,7 +480,9 @@ class TrichotomyResult:
 def _second_cluster(density: MassDensity, R: float, z1: GroupPoint, stride: int):
     """Best ball mass over centers, excluding nodes within B_2R(z1)."""
     grid = density.field.grid
-    keep = _gauge_dist_sq4(grid, z1) >= (2.0 * R) ** 4
+    # past the cap the excluded ball holds every node; the cap keeps R^4 finite
+    r_excl = 2.0 * min(R, _radius_cap(grid, z1.x, z1.y, z1.t))
+    keep = _gauge_dist_sq4(grid, z1) >= r_excl**4
     vals = np.where(keep, density.field.values, 0.0)
     trimmed = MassDensity(ScalarField(grid, vals, full_mask(grid)), 1.0)
     return concentration(trimmed, R, stride)
@@ -385,6 +505,8 @@ def classify_sequence(
                      between eps and 1 - eps, with a second separated
                      carrier whose distance to the first diverges.
     """
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
     densities = list(densities)
     if len(densities) < tail:
         raise DomainError(f"need at least {tail} densities, got {len(densities)}")

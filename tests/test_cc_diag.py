@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from heisground.cc_diag import (
+    _gauge_dist_sq4,
     ball_mass,
     classify_sequence,
     concentration,
@@ -32,8 +34,6 @@ def flat_grid(k=3.5, n=20):
 
 def gauge_bump(grid, cx, cy, ct, w):
     """exp(-d(z, c)^2 / w^2) in the gauge distance."""
-    from heisground.cc_diag import _gauge_dist_sq4
-
     d4 = _gauge_dist_sq4(grid, GroupPoint.of(cx, cy, ct))
     return np.exp(-np.sqrt(d4 + 1e-300) / w**2)
 
@@ -98,7 +98,115 @@ class TestConcentration:
         assert center.x[0] == pytest.approx(-1.0, abs=0.5)
 
 
+@pytest.fixture(scope="module")
+def small_density():
+    """Random density on a small box with 10 nodes per horizontal axis, so
+    the origin is not a node.  No node lies within 4e-4 (relative) of a
+    tested gauge sphere about another node, so rounding cannot flip a node
+    between the kernel and the brute-force sum."""
+    grid = Grid3((10, 10, 16), (0.3, 0.3, 0.3), (-1.5, -1.5, -2.4))
+    vals = np.random.default_rng(7).uniform(0.0, 1.0, grid.shape)
+    return normalize_mass(ScalarField(grid, vals, full_mask(grid)), 1.0)
+
+
+def brute_ball_mass(density, R, center):
+    """Sum of the density over the nodes with rho(center^-1 w) < R."""
+    grid = density.field.grid
+    inside = _gauge_dist_sq4(grid, center) < R**4
+    return float((density.field.values * inside).sum()) * grid.cell_volume
+
+
+class TestBallMassOracle:
+    """The windowed kernel against a full-grid sum over the gauge ball."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("R", [0.25, 0.5, 1.0, 2.0, 50.0])
+    def test_concentration_matches_brute_force(self, small_density, R, stride):
+        grid = small_density.field.grid
+        xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
+        best = max(
+            brute_ball_mass(small_density, R, GroupPoint.of(a, b, c))
+            for a in xs for b in ys for c in ts
+        )
+        q, center = concentration(small_density, R, stride)
+        assert q == pytest.approx(best, abs=1e-12)
+        assert brute_ball_mass(small_density, R, center) == pytest.approx(q, abs=1e-12)
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 2.5, 50.0])
+    @pytest.mark.parametrize(
+        "center", [(0.0, 0.0, 0.0), (0.1, -0.27, 0.33), (-1.0, 0.5, 1.7), (3.0, 0.0, 0.0)]
+    )
+    def test_ball_mass_off_lattice(self, small_density, R, center):
+        z = GroupPoint.of(*center)
+        assert ball_mass(small_density, R, z) == pytest.approx(
+            brute_ball_mass(small_density, R, z), abs=1e-12
+        )
+
+    def test_huge_radius_holds_all_mass(self, small_density):
+        q, _ = concentration(small_density, 1e308)
+        assert q == pytest.approx(1.0, abs=1e-12)
+        m = ball_mass(small_density, 1e308, GroupPoint.of(0.1, -0.2, 0.3))
+        assert m == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("center", [(float("nan"), 0.0, 0.0), (0.0, 0.0, float("inf"))])
+    def test_rejects_nonfinite_center(self, small_density, center):
+        with pytest.raises(DomainError):
+            ball_mass(small_density, 1.0, GroupPoint.of(*center))
+
+    @pytest.mark.parametrize("stride", [0, -3, 1.5])
+    def test_rejects_bad_stride(self, small_density, stride):
+        with pytest.raises(DomainError):
+            concentration(small_density, 1.0, stride)
+        with pytest.raises(DomainError):
+            concentration_profile(small_density, [1.0], stride)
+        with pytest.raises(DomainError):
+            classify_sequence([small_density] * 3, 0.1, [1.0], center_stride=stride)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, -0.1, float("nan")])
+    def test_rejects_bad_eps(self, small_density, eps):
+        with pytest.raises(DomainError):
+            classify_sequence([small_density] * 3, eps, [1.0])
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, 0.5, float("nan"), float("inf")])
+    def test_rejects_bad_exponent(self, small_density, q):
+        with pytest.raises(DomainError):
+            normalize_mass(small_density.field, q)
+        with pytest.raises(DomainError):
+            dilate_field(small_density.field, 1.0, q)
+
+
 class TestDilation:
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.25, 3.0])
+    def test_matches_trilinear_interpolator(self, box, lam):
+        grid, mask = box
+        u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
+        axes = tuple(grid.axis_coords(i) for i in range(3))
+        interp = RegularGridInterpolator(axes, u.values, bounds_error=False, fill_value=0.0)
+        xs, ys, ts = grid.coordinate_arrays()
+        pts = np.stack(
+            [np.broadcast_to(p, grid.shape).ravel()
+             for p in (lam * xs, lam * ys, lam * lam * ts)],
+            axis=1,
+        )
+        expected = lam ** (4.0 / Q_EXP) * interp(pts).reshape(grid.shape)
+        got = dilate_field(u, lam, Q_EXP).values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_translation_matches_interpolator(self, box):
+        grid, mask = box
+        u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
+        axes = tuple(grid.axis_coords(i) for i in range(3))
+        interp = RegularGridInterpolator(axes, u.values, bounds_error=False, fill_value=0.0)
+        a, b, c = 0.6, -0.4, 0.3
+        xs, ys, ts = grid.coordinate_arrays()
+        pts = np.stack(
+            [np.broadcast_to(p, grid.shape).ravel()
+             for p in (xs + a, ys + b, ts + c + 2.0 * (b * xs - a * ys))],
+            axis=1,
+        )
+        got = group_translate_field(u, GroupPoint.of(a, b, c)).values
+        assert np.array_equal(got, interp(pts).reshape(grid.shape))
+
     def test_scaling_exponent_exact(self, box):
         # compare against the analytically dilated field at the nodes;
         # only interpolation error remains, so the lam prefactor is pinned

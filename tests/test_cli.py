@@ -201,14 +201,42 @@ class TestClassify:
         paths = self._write_sequence(tmp_path, "translating")[:2]
         assert main(["classify", "--inputs", *paths]) == 64
 
+    @pytest.mark.parametrize("huge", ["1e100", "1e308"])
+    def test_huge_radius_holds_all_mass(self, tmp_path, capsys, huge):
+        paths = self._write_sequence(tmp_path, "translating")[:3]
+        out = tmp_path / "verdict.json"
+        code = main(["classify", "--inputs", *paths, "--radii", f"0.5,{huge}",
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        for prof in doc["profiles"]:
+            assert prof[1][0] == float(huge)
+            assert prof[1][1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stride", "0"), ("--stride", "-3"),
+        ("--q", "0"), ("--q", "-1"), ("--q", "0.5"), ("--q", "nan"), ("--q", "inf"),
+        ("--eps", "nan"), ("--eps", "2"), ("--eps", "0"), ("--eps", "0.5"),
+        ("--eps", "-0.1"),
+    ])
+    def test_rejects_bad_numeric_input(self, tmp_path, capsys, flag, value):
+        paths = self._write_sequence(tmp_path, "translating")[:3]
+        assert main(["classify", "--inputs", *paths, flag, value]) == 64
+
 
 def test_console_script_help():
+    import os
     import subprocess
     import sys
 
+    import heisground
+
+    # the package may be importable only through this process's sys.path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heisground.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "heisground.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "calculus-check" in proc.stdout
