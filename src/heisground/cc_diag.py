@@ -342,6 +342,40 @@ def _lq_mass(u: ScalarField, q: float) -> float:
     return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
 
 
+def _half_mass_scale(fraction, mass_tol: float, max_bisect: int, what: str):
+    """The scale x at which a ball fraction reaches 1/2 (+- mass_tol).
+
+    fraction(x) returns a tuple whose first item is the fraction, which
+    grows with x.  The bracket grows from x = 1 by halving or doubling, at
+    most 20 times, and is then bisected.  Returns (x, fraction(x)) of the
+    first x within tolerance; raises AlgorithmError when there is no
+    bracket or the bisection does not converge.
+    """
+    lo = hi = 1.0
+    f_lo = f_hi = fraction(1.0)[0]
+    for _ in range(20):
+        if f_lo > 0.5:
+            lo /= 2.0
+            f_lo = fraction(lo)[0]
+        elif f_hi < 0.5:
+            hi *= 2.0
+            f_hi = fraction(hi)[0]
+        else:
+            break
+    if f_lo > 0.5 or f_hi < 0.5:
+        raise AlgorithmError(f"could not bracket the {what} in the box")
+    for _ in range(max_bisect):
+        x = 0.5 * (lo + hi)
+        out = fraction(x)
+        if abs(out[0] - 0.5) <= mass_tol:
+            return x, out
+        if out[0] < 0.5:
+            lo = x
+        else:
+            hi = x
+    raise AlgorithmError(f"{what} did not converge")
+
+
 def dilation_normalize(
     u: ScalarField,
     q: float,
@@ -370,32 +404,9 @@ def dilation_normalize(
         frac, center = concentration(dens, 1.0, center_stride)
         return frac, nu, center
 
-    lo, hi = 1.0, 1.0
-    f_lo, _, _ = ball_fraction(lo)
-    f_hi = f_lo
-    for _ in range(20):  # bracket: fraction grows with lam
-        if f_lo > 0.5:
-            lo /= 2.0
-            f_lo, _, _ = ball_fraction(lo)
-        elif f_hi < 0.5:
-            hi *= 2.0
-            f_hi, _, _ = ball_fraction(hi)
-        else:
-            break
-    if f_lo > 0.5 or f_hi < 0.5:
-        raise AlgorithmError("could not bracket the half-mass dilation in the box")
-    lam, frac, nu, center = hi, f_hi, None, None
-    for _ in range(max_bisect):
-        lam = 0.5 * (lo + hi)
-        frac, nu, center = ball_fraction(lam)
-        if abs(frac - 0.5) <= mass_tol:
-            break
-        if frac < 0.5:
-            lo = lam
-        else:
-            hi = lam
-    if nu is None or abs(frac - 0.5) > mass_tol:
-        raise AlgorithmError("half-mass bisection did not converge")
+    lam, (_, nu, center) = _half_mass_scale(
+        ball_fraction, mass_tol, max_bisect, "half-mass dilation"
+    )
     nu = group_translate_field(nu, center)
     m = _lq_mass(nu, q)
     if m <= 0:
@@ -417,34 +428,10 @@ def dilation_normalize(
         )
         return ball_mass(dens, 1.0, origin), w
 
-    s_lo, s_hi = 1.0, 1.0
-    f_mid, w_mid = origin_fraction(1.0)
-    for _ in range(20):
-        if f_mid > 0.5:
-            s_lo /= 2.0
-            f_mid, _ = origin_fraction(s_lo)
-            if f_mid <= 0.5:
-                break
-        elif f_mid < 0.5:
-            s_hi *= 2.0
-            f_mid, _ = origin_fraction(s_hi)
-            if f_mid >= 0.5:
-                break
-        else:
-            break
-    s = 1.0
-    for _ in range(max_bisect):
-        s = 0.5 * (s_lo + s_hi)
-        f_mid, w_mid = origin_fraction(s)
-        if abs(f_mid - 0.5) <= mass_tol:
-            break
-        if f_mid < 0.5:
-            s_lo = s
-        else:
-            s_hi = s
-    if w_mid is None or abs(f_mid - 0.5) > mass_tol:
-        raise AlgorithmError("origin-ball refinement did not converge")
-    return w_mid, 1.0 / (lam * s)
+    s, (_, w) = _half_mass_scale(
+        origin_fraction, mass_tol, max_bisect, "origin-ball refinement"
+    )
+    return w, 1.0 / (lam * s)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ descent line searches are variationally consistent with the stencil.  The
 gradients go through the grid's one assembled operator A (grad I = A v, with
 v the field's mask values); the energy's value is summed as squares of the
 same forward differences (see `grid`), I(u) = w v^T A v / 2.
+
+Each formula is one private function of numbers and arrays; the public
+functions apply it to a field, the solvers to mask-node vectors.
 """
 
 from __future__ import annotations
@@ -59,22 +62,46 @@ def _pos_pow(values: np.ndarray, expo: float) -> np.ndarray:
     return up**expo
 
 
+def _constraint_mass(values: np.ndarray, p: float, w: float) -> float:
+    """int u_+^(p+1) of a box array or a mask-node vector, w the cell volume."""
+    return _pos_pow_sum(values, p + 1.0) * w
+
+
+def _energy(nsq: float, mass: float, p: float) -> float:
+    """J from ||u||^2 and int u_+^(p+1)."""
+    return 0.5 * nsq - mass / (p + 1.0)
+
+
+def _ray_max(nsq: float, mass: float, p: float):
+    """(t*, J(t* u)) of the ray through u, from ||u||^2 and int u_+^(p+1).
+
+    t* = (||u||^2 / int u_+^(p+1))^(1/(p-1)) maximizes t -> J(t u).
+    """
+    if mass <= 0.0:
+        raise DomainError("Nehari scaling needs positive mass int u_+^(p+1) > 0")
+    t_star = (nsq / mass) ** (1.0 / (p - 1.0))
+    return t_star, 0.5 * t_star**2 * nsq - t_star ** (p + 1.0) * mass / (p + 1.0)
+
+
+def _gradient(A, v: np.ndarray, p: float) -> np.ndarray:
+    """grad J = A v - v_+^p of the mask-node vector v, A its energy operator."""
+    return A @ v - _pos_pow(v, p)
+
+
 def eval_I(u: ScalarField) -> float:
     return 0.5 * e_norm_sq(u)
 
 
 def eval_J(u: ScalarField, p: float) -> float:
     check_exponent(p)
-    w = u.grid.cell_volume
-    return eval_I(u) - w * _pos_pow_sum(u.values, p + 1.0) / (p + 1.0)
+    return _energy(e_norm_sq(u), _constraint_mass(u.values, p, u.grid.cell_volume), p)
 
 
 def grad_J(u: ScalarField, p: float) -> ScalarField:
     """L^2 representative of dJ: A v - v_+^p on interior nodes."""
     check_exponent(p)
-    v = u.interior()
-    g = energy_operator(u.grid, u.mask) @ v - _pos_pow(v, p)
-    return ScalarField.from_interior(u.grid, u.mask, g)
+    A = energy_operator(u.grid, u.mask)
+    return ScalarField.from_interior(u.grid, u.mask, _gradient(A, u.interior(), p))
 
 
 def grad_I(u: ScalarField) -> ScalarField:
@@ -85,27 +112,17 @@ def grad_I(u: ScalarField) -> ScalarField:
 
 
 def residual(u: ScalarField, p: float) -> ScalarField:
-    """Pointwise Delta_h u - u + u_+^p on interior nodes."""
+    """Pointwise Delta_h u - u + u_+^p = -grad J on interior nodes."""
     check_exponent(p)
-    v = u.interior()
-    lap = v - energy_operator(u.grid, u.mask) @ v
-    return ScalarField.from_interior(u.grid, u.mask, lap - v + _pos_pow(v, p))
+    A = energy_operator(u.grid, u.mask)
+    return ScalarField.from_interior(u.grid, u.mask, -_gradient(A, u.interior(), p))
 
 
 def nehari_scale(u: ScalarField, p: float):
-    """Maximizer of t -> J(t u) on the ray through u.
-
-    t* = (||u||^2 / int u_+^(p+1))^(1/(p-1));  returns (t*, J(t* u)).
-    """
+    """Maximizer of t -> J(t u) on the ray through u: returns (t*, J(t* u))."""
     check_exponent(p)
-    w = u.grid.cell_volume
-    mass = w * _pos_pow_sum(u.values, p + 1.0)
-    if mass <= 0.0:
-        raise DomainError("Nehari scaling needs positive mass int u_+^(p+1) > 0")
-    nsq = e_norm_sq(u)
-    t_star = (nsq / mass) ** (1.0 / (p - 1.0))
-    j_max = 0.5 * t_star**2 * nsq - t_star ** (p + 1.0) * mass / (p + 1.0)
-    return t_star, j_max
+    mass = _constraint_mass(u.values, p, u.grid.cell_volume)
+    return _ray_max(e_norm_sq(u), mass, p)
 
 
 def critical_identity_defect(u: ScalarField, p: float) -> float:
@@ -138,11 +155,10 @@ class EnergyBreakdown:
 
 def energy_breakdown(u: ScalarField, p: float) -> EnergyBreakdown:
     check_exponent(p)
-    w = u.grid.cell_volume
     nsq = e_norm_sq(u)
-    mass = w * _pos_pow_sum(u.values, p + 1.0)
+    mass = _constraint_mass(u.values, p, u.grid.cell_volume)
     return EnergyBreakdown(
-        J=0.5 * nsq - mass / (p + 1.0),
+        J=_energy(nsq, mass, p),
         I=0.5 * nsq,
         e_norm_sq=nsq,
         lp1_norm=mass ** (1.0 / (p + 1.0)),

@@ -11,7 +11,12 @@ exact renormalization after every step.  The minimum alpha and multiplier
 lambda = ||u||^2 convert into a PDE solution via u* = lambda^(1/(p-1)) u.
 
 Both produce the same discrete ground state; `compare_methods` checks the
-bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).
+bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  A third route,
+`nehari_descent`, minimizes the ray maximum of J directly.
+
+All three iterate on mask-node vectors through one `_Energy` per (domain,
+p); a `ScalarField` is built only for the start, a warm-start path and the
+report.
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ from .errors import (
 )
 from .functionals import (
     EnergyBreakdown,
+    _constraint_mass,
+    _energy,
+    _gradient,
     _pos_pow,
-    _pos_pow_sum,
+    _ray_max,
     check_exponent,
     critical_identity_defect,
     energy_breakdown,
     eval_J,
-    grad_J,
-    nehari_scale,
 )
 from .grid import (
     Grid3,
@@ -46,11 +52,10 @@ from .grid import (
     build_ball_grid,
     e_norm_sq_values,
     energy_operator,
-    inner,
     l2_norm,
     zero_extend,
 )
-from .heis_core import GroupPoint
+from .heis_core import GroupPoint, gauge
 
 __all__ = [
     "SolverConfig",
@@ -178,6 +183,18 @@ class DecayFit:
         }
 
 
+def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, *, level,
+            iterations, trace, converged, grad_norm, multiplier=None, **extra):
+    """The SolveReport of a solver's final field u; extra holds its checks."""
+    idx, top = u.max_node()
+    return SolveReport(
+        field=u, level=level, multiplier=multiplier, iterations=iterations,
+        trace=trace, breakdown=breakdown, max_point=u.grid.node_point(idx),
+        max_value=top, converged=converged, method=method,
+        extra={"grad_norm": float(grad_norm), **extra},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -205,93 +222,83 @@ def pick_u0(domain: Domain, p: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Mountain-pass path deformation
+# The energy on mask-node vectors
 # ---------------------------------------------------------------------------
 
 
-def _interpolate(a: ScalarField, b: ScalarField, s: float) -> ScalarField:
-    return a.with_values((1.0 - s) * a.values + s * b.values)
+class _Energy:
+    """J and its pieces on the mask-node vectors of one domain, for one p.
 
-
-def _path_arclengths(path, energies=None) -> np.ndarray:
-    """Cumulative L^2 arclength of a polyline of fields.
-
-    When segment energies are supplied the arclength is energy-weighted:
-    segments near the top of the energy profile count up to three times
-    their metric length, so resampling to equal increments concentrates
-    vertices around the path maximum.
+    A vector holds a field's values on the mask nodes in C order, the order
+    of `u.values[u.mask]` and of the cached operator A.  The energy norm is
+    summed as squares on one reused box array (see `grid`), and the
+    formulas are the ones the public field functions use.
     """
-    w = path[0].grid.cell_volume
-    seg = [0.0]
-    for a, b in zip(path[:-1], path[1:]):
-        d = b.values - a.values
-        seg.append((float(np.dot(d.ravel(), d.ravel())) * w) ** 0.5)
-    seg = np.asarray(seg)
-    if energies is not None:
-        e = np.asarray(energies, dtype=float)
-        lo, hi = float(e.min()), float(e.max())
-        if hi > lo:
-            mids = 0.5 * (e[:-1] + e[1:])
-            seg[1:] *= 1.0 + 2.0 * (mids - lo) / (hi - lo)
-    return np.cumsum(seg)
 
+    def __init__(self, domain: Domain, p: float):
+        self.grid, self.mask, self.p = domain.grid, domain.mask, p
+        self.w = domain.grid.cell_volume
+        self.A = energy_operator(domain.grid, domain.mask)
+        self._box = np.zeros(domain.grid.shape)  # zero off the mask for good
 
-def _resample_side(path, lo: int, hi: int, energies=None):
-    """Equal weighted-arclength resampling of path[lo:hi+1], ends pinned."""
-    if hi - lo < 2:
-        return []
-    side = path[lo : hi + 1]
-    e_side = None if energies is None else energies[lo : hi + 1]
-    s = _path_arclengths(side, e_side)
-    total = s[-1]
-    if total <= 0.0:
-        return []
-    changed = []
-    targets = np.linspace(0.0, total, len(side))
-    for m, tgt in enumerate(targets[1:-1], start=1):
-        j = int(np.searchsorted(s, tgt, side="right") - 1)
-        j = min(max(j, 0), len(side) - 2)
-        seg = s[j + 1] - s[j]
-        frac = 0.0 if seg <= 0.0 else (tgt - s[j]) / seg
-        path[lo + m] = _interpolate(side[j], side[j + 1], frac)
-        changed.append(lo + m)
-    return changed
+    def field(self, v: np.ndarray) -> ScalarField:
+        return ScalarField.from_interior(self.grid, self.mask, v)
 
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Discrete L^2 inner product."""
+        return float(a @ b) * self.w
 
-def _local_path_max(path, energies, i, p):
-    """Refine the discrete path maximum by a parabolic pass on each side.
+    def norm(self, v: np.ndarray) -> float:
+        return self.inner(v, v) ** 0.5
 
-    Returns (field, J) of the best point found on the two segments around
-    vertex i; never worse than the vertex itself.
-    """
-    best_u, best_j = path[i], energies[i]
-    for a, b in ((i - 1, i), (i, i + 1)):
-        ja, jb = energies[a], energies[b]
-        um = _interpolate(path[a], path[b], 0.5)
-        jm = eval_J(um, p)
-        if jm > best_j:
-            best_u, best_j = um, jm
-        # Parabola through (0, ja), (0.5, jm), (1, jb).
-        denom = 2.0 * (ja - 2.0 * jm + jb)
-        if denom < 0.0:  # concave: interior vertex exists
-            s = 0.5 + (ja - jb) / (2.0 * denom)
-            if 0.05 < s < 0.95:
-                us = _interpolate(path[a], path[b], s)
-                js = eval_J(us, p)
-                if js > best_j:
-                    best_u, best_j = us, js
-    return best_u, best_j
+    def norm_sq(self, v: np.ndarray) -> float:
+        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2."""
+        self._box[self.mask] = v
+        return e_norm_sq_values(self.grid, self._box)
+
+    def mass(self, v: np.ndarray) -> float:
+        return _constraint_mass(v, self.p, self.w)
+
+    def J(self, v: np.ndarray) -> float:
+        return _energy(self.norm_sq(v), self.mass(v), self.p)
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        return _gradient(self.A, v, self.p)
+
+    def ray_max(self, v: np.ndarray):
+        """(t*, max_t J(t v)); DomainError when v has no positive-part mass."""
+        return _ray_max(self.norm_sq(v), self.mass(v), self.p)
+
+    def ray_top(self, v: np.ndarray):
+        """Ray-descent objective: (max_t J(t v), (v, t*)), +inf without mass."""
+        try:
+            t_star, j_max = self.ray_max(v)
+        except DomainError:
+            return np.inf, None
+        return j_max, (v, t_star)
+
+    def renormalize(self, v: np.ndarray) -> np.ndarray:
+        """v scaled onto the constraint int v_+^(p+1) = 1."""
+        mass = self.mass(v)
+        if mass <= 0.0:
+            raise AlgorithmError("flow escaped: positive-part mass vanished")
+        return v / mass ** (1.0 / (self.p + 1.0))
+
+    def constrained(self, c: np.ndarray):
+        """Constrained-flow objective: (I(v), v) for v = c renormalized."""
+        v = self.renormalize(c)
+        return 0.5 * self.norm_sq(v), v
 
 
 def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
                     grow=1.3, max_backtracks=40):
-    """Backtracking line search from the array x along -g.
+    """Backtracking line search from the vector x along -g.
 
-    objective(candidate array) returns (f, state); the result is
+    objective(candidate vector) returns (f, state); the result is
     (state, f, tau) of the accepted step, so the caller keeps what the
-    objective built on the way (the candidate field, or the renormalized
-    candidate vector).  None means no step descends: f has reached its
-    rounding floor, and the caller stops at x, unconverged.
+    objective computed on the way (the renormalized candidate, or the
+    candidate and its ray scale).  None means no step descends: f has
+    reached its rounding floor, and the caller stops at x, unconverged.
     """
     for _ in range(max_backtracks):
         f_cand, state = objective(x - tau * g)
@@ -301,68 +308,134 @@ def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
     return None
 
 
-def _ray_objective(u: ScalarField, values: np.ndarray, p: float):
-    """(max_t J(t v), v) for v = u with the given values; the max is +inf
-    when the ray has no positive-part mass."""
-    v = u.with_values(values)
-    try:
-        return nehari_scale(v, p)[1], v
-    except DomainError:
-        return np.inf, v
+def _check_finite(what: str, it: int, f: float, gn: float) -> None:
+    if not (np.isfinite(f) and np.isfinite(gn)):
+        raise NumericError(f"non-finite {what} at iteration {it}: J = {f}, |g| = {gn}")
 
 
-def _ray_descent(u, p, tau, grad_tol, max_iters, trace, it0=0):
+# ---------------------------------------------------------------------------
+# Mountain-pass path deformation
+# ---------------------------------------------------------------------------
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    return (1.0 - s) * a + s * b
+
+
+def _resample_side(path, lo: int, hi: int, energies):
+    """Equal weighted-arclength resampling of path[lo:hi+1], ends pinned.
+
+    The arclength is Euclidean on the vectors and energy-weighted: segments
+    near the top of the energy profile count up to three times their
+    length, so the resampled vertices concentrate around the path maximum.
+    Returns the indices of the vertices it moved.
+    """
+    if hi - lo < 2:
+        return []
+    side = path[lo : hi + 1]
+    seg = np.array([np.linalg.norm(b - a) for a, b in zip(side[:-1], side[1:])])
+    e = np.asarray(energies[lo : hi + 1], dtype=float)
+    e_lo, e_hi = float(e.min()), float(e.max())
+    if e_hi > e_lo:
+        seg *= 1.0 + 2.0 * (0.5 * (e[:-1] + e[1:]) - e_lo) / (e_hi - e_lo)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    if s[-1] <= 0.0:
+        return []
+    changed = []
+    for m, tgt in enumerate(np.linspace(0.0, s[-1], len(side))[1:-1], start=1):
+        j = int(np.searchsorted(s, tgt, side="right") - 1)
+        j = min(max(j, 0), len(side) - 2)
+        seg_j = s[j + 1] - s[j]
+        frac = 0.0 if seg_j <= 0.0 else (tgt - s[j]) / seg_j
+        path[lo + m] = _lerp(side[j], side[j + 1], frac)
+        changed.append(lo + m)
+    return changed
+
+
+def _local_path_max(energy: _Energy, path, energies, i):
+    """Refine the discrete path maximum by a parabolic pass on each side.
+
+    Returns (vector, J) of the best point found on the two segments around
+    vertex i; never worse than the vertex itself.
+    """
+    best_v, best_j = path[i], energies[i]
+    for a, b in ((i - 1, i), (i, i + 1)):
+        ja, jb = energies[a], energies[b]
+        vm = _lerp(path[a], path[b], 0.5)
+        jm = energy.J(vm)
+        if jm > best_j:
+            best_v, best_j = vm, jm
+        # Parabola through (0, ja), (0.5, jm), (1, jb).
+        denom = 2.0 * (ja - 2.0 * jm + jb)
+        if denom < 0.0:  # concave: interior vertex exists
+            s = 0.5 + (ja - jb) / (2.0 * denom)
+            if 0.05 < s < 0.95:
+                vs = _lerp(path[a], path[b], s)
+                js = energy.J(vs)
+                if js > best_j:
+                    best_v, best_j = vs, js
+    return best_v, best_j
+
+
+# Accepted steps in a row that leave the ray maximum unchanged before a ray
+# descent stops unconverged: the Armijo decrease c1 * tau * |g|^2 has then
+# fallen below the rounding of J, and further steps only spend iterations.
+_STALL_STEPS = 20
+
+
+def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
     """Descend u -> max_t J(tu) by the envelope gradient t* grad_J(t*u).
 
     For a path whose top lies on the ray through u, this is exactly a
     descent step at the path maximizer with the ray tangent projected out
-    (the envelope construction re-maximizes along the tangent).  Returns
-    (w, j_max, converged, iterations, gn, tau) with w = t* u on the Nehari
-    set and gn the full gradient norm at w.
+    (the envelope construction re-maximizes along the tangent).  u is a
+    mask-node vector and max_iters >= 1.  Returns (w, j_max, converged,
+    iterations, gn, tau) with w = t* u on the Nehari set and gn the full
+    gradient norm at w.  Unconverged stops: max_iters, no descending step,
+    or _STALL_STEPS flat steps in a row.
     """
-    gn = np.inf
-    it = 0
+    t_star, j_max = energy.ray_max(u)
+    flat = 0
     for it in range(max_iters):
-        t_star, j_max = nehari_scale(u, p)
-        w = u.with_values(t_star * u.values)
-        g_w = grad_J(w, p)
-        gn = l2_norm(g_w)
+        w = t_star * u
+        g_w = energy.grad(w)
+        gn = energy.norm(g_w)
+        _check_finite("ray descent", it0 + it, j_max, gn)
         trace.append((it0 + it, j_max, gn))
         if gn < grad_tol:
             return w, j_max, True, it + 1, gn, tau
-        g = g_w.with_values(t_star * g_w.values)
-        step = _armijo_descent(
-            u.values, j_max, g.values, inner(g, g), tau,
-            lambda values: _ray_objective(u, values, p),
-        )
+        if it + 1 == max_iters or flat == _STALL_STEPS:
+            break
+        g = t_star * g_w
+        step = _armijo_descent(u, j_max, g, energy.inner(g, g), tau, energy.ray_top)
         if step is None:
-            return w, j_max, False, it + 1, gn, tau
-        u, j_max, tau = step
-    t_star, j_max = nehari_scale(u, p)
-    w = u.with_values(t_star * u.values)
+            break
+        (u, t_star), j_next, tau = step
+        flat = flat + 1 if j_next == j_max else 0
+        j_max = j_next
     return w, j_max, False, it + 1, gn, tau
 
 
-def _rebuild_path(w, u0, p, n_points, old_path, old_energies):
-    """Broken-ray path through a Nehari point w: 0 -> w (ray max) -> u0.
+def _rebuild_path(energy: _Energy, w, v0, n_points, old_path, old_energies):
+    """Broken-ray path through a Nehari point w: 0 -> w (ray max) -> v0.
 
     The ray through w peaks exactly at s = 1; the tail continues along the
-    ray until J < 0 and then connects to u0.  Falls back to the old path
+    ray until J < 0 and then connects to v0.  Falls back to the old path
     when no tail scaling keeps the connector below zero energy.
     """
+    p = energy.p
     s_zero = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     for fac in (1.2, 1.5, 2.0, 3.0):
         s_end = fac * s_zero
-        tail = w.with_values(s_end * w.values)
-        conn_mid = _interpolate(tail, u0, 0.5)
-        if eval_J(tail, p) < 0.0 and eval_J(conn_mid, p) < 0.0:
+        tail = s_end * w
+        if energy.J(tail) < 0.0 and energy.J(_lerp(tail, v0, 0.5)) < 0.0:
             n_up = max(2, 2 * (n_points - 1) // 3)
             n_down = n_points - 1 - n_up
             s_vals = np.concatenate(
                 [np.linspace(0.0, 1.0, n_up), np.linspace(1.0, s_end, n_down + 1)[1:]]
             )
-            path = [w.with_values(s * w.values) for s in s_vals] + [u0]
-            return path, [eval_J(v, p) for v in path]
+            path = [s * w for s in s_vals] + [v0]
+            return path, [energy.J(v) for v in path]
     return old_path, old_energies
 
 
@@ -376,25 +449,22 @@ def solve_mountain_pass(
     if domain is None:
         domain = make_domain(config)
     p = config.p
+    energy = _Energy(domain, p)
     if u0 is None:
         u0 = pick_u0(domain, p)
+    elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
+        raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
+    v0 = u0.values[domain.mask]
     if path_init is not None:
-        path = [ScalarField(domain.grid, f.values, domain.mask) for f in path_init]
+        path = [ScalarField(domain.grid, f.values, domain.mask).interior() for f in path_init]
         if len(path) != config.path_points:
             raise ConfigurationError("warm-start path has wrong number of points")
     else:
-        zero = u0.with_values(np.zeros_like(u0.values))
-        path = [
-            _interpolate(zero, u0, s)
-            for s in np.linspace(0.0, 1.0, config.path_points)
-        ]
-    energies = [eval_J(q, p) for q in path]
+        path = [s * v0 for s in np.linspace(0.0, 1.0, config.path_points)]
+    energies = [energy.J(v) for v in path]
 
     def _mid_energies(pth):
-        return [
-            eval_J(_interpolate(pth[m], pth[m + 1], 0.5), p)
-            for m in range(len(pth) - 1)
-        ]
+        return [energy.J(_lerp(a, b, 0.5)) for a, b in zip(pth[:-1], pth[1:])]
 
     def _top_vertex(vert_e, mid_e):
         """Index of the vertex nearest the path max, midpoints included.
@@ -413,7 +483,6 @@ def solve_mountain_pass(
     tau = config.step_size
     trace = []
     converged = False
-    w, jw, gn = path[0], energies[0], np.inf
     j_best = np.inf
     it = 0
     # Phase one: bounded path-deformation sweeps to shape the path and
@@ -426,11 +495,11 @@ def solve_mountain_pass(
         i = _top_vertex(energies, mids)
         if int(np.argmax(energies)) in (0, len(path) - 1):
             raise AlgorithmError("path collapse: energy maximum at a path endpoint")
-        w, jw = _local_path_max(path, energies, i, p)
+        w, jw = _local_path_max(energy, path, energies, i)
         jw = max(jw, max(mids))
         j_best = min(j_best, jw)
-        g = grad_J(w, p)
-        gn = l2_norm(g)
+        gn = energy.norm(energy.grad(w))
+        _check_finite("path deformation", it, jw, gn)
         trace.append((it, jw, gn))
         if gn < config.grad_tol:
             converged = True
@@ -456,27 +525,23 @@ def solve_mountain_pass(
         trial = list(path)
         trial_e = list(energies)
         for m in active:
-            gm = grad_J(path[m], p)
-            fwd = path[m + 1].values - path[m].values
-            bwd = path[m].values - path[m - 1].values
+            d = energy.grad(path[m])
+            fwd = path[m + 1] - path[m]
+            bwd = path[m] - path[m - 1]
             tan = fwd + bwd
-            tn_sq = float(np.dot(tan.ravel(), tan.ravel()))
-            d = gm.values
+            tn_sq = float(tan @ tan)
             if tn_sq > 0.0:
-                d = d - (float(np.dot(d.ravel(), tan.ravel())) / tn_sq) * tan
+                d = d - (float(d @ tan) / tn_sq) * tan
             # Trust region: a vertex may move at most half the length of
             # its shorter adjacent segment, which keeps the polyline
             # coherent and stops downhill vertices (where J is unbounded
             # below) from running away between resamplings.
-            dn = float(np.dot(d.ravel(), d.ravel())) ** 0.5
-            seg = min(
-                float(np.dot(fwd.ravel(), fwd.ravel())) ** 0.5,
-                float(np.dot(bwd.ravel(), bwd.ravel())) ** 0.5,
-            )
+            dn = np.linalg.norm(d)
+            seg = min(np.linalg.norm(fwd), np.linalg.norm(bwd))
             step = tau if dn == 0.0 else min(tau, 0.5 * seg / dn)
-            trial[m] = path[m].with_values(path[m].values - step * d)
+            trial[m] = path[m] - step * d
         for m in active:
-            trial_e[m] = eval_J(trial[m], p)
+            trial_e[m] = energy.J(trial[m])
         trial_m = _mid_energies(trial)
         trial_max = max(max(trial_e), max(trial_m))
         if not np.isfinite(trial_max) or trial_max > jw + 1e-9 * (1.0 + abs(jw)):
@@ -495,12 +560,10 @@ def solve_mountain_pass(
                 j_end = m
                 break
         for m in _resample_side(path, 0, i, energies):
-            energies[m] = eval_J(path[m], p)
+            energies[m] = energy.J(path[m])
         for m in _resample_side(path, i, j_end, energies):
-            energies[m] = eval_J(path[m], p)
+            energies[m] = energy.J(path[m])
         mids = _mid_energies(path)
-
-    j_best = min(j_best, jw)
 
     # Phase two: polish the path top by descent at the maximizer with the
     # ray tangent projected out (envelope descent).  Each accepted step
@@ -509,15 +572,15 @@ def solve_mountain_pass(
     # whole polyline through thousands of sweeps.
     if not converged and config.max_iters > it + 1:
         w, j_top, converged, it_b, gn, tau = _ray_descent(
-            w, p, tau, config.grad_tol, config.max_iters - (it + 1),
+            energy, w, tau, config.grad_tol, config.max_iters - (it + 1),
             trace, it0=it + 1,
         )
         it += it_b
-        jw = j_top
         j_best = min(j_best, j_top)
-        path, energies = _rebuild_path(w, u0, p, config.path_points, path, energies)
+        path, energies = _rebuild_path(energy, w, v0, config.path_points, path, energies)
 
-    u_k = w.with_values(np.maximum(w.values, 0.0))
+    v_k = np.maximum(w, 0.0)
+    u_k = energy.field(v_k)
     # The sampled path max (vertices + midpoints) can dip below the true
     # polyline max when a rim crossing hides inside one segment, so the
     # reported level is the exact maximum of J over the ray through the
@@ -525,29 +588,15 @@ def solve_mountain_pass(
     # rebuilt broken-ray path achieves this max.  At criticality the ray
     # max coincides with J(u_k).
     try:
-        _, level = nehari_scale(u_k, p)
+        _, level = energy.ray_max(v_k)
     except DomainError:
-        level = eval_J(u_k, p)
-    bd = energy_breakdown(u_k, p)
-    return SolveReport(
-        field=u_k,
-        level=level,
-        multiplier=None,
-        iterations=it + 1,
-        trace=trace,
-        breakdown=bd,
-        max_point=u_k.max_point(),
-        max_value=u_k.max_node()[1],
-        converged=converged,
-        method="mountain-pass",
-        extra={
-            "grad_norm": float(gn),
-            "min_sampled_max": j_best,
-            "path": path,
-            "u0": u0,
-            "inner_gu": inner(grad_J(u_k, p), u_k),
-            "identity_defect": critical_identity_defect(u_k, p),
-        },
+        level = energy.J(v_k)
+    return _report(
+        u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
+        iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
+        min_sampled_max=j_best, path=[energy.field(v) for v in path], u0=u0,
+        inner_gu=energy.inner(energy.grad(v_k), v_k),
+        identity_defect=critical_identity_defect(u_k, p),
     )
 
 
@@ -556,46 +605,20 @@ def solve_mountain_pass(
 # ---------------------------------------------------------------------------
 
 
-def _constraint_mass(v: np.ndarray, p: float, w: float) -> float:
-    """int v_+^(p+1) of the mask-node vector v, w the cell volume."""
-    return _pos_pow_sum(v, p + 1.0) * w
-
-
-def _renormalize(v: np.ndarray, p: float, w: float) -> np.ndarray:
-    mass = _constraint_mass(v, p, w)
-    if mass <= 0.0:
-        raise AlgorithmError("flow escaped: positive-part mass vanished")
-    return v / mass ** (1.0 / (p + 1.0))
-
-
 def solve_constrained_min(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> SolveReport:
     """Projected gradient flow on {int u_+^(p+1) = 1}, minimizing I.
 
-    The flow runs on mask-node vectors v: grad I = A v with the cached
-    operator A, and I is summed as squares on one reused box array.
-    Fields are built only from the starting bump and for the report.
+    The flow runs on mask-node vectors v with grad I = A v.  Fields are
+    built only from the starting bump and for the report.
     """
     if domain is None:
         domain = make_domain(config)
     p = config.p
-    grid, mask = domain.grid, domain.mask
-    w = grid.cell_volume
-    A = energy_operator(grid, mask)
-    box = np.zeros(grid.shape)  # zero off the mask for good
-
-    def l2_inner(a, b):
-        return float(a @ b) * w
-
-    def constrained_energy(c):
-        """(I of the renormalized candidate, that candidate)."""
-        c = _renormalize(c, p, w)
-        box[mask] = c
-        return 0.5 * e_norm_sq_values(grid, box), c
-
-    i_u, v = constrained_energy(radial_bump(domain).interior())
-    av = A @ v
+    energy = _Energy(domain, p)
+    i_u, v = energy.constrained(radial_bump(domain).interior())
+    av = energy.A @ v
     tau = config.step_size
     trace = []
     converged = False
@@ -603,49 +626,35 @@ def solve_constrained_min(
     it = 0
     for it in range(config.max_iters):
         normal = _pos_pow(v, p)
-        nn = l2_inner(normal, normal)
-        mu = l2_inner(av, normal) / nn if nn > 0 else 0.0
+        nn = energy.inner(normal, normal)
+        mu = energy.inner(av, normal) / nn if nn > 0 else 0.0
         g = av - mu * normal
-        gn = l2_inner(g, g) ** 0.5
-        if not (np.isfinite(gn) and np.isfinite(i_u)):
-            raise NumericError(f"non-finite flow at iteration {it}: I = {i_u}, |g| = {gn}")
+        gn = energy.norm(g)
+        _check_finite("flow", it, i_u, gn)
         trace.append((it, i_u, gn))
         if gn < config.grad_tol:
             converged = True
             break
-        step = _armijo_descent(v, i_u, g, gn * gn, tau, constrained_energy)
+        step = _armijo_descent(v, i_u, g, gn * gn, tau, energy.constrained)
         if step is None:
             break
         v, i_u, tau = step
-        av = A @ v
+        av = energy.A @ v
 
     # Final positivity projection + exact renormalization; for a converged
     # run this is a no-op beyond stripping round-off undershoots.
-    v = _renormalize(np.maximum(v, 0.0), p, w)
-    box[mask] = v
-    lam = e_norm_sq_values(grid, box)
+    v = energy.renormalize(np.maximum(v, 0.0))
+    lam = energy.norm_sq(v)
     alpha = 0.5 * lam
-    u = ScalarField.from_interior(grid, mask, v)
-    u_star = ScalarField.from_interior(grid, mask, lam ** (1.0 / (p - 1.0)) * v)
+    u = energy.field(v)
+    u_star = energy.field(lam ** (1.0 / (p - 1.0)) * v)
     bd = energy_breakdown(u_star, p)
-    return SolveReport(
-        field=u_star,
-        level=alpha,
-        multiplier=lam,
-        iterations=it + 1,
-        trace=trace,
-        breakdown=bd,
-        max_point=u_star.max_point(),
-        max_value=u_star.max_node()[1],
-        converged=converged,
-        method="constrained-min",
-        extra={
-            "grad_norm": float(gn),
-            "constraint_defect": abs(_constraint_mass(v, p, w) - 1.0),
-            "constrained_field": u,
-            "residual_rel": bd.residual_l2 / l2_norm(u_star),
-            "identity_defect": critical_identity_defect(u_star, p),
-        },
+    return _report(
+        u_star, bd, "constrained-min", level=alpha, multiplier=lam,
+        iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
+        constraint_defect=abs(energy.mass(v) - 1.0), constrained_field=u,
+        residual_rel=bd.residual_l2 / l2_norm(u_star),
+        identity_defect=critical_identity_defect(u_star, p),
     )
 
 
@@ -665,25 +674,17 @@ def nehari_descent(
     if domain is None:
         domain = make_domain(config)
     p = config.p
+    energy = _Energy(domain, p)
     trace = []
     w, _, converged, iters, gn, _ = _ray_descent(
-        radial_bump(domain), p, config.step_size, config.grad_tol,
-        config.max_iters, trace,
+        energy, radial_bump(domain).interior(), config.step_size,
+        config.grad_tol, config.max_iters, trace,
     )
-    u = w.with_values(np.maximum(w.values, 0.0))
+    u = energy.field(np.maximum(w, 0.0))
     bd = energy_breakdown(u, p)
-    return SolveReport(
-        field=u,
-        level=eval_J(u, p),
-        multiplier=None,
-        iterations=iters,
-        trace=trace,
-        breakdown=bd,
-        max_point=u.max_point(),
-        max_value=u.max_node()[1],
-        converged=converged,
-        method="nehari-descent",
-        extra={"grad_norm": float(gn)},
+    return _report(
+        u, bd, "nehari-descent", level=bd.J, iterations=iters, trace=trace,
+        converged=converged, grad_norm=gn,
     )
 
 
@@ -816,18 +817,14 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
         u0_k = zero_extend(u0, masks[k])
         rep = solve_mountain_pass(cfg, domain=dom, u0=u0_k, path_init=path)
         path = rep.extra["path"]
-        decay = fit_decay(rep.field, ball_radius=k)
-        xi = rep.max_point
-        from .heis_core import gauge as _gauge
-
         entries.append(
             ExhaustionEntry(
                 radius=k,
                 level=rep.level,
-                max_point=xi,
+                max_point=rep.max_point,
                 max_value=rep.max_value,
-                xi_gauge=_gauge(xi),
-                decay=decay,
+                xi_gauge=gauge(rep.max_point),
+                decay=fit_decay(rep.field, ball_radius=k),
                 report=rep,
             )
         )
@@ -873,19 +870,14 @@ class ComparisonReport:
 def _recenter_to_origin(u: ScalarField) -> ScalarField:
     """Shift the max node to the node nearest the origin (zero fill)."""
     idx, _ = u.max_node()
-    center = tuple(int(np.argmin(np.abs(u.grid.axis_coords(a)))) for a in range(3))
-    vals = u.values
-    for a, (i, c) in enumerate(zip(idx, center)):
-        shift = c - i
-        vals = np.roll(vals, shift, axis=a)
-        sl = [slice(None)] * 3
-        if shift > 0:
-            sl[a] = slice(0, shift)
-        elif shift < 0:
-            sl[a] = slice(shift, None)
-        if shift != 0:
-            vals[tuple(sl)] = 0.0
-    return ScalarField(u.grid, np.where(u.mask, vals, 0.0), u.mask)
+    dst, src = [], []
+    for a, (i, n) in enumerate(zip(idx, u.grid.shape)):
+        shift = int(np.argmin(np.abs(u.grid.axis_coords(a)))) - i
+        dst.append(slice(max(shift, 0), n + min(shift, 0)))
+        src.append(slice(max(-shift, 0), n - max(shift, 0)))
+    vals = np.zeros(u.grid.shape)
+    vals[tuple(dst)] = u.values[tuple(src)]
+    return ScalarField(u.grid, vals, u.mask)
 
 
 def compare_methods(
@@ -905,11 +897,7 @@ def compare_methods(
     bridge_defect = abs(bridge - c_k) / abs(c_k)
     a = _recenter_to_origin(rep_mp.field)
     b = _recenter_to_origin(rep_cm.field)
-    diff = a.values - b.values
-    denom = max(l2_norm(a), 1e-300)
-    field_dist = (
-        float(np.dot(diff.ravel(), diff.ravel())) * a.grid.cell_volume
-    ) ** 0.5 / denom
+    field_dist = l2_norm(a.with_values(a.values - b.values)) / max(l2_norm(a), 1e-300)
     bulk = domain.grid.gauge_array() < 0.7 * domain.ball_radius
     both_pos = bool(
         rep_mp.field.values[domain.mask].min() >= 0.0

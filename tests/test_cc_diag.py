@@ -6,6 +6,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from heisground.cc_diag import (
     _gauge_dist_sq4,
+    _half_mass_scale,
     ball_mass,
     classify_sequence,
     concentration,
@@ -17,7 +18,7 @@ from heisground.cc_diag import (
     group_translate_field,
     normalize_mass,
 )
-from heisground.errors import DomainError
+from heisground.errors import AlgorithmError, DomainError
 from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.heis_core import GroupPoint
 
@@ -267,6 +268,39 @@ class TestDilation:
         u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.5), mask)
         with pytest.raises(DomainError):
             dilation_normalize(u, Q_EXP)
+
+
+class TestHalfMassScale:
+    @staticmethod
+    def recorded(fraction):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (fraction(x), x)
+
+        return f, calls
+
+    @pytest.mark.parametrize("x_half", [0.3, 1.0, 5.7])
+    def test_brackets_then_bisects(self, x_half):
+        f, calls = self.recorded(lambda x: x / (x + x_half))
+        x, (frac, arg) = _half_mass_scale(f, 1e-3, 60, "test scale")
+        assert abs(frac - 0.5) <= 1e-3 and arg == x == calls[-1]
+        assert calls[0] == 1.0
+        assert x == pytest.approx(x_half, rel=5e-3)
+
+    def test_no_bracket_raises_before_bisecting(self):
+        # A fraction that never reaches 1/2: 1 + 20 bracket evaluations,
+        # and no futile bisection after them.
+        f, calls = self.recorded(lambda x: 0.1)
+        with pytest.raises(AlgorithmError, match="could not bracket"):
+            _half_mass_scale(f, 1e-3, 60, "test scale")
+        assert len(calls) == 21
+
+    def test_bisection_budget(self):
+        f, calls = self.recorded(lambda x: x / (x + 3.0))
+        with pytest.raises(AlgorithmError, match="did not converge"):
+            _half_mass_scale(f, 1e-15, 5, "test scale")
 
 
 class TestClassifier:

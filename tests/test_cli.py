@@ -111,6 +111,18 @@ class TestSolve:
         assert np.isfinite(doc["level"]) and np.isfinite(doc["grad_norm"])
 
 
+    def test_ray_descent_stall_writes_report(self, tmp_path, capsys):
+        # At the default grad_tol 1e-6 the ray maximum on this ball stops
+        # changing before the gradient is small enough.
+        report = tmp_path / "r.json"
+        code = main(["solve", "--method", "mountain-pass", "--radius", "2.5", "--grid", "12",
+                     "--report", str(report)])
+        assert code == 2
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["converged"] is False
+        assert doc["iterations"] < 2000
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -5,17 +5,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heisground.errors import ConfigurationError, DomainError, InsufficientDataError
-from heisground.functionals import critical_identity_defect, eval_J, grad_J
+from heisground.errors import (
+    ConfigurationError,
+    DomainError,
+    InsufficientDataError,
+    NumericError,
+)
+from heisground.functionals import critical_identity_defect, eval_J, grad_J, nehari_scale
 from heisground.grid import ScalarField, ball_mask, build_ball_grid, l2_norm, zero_extend
 from heisground.solvers import (
     Domain,
     SolverConfig,
+    _Energy,
+    _ray_descent,
     compare_methods,
     exhaust_domains,
     fit_decay,
     make_domain,
+    nehari_descent,
     pick_u0,
+    radial_bump,
+    solve_constrained_min,
+    solve_mountain_pass,
 )
 
 
@@ -105,6 +116,91 @@ class TestMountainPass:
     def test_agrees_with_nehari_oracle(self, small_mp, small_nd):
         gap = abs(small_nd.level - small_mp.level) / small_mp.level
         assert gap < 1e-3
+
+
+class TestVectorEnergy:
+    def test_matches_field_functions(self, small_domain, small_config):
+        p = small_config.p
+        energy = _Energy(small_domain, p)
+        u = pick_u0(small_domain, p)
+        u = u.with_values(0.4 * u.values)
+        v = u.interior()
+        assert energy.J(v) == pytest.approx(eval_J(u, p), rel=1e-13)
+        assert np.allclose(energy.grad(v), grad_J(u, p).interior(), rtol=0, atol=1e-13)
+        assert energy.ray_max(v) == pytest.approx(nehari_scale(u, p), rel=1e-13)
+        assert energy.norm(v) == pytest.approx(l2_norm(u), rel=1e-13)
+        assert np.array_equal(energy.field(v).values, u.values)
+
+    def test_ray_descent_gradient_norm_at_returned_iterate(self, small_domain, small_config):
+        # A max_iters exit returns the gradient norm of the iterate it
+        # returns, not of the one before the last step.
+        p = small_config.p
+        energy = _Energy(small_domain, p)
+        trace = []
+        w, j_max, converged, iters, gn, _ = _ray_descent(
+            energy, radial_bump(small_domain).interior(), small_config.step_size,
+            1e-12, 5, trace,
+        )
+        assert (converged, iters, len(trace)) == (False, 5, 5)
+        assert gn == pytest.approx(l2_norm(grad_J(energy.field(w), p)), rel=1e-12)
+        assert trace[-1][1:] == (j_max, gn)
+        assert nehari_scale(energy.field(w), p)[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
+        energy = _Energy(small_domain, small_config.p)
+        v = radial_bump(small_domain).interior()
+        v[3] = np.nan
+        with pytest.raises(NumericError):
+            _ray_descent(energy, v, small_config.step_size, 1e-6, 10, [])
+
+    def test_mountain_pass_rejects_u0_off_the_domain(self, small_domain, small_config):
+        u0 = ScalarField(small_domain.grid, np.ones(small_domain.grid.shape),
+                         np.ones(small_domain.grid.shape, dtype=bool))
+        with pytest.raises(ConfigurationError):
+            solve_mountain_pass(small_config, domain=small_domain, u0=u0)
+
+
+@pytest.fixture(scope="module")
+def default_tol_runs(small_domain):
+    """The three solvers at the default grad_tol on the small ball, each with
+    the number of ScalarFields it built."""
+    cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12)
+    original = ScalarField.__post_init__
+    runs = {}
+    for solver in (solve_mountain_pass, nehari_descent, solve_constrained_min):
+        built = [0]
+
+        def counting(self):
+            built[0] += 1
+            original(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ScalarField, "__post_init__", counting)
+            rep = solver(cfg, domain=small_domain)
+        runs[rep.method] = (rep, built[0])
+    return cfg, runs
+
+
+class TestDefaultTolerance:
+    @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent"])
+    def test_ray_descent_stall_exit(self, default_tol_runs, method):
+        # Here the Armijo decrease c1 tau |g|^2 vanishes against J ~ 50
+        # before |g| < 1e-6: the ray descent stops on a run of flat steps.
+        rep, _ = default_tol_runs[1][method]
+        assert not rep.converged
+        assert rep.iterations < 2000
+        assert rep.level == pytest.approx(50.63977815766826, rel=1e-9)
+
+    def test_constrained_min_converges(self, default_tol_runs):
+        rep, _ = default_tol_runs[1]["constrained-min"]
+        assert rep.converged
+
+    @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent", "constrained-min"])
+    def test_fields_built_only_at_boundaries(self, default_tol_runs, method):
+        cfg, runs = default_tol_runs
+        rep, built = runs[method]
+        assert rep.iterations > 1000
+        assert built <= 4 * cfg.path_points + 80
 
 
 class TestCrossMethod:
