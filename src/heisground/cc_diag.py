@@ -226,12 +226,19 @@ def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
     return float(masses[0, 0])
 
 
+# Centers whose ball mass is within this fraction of the maximum tie with it.
+_TIE_REL = 1e-12
+
+
 def concentration(density: MassDensity, R: float, center_stride: int = 2):
     """Max gauge-ball mass over a strided lattice of candidate centers.
 
-    Returns (mass, argmax center), the first maximum in (x, y, t) order.
-    Stride error is bounded by the mass of one cell shell, which is all the
-    classifier needs.
+    Returns (mass, center).  The mass is the maximum; the center is picked
+    from the near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one
+    nearest their mean (x, y, t), the first in (x, y, t) order on a tie, so
+    rounding-level differences between near-equal balls cannot move it
+    across a flat density.  Stride error is bounded by the mass of one cell
+    shell, which is all the classifier needs.
     """
     _check_radius(R)
     _check_stride(center_stride)
@@ -242,8 +249,11 @@ def concentration(density: MassDensity, R: float, center_stride: int = 2):
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
     a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
     masses = _ball_masses(density, R, ia, ib, a, b, cts)
-    k, l = divmod(int(np.argmax(masses)), len(cts))
-    return float(masses[k, l]), GroupPoint.of(float(a[k]), float(b[k]), float(cts[l]))
+    q = float(masses.max())
+    k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
+    near = np.stack([a[k], b[k], cts[l]], axis=1)
+    j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
+    return q, GroupPoint.of(*(float(c) for c in near[j]))
 
 
 @dataclass

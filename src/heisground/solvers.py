@@ -5,14 +5,18 @@ discretize a path from 0 to a negative-energy endpoint, repeatedly locate
 its energy maximum and push that point downhill, until the gradient at the
 path top vanishes.  The converged level c_k is the min-max critical value.
 
-Second method: normalized gradient flow on the constraint manifold
-{int u_+^(p+1) = 1} — projected descent on the quadratic energy I with
-exact renormalization after every step.  The minimum alpha and multiplier
-lambda = ||u||^2 convert into a PDE solution via u* = lambda^(1/(p-1)) u.
+Second method: minimization of the quadratic energy I on the constraint
+manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
+u <- A^-1 u_+^p / ||A^-1 u_+^p||_{L^(p+1)}, the H^1 (Sobolev) gradient step
+of the constrained problem, with A^-1 applied by warm-started
+Jacobi-preconditioned CG.  Its step count does not grow with the mesh.  The
+minimum alpha and multiplier lambda = ||u||^2 convert into a PDE solution
+via u* = lambda^(1/(p-1)) u.
 
 Both produce the same discrete ground state; `compare_methods` checks the
 bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  A third route,
-`nehari_descent`, minimizes the ray maximum of J directly.
+`nehari_descent`, minimizes the ray maximum of J directly.  Mountain-pass
+and `nehari_descent` descend the L^2 gradient with Armijo line searches.
 
 All three iterate on mask-node vectors through one `_Energy` per (domain,
 p); a `ScalarField` is built only for the start, a warm-start path and the
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     AlgorithmError,
@@ -79,10 +84,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solvers; defaults suit the desk-scale runs.
+    """Solver knobs; defaults suit the desk-scale runs.
 
-    Checked on construction (and so by `dataclasses.replace`): an invalid
-    config raises ConfigurationError and never exists.
+    step_size is the initial L^2 step of mountain-pass and `nehari_descent`;
+    constrained-min takes no step size.  Checked on construction (and so by
+    `dataclasses.replace`): an invalid config raises ConfigurationError and
+    never exists.
     """
 
     p: float = 2.0
@@ -285,20 +292,20 @@ class _Energy:
         return v / mass ** (1.0 / (self.p + 1.0))
 
     def constrained(self, c: np.ndarray):
-        """Constrained-flow objective: (I(v), v) for v = c renormalized."""
+        """(I(v), v) for v = c renormalized onto the constraint."""
         v = self.renormalize(c)
         return 0.5 * self.norm_sq(v), v
 
 
 def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
                     grow=1.3, max_backtracks=40):
-    """Backtracking line search from the vector x along -g.
+    """Backtracking line search from the vector x along -g (ray descent).
 
     objective(candidate vector) returns (f, state); the result is
     (state, f, tau) of the accepted step, so the caller keeps what the
-    objective computed on the way (the renormalized candidate, or the
-    candidate and its ray scale).  None means no step descends: f has
-    reached its rounding floor, and the caller stops at x, unconverged.
+    objective computed on the way (the candidate and its ray scale).  None
+    means no step descends: f has reached its rounding floor, and the
+    caller stops at x, unconverged.
     """
     for _ in range(max_backtracks):
         f_cand, state = objective(x - tau * g)
@@ -377,9 +384,11 @@ def _local_path_max(energy: _Energy, path, energies, i):
     return best_v, best_j
 
 
-# Accepted steps in a row that leave the ray maximum unchanged before a ray
-# descent stops unconverged: the Armijo decrease c1 * tau * |g|^2 has then
-# fallen below the rounding of J, and further steps only spend iterations.
+# Flat steps in a row before a descent stops unconverged (`stall`): a ray
+# descent's steps that leave the ray maximum unchanged, whose Armijo decrease
+# c1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
+# steps that neither lower I nor set a new smallest |g|.  Further steps only
+# spend iterations.
 _STALL_STEPS = 20
 
 
@@ -390,12 +399,13 @@ def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
     descent step at the path maximizer with the ray tangent projected out
     (the envelope construction re-maximizes along the tangent).  u is a
     mask-node vector and max_iters >= 1.  Returns (w, j_max, converged,
-    iterations, gn, tau) with w = t* u on the Nehari set and gn the full
-    gradient norm at w.  Unconverged stops: max_iters, no descending step,
-    or _STALL_STEPS flat steps in a row.
+    iterations, gn, stop_reason) with w = t* u on the Nehari set and gn the
+    full gradient norm at w.  Unconverged stops: `max_iters`, `no_descent`
+    (no descending step) or `stall` (_STALL_STEPS flat steps in a row).
     """
     t_star, j_max = energy.ray_max(u)
     flat = 0
+    stop = "max_iters"
     for it in range(max_iters):
         w = t_star * u
         g_w = energy.grad(w)
@@ -403,17 +413,22 @@ def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
         _check_finite("ray descent", it0 + it, j_max, gn)
         trace.append((it0 + it, j_max, gn))
         if gn < grad_tol:
-            return w, j_max, True, it + 1, gn, tau
-        if it + 1 == max_iters or flat == _STALL_STEPS:
+            stop = "grad_tol"
+            break
+        if it + 1 == max_iters:
+            break
+        if flat == _STALL_STEPS:
+            stop = "stall"
             break
         g = t_star * g_w
         step = _armijo_descent(u, j_max, g, energy.inner(g, g), tau, energy.ray_top)
         if step is None:
+            stop = "no_descent"
             break
         (u, t_star), j_next, tau = step
         flat = flat + 1 if j_next == j_max else 0
         j_max = j_next
-    return w, j_max, False, it + 1, gn, tau
+    return w, j_max, stop == "grad_tol", it + 1, gn, stop
 
 
 def _rebuild_path(energy: _Energy, w, v0, n_points, old_path, old_energies):
@@ -483,6 +498,7 @@ def solve_mountain_pass(
     tau = config.step_size
     trace = []
     converged = False
+    stop = "max_iters"
     j_best = np.inf
     it = 0
     # Phase one: bounded path-deformation sweeps to shape the path and
@@ -502,7 +518,7 @@ def solve_mountain_pass(
         _check_finite("path deformation", it, jw, gn)
         trace.append((it, jw, gn))
         if gn < config.grad_tol:
-            converged = True
+            converged, stop = True, "grad_tol"
             break
         recent.append(jw)
         if len(recent) >= 20 and recent[-20] - jw < 1e-4 * (1.0 + abs(jw)):
@@ -571,7 +587,7 @@ def solve_mountain_pass(
     # max, so this is still a deformation; it just avoids dragging the
     # whole polyline through thousands of sweeps.
     if not converged and config.max_iters > it + 1:
-        w, j_top, converged, it_b, gn, tau = _ray_descent(
+        w, j_top, converged, it_b, gn, stop = _ray_descent(
             energy, w, tau, config.grad_tol, config.max_iters - (it + 1),
             trace, it0=it + 1,
         )
@@ -594,52 +610,94 @@ def solve_mountain_pass(
     return _report(
         u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
         iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
-        min_sampled_max=j_best, path=[energy.field(v) for v in path], u0=u0,
+        stop_reason=stop, min_sampled_max=j_best,
+        path=[energy.field(v) for v in path], u0=u0,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=critical_identity_defect(u_k, p),
     )
 
 
 # ---------------------------------------------------------------------------
-# Constrained minimization (normalized gradient flow)
+# Constrained minimization (normalized inverse iteration)
 # ---------------------------------------------------------------------------
+
+# The CG relative tolerance of one step: min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD
+# * |g|), loose far from the minimum and tightening with the gradient.
+_CG_RTOL_MAX = 1e-3
+_CG_RTOL_PER_GRAD = 0.1
+# A step may raise I by this many ulps of I (rounding of the energy sum).
+_ROUNDING_RISE = 64 * np.finfo(float).eps
 
 
 def solve_constrained_min(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> SolveReport:
-    """Projected gradient flow on {int u_+^(p+1) = 1}, minimizing I.
+    """Minimize I on {int u_+^(p+1) = 1} by the normalized inverse iteration.
 
-    The flow runs on mask-node vectors v with grad I = A v.  Fields are
-    built only from the starting bump and for the report.
+    Each step is the H^1 (Sobolev) gradient step of the constrained
+    problem, v <- z / ||z||_{L^(p+1)} with A z = v_+^p, solved by
+    Jacobi-preconditioned CG warm-started from the last z, to the relative
+    tolerance min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).  g = A v - mu v_+^p
+    is the L^2 gradient projected onto the constraint's tangent space; its
+    norm is the stopping test and the reported grad_norm.
+
+    A step is kept while I rises by no more than rounding; a larger rise or
+    a CG breakdown stops the solve unconverged (`no_descent`), and so do
+    _STALL_STEPS steps in a row in which neither I falls nor |g| reaches a
+    new minimum (`stall`).  I reaches its rounding floor long before |g|
+    does, so the stall rule watches both.  The run works on mask-node
+    vectors; fields are built only from the starting bump and for the
+    report.
     """
     if domain is None:
         domain = make_domain(config)
     p = config.p
     energy = _Energy(domain, p)
     i_u, v = energy.constrained(radial_bump(domain).interior())
-    av = energy.A @ v
-    tau = config.step_size
+    inv_diag = 1.0 / energy.A.diagonal()
+    jacobi = LinearOperator(energy.A.shape, matvec=lambda r: inv_diag * r.ravel())
+    cg_iters = 0
+
+    def count(_):
+        nonlocal cg_iters
+        cg_iters += 1
+
+    z = None
     trace = []
-    converged = False
-    gn = np.inf
-    it = 0
+    gn_best = np.inf
+    flat = 0
+    stop = "max_iters"
     for it in range(config.max_iters):
         normal = _pos_pow(v, p)
+        av = energy.A @ v
         nn = energy.inner(normal, normal)
         mu = energy.inner(av, normal) / nn if nn > 0 else 0.0
         g = av - mu * normal
         gn = energy.norm(g)
-        _check_finite("flow", it, i_u, gn)
+        _check_finite("inverse iteration", it, i_u, gn)
         trace.append((it, i_u, gn))
+        if gn < gn_best:
+            gn_best, flat = gn, 0
         if gn < config.grad_tol:
-            converged = True
+            stop = "grad_tol"
             break
-        step = _armijo_descent(v, i_u, g, gn * gn, tau, energy.constrained)
-        if step is None:
+        if it + 1 == config.max_iters:
             break
-        v, i_u, tau = step
-        av = energy.A @ v
+        if flat == _STALL_STEPS:
+            stop = "stall"
+            break
+        z, info = cg(energy.A, normal, x0=z, M=jacobi, callback=count,
+                     rtol=min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn))
+        if info < 0:
+            stop = "no_descent"
+            break
+        i_next, v_next = energy.constrained(z)
+        _check_finite("inverse iteration", it + 1, i_next, gn)
+        if i_next > i_u + _ROUNDING_RISE * abs(i_u):
+            stop = "no_descent"
+            break
+        flat = 0 if i_next < i_u else flat + 1
+        i_u, v = i_next, v_next
 
     # Final positivity projection + exact renormalization; for a converged
     # run this is a no-op beyond stripping round-off undershoots.
@@ -651,7 +709,8 @@ def solve_constrained_min(
     bd = energy_breakdown(u_star, p)
     return _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
-        iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
+        iterations=it + 1, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
+        stop_reason=stop, cg_iterations=cg_iters,
         constraint_defect=abs(energy.mass(v) - 1.0), constrained_field=u,
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=critical_identity_defect(u_star, p),
@@ -676,7 +735,7 @@ def nehari_descent(
     p = config.p
     energy = _Energy(domain, p)
     trace = []
-    w, _, converged, iters, gn, _ = _ray_descent(
+    w, _, converged, iters, gn, stop = _ray_descent(
         energy, radial_bump(domain).interior(), config.step_size,
         config.grad_tol, config.max_iters, trace,
     )
@@ -684,7 +743,7 @@ def nehari_descent(
     bd = energy_breakdown(u, p)
     return _report(
         u, bd, "nehari-descent", level=bd.J, iterations=iters, trace=trace,
-        converged=converged, grad_norm=gn,
+        converged=converged, grad_norm=gn, stop_reason=stop,
     )
 
 

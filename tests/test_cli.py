@@ -45,6 +45,8 @@ class TestSolve:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["converged"] is True
+        assert doc["stop_reason"] == "grad_tol"
+        assert doc["cg_iterations"] > 0
         assert doc["level"] > 0.0
         assert doc["config"] == {
             "method": "constrained-min", "p": 2.0, "ball_radius": 2.0,
@@ -99,17 +101,17 @@ class TestSolve:
         assert main(["solve", "--eps", "0.5", *SOLVE_FAST]) == 64
 
     def test_line_search_stall_writes_report(self, tmp_path, capsys):
-        # At grad_tol 1e-7 the energy reaches its rounding floor on this
-        # ball first: the line search finds no descent step.
+        # 1e-15 is below the gradient's rounding floor on this ball (about
+        # 3.5e-15): the solve stalls and still writes its report.
         report = tmp_path / "r.json"
-        code = main(["solve", "--radius", "2.5", "--grid", "12", "--grad-tol", "1e-7",
+        code = main(["solve", "--radius", "2.5", "--grid", "12", "--grad-tol", "1e-15",
                      "--report", str(report)])
         assert code == 2
         doc = json.loads(report.read_text(), parse_constant=_reject_constant)
         assert doc["converged"] is False
         assert doc["iterations"] < doc["config"]["max_iters"]
         assert np.isfinite(doc["level"]) and np.isfinite(doc["grad_norm"])
-
+        assert doc["stop_reason"] == "stall"
 
     def test_ray_descent_stall_writes_report(self, tmp_path, capsys):
         # At the default grad_tol 1e-6 the ray maximum on this ball stops
@@ -120,7 +122,17 @@ class TestSolve:
         assert code == 2
         doc = json.loads(report.read_text(), parse_constant=_reject_constant)
         assert doc["converged"] is False
+        assert doc["stop_reason"] == "stall"
         assert doc["iterations"] < 2000
+
+    def test_tight_tolerance_converges(self, tmp_path, capsys):
+        # 1e-7 is above the constrained solve's rounding floor on this ball.
+        report = tmp_path / "r.json"
+        code = main(["solve", "--radius", "2.5", "--grid", "12", "--grad-tol", "1e-7",
+                     "--report", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["converged"] is True and doc["stop_reason"] == "grad_tol"
 
 
 def _reject_constant(name):

@@ -1,10 +1,12 @@
 """Solvers on a small, fast instance; full-scale runs live in acceptance."""
 
 from dataclasses import replace
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
 
+from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
     DomainError,
@@ -88,11 +90,82 @@ class TestConstrainedMin:
         diffs = np.diff(energies)
         assert diffs.max() <= 1e-10
 
+    def test_iterations_do_not_grow_with_the_mesh(self):
+        # The L^2 flow took 6166 steps here (1016 at N = 12), and stopped at
+        # a slightly higher local minimum, 3.566106562585406.
+        l2_alpha = 3.566106562585406
+        rep = solve_constrained_min(
+            SolverConfig(p=2.0, ball_radius=4.0, nodes_per_axis=32, grad_tol=1e-5)
+        )
+        assert rep.converged and rep.extra["stop_reason"] == "grad_tol"
+        assert rep.iterations < 200
+        assert 0 < rep.extra["cg_iterations"] < 20 * rep.iterations
+        assert rep.level <= l2_alpha
+        assert rep.level == pytest.approx(l2_alpha, rel=1e-6)
+
+    def test_stall_below_the_rounding_floor(self, small_config, small_domain):
+        # On this ball I reaches its rounding floor near |g| = 1e-7, and |g|
+        # its own near 3.5e-15.
+        rep = solve_constrained_min(replace(small_config, grad_tol=1e-15), domain=small_domain)
+        assert not rep.converged
+        assert rep.extra["stop_reason"] == "stall"
+        assert rep.iterations < 500
+        assert rep.extra["grad_norm"] < 1e-13
+
+    def test_max_iters(self, small_config, small_domain):
+        rep = solve_constrained_min(replace(small_config, max_iters=5), domain=small_domain)
+        assert (rep.converged, rep.iterations, len(rep.trace)) == (False, 5, 5)
+        assert rep.extra["stop_reason"] == "max_iters"
+        assert rep.extra["grad_norm"] == rep.trace[-1][2]
+
+    @staticmethod
+    def _rising_constrained(monkeypatch, rise):
+        """Make the n-th step's I come out as the starting I + n * rise."""
+        original = _Energy.constrained
+        start = []
+
+        def constrained(self, c):
+            i_v, v = original(self, c)
+            start.append(i_v)
+            return (i_v if len(start) == 1 else start[0] + (len(start) - 1) * rise), v
+
+        monkeypatch.setattr(_Energy, "constrained", constrained)
+
+    def test_rising_step_ends_the_solve(self, small_config, small_domain, monkeypatch):
+        self._rising_constrained(monkeypatch, 1e-12)
+        rep = solve_constrained_min(small_config, domain=small_domain)
+        assert not rep.converged
+        assert rep.extra["stop_reason"] == "no_descent"
+        assert rep.iterations == 1 and len(rep.trace) == 1
+
+    def test_rise_within_rounding_is_accepted(self, small_config, small_domain, monkeypatch):
+        # 64 ulps of I ~ 3.4 is 4.8e-14; |g| keeps falling, so no stall.
+        self._rising_constrained(monkeypatch, 1e-14)
+        rep = solve_constrained_min(small_config, domain=small_domain)
+        assert rep.converged and rep.iterations == 68
+
+    def test_non_finite_step_raises(self, small_config, small_domain, monkeypatch):
+        self._rising_constrained(monkeypatch, np.nan)
+        with pytest.raises(NumericError):
+            solve_constrained_min(small_config, domain=small_domain)
+
 
 class TestMountainPass:
     def test_converged_positive_level(self, small_mp):
         assert small_mp.converged
+        assert small_mp.extra["stop_reason"] == "grad_tol"
         assert small_mp.level > 0.0
+
+    def test_max_iters(self, small_config, small_domain):
+        # Phase one's budget ends the solve before phase two starts.
+        rep = solve_mountain_pass(replace(small_config, max_iters=3), domain=small_domain)
+        assert (rep.converged, rep.iterations) == (False, 3)
+        assert rep.extra["stop_reason"] == "max_iters"
+
+    def test_nehari_max_iters(self, small_config, small_domain):
+        rep = nehari_descent(replace(small_config, max_iters=3), domain=small_domain)
+        assert (rep.converged, rep.iterations) == (False, 3)
+        assert rep.extra["stop_reason"] == "max_iters"
 
     def test_criticality(self, small_mp, small_config):
         u = small_mp.field
@@ -146,6 +219,16 @@ class TestVectorEnergy:
         assert trace[-1][1:] == (j_max, gn)
         assert nehari_scale(energy.field(w), p)[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_ray_descent_stop_reasons(self, small_domain, small_config, monkeypatch):
+        energy = _Energy(small_domain, small_config.p)
+        v = radial_bump(small_domain).interior()
+        tau = small_config.step_size
+        assert _ray_descent(energy, v, tau, 1e-12, 5, [])[5] == "max_iters"
+        assert _ray_descent(energy, v, tau, 1e3, 5, [])[2:] == (True, 1, ANY, "grad_tol")
+        monkeypatch.setattr(solvers, "_armijo_descent", lambda *args, **kw: None)
+        w, _, converged, iters, _, stop = _ray_descent(energy, v, tau, 1e-12, 5, [])
+        assert (converged, iters, stop) == (False, 1, "no_descent")
+
     def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
         v = radial_bump(small_domain).interior()
@@ -188,19 +271,26 @@ class TestDefaultTolerance:
         # before |g| < 1e-6: the ray descent stops on a run of flat steps.
         rep, _ = default_tol_runs[1][method]
         assert not rep.converged
+        assert rep.extra["stop_reason"] == "stall"
         assert rep.iterations < 2000
         assert rep.level == pytest.approx(50.63977815766826, rel=1e-9)
 
     def test_constrained_min_converges(self, default_tol_runs):
         rep, _ = default_tol_runs[1]["constrained-min"]
         assert rep.converged
+        assert rep.extra["stop_reason"] == "grad_tol"
 
     @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent", "constrained-min"])
     def test_fields_built_only_at_boundaries(self, default_tol_runs, method):
         cfg, runs = default_tol_runs
         rep, built = runs[method]
-        assert rep.iterations > 1000
-        assert built <= 4 * cfg.path_points + 80
+        if method == "constrained-min":
+            # the H^1 iteration converges in about 90 steps here
+            assert rep.iterations > 50
+            assert built <= 4
+        else:
+            assert rep.iterations > 1000
+            assert built <= 4 * cfg.path_points + 80
 
 
 class TestCrossMethod:
