@@ -80,9 +80,9 @@ def _check_exponent(q: float) -> None:
         raise DomainError(f"mass exponent q must be finite and >= 1, got {q}")
 
 
-def _check_stride(center_stride) -> None:
-    if not (isinstance(center_stride, (int, np.integer)) and center_stride >= 1):
-        raise DomainError(f"center stride must be an integer >= 1, got {center_stride!r}")
+def _check_count(value, what: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _check_radius(R: float) -> None:
@@ -90,26 +90,27 @@ def _check_radius(R: float) -> None:
         raise DomainError(f"ball radius must be positive, got {R}")
 
 
-# Elements in one temporary of the ball-mass kernel.  The center batch is
-# cut into chunks of this size, which keeps a call's working set at about
-# that of a loop over single centers (0.8 MB at R = 2 on a 20x20x70 box).
+# Elements in one temporary of the ball-mass kernel (window ends of a block
+# of centers, or one gather), which keeps a call's working set at about
+# that of a loop over single centers.
 _CHUNK = 1 << 14
 
 
-def _radius_cap(grid: Grid3, a, b, c) -> float:
-    """A radius whose gauge ball about every center (a_k, b_k, c_l) holds
-    every node: twice a bound on rho(z^-1 w) over the nodes w, plus a cell.
+def _radius_cap(grid: Grid3, a, b, c_lo: float, c_hi: float) -> float:
+    """A radius whose gauge ball about every center (a_k, b_k, c) with
+    c_lo <= c <= c_hi holds every node: twice a bound on rho(z^-1 w) over
+    the nodes w, plus a cell.
 
     Clamping R to it changes no mass and keeps R^4 finite.
     """
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
     xs, ys, ts = (grid.axis_coords(i) for i in range(3))
     dx = max(xs[-1] - a.min(), a.max() - xs[0])
     dy = max(ys[-1] - b.min(), b.max() - ys[0])
     xm = max(-xs[0], xs[-1])
     ym = max(-ys[0], ys[-1])
     # dt = t - c - 2 b x + 2 a y
-    dt = (max(ts[-1] - c.min(), c.max() - ts[0])
+    dt = (max(ts[-1] - c_lo, c_hi - ts[0])
           + 2.0 * np.abs(b).max() * xm + 2.0 * np.abs(a).max() * ym)
     r2 = dx * dx + dy * dy
     return 2.0 * math.sqrt(math.sqrt(r2 * r2 + dt * dt)) + max(grid.spacing)
@@ -136,52 +137,52 @@ def _disc_offsets(grid: Grid3, R: float, slack_x: float, slack_y: float):
     return ox[keep], oy[keep]
 
 
-def _ceil_index(x: np.ndarray, nt: int, start: np.ndarray) -> np.ndarray:
-    """Flat cumsum index start + clip(ceil(x), 0, nt); x is overwritten.
-
-    Both ends of a column go through here, and ceil and clip are monotone,
-    so hi >= lo whenever s >= 0.
-    """
-    idx = np.ceil(x, out=x).astype(np.int64)
-    np.clip(idx, 0, nt, out=idx)
-    idx += start
-    return idx
-
-
-def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, ts):
-    """Gauge-ball masses about every xy-center (a[k], b[k]) and t-center ts[l].
+def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, c0, t_stride, ntc):
+    """Gauge-ball masses about every xy-center (a[k], b[k]) and every
+    t-center c0 + l * t_stride * h_t, l < ntc; shape (len(a), ntc).
 
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
     s = (R^4 - r2^2)^(1/2); interval sums are differences of a t-axis
-    cumulative sum.  Center k visits only the columns (ia[k], ib[k]) +
+    cumulative sum.  The t-centers sit on the node lattice, so the window
+    ends of a (center column, disc column) pair move by exactly t_stride
+    cells from one t-center to the next: they are found once, at c0, and
+    clipped to [-last, nt], last = t_stride (ntc - 1).  Each column's
+    cumsum is padded with `last` zeros before and `last` copies of its
+    total after (width nt + 2 last + 1 whatever R is), so a clipped end
+    reads 0 or the total at every t-center, and a window end is one strided
+    row of ntc entries.  Center k visits only the columns (ia[k], ib[k]) +
     (ox, oy) within reach of R, off-grid ones reading a zero column, and
-    sums them in row-major order.  Returns masses of shape (len(a), len(ts)).
+    sums them in row-major order.
     """
     grid = density.field.grid
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
-    ts = np.asarray(ts, dtype=float)
-    R = min(R, _radius_cap(grid, a, b, ts))
+    last = t_stride * (ntc - 1)
+    R = min(R, _radius_cap(grid, a, b, c0, c0 + last * ht))
     xs, ys = grid.axis_coords(0), grid.axis_coords(1)
     ox, oy = _disc_offsets(
         grid, R, float(np.abs(a - xs[ia]).max()), float(np.abs(b - ys[ib]).max())
     )
-    # t-cumsum per column, plus one zero column for every off-grid column
-    csum = np.zeros((nx * ny + 1, nt + 1))
-    np.cumsum(density.field.values.reshape(nx * ny, nt), axis=1, out=csum[:-1, 1:])
-    flat = csum.ravel()
+    # padded t-cumsum per column, plus one zero column for every off-grid column
+    width = nt + 2 * last + 1
+    csum = np.zeros((nx * ny + 1, width))
+    np.cumsum(density.field.values.reshape(nx * ny, nt), axis=1,
+              out=csum[:-1, last + 1:last + nt + 1])
+    csum[:-1, last + nt + 1:] = csum[:-1, last + nt, None]
+    step = csum.strides[1]  # rows[i] = csum.flat[i : i + last + 1 : t_stride]
+    rows = np.lib.stride_tricks.as_strided(
+        csum.ravel(), (csum.size - last, ntc), (step, t_stride * step), writeable=False)
     hx, hy = grid.spacing[:2]
     R4 = R**4
-
-    ncol, nxy, ntc = len(ox), len(a), len(ts)
-    pairs = max(1, _CHUNK // ncol)  # (xy-center, t-center) pairs per chunk
-    t_step = min(ntc, pairs)
-    xy_step = max(1, pairs // ntc)
+    mid0 = (c0 - t0) / ht - 0.5
+    ncol, nxy = len(ox), len(a)
+    k_ends = max(1, _CHUNK // ncol)  # xy-centers per block of window ends
+    k_rows = max(1, k_ends // ntc)  # xy-centers per gather
     masses = np.empty((nxy, ntc))
-    for k0 in range(0, nxy, xy_step):
-        k = slice(k0, k0 + xy_step)
-        # skip the offsets that leave the grid for every center of the chunk
+    for k0 in range(0, nxy, k_ends):
+        k = slice(k0, k0 + k_ends)
+        # skip the offsets that leave the grid for every center of the block
         use = ((ox >= -ia[k].max()) & (ox < nx - ia[k].min())
                & (oy >= -ib[k].max()) & (oy < ny - ib[k].min()))
         ci = ia[k, None] + ox[use]
@@ -190,22 +191,18 @@ def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, ts):
         dx = (grid.corner[0] + (ci + 0.5) * hx) - a[k, None]
         dy = (grid.corner[1] + (cj + 0.5) * hy) - b[k, None]
         r2 = dx * dx + dy * dy
-        half = (np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht)[:, :, None]
-        shift = (2.0 * b[k, None] * dx - 2.0 * a[k, None] * dy)[:, :, None]
+        half = np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht
+        # node t0 + (i + 1/2) ht is within s of c0 + 2b dx - 2a dy for
+        # lo <= i < hi; ceil and clip are monotone, so hi >= lo
+        mid = (2.0 * b[k, None] * dx - 2.0 * a[k, None] * dy) / ht + mid0
         on_grid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-        start = (np.where(on_grid, ci * ny + cj, nx * ny) * (nt + 1))[:, :, None]
-        for l0 in range(0, ntc, t_step):
-            # node t_l = t0 + (l + 1/2) ht lies in (c + shift - s, c + shift + s);
-            # worked in place, one end at a time, to keep few chunk-sized
-            # arrays alive
-            base = shift + ts[l0:l0 + t_step]
-            base -= t0
-            base /= ht
-            base -= 0.5
-            col = flat.take(_ceil_index(base + half, nt, start))
-            base -= half
-            col -= flat.take(_ceil_index(base, nt, start))
-            masses[k, l0:l0 + t_step] = col.sum(axis=1) * grid.cell_volume
+        start = np.where(on_grid, ci * ny + cj, nx * ny) * width + last
+        hi = start + np.clip(np.ceil(mid + half), -last, nt).astype(np.int64)
+        lo = start + np.clip(np.ceil(mid - half), -last, nt).astype(np.int64)
+        for j in range(0, len(hi), k_rows):
+            col = rows[hi[j:j + k_rows]]
+            col -= rows[lo[j:j + k_rows]]
+            masses[k0 + j:k0 + j + k_rows] = col.sum(axis=1) * grid.cell_volume
     return masses
 
 
@@ -219,10 +216,8 @@ def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
     # anchor the window at the node column nearest the center
     ia = np.clip(np.rint((a - grid.corner[0]) / grid.spacing[0] - 0.5), 0, grid.shape[0] - 1)
     ib = np.clip(np.rint((b - grid.corner[1]) / grid.spacing[1] - 0.5), 0, grid.shape[1] - 1)
-    masses = _ball_masses(
-        density, R, np.array([int(ia)]), np.array([int(ib)]),
-        np.array([a]), np.array([b]), [float(center.t)],
-    )
+    masses = _ball_masses(density, R, np.array([int(ia)]), np.array([int(ib)]),
+                          np.array([a]), np.array([b]), float(center.t), 1, 1)
     return float(masses[0, 0])
 
 
@@ -238,17 +233,19 @@ def concentration(density: MassDensity, R: float, center_stride: int = 2):
     nearest their mean (x, y, t), the first in (x, y, t) order on a tie, so
     rounding-level differences between near-equal balls cannot move it
     across a flat density.  Stride error is bounded by the mass of one cell
-    shell, which is all the classifier needs.
+    shell, which is all the classifier needs.  The t-centers are nodes, so
+    `_ball_masses` finds each (center column, disc column) pair's window
+    ends once and reads them at every t-center from a padded t-cumsum.
     """
     _check_radius(R)
-    _check_stride(center_stride)
+    _check_count(center_stride, "center stride")
     grid = density.field.grid
     ia = np.arange(0, grid.shape[0], center_stride)
     ib = np.arange(0, grid.shape[1], center_stride)
     cts = grid.axis_coords(2)[::center_stride]
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
     a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
-    masses = _ball_masses(density, R, ia, ib, a, b, cts)
+    masses = _ball_masses(density, R, ia, ib, a, b, cts[0], center_stride, len(cts))
     q = float(masses.max())
     k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
     near = np.stack([a[k], b[k], cts[l]], axis=1)
@@ -478,7 +475,7 @@ def _second_cluster(density: MassDensity, R: float, z1: GroupPoint, stride: int)
     """Best ball mass over centers, excluding nodes within B_2R(z1)."""
     grid = density.field.grid
     # past the cap the excluded ball holds every node; the cap keeps R^4 finite
-    r_excl = 2.0 * min(R, _radius_cap(grid, z1.x, z1.y, z1.t))
+    r_excl = 2.0 * min(R, _radius_cap(grid, z1.x, z1.y, z1.t, z1.t))
     keep = _gauge_dist_sq4(grid, z1) >= r_excl**4
     vals = np.where(keep, density.field.values, 0.0)
     trimmed = MassDensity(ScalarField(grid, vals, full_mask(grid)), 1.0)
@@ -504,10 +501,13 @@ def classify_sequence(
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
+    _check_count(tail, "tail")
     densities = list(densities)
     if len(densities) < tail:
         raise DomainError(f"need at least {tail} densities, got {len(densities)}")
     R_grid = sorted(float(r) for r in R_grid)
+    if not R_grid:
+        raise DomainError("need at least one probe radius")
     profiles = [
         concentration_profile(d, R_grid, center_stride) for d in densities
     ]

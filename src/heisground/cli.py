@@ -41,6 +41,11 @@ _SOLVER_FLAGS = {
     "--grad-tol": "grad_tol",
     "--path-points": "path_points",
 }
+# Added to the help of the solver flags that constrained-min does not read.
+_SOLVER_FLAG_NOTES = {
+    "--tau": "read by mountain-pass and nehari-descent only; constrained-min ignores it",
+    "--path-points": "read by mountain-pass only; constrained-min ignores it",
+}
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -84,9 +89,10 @@ def _add_solver_flags(parser, skip=None) -> None:
     defaults = asdict(solvers.SolverConfig())
     for flag, name in _SOLVER_FLAGS.items():
         if flag != skip:
+            note = f", {_SOLVER_FLAG_NOTES[flag]}" if flag in _SOLVER_FLAG_NOTES else ""
             parser.add_argument(flag, dest=name, type=type(defaults[name]),
                                 default=defaults[name],
-                                help=f"SolverConfig.{name} (default %(default)s)")
+                                help=f"SolverConfig.{name}{note} (default %(default)s)")
 
 
 def _solver_config(args) -> solvers.SolverConfig:

@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from heisground.cc_diag import (
+    _ball_masses,
     _gauge_dist_sq4,
     _half_mass_scale,
     ball_mass,
@@ -140,6 +141,24 @@ def brute_ball_mass(density, R, center):
     return float((density.field.values * inside).sum()) * grid.cell_volume
 
 
+def random_density(grid, seed):
+    vals = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
+    return normalize_mass(ScalarField(grid, vals, full_mask(grid)), 1.0)
+
+
+def lattice_masses(density, R, stride):
+    """The kernel on concentration's center lattice: (masses, a, b, ts)."""
+    grid = density.field.grid
+    ia = np.arange(0, grid.shape[0], stride)
+    ib = np.arange(0, grid.shape[1], stride)
+    ts = grid.axis_coords(2)[::stride]
+    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    masses = _ball_masses(density, R, ia, ib, a, b, ts[0], stride, len(ts))
+    assert masses.shape == (len(a), len(ts))
+    return masses, a, b, ts
+
+
 class TestBallMassOracle:
     """The windowed kernel against a full-grid sum over the gauge ball."""
 
@@ -165,6 +184,27 @@ class TestBallMassOracle:
         assert ball_mass(small_density, R, z) == pytest.approx(
             brute_ball_mass(small_density, R, z), abs=1e-12
         )
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("R", [0.25, 0.5, 1.0, 2.0, 50.0])
+    def test_lattice_kernel_matches_single_centers(self, R, stride):
+        # small_density's geometry cut to 13 t-nodes (a multiple of neither
+        # 2 nor 3), so the node-to-sphere margin above still holds
+        density = random_density(Grid3((10, 10, 13), (0.3, 0.3, 0.3), (-1.5, -1.5, -1.95)), 11)
+        masses, a, b, ts = lattice_masses(density, R, stride)
+        centers = [[GroupPoint.of(x, y, t) for t in ts] for x, y in zip(a, b)]
+        single = np.array([[ball_mass(density, R, z) for z in row] for row in centers])
+        brute = np.array([[brute_ball_mass(density, R, z) for z in row] for row in centers])
+        assert np.all(np.abs(masses - single) <= 1e-14 * single)
+        assert np.max(np.abs(masses - brute)) <= 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_clamped_radius_on_tall_box(self, stride):
+        # R clamps to _radius_cap, so every window end is clipped to
+        # [-last, nt] and read through the cumsum's padding (last >= 198)
+        density = random_density(Grid3((8, 8, 201), (0.3, 0.3, 0.02), (-1.2, -1.2, -2.01)), 5)
+        masses, *_ = lattice_masses(density, 1e308, stride)
+        assert np.max(np.abs(masses - 1.0)) <= 1e-12
 
     def test_huge_radius_holds_all_mass(self, small_density):
         q, _ = concentration(small_density, 1e308)
@@ -361,6 +401,17 @@ class TestClassifier:
         r = classify_sequence(dens, eps=0.1, R_grid=[0.5, 1.0, 2.0])
         assert r.verdict == "dichotomy"
         assert r.split_mass == pytest.approx(0.5, abs=0.1)
+
+    def test_rejects_empty_radius_grid(self, small_density):
+        # all() over no radii would call it vanishing
+        with pytest.raises(DomainError):
+            classify_sequence([small_density] * 3, 0.1, [])
+
+    @pytest.mark.parametrize("tail", [0, -2, 1.5])
+    def test_rejects_bad_tail(self, small_density, tail):
+        # profiles[-0:] would be the whole sequence
+        with pytest.raises(DomainError):
+            classify_sequence([small_density] * 3, 0.1, [1.0], tail=tail)
 
     def test_result_serializes(self, box):
         import json

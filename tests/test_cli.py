@@ -148,6 +148,19 @@ def test_solver_flag_defaults_match_config(command):
     assert {name: args[name] for name in defaults} == defaults
 
 
+@pytest.mark.parametrize("command", ["solve", "exhaust"])
+def test_help_names_the_flags_constrained_min_ignores(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = "".join(capsys.readouterr().out.split())  # wrapping-proof
+    for note in (
+        "SolverConfig.step_size, read by mountain-pass and nehari-descent only; "
+        "constrained-min ignores it",
+        "SolverConfig.path_points, read by mountain-pass only; constrained-min ignores it",
+    ):
+        assert "".join(note.split()) in text
+    assert text.count("ignores") == 2
+
+
 class TestExhaust:
     def test_two_radii(self, tmp_path, capsys):
         csv_path = tmp_path / "ex.csv"
