@@ -7,10 +7,11 @@ I(u) = 1/2 int |grad_H u|^2 + u^2                             (quadratic part)
 The nonlinear term uses the positive part u_+, which makes nonnegativity of
 converged states automatic and is invisible once u > 0.  The gradient is the
 exact derivative of the discrete energy (discretize-then-differentiate), so
-descent line searches are variationally consistent with the stencil.  The
-gradients go through the grid's one assembled operator A (grad I = A v, with
-v the field's mask values); the energy's value is summed as squares of the
-same forward differences (see `grid`), I(u) = w v^T A v / 2.
+descent line searches are variationally consistent with the stencil.  Both
+come from the grid's one horizontal gradient B = [X_h; Y_h]: the gradients go
+through A = B^T B + I (grad I = A v, with v the field's mask values), and the
+energy's value is summed as squares, I(u) = w (||B v||^2 + ||v||^2) / 2
+(see `grid`).
 
 Each formula is one private function of numbers and arrays; the public
 functions apply it to a field, the solvers to mask-node vectors.

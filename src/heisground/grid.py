@@ -3,25 +3,31 @@
 Fields are sampled at cell centers; the Dirichlet condition of the energy
 space is imposed by zero extension: field values are identically zero on
 nodes outside the ball mask, and differences see zeros beyond the box
-edges.  The horizontal derivatives X_h, Y_h are forward differences, and
-every derivative of the energy goes through one assembled operator
+edges.  The horizontal derivatives are forward differences, written down
+once, as one sparse matrix per (grid, mask):
 
-    A = X_h^T X_h + Y_h^T Y_h + I   on the mask nodes,
+    B = [X_h; Y_h],   X_h = D_x + 2y D_t,   Y_h = D_y - 2x D_t,
 
-an 11-point CSR matrix built once per (grid, mask) and cached.  With v the
-field's mask values and w the cell volume, the energy norm is w v^T A v,
-the L^2 gradient of I = ||u||^2 / 2 is A v, and the discrete sub-Laplacian
+with D the 1-D forward differences (u[+1] - u) / h put together by
+Kronecker products.  B takes the field's mask values v (C order) to both
+derivatives on every box node, so a larger mask only adds columns.  Every
+other discrete object comes from B, cached beside it:
+
+    A = B^T B + I   on the mask nodes,
+    ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
+
+The L^2 gradient of I = ||u||^2 / 2 is A v and the discrete sub-Laplacian
 is Delta_h v = v - A v.  The energy and its exact discrete derivative thus
 share one matrix, summation by parts is exact on the box, A is exactly
 symmetric, and the sub-Laplacian is second-order accurate.
 
-The energy's value, though, is summed as squares of the forward
-differences, not as w v^T A v.  The entries of A reach 1/h^2 + (2|y|/h_t)^2,
-hundreds of times the size of (A v)_i, so each row's sum cancels and
-v^T A v carries more rounding noise.  Near convergence the line searches
-compare energies that differ in their last digits, and on the
-(k, N) = (4, 32) ball they stalled on that noise (mountain-pass at
-|grad| = 1.08e-5, constrained-min at 1.6e-6) where the squares converge.
+The energy's value is summed as squares, not as w v^T A v.  The entries
+of A reach 1/h^2 + (2|y|/h_t)^2, hundreds of times the size of (A v)_i, so
+each row's sum cancels and v^T A v carries more rounding noise.  Near
+convergence the line searches compare energies that differ in their last
+digits, and on the (k, N) = (4, 32) ball they stalled on that noise
+(mountain-pass at |grad| = 1.08e-5, constrained-min at 1.6e-6) where the
+squares converge.
 
 Centered first differences were tried first and rejected: their
 composition annihilates odd/even oscillations, which decouples the grid
@@ -49,7 +55,7 @@ __all__ = [
     "apply_Yh",
     "apply_sublaplacian_h",
     "energy_operator",
-    "e_norm_sq_values",
+    "horizontal_gradient",
     "integrate",
     "lq_norm",
     "l2_norm",
@@ -71,8 +77,10 @@ class Grid3:
     def __post_init__(self):
         if any(n < 8 for n in self.shape):
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.shape}")
-        if any(h <= 0 for h in self.spacing):
-            raise ConfigurationError(f"spacings must be positive, got {self.spacing}")
+        if not all(0 < h < math.inf for h in self.spacing):
+            raise ConfigurationError(
+                f"spacings must be positive and finite, got {self.spacing}"
+            )
 
     @property
     def cell_volume(self) -> float:
@@ -151,18 +159,18 @@ class ScalarField:
 def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
 
-    The t spacing is h_x * k, rounded to a whole number of nodes, which
-    keeps all three node counts equal despite the parabolic t extent.
+    Every axis has nodes_per_axis nodes, so the t spacing is 2k^2/N = h_x k
+    despite the parabolic t extent.  A radius whose spacings overflow or
+    underflow raises ConfigurationError.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
     if nodes_per_axis < 8:
         raise ConfigurationError(f"need >= 8 nodes per axis, got {nodes_per_axis}")
     hx = 2.0 * k / nodes_per_axis
-    nt = max(8, int(round(2.0 * k * k / (hx * k))))
-    ht = 2.0 * k * k / nt
+    ht = 2.0 * k * k / nodes_per_axis
     grid = Grid3(
-        shape=(nodes_per_axis, nodes_per_axis, nt),
+        shape=(nodes_per_axis,) * 3,
         spacing=(hx, hx, ht),
         corner=(-k, -k, -k * k),
     )
@@ -179,126 +187,109 @@ def full_mask(grid: Grid3) -> np.ndarray:
 
 
 # Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` at 48^3 carries an operator of about 9 MB.
+# `exhaust_domains` at 48^3 carries B and A, about 15 MB together.
 _OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(mask object, copy of its contents, grid, A)]
+_operator_cache = []  # [(mask object, copy of its contents, grid, [B, A])]
 
 
-def energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """A = X_h^T X_h + Y_h^T Y_h + I on the mask nodes, cached per (grid, mask).
+def _operators(grid: Grid3, mask: np.ndarray) -> list:
+    """The cache entry [B, A] of one (grid, mask); A is None until asked for.
 
-    Rows and columns follow the mask nodes in C order, the order of
-    `u.values[u.mask]`.  A lookup finds the entry by the mask object, which
+    A lookup finds the entry by the mask object, which
     `ScalarField.with_values` shares, and then confirms the grid and the
-    mask's contents, so a mask edited in place gets a fresh operator and an
-    equal mask in another array reuses the cached one.
+    mask's contents, so a mask edited in place gets fresh operators and an
+    equal mask in another array reuses the cached ones.
     """
-    for k, (key, contents, g, op) in enumerate(_operator_cache):
+    for k, (key, contents, g, ops) in enumerate(_operator_cache):
         if key is mask and g == grid and np.array_equal(contents, mask):
             _operator_cache.append(_operator_cache.pop(k))
-            return op
-    op = next(
-        (op for _, contents, g, op in _operator_cache
+            return ops
+    ops = next(
+        (ops for _, contents, g, ops in _operator_cache
          if g == grid and np.array_equal(contents, mask)),
         None,
     )
-    if op is None:
-        op = _assemble_energy_operator(grid, mask)
-    _operator_cache.append((mask, mask.copy(), grid, op))
+    if ops is None:
+        ops = [_assemble_gradient(grid, mask), None]
+    _operator_cache.append((mask, mask.copy(), grid, ops))
     del _operator_cache[:-_OPERATOR_CACHE_SIZE]
-    return op
+    return ops
 
 
-def _assemble_energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """Write the 11-point stencil of A straight into CSR arrays.
+def horizontal_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
+    """B = [X_h; Y_h]: mask-node values in C order to both derivatives on
+    every box node (X_h rows first), cached per (grid, mask)."""
+    return _operators(grid, mask)[0]
 
-    X_h u = a_x (u[+x] - u) + b (u[+t] - u) with a_x = 1/h_x, b = 2y/h_t, and
-    Y_h u = a_y (u[+y] - u) + c (u[+t] - u) with a_y = 1/h_y, c = -2x/h_t.
-    Summing the squares over every box node gives the entries below.  An
-    entry's coefficients depend only on coordinates its two nodes share,
-    so A is exactly symmetric.
+
+def energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
+    """A = B^T B + I on the mask nodes, cached per (grid, mask).
+
+    Rows and columns follow the mask nodes in C order, the order of
+    `u.values[u.mask]`.  Built on first use: the energy's value needs only B.
     """
-    hx, hy, ht = grid.spacing
-    node = np.flatnonzero(mask)
-    i, j, l = np.unravel_index(node, grid.shape)
-    ax, ay = 1.0 / hx, 1.0 / hy
-    b = 2.0 * grid.axis_coords(1)[j] / ht
-    c = -2.0 * grid.axis_coords(0)[i] / ht
-    along_x = -ax * (ax + b)
-    along_y = -ay * (ay + c)
-    along_t = -b * (ax + b) - c * (ay + c)
-    diag = (
-        (ax + b) ** 2 + (ay + c) ** 2 + 1.0
-        + ax * ax * (i > 0) + ay * ay * (j > 0) + (b * b + c * c) * (l > 0)
-    )
-    # (offset, value) in increasing column order, so each CSR row is sorted.
-    stencil = [
-        ((-1, 0, 0), along_x), ((-1, 0, 1), ax * b),
-        ((0, -1, 0), along_y), ((0, -1, 1), ay * c),
-        ((0, 0, -1), along_t), ((0, 0, 0), diag), ((0, 0, 1), along_t),
-        ((0, 1, -1), ay * c), ((0, 1, 0), along_y),
-        ((1, 0, -1), ax * b), ((1, 0, 0), along_x),
-    ]
-    # Node numbers on a box padded by one layer of -1: a neighbor off the
-    # mask or beyond the box edge reads -1.
-    number = np.full(tuple(n + 2 for n in grid.shape), -1, dtype=np.int32)
-    number[1:-1, 1:-1, 1:-1][mask] = np.arange(node.size, dtype=np.int32)
-    cols = np.stack(
-        [number[i + 1 + di, j + 1 + dj, l + 1 + dl] for (di, dj, dl), _ in stencil]
-    )
-    present = cols >= 0
-    indptr = np.zeros(node.size + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=0), out=indptr[1:])
-    # Fill the CSR arrays in place, offset by offset: `slot` is each row's
-    # next free position.
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    slot = indptr[:-1].copy()
-    for k, (_, value) in enumerate(stencil):
-        rows = present[k]
-        at = slot[rows]
-        indices[at] = cols[k, rows]
-        data[at] = value[rows]
-        slot += rows
-    return sparse.csr_array((data, indices, indptr), shape=(node.size, node.size))
+    ops = _operators(grid, mask)
+    if ops[1] is None:
+        B = ops[0]
+        ops[1] = (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
+    return ops[1]
 
 
-def _forward_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """(u[+1] - u) / h along one axis, with u = 0 beyond the box edge.
+def _assemble_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
+    """X_h = D_x + 2y D_t and Y_h = D_y - 2x D_t from 1-D forward differences
+    (u[+1] - u) / h, with u = 0 beyond the box edge.
 
-    One contiguous pass over the flattened box at the axis's C-order
-    stride; the wrapped differences land on the last layer, which is then
-    overwritten with -u.
+    Each Kronecker factor keeps only the mask columns before the sums, which
+    halves the assembly's peak memory against slicing the finished B.
     """
-    out = np.empty(values.shape)
-    stride = math.prod(values.shape[axis + 1:])
-    flat = np.ravel(values)
-    np.subtract(flat[stride:], flat[:-stride], out=out.reshape(-1)[:-stride])
-    last = (slice(None),) * axis + (-1,)
-    np.negative(values[last], out=out[last])
-    out /= h
-    return out
+    (nx, ny, nt), (hx, hy, ht) = grid.shape, grid.spacing
+    cols = np.flatnonzero(mask)
 
+    def diff(before: int, n: int, h: float, after: int):
+        d = sparse.diags_array([np.full(n, -1.0 / h), np.full(n - 1, 1.0 / h)],
+                               offsets=[0, 1])
+        return sparse.kron(sparse.kron(sparse.eye_array(before), d),
+                           sparse.eye_array(after), format="csr")[:, cols]
 
-def _horizontal_derivatives(grid: Grid3, values: np.ndarray):
-    """(X_h u, Y_h u) by forward differences, zero beyond the box edges."""
     xs, ys, _ = grid.coordinate_arrays()
-    dx, dy, dt = (_forward_diff(values, a, h) for a, h in enumerate(grid.spacing))
-    dx += 2.0 * ys * dt
-    dy -= 2.0 * xs * dt
-    return dx, dy
+    dt = diff(nx * ny, nt, ht, 1)
+    gx = diff(1, nx, hx, ny * nt) + sparse.diags_array(
+        np.broadcast_to(2.0 * ys, grid.shape).ravel()) @ dt
+    gy = diff(nx, ny, hy, nt) - sparse.diags_array(
+        np.broadcast_to(2.0 * xs, grid.shape).ravel()) @ dt
+    B = sparse.vstack([gx, gy], format="csr")
+    B.sort_indices()  # rows sum in column order, whatever the mask
+    return B
+
+
+def _energy_norm_sq(B: sparse.csr_array, v: np.ndarray, w: float) -> float:
+    """w (||B v||^2 + ||v||^2), summed as squares (see the module docstring).
+
+    The squares are summed pairwise by `np.sum`, not by a BLAS dot: along a
+    descent line near the desk ball's mountain-pass point the ray maximum
+    of J then carries a quarter of the rounding noise, which keeps the L^2
+    ray descent's floor below its default tolerance.
+    """
+    g = B @ v
+    g *= g
+    return (float(g.sum()) + float(np.sum(v * v))) * w
+
+
+def _box_rows(u: ScalarField, block: int) -> ScalarField:
+    n = u.values.size
+    g = horizontal_gradient(u.grid, u.mask) @ u.interior()
+    return ScalarField(u.grid, g[block * n:(block + 1) * n].reshape(u.grid.shape),
+                       full_mask(u.grid))
 
 
 def apply_Xh(u: ScalarField) -> ScalarField:
     """X_h u = D_x u + 2 y D_t u, forward differences, on the whole box."""
-    gx, _ = _horizontal_derivatives(u.grid, u.values)
-    return ScalarField(u.grid, gx, full_mask(u.grid))
+    return _box_rows(u, 0)
 
 
 def apply_Yh(u: ScalarField) -> ScalarField:
     """Y_h u = D_y u - 2 x D_t u, forward differences, on the whole box."""
-    _, gy = _horizontal_derivatives(u.grid, u.values)
-    return ScalarField(u.grid, gy, full_mask(u.grid))
+    return _box_rows(u, 1)
 
 
 def sublaplacian_values(u: ScalarField) -> np.ndarray:
@@ -319,8 +310,8 @@ def integrate(u: ScalarField) -> float:
 
 
 def lq_norm(u: ScalarField, q: float) -> float:
-    if q < 1:
-        raise DomainError(f"L^q norm needs q >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise DomainError(f"L^q norm needs a finite q >= 1, got {q}")
     if q == 2.0:
         s = float(np.dot(u.values.ravel(), u.values.ravel()))
         return (s * u.grid.cell_volume) ** 0.5
@@ -346,23 +337,9 @@ def e_norm(u: ScalarField) -> float:
 
 
 def e_norm_sq(u: ScalarField) -> float:
-    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2 (= w v^T A v)."""
-    return e_norm_sq_values(u.grid, u.values)
-
-
-def e_norm_sq_values(grid: Grid3, values: np.ndarray) -> float:
-    """e_norm_sq of a box array that is zero off its mask, without a field.
-
-    Summed as squares over the whole box (see the module docstring), so
-    extending a field by zero to a larger mask leaves it bit-identical.
-    """
-    gx, gy = _horizontal_derivatives(grid, values)
-    flat = values.ravel()
-    return (
-        float(np.dot(gx.ravel(), gx.ravel()))
-        + float(np.dot(gy.ravel(), gy.ravel()))
-        + float(np.dot(flat, flat))
-    ) * grid.cell_volume
+    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2."""
+    return _energy_norm_sq(horizontal_gradient(u.grid, u.mask), u.interior(),
+                           u.grid.cell_volume)
 
 
 def embedding_ratio(u: ScalarField, q: float) -> float:

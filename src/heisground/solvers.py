@@ -53,10 +53,11 @@ from .functionals import (
 from .grid import (
     Grid3,
     ScalarField,
+    _energy_norm_sq,
     ball_mask,
     build_ball_grid,
-    e_norm_sq_values,
     energy_operator,
+    horizontal_gradient,
     l2_norm,
     zero_extend,
 )
@@ -237,16 +238,16 @@ class _Energy:
     """J and its pieces on the mask-node vectors of one domain, for one p.
 
     A vector holds a field's values on the mask nodes in C order, the order
-    of `u.values[u.mask]` and of the cached operator A.  The energy norm is
-    summed as squares on one reused box array (see `grid`), and the
-    formulas are the ones the public field functions use.
+    of `u.values[u.mask]` and of the cached operators B and A.  The energy
+    norm is summed as squares of B v and v (see `grid`), and the formulas
+    are the ones the public field functions use.
     """
 
     def __init__(self, domain: Domain, p: float):
         self.grid, self.mask, self.p = domain.grid, domain.mask, p
         self.w = domain.grid.cell_volume
+        self.B = horizontal_gradient(domain.grid, domain.mask)
         self.A = energy_operator(domain.grid, domain.mask)
-        self._box = np.zeros(domain.grid.shape)  # zero off the mask for good
 
     def field(self, v: np.ndarray) -> ScalarField:
         return ScalarField.from_interior(self.grid, self.mask, v)
@@ -260,8 +261,7 @@ class _Energy:
 
     def norm_sq(self, v: np.ndarray) -> float:
         """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2."""
-        self._box[self.mask] = v
-        return e_norm_sq_values(self.grid, self._box)
+        return _energy_norm_sq(self.B, v, self.w)
 
     def mass(self, v: np.ndarray) -> float:
         return _constraint_mass(v, self.p, self.w)
@@ -387,7 +387,7 @@ def _local_path_max(energy: _Energy, path, energies, i):
 # Flat steps in a row before a descent stops unconverged (`stall`): a ray
 # descent's steps that leave the ray maximum unchanged, whose Armijo decrease
 # c1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
-# steps that neither lower I nor set a new smallest |g|.  Further steps only
+# steps that set a new smallest value of neither I nor |g|.  Further steps only
 # spend iterations.
 _STALL_STEPS = 20
 
@@ -643,9 +643,10 @@ def solve_constrained_min(
 
     A step is kept while I rises by no more than rounding; a larger rise or
     a CG breakdown stops the solve unconverged (`no_descent`), and so do
-    _STALL_STEPS steps in a row in which neither I falls nor |g| reaches a
-    new minimum (`stall`).  I reaches its rounding floor long before |g|
-    does, so the stall rule watches both.  The run works on mask-node
+    _STALL_STEPS steps in a row in which neither I nor |g| reaches a new
+    minimum (`stall`).  I reaches its rounding floor long before |g| does,
+    and may then cycle among a few rounded values, so the stall rule
+    watches the record lows of both.  The run works on mask-node
     vectors; fields are built only from the starting bump and for the
     report.
     """
@@ -664,7 +665,7 @@ def solve_constrained_min(
 
     z = None
     trace = []
-    gn_best = np.inf
+    i_best, gn_best = i_u, np.inf
     flat = 0
     stop = "max_iters"
     for it in range(config.max_iters):
@@ -696,7 +697,10 @@ def solve_constrained_min(
         if i_next > i_u + _ROUNDING_RISE * abs(i_u):
             stop = "no_descent"
             break
-        flat = 0 if i_next < i_u else flat + 1
+        if i_next < i_best:
+            i_best, flat = i_next, 0
+        else:
+            flat += 1
         i_u, v = i_next, v_next
 
     # Final positivity projection + exact renormalization; for a converged

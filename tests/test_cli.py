@@ -92,6 +92,16 @@ class TestSolve:
     def test_rejects_nan_radius(self, capsys):
         assert main(["solve", "--radius", "nan", "--grid", "10"]) == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radius", "1e200", "--grid", "8"],
+        ["solve", "--radius", "1e308", "--grid", "8"],
+        ["solve", "--radius", "1e-200", "--grid", "8"],
+        ["exhaust", "--radii", "1,1e200", "--grid", "8"],
+    ])
+    def test_rejects_radius_whose_spacing_is_not_finite(self, capsys, argv):
+        assert main(argv) == 64
+        assert "spacings must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_iters", ["0", "-3"])
     def test_rejects_no_iterations(self, capsys, max_iters):
         assert main(["solve", "--radius", "2", "--grid", "10",

@@ -24,6 +24,7 @@ from heisground.grid import (
     sublaplacian_values,
     zero_extend,
 )
+from heisground.heis_core import analytic_horizontal_derivative, gaussian_test_function
 
 
 def deep_interior(mask, cells=2):
@@ -59,6 +60,22 @@ class TestGridConstruction:
             build_ball_grid(1.0, 4)
         with pytest.raises(DomainError):
             build_ball_grid(-1.0, 16)
+
+    @pytest.mark.parametrize("k", [1e-200, 1e200, 1e308])
+    def test_rejects_radius_whose_spacing_is_not_finite(self, k):
+        with pytest.raises(ConfigurationError):
+            build_ball_grid(k, 8)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_spacing(self, h):
+        with pytest.raises(ConfigurationError):
+            Grid3(shape=(8, 8, 8), spacing=(1.0, 1.0, h), corner=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("k", [1e-6, 0.3, 2.5, 4.0, 1e6])
+    def test_equal_node_counts(self, k):
+        grid, _ = build_ball_grid(k, 12)
+        assert grid.shape == (12, 12, 12)
+        assert grid.spacing[2] == pytest.approx(grid.spacing[0] * k, rel=1e-15)
 
 
 class TestOperators:
@@ -130,6 +147,50 @@ class TestOperators:
         gx, gy = apply_Xh(u), apply_Yh(u)
         direct = inner(gx, gx) + inner(gy, gy)
         assert quad == pytest.approx(direct, rel=1e-12)
+
+
+class TestHorizontalGradient:
+    """X_h and Y_h checked without the assembled B that they read."""
+
+    @pytest.mark.parametrize("ball", [False, True])
+    def test_matches_per_node_loop(self, ball):
+        grid, mask = build_ball_grid(1.5, 8)
+        if not ball:
+            mask = full_mask(grid)
+        u = ScalarField(grid, np.random.default_rng(21).standard_normal(grid.shape), mask)
+        f = u.values
+        hx, hy, ht = grid.spacing
+        xs, ys = grid.axis_coords(0), grid.axis_coords(1)
+
+        def at(i, j, l):  # zero beyond the box edge
+            inside = all(0 <= c < n for c, n in zip((i, j, l), grid.shape))
+            return f[i, j, l] if inside else 0.0
+
+        gx = np.empty(grid.shape)
+        gy = np.empty(grid.shape)
+        for i, j, l in np.ndindex(grid.shape):
+            d_t = (at(i, j, l + 1) - f[i, j, l]) / ht
+            gx[i, j, l] = (at(i + 1, j, l) - f[i, j, l]) / hx + 2.0 * ys[j] * d_t
+            gy[i, j, l] = (at(i, j + 1, l) - f[i, j, l]) / hy - 2.0 * xs[i] * d_t
+        assert np.abs(apply_Xh(u).values - gx).max() < 1e-13
+        assert np.abs(apply_Yh(u).values - gy).max() < 1e-13
+
+    def test_first_order_against_gaussian(self):
+        tf = gaussian_test_function(1.0, 0.25)
+
+        def max_err(n):
+            grid, mask = build_ball_grid(2.0, n)
+            xs, ys, ts = grid.coordinate_arrays()
+            u = ScalarField(grid, np.exp(-(xs**2 + ys**2) - 0.25 * ts**2), mask)
+            gx, gy = apply_Xh(u).values, apply_Yh(u).values
+            errs = []
+            for idx in zip(*np.nonzero(grid.gauge_array() < 1.2)):
+                z = grid.node_point(idx)
+                errs.append(abs(gx[idx] - analytic_horizontal_derivative(tf, z, "X")))
+                errs.append(abs(gy[idx] - analytic_horizontal_derivative(tf, z, "Y")))
+            return max(errs)
+
+        assert 1.6 < max_err(16) / max_err(32) < 2.5
 
 
 def reference_energy(u):
@@ -240,6 +301,13 @@ class TestQuadrature:
         u = ScalarField(grid, np.ones(grid.shape), mask)
         with pytest.raises(DomainError):
             lq_norm(u, 0.5)
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_lq_rejects_non_finite_exponent(self, q):
+        grid, mask = build_ball_grid(1.0, 12)
+        u = ScalarField(grid, np.full(grid.shape, 2.0), mask)
+        with pytest.raises(DomainError):
+            lq_norm(u, q)
 
 
 class TestEmbeddingAndExtension:
