@@ -10,12 +10,12 @@ Ball geometry is the group geometry throughout: the ball around z is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import AlgorithmError, DomainError
 from .grid import Grid3, ScalarField, e_norm_sq, full_mask
@@ -53,13 +53,20 @@ class MassDensity:
 
 
 def normalize_mass(u: ScalarField, q: float) -> MassDensity:
-    """Density |u|^q / int |u|^q, for a finite q >= 1."""
+    """Density |u|^q / int |u|^q, for a finite q >= 1.
+
+    The powers are taken of |u| / max|u|, which lie in [0, 1], so a finite
+    field of any scale neither overflows nor loses its mass to underflow,
+    and scaling u by a power of two leaves the density bit-identical.
+    """
     _check_exponent(q)
-    dens = np.abs(u.values) ** q
-    total = float(dens.sum()) * u.grid.cell_volume
-    if total <= 0.0:
+    dens = np.abs(u.values)
+    top = float(dens.max())
+    if top == 0.0:
         raise DomainError("cannot normalize a field with zero L^q mass")
-    dens /= total
+    dens /= top
+    dens **= q
+    dens /= float(dens.sum()) * u.grid.cell_volume
     f = ScalarField(u.grid, dens, u.mask)
     return MassDensity(field=f, total_mass=float(dens.sum()) * u.grid.cell_volume)
 
@@ -137,25 +144,37 @@ def _disc_offsets(grid: Grid3, R: float, slack_x: float, slack_y: float):
     return ox[keep], oy[keep]
 
 
-def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, c0, t_stride, ntc):
+def _padded_cumsum(values: np.ndarray, last: int) -> np.ndarray:
+    """Each column's t-cumsum with a leading 0, padded with `last` more zeros
+    before and `last` copies of the column total after, plus one zero row
+    that off-grid columns read: shape (nx ny + 1, nt + 2 last + 1).
+
+    It depends on the density and on `last` only, not on the radius.
+    """
+    nx, ny, nt = values.shape
+    csum = np.zeros((nx * ny + 1, nt + 2 * last + 1))
+    np.cumsum(values.reshape(nx * ny, nt), axis=1, out=csum[:-1, last + 1:last + nt + 1])
+    csum[:-1, last + nt + 1:] = csum[:-1, last + nt, None]
+    return csum
+
+
+def _ball_masses(grid: Grid3, csum, R: float, ia, ib, a, b, c0, t_stride, ntc):
     """Gauge-ball masses about every xy-center (a[k], b[k]) and every
     t-center c0 + l * t_stride * h_t, l < ntc; shape (len(a), ntc).
 
+    `csum` is `_padded_cumsum(values, t_stride * (ntc - 1))` of the density.
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
     s = (R^4 - r2^2)^(1/2); interval sums are differences of a t-axis
     cumulative sum.  The t-centers sit on the node lattice, so the window
     ends of a (center column, disc column) pair move by exactly t_stride
     cells from one t-center to the next: they are found once, at c0, and
-    clipped to [-last, nt], last = t_stride (ntc - 1).  Each column's
-    cumsum is padded with `last` zeros before and `last` copies of its
-    total after (width nt + 2 last + 1 whatever R is), so a clipped end
-    reads 0 or the total at every t-center, and a window end is one strided
-    row of ntc entries.  Center k visits only the columns (ia[k], ib[k]) +
-    (ox, oy) within reach of R, off-grid ones reading a zero column, and
-    sums them in row-major order.
+    clipped to [-last, nt], last = t_stride (ntc - 1).  The padding makes a
+    clipped end read 0 or the column total at every t-center, so a window
+    end is one strided row of ntc entries.  Center k visits only the
+    columns (ia[k], ib[k]) + (ox, oy) within reach of R, off-grid ones
+    reading the zero row, and sums them in row-major order.
     """
-    grid = density.field.grid
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
     last = t_stride * (ntc - 1)
@@ -164,12 +183,7 @@ def _ball_masses(density: MassDensity, R: float, ia, ib, a, b, c0, t_stride, ntc
     ox, oy = _disc_offsets(
         grid, R, float(np.abs(a - xs[ia]).max()), float(np.abs(b - ys[ib]).max())
     )
-    # padded t-cumsum per column, plus one zero column for every off-grid column
-    width = nt + 2 * last + 1
-    csum = np.zeros((nx * ny + 1, width))
-    np.cumsum(density.field.values.reshape(nx * ny, nt), axis=1,
-              out=csum[:-1, last + 1:last + nt + 1])
-    csum[:-1, last + nt + 1:] = csum[:-1, last + nt, None]
+    width = csum.shape[1]
     step = csum.strides[1]  # rows[i] = csum.flat[i : i + last + 1 : t_stride]
     rows = np.lib.stride_tricks.as_strided(
         csum.ravel(), (csum.size - last, ntc), (step, t_stride * step), writeable=False)
@@ -216,7 +230,8 @@ def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
     # anchor the window at the node column nearest the center
     ia = np.clip(np.rint((a - grid.corner[0]) / grid.spacing[0] - 0.5), 0, grid.shape[0] - 1)
     ib = np.clip(np.rint((b - grid.corner[1]) / grid.spacing[1] - 0.5), 0, grid.shape[1] - 1)
-    masses = _ball_masses(density, R, np.array([int(ia)]), np.array([int(ib)]),
+    masses = _ball_masses(grid, _padded_cumsum(density.field.values, 0), R,
+                          np.array([int(ia)]), np.array([int(ib)]),
                           np.array([a]), np.array([b]), float(center.t), 1, 1)
     return float(masses[0, 0])
 
@@ -228,29 +243,10 @@ _TIE_REL = 1e-12
 def concentration(density: MassDensity, R: float, center_stride: int = 2):
     """Max gauge-ball mass over a strided lattice of candidate centers.
 
-    Returns (mass, center).  The mass is the maximum; the center is picked
-    from the near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one
-    nearest their mean (x, y, t), the first in (x, y, t) order on a tie, so
-    rounding-level differences between near-equal balls cannot move it
-    across a flat density.  Stride error is bounded by the mass of one cell
-    shell, which is all the classifier needs.  The t-centers are nodes, so
-    `_ball_masses` finds each (center column, disc column) pair's window
-    ends once and reads them at every t-center from a padded t-cumsum.
+    Returns (mass, center): the one sample of `concentration_profile` at R.
     """
-    _check_radius(R)
-    _check_count(center_stride, "center stride")
-    grid = density.field.grid
-    ia = np.arange(0, grid.shape[0], center_stride)
-    ib = np.arange(0, grid.shape[1], center_stride)
-    cts = grid.axis_coords(2)[::center_stride]
-    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
-    masses = _ball_masses(density, R, ia, ib, a, b, cts[0], center_stride, len(cts))
-    q = float(masses.max())
-    k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
-    near = np.stack([a[k], b[k], cts[l]], axis=1)
-    j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
-    return q, GroupPoint.of(*(float(c) for c in near[j]))
+    _, q, center = concentration_profile(density, [R], center_stride).samples[0]
+    return q, center
 
 
 @dataclass
@@ -275,10 +271,35 @@ class ConcentrationProfile:
 def concentration_profile(
     density: MassDensity, R_grid, center_stride: int = 2
 ) -> ConcentrationProfile:
+    """Q(R) and its center at every R of R_grid, over the lattice of
+    candidate centers at every `center_stride`-th node.
+
+    Q(R) is the maximum ball mass; the center is picked from the
+    near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one nearest
+    their mean (x, y, t), the first in (x, y, t) order on a tie, so
+    rounding-level differences between near-equal balls cannot move it
+    across a flat density.  Stride error is bounded by the mass of one cell
+    shell, which is all the classifier needs.  The t-centers are nodes, so
+    `_ball_masses` reads every t-center from one padded t-cumsum, which
+    depends on the density and the stride only and is built once for all R.
+    """
+    _check_count(center_stride, "center stride")
+    grid = density.field.grid
+    ia = np.arange(0, grid.shape[0], center_stride)
+    ib = np.arange(0, grid.shape[1], center_stride)
+    cts = grid.axis_coords(2)[::center_stride]
+    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    csum = _padded_cumsum(density.field.values, center_stride * (len(cts) - 1))
     prof = ConcentrationProfile()
     for R in R_grid:
-        q, c = concentration(density, R, center_stride)
-        prof.samples.append((float(R), float(q), c))
+        _check_radius(R)
+        masses = _ball_masses(grid, csum, R, ia, ib, a, b, cts[0], center_stride, len(cts))
+        q = float(masses.max())
+        k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
+        near = np.stack([a[k], b[k], cts[l]], axis=1)
+        j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
+        prof.samples.append((float(R), q, GroupPoint.of(*(float(c) for c in near[j]))))
     return prof
 
 
@@ -287,41 +308,56 @@ def concentration_profile(
 # ---------------------------------------------------------------------------
 
 
-def _interpolator(u: ScalarField) -> RegularGridInterpolator:
-    return RegularGridInterpolator(
-        (u.grid.axis_coords(0), u.grid.axis_coords(1), u.grid.axis_coords(2)),
-        u.values,
-        bounds_error=False,
-        fill_value=0.0,
-    )
+def _cell_coords(nodes: np.ndarray, points: np.ndarray):
+    """Cell index i, offset w and outside flag of each point.
+
+    The rule is that of scipy's RegularGridInterpolator: nodes[i] <= p <
+    nodes[i + 1], with the last node in the last cell, and
+    w = (p - nodes[i]) / (nodes[i + 1] - nodes[i]).  A point outside
+    [nodes[0], nodes[-1]] gets the nearest cell and the flag set.
+    """
+    i = np.clip(np.searchsorted(nodes, points, side="right") - 1, 0, len(nodes) - 2)
+    lo = nodes[i]
+    w = (points - lo) / (nodes[i + 1] - lo)
+    return i, w, (points < nodes[0]) | (points > nodes[-1])
 
 
 def group_translate_field(u: ScalarField, z0: GroupPoint) -> ScalarField:
-    """Resample w -> u(z0 * w) by trilinear interpolation."""
+    """Resample w -> u(z0 * w) by trilinear interpolation, zero outside the box.
+
+    A left translation by z0 = (a, b, c) shifts x by a and y by b at every
+    node, so each x (and each y) of the output has one cell; only
+    t + c + 2(b x - a y) varies per node.  The 8 corner terms, weighted
+    (wx wy) wt, are added one by one in the order scipy's
+    RegularGridInterpolator adds them, so the two agree bit for bit.
+    """
+    grid = u.grid
+    _, ny, nt = grid.shape
     a, b, c = float(z0.x[0]), float(z0.y[0]), float(z0.t)
-    xs, ys, ts = u.grid.coordinate_arrays()
-    px = np.broadcast_to(xs + a, u.grid.shape)
-    py = np.broadcast_to(ys + b, u.grid.shape)
-    pt = np.broadcast_to(ts + c + 2.0 * (b * xs - a * ys), u.grid.shape)
-    pts = np.stack([px.ravel(), py.ravel(), pt.ravel()], axis=1)
-    # one x-slab at a time: the interpolator's temporaries for the whole
-    # grid at once are about 20 times the field
-    interp = _interpolator(u)
-    vals = np.concatenate([interp(p) for p in np.split(pts, u.grid.shape[0])])
-    return ScalarField(u.grid, vals.reshape(u.grid.shape), full_mask(u.grid))
+    xs, ys, ts = grid.coordinate_arrays()
+    (ix, wx, out_x), (iy, wy, out_y), (it, wt, out_t) = (
+        _cell_coords(grid.axis_coords(axis), p) for axis, p in
+        enumerate((xs + a, ys + b, ts + c + 2.0 * (b * xs - a * ys)))
+    )
+    low = (ix * ny + iy) * nt + it  # flat index of each output's low corner
+    flat = u.values.ravel()
+    vals = np.zeros(grid.shape)
+    for (dx, fx), (dy, fy), (dt, ft) in itertools.product(
+        *(((0, 1.0 - w), (1, w)) for w in (wx, wy, wt))
+    ):
+        vals += flat[(dx * ny + dy) * nt + dt:][low] * (fx * fy * ft)
+    vals[out_x | out_y | out_t] = 0.0
+    return ScalarField(grid, vals, full_mask(grid))
 
 
 def _linear_weights(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Matrix of 1-D linear interpolation from `nodes` to `points`, with
     rows of zeros for points outside [nodes[0], nodes[-1]]."""
-    n = len(nodes)
-    i = np.clip(np.searchsorted(nodes, points) - 1, 0, n - 2)
-    w = (points - nodes[i]) / (nodes[i + 1] - nodes[i])
-    inside = (points >= nodes[0]) & (points <= nodes[-1])
+    i, w, outside = _cell_coords(nodes, points)
     rows = np.arange(len(points))
-    m = np.zeros((len(points), n))
-    m[rows, i] = np.where(inside, 1.0 - w, 0.0)
-    m[rows, i + 1] = np.where(inside, w, 0.0)
+    m = np.zeros((len(points), len(nodes)))
+    m[rows, i] = np.where(outside, 0.0, 1.0 - w)
+    m[rows, i + 1] = np.where(outside, 0.0, w)
     return m
 
 

@@ -38,6 +38,7 @@ them with spurious negative lobes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,8 +161,10 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
 
     Every axis has nodes_per_axis nodes, so the t spacing is 2k^2/N = h_x k
-    despite the parabolic t extent.  A radius whose spacings overflow or
-    underflow raises ConfigurationError.
+    despite the parabolic t extent.  A radius whose grid arithmetic
+    overflows or underflows raises ConfigurationError: the spacings, the
+    largest r2^2 + t^2 on the grid (about 5 k^4, squared by the gauge) and
+    1/h_t^2 (an entry of the operator) must all be finite, normal doubles.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
@@ -174,6 +177,16 @@ def build_ball_grid(k: float, nodes_per_axis: int):
         spacing=(hx, hx, ht),
         corner=(-k, -k, -k * k),
     )
+    # Python floats: an overflow gives inf and an underflow 0, with no warning
+    xm, ym, tm = (float(np.abs(grid.axis_coords(i)).max()) for i in range(3))
+    r2 = xm * xm + ym * ym
+    inv_ht = 1.0 / ht
+    if not all(sys.float_info.min <= v < math.inf
+               for v in (r2 * r2 + tm * tm, inv_ht * inv_ht)):
+        raise ConfigurationError(
+            f"ball radius {k} is out of range: r^4 + t^2 on its grid or 1/h_t^2 "
+            "overflows or underflows"
+        )
     return grid, ball_mask(grid, k)
 
 

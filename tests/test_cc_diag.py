@@ -8,6 +8,7 @@ from heisground.cc_diag import (
     _ball_masses,
     _gauge_dist_sq4,
     _half_mass_scale,
+    _padded_cumsum,
     ball_mass,
     classify_sequence,
     concentration,
@@ -72,6 +73,27 @@ class TestNormalizeMass:
         grid, mask = box
         with pytest.raises(DomainError):
             normalize_mass(ScalarField(grid, np.zeros(grid.shape), mask), Q_EXP)
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepts_any_finite_scale(self, box, value):
+        # |u|^q overflows (inf / inf) or underflows (zero mass) if taken first
+        grid, mask = box
+        d = normalize_mass(ScalarField(grid, np.full(grid.shape, value), mask), Q_EXP)
+        assert np.all(d.field.values == d.field.values.flat[0])
+        assert d.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_of_two_scale_leaves_classify_unchanged(self, box, scale):
+        grid, mask = box
+        bumps = [gauge_bump(grid, -1.2 + 0.4 * m, 0.2, 0.3, 0.6) for m in range(4)]
+
+        def verdict(s):
+            dens = [normalize_mass(ScalarField(grid, s * v, mask), Q_EXP) for v in bumps]
+            return classify_sequence(dens, eps=0.05, R_grid=[0.5, 1.0, 2.0]).as_dict()
+
+        assert verdict(scale) == verdict(1.0)
 
 
 class TestConcentration:
@@ -154,7 +176,8 @@ def lattice_masses(density, R, stride):
     ts = grid.axis_coords(2)[::stride]
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
     a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
-    masses = _ball_masses(density, R, ia, ib, a, b, ts[0], stride, len(ts))
+    csum = _padded_cumsum(density.field.values, stride * (len(ts) - 1))
+    masses = _ball_masses(grid, csum, R, ia, ib, a, b, ts[0], stride, len(ts))
     assert masses.shape == (len(a), len(ts))
     return masses, a, b, ts
 
@@ -239,6 +262,20 @@ class TestBallMassOracle:
             dilate_field(small_density.field, 1.0, q)
 
 
+def translated_by_interpolator(u, a, b, c):
+    """u(z0 * w) at every node w by scipy's trilinear interpolator, zero fill."""
+    grid = u.grid
+    axes = tuple(grid.axis_coords(i) for i in range(3))
+    interp = RegularGridInterpolator(axes, u.values, bounds_error=False, fill_value=0.0)
+    xs, ys, ts = grid.coordinate_arrays()
+    pts = np.stack(
+        [np.broadcast_to(p, grid.shape).ravel()
+         for p in (xs + a, ys + b, ts + c + 2.0 * (b * xs - a * ys))],
+        axis=1,
+    )
+    return interp(pts).reshape(grid.shape)
+
+
 class TestDilation:
     @pytest.mark.parametrize("lam", [0.3, 0.8, 1.25, 3.0])
     def test_matches_trilinear_interpolator(self, box, lam):
@@ -259,17 +296,33 @@ class TestDilation:
     def test_translation_matches_interpolator(self, box):
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
-        axes = tuple(grid.axis_coords(i) for i in range(3))
-        interp = RegularGridInterpolator(axes, u.values, bounds_error=False, fill_value=0.0)
         a, b, c = 0.6, -0.4, 0.3
-        xs, ys, ts = grid.coordinate_arrays()
-        pts = np.stack(
-            [np.broadcast_to(p, grid.shape).ravel()
-             for p in (xs + a, ys + b, ts + c + 2.0 * (b * xs - a * ys))],
-            axis=1,
-        )
         got = group_translate_field(u, GroupPoint.of(a, b, c)).values
-        assert np.array_equal(got, interp(pts).reshape(grid.shape))
+        assert np.array_equal(got, translated_by_interpolator(u, a, b, c))
+
+    @pytest.mark.parametrize("geometry", ["box", "unequal-spacings"])
+    @pytest.mark.parametrize("kind, shift", [
+        ("identity", (0.0, 0.0, 0.0)),
+        ("node-aligned", (1, -2, 3)),  # whole cells on every axis
+        ("fractional", (0.6, -0.4, 0.3)),  # fractions of the box half-widths
+        ("fractional", (-0.13, 0.77, -1.1)),
+        ("beyond-x", (2.0, 0.0, 0.0)),  # every point outside: all fill
+        ("beyond-y", (0.0, -2.0, 0.0)),
+        ("beyond-t", (0.0, 0.0, 2.0)),
+    ])
+    def test_translation_matches_interpolator_on_more_shifts(self, box, geometry,
+                                                             kind, shift):
+        if geometry == "box":
+            grid, mask = box
+        else:
+            grid = Grid3((9, 13, 17), (0.3, 0.25, 0.4), (-1.3, -1.6, -3.5))
+            mask = full_mask(grid)
+        scale = grid.spacing if kind == "node-aligned" else [-x0 for x0 in grid.corner]
+        a, b, c = (s * h for s, h in zip(shift, scale))
+        u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
+        got = group_translate_field(u, GroupPoint.of(a, b, c)).values
+        assert np.array_equal(got, translated_by_interpolator(u, a, b, c))
+        assert got.any() != kind.startswith("beyond")
 
     def test_scaling_exponent_exact(self, box):
         # compare against the analytically dilated field at the nodes;

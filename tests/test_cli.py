@@ -102,6 +102,18 @@ class TestSolve:
         assert main(argv) == 64
         assert "spacings must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--radius", "1e78", "--grid", "8"],
+        ["solve", "--radius", "1e100", "--grid", "8"],
+        ["solve", "--radius", "1e-80", "--grid", "8"],
+        ["solve", "--radius", "1e-100", "--grid", "8"],
+        ["exhaust", "--radii", "1,1e100", "--grid", "8"],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_radius_whose_grid_arithmetic_overflows(self, capsys, argv):
+        assert main(argv) == 64
+        assert "out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_iters", ["0", "-3"])
     def test_rejects_no_iterations(self, capsys, max_iters):
         assert main(["solve", "--radius", "2", "--grid", "10",
@@ -287,3 +299,22 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "calculus-check" in proc.stdout
+
+
+def test_cli_import_loads_no_interpolation_module():
+    # the group translation is resampled by numpy alone; scipy.interpolate
+    # (and the scipy.optimize and scipy.special it pulls in) stays unloaded
+    import os
+    import subprocess
+    import sys
+
+    import heisground
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heisground.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, heisground.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

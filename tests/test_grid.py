@@ -66,6 +66,19 @@ class TestGridConstruction:
         with pytest.raises(ConfigurationError):
             build_ball_grid(k, 8)
 
+    @pytest.mark.parametrize("k", [1e78, 1e100, 1e153, 1e-77, 1e-80, 1e-100, 1e-153])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_radius_whose_gauge_or_operator_overflows(self, k):
+        # finite spacings, but r^4 + t^2 or 1/h_t^2 is not a finite normal double
+        with pytest.raises(ConfigurationError, match="out of range"):
+            build_ball_grid(k, 8)
+
+    @pytest.mark.parametrize("k", [1e76, 1e-76])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepts_radius_whose_grid_arithmetic_is_finite(self, k):
+        grid, mask = build_ball_grid(k, 8)
+        assert mask.any()
+
     @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_spacing(self, h):
         with pytest.raises(ConfigurationError):
