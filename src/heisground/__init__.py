@@ -29,7 +29,6 @@ from .heis_core import (
 from .grid import (
     Grid3,
     ScalarField,
-    apply_sublaplacian_h,
     apply_Xh,
     apply_Yh,
     build_ball_grid,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlgorithmError, DomainError
 from .grid import Grid3, ScalarField, e_norm_sq, full_mask
-from .heis_core import GroupPoint, homogeneous_dimension
+from .heis_core import GroupPoint, gauge, group_inverse, group_mul, homogeneous_dimension
 
 __all__ = [
     "MassDensity",
@@ -385,14 +385,21 @@ def _lq_mass(u: ScalarField, q: float) -> float:
     return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
 
 
-def _half_mass_scale(fraction, mass_tol: float, max_bisect: int, what: str):
-    """The scale x at which a ball fraction reaches 1/2 (+- mass_tol).
+# `dilation_normalize`: the lattice stride of its candidate ball centers, the
+# tolerance on the half-mass fraction and the bisection budget of each scale.
+_CENTER_STRIDE = 2
+_MASS_TOL = 1e-3
+_MAX_BISECT = 60
+
+
+def _half_mass_scale(fraction, what: str):
+    """The scale x at which a ball fraction reaches 1/2 (+- _MASS_TOL).
 
     fraction(x) returns a tuple whose first item is the fraction, which
     grows with x.  The bracket grows from x = 1 by halving or doubling, at
-    most 20 times, and is then bisected.  Returns (x, fraction(x)) of the
-    first x within tolerance; raises AlgorithmError when there is no
-    bracket or the bisection does not converge.
+    most 20 times, and is then bisected at most _MAX_BISECT times.  Returns
+    (x, fraction(x)) of the first x within tolerance; raises AlgorithmError
+    when there is no bracket or the bisection does not converge.
     """
     lo = hi = 1.0
     f_lo = f_hi = fraction(1.0)[0]
@@ -407,10 +414,10 @@ def _half_mass_scale(fraction, mass_tol: float, max_bisect: int, what: str):
             break
     if f_lo > 0.5 or f_hi < 0.5:
         raise AlgorithmError(f"could not bracket the {what} in the box")
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         x = 0.5 * (lo + hi)
         out = fraction(x)
-        if abs(out[0] - 0.5) <= mass_tol:
+        if abs(out[0] - 0.5) <= _MASS_TOL:
             return x, out
         if out[0] < 0.5:
             lo = x
@@ -419,17 +426,11 @@ def _half_mass_scale(fraction, mass_tol: float, max_bisect: int, what: str):
     raise AlgorithmError(f"{what} did not converge")
 
 
-def dilation_normalize(
-    u: ScalarField,
-    q: float,
-    center_stride: int = 2,
-    mass_tol: float = 1e-3,
-    max_bisect: int = 60,
-):
+def dilation_normalize(u: ScalarField, q: float):
     """Rescale and recenter so the best unit gauge ball holds half the mass.
 
     Bisection on lam for nu = lam^(Q/q) u o delta_lam until the sup-center
-    unit-ball mass of |nu|^q is 1/2 (+- mass_tol), then a group translation
+    unit-ball mass of |nu|^q is 1/2 (+- _MASS_TOL), then a group translation
     moves the maximizing center to the origin.  Returns (nu, R_m = 1/lam).
     """
     total = _lq_mass(u, q)
@@ -444,12 +445,10 @@ def dilation_normalize(
         dens = MassDensity(
             ScalarField(nu.grid, np.abs(nu.values) ** q / m, nu.mask), 1.0
         )
-        frac, center = concentration(dens, 1.0, center_stride)
+        frac, center = concentration(dens, 1.0, _CENTER_STRIDE)
         return frac, nu, center
 
-    lam, (_, nu, center) = _half_mass_scale(
-        ball_fraction, mass_tol, max_bisect, "half-mass dilation"
-    )
+    lam, (_, nu, center) = _half_mass_scale(ball_fraction, "half-mass dilation")
     nu = group_translate_field(nu, center)
     m = _lq_mass(nu, q)
     if m <= 0:
@@ -471,9 +470,7 @@ def dilation_normalize(
         )
         return ball_mass(dens, 1.0, origin), w
 
-    s, (_, w) = _half_mass_scale(
-        origin_fraction, mass_tol, max_bisect, "origin-ball refinement"
-    )
+    s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement")
     return w, 1.0 / (lam * s)
 
 
@@ -518,17 +515,20 @@ def _second_cluster(density: MassDensity, R: float, z1: GroupPoint, stride: int)
     return concentration(trimmed, R, stride)
 
 
+# The classifier reads the last _TAIL densities of a sequence.
+_TAIL = 3
+
+
 def classify_sequence(
     densities,
     eps: float,
     R_grid,
     center_stride: int = 2,
-    tail: int = 3,
 ) -> TrichotomyResult:
     """Finite-sequence verdict: compactness / vanishing / dichotomy.
 
     Rules (diverging separation is surrogate on a finite sequence:
-    strictly increasing across the last `tail` elements and exceeding 4R):
+    strictly increasing across the last _TAIL elements and exceeding 4R):
       vanishing    — every R in R_grid captures < eps of the last density;
       compactness  — some R keeps >= 1 - eps for the whole tail (recentered);
       dichotomy    — some R where the tail mass plateaus at alpha strictly
@@ -537,18 +537,17 @@ def classify_sequence(
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    _check_count(tail, "tail")
     densities = list(densities)
-    if len(densities) < tail:
-        raise DomainError(f"need at least {tail} densities, got {len(densities)}")
+    if len(densities) < _TAIL:
+        raise DomainError(f"need at least {_TAIL} densities, got {len(densities)}")
     R_grid = sorted(float(r) for r in R_grid)
     if not R_grid:
         raise DomainError("need at least one probe radius")
     profiles = [
         concentration_profile(d, R_grid, center_stride) for d in densities
     ]
-    tail_profiles = profiles[-tail:]
-    tail_densities = densities[-tail:]
+    tail_profiles = profiles[-_TAIL:]
+    tail_densities = densities[-_TAIL:]
 
     result_kwargs = dict(eps=eps, profiles=profiles)
 
@@ -575,8 +574,6 @@ def classify_sequence(
 
     # Dichotomy: plateau strictly between eps and 1 - eps plus a second
     # carrier separating from the first.
-    from .heis_core import gauge, group_inverse, group_mul
-
     for R in R_grid:
         qs = [prof.q_at(R) for prof in tail_profiles]
         alpha = float(np.mean(qs))

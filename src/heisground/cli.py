@@ -36,15 +36,8 @@ _SOLVER_FLAGS = {
     "--p": "p",
     "--radius": "ball_radius",
     "--grid": "nodes_per_axis",
-    "--tau": "step_size",
     "--max-iters": "max_iters",
     "--grad-tol": "grad_tol",
-    "--path-points": "path_points",
-}
-# Added to the help of the solver flags that constrained-min does not read.
-_SOLVER_FLAG_NOTES = {
-    "--tau": "read by mountain-pass and nehari-descent only; constrained-min ignores it",
-    "--path-points": "read by mountain-pass only; constrained-min ignores it",
 }
 
 
@@ -89,10 +82,9 @@ def _add_solver_flags(parser, skip=None) -> None:
     defaults = asdict(solvers.SolverConfig())
     for flag, name in _SOLVER_FLAGS.items():
         if flag != skip:
-            note = f", {_SOLVER_FLAG_NOTES[flag]}" if flag in _SOLVER_FLAG_NOTES else ""
             parser.add_argument(flag, dest=name, type=type(defaults[name]),
                                 default=defaults[name],
-                                help=f"SolverConfig.{name}{note} (default %(default)s)")
+                                help=f"SolverConfig.{name} (default %(default)s)")
 
 
 def _solver_config(args) -> solvers.SolverConfig:
@@ -110,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("calculus-check", help="run the group-calculus invariant suite")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", default="", help="optional JSON output path")
-    pc.add_argument("--flip-y-sign", action="store_true", help=argparse.SUPPRESS)
 
     ps = sub.add_parser("solve", help="compute a ground state on one gauge ball")
     ps.add_argument("--method", choices=["mountain-pass", "constrained-min"],
@@ -145,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_calculus_check(args) -> int:
-    checks = calculus_check_suite(seed=args.seed, flip_y_sign=args.flip_y_sign)
+    checks = calculus_check_suite(seed=args.seed)
     failed = [c["name"] for c in checks if not c["passed"]]
     out = {"checks": checks, "failed": failed, "passed": not failed}
     text = json.dumps(out, indent=2, sort_keys=True)
@@ -227,9 +218,6 @@ def cmd_exhaust(args) -> int:
 
 def cmd_classify(args) -> int:
     radii = _parse_radii(args.radii)
-    if len(args.inputs) < 3:
-        print("classify needs at least 3 input fields", file=sys.stderr)
-        return EXIT_USAGE
     fields = []
     for path in args.inputs:
         try:

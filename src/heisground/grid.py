@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, DomainError
-from .heis_core import GroupPoint, critical_exponent, homogeneous_dimension
+from .heis_core import GroupPoint, homogeneous_dimension
 
 __all__ = [
     "Grid3",
@@ -54,7 +54,6 @@ __all__ = [
     "ball_mask",
     "apply_Xh",
     "apply_Yh",
-    "apply_sublaplacian_h",
     "energy_operator",
     "horizontal_gradient",
     "integrate",
@@ -152,10 +151,6 @@ class ScalarField:
         idx = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return idx, float(self.values[idx])
 
-    def max_point(self) -> GroupPoint:
-        idx, _ = self.max_node()
-        return self.grid.node_point(idx)
-
 
 def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
@@ -202,29 +197,22 @@ def full_mask(grid: Grid3) -> np.ndarray:
 # Most recently used last.  Bounded because each nested ball mask of
 # `exhaust_domains` at 48^3 carries B and A, about 15 MB together.
 _OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(mask object, copy of its contents, grid, [B, A])]
+_operator_cache = []  # [(copy of the mask, grid, [B, A])]
 
 
 def _operators(grid: Grid3, mask: np.ndarray) -> list:
     """The cache entry [B, A] of one (grid, mask); A is None until asked for.
 
-    A lookup finds the entry by the mask object, which
-    `ScalarField.with_values` shares, and then confirms the grid and the
-    mask's contents, so a mask edited in place gets fresh operators and an
-    equal mask in another array reuses the cached ones.
+    Entries are keyed by the grid and a copy of the mask's contents, so a
+    mask edited in place gets fresh operators and an equal mask in another
+    array reuses the cached ones.
     """
-    for k, (key, contents, g, ops) in enumerate(_operator_cache):
-        if key is mask and g == grid and np.array_equal(contents, mask):
+    for k, (contents, g, ops) in enumerate(_operator_cache):
+        if g == grid and np.array_equal(contents, mask):
             _operator_cache.append(_operator_cache.pop(k))
             return ops
-    ops = next(
-        (ops for _, contents, g, ops in _operator_cache
-         if g == grid and np.array_equal(contents, mask)),
-        None,
-    )
-    if ops is None:
-        ops = [_assemble_gradient(grid, mask), None]
-    _operator_cache.append((mask, mask.copy(), grid, ops))
+    ops = [_assemble_gradient(grid, mask), None]
+    _operator_cache.append((mask.copy(), grid, ops))
     del _operator_cache[:-_OPERATOR_CACHE_SIZE]
     return ops
 
@@ -311,10 +299,6 @@ def sublaplacian_values(u: ScalarField) -> np.ndarray:
     out = np.zeros(u.grid.shape)
     out[u.mask] = v - energy_operator(u.grid, u.mask) @ v
     return out
-
-
-def apply_sublaplacian_h(u: ScalarField) -> ScalarField:
-    return ScalarField(u.grid, sublaplacian_values(u), full_mask(u.grid))
 
 
 def integrate(u: ScalarField) -> float:

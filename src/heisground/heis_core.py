@@ -141,12 +141,11 @@ def critical_exponent(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _flow(z: GroupPoint, field_id: str, s: float, _flip_y_sign: bool = False) -> GroupPoint:
+def _flow(z: GroupPoint, field_id: str, s: float) -> GroupPoint:
     """Point reached from z after time s along the named generator.
 
     Left-invariant fields generate right translations, so the flow is
-    z * exp(s * generator).  `_flip_y_sign` is a fault-injection hook for
-    the self-check suite only.
+    z * exp(s * generator).
     """
     kind = field_id[0].upper()
     if kind == "T":
@@ -159,18 +158,12 @@ def _flow(z: GroupPoint, field_id: str, s: float, _flip_y_sign: bool = False) ->
         return GroupPoint(x, z.y, z.t + 2 * s * z.y[i])
     if kind == "Y":
         y = tuple(c + s if j == i else c for j, c in enumerate(z.y))
-        sign = 1.0 if _flip_y_sign else -1.0
-        return GroupPoint(z.x, y, z.t + sign * 2 * s * z.x[i])
+        return GroupPoint(z.x, y, z.t - 2 * s * z.x[i])
     raise DomainError(f"unknown field id {field_id!r}; expected X<i>, Y<i> or T")
 
 
 def apply_left_invariant(
-    field_id: str,
-    f: Callable[[GroupPoint], float],
-    z: GroupPoint,
-    *,
-    step: float = _FLOW_STEP,
-    _flip_y_sign: bool = False,
+    field_id: str, f: Callable[[GroupPoint], float], z: GroupPoint
 ) -> float:
     """Directional derivative of f at z along X_i, Y_i or T.
 
@@ -180,37 +173,27 @@ def apply_left_invariant(
     fn = f.eval if isinstance(f, TestFunction) else f
 
     def central(h: float) -> float:
-        return (
-            fn(_flow(z, field_id, h, _flip_y_sign))
-            - fn(_flow(z, field_id, -h, _flip_y_sign))
-        ) / (2 * h)
+        return (fn(_flow(z, field_id, h)) - fn(_flow(z, field_id, -h))) / (2 * h)
 
-    d = (4.0 * central(step / 2) - central(step)) / 3.0
+    d = (4.0 * central(_FLOW_STEP / 2) - central(_FLOW_STEP)) / 3.0
     if not math.isfinite(d):
         raise NumericError(f"non-finite derivative of {field_id} at {z}")
     return d
 
 
 def commutator_XY(
-    f: Callable[[GroupPoint], float],
-    z: GroupPoint,
-    i: int = 1,
-    j: int = 1,
-    *,
-    _flip_y_sign: bool = False,
+    f: Callable[[GroupPoint], float], z: GroupPoint, i: int = 1, j: int = 1
 ) -> float:
     """[X_i, Y_j] f (z) = X_i(Y_j f)(z) - Y_j(X_i f)(z), numerically."""
     fn = f.eval if isinstance(f, TestFunction) else f
 
     def yf(w: GroupPoint) -> float:
-        return apply_left_invariant(f"Y{j}", fn, w, _flip_y_sign=_flip_y_sign)
+        return apply_left_invariant(f"Y{j}", fn, w)
 
     def xf(w: GroupPoint) -> float:
         return apply_left_invariant(f"X{i}", fn, w)
 
-    return apply_left_invariant(
-        f"X{i}", yf, z
-    ) - apply_left_invariant(f"Y{j}", xf, z, _flip_y_sign=_flip_y_sign)
+    return apply_left_invariant(f"X{i}", yf, z) - apply_left_invariant(f"Y{j}", xf, z)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +326,10 @@ def _random_point(rng: np.random.Generator, n: int = 1, scale: float = 2.0) -> G
     )
 
 
-def calculus_check_suite(seed: int = 0, flip_y_sign: bool = False) -> list:
+def calculus_check_suite(seed: int = 0) -> list:
     """Run the group-calculus invariants; returns one record per check.
 
-    Each record has {name, defect, tolerance, passed}.  `flip_y_sign`
-    injects a wrong sign into the Y flow so tests can confirm the suite
-    actually detects a broken commutator.
+    Each record has {name, defect, tolerance, passed}.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -415,8 +396,8 @@ def calculus_check_suite(seed: int = 0, flip_y_sign: bool = False) -> list:
             def shifted(w, g=g):
                 return tf.eval(group_mul(g, w))
 
-            lhs = apply_left_invariant(fid, shifted, z, _flip_y_sign=flip_y_sign)
-            rhs = apply_left_invariant(fid, tf, group_mul(g, z), _flip_y_sign=flip_y_sign)
+            lhs = apply_left_invariant(fid, shifted, z)
+            rhs = apply_left_invariant(fid, tf, group_mul(g, z))
             defect = max(defect, abs(lhs - rhs))
         record(f"left_invariance_{fid[0]}", defect, 1e-6)
 
@@ -427,7 +408,7 @@ def calculus_check_suite(seed: int = 0, flip_y_sign: bool = False) -> list:
         coeffs = {e: float(rng.uniform(-1, 1)) for e in exps}
         tfp = polynomial_test_function(coeffs)
         z = _random_point(rng, scale=1.0)
-        comm = commutator_XY(tfp, z, _flip_y_sign=flip_y_sign)
+        comm = commutator_XY(tfp, z)
         _, _, ft = tfp.grad(float(z.x[0]), float(z.y[0]), float(z.t))
         defect = max(defect, abs(comm + 4.0 * ft))
     record("commutator", defect, 1e-6)

@@ -87,23 +87,19 @@ __all__ = [
 class SolverConfig:
     """Solver knobs; defaults suit the desk-scale runs.
 
-    step_size is the initial L^2 step of mountain-pass and `nehari_descent`;
-    constrained-min takes no step size.  Checked on construction (and so by
-    `dataclasses.replace`): an invalid config raises ConfigurationError and
-    never exists.
+    Checked on construction (and so by `dataclasses.replace`): an invalid
+    config raises ConfigurationError and never exists.
     """
 
     p: float = 2.0
     ball_radius: float = 6.0
     nodes_per_axis: int = 48
-    step_size: float = 5e-3
     max_iters: int = 40000
     grad_tol: float = 1e-6
-    path_points: int = 11
 
     def __post_init__(self):
         check_exponent(self.p)
-        for name in ("ball_radius", "step_size", "grad_tol"):
+        for name in ("ball_radius", "grad_tol"):
             value = getattr(self, name)
             # Written so that NaN fails it too.
             if not 0.0 < value < np.inf:
@@ -112,8 +108,6 @@ class SolverConfig:
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.nodes_per_axis}")
         if self.max_iters < 1:
             raise ConfigurationError(f"need >= 1 iteration, got max_iters = {self.max_iters}")
-        if self.path_points < 9:
-            raise ConfigurationError(f"need >= 9 path points, got {self.path_points}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +123,10 @@ def make_domain(config: SolverConfig) -> Domain:
 
 
 _TRACE_STRIDE = 50  # a report keeps every 50th trace record, and the last
+# The initial L^2 step of mountain-pass and `nehari_descent`, and the vertex
+# count of the mountain-pass path (a warm-start path must have as many).
+_STEP_SIZE = 5e-3
+_PATH_POINTS = 11
 
 
 @dataclass
@@ -161,18 +159,9 @@ class SolveReport:
             "max_value": self.max_value,
             "trace": [list(rec) for rec in self.trace[::_TRACE_STRIDE]]
             + ([list(self.trace[-1])] if self.trace else []),
-            **{k: v for k, v in self.extra.items() if _jsonable(v)},
+            # the mountain-pass path is a list of fields, not JSON
+            **{k: v for k, v in self.extra.items() if k != "path"},
         }
-
-
-def _jsonable(v) -> bool:
-    if isinstance(v, (int, float, str, bool, type(None))):
-        return True
-    if isinstance(v, (list, tuple)):
-        return all(_jsonable(x) for x in v)
-    if isinstance(v, dict):
-        return all(isinstance(k, str) and _jsonable(x) for k, x in v.items())
-    return False
 
 
 @dataclass
@@ -472,10 +461,10 @@ def solve_mountain_pass(
     v0 = u0.values[domain.mask]
     if path_init is not None:
         path = [ScalarField(domain.grid, f.values, domain.mask).interior() for f in path_init]
-        if len(path) != config.path_points:
+        if len(path) != _PATH_POINTS:
             raise ConfigurationError("warm-start path has wrong number of points")
     else:
-        path = [s * v0 for s in np.linspace(0.0, 1.0, config.path_points)]
+        path = [s * v0 for s in np.linspace(0.0, 1.0, _PATH_POINTS)]
     energies = [energy.J(v) for v in path]
 
     def _mid_energies(pth):
@@ -495,7 +484,7 @@ def solve_mountain_pass(
         return iv
 
     mids = _mid_energies(path)
-    tau = config.step_size
+    tau = _STEP_SIZE
     trace = []
     converged = False
     stop = "max_iters"
@@ -593,7 +582,7 @@ def solve_mountain_pass(
         )
         it += it_b
         j_best = min(j_best, j_top)
-        path, energies = _rebuild_path(energy, w, v0, config.path_points, path, energies)
+        path, energies = _rebuild_path(energy, w, v0, _PATH_POINTS, path, energies)
 
     v_k = np.maximum(w, 0.0)
     u_k = energy.field(v_k)
@@ -611,7 +600,7 @@ def solve_mountain_pass(
         u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
         iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
         stop_reason=stop, min_sampled_max=j_best,
-        path=[energy.field(v) for v in path], u0=u0,
+        path=[energy.field(v) for v in path],
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=critical_identity_defect(u_k, p),
     )
@@ -708,14 +697,13 @@ def solve_constrained_min(
     v = energy.renormalize(np.maximum(v, 0.0))
     lam = energy.norm_sq(v)
     alpha = 0.5 * lam
-    u = energy.field(v)
     u_star = energy.field(lam ** (1.0 / (p - 1.0)) * v)
     bd = energy_breakdown(u_star, p)
     return _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
         iterations=it + 1, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
         stop_reason=stop, cg_iterations=cg_iters,
-        constraint_defect=abs(energy.mass(v) - 1.0), constrained_field=u,
+        constraint_defect=abs(energy.mass(v) - 1.0),
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=critical_identity_defect(u_star, p),
     )
@@ -740,7 +728,7 @@ def nehari_descent(
     energy = _Energy(domain, p)
     trace = []
     w, _, converged, iters, gn, stop = _ray_descent(
-        energy, radial_bump(domain).interior(), config.step_size,
+        energy, radial_bump(domain).interior(), _STEP_SIZE,
         config.grad_tol, config.max_iters, trace,
     )
     u = energy.field(np.maximum(w, 0.0))
@@ -756,20 +744,18 @@ def nehari_descent(
 # ---------------------------------------------------------------------------
 
 
-def fit_decay(u: ScalarField, ball_radius: Optional[float] = None) -> DecayFit:
+def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
     """Least-squares fit of log(shell max) vs gauge radius.
 
-    Shells cover [0.4 k, 0.9 k]; each sample records the gauge radius at
-    the shell's maximizing node, so an exact exponential input fits with
-    delta recovered and R^2 = 1.
+    Shells cover [0.4 k, 0.9 k] of the ball radius k; each sample records
+    the gauge radius at the shell's maximizing node, so an exact
+    exponential input fits with delta recovered and R^2 = 1.
     """
     if float(np.min(u.values)) < 0.0:
         raise DomainError("decay fit expects a nonnegative field")
     if not np.any(u.values > 0.0):
         raise DomainError("decay fit expects a nonzero field")
     rho = u.grid.gauge_array()
-    if ball_radius is None:
-        ball_radius = float(rho[u.mask].max()) if u.mask.any() else float(rho.max())
     k = ball_radius
     # The exponential regime starts outside the core; below ~0.4 k the
     # profile is still flat and drags the fit quality down.

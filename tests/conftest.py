@@ -129,3 +129,25 @@ def make_random_smooth_field(domain: Domain, rng, n_bumps: int = 5) -> ScalarFie
         r4 = ((xs - cx) ** 2 + (ys - cy) ** 2) ** 2 + (ts - ct) ** 2
         vals = vals + amp * np.exp(-np.sqrt(r4 + 1e-300) / w**2)
     return ScalarField(domain.grid, np.where(domain.mask, vals, 0.0), domain.mask)
+
+
+# ---------------------------------------------------------------------------
+# A broken Y flow, for checking that the calculus suite catches it
+# ---------------------------------------------------------------------------
+
+
+def flip_y_twist(monkeypatch) -> None:
+    """Give the Y_i flow the twist +2 s x_i in t in place of -2 s x_i, which
+    breaks [X, Y] = -4 d/dt while X and T stay intact."""
+    from heisground import heis_core
+
+    original = heis_core._flow
+
+    def flow(z, field_id, s):
+        w = original(z, field_id, s)
+        if field_id[0].upper() != "Y":
+            return w
+        i = int(field_id[1:] or 1) - 1
+        return heis_core.GroupPoint(w.x, w.y, z.t + 2 * s * z.x[i])
+
+    monkeypatch.setattr(heis_core, "_flow", flow)

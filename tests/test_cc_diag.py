@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from heisground.cc_diag import (
+    _MAX_BISECT,
     _ball_masses,
     _gauge_dist_sq4,
     _half_mass_scale,
@@ -400,7 +401,7 @@ class TestHalfMassScale:
     @pytest.mark.parametrize("x_half", [0.3, 1.0, 5.7])
     def test_brackets_then_bisects(self, x_half):
         f, calls = self.recorded(lambda x: x / (x + x_half))
-        x, (frac, arg) = _half_mass_scale(f, 1e-3, 60, "test scale")
+        x, (frac, arg) = _half_mass_scale(f, "test scale")
         assert abs(frac - 0.5) <= 1e-3 and arg == x == calls[-1]
         assert calls[0] == 1.0
         assert x == pytest.approx(x_half, rel=5e-3)
@@ -410,13 +411,16 @@ class TestHalfMassScale:
         # and no futile bisection after them.
         f, calls = self.recorded(lambda x: 0.1)
         with pytest.raises(AlgorithmError, match="could not bracket"):
-            _half_mass_scale(f, 1e-3, 60, "test scale")
+            _half_mass_scale(f, "test scale")
         assert len(calls) == 21
 
     def test_bisection_budget(self):
-        f, calls = self.recorded(lambda x: x / (x + 3.0))
+        # A step fraction is 0 or 1 at every scale, never within tolerance
+        # of 1/2: the bracket [1, 4], then the whole bisection budget.
+        f, calls = self.recorded(lambda x: float(x >= 3.0))
         with pytest.raises(AlgorithmError, match="did not converge"):
-            _half_mass_scale(f, 1e-15, 5, "test scale")
+            _half_mass_scale(f, "test scale")
+        assert len(calls) == 3 + _MAX_BISECT
 
 
 class TestClassifier:
@@ -459,12 +463,6 @@ class TestClassifier:
         # all() over no radii would call it vanishing
         with pytest.raises(DomainError):
             classify_sequence([small_density] * 3, 0.1, [])
-
-    @pytest.mark.parametrize("tail", [0, -2, 1.5])
-    def test_rejects_bad_tail(self, small_density, tail):
-        # profiles[-0:] would be the whole sequence
-        with pytest.raises(DomainError):
-            classify_sequence([small_density] * 3, 0.1, [1.0], tail=tail)
 
     def test_result_serializes(self, box):
         import json

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conftest import flip_y_twist
 from heisground.cli import _build_parser, main
 from heisground.grid import Grid3, ScalarField, full_mask
 from heisground.hgf import write_hgf
@@ -27,8 +28,9 @@ class TestCalculusCheck:
         assert doc["passed"] is True
         assert len(doc["checks"]) >= 5
 
-    def test_fault_injection_fails(self, capsys):
-        code = main(["calculus-check", "--flip-y-sign"])
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        flip_y_twist(monkeypatch)
+        code = main(["calculus-check"])
         assert code == 1
         captured = capsys.readouterr()
         assert "commutator" in captured.err
@@ -50,8 +52,8 @@ class TestSolve:
         assert doc["level"] > 0.0
         assert doc["config"] == {
             "method": "constrained-min", "p": 2.0, "ball_radius": 2.0,
-            "nodes_per_axis": 10, "step_size": 5e-3, "max_iters": 6000,
-            "grad_tol": 1e-3, "path_points": 11, "out": str(out), "report": str(report),
+            "nodes_per_axis": 10, "max_iters": 6000, "grad_tol": 1e-3,
+            "out": str(out), "report": str(report),
         }
         assert out.exists()
 
@@ -119,8 +121,16 @@ class TestSolve:
         assert main(["solve", "--radius", "2", "--grid", "10",
                      "--max-iters", max_iters]) == 64
 
-    def test_rejects_eps(self, capsys):
-        assert main(["solve", "--eps", "0.5", *SOLVE_FAST]) == 64
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--eps", "0.5"],
+        ["solve", "--tau", "0.1"],
+        ["solve", "--path-points", "11"],
+        ["exhaust", "--tau", "0.1"],
+        ["exhaust", "--path-points", "11"],
+        ["calculus-check", "--flip-y-sign"],
+    ])
+    def test_rejects_unknown_flags(self, capsys, argv):
+        assert main(argv) == 64
 
     def test_line_search_stall_writes_report(self, tmp_path, capsys):
         # 1e-15 is below the gradient's rounding floor on this ball (about
@@ -168,19 +178,6 @@ def test_solver_flag_defaults_match_config(command):
     if command == "exhaust":  # the radii flag sets the ball radius
         del defaults["ball_radius"]
     assert {name: args[name] for name in defaults} == defaults
-
-
-@pytest.mark.parametrize("command", ["solve", "exhaust"])
-def test_help_names_the_flags_constrained_min_ignores(command, capsys):
-    assert main([command, "--help"]) == 0
-    text = "".join(capsys.readouterr().out.split())  # wrapping-proof
-    for note in (
-        "SolverConfig.step_size, read by mountain-pass and nehari-descent only; "
-        "constrained-min ignores it",
-        "SolverConfig.path_points, read by mountain-pass only; constrained-min ignores it",
-    ):
-        assert "".join(note.split()) in text
-    assert text.count("ignores") == 2
 
 
 class TestExhaust:

@@ -249,11 +249,14 @@ class TestEnergyOperator:
             assert float(v @ (a @ v)) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
             assert e_norm_sq(u) == pytest.approx(ref, rel=1e-13)
 
-    def test_cached_per_grid_and_mask(self):
+    def test_cached_per_grid_and_mask(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_operator_cache", [])
         grid, mask = build_ball_grid(1.5, 12)
         a = energy_operator(grid, mask)
         assert energy_operator(grid, mask) is a
+        entries = len(grid_module._operator_cache)
         assert energy_operator(grid, mask.copy()) is a
+        assert len(grid_module._operator_cache) == entries  # no duplicate entry
         assert energy_operator(grid, ball_mask(grid, 1.0)) is not a
         mask[tuple(n // 2 for n in grid.shape)] = False  # edited in place
         b = energy_operator(grid, mask)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import flip_y_twist
 from heisground.errors import DimensionMismatchError, DomainError
 from heisground.heis_core import (
     GroupPoint,
@@ -162,7 +163,8 @@ class TestSuite:
             c["name"] for c in checks if not c["passed"]
         ]
 
-    def test_suite_detects_sign_flip(self):
-        checks = calculus_check_suite(seed=0, flip_y_sign=True)
+    def test_suite_detects_sign_flip(self, monkeypatch):
+        flip_y_twist(monkeypatch)
+        checks = calculus_check_suite(seed=0)
         failed = {c["name"] for c in checks if not c["passed"]}
         assert "commutator" in failed

@@ -37,10 +37,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SolverConfig(p=3.0)
         with pytest.raises(ConfigurationError):
-            SolverConfig(step_size=0.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(path_points=5)
-        with pytest.raises(ConfigurationError):
             SolverConfig(ball_radius=float("nan"))
         with pytest.raises(ConfigurationError):
             SolverConfig(max_iters=0)
@@ -182,7 +178,7 @@ class TestMountainPass:
 
     def test_path_is_admissible(self, small_mp, small_config):
         path = small_mp.extra["path"]
-        assert len(path) == small_config.path_points
+        assert len(path) == solvers._PATH_POINTS
         assert np.all(path[0].values == 0.0)
         assert eval_J(path[-1], small_config.p) < 0.0
 
@@ -211,7 +207,7 @@ class TestVectorEnergy:
         energy = _Energy(small_domain, p)
         trace = []
         w, j_max, converged, iters, gn, _ = _ray_descent(
-            energy, radial_bump(small_domain).interior(), small_config.step_size,
+            energy, radial_bump(small_domain).interior(), solvers._STEP_SIZE,
             1e-12, 5, trace,
         )
         assert (converged, iters, len(trace)) == (False, 5, 5)
@@ -222,7 +218,7 @@ class TestVectorEnergy:
     def test_ray_descent_stop_reasons(self, small_domain, small_config, monkeypatch):
         energy = _Energy(small_domain, small_config.p)
         v = radial_bump(small_domain).interior()
-        tau = small_config.step_size
+        tau = solvers._STEP_SIZE
         assert _ray_descent(energy, v, tau, 1e-12, 5, [])[5] == "max_iters"
         assert _ray_descent(energy, v, tau, 1e3, 5, [])[2:] == (True, 1, ANY, "grad_tol")
         monkeypatch.setattr(solvers, "_armijo_descent", lambda *args, **kw: None)
@@ -234,7 +230,7 @@ class TestVectorEnergy:
         v = radial_bump(small_domain).interior()
         v[3] = np.nan
         with pytest.raises(NumericError):
-            _ray_descent(energy, v, small_config.step_size, 1e-6, 10, [])
+            _ray_descent(energy, v, solvers._STEP_SIZE, 1e-6, 10, [])
 
     def test_mountain_pass_rejects_u0_off_the_domain(self, small_domain, small_config):
         u0 = ScalarField(small_domain.grid, np.ones(small_domain.grid.shape),
@@ -282,15 +278,14 @@ class TestDefaultTolerance:
 
     @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent", "constrained-min"])
     def test_fields_built_only_at_boundaries(self, default_tol_runs, method):
-        cfg, runs = default_tol_runs
-        rep, built = runs[method]
+        rep, built = default_tol_runs[1][method]
         if method == "constrained-min":
             # the H^1 iteration converges in about 90 steps here
             assert rep.iterations > 50
             assert built <= 4
         else:
             assert rep.iterations > 1000
-            assert built <= 4 * cfg.path_points + 80
+            assert built <= 4 * solvers._PATH_POINTS + 80
 
 
 class TestCrossMethod:
