@@ -95,12 +95,23 @@ def _solver_config(args) -> solvers.SolverConfig:
     )
 
 
+def _seed(text: str) -> int:
+    """A random seed: numpy's generators take non-negative integers only."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="heisground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("calculus-check", help="run the group-calculus invariant suite")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=_seed, default=0)
     pc.add_argument("--out", default="", help="optional JSON output path")
 
     ps = sub.add_parser("solve", help="compute a ground state on one gauge ball")

@@ -9,7 +9,10 @@ Second method: minimization of the quadratic energy I on the constraint
 manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
 u <- A^-1 u_+^p / ||A^-1 u_+^p||_{L^(p+1)}, the H^1 (Sobolev) gradient step
 of the constrained problem, with A^-1 applied by warm-started
-Jacobi-preconditioned CG.  Its step count does not grow with the mesh.  The
+Jacobi-preconditioned CG.  That CG is `_pcg`, numpy code that repeats
+scipy's `cg` bit for bit, so start-up loads no `scipy.sparse.linalg`; a
+CG solve that does not converge stops the iteration unconverged.  Its
+step count does not grow with the mesh.  The
 minimum alpha and multiplier lambda = ||u||^2 convert into a PDE solution
 via u* = lambda^(1/(p-1)) u.
 
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     AlgorithmError,
@@ -616,6 +618,44 @@ _CG_RTOL_MAX = 1e-3
 _CG_RTOL_PER_GRAD = 0.1
 # A step may raise I by this many ulps of I (rounding of the energy sum).
 _ROUNDING_RISE = 64 * np.finfo(float).eps
+# CG gives up after this many iterations per unknown, as scipy's `cg` does.
+_CG_MAX_ITERS_PER_UNKNOWN = 10
+
+
+def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
+    """Solve A x = b in place by Jacobi-preconditioned CG, started from x.
+
+    This is the arithmetic of `scipy.sparse.linalg.cg` with M = diag(inv_diag),
+    in its order, so the iterates are scipy's bit for bit.  The test
+    ||b - A x|| < rtol ||b|| comes before each step.  z also holds the
+    updates alpha p and alpha q.  Returns (iterations, converged).  The
+    solve has not converged after _CG_MAX_ITERS_PER_UNKNOWN * n iterations,
+    or when p.Ap is not a positive finite number (a breakdown).
+    """
+    atol = rtol * np.linalg.norm(b)
+    max_iters = _CG_MAX_ITERS_PER_UNKNOWN * b.size
+    r = b - A @ x if x.any() else b.copy()
+    z = np.empty_like(r)
+    p = rho_prev = None
+    for it in range(max_iters):
+        if np.linalg.norm(r) < atol:
+            return it, True
+        np.multiply(inv_diag, r, out=z)
+        rho = r @ z
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        pq = p @ q
+        if not 0.0 < pq < np.inf:
+            return it, False
+        alpha = rho / pq
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
+        rho_prev = rho
+    return max_iters, False
 
 
 def solve_constrained_min(
@@ -625,17 +665,19 @@ def solve_constrained_min(
 
     Each step is the H^1 (Sobolev) gradient step of the constrained
     problem, v <- z / ||z||_{L^(p+1)} with A z = v_+^p, solved by
-    Jacobi-preconditioned CG warm-started from the last z, to the relative
-    tolerance min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).  g = A v - mu v_+^p
-    is the L^2 gradient projected onto the constraint's tangent space; its
-    norm is the stopping test and the reported grad_norm.
+    Jacobi-preconditioned CG (`_pcg`) warm-started from the last z, to the
+    relative tolerance min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).
+    g = A v - mu v_+^p is the L^2 gradient projected onto the constraint's
+    tangent space; its norm is the stopping test and the reported grad_norm.
 
-    A step is kept while I rises by no more than rounding; a larger rise or
-    a CG breakdown stops the solve unconverged (`no_descent`), and so do
-    _STALL_STEPS steps in a row in which neither I nor |g| reaches a new
-    minimum (`stall`).  I reaches its rounding floor long before |g| does,
-    and may then cycle among a few rounded values, so the stall rule
-    watches the record lows of both.  The run works on mask-node
+    A step is kept while I rises by no more than rounding.  A larger rise
+    stops the solve unconverged (`no_descent`), and so does a CG solve that
+    does not converge: it reaches _CG_MAX_ITERS_PER_UNKNOWN * n iterations,
+    or p.Ap is not a positive finite number.  The solve also stops
+    unconverged after _STALL_STEPS steps in a row in which neither I nor
+    |g| reaches a new minimum (`stall`).  I reaches its rounding floor long
+    before |g| does, and may then cycle among a few rounded values, so the
+    stall rule watches the record lows of both.  The run works on mask-node
     vectors; fields are built only from the starting bump and for the
     report.
     """
@@ -645,14 +687,8 @@ def solve_constrained_min(
     energy = _Energy(domain, p)
     i_u, v = energy.constrained(radial_bump(domain).interior())
     inv_diag = 1.0 / energy.A.diagonal()
-    jacobi = LinearOperator(energy.A.shape, matvec=lambda r: inv_diag * r.ravel())
     cg_iters = 0
-
-    def count(_):
-        nonlocal cg_iters
-        cg_iters += 1
-
-    z = None
+    z = np.zeros_like(v)
     trace = []
     i_best, gn_best = i_u, np.inf
     flat = 0
@@ -676,9 +712,10 @@ def solve_constrained_min(
         if flat == _STALL_STEPS:
             stop = "stall"
             break
-        z, info = cg(energy.A, normal, x0=z, M=jacobi, callback=count,
-                     rtol=min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn))
-        if info < 0:
+        n_cg, solved = _pcg(energy.A, normal, z, inv_diag,
+                            min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn))
+        cg_iters += n_cg
+        if not solved:
             stop = "no_descent"
             break
         i_next, v_next = energy.constrained(z)

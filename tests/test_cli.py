@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import flip_y_twist
+from heisground import solvers
 from heisground.cli import _build_parser, main
 from heisground.grid import Grid3, ScalarField, full_mask
 from heisground.hgf import write_hgf
@@ -34,6 +35,11 @@ class TestCalculusCheck:
         assert code == 1
         captured = capsys.readouterr()
         assert "commutator" in captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "x"])
+    def test_rejects_bad_seed(self, capsys, seed):
+        assert main(["calculus-check", f"--seed={seed}"]) == 64
+        assert "non-negative integer" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -109,12 +115,23 @@ class TestSolve:
         ["solve", "--radius", "1e100", "--grid", "8"],
         ["solve", "--radius", "1e-80", "--grid", "8"],
         ["solve", "--radius", "1e-100", "--grid", "8"],
+        ["solve", "--radius", "1e-40", "--grid", "8", "--max-iters", "50"],
+        ["solve", "--radius", "1e-74", "--grid", "8", "--max-iters", "50"],
         ["exhaust", "--radii", "1,1e100", "--grid", "8"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_radius_whose_grid_arithmetic_overflows(self, capsys, argv):
         assert main(argv) == 64
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_radius_in_range_runs(self, tmp_path, capsys):
+        # 50 steps do not converge on this ball, but every number is finite
+        report = tmp_path / "r.json"
+        assert main(["solve", "--radius", "1e-20", "--grid", "8", "--max-iters", "50",
+                     "--report", str(report)]) == 2
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["stop_reason"] == "max_iters"
 
     @pytest.mark.parametrize("max_iters", ["0", "-3"])
     def test_rejects_no_iterations(self, capsys, max_iters):
@@ -156,6 +173,15 @@ class TestSolve:
         assert doc["converged"] is False
         assert doc["stop_reason"] == "stall"
         assert doc["iterations"] < 2000
+
+    def test_unconverged_cg_writes_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "_pcg", lambda A, b, x, inv_diag, rtol: (4, False))
+        report = tmp_path / "r.json"
+        code = main(["solve", "--radius", "2.5", "--grid", "12", "--report", str(report)])
+        assert code == 2
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["converged"] is False and doc["stop_reason"] == "no_descent"
+        assert doc["iterations"] == 1 and doc["cg_iterations"] == 4
 
     def test_tight_tolerance_converges(self, tmp_path, capsys):
         # 1e-7 is above the constrained solve's rounding floor on this ball.
@@ -298,9 +324,11 @@ def test_console_script_help():
     assert "calculus-check" in proc.stdout
 
 
-def test_cli_import_loads_no_interpolation_module():
-    # the group translation is resampled by numpy alone; scipy.interpolate
-    # (and the scipy.optimize and scipy.special it pulls in) stays unloaded
+def test_cli_import_loads_no_interpolation_module(tmp_path):
+    # The group translation is resampled by numpy alone, and the
+    # constrained-min CG is numpy too: neither import heisground.cli nor a
+    # constrained-min solve loads scipy.interpolate (and the scipy.optimize
+    # and scipy.special it pulls in), scipy.sparse.linalg or scipy.linalg.
     import os
     import subprocess
     import sys
@@ -309,9 +337,18 @@ def test_cli_import_loads_no_interpolation_module():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(heisground.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, heisground.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    code = (
+        "import sys, heisground.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith(\n"
+        "        ('scipy.interpolate', 'scipy.sparse.linalg', 'scipy.linalg')))\n"
+        "print(loaded())\n"
+        "code = heisground.cli.main(['solve', '--method', 'constrained-min',\n"
+        "    '--radius', '2.5', '--grid', '12', '--report', sys.argv[1]])\n"
+        "print(code, loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]

@@ -5,6 +5,8 @@ from unittest.mock import ANY
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, cg
 
 from heisground import solvers
 from heisground.errors import (
@@ -13,12 +15,19 @@ from heisground.errors import (
     InsufficientDataError,
     NumericError,
 )
-from heisground.functionals import critical_identity_defect, eval_J, grad_J, nehari_scale
+from heisground.functionals import (
+    _pos_pow,
+    critical_identity_defect,
+    eval_J,
+    grad_J,
+    nehari_scale,
+)
 from heisground.grid import ScalarField, ball_mask, build_ball_grid, l2_norm, zero_extend
 from heisground.solvers import (
     Domain,
     SolverConfig,
     _Energy,
+    _pcg,
     _ray_descent,
     compare_methods,
     exhaust_domains,
@@ -144,6 +153,69 @@ class TestConstrainedMin:
         self._rising_constrained(monkeypatch, np.nan)
         with pytest.raises(NumericError):
             solve_constrained_min(small_config, domain=small_domain)
+
+    def test_unconverged_cg_ends_the_solve(self, small_config, small_domain, monkeypatch):
+        monkeypatch.setattr(solvers, "_pcg", lambda A, b, x, inv_diag, rtol: (7, False))
+        rep = solve_constrained_min(small_config, domain=small_domain)
+        assert not rep.converged
+        assert rep.extra["stop_reason"] == "no_descent"
+        assert rep.iterations == 1 and rep.extra["cg_iterations"] == 7
+        assert np.isfinite(rep.level) and rep.extra["constraint_defect"] < 1e-12
+
+
+class TestPCG:
+    """`_pcg` against `scipy.sparse.linalg.cg`, its oracle, bit for bit."""
+
+    @staticmethod
+    def _system(domain):
+        energy = _Energy(domain, 2.0)
+        v = radial_bump(domain).interior()
+        return energy.A, _pos_pow(v, 2.0), v, 1.0 / energy.A.diagonal()
+
+    @staticmethod
+    def _scipy_cg(A, b, x0, inv_diag, rtol, maxiter=None):
+        """scipy's (x, iterations, info), counting iterations by callback."""
+        count = []
+        M = LinearOperator(A.shape, matvec=lambda r: inv_diag * r.ravel())
+        x, info = cg(A, b, x0=x0, M=M, rtol=rtol, maxiter=maxiter, callback=count.append)
+        return x, len(count), info
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-10])
+    def test_matches_scipy_cg(self, small_domain, warm, rtol):
+        A, b, v, inv_diag = self._system(small_domain)
+        x0 = v.copy() if warm else np.zeros_like(b)
+        want, want_iters, info = self._scipy_cg(A, b, x0, inv_diag, rtol)
+        assert info == 0
+        x = x0.copy()
+        assert _pcg(A, b, x, inv_diag, rtol) == (want_iters, True)
+        assert x.tobytes() == want.tobytes()
+
+    def test_iteration_cap(self, monkeypatch):
+        # In floating point, CG on this 1-D Laplacian needs more than n steps
+        # to reach 1e-15.  With the cap at n both stop there, unconverged.
+        n = 50
+        off = np.full(n - 1, -1.0)
+        A = sparse.diags_array([off, np.full(n, 2.0), off], offsets=[-1, 0, 1],
+                               format="csr")
+        b = np.linspace(-1.0, 1.0, n) ** 3 + 0.3
+        inv_diag = 1.0 / A.diagonal()
+        assert _pcg(A, b, np.zeros(n), inv_diag, 1e-15)[1]
+        monkeypatch.setattr(solvers, "_CG_MAX_ITERS_PER_UNKNOWN", 1)
+        want, want_iters, info = self._scipy_cg(A, b, None, inv_diag, 1e-15, maxiter=n)
+        assert info == want_iters == n
+        x = np.zeros(n)
+        assert _pcg(A, b, x, inv_diag, 1e-15) == (n, False)
+        assert x.tobytes() == want.tobytes()
+
+    def test_breakdown(self):
+        # p.Ap <= 0 on a negative definite A, and NaN for a NaN in b
+        n = 5
+        A = sparse.diags_array(np.full(n, -1.0), format="csr")
+        assert _pcg(A, np.ones(n), np.zeros(n), np.ones(n), 1e-6) == (0, False)
+        b = np.ones(n)
+        b[2] = np.nan
+        assert _pcg(-A, b, np.zeros(n), np.ones(n), 1e-6) == (0, False)
 
 
 class TestMountainPass:
