@@ -160,10 +160,6 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     overflows or underflows raises ConfigurationError: the spacings, the
     largest r2^2 + t^2 on the grid (about 5 k^4, squared by the gauge) and
     1/h_t^2 (an entry of the operator) must all be finite, normal doubles.
-    b^8 must be finite, with b = 1/h_x + 2 max|y| / h_t (about 1.5 N / k).
-    b bounds the entries of B, and b^2 those of A.  As k -> 0 the ground
-    state grows like k^-2 (at p = 2), and the squared residual norm sums
-    (A u)^2 ~ b^8 / N^4 over N^3 nodes.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
@@ -180,13 +176,11 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     xm, ym, tm = (float(np.abs(grid.axis_coords(i)).max()) for i in range(3))
     r2 = xm * xm + ym * ym
     inv_ht = 1.0 / ht
-    b2 = (1.0 / hx + 2.0 * ym * inv_ht) ** 2
-    if not (all(sys.float_info.min <= v < math.inf
-                for v in (r2 * r2 + tm * tm, inv_ht * inv_ht))
-            and b2 * b2 * b2 * b2 < math.inf):
+    if not all(sys.float_info.min <= v < math.inf
+               for v in (r2 * r2 + tm * tm, inv_ht * inv_ht)):
         raise ConfigurationError(
             f"ball radius {k} is out of range: r^4 + t^2 on its grid or 1/h_t^2 "
-            "overflows or underflows, or the operator scale b^8 overflows"
+            "overflows or underflows"
         )
     return grid, ball_mask(grid, k)
 

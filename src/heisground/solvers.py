@@ -120,7 +120,24 @@ class Domain:
 
 
 def make_domain(config: SolverConfig) -> Domain:
+    """The ball grid of `config`, if the solvers can represent its scale.
+
+    Beyond `build_ball_grid`'s checks, b^8 must be finite, with
+    b = 1/h_x + 2 max|y| / h_t (about 1.5 N / k).  b bounds the entries of
+    B, and b^2 those of A.  As k -> 0 the ground state grows like k^-2 (at
+    p = 2), and the squared residual norm sums (A u)^2 ~ b^8 / N^4 over N^3
+    nodes.  Otherwise ConfigurationError; this admits k >= about 4.4e-39 N.
+    """
     grid, mask = build_ball_grid(config.ball_radius, config.nodes_per_axis)
+    hx, _, ht = (float(h) for h in grid.spacing)
+    # Python floats, squared by `*`: an overflow gives inf, with no warning
+    b = 1.0 / hx + 2.0 * float(np.abs(grid.axis_coords(1)).max()) * (1.0 / ht)
+    b2 = b * b
+    if not b2 * b2 * b2 * b2 < np.inf:
+        raise ConfigurationError(
+            f"ball radius {config.ball_radius} is out of range: the operator "
+            "scale b^8 overflows"
+        )
     return Domain(grid, mask, config.ball_radius)
 
 

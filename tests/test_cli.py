@@ -115,6 +115,9 @@ class TestSolve:
         ["solve", "--radius", "1e100", "--grid", "8"],
         ["solve", "--radius", "1e-80", "--grid", "8"],
         ["solve", "--radius", "1e-100", "--grid", "8"],
+        ["solve", "--radius", "5e-154", "--grid", "8"],
+        ["solve", "--radius", "1e-153", "--grid", "48"],
+        ["solve", "--radius", "3e-38", "--grid", "8", "--max-iters", "50"],
         ["solve", "--radius", "1e-40", "--grid", "8", "--max-iters", "50"],
         ["solve", "--radius", "1e-74", "--grid", "8", "--max-iters", "50"],
         ["exhaust", "--radii", "1,1e100", "--grid", "8"],
@@ -124,11 +127,13 @@ class TestSolve:
         assert main(argv) == 64
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["1e-20", "1e-37", "4e-38", "3.4e-38"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_tiny_radius_in_range_runs(self, tmp_path, capsys):
-        # 50 steps do not converge on this ball, but every number is finite
+    def test_tiny_radius_in_range_runs(self, tmp_path, capsys, radius):
+        # 50 steps do not converge on these balls, but every number is finite;
+        # 3.4e-38 lies just above the smallest radius make_domain admits at N = 8
         report = tmp_path / "r.json"
-        assert main(["solve", "--radius", "1e-20", "--grid", "8", "--max-iters", "50",
+        assert main(["solve", "--radius", radius, "--grid", "8", "--max-iters", "50",
                      "--report", str(report)]) == 2
         doc = json.loads(report.read_text(), parse_constant=_reject_constant)
         assert doc["stop_reason"] == "max_iters"

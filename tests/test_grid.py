@@ -66,21 +66,14 @@ class TestGridConstruction:
         with pytest.raises(ConfigurationError):
             build_ball_grid(k, 8)
 
-    @pytest.mark.parametrize("k", [1e78, 1e100, 1e153, 1e-77, 1e-80, 1e-100, 1e-153])
+    @pytest.mark.parametrize("k", [1e78, 1e100, 1e153, 1e-77, 1e-80, 1e-100, 5e-154, 1e-153])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_radius_whose_gauge_or_operator_overflows(self, k):
         # finite spacings, but r^4 + t^2 or 1/h_t^2 is not a finite normal double
         with pytest.raises(ConfigurationError, match="out of range"):
             build_ball_grid(k, 8)
 
-    @pytest.mark.parametrize("k", [1e-40, 1e-74, 1e-76])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rejects_radius_whose_operator_scale_overflows(self, k):
-        # r^4 + t^2 and 1/h_t^2 are finite, but b^8 (b ~ 1.5 N / k) is not
-        with pytest.raises(ConfigurationError, match="out of range"):
-            build_ball_grid(k, 8)
-
-    @pytest.mark.parametrize("k", [1e76, 1e-20])
+    @pytest.mark.parametrize("k", [1e76, 1e-76])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_accepts_radius_whose_grid_arithmetic_is_finite(self, k):
         grid, mask = build_ball_grid(k, 8)

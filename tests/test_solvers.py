@@ -53,6 +53,19 @@ class TestConfig:
             replace(SolverConfig(), nodes_per_axis=4)
         SolverConfig()
 
+    @pytest.mark.parametrize("k", [3e-38, 1e-40, 1e-74, 1e-76])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_radius_whose_operator_scale_overflows(self, k):
+        # build_ball_grid accepts these, but b^8 (b ~ 1.5 N / k) is not finite
+        build_ball_grid(k, 8)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            make_domain(SolverConfig(ball_radius=k, nodes_per_axis=8))
+
+    @pytest.mark.parametrize("k", [3.4e-38, 1e-20, 1e76])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_accepts_radius_whose_operator_scale_is_finite(self, k):
+        assert make_domain(SolverConfig(ball_radius=k, nodes_per_axis=8)).mask.any()
+
 
 class TestPickU0:
     def test_negative_energy(self, small_domain, small_config):
