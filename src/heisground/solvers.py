@@ -8,13 +8,15 @@ path top vanishes.  The converged level c_k is the min-max critical value.
 Second method: minimization of the quadratic energy I on the constraint
 manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
 u <- A^-1 u_+^p / ||A^-1 u_+^p||_{L^(p+1)}, the H^1 (Sobolev) gradient step
-of the constrained problem, with A^-1 applied by warm-started
-Jacobi-preconditioned CG.  That CG is `_pcg`, numpy code that repeats
-scipy's `cg` bit for bit, so start-up loads no `scipy.sparse.linalg`; a
-CG solve that does not converge stops the iteration unconverged.  Its
-step count does not grow with the mesh.  The
-minimum alpha and multiplier lambda = ||u||^2 convert into a PDE solution
-via u* = lambda^(1/(p-1)) u.
+of the constrained problem, with A^-1 applied by Jacobi-preconditioned CG.
+Each CG solve starts from the Galerkin projection of its right-hand side
+onto the span of the last four iterates, the A-norm-best start there, which
+takes about a third of the CG iterations of a start from the last solution
+alone.  That CG is `_pcg`, numpy code that repeats scipy's `cg` bit for
+bit, so start-up loads no `scipy.sparse.linalg`; a CG solve that does not
+converge stops the iteration unconverged.  Its step count does not grow
+with the mesh.  The minimum alpha and multiplier lambda = ||u||^2 convert
+into a PDE solution via u* = lambda^(1/(p-1)) u.
 
 Both produce the same discrete ground state; `compare_methods` checks the
 bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  A third route,
@@ -28,6 +30,7 @@ report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -119,24 +122,39 @@ class Domain:
     ball_radius: float
 
 
+# An upper bound on the first Dirichlet eigenvalue of -Delta_H on the unit
+# gauge ball; the discrete one is 6.85, 7.41, 7.73 and 8.09 at N = 8, 12, 16
+# and 24.  B scales like 1/k, so on B_k the bottom of A is 1 + that / k^2.
+_UNIT_BALL_EIGENVALUE = 10.0
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+
+
 def make_domain(config: SolverConfig) -> Domain:
     """The ball grid of `config`, if the solvers can represent its scale.
 
-    Beyond `build_ball_grid`'s checks, b^8 must be finite, with
-    b = 1/h_x + 2 max|y| / h_t (about 1.5 N / k).  b bounds the entries of
-    B, and b^2 those of A.  As k -> 0 the ground state grows like k^-2 (at
-    p = 2), and the squared residual norm sums (A u)^2 ~ b^8 / N^4 over N^3
-    nodes.  Otherwise ConfigurationError; this admits k >= about 4.4e-39 N.
+    Beyond `build_ball_grid`'s checks, b^8 and (b^2 a)^2 must be finite, with
+    b = 1/h_x + 2 max|y| / h_t (about 1.5 N / k) and a = (1 + 10 / k^2)^(1/(p-1)).
+    b bounds the entries of B, and b^2 those of A.  a is the amplitude of
+    the ground state: as k -> 0 it grows like k^(-2/(p-1)), times a factor
+    that is large near p = 1, and the squared residual norm sums (A u)^2 <=
+    (b^2 a)^2 over the nodes.  At p = 2, where a ~ 10 k^-2, b^8 is the larger
+    scale, and the bound is k >= about 4.4e-39 N; near p = 1 the amplitude
+    binds (at N = 8, k >= about 1e-25 at p = 1.5, 3.5e-7 at p = 1.1 and
+    0.56 at p = 1.01).  Otherwise ConfigurationError.
     """
     grid, mask = build_ball_grid(config.ball_radius, config.nodes_per_axis)
     hx, _, ht = (float(h) for h in grid.spacing)
-    # Python floats, squared by `*`: an overflow gives inf, with no warning
-    b = 1.0 / hx + 2.0 * float(np.abs(grid.axis_coords(1)).max()) * (1.0 / ht)
-    b2 = b * b
-    if not b2 * b2 * b2 * b2 < np.inf:
+    k, p = config.ball_radius, config.p
+    log_b = math.log(1.0 / hx + 2.0 * float(np.abs(grid.axis_coords(1)).max()) * (1.0 / ht))
+    if not 8.0 * log_b < _LOG_MAX_FLOAT:
         raise ConfigurationError(
-            f"ball radius {config.ball_radius} is out of range: the operator "
-            "scale b^8 overflows"
+            f"ball radius {k} is out of range: the operator scale b^8 overflows"
+        )
+    log_a = math.log1p(_UNIT_BALL_EIGENVALUE / (k * k)) / (p - 1.0)
+    if not 2.0 * (2.0 * log_b + log_a) < _LOG_MAX_FLOAT:
+        raise ConfigurationError(
+            f"ball radius {k} is out of range at p = {p}: the ground state's "
+            "scale (b^2 a)^2 overflows"
         )
     return Domain(grid, mask, config.ball_radius)
 
@@ -234,7 +252,7 @@ def pick_u0(domain: Domain, p: float) -> ScalarField:
         if eval_J(u, p) < 0.0:
             return u
         t *= 2.0
-    raise ConfigurationError("could not reach negative energy after 60 doublings")
+    raise AlgorithmError("could not reach negative energy after 60 doublings")
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +655,46 @@ _CG_RTOL_PER_GRAD = 0.1
 _ROUNDING_RISE = 64 * np.finfo(float).eps
 # CG gives up after this many iterations per unknown, as scipy's `cg` does.
 _CG_MAX_ITERS_PER_UNKNOWN = 10
+# Each CG solve starts from the Galerkin projection onto the span of the last
+# _CG_STARTS iterates (Fischer 1998, successive right-hand sides).  A vector
+# whose Cholesky pivot falls below _START_PIVOT_TOL of the largest diagonal
+# of their Gram matrix is left out: successive iterates become nearly
+# collinear as the solve converges.
+_CG_STARTS = 4
+_START_PIVOT_TOL = 1e-12
+
+
+def _projected_start(basis, gram, b: np.ndarray) -> np.ndarray:
+    """The A-norm-best approximation to A^-1 b in the span of `basis`.
+
+    x = sum_j c_j basis[j] with (V^T A V) c = V^T b, where gram[i][j] =
+    basis[i] . A basis[j].  The small system is solved by a Cholesky in
+    plain Python that skips a vector whose pivot is below _START_PIVOT_TOL
+    of the largest diagonal, so vectors nearer the front of `basis` win.
+    Returns a new array.
+    """
+    tol = _START_PIVOT_TOL * max(gram[i][i] for i in range(len(basis)))
+    keep, rows = [], []  # rows[a] is row a of the Cholesky factor L
+    for i in range(len(basis)):
+        row = []
+        for a, j in enumerate(keep):
+            row.append((gram[i][j] - sum(row[q] * rows[a][q] for q in range(a))) / rows[a][a])
+        pivot = gram[i][i] - sum(x * x for x in row)
+        if pivot > tol:
+            rows.append(row + [pivot ** 0.5])
+            keep.append(i)
+    if not keep:
+        return np.zeros_like(b)
+    y = []
+    for a, i in enumerate(keep):
+        y.append((float(basis[i] @ b) - sum(rows[a][q] * y[q] for q in range(a))) / rows[a][a])
+    c = [0.0] * len(keep)
+    for a in reversed(range(len(keep))):
+        c[a] = (y[a] - sum(rows[q][a] * c[q] for q in range(a + 1, len(keep)))) / rows[a][a]
+    x = c[0] * basis[keep[0]]
+    for a in range(1, len(keep)):
+        x += c[a] * basis[keep[a]]
+    return x
 
 
 def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
@@ -682,8 +740,13 @@ def solve_constrained_min(
 
     Each step is the H^1 (Sobolev) gradient step of the constrained
     problem, v <- z / ||z||_{L^(p+1)} with A z = v_+^p, solved by
-    Jacobi-preconditioned CG (`_pcg`) warm-started from the last z, to the
-    relative tolerance min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).
+    Jacobi-preconditioned CG (`_pcg`) to the relative tolerance
+    min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).  CG starts from
+    `_projected_start`: the A-norm-best vector in the span of the last
+    _CG_STARTS iterates, which holds the last z, so in exact arithmetic the
+    start is never worse than the last solution.  The iterates' A-products
+    are the A v each step computes anyway, so the start costs at most
+    2 * _CG_STARTS dot products and no operator application.
     g = A v - mu v_+^p is the L^2 gradient projected onto the constraint's
     tangent space; its norm is the stopping test and the reported grad_norm.
 
@@ -705,7 +768,10 @@ def solve_constrained_min(
     i_u, v = energy.constrained(radial_bump(domain).interior())
     inv_diag = 1.0 / energy.A.diagonal()
     cg_iters = 0
-    z = np.zeros_like(v)
+    # The last _CG_STARTS iterates, newest first, and their Gram matrix in A:
+    # z_j = s_j v_(j+1), so they span what the last CG solutions span, and
+    # A v is the `av` each step computes anyway.
+    basis, gram = [], []
     trace = []
     i_best, gn_best = i_u, np.inf
     flat = 0
@@ -729,6 +795,10 @@ def solve_constrained_min(
         if flat == _STALL_STEPS:
             stop = "stall"
             break
+        basis = [v] + basis[: _CG_STARTS - 1]
+        row = [float(u @ av) for u in basis]  # basis[j] . A v, A symmetric
+        gram = [row] + [[a] + old[: _CG_STARTS - 1] for a, old in zip(row[1:], gram)]
+        z = _projected_start(basis, gram, normal)
         n_cg, solved = _pcg(energy.A, normal, z, inv_diag,
                             min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn))
         cg_iters += n_cg

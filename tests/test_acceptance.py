@@ -98,7 +98,8 @@ def test_criterion_4_constrained_min(cm_run, desk_domain):
         ok,
         f"constrained min: alpha={rep.level:.6f}, constraint defect "
         f"{rep.extra['constraint_defect']:.1e}, residual {rep.extra['residual_rel']:.1e}, "
-        f"identity defect {id_rel:.1e} rel, {dt:.0f}s",
+        f"identity defect {id_rel:.1e} rel, {rep.iterations} steps, "
+        f"{rep.extra['cg_iterations']} CG iterations, {dt:.0f}s",
     )
 
 

@@ -121,11 +121,22 @@ class TestSolve:
         ["solve", "--radius", "1e-40", "--grid", "8", "--max-iters", "50"],
         ["solve", "--radius", "1e-74", "--grid", "8", "--max-iters", "50"],
         ["exhaust", "--radii", "1,1e100", "--grid", "8"],
+        # near p = 1 the ground state grows like k^(-2/(p-1))
+        ["solve", "--p", "1.01", "--radius", "1e-3", "--grid", "8", "--max-iters", "50"],
+        ["solve", "--p", "1.1", "--radius", "1e-10", "--grid", "8", "--max-iters", "50"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_radius_whose_grid_arithmetic_overflows(self, capsys, argv):
         assert main(argv) == 64
-        assert "out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "out of range" in err and len(err.splitlines()) == 1
+
+    def test_unreachable_mountain_pass_endpoint_is_a_failed_solve(self, capsys):
+        # make_domain accepts the ball, but 60 doublings of the bump do not
+        # reach negative energy on it: exit 2, not a usage error
+        assert main(["solve", "--method", "mountain-pass", "--radius", "1e-20",
+                     "--grid", "8"]) == 2
+        assert "60 doublings" in capsys.readouterr().err
 
     @pytest.mark.parametrize("radius", ["1e-20", "1e-37", "4e-38", "3.4e-38"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -231,6 +242,14 @@ class TestExhaust:
 
     def test_rejects_nonincreasing_radii(self, capsys):
         assert main(["exhaust", "--radii", "2.0,1.5", "--grid", "10"]) == 64
+
+    def test_unreachable_endpoint_is_a_failed_entry(self, tmp_path, capsys):
+        json_path = tmp_path / "ex.json"
+        code = main(["exhaust", "--radii", "1e-20,2e-20", "--grid", "8",
+                     "--out-csv", str(tmp_path / "ex.csv"), "--out-json", str(json_path)])
+        assert code == 2
+        assert "exhaust failed: could not reach negative energy" in capsys.readouterr().err
+        assert json.loads(json_path.read_text()) == {"monotone": False, "entries": []}
 
 
 class TestClassify:

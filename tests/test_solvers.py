@@ -10,6 +10,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from heisground import solvers
 from heisground.errors import (
+    AlgorithmError,
     ConfigurationError,
     DomainError,
     InsufficientDataError,
@@ -66,11 +67,33 @@ class TestConfig:
     def test_accepts_radius_whose_operator_scale_is_finite(self, k):
         assert make_domain(SolverConfig(ball_radius=k, nodes_per_axis=8)).mask.any()
 
+    @pytest.mark.parametrize("p, k", [(1.01, 0.5), (1.01, 1e-3), (1.1, 3e-7), (1.1, 1e-10),
+                                      (1.5, 8e-26)])
+    def test_rejects_radius_whose_ground_state_overflows(self, p, k):
+        # the amplitude (1 + 10/k^2)^(1/(p-1)) outgrows b near p = 1
+        with pytest.raises(ConfigurationError, match="at p = .*scale .b.2 a.*overflows"):
+            make_domain(SolverConfig(p=p, ball_radius=k, nodes_per_axis=8))
+
+    @pytest.mark.parametrize("p, k", [(1.01, 0.6), (1.1, 4e-7), (1.5, 1.1e-25)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_just_inside_the_amplitude_bound_solves(self, p, k):
+        rep = solve_constrained_min(SolverConfig(p=p, ball_radius=k, nodes_per_axis=8,
+                                                 max_iters=50))
+        assert np.isfinite(rep.level) and np.isfinite(rep.max_value)
+        assert np.isfinite(rep.extra["residual_rel"])
+
 
 class TestPickU0:
     def test_negative_energy(self, small_domain, small_config):
         u0 = pick_u0(small_domain, small_config.p)
         assert eval_J(u0, small_config.p) < 0.0
+
+    def test_unreachable_endpoint_is_a_failed_solve(self):
+        # 2^60 does not reach the k^-2 scale of this ball: an algorithm
+        # failure, not a bad configuration
+        cfg = SolverConfig(ball_radius=1e-20, nodes_per_axis=8)
+        with pytest.raises(AlgorithmError, match="60 doublings"):
+            pick_u0(make_domain(cfg), cfg.p)
 
     def test_zero_extension_keeps_energy(self, small_config):
         grid, _ = build_ball_grid(2.5, 12)
@@ -117,7 +140,8 @@ class TestConstrainedMin:
         )
         assert rep.converged and rep.extra["stop_reason"] == "grad_tol"
         assert rep.iterations < 200
-        assert 0 < rep.extra["cg_iterations"] < 20 * rep.iterations
+        # The projected start (ratio 3.0); from the last solution alone 12.3.
+        assert 0 < rep.extra["cg_iterations"] < 5 * rep.iterations
         assert rep.level <= l2_alpha
         assert rep.level == pytest.approx(l2_alpha, rel=1e-6)
 
@@ -160,7 +184,7 @@ class TestConstrainedMin:
         # 64 ulps of I ~ 3.4 is 4.8e-14; |g| keeps falling, so no stall.
         self._rising_constrained(monkeypatch, 1e-14)
         rep = solve_constrained_min(small_config, domain=small_domain)
-        assert rep.converged and rep.iterations == 68
+        assert rep.converged and rep.iterations == 74
 
     def test_non_finite_step_raises(self, small_config, small_domain, monkeypatch):
         self._rising_constrained(monkeypatch, np.nan)
@@ -174,6 +198,59 @@ class TestConstrainedMin:
         assert rep.extra["stop_reason"] == "no_descent"
         assert rep.iterations == 1 and rep.extra["cg_iterations"] == 7
         assert np.isfinite(rep.level) and rep.extra["constraint_defect"] < 1e-12
+
+
+class TestProjectedStart:
+    """Each CG solve starts from the Galerkin projection onto the last iterates."""
+
+    def test_no_worse_than_the_last_solution(self, small_config, small_domain, monkeypatch):
+        # Record the right-hand side, start and solution of the first solves,
+        # then compare the A-norm errors of the start and of the last solution.
+        calls = []
+        pcg = solvers._pcg
+
+        def recording(A, b, x, inv_diag, rtol):
+            start = x.copy()
+            out = pcg(A, b, x, inv_diag, rtol)
+            calls.append((b, start, x.copy()))
+            return out
+
+        monkeypatch.setattr(solvers, "_pcg", recording)
+        solve_constrained_min(replace(small_config, max_iters=8), domain=small_domain)
+        A = _Energy(small_domain, small_config.p).A
+        inv_diag = 1.0 / A.diagonal()
+
+        def a_norm(e):
+            return float(e @ (A @ e)) ** 0.5
+
+        assert len(calls) == 7
+        ratios = []
+        for (_, _, last), (b, start, _) in zip(calls[:-1], calls[1:]):
+            exact = np.zeros_like(b)
+            assert _pcg(A, b, exact, inv_diag, 1e-14)[1]
+            ratios.append(a_norm(start - exact) / a_norm(last - exact))
+        # the last solution lies in the span, so the start is never worse;
+        # with four iterates stored it is about 15x better here (0.06-0.09)
+        assert max(ratios) <= 1.0 + 1e-8
+        assert max(ratios[2:]) < 0.2
+
+    def test_collinear_vectors_are_dropped(self, small_domain):
+        A, b, v, _ = TestPCG._system(small_domain)
+        row = [float(v @ (A @ v))]
+        want = solvers._projected_start([v], [row], b)
+        assert want.tobytes() == (float(v @ b) / row[0] * v).tobytes()
+        # 2v repeats v: its pivot vanishes and it is left out of the start
+        got = solvers._projected_start([v, 2.0 * v], [[row[0], 2 * row[0]],
+                                                      [2 * row[0], 4 * row[0]]], b)
+        assert got.tobytes() == want.tobytes()
+
+    def test_two_vectors_solve_the_galerkin_system(self, small_domain):
+        A, b, v, _ = TestPCG._system(small_domain)
+        basis = [v, _pos_pow(v, 3.0)]
+        gram = [[float(a @ (A @ c)) for c in basis] for a in basis]
+        c = np.linalg.solve(np.array(gram), [float(a @ b) for a in basis])
+        got = solvers._projected_start(basis, gram, b)
+        np.testing.assert_allclose(got, c[0] * basis[0] + c[1] * basis[1], rtol=1e-10)
 
 
 class TestPCG:
