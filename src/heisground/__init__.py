@@ -1,9 +1,9 @@
 """Ground states of Delta_H u - u + u^p = 0 on the Heisenberg group.
 
-Two variational solvers (mountain-pass path deformation on exhausting
-gauge balls; constrained minimization on the L^(p+1) sphere) plus a
-concentration-compactness diagnostic suite, on uniform 3D grids with
-gauge-ball Dirichlet masks.
+Two variational solvers (mountain-pass, the ray descent of a path's top,
+on exhausting gauge balls; constrained minimization on the L^(p+1) sphere)
+plus a concentration-compactness diagnostic suite, on uniform 3D grids
+with gauge-ball Dirichlet masks.
 """
 
 from .errors import (

@@ -1,9 +1,11 @@
 """The two solution procedures and the domain-exhaustion driver.
 
-First method: mountain-pass path deformation on the gauge ball B_k —
-discretize a path from 0 to a negative-energy endpoint, repeatedly locate
-its energy maximum and push that point downhill, until the gradient at the
-path top vanishes.  The converged level c_k is the min-max critical value.
+First method: mountain-pass on the gauge ball B_k.  The top vertex of a
+path from 0 to a negative-energy endpoint starts `_ray_descent`, which
+lowers the path maximum along the envelope gradient of u -> max_t J(t u)
+until the gradient at the top vanishes; `_rebuild_path` then gives the
+broken-ray path through the final top.  The converged level c_k is the
+min-max critical value.
 
 Second method: minimization of the quadratic energy I on the constraint
 manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
@@ -19,9 +21,9 @@ with the mesh.  The minimum alpha and multiplier lambda = ||u||^2 convert
 into a PDE solution via u* = lambda^(1/(p-1)) u.
 
 Both produce the same discrete ground state; `compare_methods` checks the
-bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  A third route,
-`nehari_descent`, minimizes the ray maximum of J directly.  Mountain-pass
-and `nehari_descent` descend the L^2 gradient with Armijo line searches.
+bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  `nehari_descent`
+is the same ray descent started from the unit bump.  Mountain-pass and
+`nehari_descent` descend the L^2 gradient with Armijo line searches.
 
 All three iterate on mask-node vectors through one `_Energy` per (domain,
 p); a `ScalarField` is built only for the start, a warm-start path and the
@@ -351,65 +353,6 @@ def _check_finite(what: str, it: int, f: float, gn: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    return (1.0 - s) * a + s * b
-
-
-def _resample_side(path, lo: int, hi: int, energies):
-    """Equal weighted-arclength resampling of path[lo:hi+1], ends pinned.
-
-    The arclength is Euclidean on the vectors and energy-weighted: segments
-    near the top of the energy profile count up to three times their
-    length, so the resampled vertices concentrate around the path maximum.
-    Returns the indices of the vertices it moved.
-    """
-    if hi - lo < 2:
-        return []
-    side = path[lo : hi + 1]
-    seg = np.array([np.linalg.norm(b - a) for a, b in zip(side[:-1], side[1:])])
-    e = np.asarray(energies[lo : hi + 1], dtype=float)
-    e_lo, e_hi = float(e.min()), float(e.max())
-    if e_hi > e_lo:
-        seg *= 1.0 + 2.0 * (0.5 * (e[:-1] + e[1:]) - e_lo) / (e_hi - e_lo)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] <= 0.0:
-        return []
-    changed = []
-    for m, tgt in enumerate(np.linspace(0.0, s[-1], len(side))[1:-1], start=1):
-        j = int(np.searchsorted(s, tgt, side="right") - 1)
-        j = min(max(j, 0), len(side) - 2)
-        seg_j = s[j + 1] - s[j]
-        frac = 0.0 if seg_j <= 0.0 else (tgt - s[j]) / seg_j
-        path[lo + m] = _lerp(side[j], side[j + 1], frac)
-        changed.append(lo + m)
-    return changed
-
-
-def _local_path_max(energy: _Energy, path, energies, i):
-    """Refine the discrete path maximum by a parabolic pass on each side.
-
-    Returns (vector, J) of the best point found on the two segments around
-    vertex i; never worse than the vertex itself.
-    """
-    best_v, best_j = path[i], energies[i]
-    for a, b in ((i - 1, i), (i, i + 1)):
-        ja, jb = energies[a], energies[b]
-        vm = _lerp(path[a], path[b], 0.5)
-        jm = energy.J(vm)
-        if jm > best_j:
-            best_v, best_j = vm, jm
-        # Parabola through (0, ja), (0.5, jm), (1, jb).
-        denom = 2.0 * (ja - 2.0 * jm + jb)
-        if denom < 0.0:  # concave: interior vertex exists
-            s = 0.5 + (ja - jb) / (2.0 * denom)
-            if 0.05 < s < 0.95:
-                vs = _lerp(path[a], path[b], s)
-                js = energy.J(vs)
-                if js > best_j:
-                    best_v, best_j = vs, js
-    return best_v, best_j
-
-
 # Flat steps in a row before a descent stops unconverged (`stall`): a ray
 # descent's steps that leave the ray maximum unchanged, whose Armijo decrease
 # c1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
@@ -457,7 +400,7 @@ def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
     return w, j_max, stop == "grad_tol", it + 1, gn, stop
 
 
-def _rebuild_path(energy: _Energy, w, v0, n_points, old_path, old_energies):
+def _rebuild_path(energy: _Energy, w, v0, old_path):
     """Broken-ray path through a Nehari point w: 0 -> w (ray max) -> v0.
 
     The ray through w peaks exactly at s = 1; the tail continues along the
@@ -469,15 +412,14 @@ def _rebuild_path(energy: _Energy, w, v0, n_points, old_path, old_energies):
     for fac in (1.2, 1.5, 2.0, 3.0):
         s_end = fac * s_zero
         tail = s_end * w
-        if energy.J(tail) < 0.0 and energy.J(_lerp(tail, v0, 0.5)) < 0.0:
-            n_up = max(2, 2 * (n_points - 1) // 3)
-            n_down = n_points - 1 - n_up
+        if energy.J(tail) < 0.0 and energy.J(0.5 * (tail + v0)) < 0.0:
+            n_up = max(2, 2 * (_PATH_POINTS - 1) // 3)
+            n_down = _PATH_POINTS - 1 - n_up
             s_vals = np.concatenate(
                 [np.linspace(0.0, 1.0, n_up), np.linspace(1.0, s_end, n_down + 1)[1:]]
             )
-            path = [s * w for s in s_vals] + [v0]
-            return path, [energy.J(v) for v in path]
-    return old_path, old_energies
+            return [s * w for s in s_vals] + [v0]
+    return old_path
 
 
 def solve_mountain_pass(
@@ -486,7 +428,16 @@ def solve_mountain_pass(
     u0: Optional[ScalarField] = None,
     path_init: Optional[list] = None,
 ) -> SolveReport:
-    """Discretized-path deformation toward the min-max critical point."""
+    """Deform a path from 0 to u0 until its top is a critical point of J.
+
+    The initial path is the segment 0 -> u0, or the warm start `path_init`
+    (_PATH_POINTS fields on the domain's grid).  Its top vertex starts
+    `_ray_descent`, which lowers the path maximum by the envelope gradient:
+    every accepted step leaves an admissible path, the broken ray through
+    the new top, with a lower maximum.  `_rebuild_path` returns that path
+    through the final top in report.extra["path"].  A top vertex at a path
+    end is an AlgorithmError ("path collapse").
+    """
     if domain is None:
         domain = make_domain(config)
     p = config.p
@@ -502,142 +453,29 @@ def solve_mountain_pass(
             raise ConfigurationError("warm-start path has wrong number of points")
     else:
         path = [s * v0 for s in np.linspace(0.0, 1.0, _PATH_POINTS)]
-    energies = [energy.J(v) for v in path]
-
-    def _mid_energies(pth):
-        return [energy.J(_lerp(a, b, 0.5)) for a, b in zip(pth[:-1], pth[1:])]
-
-    def _top_vertex(vert_e, mid_e):
-        """Index of the vertex nearest the path max, midpoints included.
-
-        Sampling only vertices lets a single long segment tunnel through
-        the mountain rim unnoticed; the midpoints close that gap.
-        """
-        iv = int(np.argmax(vert_e))
-        im = int(np.argmax(mid_e))
-        if mid_e[im] > vert_e[iv]:
-            iv = im if vert_e[im] >= vert_e[im + 1] else im + 1
-            iv = min(max(iv, 1), len(vert_e) - 2)
-        return iv
-
-    mids = _mid_energies(path)
-    tau = _STEP_SIZE
+    top = int(np.argmax([energy.J(v) for v in path]))
+    if top in (0, len(path) - 1):
+        raise AlgorithmError("path collapse: energy maximum at a path endpoint")
     trace = []
-    converged = False
-    stop = "max_iters"
-    j_best = np.inf
-    it = 0
-    # Phase one: bounded path-deformation sweeps to shape the path and
-    # carry the top into the pass region.  Polishing the top to tight
-    # criticality is then far cheaper along the ray tangent (phase two)
-    # than by whole-path sweeps.
-    phase_a_cap = min(config.max_iters, 300)
-    recent = []
-    for it in range(phase_a_cap):
-        i = _top_vertex(energies, mids)
-        if int(np.argmax(energies)) in (0, len(path) - 1):
-            raise AlgorithmError("path collapse: energy maximum at a path endpoint")
-        w, jw = _local_path_max(energy, path, energies, i)
-        jw = max(jw, max(mids))
-        j_best = min(j_best, jw)
-        gn = energy.norm(energy.grad(w))
-        _check_finite("path deformation", it, jw, gn)
-        trace.append((it, jw, gn))
-        if gn < config.grad_tol:
-            converged, stop = True, "grad_tol"
-            break
-        recent.append(jw)
-        if len(recent) >= 20 and recent[-20] - jw < 1e-4 * (1.0 + abs(jw)):
-            break
-        # Deformation sweep over the uphill/top region: vertices with
-        # positive energy, plus the top's immediate neighbors, take a
-        # descent step along grad_J with the path-tangent component
-        # projected out.  The tangential part only slides vertices along
-        # the path (undone by resampling anyway); the transverse part is
-        # what lowers the pass.  Moving only the maximizer stalls (its
-        # neighbors pin the path max from below), while moving the
-        # negative-energy tail lets it run away downhill -- J is unbounded
-        # below -- until the rim crossing hides inside a single segment.
-        # The tail is a connector to u0; it never touches the level.
-        active = [
-            m
-            for m in range(1, len(path) - 1)
-            if energies[m] > 0.0 or abs(m - i) <= 1
-        ]
-        trial = list(path)
-        trial_e = list(energies)
-        for m in active:
-            d = energy.grad(path[m])
-            fwd = path[m + 1] - path[m]
-            bwd = path[m] - path[m - 1]
-            tan = fwd + bwd
-            tn_sq = float(tan @ tan)
-            if tn_sq > 0.0:
-                d = d - (float(d @ tan) / tn_sq) * tan
-            # Trust region: a vertex may move at most half the length of
-            # its shorter adjacent segment, which keeps the polyline
-            # coherent and stops downhill vertices (where J is unbounded
-            # below) from running away between resamplings.
-            dn = np.linalg.norm(d)
-            seg = min(np.linalg.norm(fwd), np.linalg.norm(bwd))
-            step = tau if dn == 0.0 else min(tau, 0.5 * seg / dn)
-            trial[m] = path[m] - step * d
-        for m in active:
-            trial_e[m] = energy.J(trial[m])
-        trial_m = _mid_energies(trial)
-        trial_max = max(max(trial_e), max(trial_m))
-        if not np.isfinite(trial_max) or trial_max > jw + 1e-9 * (1.0 + abs(jw)):
-            tau *= 0.5
-            if tau < 1e-14:
-                raise AlgorithmError("deformation step collapsed to zero")
-            continue
-        tau = min(tau * 1.1, 1.0)
-        path, energies = trial, trial_e
-        i = _top_vertex(energies, trial_m)
-        # Resampling also stops at the first negative-energy vertex past
-        # the top, so the frozen tail keeps its geometry.
-        j_end = len(path) - 1
-        for m in range(i + 1, len(path)):
-            if energies[m] <= 0.0:
-                j_end = m
-                break
-        for m in _resample_side(path, 0, i, energies):
-            energies[m] = energy.J(path[m])
-        for m in _resample_side(path, i, j_end, energies):
-            energies[m] = energy.J(path[m])
-        mids = _mid_energies(path)
-
-    # Phase two: polish the path top by descent at the maximizer with the
-    # ray tangent projected out (envelope descent).  Each accepted step
-    # yields an admissible path through the new top with a strictly lower
-    # max, so this is still a deformation; it just avoids dragging the
-    # whole polyline through thousands of sweeps.
-    if not converged and config.max_iters > it + 1:
-        w, j_top, converged, it_b, gn, stop = _ray_descent(
-            energy, w, tau, config.grad_tol, config.max_iters - (it + 1),
-            trace, it0=it + 1,
-        )
-        it += it_b
-        j_best = min(j_best, j_top)
-        path, energies = _rebuild_path(energy, w, v0, _PATH_POINTS, path, energies)
+    w, _, converged, iters, gn, stop = _ray_descent(
+        energy, path[top], _STEP_SIZE, config.grad_tol, config.max_iters, trace,
+    )
+    path = _rebuild_path(energy, w, v0, path)
 
     v_k = np.maximum(w, 0.0)
     u_k = energy.field(v_k)
-    # The sampled path max (vertices + midpoints) can dip below the true
-    # polyline max when a rim crossing hides inside one segment, so the
-    # reported level is the exact maximum of J over the ray through the
-    # converged top: J(t u) is evaluated in closed form in t, and the
-    # rebuilt broken-ray path achieves this max.  At criticality the ray
-    # max coincides with J(u_k).
+    # The reported level is the exact maximum of J over the ray through the
+    # converged top: J(t u) is evaluated in closed form in t, and the rebuilt
+    # broken-ray path achieves this max.  At criticality the ray max
+    # coincides with J(u_k).
     try:
         _, level = energy.ray_max(v_k)
     except DomainError:
         level = energy.J(v_k)
     return _report(
         u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
-        iterations=it + 1, trace=trace, converged=converged, grad_norm=gn,
-        stop_reason=stop, min_sampled_max=j_best,
-        path=[energy.field(v) for v in path],
+        iterations=iters, trace=trace, converged=converged, grad_norm=gn,
+        stop_reason=stop, path=[energy.field(v) for v in path],
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=critical_identity_defect(u_k, p),
     )
@@ -843,8 +681,11 @@ def nehari_descent(
 ) -> SolveReport:
     """Minimize u -> max_t J(t u) by envelope-gradient descent.
 
-    Independent route to the mountain-pass level: at the minimum t* = 1
-    and the minimizer is the ground state itself.
+    This is mountain-pass's `_ray_descent` started from the unit bump rather
+    than from a path top, so it is not independent of mountain-pass; the
+    independent cross-check is constrained-min's bridge identity in
+    `compare_methods`.  At the minimum t* = 1 and the minimizer is the
+    ground state itself.
     """
     if domain is None:
         domain = make_domain(config)
@@ -974,7 +815,8 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     All balls are masks on the grid of the largest radius, so the nesting
     of the discrete energy spaces (and hence monotonicity of the levels)
     is exact.  One u0 fixed from the smallest ball keeps the path families
-    literally nested; each solve warm-starts from the previous path.
+    literally nested; each solve warm-starts from the previous ball's path,
+    so its descent starts at the previous ball's top.
     """
     radii = list(radii)
     if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):

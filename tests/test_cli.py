@@ -73,6 +73,20 @@ class TestSolve:
         doc = json.loads(report.read_text())
         assert doc["level"] > 0.0
 
+    def test_mountain_pass_starts_at_path_top(self, tmp_path, capsys):
+        # The descent starts at the top vertex of the segment 0 -> u0 and
+        # reaches the point nehari_descent finds from the unit bump.
+        report = tmp_path / "r.json"
+        code = main(["solve", "--method", "mountain-pass", "--p", "2.5", "--radius", "1",
+                     "--grid", "12", "--grad-tol", "1e-5", "--report", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["stop_reason"] == "grad_tol"
+        oracle = solvers.nehari_descent(
+            SolverConfig(p=2.5, ball_radius=1.0, nodes_per_axis=12, grad_tol=1e-5))
+        assert oracle.level == pytest.approx(21.730746582091644, rel=1e-9)
+        assert doc["level"] == pytest.approx(oracle.level, rel=1e-9)
+
     def test_determinism(self, tmp_path, capsys):
         docs = []
         for name in ("a.json", "b.json"):

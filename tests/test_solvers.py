@@ -315,7 +315,7 @@ class TestMountainPass:
         assert small_mp.level > 0.0
 
     def test_max_iters(self, small_config, small_domain):
-        # Phase one's budget ends the solve before phase two starts.
+        # The budget ends the ray descent from the path top after 3 steps.
         rep = solve_mountain_pass(replace(small_config, max_iters=3), domain=small_domain)
         assert (rep.converged, rep.iterations) == (False, 3)
         assert rep.extra["stop_reason"] == "max_iters"
@@ -343,6 +343,14 @@ class TestMountainPass:
         assert len(path) == solvers._PATH_POINTS
         assert np.all(path[0].values == 0.0)
         assert eval_J(path[-1], small_config.p) < 0.0
+
+    def test_warm_start_from_own_path(self, small_mp, small_config, small_domain):
+        # The rebuilt path's top is the converged point, so a re-solve from
+        # it stops at its first gradient test.
+        rep = solve_mountain_pass(small_config, domain=small_domain,
+                                  path_init=small_mp.extra["path"])
+        assert (rep.converged, rep.iterations) == (True, 1)
+        assert rep.level == pytest.approx(small_mp.level, rel=1e-12)
 
     def test_agrees_with_nehari_oracle(self, small_mp, small_nd):
         gap = abs(small_nd.level - small_mp.level) / small_mp.level
