@@ -1,9 +1,10 @@
 """Ground states of Delta_H u - u + u^p = 0 on the Heisenberg group.
 
-Two variational solvers (mountain-pass, the ray descent of a path's top,
-on exhausting gauge balls; constrained minimization on the L^(p+1) sphere)
-plus a concentration-compactness diagnostic suite, on uniform 3D grids
-with gauge-ball Dirichlet masks.
+Two variational solvers (mountain-pass, which descends the ray maximum
+from the top of the ray through a start, on exhausting gauge balls;
+constrained minimization on the L^(p+1) sphere) plus a
+concentration-compactness diagnostic suite, on uniform 3D grids with
+gauge-ball Dirichlet masks.
 """
 
 from .errors import (
@@ -54,7 +55,6 @@ from .solvers import (
     compare_methods,
     exhaust_domains,
     fit_decay,
-    pick_u0,
     solve_constrained_min,
     solve_mountain_pass,
 )

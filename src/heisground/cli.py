@@ -13,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 
@@ -41,21 +39,8 @@ _SOLVER_FLAGS = {
 }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    hgf.atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _fmt(v) -> str:
@@ -68,7 +53,7 @@ def _write_csv(path: str, header, rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    hgf.atomic_write(path, buf.getvalue().encode())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +137,7 @@ def cmd_calculus_check(args) -> int:
     out = {"checks": checks, "failed": failed, "passed": not failed}
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(args.out, text + "\n")
+        hgf.atomic_write(args.out, (text + "\n").encode())
     print(text)
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
@@ -244,7 +229,7 @@ def cmd_classify(args) -> int:
     out = result.as_dict()
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(args.out, text + "\n")
+        hgf.atomic_write(args.out, (text + "\n").encode())
     print(text)
     if args.profiles_csv:
         rows = []

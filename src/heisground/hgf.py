@@ -4,7 +4,8 @@ Layout: magic "HGF1" (4 bytes) | header length (u32 little-endian) |
 JSON header {n, extents, spacing, origin, ball_radius, p, metadata} |
 payload of 8-byte little-endian IEEE-754 node values, t index fastest,
 then y, then x, and nothing after it.  Write -> read round-trips
-bit-exactly.
+bit-exactly.  `atomic_write` is the package's one atomic file writer; the
+CLI writes its JSON and CSV files with it too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,21 @@ MAGIC = b"HGF1"
 __all__ = ["write_hgf", "read_hgf", "MAGIC"]
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Write data to path by a temp file in its directory and a rename, so
+    the path holds its old content or all of data, never a part."""
+    dirname = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_hgf(
     path: str,
     field: ScalarField,
@@ -32,7 +48,7 @@ def write_hgf(
     p: float = None,
     metadata: dict = None,
 ) -> None:
-    """Atomic write (temp file + rename) of a field with its grid header."""
+    """Atomic write (`atomic_write`) of a field with its grid header."""
     header = {
         "n": 1,
         "extents": list(field.grid.shape),
@@ -44,19 +60,7 @@ def write_hgf(
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".hgf.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, b"".join((MAGIC, struct.pack("<I", len(raw)), raw, payload)))
 
 
 def _is_number(x) -> bool:

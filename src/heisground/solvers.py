@@ -1,11 +1,13 @@
 """The two solution procedures and the domain-exhaustion driver.
 
-First method: mountain-pass on the gauge ball B_k.  The top vertex of a
-path from 0 to a negative-energy endpoint starts `_ray_descent`, which
-lowers the path maximum along the envelope gradient of u -> max_t J(t u)
-until the gradient at the top vanishes; `_rebuild_path` then gives the
-broken-ray path through the final top.  The converged level c_k is the
-min-max critical value.
+First method: mountain-pass on the gauge ball B_k.  The path is the ray
+through a start u0: J(t u0) -> -inf as t grows when u0 has a positive
+part, so every such ray joins 0 to negative energy, and for this
+superlinear J the min-max over them is the Nehari level c_k (Willem,
+Minimax Theorems, 1996, Thm 4.2).  The ray's top starts `_ray_descent`,
+which lowers the ray maximum along the envelope gradient of
+u -> max_t J(t u) until the gradient at the top vanishes.  The converged
+level c_k is the min-max critical value.
 
 Second method: minimization of the quadratic energy I on the constraint
 manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
@@ -22,12 +24,11 @@ into a PDE solution via u* = lambda^(1/(p-1)) u.
 
 Both produce the same discrete ground state; `compare_methods` checks the
 bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  `nehari_descent`
-is the same ray descent started from the unit bump.  Mountain-pass and
-`nehari_descent` descend the L^2 gradient with Armijo line searches.
+is the same ray descent started from the unit bump itself.  Mountain-pass
+and `nehari_descent` descend the L^2 gradient with Armijo line searches.
 
 All three iterate on mask-node vectors through one `_Energy` per (domain,
-p); a `ScalarField` is built only for the start, a warm-start path and the
-report.
+p); a `ScalarField` is built only for the start and the report.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ __all__ = [
     "ComparisonReport",
     "make_domain",
     "radial_bump",
-    "pick_u0",
     "solve_mountain_pass",
     "solve_constrained_min",
     "nehari_descent",
@@ -162,10 +162,8 @@ def make_domain(config: SolverConfig) -> Domain:
 
 
 _TRACE_STRIDE = 50  # a report keeps every 50th trace record, and the last
-# The initial L^2 step of mountain-pass and `nehari_descent`, and the vertex
-# count of the mountain-pass path (a warm-start path must have as many).
+# The initial L^2 step of mountain-pass and `nehari_descent`.
 _STEP_SIZE = 5e-3
-_PATH_POINTS = 11
 
 
 @dataclass
@@ -198,8 +196,7 @@ class SolveReport:
             "max_value": self.max_value,
             "trace": [list(rec) for rec in self.trace[::_TRACE_STRIDE]]
             + ([list(self.trace[-1])] if self.trace else []),
-            # the mountain-pass path is a list of fields, not JSON
-            **{k: v for k, v in self.extra.items() if k != "path"},
+            **self.extra,
         }
 
 
@@ -240,21 +237,6 @@ def radial_bump(domain: Domain) -> ScalarField:
     """Centered gauge-radial bump exp(-rho^2), masked to the ball."""
     rho = domain.grid.gauge_array()
     return ScalarField(domain.grid, np.exp(-rho * rho), domain.mask)
-
-
-def pick_u0(domain: Domain, p: float) -> ScalarField:
-    """Scale the centered bump until J < 0 (mountain-pass endpoint)."""
-    check_exponent(p)
-    if not domain.mask.any():
-        raise ConfigurationError("domain mask has no interior nodes")
-    b = radial_bump(domain)
-    t = 1.0
-    for _ in range(60):
-        u = b.with_values(t * b.values)
-        if eval_J(u, p) < 0.0:
-            return u
-        t *= 2.0
-    raise AlgorithmError("could not reach negative energy after 60 doublings")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +343,7 @@ def _check_finite(what: str, it: int, f: float, gn: float) -> None:
 _STALL_STEPS = 20
 
 
-def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
+def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace):
     """Descend u -> max_t J(tu) by the envelope gradient t* grad_J(t*u).
 
     For a path whose top lies on the ray through u, this is exactly a
@@ -379,8 +361,8 @@ def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
         w = t_star * u
         g_w = energy.grad(w)
         gn = energy.norm(g_w)
-        _check_finite("ray descent", it0 + it, j_max, gn)
-        trace.append((it0 + it, j_max, gn))
+        _check_finite("ray descent", it, j_max, gn)
+        trace.append((it, j_max, gn))
         if gn < grad_tol:
             stop = "grad_tol"
             break
@@ -400,74 +382,39 @@ def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace, it0=0):
     return w, j_max, stop == "grad_tol", it + 1, gn, stop
 
 
-def _rebuild_path(energy: _Energy, w, v0, old_path):
-    """Broken-ray path through a Nehari point w: 0 -> w (ray max) -> v0.
-
-    The ray through w peaks exactly at s = 1; the tail continues along the
-    ray until J < 0 and then connects to v0.  Falls back to the old path
-    when no tail scaling keeps the connector below zero energy.
-    """
-    p = energy.p
-    s_zero = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
-    for fac in (1.2, 1.5, 2.0, 3.0):
-        s_end = fac * s_zero
-        tail = s_end * w
-        if energy.J(tail) < 0.0 and energy.J(0.5 * (tail + v0)) < 0.0:
-            n_up = max(2, 2 * (_PATH_POINTS - 1) // 3)
-            n_down = _PATH_POINTS - 1 - n_up
-            s_vals = np.concatenate(
-                [np.linspace(0.0, 1.0, n_up), np.linspace(1.0, s_end, n_down + 1)[1:]]
-            )
-            return [s * w for s in s_vals] + [v0]
-    return old_path
-
-
 def solve_mountain_pass(
     config: SolverConfig,
     domain: Optional[Domain] = None,
     u0: Optional[ScalarField] = None,
-    path_init: Optional[list] = None,
 ) -> SolveReport:
-    """Deform a path from 0 to u0 until its top is a critical point of J.
+    """Descend the top of the ray through u0 until it is a critical point of J.
 
-    The initial path is the segment 0 -> u0, or the warm start `path_init`
-    (_PATH_POINTS fields on the domain's grid).  Its top vertex starts
-    `_ray_descent`, which lowers the path maximum by the envelope gradient:
-    every accepted step leaves an admissible path, the broken ray through
-    the new top, with a lower maximum.  `_rebuild_path` returns that path
-    through the final top in report.extra["path"].  A top vertex at a path
-    end is an AlgorithmError ("path collapse").
+    The path is the ray s -> s u0, with `radial_bump` as the default u0.
+    `_ray_descent` starts at the ray's top t* u0 and lowers the path
+    maximum by the envelope gradient: every accepted step leaves an
+    admissible path, the ray through the new top, with a lower maximum.
+    A u0 without a positive part has no top: DomainError.
     """
     if domain is None:
         domain = make_domain(config)
     p = config.p
     energy = _Energy(domain, p)
     if u0 is None:
-        u0 = pick_u0(domain, p)
+        u0 = radial_bump(domain)
     elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
         raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
     v0 = u0.values[domain.mask]
-    if path_init is not None:
-        path = [ScalarField(domain.grid, f.values, domain.mask).interior() for f in path_init]
-        if len(path) != _PATH_POINTS:
-            raise ConfigurationError("warm-start path has wrong number of points")
-    else:
-        path = [s * v0 for s in np.linspace(0.0, 1.0, _PATH_POINTS)]
-    top = int(np.argmax([energy.J(v) for v in path]))
-    if top in (0, len(path) - 1):
-        raise AlgorithmError("path collapse: energy maximum at a path endpoint")
+    t_star, _ = energy.ray_max(v0)
     trace = []
     w, _, converged, iters, gn, stop = _ray_descent(
-        energy, path[top], _STEP_SIZE, config.grad_tol, config.max_iters, trace,
+        energy, t_star * v0, _STEP_SIZE, config.grad_tol, config.max_iters, trace,
     )
-    path = _rebuild_path(energy, w, v0, path)
 
     v_k = np.maximum(w, 0.0)
     u_k = energy.field(v_k)
     # The reported level is the exact maximum of J over the ray through the
-    # converged top: J(t u) is evaluated in closed form in t, and the rebuilt
-    # broken-ray path achieves this max.  At criticality the ray max
-    # coincides with J(u_k).
+    # converged top: J(t u) is evaluated in closed form in t.  At criticality
+    # the ray max coincides with J(u_k).
     try:
         _, level = energy.ray_max(v_k)
     except DomainError:
@@ -475,7 +422,7 @@ def solve_mountain_pass(
     return _report(
         u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=converged, grad_norm=gn,
-        stop_reason=stop, path=[energy.field(v) for v in path],
+        stop_reason=stop,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=critical_identity_defect(u_k, p),
     )
@@ -681,10 +628,10 @@ def nehari_descent(
 ) -> SolveReport:
     """Minimize u -> max_t J(t u) by envelope-gradient descent.
 
-    This is mountain-pass's `_ray_descent` started from the unit bump rather
-    than from a path top, so it is not independent of mountain-pass; the
-    independent cross-check is constrained-min's bridge identity in
-    `compare_methods`.  At the minimum t* = 1 and the minimizer is the
+    This is mountain-pass's `_ray_descent` started from the unit bump itself
+    rather than from the top of the ray through it, so it is not independent
+    of mountain-pass; the independent cross-check is constrained-min's
+    bridge identity in `compare_methods`.  At the minimum t* = 1 and the minimizer is the
     ground state itself.
     """
     if domain is None:
@@ -709,12 +656,19 @@ def nehari_descent(
 # ---------------------------------------------------------------------------
 
 
+# Shell radii whose spread is at most this, relative, are one radius up to
+# rounding: a line through them is not determined.
+_RADIUS_ROUNDING = 1e-12
+
+
 def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
     """Least-squares fit of log(shell max) vs gauge radius.
 
     Shells cover [0.4 k, 0.9 k] of the ball radius k; each sample records
     the gauge radius at the shell's maximizing node, so an exact
-    exponential input fits with delta recovered and R^2 = 1.
+    exponential input fits with delta recovered and R^2 = 1.  Fewer than
+    four shells, or shells that all sit at one radius up to rounding, raise
+    InsufficientDataError.
     """
     if float(np.min(u.values)) < 0.0:
         raise DomainError("decay fit expects a nonnegative field")
@@ -752,6 +706,10 @@ def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
             f"only {len(samples)} usable gauge shells in [{lo:.3g}, {hi:.3g}]"
         )
     rs = np.array([s[0] for s in samples])
+    if np.ptp(rs) <= _RADIUS_ROUNDING * rs.max():
+        raise InsufficientDataError(
+            f"all {len(samples)} gauge shells in [{lo:.3g}, {hi:.3g}] sit at one radius"
+        )
     logs = np.log([s[1] for s in samples])
     slope, intercept = np.polyfit(rs, logs, 1)
     pred = slope * rs + intercept
@@ -814,9 +772,9 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
 
     All balls are masks on the grid of the largest radius, so the nesting
     of the discrete energy spaces (and hence monotonicity of the levels)
-    is exact.  One u0 fixed from the smallest ball keeps the path families
-    literally nested; each solve warm-starts from the previous ball's path,
-    so its descent starts at the previous ball's top.
+    is exact.  The smallest ball starts from its `radial_bump`, and each
+    larger ball from the previous ball's field, zero-extended, so its
+    descent starts at the previous ball's critical point.
     """
     radii = list(radii)
     if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
@@ -824,14 +782,12 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     cfg = replace(config, ball_radius=radii[-1])
     master = make_domain(cfg)
     masks = {k: ball_mask(master.grid, k) for k in radii}
-    u0 = pick_u0(Domain(master.grid, masks[radii[0]], radii[0]), cfg.p)
+    u0 = radial_bump(Domain(master.grid, masks[radii[0]], radii[0]))
     entries = []
-    path = None
     for k in radii:
         dom = Domain(master.grid, masks[k], k)
-        u0_k = zero_extend(u0, masks[k])
-        rep = solve_mountain_pass(cfg, domain=dom, u0=u0_k, path_init=path)
-        path = rep.extra["path"]
+        rep = solve_mountain_pass(cfg, domain=dom, u0=zero_extend(u0, masks[k]))
+        u0 = rep.field
         entries.append(
             ExhaustionEntry(
                 radius=k,

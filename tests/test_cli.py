@@ -74,8 +74,8 @@ class TestSolve:
         assert doc["level"] > 0.0
 
     def test_mountain_pass_starts_at_path_top(self, tmp_path, capsys):
-        # The descent starts at the top vertex of the segment 0 -> u0 and
-        # reaches the point nehari_descent finds from the unit bump.
+        # The descent starts at the top of the ray through the unit bump and
+        # reaches the point nehari_descent finds from the bump itself.
         report = tmp_path / "r.json"
         code = main(["solve", "--method", "mountain-pass", "--p", "2.5", "--radius", "1",
                      "--grid", "12", "--grad-tol", "1e-5", "--report", str(report)])
@@ -145,12 +145,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "out of range" in err and len(err.splitlines()) == 1
 
-    def test_unreachable_mountain_pass_endpoint_is_a_failed_solve(self, capsys):
-        # make_domain accepts the ball, but 60 doublings of the bump do not
-        # reach negative energy on it: exit 2, not a usage error
+    def test_unreachable_mountain_pass_endpoint_is_a_failed_solve(self, tmp_path, capsys):
+        # make_domain accepts the ball, but the L^2 line search finds no
+        # descent at its k^-2 scale: a failed solve (2) with its report
+        report = tmp_path / "r.json"
         assert main(["solve", "--method", "mountain-pass", "--radius", "1e-20",
-                     "--grid", "8"]) == 2
-        assert "60 doublings" in capsys.readouterr().err
+                     "--grid", "8", "--report", str(report)]) == 2
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert doc["stop_reason"] == "no_descent"
 
     @pytest.mark.parametrize("radius", ["1e-20", "1e-37", "4e-38", "3.4e-38"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -261,8 +263,10 @@ class TestExhaust:
         json_path = tmp_path / "ex.json"
         code = main(["exhaust", "--radii", "1e-20,2e-20", "--grid", "8",
                      "--out-csv", str(tmp_path / "ex.csv"), "--out-json", str(json_path)])
+        # no descent on either ball, and the second ball's shells sit at one
+        # radius, so no decay fits
         assert code == 2
-        assert "exhaust failed: could not reach negative energy" in capsys.readouterr().err
+        assert "exhaust failed:" in capsys.readouterr().err
         assert json.loads(json_path.read_text()) == {"monotone": False, "entries": []}
 
 

@@ -10,7 +10,6 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from heisground import solvers
 from heisground.errors import (
-    AlgorithmError,
     ConfigurationError,
     DomainError,
     InsufficientDataError,
@@ -35,7 +34,6 @@ from heisground.solvers import (
     fit_decay,
     make_domain,
     nehari_descent,
-    pick_u0,
     radial_bump,
     solve_constrained_min,
     solve_mountain_pass,
@@ -84,22 +82,12 @@ class TestConfig:
 
 
 class TestPickU0:
-    def test_negative_energy(self, small_domain, small_config):
-        u0 = pick_u0(small_domain, small_config.p)
-        assert eval_J(u0, small_config.p) < 0.0
-
-    def test_unreachable_endpoint_is_a_failed_solve(self):
-        # 2^60 does not reach the k^-2 scale of this ball: an algorithm
-        # failure, not a bad configuration
-        cfg = SolverConfig(ball_radius=1e-20, nodes_per_axis=8)
-        with pytest.raises(AlgorithmError, match="60 doublings"):
-            pick_u0(make_domain(cfg), cfg.p)
-
     def test_zero_extension_keeps_energy(self, small_config):
         grid, _ = build_ball_grid(2.5, 12)
         m_small = ball_mask(grid, 1.5)
         m_big = ball_mask(grid, 2.5)
-        u0 = pick_u0(Domain(grid, m_small, 1.5), small_config.p)
+        bump = radial_bump(Domain(grid, m_small, 1.5))
+        u0 = bump.with_values(16 * bump.values)
         j1 = eval_J(u0, small_config.p)
         j2 = eval_J(zero_extend(u0, m_big), small_config.p)
         assert j1 == j2
@@ -315,7 +303,7 @@ class TestMountainPass:
         assert small_mp.level > 0.0
 
     def test_max_iters(self, small_config, small_domain):
-        # The budget ends the ray descent from the path top after 3 steps.
+        # The budget ends the ray descent from the ray's top after 3 steps.
         rep = solve_mountain_pass(replace(small_config, max_iters=3), domain=small_domain)
         assert (rep.converged, rep.iterations) == (False, 3)
         assert rep.extra["stop_reason"] == "max_iters"
@@ -339,16 +327,16 @@ class TestMountainPass:
         )
 
     def test_path_is_admissible(self, small_mp, small_config):
-        path = small_mp.extra["path"]
-        assert len(path) == solvers._PATH_POINTS
-        assert np.all(path[0].values == 0.0)
-        assert eval_J(path[-1], small_config.p) < 0.0
+        # The path through the result is its ray, which peaks at s = 1 at
+        # the reported level.
+        assert nehari_scale(small_mp.field, small_config.p) == pytest.approx(
+            (1.0, small_mp.level), rel=1e-9
+        )
 
     def test_warm_start_from_own_path(self, small_mp, small_config, small_domain):
-        # The rebuilt path's top is the converged point, so a re-solve from
-        # it stops at its first gradient test.
-        rep = solve_mountain_pass(small_config, domain=small_domain,
-                                  path_init=small_mp.extra["path"])
+        # The top of the ray through the converged point is that point, so a
+        # re-solve from it stops at its first gradient test.
+        rep = solve_mountain_pass(small_config, domain=small_domain, u0=small_mp.field)
         assert (rep.converged, rep.iterations) == (True, 1)
         assert rep.level == pytest.approx(small_mp.level, rel=1e-12)
 
@@ -361,8 +349,8 @@ class TestVectorEnergy:
     def test_matches_field_functions(self, small_domain, small_config):
         p = small_config.p
         energy = _Energy(small_domain, p)
-        u = pick_u0(small_domain, p)
-        u = u.with_values(0.4 * u.values)
+        u = radial_bump(small_domain)
+        u = u.with_values(0.4 * (16 * u.values))
         v = u.interior()
         assert energy.J(v) == pytest.approx(eval_J(u, p), rel=1e-13)
         assert np.allclose(energy.grad(v), grad_J(u, p).interior(), rtol=0, atol=1e-13)
@@ -449,13 +437,10 @@ class TestDefaultTolerance:
     @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent", "constrained-min"])
     def test_fields_built_only_at_boundaries(self, default_tol_runs, method):
         rep, built = default_tol_runs[1][method]
-        if method == "constrained-min":
-            # the H^1 iteration converges in about 90 steps here
-            assert rep.iterations > 50
-            assert built <= 4
-        else:
-            assert rep.iterations > 1000
-            assert built <= 4 * solvers._PATH_POINTS + 80
+        # the H^1 iteration converges in about 90 steps here, and the L^2 ray
+        # descents stall after more than 1000
+        assert rep.iterations > (50 if method == "constrained-min" else 1000)
+        assert built <= 4
 
 
 class TestCrossMethod:
@@ -499,6 +484,16 @@ class TestFitDecay:
         except InsufficientDataError:
             return
         assert fit.r_squared < 0.5 or abs(fit.delta) < 0.2
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_shells_at_one_radius(self, n):
+        # The nodes left in the shell range sit at one gauge radius (N = 8)
+        # or a few ulps apart (N = 12): no line through them is determined.
+        grid, mask = build_ball_grid(2.0, n)
+        rho = np.broadcast_to(grid.gauge_array(), grid.shape)
+        u = ScalarField(grid, np.where(rho < 1.0, np.exp(-rho), 0.0), mask)
+        with pytest.raises(InsufficientDataError, match="one radius"):
+            fit_decay(u, ball_radius=2.0)
 
 
 class TestExhaustion:
