@@ -3,7 +3,8 @@
 Normalized densities |u|^q / int |u|^q are probed with the concentration
 function Q(R) = sup over centers of the gauge-ball mass, dilation-normalized
 so the best unit ball holds exactly half the mass, and classified along a
-finite sequence into the trichotomy compactness / vanishing / dichotomy.
+finite sequence into the trichotomy compactness / vanishing / dichotomy
+(or inconclusive).
 Ball geometry is the group geometry throughout: the ball around z is
 {w : rho(z^-1 w) < R}, which twists in t away from the center.
 """
@@ -18,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlgorithmError, DomainError
+from .functionals import check_exponent
 from .grid import Grid3, ScalarField, e_norm_sq, full_mask
 from .heis_core import GroupPoint, gauge, group_inverse, group_mul, homogeneous_dimension
 
 __all__ = [
     "MassDensity",
-    "ConcentrationProfile",
     "TrichotomyResult",
     "normalize_mass",
     "ball_mass",
@@ -42,10 +43,9 @@ _Q_HOM = homogeneous_dimension(1)
 
 @dataclass
 class MassDensity:
-    """Nonnegative density with unit total mass (after normalization)."""
+    """A nonnegative density; `normalize_mass` builds one of unit mass."""
 
     field: ScalarField
-    total_mass: float
 
     def __post_init__(self):
         if float(self.field.values.min()) < 0.0:
@@ -67,8 +67,7 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
     dens /= top
     dens **= q
     dens /= float(dens.sum()) * u.grid.cell_volume
-    f = ScalarField(u.grid, dens, u.mask)
-    return MassDensity(field=f, total_mass=float(dens.sum()) * u.grid.cell_volume)
+    return MassDensity(ScalarField(u.grid, dens, u.mask))
 
 
 def _gauge_dist_sq4(grid: Grid3, center: GroupPoint):
@@ -245,40 +244,18 @@ def concentration(density: MassDensity, R: float, center_stride: int = 2):
 
     Returns (mass, center): the one sample of `concentration_profile` at R.
     """
-    _, q, center = concentration_profile(density, [R], center_stride).samples[0]
-    return q, center
+    return concentration_profile(density, [R], center_stride)[0][1:]
 
 
-@dataclass
-class ConcentrationProfile:
-    """Q(R) samples for one density; Q is nondecreasing in R."""
+def concentration_profile(density: MassDensity, R_grid, center_stride: int = 2) -> list:
+    """The list of (R, Q(R), center), one per R of R_grid and in its order,
+    over the lattice of candidate centers at every `center_stride`-th node.
 
-    samples: list = dc_field(default_factory=list)  # (R, Q(R), center)
-
-    def q_at(self, R: float) -> float:
-        for r, q, _ in self.samples:
-            if r == R:
-                return q
-        raise KeyError(R)
-
-    def center_at(self, R: float) -> GroupPoint:
-        for r, q, c in self.samples:
-            if r == R:
-                return c
-        raise KeyError(R)
-
-
-def concentration_profile(
-    density: MassDensity, R_grid, center_stride: int = 2
-) -> ConcentrationProfile:
-    """Q(R) and its center at every R of R_grid, over the lattice of
-    candidate centers at every `center_stride`-th node.
-
-    Q(R) is the maximum ball mass; the center is picked from the
-    near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one nearest
-    their mean (x, y, t), the first in (x, y, t) order on a tie, so
-    rounding-level differences between near-equal balls cannot move it
-    across a flat density.  Stride error is bounded by the mass of one cell
+    Q(R) is the maximum ball mass, nondecreasing in R; the center is picked
+    from the near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one
+    nearest their mean (x, y, t), the first in (x, y, t) order on a tie, so
+    rounding-level differences between near-equal balls cannot move it across
+    a flat density.  Stride error is bounded by the mass of one cell
     shell, which is all the classifier needs.  The t-centers are nodes, so
     `_ball_masses` reads every t-center from one padded t-cumsum, which
     depends on the density and the stride only and is built once for all R.
@@ -291,7 +268,7 @@ def concentration_profile(
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
     a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
     csum = _padded_cumsum(density.field.values, center_stride * (len(cts) - 1))
-    prof = ConcentrationProfile()
+    prof = []
     for R in R_grid:
         _check_radius(R)
         masses = _ball_masses(grid, csum, R, ia, ib, a, b, cts[0], center_stride, len(cts))
@@ -299,7 +276,7 @@ def concentration_profile(
         k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
         near = np.stack([a[k], b[k], cts[l]], axis=1)
         j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
-        prof.samples.append((float(R), q, GroupPoint.of(*(float(c) for c in near[j]))))
+        prof.append((float(R), q, GroupPoint.of(*(float(c) for c in near[j]))))
     return prof
 
 
@@ -442,9 +419,7 @@ def dilation_normalize(u: ScalarField, q: float):
         m = _lq_mass(nu, q)
         if m <= 0:
             return 0.0, nu, None
-        dens = MassDensity(
-            ScalarField(nu.grid, np.abs(nu.values) ** q / m, nu.mask), 1.0
-        )
+        dens = MassDensity(ScalarField(nu.grid, np.abs(nu.values) ** q / m, nu.mask))
         frac, center = concentration(dens, 1.0, _CENTER_STRIDE)
         return frac, nu, center
 
@@ -465,9 +440,7 @@ def dilation_normalize(u: ScalarField, q: float):
         if m_w <= 0:
             return 0.0, None
         w = w.with_values(w.values / m_w ** (1.0 / q))
-        dens = MassDensity(
-            ScalarField(w.grid, np.abs(w.values) ** q, w.mask), 1.0
-        )
+        dens = MassDensity(ScalarField(w.grid, np.abs(w.values) ** q, w.mask))
         return ball_mass(dens, 1.0, origin), w
 
     s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement")
@@ -482,11 +455,11 @@ def dilation_normalize(u: ScalarField, q: float):
 @dataclass
 class TrichotomyResult:
     verdict: str  # compactness | vanishing | dichotomy | inconclusive
-    witness_centers: list
-    witness_radius: Optional[float]
-    split_mass: Optional[float]
     eps: float
-    profiles: list = dc_field(default_factory=list)
+    profiles: list  # one `concentration_profile` list per density
+    witness_centers: list = dc_field(default_factory=list)
+    witness_radius: Optional[float] = None
+    split_mass: Optional[float] = None
 
     def as_dict(self) -> dict:
         return {
@@ -498,9 +471,7 @@ class TrichotomyResult:
                 {"x": float(c.x[0]), "y": float(c.y[0]), "t": float(c.t)}
                 for c in self.witness_centers
             ],
-            "profiles": [
-                [[r, q] for r, q, _ in prof.samples] for prof in self.profiles
-            ],
+            "profiles": [[[r, q] for r, q, _ in prof] for prof in self.profiles],
         }
 
 
@@ -511,7 +482,7 @@ def _second_cluster(density: MassDensity, R: float, z1: GroupPoint, stride: int)
     r_excl = 2.0 * min(R, _radius_cap(grid, z1.x, z1.y, z1.t, z1.t))
     keep = _gauge_dist_sq4(grid, z1) >= r_excl**4
     vals = np.where(keep, density.field.values, 0.0)
-    trimmed = MassDensity(ScalarField(grid, vals, full_mask(grid)), 1.0)
+    trimmed = MassDensity(ScalarField(grid, vals, full_mask(grid)))
     return concentration(trimmed, R, stride)
 
 
@@ -525,15 +496,19 @@ def classify_sequence(
     R_grid,
     center_stride: int = 2,
 ) -> TrichotomyResult:
-    """Finite-sequence verdict: compactness / vanishing / dichotomy.
+    """Finite-sequence verdict: compactness / vanishing / dichotomy, or
+    inconclusive when no rule holds.
 
-    Rules (diverging separation is surrogate on a finite sequence:
-    strictly increasing across the last _TAIL elements and exceeding 4R):
+    Rules, tried in this order (diverging separation is surrogate on a
+    finite sequence: strictly increasing across the last _TAIL elements
+    and exceeding 4R):
       vanishing    — every R in R_grid captures < eps of the last density;
       compactness  — some R keeps >= 1 - eps for the whole tail (recentered);
       dichotomy    — some R where the tail mass plateaus at alpha strictly
                      between eps and 1 - eps, with a second separated
                      carrier whose distance to the first diverges.
+    R_grid is sorted, and every density's profile has one entry per radius
+    given, so entry j of each profile is at the j-th sorted radius.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
@@ -543,72 +518,44 @@ def classify_sequence(
     R_grid = sorted(float(r) for r in R_grid)
     if not R_grid:
         raise DomainError("need at least one probe radius")
-    profiles = [
-        concentration_profile(d, R_grid, center_stride) for d in densities
-    ]
-    tail_profiles = profiles[-_TAIL:]
-    tail_densities = densities[-_TAIL:]
-
-    result_kwargs = dict(eps=eps, profiles=profiles)
+    profiles = [concentration_profile(d, R_grid, center_stride) for d in densities]
+    tail = profiles[-_TAIL:]
 
     # Vanishing: no ball of any probe radius retains mass at the end.
-    if all(tail_profiles[-1].q_at(R) < eps for R in R_grid):
-        return TrichotomyResult(
-            verdict="vanishing",
-            witness_centers=[],
-            witness_radius=None,
-            split_mass=None,
-            **result_kwargs,
-        )
+    if all(q < eps for _, q, _ in tail[-1]):
+        return TrichotomyResult("vanishing", eps, profiles)
 
     # Compactness: some R keeps nearly all mass for every tail index.
-    for R in R_grid:
-        if all(prof.q_at(R) >= 1.0 - eps for prof in tail_profiles):
-            return TrichotomyResult(
-                verdict="compactness",
-                witness_centers=[prof.center_at(R) for prof in tail_profiles],
-                witness_radius=R,
-                split_mass=None,
-                **result_kwargs,
-            )
+    for j, R in enumerate(R_grid):
+        if all(prof[j][1] >= 1.0 - eps for prof in tail):
+            return TrichotomyResult("compactness", eps, profiles,
+                                    witness_centers=[prof[j][2] for prof in tail],
+                                    witness_radius=R)
 
     # Dichotomy: plateau strictly between eps and 1 - eps plus a second
     # carrier separating from the first.
-    for R in R_grid:
-        qs = [prof.q_at(R) for prof in tail_profiles]
+    for j, R in enumerate(R_grid):
+        qs = [prof[j][1] for prof in tail]
         alpha = float(np.mean(qs))
         if not (eps < alpha < 1.0 - eps):
             continue
         if max(qs) - min(qs) > 0.05:
             continue
         seps = []
-        second_ok = True
-        for prof, dens in zip(tail_profiles, tail_densities):
-            z1 = prof.center_at(R)
+        for prof, dens in zip(tail, densities[-_TAIL:]):
+            z1 = prof[j][2]
             m2, z2 = _second_cluster(dens, R, z1, center_stride)
             if m2 < eps:
-                second_ok = False
                 break
             seps.append(gauge(group_mul(group_inverse(z1), z2)))
-        if not second_ok:
-            continue
-        increasing = all(b > a for a, b in zip(seps[:-1], seps[1:]))
-        if increasing and seps[-1] > 4.0 * R:
-            return TrichotomyResult(
-                verdict="dichotomy",
-                witness_centers=[prof.center_at(R) for prof in tail_profiles],
-                witness_radius=R,
-                split_mass=alpha,
-                **result_kwargs,
-            )
+        else:
+            increasing = all(b > a for a, b in zip(seps[:-1], seps[1:]))
+            if increasing and seps[-1] > 4.0 * R:
+                return TrichotomyResult("dichotomy", eps, profiles,
+                                        witness_centers=[prof[j][2] for prof in tail],
+                                        witness_radius=R, split_mass=alpha)
 
-    return TrichotomyResult(
-        verdict="inconclusive",
-        witness_centers=[],
-        witness_radius=None,
-        split_mass=None,
-        **result_kwargs,
-    )
+    return TrichotomyResult("inconclusive", eps, profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +577,10 @@ def energy_split(u: ScalarField, r: float, p: float):
     """Cutoff splitting defect and annulus L^(p+1) mass at radius r.
 
     Returns (| ||phi u||^2 + ||(1-phi) u||^2 - ||u||^2 |,
-             int_{B_2r \\ B_r} |u|^(p+1)).
+             int_{B_2r \\ B_r} |u|^(p+1)).  The exponent p is checked as
+    `eval_J` checks it: ConfigurationError outside 1 < p < 3.
     """
+    check_exponent(p)
     rho = u.grid.gauge_array()
     if r > float(rho.max()):
         raise DomainError(f"r = {r} exceeds the box gauge radius {rho.max():.3g}")

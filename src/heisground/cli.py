@@ -234,7 +234,7 @@ def cmd_classify(args) -> int:
     if args.profiles_csv:
         rows = []
         for m, prof in enumerate(result.profiles):
-            for r, q, _ in prof.samples:
+            for r, q, _ in prof:
                 rows.append([m, r, q])
         _write_csv(args.profiles_csv, ["index", "R", "Q"], rows)
     return EXIT_OK

@@ -194,8 +194,7 @@ class SolveReport:
                 "t": float(self.max_point.t),
             },
             "max_value": self.max_value,
-            "trace": [list(rec) for rec in self.trace[::_TRACE_STRIDE]]
-            + ([list(self.trace[-1])] if self.trace else []),
+            "trace": [list(rec) for rec in self.trace[:-1:_TRACE_STRIDE] + self.trace[-1:]],
             **self.extra,
         }
 
@@ -307,8 +306,15 @@ class _Energy:
         return 0.5 * self.norm_sq(v), v
 
 
-def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
-                    grow=1.3, max_backtracks=40):
+# `_armijo_descent`: the sufficient-decrease constant, the step factors on a
+# rejected and on an accepted step, and the backtracking budget.
+_ARMIJO_C1 = 1e-4
+_SHRINK = 0.5
+_GROW = 1.3
+_MAX_BACKTRACKS = 40
+
+
+def _armijo_descent(x, f_x, g, gn_sq, tau, objective):
     """Backtracking line search from the vector x along -g (ray descent).
 
     objective(candidate vector) returns (f, state); the result is
@@ -317,11 +323,11 @@ def _armijo_descent(x, f_x, g, gn_sq, tau, objective, *, c1=1e-4, shrink=0.5,
     means no step descends: f has reached its rounding floor, and the
     caller stops at x, unconverged.
     """
-    for _ in range(max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         f_cand, state = objective(x - tau * g)
-        if f_cand <= f_x - c1 * tau * gn_sq:
-            return state, f_cand, min(tau * grow, 1.0)
-        tau *= shrink
+        if f_cand <= f_x - _ARMIJO_C1 * tau * gn_sq:
+            return state, f_cand, min(tau * _GROW, 1.0)
+        tau *= _SHRINK
     return None
 
 
@@ -337,7 +343,7 @@ def _check_finite(what: str, it: int, f: float, gn: float) -> None:
 
 # Flat steps in a row before a descent stops unconverged (`stall`): a ray
 # descent's steps that leave the ray maximum unchanged, whose Armijo decrease
-# c1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
+# _ARMIJO_C1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
 # steps that set a new smallest value of neither I nor |g|.  Further steps only
 # spend iterations.
 _STALL_STEPS = 20

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from heisground import cc_diag
 from heisground.cc_diag import (
     _MAX_BISECT,
     _ball_masses,
@@ -21,8 +22,8 @@ from heisground.cc_diag import (
     group_translate_field,
     normalize_mass,
 )
-from heisground.errors import AlgorithmError, DomainError
-from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
+from heisground.errors import AlgorithmError, ConfigurationError, DomainError
+from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask, integrate
 from heisground.heis_core import GroupPoint
 
 Q_EXP = 3.0  # L^q exponent used throughout (p + 1 with p = 2)
@@ -60,7 +61,7 @@ class TestNormalizeMass:
         rng = np.random.default_rng(31)
         u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
         d = normalize_mass(u, Q_EXP)
-        assert d.total_mass == pytest.approx(1.0, abs=1e-10)
+        assert integrate(d.field) == pytest.approx(1.0, abs=1e-10)
         assert d.field.values.min() >= 0.0
 
     def test_scale_invariant(self, box):
@@ -82,7 +83,7 @@ class TestNormalizeMass:
         grid, mask = box
         d = normalize_mass(ScalarField(grid, np.full(grid.shape, value), mask), Q_EXP)
         assert np.all(d.field.values == d.field.values.flat[0])
-        assert d.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert integrate(d.field) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -103,8 +104,10 @@ class TestConcentration:
         assert m == pytest.approx(1.0, abs=1e-10)
 
     def test_monotone_in_R(self, centered_density):
-        prof = concentration_profile(centered_density, [0.5, 1.0, 1.5, 2.0, 3.0])
-        qs = [q for _, q, _ in prof.samples]
+        radii = [0.5, 1.0, 1.5, 2.0, 3.0]
+        prof = concentration_profile(centered_density, radii)
+        assert [r for r, _, _ in prof] == radii
+        qs = [q for _, q, _ in prof]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         assert all(0.0 <= q <= 1.0 + 1e-12 for q in qs)
 
@@ -423,6 +426,10 @@ class TestHalfMassScale:
         assert len(calls) == 3 + _MAX_BISECT
 
 
+def separating_pair(grid, s, w=0.5):
+    return gauge_bump(grid, -s, 0.0, 0.0, w) + gauge_bump(grid, s, 0.0, 0.0, w)
+
+
 class TestClassifier:
     def test_translating_bump_is_compactness(self, box):
         grid, mask = box
@@ -452,12 +459,63 @@ class TestClassifier:
         grid, mask = box
         dens = []
         for m in range(6):
-            s = 0.7 + 0.5 * m
-            vals = gauge_bump(grid, -s, 0.0, 0.0, 0.5) + gauge_bump(grid, s, 0.0, 0.0, 0.5)
+            vals = separating_pair(grid, 0.7 + 0.5 * m)
             dens.append(normalize_mass(ScalarField(grid, vals, mask), Q_EXP))
         r = classify_sequence(dens, eps=0.1, R_grid=[0.5, 1.0, 2.0])
         assert r.verdict == "dichotomy"
         assert r.split_mass == pytest.approx(0.5, abs=0.1)
+
+    @staticmethod
+    def recorded_second_masses(monkeypatch):
+        """The mass of every second carrier the dichotomy rule looks at."""
+        masses = []
+        original = cc_diag._second_cluster
+
+        def second_cluster(*args):
+            m2, z2 = original(*args)
+            masses.append(m2)
+            return m2, z2
+
+        monkeypatch.setattr(cc_diag, "_second_cluster", second_cluster)
+        return masses
+
+    def test_fixed_pair_is_inconclusive(self, box, monkeypatch):
+        # Q(1) plateaus near 1/2 and each tail density has a second carrier
+        # of about 1/2, but the two carriers never move apart.
+        grid, mask = box
+        dens = [normalize_mass(ScalarField(grid, separating_pair(grid, 1.5), mask), Q_EXP)] * 4
+        masses = self.recorded_second_masses(monkeypatch)
+        r = classify_sequence(dens, eps=0.1, R_grid=[1.0])
+        assert r.verdict == "inconclusive"
+        assert r.profiles[-1][0][1] == pytest.approx(0.5, abs=0.01)
+        assert len(masses) == 3 and min(masses) >= 0.1
+        assert (r.witness_centers, r.witness_radius, r.split_mass) == ([], None, None)
+
+    def test_weak_second_carrier_is_inconclusive(self, box, monkeypatch):
+        # One wide bump: Q(1) plateaus near 0.56, and outside B_2 of its
+        # center no unit ball holds eps, so the rule stops at the first
+        # tail density.
+        grid, mask = box
+        dens = [normalize_mass(ScalarField(grid, gauge_bump(grid, 0, 0, 0, 1.2), mask), Q_EXP)] * 4
+        masses = self.recorded_second_masses(monkeypatch)
+        r = classify_sequence(dens, eps=0.1, R_grid=[1.0])
+        assert r.verdict == "inconclusive"
+        assert 0.1 < r.profiles[-1][0][1] < 0.9
+        assert len(masses) == 1 and masses[0] < 0.1
+
+    @pytest.mark.parametrize("start, step", [(0.7, 0.5), (1.5, 0.0)])
+    def test_duplicate_radii(self, box, start, step):
+        # a separating pair (dichotomy) and a fixed one (compactness at
+        # R = 2): the verdict does not change, and every profile keeps one
+        # entry per radius given, in sorted order
+        grid, mask = box
+        dens = [normalize_mass(ScalarField(grid, separating_pair(grid, start + step * m), mask),
+                               Q_EXP) for m in range(4)]
+        once = classify_sequence(dens, eps=0.1, R_grid=[0.5, 1.0, 2.0]).as_dict()
+        twice = classify_sequence(dens, eps=0.1, R_grid=[2.0, 1.0, 0.5, 1.0]).as_dict()
+        assert twice["verdict"] == ("dichotomy" if step else "compactness")
+        assert twice.pop("profiles") == [[a, b, b, c] for a, b, c in once.pop("profiles")]
+        assert twice == once
 
     def test_rejects_empty_radius_grid(self, small_density):
         # all() over no radii would call it vanishing
@@ -506,6 +564,14 @@ class TestCutoffSplit:
         d2, a2 = energy_split(u, 2.0, 2.0)
         assert d2 < d1
         assert a2 < a1
+
+    @pytest.mark.parametrize("p", [float("nan"), 1.0, 3.0])
+    def test_rejects_bad_exponent(self, p):
+        # NaN used to give a NaN annulus mass, like eval_J it needs 1 < p < 3
+        grid, mask = build_ball_grid(2.0, 12)
+        u = ScalarField(grid, np.ones(grid.shape), mask)
+        with pytest.raises(ConfigurationError):
+            energy_split(u, 1.0, p)
 
     def test_rejects_huge_radius(self):
         grid, mask = build_ball_grid(2.0, 12)

@@ -522,3 +522,17 @@ def test_report_serializes(small_cm):
     json.dumps(d)
     assert d["method"] == "constrained-min"
     assert d["converged"] is True
+
+
+@pytest.mark.parametrize("solve, changes", [
+    (solve_constrained_min, dict(grad_tol=1e3)),  # one record
+    (solve_constrained_min, {}),
+    (solve_mountain_pass, dict(max_iters=51)),  # records 0..50
+    (solve_mountain_pass, dict(max_iters=52)),
+])
+def test_report_trace_keeps_each_record_once(small_config, small_domain, solve, changes):
+    rep = solve(replace(small_config, **changes), domain=small_domain)
+    its = [rec[0] for rec in rep.as_dict()["trace"]]
+    assert all(b > a for a, b in zip(its, its[1:]))
+    assert its[-1] == rep.iterations - 1
+    assert its == list(range(0, rep.iterations - 1, solvers._TRACE_STRIDE)) + its[-1:]
