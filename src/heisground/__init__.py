@@ -1,7 +1,7 @@
 """Ground states of Delta_H u - u + u^p = 0 on the Heisenberg group.
 
-Two variational solvers (mountain-pass, which descends the ray maximum
-from the top of the ray through a start, on exhausting gauge balls;
+Two variational solvers that share one H^1 descent (mountain-pass on
+exhausting gauge balls, which Newton-polishes the descent's state;
 constrained minimization on the L^(p+1) sphere) plus a
 concentration-compactness diagnostic suite, on uniform 3D grids with
 gauge-ball Dirichlet masks.

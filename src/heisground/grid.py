@@ -24,9 +24,9 @@ symmetric, and the sub-Laplacian is second-order accurate.
 The energy's value is summed as squares, not as w v^T A v.  The entries
 of A reach 1/h^2 + (2|y|/h_t)^2, hundreds of times the size of (A v)_i, so
 each row's sum cancels and v^T A v carries more rounding noise.  Near
-convergence the line searches compare energies that differ in their last
-digits, and on the (k, N) = (4, 32) ball they stalled on that noise
-(mountain-pass at |grad| = 1.08e-5, constrained-min at 1.6e-6) where the
+convergence the solvers compare energies that differ in their last
+digits, and on the (k, N) = (4, 32) ball they stalled on that noise (an
+L^2 line search at |grad| = 1.08e-5, constrained-min at 1.6e-6) where the
 squares converge.
 
 Centered first differences were tried first and rejected: their
@@ -266,10 +266,8 @@ def _assemble_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
 def _energy_norm_sq(B: sparse.csr_array, v: np.ndarray, w: float) -> float:
     """w (||B v||^2 + ||v||^2), summed as squares (see the module docstring).
 
-    The squares are summed pairwise by `np.sum`, not by a BLAS dot: along a
-    descent line near the desk ball's mountain-pass point the ray maximum
-    of J then carries a quarter of the rounding noise, which keeps the L^2
-    ray descent's floor below its default tolerance.
+    The squares are summed pairwise by `np.sum`, not by a BLAS dot, whose
+    sum carried four times the rounding noise of J near the desk ground state.
     """
     g = B @ v
     g *= g

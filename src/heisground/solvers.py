@@ -1,34 +1,31 @@
 """The two solution procedures and the domain-exhaustion driver.
 
-First method: mountain-pass on the gauge ball B_k.  The path is the ray
-through a start u0: J(t u0) -> -inf as t grows when u0 has a positive
-part, so every such ray joins 0 to negative energy, and for this
-superlinear J the min-max over them is the Nehari level c_k (Willem,
-Minimax Theorems, 1996, Thm 4.2).  The ray's top starts `_ray_descent`,
-which lowers the ray maximum along the envelope gradient of
-u -> max_t J(t u) until the gradient at the top vanishes.  The converged
-level c_k is the min-max critical value.
+Both methods run one loop, `_ray_descent`: the normalized inverse iteration
+v <- z / ||z||_{L^(p+1)} with A z = v_+^p, the H^1 (Sobolev) gradient step
+of minimizing I on the constraint {int v_+^(p+1) = 1}.  There the ray
+maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is monotone in
+I, so the loop lowers the top of the ray through v.  A^-1 is applied by
+`_pcg`, a Jacobi-preconditioned CG in numpy that repeats scipy's `cg` bit
+for bit, so start-up loads no `scipy.sparse.linalg`; each solve starts
+from the Galerkin projection onto the last four iterates.
 
-Second method: minimization of the quadratic energy I on the constraint
-manifold {int u_+^(p+1) = 1} by the normalized inverse iteration
-u <- A^-1 u_+^p / ||A^-1 u_+^p||_{L^(p+1)}, the H^1 (Sobolev) gradient step
-of the constrained problem, with A^-1 applied by Jacobi-preconditioned CG.
-Each CG solve starts from the Galerkin projection of its right-hand side
-onto the span of the last four iterates, the A-norm-best start there, which
-takes about a third of the CG iterations of a start from the last solution
-alone.  That CG is `_pcg`, numpy code that repeats scipy's `cg` bit for
-bit, so start-up loads no `scipy.sparse.linalg`; a CG solve that does not
-converge stops the iteration unconverged.  Its step count does not grow
-with the mesh.  The minimum alpha and multiplier lambda = ||u||^2 convert
-into a PDE solution via u* = lambda^(1/(p-1)) u.
+Mountain-pass: the path is the ray through a start u0.  J(t u0) -> -inf
+when u0 has a positive part, so every such ray joins 0 to negative energy,
+and for this superlinear J the min-max over them is the Nehari level c_k
+(Willem, Minimax Theorems, 1996, Thm 4.2).  The loop runs from u0's
+direction, and its converged state, scaled onto the Nehari set, is
+polished by Newton-MINRES steps on grad J = 0 (`_newton_polish`).
 
-Both produce the same discrete ground state; `compare_methods` checks the
-bridge identity c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)).  `nehari_descent`
-is the same ray descent started from the unit bump itself.  Mountain-pass
-and `nehari_descent` descend the L^2 gradient with Armijo line searches.
+Constrained minimization: the loop from the unit bump.  The minimum alpha
+and multiplier lambda = ||u||^2 convert into a PDE solution via
+u* = lambda^(1/(p-1)) u.
 
-All three iterate on mask-node vectors through one `_Energy` per (domain,
-p); a `ScalarField` is built only for the start and the report.
+`compare_methods` checks the bridge identity
+c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
+mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
+Comput., 2001).  The polish and the index load `scipy.sparse.linalg`.
+All work on mask-node vectors through one `_Energy` per (domain, p); a
+`ScalarField` is built only for the start and the report.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     AlgorithmError,
@@ -49,7 +47,6 @@ from .errors import (
 from .functionals import (
     EnergyBreakdown,
     _constraint_mass,
-    _energy,
     _gradient,
     _pos_pow,
     _ray_max,
@@ -83,7 +80,6 @@ __all__ = [
     "radial_bump",
     "solve_mountain_pass",
     "solve_constrained_min",
-    "nehari_descent",
     "exhaust_domains",
     "fit_decay",
     "compare_methods",
@@ -162,8 +158,6 @@ def make_domain(config: SolverConfig) -> Domain:
 
 
 _TRACE_STRIDE = 50  # a report keeps every 50th trace record, and the last
-# The initial L^2 step of mountain-pass and `nehari_descent`.
-_STEP_SIZE = 5e-3
 
 
 @dataclass
@@ -275,23 +269,12 @@ class _Energy:
     def mass(self, v: np.ndarray) -> float:
         return _constraint_mass(v, self.p, self.w)
 
-    def J(self, v: np.ndarray) -> float:
-        return _energy(self.norm_sq(v), self.mass(v), self.p)
-
     def grad(self, v: np.ndarray) -> np.ndarray:
         return _gradient(self.A, v, self.p)
 
     def ray_max(self, v: np.ndarray):
         """(t*, max_t J(t v)); DomainError when v has no positive-part mass."""
         return _ray_max(self.norm_sq(v), self.mass(v), self.p)
-
-    def ray_top(self, v: np.ndarray):
-        """Ray-descent objective: (max_t J(t v), (v, t*)), +inf without mass."""
-        try:
-            t_star, j_max = self.ray_max(v)
-        except DomainError:
-            return np.inf, None
-        return j_max, (v, t_star)
 
     def renormalize(self, v: np.ndarray) -> np.ndarray:
         """v scaled onto the constraint int v_+^(p+1) = 1."""
@@ -306,27 +289,25 @@ class _Energy:
         return 0.5 * self.norm_sq(v), v
 
 
-# `_armijo_descent`: the sufficient-decrease constant, the step factors on a
-# rejected and on an accepted step, and the backtracking budget.
+# `_armijo_descent`: the sufficient-decrease constant, the step factor on a
+# rejected step, and the backtracking budget.
 _ARMIJO_C1 = 1e-4
 _SHRINK = 0.5
-_GROW = 1.3
 _MAX_BACKTRACKS = 40
 
 
 def _armijo_descent(x, f_x, g, gn_sq, tau, objective):
-    """Backtracking line search from the vector x along -g (ray descent).
+    """Backtracking line search from the vector x along -g.
 
-    objective(candidate vector) returns (f, state); the result is
-    (state, f, tau) of the accepted step, so the caller keeps what the
-    objective computed on the way (the candidate and its ray scale).  None
-    means no step descends: f has reached its rounding floor, and the
-    caller stops at x, unconverged.
+    gn_sq is minus the slope of f along -g, and tau the first step length.
+    objective(candidate vector) returns (f, state); the result is the state
+    of the accepted step, so the caller keeps what the objective computed on
+    the way.  None means no step descends: f has reached its rounding floor.
     """
     for _ in range(_MAX_BACKTRACKS):
         f_cand, state = objective(x - tau * g)
         if f_cand <= f_x - _ARMIJO_C1 * tau * gn_sq:
-            return state, f_cand, min(tau * _GROW, 1.0)
+            return state
         tau *= _SHRINK
     return None
 
@@ -337,109 +318,15 @@ def _check_finite(what: str, it: int, f: float, gn: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Mountain-pass path deformation
+# The H^1 ray descent (normalized inverse iteration)
 # ---------------------------------------------------------------------------
 
-
-# Flat steps in a row before a descent stops unconverged (`stall`): a ray
-# descent's steps that leave the ray maximum unchanged, whose Armijo decrease
-# _ARMIJO_C1 * tau * |g|^2 has fallen below the rounding of J; constrained-min's
-# steps that set a new smallest value of neither I nor |g|.  Further steps only
-# spend iterations.
+# Steps in a row that set a new smallest value of neither I nor |g| before
+# the descent stops unconverged (`stall`).
 _STALL_STEPS = 20
-
-
-def _ray_descent(energy: _Energy, u, tau, grad_tol, max_iters, trace):
-    """Descend u -> max_t J(tu) by the envelope gradient t* grad_J(t*u).
-
-    For a path whose top lies on the ray through u, this is exactly a
-    descent step at the path maximizer with the ray tangent projected out
-    (the envelope construction re-maximizes along the tangent).  u is a
-    mask-node vector and max_iters >= 1.  Returns (w, j_max, converged,
-    iterations, gn, stop_reason) with w = t* u on the Nehari set and gn the
-    full gradient norm at w.  Unconverged stops: `max_iters`, `no_descent`
-    (no descending step) or `stall` (_STALL_STEPS flat steps in a row).
-    """
-    t_star, j_max = energy.ray_max(u)
-    flat = 0
-    stop = "max_iters"
-    for it in range(max_iters):
-        w = t_star * u
-        g_w = energy.grad(w)
-        gn = energy.norm(g_w)
-        _check_finite("ray descent", it, j_max, gn)
-        trace.append((it, j_max, gn))
-        if gn < grad_tol:
-            stop = "grad_tol"
-            break
-        if it + 1 == max_iters:
-            break
-        if flat == _STALL_STEPS:
-            stop = "stall"
-            break
-        g = t_star * g_w
-        step = _armijo_descent(u, j_max, g, energy.inner(g, g), tau, energy.ray_top)
-        if step is None:
-            stop = "no_descent"
-            break
-        (u, t_star), j_next, tau = step
-        flat = flat + 1 if j_next == j_max else 0
-        j_max = j_next
-    return w, j_max, stop == "grad_tol", it + 1, gn, stop
-
-
-def solve_mountain_pass(
-    config: SolverConfig,
-    domain: Optional[Domain] = None,
-    u0: Optional[ScalarField] = None,
-) -> SolveReport:
-    """Descend the top of the ray through u0 until it is a critical point of J.
-
-    The path is the ray s -> s u0, with `radial_bump` as the default u0.
-    `_ray_descent` starts at the ray's top t* u0 and lowers the path
-    maximum by the envelope gradient: every accepted step leaves an
-    admissible path, the ray through the new top, with a lower maximum.
-    A u0 without a positive part has no top: DomainError.
-    """
-    if domain is None:
-        domain = make_domain(config)
-    p = config.p
-    energy = _Energy(domain, p)
-    if u0 is None:
-        u0 = radial_bump(domain)
-    elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
-        raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
-    v0 = u0.values[domain.mask]
-    t_star, _ = energy.ray_max(v0)
-    trace = []
-    w, _, converged, iters, gn, stop = _ray_descent(
-        energy, t_star * v0, _STEP_SIZE, config.grad_tol, config.max_iters, trace,
-    )
-
-    v_k = np.maximum(w, 0.0)
-    u_k = energy.field(v_k)
-    # The reported level is the exact maximum of J over the ray through the
-    # converged top: J(t u) is evaluated in closed form in t.  At criticality
-    # the ray max coincides with J(u_k).
-    try:
-        _, level = energy.ray_max(v_k)
-    except DomainError:
-        level = energy.J(v_k)
-    return _report(
-        u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
-        iterations=iters, trace=trace, converged=converged, grad_norm=gn,
-        stop_reason=stop,
-        inner_gu=energy.inner(energy.grad(v_k), v_k),
-        identity_defect=critical_identity_defect(u_k, p),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Constrained minimization (normalized inverse iteration)
-# ---------------------------------------------------------------------------
-
 # The CG relative tolerance of one step: min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD
-# * |g|), loose far from the minimum and tightening with the gradient.
+# * |g| / |mu v_+^p|), so that the CG residual, scaled as g is, stays a
+# tenth of |g| at any scale of the state.
 _CG_RTOL_MAX = 1e-3
 _CG_RTOL_PER_GRAD = 0.1
 # A step may raise I by this many ulps of I (rounding of the energy sum).
@@ -524,51 +411,39 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
     return max_iters, False
 
 
-def solve_constrained_min(
-    config: SolverConfig, domain: Optional[Domain] = None
-) -> SolveReport:
-    """Minimize I on {int u_+^(p+1) = 1} by the normalized inverse iteration.
+def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
+    """Minimize I on {int v_+^(p+1) = 1} from v's direction; max_iters >= 1.
 
-    Each step is the H^1 (Sobolev) gradient step of the constrained
-    problem, v <- z / ||z||_{L^(p+1)} with A z = v_+^p, solved by
-    Jacobi-preconditioned CG (`_pcg`) to the relative tolerance
-    min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * |g|).  CG starts from
-    `_projected_start`: the A-norm-best vector in the span of the last
-    _CG_STARTS iterates, which holds the last z, so in exact arithmetic the
-    start is never worse than the last solution.  The iterates' A-products
-    are the A v each step computes anyway, so the start costs at most
-    2 * _CG_STARTS dot products and no operator application.
-    g = A v - mu v_+^p is the L^2 gradient projected onto the constraint's
-    tangent space; its norm is the stopping test and the reported grad_norm.
+    Each step is v <- z / ||z||_{L^(p+1)} with A z = v_+^p solved by `_pcg`
+    to the relative tolerance above, from `_projected_start`: the
+    A-norm-best vector in the span of the last _CG_STARTS iterates, which
+    holds the last z.  The iterates' A-products are the A v each step
+    computes anyway, so the start costs at most 2 * _CG_STARTS dot products.
+    g = A v - mu v_+^p, the L^2 gradient projected onto the constraint's
+    tangent space, gives the stopping test.  trace gets (iteration, I, |g|).
 
     A step is kept while I rises by no more than rounding.  A larger rise
-    stops the solve unconverged (`no_descent`), and so does a CG solve that
-    does not converge: it reaches _CG_MAX_ITERS_PER_UNKNOWN * n iterations,
-    or p.Ap is not a positive finite number.  The solve also stops
-    unconverged after _STALL_STEPS steps in a row in which neither I nor
-    |g| reaches a new minimum (`stall`).  I reaches its rounding floor long
-    before |g| does, and may then cycle among a few rounded values, so the
-    stall rule watches the record lows of both.  The run works on mask-node
-    vectors; fields are built only from the starting bump and for the
-    report.
+    stops the descent unconverged (`no_descent`), and so does a CG solve
+    that does not converge: it reaches _CG_MAX_ITERS_PER_UNKNOWN * n
+    iterations, or p.Ap is not a positive finite number.  The descent also
+    stops unconverged after _STALL_STEPS steps in a row in which neither I
+    nor |g| reaches a new minimum (`stall`).  I reaches its rounding floor
+    long before |g| does, and may then cycle among a few rounded values, so
+    the stall rule watches the record lows of both.  Returns (v, iterations,
+    |g|, stop_reason, CG iterations) with v on the constraint.
     """
-    if domain is None:
-        domain = make_domain(config)
-    p = config.p
-    energy = _Energy(domain, p)
-    i_u, v = energy.constrained(radial_bump(domain).interior())
+    i_u, v = energy.constrained(v)
     inv_diag = 1.0 / energy.A.diagonal()
     cg_iters = 0
     # The last _CG_STARTS iterates, newest first, and their Gram matrix in A:
     # z_j = s_j v_(j+1), so they span what the last CG solutions span, and
     # A v is the `av` each step computes anyway.
     basis, gram = [], []
-    trace = []
     i_best, gn_best = i_u, np.inf
     flat = 0
     stop = "max_iters"
-    for it in range(config.max_iters):
-        normal = _pos_pow(v, p)
+    for it in range(max_iters):
+        normal = _pos_pow(v, energy.p)
         av = energy.A @ v
         nn = energy.inner(normal, normal)
         mu = energy.inner(av, normal) / nn if nn > 0 else 0.0
@@ -578,10 +453,10 @@ def solve_constrained_min(
         trace.append((it, i_u, gn))
         if gn < gn_best:
             gn_best, flat = gn, 0
-        if gn < config.grad_tol:
+        if gn < grad_tol:
             stop = "grad_tol"
             break
-        if it + 1 == config.max_iters:
+        if it + 1 == max_iters:
             break
         if flat == _STALL_STEPS:
             stop = "stall"
@@ -590,8 +465,9 @@ def solve_constrained_min(
         row = [float(u @ av) for u in basis]  # basis[j] . A v, A symmetric
         gram = [row] + [[a] + old[: _CG_STARTS - 1] for a, old in zip(row[1:], gram)]
         z = _projected_start(basis, gram, normal)
-        n_cg, solved = _pcg(energy.A, normal, z, inv_diag,
-                            min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn))
+        rhs = abs(mu) * nn ** 0.5  # 0 only where v_+^(2p) underflows
+        rtol = min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn / rhs) if rhs > 0.0 else _CG_RTOL_MAX
+        n_cg, solved = _pcg(energy.A, normal, z, inv_diag, rtol)
         cg_iters += n_cg
         if not solved:
             stop = "no_descent"
@@ -606,6 +482,142 @@ def solve_constrained_min(
         else:
             flat += 1
         i_u, v = i_next, v_next
+    return v, it + 1, gn, stop, cg_iters
+
+
+# ---------------------------------------------------------------------------
+# Newton polish and Morse index
+# ---------------------------------------------------------------------------
+
+# `_newton_polish` stops after a step that leaves |G| above this fraction of
+# its value before: Newton's quadratic convergence has given way to rounding.
+_POLISH_RATE = 0.5
+# The Hessian eigenvalues that `_morse_index` returns, smallest first, and
+# its LOBPCG budget.  LOBPCG iterates one guard vector more, which speeds the
+# last eigenvalue's convergence where the spectrum clusters near 0; 100-300
+# iterations converge from 12^3 to 48^3 grids.
+_MORSE_EIGENVALUES = 3
+_LOBPCG_MAX_ITERS = 1000
+
+
+def _hessian(energy: _Energy, w: np.ndarray):
+    """H = A - p diag(w_+^(p-1)), the Hessian of J at w over the cell volume."""
+    return energy.A - sparse.diags_array(energy.p * _pos_pow(w, energy.p - 1.0))
+
+
+def _newton_polish(energy: _Energy, w: np.ndarray):
+    """Newton steps H d = -G on G = grad J(w) = 0; returns (w, |G|).
+
+    H is indefinite at a mountain-pass point, so MINRES (Paige & Saunders
+    1975) solves each step, preconditioned by diag(A)^-1, which is positive
+    definite whatever H's inertia (Knoll & Keyes, JCP 2004).  The step is
+    accepted by `_armijo_descent` on phi = |G|^2 / 2, whose slope along d is
+    -|G|^2, so no step raises |G|.  The polish ends when no step passes, or
+    after one that does not cut |G| by _POLISH_RATE.  It converges only from
+    near a critical point.
+    """
+    from scipy.sparse.linalg import minres  # not loaded at start-up
+
+    def objective(x):
+        g = energy.grad(x)
+        gn_sq = energy.inner(g, g)
+        return 0.5 * gn_sq, (x, g, gn_sq)
+
+    _, (w, g, gn_sq) = objective(w)
+    M = sparse.diags_array(1.0 / energy.A.diagonal())
+    while gn_sq > 0.0:
+        d, _ = minres(_hessian(energy, w), -g, M=M)
+        step = _armijo_descent(w, 0.5 * gn_sq, -d, gn_sq, 1.0, objective)
+        if step is None:
+            break
+        last = gn_sq
+        w, g, gn_sq = step
+        if gn_sq > _POLISH_RATE ** 2 * last:
+            break
+    return w, gn_sq ** 0.5
+
+
+def _morse_index(energy: _Energy, w: np.ndarray):
+    """(negative count, eigenvalues, eigenvectors) of H's smallest at w.
+
+    The _MORSE_EIGENVALUES smallest eigenvalues, ascending, and their
+    eigenvectors as columns.  LOBPCG (Knyazev 2001) preconditioned by
+    diag(A)^-1, from a seeded random block so that the result is
+    deterministic.
+    """
+    from scipy.sparse.linalg import lobpcg  # not loaded at start-up
+
+    start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
+    eigs, vecs = lobpcg(_hessian(energy, w), start, largest=False, maxiter=_LOBPCG_MAX_ITERS,
+                        M=sparse.diags_array(1.0 / energy.A.diagonal()))
+    order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
+    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order]
+
+
+# ---------------------------------------------------------------------------
+# The two methods
+# ---------------------------------------------------------------------------
+
+
+def solve_mountain_pass(
+    config: SolverConfig,
+    domain: Optional[Domain] = None,
+    u0: Optional[ScalarField] = None,
+) -> SolveReport:
+    """Descend the top of the ray through u0 until it is a critical point of J.
+
+    The path is the ray s -> s u0 (`radial_bump` by default), and each step
+    of `_ray_descent` leaves the ray through the new iterate, with a lower
+    maximum.  A converged descent's state, scaled onto the Nehari set, is
+    polished by `_newton_polish`.  c_k is the ray maximum of the reported
+    state and grad_norm is |grad J| there; the solve has converged when the
+    descent has and that norm is below grad_tol.  The trace is the
+    descent's.  A u0 without a positive part has no top: DomainError.
+    """
+    if domain is None:
+        domain = make_domain(config)
+    p = config.p
+    energy = _Energy(domain, p)
+    if u0 is None:
+        u0 = radial_bump(domain)
+    elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
+        raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
+    v0 = u0.values[domain.mask]
+    energy.ray_max(v0)  # DomainError without a positive part
+    trace = []
+    v, iters, _, stop, _ = _ray_descent(energy, v0, config.grad_tol, config.max_iters, trace)
+    t_star, _ = energy.ray_max(v)
+    w = t_star * v
+    if stop == "grad_tol":
+        w, gn = _newton_polish(energy, w)
+    else:
+        gn = energy.norm(energy.grad(w))
+
+    v_k = np.maximum(w, 0.0)
+    u_k = energy.field(v_k)
+    # The exact maximum of J over the ray through the state, in closed form
+    # in t; at a critical point it is J(u_k).
+    _, level = energy.ray_max(v_k)
+    return _report(
+        u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
+        iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
+        grad_norm=gn, stop_reason=stop,
+        inner_gu=energy.inner(energy.grad(v_k), v_k),
+        identity_defect=critical_identity_defect(u_k, p),
+    )
+
+
+def solve_constrained_min(
+    config: SolverConfig, domain: Optional[Domain] = None
+) -> SolveReport:
+    """CMDOC"""
+    if domain is None:
+        domain = make_domain(config)
+    p = config.p
+    energy = _Energy(domain, p)
+    trace = []
+    v, iters, gn, stop, cg_iters = _ray_descent(
+        energy, radial_bump(domain).interior(), config.grad_tol, config.max_iters, trace)
 
     # Final positivity projection + exact renormalization; for a converged
     # run this is a no-op beyond stripping round-off undershoots.
@@ -616,44 +628,11 @@ def solve_constrained_min(
     bd = energy_breakdown(u_star, p)
     return _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
-        iterations=it + 1, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
+        iterations=iters, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
         stop_reason=stop, cg_iterations=cg_iters,
         constraint_defect=abs(energy.mass(v) - 1.0),
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=critical_identity_defect(u_star, p),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Nehari cross-oracle: minimize the ray maximum of J directly
-# ---------------------------------------------------------------------------
-
-
-def nehari_descent(
-    config: SolverConfig, domain: Optional[Domain] = None
-) -> SolveReport:
-    """Minimize u -> max_t J(t u) by envelope-gradient descent.
-
-    This is mountain-pass's `_ray_descent` started from the unit bump itself
-    rather than from the top of the ray through it, so it is not independent
-    of mountain-pass; the independent cross-check is constrained-min's
-    bridge identity in `compare_methods`.  At the minimum t* = 1 and the minimizer is the
-    ground state itself.
-    """
-    if domain is None:
-        domain = make_domain(config)
-    p = config.p
-    energy = _Energy(domain, p)
-    trace = []
-    w, _, converged, iters, gn, stop = _ray_descent(
-        energy, radial_bump(domain).interior(), _STEP_SIZE,
-        config.grad_tol, config.max_iters, trace,
-    )
-    u = energy.field(np.maximum(w, 0.0))
-    bd = energy_breakdown(u, p)
-    return _report(
-        u, bd, "nehari-descent", level=bd.J, iterations=iters, trace=trace,
-        converged=converged, grad_norm=gn, stop_reason=stop,
     )
 
 
@@ -771,6 +750,28 @@ class ExhaustionReport:
 
 
 _MONOTONE_REL_SLACK = 1e-6  # relative rise of c_k still counted as monotone
+# A saddle's state is pushed this far along its unstable eigenvector,
+# relative to its maximum, before the solve restarts from it.
+_SADDLE_PUSH = 0.1
+
+
+def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> SolveReport:
+    """rep, or the solve restarted off its state if that is a saddle.
+
+    A state of Morse index above 1 is pushed along H's second eigenvector,
+    in which the ray maximum falls, and solved again.  From a symmetric
+    start the descent can stop beside a symmetric saddle: on the 48^3 grid
+    of k = 6, the k = 2 ball's bump reaches one of index 2 at 82.709, where
+    the ground state is at 61.739.
+    """
+    energy = _Energy(domain, config.p)
+    w = rep.field.interior()
+    index, _, vecs = _morse_index(energy, w)
+    if index <= 1:
+        return rep
+    e = vecs[:, 1]
+    u0 = energy.field(w + _SADDLE_PUSH * np.abs(w).max() / np.abs(e).max() * e)
+    return solve_mountain_pass(config, domain=domain, u0=u0)
 
 
 def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
@@ -778,8 +779,9 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
 
     All balls are masks on the grid of the largest radius, so the nesting
     of the discrete energy spaces (and hence monotonicity of the levels)
-    is exact.  The smallest ball starts from its `radial_bump`, and each
-    larger ball from the previous ball's field, zero-extended, so its
+    is exact.  The smallest ball starts from its `radial_bump`, and a
+    converged state there is certified by `_leave_saddle`.  Each larger
+    ball starts from the previous ball's field, zero-extended, so its
     descent starts at the previous ball's critical point.
     """
     radii = list(radii)
@@ -793,6 +795,8 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     for k in radii:
         dom = Domain(master.grid, masks[k], k)
         rep = solve_mountain_pass(cfg, domain=dom, u0=zero_extend(u0, masks[k]))
+        if not entries and rep.converged:
+            rep = _leave_saddle(cfg, dom, rep)
         u0 = rep.field
         entries.append(
             ExhaustionEntry(
@@ -828,6 +832,7 @@ class ComparisonReport:
     bridge_defect_rel: float
     field_distance_rel: float
     both_positive: bool
+    morse_index: int
 
     def as_dict(self) -> dict:
         return {
@@ -841,26 +846,20 @@ class ComparisonReport:
             "bridge_defect_rel": self.bridge_defect_rel,
             "field_distance_rel": self.field_distance_rel,
             "both_positive": self.both_positive,
+            "morse_index": self.morse_index,
         }
-
-
-def _recenter_to_origin(u: ScalarField) -> ScalarField:
-    """Shift the max node to the node nearest the origin (zero fill)."""
-    idx, _ = u.max_node()
-    dst, src = [], []
-    for a, (i, n) in enumerate(zip(idx, u.grid.shape)):
-        shift = int(np.argmin(np.abs(u.grid.axis_coords(a)))) - i
-        dst.append(slice(max(shift, 0), n + min(shift, 0)))
-        src.append(slice(max(-shift, 0), n - max(shift, 0)))
-    vals = np.zeros(u.grid.shape)
-    vals[tuple(dst)] = u.values[tuple(src)]
-    return ScalarField(u.grid, vals, u.mask)
 
 
 def compare_methods(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> ComparisonReport:
-    """Run both methods on one instance and check they agree."""
+    """Run both methods on one instance and check they agree.
+
+    Both reach one state from one bump, so the fields are compared as they
+    are.  morse_index counts the negative eigenvalues among the Hessian's
+    smallest at the mountain-pass state (`_morse_index`): 1 at a ground
+    state.
+    """
     if domain is None:
         domain = make_domain(config)
     rep_mp = solve_mountain_pass(config, domain=domain)
@@ -872,8 +871,7 @@ def compare_methods(
     lam = rep_cm.multiplier
     bridge = (p - 1.0) / (2.0 * (p + 1.0)) * lam ** ((p + 1.0) / (p - 1.0))
     bridge_defect = abs(bridge - c_k) / abs(c_k)
-    a = _recenter_to_origin(rep_mp.field)
-    b = _recenter_to_origin(rep_cm.field)
+    a, b = rep_mp.field, rep_cm.field
     field_dist = l2_norm(a.with_values(a.values - b.values)) / max(l2_norm(a), 1e-300)
     bulk = domain.grid.gauge_array() < 0.7 * domain.ball_radius
     both_pos = bool(
@@ -889,4 +887,5 @@ def compare_methods(
         bridge_defect_rel=bridge_defect,
         field_distance_rel=field_dist,
         both_positive=both_pos,
+        morse_index=_morse_index(_Energy(domain, p), a.interior())[0],
     )

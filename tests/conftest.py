@@ -17,7 +17,6 @@ from heisground.solvers import (
     SolverConfig,
     exhaust_domains,
     make_domain,
-    nehari_descent,
     solve_constrained_min,
     solve_mountain_pass,
 )
@@ -69,11 +68,6 @@ def mp_run(desk_config, desk_domain):
 
 
 @pytest.fixture(scope="session")
-def nd_run(desk_config, desk_domain):
-    return _timed(nehari_descent, desk_config, domain=desk_domain)
-
-
-@pytest.fixture(scope="session")
 def exhaust_run(desk_config):
     cfg = replace(desk_config, grad_tol=1e-4)
     return _timed(exhaust_domains, [2.0, 3.0, 4.0, 5.0, 6.0], cfg)
@@ -104,11 +98,6 @@ def small_cm(small_config, small_domain):
 @pytest.fixture(scope="session")
 def small_mp(small_config, small_domain):
     return solve_mountain_pass(small_config, domain=small_domain)
-
-
-@pytest.fixture(scope="session")
-def small_nd(small_config, small_domain):
-    return nehari_descent(small_config, domain=small_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from heisground.cc_diag import classify_sequence, dilate_field, energy_split, no
 from heisground.functionals import eval_J, grad_J
 from heisground.grid import ScalarField, build_ball_grid, e_norm, inner, lq_norm, sublaplacian_values
 from heisground.heis_core import calculus_check_suite
-from heisground.solvers import make_domain
+from heisground.solvers import _Energy, _morse_index, make_domain
 
 RESULTS = []
 
@@ -103,16 +103,16 @@ def test_criterion_4_constrained_min(cm_run, desk_domain):
     )
 
 
-def test_criterion_5_mountain_pass(mp_run, cm_run, nd_run):
+def test_criterion_5_mountain_pass(mp_run, cm_run, desk_domain):
     mp = mp_run["report"]
     cm = cm_run["report"]
-    nd = nd_run["report"]
     c_k = mp.level
     gn = mp.extra["grad_norm"]
     inner_gu = abs(mp.extra["inner_gu"])
     id_def = abs(mp.extra["identity_defect"])
     gap_methods = abs(eval_J(cm.field, 2.0) - c_k) / c_k
-    gap_nehari = abs(nd.level - c_k) / c_k
+    # A mountain-pass ground state is a saddle of Morse index 1.
+    index, eigs, _ = _morse_index(_Energy(desk_domain, 2.0), mp.field.interior())
     ok = (
         mp.converged
         and c_k > 0.0
@@ -120,14 +120,15 @@ def test_criterion_5_mountain_pass(mp_run, cm_run, nd_run):
         and inner_gu <= 1e-6 * max(1.0, c_k)
         and id_def <= 1e-6 * c_k
         and gap_methods < 1e-2
-        and gap_nehari < 1e-3
+        and index == 1
     )
     _crit(
         5,
         ok,
         f"mountain pass: c_k={c_k:.6f}, |grad|={gn:.1e}, <g,u>={inner_gu:.1e}, "
         f"identity {id_def:.1e}, method gap {gap_methods:.1e}, "
-        f"Nehari gap {gap_nehari:.1e}",
+        f"Morse index {index} (Hessian eigenvalues {np.round(eigs, 3).tolist()}), "
+        f"{mp_run['seconds']:.1f}s",
     )
 
 

@@ -27,13 +27,14 @@ from heisground.solvers import (
     Domain,
     SolverConfig,
     _Energy,
+    _morse_index,
+    _newton_polish,
     _pcg,
     _ray_descent,
     compare_methods,
     exhaust_domains,
     fit_decay,
     make_domain,
-    nehari_descent,
     radial_bump,
     solve_constrained_min,
     solve_mountain_pass,
@@ -128,7 +129,7 @@ class TestConstrainedMin:
         )
         assert rep.converged and rep.extra["stop_reason"] == "grad_tol"
         assert rep.iterations < 200
-        # The projected start (ratio 3.0); from the last solution alone 12.3.
+        # The projected start (ratio 3.7); from the last solution alone 12.3.
         assert 0 < rep.extra["cg_iterations"] < 5 * rep.iterations
         assert rep.level <= l2_alpha
         assert rep.level == pytest.approx(l2_alpha, rel=1e-6)
@@ -147,6 +148,26 @@ class TestConstrainedMin:
         assert (rep.converged, rep.iterations, len(rep.trace)) == (False, 5, 5)
         assert rep.extra["stop_reason"] == "max_iters"
         assert rep.extra["grad_norm"] == rep.trace[-1][2]
+
+    def test_cg_tolerance_is_relative_to_the_right_hand_side(self, monkeypatch):
+        # Here |mu v_+^p| is about 37, so a CG tolerance of 0.1 |g| read as
+        # relative to it was met by the projected start once |g| < 1e-2: CG
+        # ran no iteration, the iterate froze and the solve stalled at
+        # |g| = 0.018.
+        counts = []
+        pcg = solvers._pcg
+
+        def counting(A, b, x, inv_diag, rtol):
+            out = pcg(A, b, x, inv_diag, rtol)
+            counts.append(out[0])
+            return out
+
+        monkeypatch.setattr(solvers, "_pcg", counting)
+        rep = solve_constrained_min(SolverConfig(p=2.5, ball_radius=1.0, nodes_per_axis=12,
+                                                 grad_tol=1e-5))
+        assert rep.converged and rep.extra["stop_reason"] == "grad_tol"
+        assert rep.iterations < 60
+        assert min(counts) > 0
 
     @staticmethod
     def _rising_constrained(monkeypatch, rise):
@@ -172,7 +193,7 @@ class TestConstrainedMin:
         # 64 ulps of I ~ 3.4 is 4.8e-14; |g| keeps falling, so no stall.
         self._rising_constrained(monkeypatch, 1e-14)
         rep = solve_constrained_min(small_config, domain=small_domain)
-        assert rep.converged and rep.iterations == 74
+        assert rep.converged and rep.iterations == 71
 
     def test_non_finite_step_raises(self, small_config, small_domain, monkeypatch):
         self._rising_constrained(monkeypatch, np.nan)
@@ -303,15 +324,12 @@ class TestMountainPass:
         assert small_mp.level > 0.0
 
     def test_max_iters(self, small_config, small_domain):
-        # The budget ends the ray descent from the ray's top after 3 steps.
+        # The budget ends the descent after 3 steps; an unconverged descent
+        # is not polished, and grad_norm is |grad J| at its Nehari scaling.
         rep = solve_mountain_pass(replace(small_config, max_iters=3), domain=small_domain)
         assert (rep.converged, rep.iterations) == (False, 3)
         assert rep.extra["stop_reason"] == "max_iters"
-
-    def test_nehari_max_iters(self, small_config, small_domain):
-        rep = nehari_descent(replace(small_config, max_iters=3), domain=small_domain)
-        assert (rep.converged, rep.iterations) == (False, 3)
-        assert rep.extra["stop_reason"] == "max_iters"
+        assert rep.extra["grad_norm"] > 1e-3
 
     def test_criticality(self, small_mp, small_config):
         u = small_mp.field
@@ -340,9 +358,44 @@ class TestMountainPass:
         assert (rep.converged, rep.iterations) == (True, 1)
         assert rep.level == pytest.approx(small_mp.level, rel=1e-12)
 
-    def test_agrees_with_nehari_oracle(self, small_mp, small_nd):
-        gap = abs(small_nd.level - small_mp.level) / small_mp.level
-        assert gap < 1e-3
+    def test_agrees_with_nehari_oracle(self, small_mp, small_cm, small_config):
+        # Constrained-min's state minimizes I on the constraint, and so the
+        # ray maximum: the top of its ray is the Nehari level.
+        oracle = nehari_scale(small_cm.field, small_config.p)[1]
+        assert abs(oracle - small_mp.level) / small_mp.level < 1e-8
+
+
+class TestNewtonPolish:
+    def test_reaches_the_rounding_floor(self, small_domain, small_config):
+        energy = _Energy(small_domain, small_config.p)
+        v, *_ = _ray_descent(energy, radial_bump(small_domain).interior(), 1e-3, 1000, [])
+        w0 = energy.ray_max(v)[0] * v
+        start = energy.norm(energy.grad(w0))
+        w, gn = _newton_polish(energy, w0)
+        assert start > 1e-4 and gn <= 1e-11
+        assert gn == energy.norm(energy.grad(w))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_never_raises_the_gradient(self, small_domain, small_config, scale):
+        # Far from a critical point Newton need not converge, but no step
+        # the line search accepts raises |G|.
+        energy = _Energy(small_domain, small_config.p)
+        w0 = scale * energy.ray_max(radial_bump(small_domain).interior())[0] \
+            * radial_bump(small_domain).interior()
+        w, gn = _newton_polish(energy, w0)
+        assert np.isfinite(gn) and gn <= energy.norm(energy.grad(w0))
+
+    def test_index_one_at_the_ground_state(self, small_mp, small_domain, small_config):
+        index, eigs, _ = _morse_index(_Energy(small_domain, small_config.p),
+                                   small_mp.field.interior())
+        assert index == 1 and len(eigs) == 3
+        assert eigs[0] < -1.0 < 0.5 < eigs[1] <= eigs[2]
+
+    def test_index_zero_where_the_hessian_is_a(self, small_domain, small_config):
+        # With no positive part, H = A, whose spectrum lies above 1.
+        energy = _Energy(small_domain, small_config.p)
+        index, eigs, _ = _morse_index(energy, -radial_bump(small_domain).interior())
+        assert index == 0 and eigs[0] > 1.0
 
 
 class TestVectorEnergy:
@@ -352,43 +405,43 @@ class TestVectorEnergy:
         u = radial_bump(small_domain)
         u = u.with_values(0.4 * (16 * u.values))
         v = u.interior()
-        assert energy.J(v) == pytest.approx(eval_J(u, p), rel=1e-13)
         assert np.allclose(energy.grad(v), grad_J(u, p).interior(), rtol=0, atol=1e-13)
         assert energy.ray_max(v) == pytest.approx(nehari_scale(u, p), rel=1e-13)
         assert energy.norm(v) == pytest.approx(l2_norm(u), rel=1e-13)
         assert np.array_equal(energy.field(v).values, u.values)
 
     def test_ray_descent_gradient_norm_at_returned_iterate(self, small_domain, small_config):
-        # A max_iters exit returns the gradient norm of the iterate it
-        # returns, not of the one before the last step.
+        # A max_iters exit returns the projected gradient norm of the
+        # iterate it returns, not of the one before the last step.
         p = small_config.p
         energy = _Energy(small_domain, p)
         trace = []
-        w, j_max, converged, iters, gn, _ = _ray_descent(
-            energy, radial_bump(small_domain).interior(), solvers._STEP_SIZE,
-            1e-12, 5, trace,
-        )
-        assert (converged, iters, len(trace)) == (False, 5, 5)
-        assert gn == pytest.approx(l2_norm(grad_J(energy.field(w), p)), rel=1e-12)
-        assert trace[-1][1:] == (j_max, gn)
-        assert nehari_scale(energy.field(w), p)[0] == pytest.approx(1.0, rel=1e-12)
+        v, iters, gn, stop, _ = _ray_descent(
+            energy, radial_bump(small_domain).interior(), 1e-12, 5, trace)
+        assert (stop, iters, len(trace)) == ("max_iters", 5, 5)
+        normal = _pos_pow(v, p)
+        av = energy.A @ v
+        g = av - energy.inner(av, normal) / energy.inner(normal, normal) * normal
+        assert gn == pytest.approx(energy.norm(g), rel=1e-12)
+        assert trace[-1] == (4, 0.5 * energy.norm_sq(v), gn)
+        assert energy.mass(v) == pytest.approx(1.0, rel=1e-12)
 
     def test_ray_descent_stop_reasons(self, small_domain, small_config, monkeypatch):
         energy = _Energy(small_domain, small_config.p)
         v = radial_bump(small_domain).interior()
-        tau = solvers._STEP_SIZE
-        assert _ray_descent(energy, v, tau, 1e-12, 5, [])[5] == "max_iters"
-        assert _ray_descent(energy, v, tau, 1e3, 5, [])[2:] == (True, 1, ANY, "grad_tol")
-        monkeypatch.setattr(solvers, "_armijo_descent", lambda *args, **kw: None)
-        w, _, converged, iters, _, stop = _ray_descent(energy, v, tau, 1e-12, 5, [])
-        assert (converged, iters, stop) == (False, 1, "no_descent")
+        assert _ray_descent(energy, v, 1e-12, 5, [])[1:4:2] == (5, "max_iters")
+        assert _ray_descent(energy, v, 1e3, 5, [])[1:4:2] == (1, "grad_tol")
+        iters, _, stop, _ = _ray_descent(energy, v, 1e-15, 1000, [])[1:]
+        assert stop == "stall" and iters < 500
+        monkeypatch.setattr(solvers, "_pcg", lambda A, b, x, inv_diag, rtol: (3, False))
+        assert _ray_descent(energy, v, 1e-12, 5, [])[1:] == (1, ANY, "no_descent", 3)
 
     def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
         v = radial_bump(small_domain).interior()
         v[3] = np.nan
         with pytest.raises(NumericError):
-            _ray_descent(energy, v, solvers._STEP_SIZE, 1e-6, 10, [])
+            _ray_descent(energy, v, 1e-6, 10, [])
 
     def test_mountain_pass_rejects_u0_off_the_domain(self, small_domain, small_config):
         u0 = ScalarField(small_domain.grid, np.ones(small_domain.grid.shape),
@@ -399,12 +452,12 @@ class TestVectorEnergy:
 
 @pytest.fixture(scope="module")
 def default_tol_runs(small_domain):
-    """The three solvers at the default grad_tol on the small ball, each with
-    the number of ScalarFields it built."""
+    """Both solvers at the default grad_tol on the small ball, each with the
+    number of ScalarFields it built."""
     cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12)
     original = ScalarField.__post_init__
     runs = {}
-    for solver in (solve_mountain_pass, nehari_descent, solve_constrained_min):
+    for solver in (solve_mountain_pass, solve_constrained_min):
         built = [0]
 
         def counting(self):
@@ -419,14 +472,12 @@ def default_tol_runs(small_domain):
 
 
 class TestDefaultTolerance:
-    @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent"])
-    def test_ray_descent_stall_exit(self, default_tol_runs, method):
-        # Here the Armijo decrease c1 tau |g|^2 vanishes against J ~ 50
-        # before |g| < 1e-6: the ray descent stops on a run of flat steps.
-        rep, _ = default_tol_runs[1][method]
-        assert not rep.converged
-        assert rep.extra["stop_reason"] == "stall"
-        assert rep.iterations < 2000
+    def test_mountain_pass_converges(self, default_tol_runs):
+        # The L^2 ray descent used to stall here at |g| = 3e-6, at this level.
+        rep, _ = default_tol_runs[1]["mountain-pass"]
+        assert rep.converged
+        assert rep.extra["stop_reason"] == "grad_tol"
+        assert rep.extra["grad_norm"] <= 1e-11
         assert rep.level == pytest.approx(50.63977815766826, rel=1e-9)
 
     def test_constrained_min_converges(self, default_tol_runs):
@@ -434,12 +485,12 @@ class TestDefaultTolerance:
         assert rep.converged
         assert rep.extra["stop_reason"] == "grad_tol"
 
-    @pytest.mark.parametrize("method", ["mountain-pass", "nehari-descent", "constrained-min"])
+    @pytest.mark.parametrize("method", ["mountain-pass", "constrained-min"])
     def test_fields_built_only_at_boundaries(self, default_tol_runs, method):
         rep, built = default_tol_runs[1][method]
-        # the H^1 iteration converges in about 90 steps here, and the L^2 ray
-        # descents stall after more than 1000
-        assert rep.iterations > (50 if method == "constrained-min" else 1000)
+        # the H^1 iteration converges in about 100 steps here; the polish
+        # works on vectors too
+        assert rep.iterations > 50
         assert built <= 4
 
 
@@ -459,6 +510,9 @@ class TestCrossMethod:
         assert rep.level_gap_rel < 1e-2
         assert rep.bridge_defect_rel < 1e-2
         assert rep.both_positive
+        # one loop from one bump: the fields are compared where they lie
+        assert rep.field_distance_rel < 1e-4
+        assert rep.morse_index == 1 and rep.as_dict()["morse_index"] == 1
 
 
 class TestFitDecay:
@@ -507,6 +561,26 @@ class TestExhaustion:
         for e in rep.entries:
             assert e.max_value > 0.95
             assert e.decay.delta > 0.0
+
+    def test_first_ball_leaves_a_symmetric_saddle(self):
+        # On the 48^3 grid of k = 6 the k = 2 ball's centered bump stops
+        # beside an index-2 saddle at 1e-4, and the polish lands on it.
+        cfg = SolverConfig(p=2.0, ball_radius=6.0, nodes_per_axis=48, grad_tol=1e-4)
+        grid = make_domain(cfg).grid
+        dom = Domain(grid, ball_mask(grid, 2.0), 2.0)
+        energy = _Energy(dom, cfg.p)
+        saddle = solve_mountain_pass(cfg, domain=dom)
+        assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
+        assert _morse_index(energy, saddle.field.interior())[0] == 2
+        rep = solvers._leave_saddle(cfg, dom, saddle)
+        assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
+        assert _morse_index(energy, rep.field.interior())[0] == 1
+        # exhaust_domains certifies its first ball the same way
+        first = exhaust_domains([2.0, 6.0], cfg).entries[0]
+        assert first.level == pytest.approx(rep.level, rel=1e-12)
+
+    def test_ground_state_is_kept(self, small_mp, small_config, small_domain):
+        assert solvers._leave_saddle(small_config, small_domain, small_mp) is small_mp
 
     def test_rejects_bad_radii(self, small_config):
         with pytest.raises(ConfigurationError):
