@@ -454,6 +454,9 @@ def dilation_normalize(u: ScalarField, q: float):
 
 @dataclass
 class TrichotomyResult:
+    """`classify_sequence`'s verdict, its profiles and the witness of the rule
+    that held."""
+
     verdict: str  # compactness | vanishing | dichotomy | inconclusive
     eps: float
     profiles: list  # one `concentration_profile` list per density

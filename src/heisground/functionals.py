@@ -90,10 +90,12 @@ def _gradient(A, v: np.ndarray, p: float) -> np.ndarray:
 
 
 def eval_I(u: ScalarField) -> float:
+    """I(u) = ||u||^2 / 2, half the discrete energy norm (`e_norm_sq`)."""
     return 0.5 * e_norm_sq(u)
 
 
 def eval_J(u: ScalarField, p: float) -> float:
+    """J(u) = ||u||^2 / 2 - int u_+^(p+1) / (p+1), the discrete energy."""
     check_exponent(p)
     return _energy(e_norm_sq(u), _constraint_mass(u.values, p, u.grid.cell_volume), p)
 
@@ -155,6 +157,7 @@ class EnergyBreakdown:
 
 
 def energy_breakdown(u: ScalarField, p: float) -> EnergyBreakdown:
+    """J, I, ||u||^2, ||u_+||_(p+1) and the L^2 norm of the residual of u."""
     check_exponent(p)
     nsq = e_norm_sq(u)
     mass = _constraint_mass(u.values, p, u.grid.cell_volume)

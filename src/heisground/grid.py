@@ -305,6 +305,7 @@ def integrate(u: ScalarField) -> float:
 
 
 def lq_norm(u: ScalarField, q: float) -> float:
+    """Midpoint-rule L^q norm (int |u|^q)^(1/q), for a finite q >= 1."""
     if not 1 <= q < math.inf:
         raise DomainError(f"L^q norm needs a finite q >= 1, got {q}")
     if q == 2.0:
@@ -318,6 +319,7 @@ def lq_norm(u: ScalarField, q: float) -> float:
 
 
 def l2_norm(u: ScalarField) -> float:
+    """Midpoint-rule L^2 norm, `lq_norm` at q = 2."""
     return lq_norm(u, 2.0)
 
 

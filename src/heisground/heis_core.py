@@ -104,6 +104,7 @@ def group_mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
 
 
 def group_inverse(z: GroupPoint) -> GroupPoint:
+    """z^-1 = (-x, -y, -t): the twist of z z^-1 vanishes."""
     return GroupPoint(tuple(-c for c in z.x), tuple(-c for c in z.y), -z.t)
 
 
@@ -125,6 +126,7 @@ def dilate(lam: float, z: GroupPoint) -> GroupPoint:
 
 
 def homogeneous_dimension(n: int) -> int:
+    """Q = 2n + 2, the exponent of the dilations' Jacobian on H^n."""
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     return 2 * n + 2

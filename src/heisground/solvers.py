@@ -7,7 +7,9 @@ maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is monotone in
 I, so the loop lowers the top of the ray through v.  A^-1 is applied by
 `_pcg`, a Jacobi-preconditioned CG in numpy that repeats scipy's `cg` bit
 for bit, so start-up loads no `scipy.sparse.linalg`; each solve starts
-from the Galerkin projection onto the last four iterates.
+from the Galerkin projection onto the last four iterates.  By default
+both methods start from `radial_bump`, the gauge bump about the t-node
+-h_t/2 where the discrete ground state peaks (see there for why).
 
 Mountain-pass: the path is the ray through a start u0.  J(t u0) -> -inf
 when u0 has a positive part, so every such ray joins 0 to negative energy,
@@ -16,7 +18,7 @@ and for this superlinear J the min-max over them is the Nehari level c_k
 direction, and its converged state, scaled onto the Nehari set, is
 polished by Newton-MINRES steps on grad J = 0 (`_newton_polish`).
 
-Constrained minimization: the loop from the unit bump.  The minimum alpha
+Constrained minimization: the loop from `radial_bump`.  The minimum alpha
 and multiplier lambda = ||u||^2 convert into a PDE solution via
 u* = lambda^(1/(p-1)) u.
 
@@ -115,6 +117,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Domain:
+    """A ball of radius ball_radius: the nodes of grid where mask is true."""
+
     grid: Grid3
     mask: np.ndarray
     ball_radius: float
@@ -162,6 +166,9 @@ _TRACE_STRIDE = 50  # a report keeps every 50th trace record, and the last
 
 @dataclass
 class SolveReport:
+    """One solve's state, level and diagnostics; extra holds the method's
+    own checks (grad_norm, stop_reason and more)."""
+
     field: ScalarField
     level: float
     multiplier: Optional[float]
@@ -195,6 +202,8 @@ class SolveReport:
 
 @dataclass
 class DecayFit:
+    """`fit_decay`'s line log(shell max) = log C - delta rho, and its samples."""
+
     C: float
     delta: float
     r_squared: float
@@ -227,9 +236,21 @@ def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, *, level,
 
 
 def radial_bump(domain: Domain) -> ScalarField:
-    """Centered gauge-radial bump exp(-rho^2), masked to the ball."""
-    rho = domain.grid.gauge_array()
-    return ScalarField(domain.grid, np.exp(-rho * rho), domain.mask)
+    """The gauge bump exp(-rho(z0^-1 w)^2) about z0 = (0, 0, -h_t/2), masked
+    to the ball; rho(z0^-1 w)^4 = (x^2 + y^2)^2 + (t + h_t/2)^2.
+
+    On the cell-centered grid the origin lies halfway between the t-nodes
+    +-h_t/2, and with the forward gradient B the discrete ground state peaks
+    at the node t = -h_t/2.  A bump centered at the origin is symmetric about
+    that midpoint, and the descent from it lingers beside the symmetric
+    critical point (the Peierls-Nabarro barrier in t) until rounding tips it
+    over: 129 steps in place of 68 at k = 4, N = 32 and grad_tol 1e-5.  From
+    +h_t/2 it lands on the mirror member of the pair, a higher minimum.
+    """
+    xs, ys, ts = domain.grid.coordinate_arrays()
+    r2 = xs * xs + ys * ys
+    s = ts + 0.5 * domain.grid.spacing[2]
+    return ScalarField(domain.grid, np.exp(-np.sqrt(r2 * r2 + s * s)), domain.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +631,24 @@ def solve_mountain_pass(
 def solve_constrained_min(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> SolveReport:
-    """CMDOC"""
+    """Minimize I(v) = ||v||^2 / 2 on {int v_+^(p+1) = 1}; alpha is the minimum.
+
+    The start is `radial_bump`, scaled onto the constraint, and
+    `_ray_descent` runs from it until |g| < grad_tol, where g = A v - mu v_+^p
+    is the gradient projected onto the constraint's tangent space, or until
+    it stops unconverged.  The state's positive part is then scaled onto the
+    constraint once more; for a converged run that only strips rounding
+    undershoots.  The multiplier lambda = ||v||^2 = 2 alpha (`multiplier`),
+    and the reported field u* = lambda^(1/(p-1)) v solves
+    Delta_h u - u + u_+^p = 0.  extra holds
+    - constraint_defect: |int v_+^(p+1) - 1| of the reported v;
+    - residual_rel: the L^2 norm of that equation's residual at u*, over
+      ||u*||_2;
+    - cg_iterations: the CG iterations of all the descent's solves;
+    - stop_reason: grad_tol, max_iters, stall or no_descent (see
+      `_ray_descent`); the solve has converged when it is grad_tol;
+    - grad_norm, |g| at the last step, and identity_defect at u*.
+    """
     if domain is None:
         domain = make_domain(config)
     p = config.p
@@ -716,6 +754,8 @@ def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
 
 @dataclass
 class ExhaustionEntry:
+    """One ball of `exhaust_domains`: its level, peak and decay fit."""
+
     radius: float
     level: float
     max_point: GroupPoint
@@ -727,6 +767,8 @@ class ExhaustionEntry:
 
 @dataclass
 class ExhaustionReport:
+    """The entries of `exhaust_domains`, and whether their levels fall with k."""
+
     entries: list
     monotone: bool
     monotone_slack: float
@@ -761,8 +803,8 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     A state of Morse index above 1 is pushed along H's second eigenvector,
     in which the ray maximum falls, and solved again.  From a symmetric
     start the descent can stop beside a symmetric saddle: on the 48^3 grid
-    of k = 6, the k = 2 ball's bump reaches one of index 2 at 82.709, where
-    the ground state is at 61.739.
+    of k = 6, the k = 2 ball's bump centered at the origin reaches one of
+    index 2 at 82.709, where the ground state is at 61.739.
     """
     energy = _Energy(domain, config.p)
     w = rep.field.interior()
@@ -826,6 +868,8 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
 
 @dataclass
 class ComparisonReport:
+    """Both methods' reports on one instance and the checks between them."""
+
     mountain_pass: SolveReport
     constrained: SolveReport
     level_gap_rel: float

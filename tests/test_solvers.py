@@ -41,6 +41,20 @@ from heisground.solvers import (
 )
 
 
+def _origin_bump(domain):
+    """The gauge bump exp(-rho^2) centered at the origin, halfway between the
+    t-nodes +-h_t/2: symmetric about the midpoint that `radial_bump` avoids."""
+    rho = domain.grid.gauge_array()
+    return ScalarField(domain.grid, np.exp(-rho * rho), domain.mask)
+
+
+def _k2_ball_of_the_desk_grid():
+    """(config, domain): the k = 2 ball of the 48^3 grid of k = 6, grad_tol 1e-4."""
+    cfg = SolverConfig(p=2.0, ball_radius=6.0, nodes_per_axis=48, grad_tol=1e-4)
+    grid = make_domain(cfg).grid
+    return cfg, Domain(grid, ball_mask(grid, 2.0), 2.0)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -128,7 +142,8 @@ class TestConstrainedMin:
             SolverConfig(p=2.0, ball_radius=4.0, nodes_per_axis=32, grad_tol=1e-5)
         )
         assert rep.converged and rep.extra["stop_reason"] == "grad_tol"
-        assert rep.iterations < 200
+        # 68 from the bump at t = -h_t/2; 129 from the origin-centered bump
+        assert rep.iterations < 100
         # The projected start (ratio 3.7); from the last solution alone 12.3.
         assert 0 < rep.extra["cg_iterations"] < 5 * rep.iterations
         assert rep.level <= l2_alpha
@@ -153,7 +168,10 @@ class TestConstrainedMin:
         # Here |mu v_+^p| is about 37, so a CG tolerance of 0.1 |g| read as
         # relative to it was met by the projected start once |g| < 1e-2: CG
         # ran no iteration, the iterate froze and the solve stalled at
-        # |g| = 0.018.
+        # |g| = 0.018.  That happens from the origin-centered bump; from
+        # `radial_bump` one CG solve meets its tolerance at the projected
+        # start (step 19, |g| = 0.13) and the descent still converges.
+        monkeypatch.setattr(solvers, "radial_bump", _origin_bump)
         counts = []
         pcg = solvers._pcg
 
@@ -193,7 +211,7 @@ class TestConstrainedMin:
         # 64 ulps of I ~ 3.4 is 4.8e-14; |g| keeps falling, so no stall.
         self._rising_constrained(monkeypatch, 1e-14)
         rep = solve_constrained_min(small_config, domain=small_domain)
-        assert rep.converged and rep.iterations == 71
+        assert rep.converged and rep.iterations == 57
 
     def test_non_finite_step_raises(self, small_config, small_domain, monkeypatch):
         self._rising_constrained(monkeypatch, np.nan)
@@ -562,22 +580,32 @@ class TestExhaustion:
             assert e.max_value > 0.95
             assert e.decay.delta > 0.0
 
-    def test_first_ball_leaves_a_symmetric_saddle(self):
-        # On the 48^3 grid of k = 6 the k = 2 ball's centered bump stops
-        # beside an index-2 saddle at 1e-4, and the polish lands on it.
-        cfg = SolverConfig(p=2.0, ball_radius=6.0, nodes_per_axis=48, grad_tol=1e-4)
-        grid = make_domain(cfg).grid
-        dom = Domain(grid, ball_mask(grid, 2.0), 2.0)
+    def test_first_ball_leaves_a_symmetric_saddle(self, monkeypatch):
+        # On the 48^3 grid of k = 6 the k = 2 ball's origin-centered bump
+        # stops beside an index-2 saddle at 1e-4, and the polish lands on it.
+        cfg, dom = _k2_ball_of_the_desk_grid()
         energy = _Energy(dom, cfg.p)
-        saddle = solve_mountain_pass(cfg, domain=dom)
+        saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
         assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
         assert _morse_index(energy, saddle.field.interior())[0] == 2
         rep = solvers._leave_saddle(cfg, dom, saddle)
         assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
         assert _morse_index(energy, rep.field.interior())[0] == 1
         # exhaust_domains certifies its first ball the same way
+        monkeypatch.setattr(solvers, "radial_bump", _origin_bump)
         first = exhaust_domains([2.0, 6.0], cfg).entries[0]
         assert first.level == pytest.approx(rep.level, rel=1e-12)
+
+    def test_default_start_reaches_the_ground_state(self):
+        # From the bump at t = -h_t/2 neither method meets that saddle
+        # (82.709, alpha 3.9585647), where both stopped from the origin.
+        cfg, dom = _k2_ball_of_the_desk_grid()
+        rep = solve_mountain_pass(cfg, domain=dom)
+        assert rep.converged and rep.level == pytest.approx(61.73916509504, rel=1e-9)
+        assert _morse_index(_Energy(dom, cfg.p), rep.field.interior())[0] == 1
+        cm = solve_constrained_min(cfg, domain=dom)
+        assert cm.converged and cm.iterations < 60
+        assert cm.level == pytest.approx(3.590933303923609, rel=1e-9)
 
     def test_ground_state_is_kept(self, small_mp, small_config, small_domain):
         assert solvers._leave_saddle(small_config, small_domain, small_mp) is small_mp

@@ -1,8 +1,10 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
-name things that exist."""
+name things that exist, and what a module exports of its own is documented."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,3 +40,20 @@ def test_all_names_resolve(module):
     # `from heisground.<module> import *` reads every name in __all__, so a
     # stale entry breaks it.
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _undocumented(obj) -> bool:
+    doc = obj.__doc__ or ""
+    # A dataclass without a docstring gets its signature as __doc__.
+    generated = dataclasses.is_dataclass(obj) and doc.startswith(f"{obj.__name__}(")
+    return generated or len(doc.split()) < 3
+
+
+@pytest.mark.parametrize("module", _modules_with_all(), ids=lambda m: m.__name__)
+def test_own_public_names_have_docstrings(module):
+    # Functions and classes only; a name the module re-exports is documented
+    # where it is defined.
+    own = [getattr(module, name) for name in module.__all__]
+    own = [obj for obj in own if (inspect.isfunction(obj) or inspect.isclass(obj))
+           and obj.__module__ == module.__name__]
+    assert [obj.__name__ for obj in own if _undocumented(obj)] == []
