@@ -7,7 +7,10 @@ maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is monotone in
 I, so the loop lowers the top of the ray through v.  A^-1 is applied by
 `_pcg`, a Jacobi-preconditioned CG in numpy that repeats scipy's `cg` bit
 for bit, so start-up loads no `scipy.sparse.linalg`; each solve starts
-from the Galerkin projection onto the last four iterates.  By default
+from the Galerkin projection onto the last four iterates.  The plain step
+converges linearly, and after it the loop Anderson-mixes over the same
+four iterates (`_anderson_mix`), keeping the mix only where I is no higher
+than after the plain step, so I still never rises.  By default
 both methods start from `radial_bump`, the gauge bump about the t-node
 -h_t/2 where the discrete ground state peaks (see there for why).
 
@@ -244,8 +247,9 @@ def radial_bump(domain: Domain) -> ScalarField:
     at the node t = -h_t/2.  A bump centered at the origin is symmetric about
     that midpoint, and the descent from it lingers beside the symmetric
     critical point (the Peierls-Nabarro barrier in t) until rounding tips it
-    over: 129 steps in place of 68 at k = 4, N = 32 and grad_tol 1e-5.  From
-    +h_t/2 it lands on the mirror member of the pair, a higher minimum.
+    over: 67 steps in place of 17 at k = 4, N = 32 and grad_tol 1e-5 (129
+    in place of 68 without the Anderson mix).  From +h_t/2 it lands on the
+    mirror member of the pair, a higher minimum.
     """
     xs, ys, ts = domain.grid.coordinate_arrays()
     r2 = xs * xs + ys * ys
@@ -355,26 +359,26 @@ _ROUNDING_RISE = 64 * np.finfo(float).eps
 # CG gives up after this many iterations per unknown, as scipy's `cg` does.
 _CG_MAX_ITERS_PER_UNKNOWN = 10
 # Each CG solve starts from the Galerkin projection onto the span of the last
-# _CG_STARTS iterates (Fischer 1998, successive right-hand sides).  A vector
-# whose Cholesky pivot falls below _START_PIVOT_TOL of the largest diagonal
-# of their Gram matrix is left out: successive iterates become nearly
-# collinear as the solve converges.
+# _CG_STARTS iterates (Fischer 1998, successive right-hand sides), and the
+# Anderson mix runs over the same iterates.  A vector whose Cholesky pivot
+# falls below _START_PIVOT_TOL of the largest diagonal of their Gram matrix
+# is left out: successive iterates become nearly collinear as the solve
+# converges.
 _CG_STARTS = 4
 _START_PIVOT_TOL = 1e-12
 
 
-def _projected_start(basis, gram, b: np.ndarray) -> np.ndarray:
-    """The A-norm-best approximation to A^-1 b in the span of `basis`.
+def _gram_solve(gram, rhs):
+    """Solve the small Gram system gram c = rhs; returns (kept, c).
 
-    x = sum_j c_j basis[j] with (V^T A V) c = V^T b, where gram[i][j] =
-    basis[i] . A basis[j].  The small system is solved by a Cholesky in
-    plain Python that skips a vector whose pivot is below _START_PIVOT_TOL
-    of the largest diagonal, so vectors nearer the front of `basis` win.
-    Returns a new array.
+    A Cholesky in plain Python that leaves out an unknown whose pivot is
+    below _START_PIVOT_TOL of the largest diagonal, so unknowns nearer the
+    front win.  kept lists the unknowns it solved for, in order, and c their
+    values; the others are 0.
     """
-    tol = _START_PIVOT_TOL * max(gram[i][i] for i in range(len(basis)))
+    tol = _START_PIVOT_TOL * max(gram[i][i] for i in range(len(rhs)))
     keep, rows = [], []  # rows[a] is row a of the Cholesky factor L
-    for i in range(len(basis)):
+    for i in range(len(rhs)):
         row = []
         for a, j in enumerate(keep):
             row.append((gram[i][j] - sum(row[q] * rows[a][q] for q in range(a))) / rows[a][a])
@@ -382,17 +386,60 @@ def _projected_start(basis, gram, b: np.ndarray) -> np.ndarray:
         if pivot > tol:
             rows.append(row + [pivot ** 0.5])
             keep.append(i)
-    if not keep:
-        return np.zeros_like(b)
     y = []
     for a, i in enumerate(keep):
-        y.append((float(basis[i] @ b) - sum(rows[a][q] * y[q] for q in range(a))) / rows[a][a])
+        y.append((rhs[i] - sum(rows[a][q] * y[q] for q in range(a))) / rows[a][a])
     c = [0.0] * len(keep)
     for a in reversed(range(len(keep))):
         c[a] = (y[a] - sum(rows[q][a] * c[q] for q in range(a + 1, len(keep)))) / rows[a][a]
+    return keep, c
+
+
+def _projected_start(basis, gram, b: np.ndarray) -> np.ndarray:
+    """The A-norm-best approximation to A^-1 b in the span of `basis`.
+
+    x = sum_j c_j basis[j] with (V^T A V) c = V^T b, where gram[i][j] =
+    basis[i] . A basis[j], solved by `_gram_solve`: a vector nearly in the
+    span of those before it is left out.  Returns a new array.
+    """
+    keep, c = _gram_solve(gram, [float(u @ b) for u in basis])
+    if not keep:
+        return np.zeros_like(b)
     x = c[0] * basis[keep[0]]
     for a in range(1, len(keep)):
         x += c[a] * basis[keep[a]]
+    return x
+
+
+def _anderson_mix(basis, resid, rgram, g0: np.ndarray):
+    """The Anderson (type II) candidate from the newest iterates, or None.
+
+    resid[j] = G(basis[j]) - basis[j] is the residual of the fixed-point map
+    G at the j-th newest iterate, g0 = G(basis[0]), and rgram[i][j] =
+    resid[i] . resid[j].  With the differences df_j = resid[j] - resid[j+1],
+    gamma minimizes |resid[0] - sum_j gamma_j df_j| in the plain dot
+    product, through their Gram matrix, which rgram gives without forming
+    them.  The candidate is g0 - sum_j gamma_j (G_j - G_(j+1)), with G_j =
+    basis[j] + resid[j] (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  None
+    when every difference vanishes.
+    """
+    m = len(resid) - 1
+    r = rgram
+    gram = [[r[i][j] - r[i][j + 1] - r[i + 1][j] + r[i + 1][j + 1] for j in range(m)]
+            for i in range(m)]
+    keep, c = _gram_solve(gram, [r[j][0] - r[j + 1][0] for j in range(m)])
+    if not keep:
+        return None
+    gamma = [0.0] * (m + 1)  # gamma[m] = 0 closes the telescoping below
+    for a, j in enumerate(keep):
+        gamma[j] = c[a]
+    # G_0 - sum_j gamma_j (G_j - G_(j+1)) = sum_j (gamma_(j-1) - gamma_j) G_j,
+    # with gamma_(-1) = 1
+    x = (1.0 - gamma[0]) * g0
+    for j in range(1, m + 1):
+        w = gamma[j - 1] - gamma[j]
+        x += w * basis[j]
+        x += w * resid[j]
     return x
 
 
@@ -406,13 +453,13 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
     solve has not converged after _CG_MAX_ITERS_PER_UNKNOWN * n iterations,
     or when p.Ap is not a positive finite number (a breakdown).
     """
-    atol = rtol * np.linalg.norm(b)
+    atol = rtol * math.sqrt(b @ b)
     max_iters = _CG_MAX_ITERS_PER_UNKNOWN * b.size
     r = b - A @ x if x.any() else b.copy()
     z = np.empty_like(r)
     p = rho_prev = None
     for it in range(max_iters):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(r @ r) < atol:
             return it, True
         np.multiply(inv_diag, r, out=z)
         rho = r @ z
@@ -435,31 +482,43 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
 def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     """Minimize I on {int v_+^(p+1) = 1} from v's direction; max_iters >= 1.
 
-    Each step is v <- z / ||z||_{L^(p+1)} with A z = v_+^p solved by `_pcg`
-    to the relative tolerance above, from `_projected_start`: the
+    The plain step is G(v) = z / ||z||_{L^(p+1)} with A z = v_+^p solved by
+    `_pcg` to the relative tolerance above, from `_projected_start`: the
     A-norm-best vector in the span of the last _CG_STARTS iterates, which
     holds the last z.  The iterates' A-products are the A v each step
     computes anyway, so the start costs at most 2 * _CG_STARTS dot products.
     g = A v - mu v_+^p, the L^2 gradient projected onto the constraint's
     tangent space, gives the stopping test.  trace gets (iteration, I, |g|).
 
-    A step is kept while I rises by no more than rounding.  A larger rise
-    stops the descent unconverged (`no_descent`), and so does a CG solve
+    The plain step converges linearly, so each step then mixes over the
+    same window: `_anderson_mix` combines the G(v_j) of the iterates in
+    `basis` from their residuals f_j = G(v_j) - v_j, and the candidate,
+    renormalized, replaces G(v) if its I is no higher.  A candidate with a
+    higher I, or without a positive part, is refused: the step keeps G(v)
+    and the residuals older than f of this step are forgotten.  The
+    residuals' Gram matrix is updated by one row a step, as the A-Gram is,
+    so the mix costs no operator product beyond the candidate's I (one B v).
+    With every candidate refused, the iterates are those of the plain step.
+
+    A plain step is kept while I rises by no more than rounding.  A larger
+    rise stops the descent unconverged (`no_descent`), and so does a CG solve
     that does not converge: it reaches _CG_MAX_ITERS_PER_UNKNOWN * n
     iterations, or p.Ap is not a positive finite number.  The descent also
     stops unconverged after _STALL_STEPS steps in a row in which neither I
     nor |g| reaches a new minimum (`stall`).  I reaches its rounding floor
     long before |g| does, and may then cycle among a few rounded values, so
     the stall rule watches the record lows of both.  Returns (v, iterations,
-    |g|, stop_reason, CG iterations) with v on the constraint.
+    |g|, stop_reason, CG iterations, refused mixes) with v on the constraint.
     """
     i_u, v = energy.constrained(v)
     inv_diag = 1.0 / energy.A.diagonal()
-    cg_iters = 0
+    cg_iters = refused = 0
     # The last _CG_STARTS iterates, newest first, and their Gram matrix in A:
     # z_j = s_j v_(j+1), so they span what the last CG solutions span, and
-    # A v is the `av` each step computes anyway.
-    basis, gram = [], []
+    # A v is the `av` each step computes anyway.  resid[j] = G(basis[j]) -
+    # basis[j], back to the last refused mix, and rgram their plain Gram
+    # matrix.
+    basis, gram, resid, rgram = [], [], [], []
     i_best, gn_best = i_u, np.inf
     flat = 0
     stop = "max_iters"
@@ -498,12 +557,27 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
         if i_next > i_u + _ROUNDING_RISE * abs(i_u):
             stop = "no_descent"
             break
+        f = v_next - v
+        resid = [f] + resid[: _CG_STARTS - 1]
+        rrow = [float(r @ f) for r in resid]
+        rgram = [rrow] + [[a] + old[: _CG_STARTS - 1] for a, old in zip(rrow[1:], rgram)]
+        mix = _anderson_mix(basis, resid, rgram, v_next) if len(resid) > 1 else None
+        if mix is not None:
+            try:
+                i_mix, v_mix = energy.constrained(mix)
+            except AlgorithmError:  # the candidate has no positive part
+                i_mix = np.inf
+            if i_mix <= i_next:
+                i_next, v_next = i_mix, v_mix
+            else:
+                refused += 1
+                resid, rgram = resid[:1], [rrow[:1]]
         if i_next < i_best:
             i_best, flat = i_next, 0
         else:
             flat += 1
         i_u, v = i_next, v_next
-    return v, it + 1, gn, stop, cg_iters
+    return v, it + 1, gn, stop, cg_iters, refused
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +666,9 @@ def solve_mountain_pass(
     maximum.  A converged descent's state, scaled onto the Nehari set, is
     polished by `_newton_polish`.  c_k is the ray maximum of the reported
     state and grad_norm is |grad J| there; the solve has converged when the
-    descent has and that norm is below grad_tol.  The trace is the
-    descent's.  A u0 without a positive part has no top: DomainError.
+    descent has and that norm is below grad_tol.  The trace, cg_iterations
+    and mix_refused are the descent's.  A u0 without a positive part has no
+    top: DomainError.
     """
     if domain is None:
         domain = make_domain(config)
@@ -606,7 +681,8 @@ def solve_mountain_pass(
     v0 = u0.values[domain.mask]
     energy.ray_max(v0)  # DomainError without a positive part
     trace = []
-    v, iters, _, stop, _ = _ray_descent(energy, v0, config.grad_tol, config.max_iters, trace)
+    v, iters, _, stop, cg_iters, refused = _ray_descent(
+        energy, v0, config.grad_tol, config.max_iters, trace)
     t_star, _ = energy.ray_max(v)
     w = t_star * v
     if stop == "grad_tol":
@@ -622,7 +698,7 @@ def solve_mountain_pass(
     return _report(
         u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
-        grad_norm=gn, stop_reason=stop,
+        grad_norm=gn, stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=critical_identity_defect(u_k, p),
     )
@@ -644,7 +720,8 @@ def solve_constrained_min(
     - constraint_defect: |int v_+^(p+1) - 1| of the reported v;
     - residual_rel: the L^2 norm of that equation's residual at u*, over
       ||u*||_2;
-    - cg_iterations: the CG iterations of all the descent's solves;
+    - cg_iterations: the CG iterations of all the descent's solves, and
+      mix_refused: the mixed candidates it refused;
     - stop_reason: grad_tol, max_iters, stall or no_descent (see
       `_ray_descent`); the solve has converged when it is grad_tol;
     - grad_norm, |g| at the last step, and identity_defect at u*.
@@ -654,7 +731,7 @@ def solve_constrained_min(
     p = config.p
     energy = _Energy(domain, p)
     trace = []
-    v, iters, gn, stop, cg_iters = _ray_descent(
+    v, iters, gn, stop, cg_iters, refused = _ray_descent(
         energy, radial_bump(domain).interior(), config.grad_tol, config.max_iters, trace)
 
     # Final positivity projection + exact renormalization; for a converged
@@ -667,7 +744,7 @@ def solve_constrained_min(
     return _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
         iterations=iters, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
-        stop_reason=stop, cg_iterations=cg_iters,
+        stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
         constraint_defect=abs(energy.mass(v) - 1.0),
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=critical_identity_defect(u_star, p),
