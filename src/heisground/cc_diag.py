@@ -148,7 +148,11 @@ def _padded_cumsum(values: np.ndarray, last: int) -> np.ndarray:
     before and `last` copies of the column total after, plus one zero row
     that off-grid columns read: shape (nx ny + 1, nt + 2 last + 1).
 
-    It depends on the density and on `last` only, not on the radius.
+    It depends on the density and on `last` only, not on the radius.  The
+    density is >= 0 and np.cumsum adds along the column in order, so each
+    row is nondecreasing in floating point too (fl(F + v) >= F for v >= 0).
+    A window sum fl(F[hi] - F[lo]) with lo <= hi thus lies in [0, F[hi]]:
+    it is at most the row's last entry, the column total.
     """
     nx, ny, nt = values.shape
     csum = np.zeros((nx * ny + 1, nt + 2 * last + 1))
@@ -157,43 +161,41 @@ def _padded_cumsum(values: np.ndarray, last: int) -> np.ndarray:
     return csum
 
 
-def _ball_masses(grid: Grid3, csum, R: float, ia, ib, a, b, c0, t_stride, ntc):
-    """Gauge-ball masses about every xy-center (a[k], b[k]) and every
-    t-center c0 + l * t_stride * h_t, l < ntc; shape (len(a), ntc).
+def _window_ends(grid: Grid3, R: float, ia, ib, a, b, c0, t_stride, ntc):
+    """Window ends of the gauge balls about every xy-center (a[k], b[k]) at
+    the t-center c0, one block of at most _CHUNK (center, column) pairs at
+    a time.
 
-    `csum` is `_padded_cumsum(values, t_stride * (ntc - 1))` of the density.
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
     s = (R^4 - r2^2)^(1/2); interval sums are differences of a t-axis
     cumulative sum.  The t-centers sit on the node lattice, so the window
     ends of a (center column, disc column) pair move by exactly t_stride
     cells from one t-center to the next: they are found once, at c0, and
-    clipped to [-last, nt], last = t_stride (ntc - 1).  The padding makes a
-    clipped end read 0 or the column total at every t-center, so a window
-    end is one strided row of ntc entries.  Center k visits only the
-    columns (ia[k], ib[k]) + (ox, oy) within reach of R, off-grid ones
-    reading the zero row, and sums them in row-major order.
+    clipped to [-last, nt], last = t_stride (ntc - 1).  Center k visits only
+    the columns (ia[k], ib[k]) + (ox, oy) within reach of R, in row-major
+    order, off-grid ones reading the zero row.
+
+    Yields (k, row, hi, lo): the slice k of centers and, per (center,
+    column), the column's row of `_padded_cumsum(values, last)` and the
+    flat indices into that array of the window's two ends, hi >= lo.  The
+    ball is open, so a node exactly on its sphere lies outside at either
+    end.  None of them depends on the density.
     """
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
     last = t_stride * (ntc - 1)
+    width = nt + 2 * last + 1  # one row of the padded cumsum
     R = min(R, _radius_cap(grid, a, b, c0, c0 + last * ht))
     xs, ys = grid.axis_coords(0), grid.axis_coords(1)
     ox, oy = _disc_offsets(
         grid, R, float(np.abs(a - xs[ia]).max()), float(np.abs(b - ys[ib]).max())
     )
-    width = csum.shape[1]
-    step = csum.strides[1]  # rows[i] = csum.flat[i : i + last + 1 : t_stride]
-    rows = np.lib.stride_tricks.as_strided(
-        csum.ravel(), (csum.size - last, ntc), (step, t_stride * step), writeable=False)
     hx, hy = grid.spacing[:2]
     R4 = R**4
     mid0 = (c0 - t0) / ht - 0.5
-    ncol, nxy = len(ox), len(a)
-    k_ends = max(1, _CHUNK // ncol)  # xy-centers per block of window ends
-    k_rows = max(1, k_ends // ntc)  # xy-centers per gather
-    masses = np.empty((nxy, ntc))
-    for k0 in range(0, nxy, k_ends):
+    k_ends = max(1, _CHUNK // len(ox))  # xy-centers per block
+    for k0 in range(0, len(a), k_ends):
         k = slice(k0, k0 + k_ends)
         # skip the offsets that leave the grid for every center of the block
         use = ((ox >= -ia[k].max()) & (ox < nx - ia[k].min())
@@ -205,17 +207,61 @@ def _ball_masses(grid: Grid3, csum, R: float, ia, ib, a, b, c0, t_stride, ntc):
         dy = (grid.corner[1] + (cj + 0.5) * hy) - b[k, None]
         r2 = dx * dx + dy * dy
         half = np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht
-        # node t0 + (i + 1/2) ht is within s of c0 + 2b dx - 2a dy for
-        # lo <= i < hi; ceil and clip are monotone, so hi >= lo
+        # node t0 + (i + 1/2) ht is within s of c0 + 2b dx - 2a dy, strictly,
+        # for mid - half < i < mid + half, so for lo <= i < hi; the min keeps
+        # hi >= lo when mid - half == mid + half is an integer
         mid = (2.0 * b[k, None] * dx - 2.0 * a[k, None] * dy) / ht + mid0
         on_grid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-        start = np.where(on_grid, ci * ny + cj, nx * ny) * width + last
-        hi = start + np.clip(np.ceil(mid + half), -last, nt).astype(np.int64)
-        lo = start + np.clip(np.ceil(mid - half), -last, nt).astype(np.int64)
-        for j in range(0, len(hi), k_rows):
-            col = rows[hi[j:j + k_rows]]
-            col -= rows[lo[j:j + k_rows]]
-            masses[k0 + j:k0 + j + k_rows] = col.sum(axis=1) * grid.cell_volume
+        row = np.where(on_grid, ci * ny + cj, nx * ny)
+        start = row * width + last
+        hi = np.clip(np.ceil(mid + half), -last, nt)
+        lo = np.minimum(np.clip(np.floor(mid - half) + 1.0, -last, nt), hi)
+        hi = start + hi.astype(np.int64)
+        lo = start + lo.astype(np.int64)
+        yield k, row, hi, lo
+
+
+def _strided_rows(csum: np.ndarray, t_stride: int, ntc: int) -> np.ndarray:
+    """Read-only view with rows[i] = csum.flat[i : i + last + 1 : t_stride],
+    last = t_stride (ntc - 1): a window end's entries at the ntc t-centers.
+
+    The padding of `_padded_cumsum` makes an end clipped to [-last, nt]
+    read 0 or the column total at every t-center.
+    """
+    step = csum.strides[1]
+    return np.lib.stride_tricks.as_strided(
+        csum.ravel(), (csum.size - t_stride * (ntc - 1), ntc), (step, t_stride * step),
+        writeable=False)
+
+
+def _gather(rows: np.ndarray, hi, lo, w: float) -> np.ndarray:
+    """Ball masses at every t-center of the centers whose window ends are
+    the rows of hi and lo: the column differences of the strided rows,
+    summed in the columns' row-major order, times the cell volume w.
+
+    A center's masses do not depend on the centers gathered with it.
+    """
+    ncol, ntc = hi.shape[1], rows.shape[1]
+    n = max(1, _CHUNK // (ncol * ntc))  # centers per gather
+    masses = np.empty((len(hi), ntc))
+    for j in range(0, len(hi), n):
+        col = rows[hi[j:j + n]]
+        col -= rows[lo[j:j + n]]
+        masses[j:j + n] = col.sum(axis=1) * w
+    return masses
+
+
+def _ball_masses(grid: Grid3, csum, R: float, ia, ib, a, b, c0, t_stride, ntc):
+    """Gauge-ball masses about every xy-center (a[k], b[k]) and every
+    t-center c0 + l * t_stride * h_t, l < ntc; shape (len(a), ntc).
+
+    `csum` is `_padded_cumsum(values, t_stride * (ntc - 1))` of the
+    density: the window ends of `_window_ends`, gathered for every center.
+    """
+    rows = _strided_rows(csum, t_stride, ntc)
+    masses = np.empty((len(a), ntc))
+    for k, _, hi, lo in _window_ends(grid, R, ia, ib, a, b, c0, t_stride, ntc):
+        masses[k] = _gather(rows, hi, lo, grid.cell_volume)
     return masses
 
 
@@ -238,6 +284,9 @@ def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
 # Centers whose ball mass is within this fraction of the maximum tie with it.
 _TIE_REL = 1e-12
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+
 
 def concentration(density: MassDensity, R: float, center_stride: int = 2):
     """Max gauge-ball mass over a strided lattice of candidate centers.
@@ -256,28 +305,93 @@ def concentration_profile(density: MassDensity, R_grid, center_stride: int = 2) 
     nearest their mean (x, y, t), the first in (x, y, t) order on a tie, so
     rounding-level differences between near-equal balls cannot move it across
     a flat density.  Stride error is bounded by the mass of one cell
-    shell, which is all the classifier needs.  The t-centers are nodes, so
-    `_ball_masses` reads every t-center from one padded t-cumsum, which
-    depends on the density and the stride only and is built once for all R.
+    shell, which is all the classifier needs.
+
+    Most centers are never gathered, yet Q, the tie set and the center are
+    those of the whole lattice bit for bit.  A center's computed mass at
+    every t-center is at most its bound (`_mass_bounds`), and a center is
+    gathered only when its bound reaches q (1 - _TIE_REL) for the largest
+    mass q gathered so far.  Both products round monotonically and q <= Q,
+    so a center left out holds less than Q (1 - _TIE_REL) as computed: it
+    is neither the maximum nor in the tie set.
     """
-    _check_count(center_stride, "center stride")
-    grid = density.field.grid
-    ia = np.arange(0, grid.shape[0], center_stride)
-    ib = np.arange(0, grid.shape[1], center_stride)
-    cts = grid.axis_coords(2)[::center_stride]
-    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
-    csum = _padded_cumsum(density.field.values, center_stride * (len(cts) - 1))
-    prof = []
+    return _lattice_profiles([density], R_grid, center_stride)[0]
+
+
+def _mass_bounds(totals: np.ndarray, row, hi, lo, w: float) -> np.ndarray:
+    """Upper bounds on the computed ball masses of a block of centers at
+    every t-center: one row per density (a row of `totals`, its column
+    totals with 0 last for the zero row), one entry per center.
+
+    The bound is B (1 + 4(n + 1)u), u = 2^-53, where B is the sum of the
+    column totals over the center's n columns, empty windows (hi == lo)
+    reading 0, times the cell volume w.  Each computed window sum is at
+    most its column total (see `_padded_cumsum`), and a computed sum of n
+    terms >= 0, in any order, is within gamma = (n-1)u / (1 - (n-1)u) of
+    the exact sum.  With the roundings of the two products by w, the
+    computed mass is at most B (1 + gamma)(1 + u) / ((1 - gamma)(1 - u))
+    <= B / (1 - 2nu) <= B (1 + 4nu) for 2nu <= 1/2, and the extra 4u
+    covers the two roundings of the product by 1 + 4(n + 1)u.  (The
+    relative bounds assume no result is subnormal, below about 2e-308.)
+    """
+    n = hi.shape[1]
+    sums = totals[:, np.where(hi > lo, row, totals.shape[1] - 1)].sum(axis=2)
+    return sums * w * (1.0 + 4 * (n + 1) * _U)
+
+
+def _witness(R: float, k, masses, a, b, cts):
+    """(R, Q, center) from the masses of the xy-centers k, which hold every
+    center of the lattice that can tie with the maximum."""
+    order = np.argsort(k)  # back to (x, y, t) order
+    k, masses = k[order], masses[order]
+    q = float(masses.max())
+    i, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
+    near = np.stack([a[k[i]], b[k[i]], cts[l]], axis=1)
+    j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
+    return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
+
+
+def _lattice_profiles(densities, R_grid, stride) -> list:
+    """`concentration_profile` of every density, all on one grid: one list
+    of (R, Q, center) per density, in one pass.
+
+    The padded t-cumsums depend on the density and the stride only and are
+    built once for all R.  Per radius, each block of `_window_ends` is found
+    once and serves every density.  Per density, the block's center of
+    largest bound (see `concentration_profile`) is gathered first, then
+    every other center whose bound reaches the running maximum less the tie
+    margin.
+    """
+    _check_count(stride, "center stride")
     for R in R_grid:
         _check_radius(R)
-        masses = _ball_masses(grid, csum, R, ia, ib, a, b, cts[0], center_stride, len(cts))
-        q = float(masses.max())
-        k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
-        near = np.stack([a[k], b[k], cts[l]], axis=1)
-        j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
-        prof.append((float(R), q, GroupPoint.of(*(float(c) for c in near[j]))))
-    return prof
+    grid = densities[0].field.grid
+    ia = np.arange(0, grid.shape[0], stride)
+    ib = np.arange(0, grid.shape[1], stride)
+    cts = grid.axis_coords(2)[::stride]
+    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    ntc, w = len(cts), grid.cell_volume
+    csums = [_padded_cumsum(d.field.values, stride * (ntc - 1)) for d in densities]
+    rows = [_strided_rows(csum, stride, ntc) for csum in csums]
+    totals = np.stack([csum[:, -1] for csum in csums])
+    profiles = [[] for _ in densities]
+    for R in R_grid:
+        q_run = [0.0] * len(densities)
+        found = [([], []) for _ in densities]  # gathered centers and their masses
+        for k, row, hi, lo in _window_ends(grid, R, ia, ib, a, b, cts[0], stride, ntc):
+            for i, bound in enumerate(_mass_bounds(totals, row, hi, lo, w)):
+                order = np.argsort(-bound)
+                for take in (order[:1], order[1:]):  # the largest bound first
+                    take = take[bound[take] >= q_run[i] * (1.0 - _TIE_REL)]
+                    if len(take):
+                        masses = _gather(rows[i], hi[take], lo[take], w)
+                        q_run[i] = max(q_run[i], float(masses.max()))
+                        found[i][0].append(take + k.start)
+                        found[i][1].append(masses)
+        for prof, (ks, ms) in zip(profiles, found):
+            prof.append(_witness(R, np.concatenate(ks), np.concatenate(ms), a, b, cts))
+    return profiles
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +635,15 @@ def classify_sequence(
     R_grid = sorted(float(r) for r in R_grid)
     if not R_grid:
         raise DomainError("need at least one probe radius")
-    profiles = [concentration_profile(d, R_grid, center_stride) for d in densities]
+    # one pass per grid; the densities of a sequence normally share one
+    by_grid = {}
+    for i, d in enumerate(densities):
+        by_grid.setdefault(d.field.grid, []).append(i)
+    profiles = [None] * len(densities)
+    for idx in by_grid.values():
+        group = _lattice_profiles([densities[i] for i in idx], R_grid, center_stride)
+        for i, prof in zip(idx, group):
+            profiles[i] = prof
     tail = profiles[-_TAIL:]
 
     # Vanishing: no ball of any probe radius retains mass at the end.

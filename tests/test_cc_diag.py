@@ -1,16 +1,25 @@
 """Concentration-compactness diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from heisground import cc_diag
 from heisground.cc_diag import (
     _MAX_BISECT,
+    _TIE_REL,
     _ball_masses,
+    _gather,
     _gauge_dist_sq4,
     _half_mass_scale,
+    _mass_bounds,
     _padded_cumsum,
+    _strided_rows,
+    _window_ends,
     ball_mass,
     classify_sequence,
     concentration,
@@ -172,14 +181,19 @@ def random_density(grid, seed):
     return normalize_mass(ScalarField(grid, vals, full_mask(grid)), 1.0)
 
 
-def lattice_masses(density, R, stride):
-    """The kernel on concentration's center lattice: (masses, a, b, ts)."""
-    grid = density.field.grid
+def center_lattice(grid, stride):
+    """concentration's candidate centers: (ia, ib, a, b, ts)."""
     ia = np.arange(0, grid.shape[0], stride)
     ib = np.arange(0, grid.shape[1], stride)
     ts = grid.axis_coords(2)[::stride]
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    return ia, ib, grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], ts
+
+
+def lattice_masses(density, R, stride):
+    """The kernel on concentration's center lattice: (masses, a, b, ts)."""
+    grid = density.field.grid
+    ia, ib, a, b, ts = center_lattice(grid, stride)
     csum = _padded_cumsum(density.field.values, stride * (len(ts) - 1))
     masses = _ball_masses(grid, csum, R, ia, ib, a, b, ts[0], stride, len(ts))
     assert masses.shape == (len(a), len(ts))
@@ -264,6 +278,154 @@ class TestBallMassOracle:
             normalize_mass(small_density.field, q)
         with pytest.raises(DomainError):
             dilate_field(small_density.field, 1.0, q)
+
+
+def unpruned_concentration(density, R, stride):
+    """(Q, (x, y, t)) from every mass of the lattice and the tie-centroid
+    rule, with no center left out."""
+    masses, a, b, ts = lattice_masses(density, R, stride)
+    q = float(masses.max())
+    k, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(ts))
+    near = np.stack([a[k], b[k], ts[l]], axis=1)
+    j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
+    return q, tuple(float(c) for c in near[j])
+
+
+def flat_vanishing_density():
+    """The flattest density of test_center_ignores_rounding_ties at seed 0."""
+    grid, mask = flat_grid()
+    rng = np.random.default_rng(0)
+    rng.uniform(size=3)
+    w, rate = rng.uniform(0.4, 0.6), rng.uniform(0.6, 0.8)
+    base = ScalarField(grid, gauge_bump(grid, 0, 0, 0, w), mask)
+    return normalize_mass(dilate_field(base, 1.0 / (1.0 + rate * 6), Q_EXP), Q_EXP)
+
+
+def trimmed_density(monkeypatch):
+    """The density `_second_cluster` probes for a separating pair: zero
+    within B_2(z1) of the witness z1 of Q(1)."""
+    grid, mask = flat_grid()
+    d = normalize_mass(ScalarField(grid, separating_pair(grid, 1.2), mask), Q_EXP)
+    _, z1 = concentration(d, 1.0)
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(cc_diag, "concentration", lambda dens, *_: seen.append(dens) or (0.0, z1))
+        cc_diag._second_cluster(d, 1.0, z1, 2)
+    assert 0.0 < seen[0].field.values.sum() < d.field.values.sum()
+    return seen[0]
+
+
+class TestProfilePass:
+    """The one-pass profiles leave out centers by their mass bound."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["random", "flat", "trimmed"])
+    def test_matches_unpruned_lattice(self, monkeypatch, kind, stride):
+        # R = 1e-300: every mass is 0, so Q = 0 and every center ties
+        radii = [1e-300, 0.25, 1.0, 2.0, 1e308]
+        density = {
+            "random": lambda: random_density(Grid3((10, 10, 13), (0.3, 0.3, 0.3),
+                                                   (-1.5, -1.5, -1.95)), 11),
+            "flat": flat_vanishing_density,
+            "trimmed": lambda: trimmed_density(monkeypatch),
+        }[kind]()
+        prof = concentration_profile(density, radii, stride)
+        for R, (r, q, z) in zip(radii, prof):
+            assert (r, q, (z.x[0], z.y[0], z.t)) == (R, *unpruned_concentration(density, R, stride))
+
+    def test_leaves_out_centers(self, centered_density, monkeypatch):
+        gathered = []
+
+        def gather(rows, hi, lo, w):
+            gathered.append(len(hi))
+            return _gather(rows, hi, lo, w)
+
+        monkeypatch.setattr(cc_diag, "_gather", gather)
+        concentration(centered_density, 1.0)
+        assert 0 < sum(gathered) < 10 * 10  # of the 10 x 10 xy-centers
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), zero_frac=st.floats(0.0, 1.0),
+           stride=st.integers(1, 3), R=st.sampled_from([1e-300, 0.2, 0.5, 1.0, 2.0, 1e308]))
+    def test_bound_holds_at_every_t_center(self, seed, zero_frac, stride, R):
+        # values from 1e-300 to 1, whole columns of zeros
+        grid = Grid3((8, 9, 11), (0.3, 0.25, 0.2), (-1.2, -1.1, -1.1))
+        rng = np.random.default_rng(seed)
+        vals = 10.0 ** rng.uniform(-300.0, 0.0, grid.shape)
+        vals[rng.uniform(size=grid.shape[:2]) < zero_frac] = 0.0
+        ia, ib, a, b, ts = center_lattice(grid, stride)
+        csum = _padded_cumsum(vals, stride * (len(ts) - 1))
+        rows = _strided_rows(csum, stride, len(ts))
+        for _, row, hi, lo in _window_ends(grid, R, ia, ib, a, b, ts[0], stride, len(ts)):
+            bound = _mass_bounds(csum[None, :, -1], row, hi, lo, grid.cell_volume)[0]
+            masses = _gather(rows, hi, lo, grid.cell_volume)
+            assert np.all(masses <= bound[:, None])
+
+    def test_memory_stays_blocked(self):
+        # Every window end of this lattice at once would take 2 x 8.1 MB
+        # (256 xy-centers x 3969 columns x 8 B, for hi and for lo).
+        peak_bound = 4e6  # bytes
+        grid, mask = build_ball_grid(4.0, 32)
+        d = normalize_mass(ScalarField(grid, mask.astype(float), mask), 1.0)
+        tracemalloc.start()
+        try:
+            (_, q, _), = concentration_profile(d, [1e308], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == pytest.approx(1.0, abs=1e-12)
+        assert peak <= peak_bound
+
+    def test_mixed_grids_match_single_profiles(self, box, small_density):
+        grid, mask = box
+        on_box = [normalize_mass(ScalarField(grid, gauge_bump(grid, x, 0.2, 0.3, 0.6), mask),
+                                 Q_EXP) for x in (-0.8, 0.0, 0.8)]
+        dens = [on_box[0], small_density, on_box[1], random_density(small_density.field.grid, 3),
+                on_box[2]]
+        radii = [0.5, 1.0, 2.0]
+        r = classify_sequence(dens, eps=0.05, R_grid=radii)
+        assert r.profiles == [concentration_profile(d, radii) for d in dens]
+
+
+SOLVER_GRID_CASES = [(4.0, 32, 2, 2.0), (4.0, 32, 1, 1.0), (6.0, 48, 2, 1.0),
+                     (6.0, 48, 2, 2.0), (4.0, 40, 2, 1.0), (3.0, 24, 1, 1.0)]
+
+
+class TestSolverGrids:
+    """Ball masses on the grids of `build_ball_grid`.
+
+    The kernel raised "could not broadcast" on these (k, N, stride, R):
+    a block whose center count was not a multiple of the gather size wrote
+    its last gather into the rows of the next block.  The spacings are
+    binary fractions, so nodes lie exactly on gauge spheres.
+    """
+
+    @pytest.mark.parametrize("k, n, stride, R", SOLVER_GRID_CASES)
+    def test_concentration_matches_brute_force(self, k, n, stride, R):
+        grid, mask = build_ball_grid(k, n)
+        rng = np.random.default_rng(n + stride)
+        d = normalize_mass(ScalarField(grid, rng.uniform(size=grid.shape) * mask, mask), 1.0)
+        q, z = concentration(d, R, stride)
+        xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
+        sample = [z] + [GroupPoint.of(rng.choice(xs), rng.choice(ys), rng.choice(ts))
+                        for _ in range(12)]
+        assert max(brute_ball_mass(d, R, c) for c in sample) == pytest.approx(q, rel=1e-12)
+        assert ball_mass(d, R, z) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    def test_nodes_on_the_sphere_are_outside(self, R):
+        # the nodes R^2 above and below a center in its own column have
+        # rho = R exactly; the open ball holds neither
+        grid = Grid3((8, 8, 24), (0.25, 0.25, 0.25), (-1.0, -1.0, -3.0))
+        vals = np.zeros(grid.shape)
+        cells = int(R * R / 0.25)
+        vals[3, 4, [11 - cells, 11 + cells]] = 1.0
+        d = normalize_mass(ScalarField(grid, vals, full_mask(grid)), 1.0)
+        z = grid.node_point((3, 4, 11))
+        assert ball_mass(d, R, z) == brute_ball_mass(d, R, z) == 0.0
+        assert ball_mass(d, R * (1.0 + 1e-9), z) == pytest.approx(1.0, abs=1e-15)
+        q, _ = concentration(d, R, 1)
+        assert q == pytest.approx(0.5, abs=1e-15)  # the balls that hold one node
 
 
 def translated_by_interpolator(u, a, b, c):

@@ -10,7 +10,7 @@ import pytest
 from conftest import flip_y_twist
 from heisground import solvers
 from heisground.cli import _build_parser, main
-from heisground.grid import Grid3, ScalarField, full_mask
+from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.hgf import write_hgf
 from heisground.solvers import SolverConfig
 
@@ -311,6 +311,22 @@ class TestClassify:
         with open(prof) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["index"] for r in rows} == {"0", "1", "2", "3"}
+
+    def test_solver_grid_fields(self, tmp_path, capsys):
+        # fields on the grid of `solve --radius 4 --grid 32`; the ball-mass
+        # kernel used to end this in a "could not broadcast" traceback
+        grid, mask = build_ball_grid(4.0, 32)
+        rho = grid.gauge_array()
+        paths = []
+        for m in range(3):
+            path = tmp_path / f"state{m}.hgf"
+            vals = np.exp(-((rho / (1.0 + 0.5 * m)) ** 2)) * mask
+            write_hgf(str(path), ScalarField(grid, vals, mask), ball_radius=4.0)
+            paths.append(str(path))
+        out = tmp_path / "verdict.json"
+        code = main(["classify", "--inputs", *paths, "--radii", "1.0,2.0", "--out", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["profiles"]) == 3
 
     def test_unreadable_input(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "translating")
