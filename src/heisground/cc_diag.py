@@ -86,11 +86,6 @@ def _check_exponent(q: float) -> None:
         raise DomainError(f"mass exponent q must be finite and >= 1, got {q}")
 
 
-def _check_count(value, what: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
-
-
 def _check_radius(R: float) -> None:
     if not R > 0:
         raise DomainError(f"ball radius must be positive, got {R}")
@@ -122,10 +117,19 @@ def _radius_cap(grid: Grid3, a, b, c_lo: float, c_hi: float) -> float:
     return 2.0 * math.sqrt(math.sqrt(r2 * r2 + dt * dt)) + max(grid.spacing)
 
 
-def _disc_offsets(grid: Grid3, R: float, slack_x: float, slack_y: float):
+def _open_ball(grid: Grid3, center: GroupPoint, R: float) -> np.ndarray:
+    """The nodes w with rho(center^-1 w) < R: the open gauge ball B_R(center).
+
+    R is clamped to `_radius_cap`, which holds every node and keeps R^4
+    finite.
+    """
+    R = min(R, _radius_cap(grid, center.x, center.y, center.t, center.t))
+    return _gauge_dist_sq4(grid, center) < R**4
+
+
+def _disc_offsets(grid: Grid3, R: float):
     """Column offsets (ox, oy), in row-major order, that a gauge ball of
-    radius R can reach from a center within (slack_x, slack_y) of its
-    anchor column.
+    radius R can reach from a center on a node column.
 
     A column at horizontal distance >= R from the center has s = 0 and
     holds no mass; the margin on R keeps every column whose rounded r2
@@ -134,11 +138,11 @@ def _disc_offsets(grid: Grid3, R: float, slack_x: float, slack_y: float):
     hx, hy = grid.spacing[:2]
     nx, ny = grid.shape[:2]
     reach = R * (1.0 + 1e-9) + 1e-6 * max(hx, hy)
-    wx = min(int((reach + slack_x) / hx), nx - 1)
-    wy = min(int((reach + slack_y) / hy), ny - 1)
+    wx = min(int(reach / hx), nx - 1)
+    wy = min(int(reach / hy), ny - 1)
     ox, oy = np.meshgrid(np.arange(-wx, wx + 1), np.arange(-wy, wy + 1), indexing="ij")
-    gx = np.maximum(np.abs(ox) * hx - slack_x, 0.0)
-    gy = np.maximum(np.abs(oy) * hy - slack_y, 0.0)
+    gx = np.abs(ox) * hx
+    gy = np.abs(oy) * hy
     keep = gx * gx + gy * gy < reach * reach
     return ox[keep], oy[keep]
 
@@ -161,10 +165,10 @@ def _padded_cumsum(values: np.ndarray, last: int) -> np.ndarray:
     return csum
 
 
-def _window_ends(grid: Grid3, R: float, ia, ib, a, b, c0, t_stride, ntc):
-    """Window ends of the gauge balls about every xy-center (a[k], b[k]) at
-    the t-center c0, one block of at most _CHUNK (center, column) pairs at
-    a time.
+def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
+    """Window ends of the gauge balls about the nodes (a, b, c0) of the node
+    columns (ia[k], ib[k]) and the first t-node, one block of at most _CHUNK
+    (center, column) pairs at a time.
 
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
@@ -184,13 +188,11 @@ def _window_ends(grid: Grid3, R: float, ia, ib, a, b, c0, t_stride, ntc):
     """
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
+    a, b, c0 = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], grid.axis_coords(2)[0]
     last = t_stride * (ntc - 1)
     width = nt + 2 * last + 1  # one row of the padded cumsum
     R = min(R, _radius_cap(grid, a, b, c0, c0 + last * ht))
-    xs, ys = grid.axis_coords(0), grid.axis_coords(1)
-    ox, oy = _disc_offsets(
-        grid, R, float(np.abs(a - xs[ia]).max()), float(np.abs(b - ys[ib]).max())
-    )
+    ox, oy = _disc_offsets(grid, R)
     hx, hy = grid.spacing[:2]
     R4 = R**4
     mid0 = (c0 - t0) / ht - 0.5
@@ -251,54 +253,36 @@ def _gather(rows: np.ndarray, hi, lo, w: float) -> np.ndarray:
     return masses
 
 
-def _ball_masses(grid: Grid3, csum, R: float, ia, ib, a, b, c0, t_stride, ntc):
-    """Gauge-ball masses about every xy-center (a[k], b[k]) and every
-    t-center c0 + l * t_stride * h_t, l < ntc; shape (len(a), ntc).
-
-    `csum` is `_padded_cumsum(values, t_stride * (ntc - 1))` of the
-    density: the window ends of `_window_ends`, gathered for every center.
-    """
-    rows = _strided_rows(csum, t_stride, ntc)
-    masses = np.empty((len(a), ntc))
-    for k, _, hi, lo in _window_ends(grid, R, ia, ib, a, b, c0, t_stride, ntc):
-        masses[k] = _gather(rows, hi, lo, grid.cell_volume)
-    return masses
-
-
 def ball_mass(density: MassDensity, R: float, center: GroupPoint) -> float:
-    """Mass of the gauge ball B_R(center)."""
+    """Mass of the open gauge ball B_R(center)."""
     _check_radius(R)
     if not center.is_finite():
         raise DomainError(f"ball center must be finite, got {center}")
     grid = density.field.grid
-    a, b = float(center.x[0]), float(center.y[0])
-    # anchor the window at the node column nearest the center
-    ia = np.clip(np.rint((a - grid.corner[0]) / grid.spacing[0] - 0.5), 0, grid.shape[0] - 1)
-    ib = np.clip(np.rint((b - grid.corner[1]) / grid.spacing[1] - 0.5), 0, grid.shape[1] - 1)
-    masses = _ball_masses(grid, _padded_cumsum(density.field.values, 0), R,
-                          np.array([int(ia)]), np.array([int(ib)]),
-                          np.array([a]), np.array([b]), float(center.t), 1, 1)
-    return float(masses[0, 0])
+    return float(density.field.values[_open_ball(grid, center, R)].sum()) * grid.cell_volume
 
 
-# Centers whose ball mass is within this fraction of the maximum tie with it.
+# The candidate ball centers are the nodes at every _CENTER_STRIDE-th index
+# along each axis; those whose ball mass is within _TIE_REL of the maximum
+# tie with it.
+_CENTER_STRIDE = 2
 _TIE_REL = 1e-12
 
 # Unit roundoff of float64.
 _U = 2.0**-53
 
 
-def concentration(density: MassDensity, R: float, center_stride: int = 2):
-    """Max gauge-ball mass over a strided lattice of candidate centers.
+def concentration(density: MassDensity, R: float):
+    """Max gauge-ball mass over the lattice of candidate centers.
 
     Returns (mass, center): the one sample of `concentration_profile` at R.
     """
-    return concentration_profile(density, [R], center_stride)[0][1:]
+    return concentration_profile(density, [R])[0][1:]
 
 
-def concentration_profile(density: MassDensity, R_grid, center_stride: int = 2) -> list:
+def concentration_profile(density: MassDensity, R_grid) -> list:
     """The list of (R, Q(R), center), one per R of R_grid and in its order,
-    over the lattice of candidate centers at every `center_stride`-th node.
+    over the lattice of candidate centers at every _CENTER_STRIDE-th node.
 
     Q(R) is the maximum ball mass, nondecreasing in R; the center is picked
     from the near-maximal centers (mass >= max * (1 - _TIE_REL)) as the one
@@ -315,7 +299,7 @@ def concentration_profile(density: MassDensity, R_grid, center_stride: int = 2) 
     so a center left out holds less than Q (1 - _TIE_REL) as computed: it
     is neither the maximum nor in the tie set.
     """
-    return _lattice_profiles([density], R_grid, center_stride)[0]
+    return _lattice_profiles([density], R_grid)[0]
 
 
 def _mass_bounds(totals: np.ndarray, row, hi, lo, w: float) -> np.ndarray:
@@ -351,21 +335,20 @@ def _witness(R: float, k, masses, a, b, cts):
     return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
 
 
-def _lattice_profiles(densities, R_grid, stride) -> list:
+def _lattice_profiles(densities, R_grid) -> list:
     """`concentration_profile` of every density, all on one grid: one list
     of (R, Q, center) per density, in one pass.
 
-    The padded t-cumsums depend on the density and the stride only and are
-    built once for all R.  Per radius, each block of `_window_ends` is found
-    once and serves every density.  Per density, the block's center of
-    largest bound (see `concentration_profile`) is gathered first, then
-    every other center whose bound reaches the running maximum less the tie
-    margin.
+    The padded t-cumsums depend on the density only and are built once for
+    all R.  Per radius, each block of `_window_ends` is found once and
+    serves every density.  Per density, the block's center of largest bound
+    (see `concentration_profile`) is gathered first, then every other
+    center whose bound reaches the running maximum less the tie margin.
     """
-    _check_count(stride, "center stride")
     for R in R_grid:
         _check_radius(R)
     grid = densities[0].field.grid
+    stride = _CENTER_STRIDE
     ia = np.arange(0, grid.shape[0], stride)
     ib = np.arange(0, grid.shape[1], stride)
     cts = grid.axis_coords(2)[::stride]
@@ -379,7 +362,7 @@ def _lattice_profiles(densities, R_grid, stride) -> list:
     for R in R_grid:
         q_run = [0.0] * len(densities)
         found = [([], []) for _ in densities]  # gathered centers and their masses
-        for k, row, hi, lo in _window_ends(grid, R, ia, ib, a, b, cts[0], stride, ntc):
+        for k, row, hi, lo in _window_ends(grid, R, ia, ib, stride, ntc):
             for i, bound in enumerate(_mass_bounds(totals, row, hi, lo, w)):
                 order = np.argsort(-bound)
                 for take in (order[:1], order[1:]):  # the largest bound first
@@ -476,9 +459,8 @@ def _lq_mass(u: ScalarField, q: float) -> float:
     return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
 
 
-# `dilation_normalize`: the lattice stride of its candidate ball centers, the
-# tolerance on the half-mass fraction and the bisection budget of each scale.
-_CENTER_STRIDE = 2
+# `dilation_normalize`: the tolerance on the half-mass fraction and the
+# bisection budget of each scale.
 _MASS_TOL = 1e-3
 _MAX_BISECT = 60
 
@@ -489,20 +471,28 @@ def _half_mass_scale(fraction, what: str):
     fraction(x) returns a tuple whose first item is the fraction, which
     grows with x.  The bracket grows from x = 1 by halving or doubling, at
     most 20 times, and is then bisected at most _MAX_BISECT times.  Returns
-    (x, fraction(x)) of the first x within tolerance; raises AlgorithmError
-    when there is no bracket or the bisection does not converge.
+    (x, fraction(x)) of the first x within tolerance, a bracket point
+    included; raises AlgorithmError when there is no bracket or the
+    bisection does not converge.
     """
-    lo = hi = 1.0
-    f_lo = f_hi = fraction(1.0)[0]
+    x = lo = hi = 1.0
+    out = fraction(x)
+    f_lo = f_hi = out[0]
     for _ in range(20):
+        if abs(out[0] - 0.5) <= _MASS_TOL:
+            break
         if f_lo > 0.5:
-            lo /= 2.0
-            f_lo = fraction(lo)[0]
+            x = lo = lo / 2.0
+            out = fraction(x)
+            f_lo = out[0]
         elif f_hi < 0.5:
-            hi *= 2.0
-            f_hi = fraction(hi)[0]
+            x = hi = hi * 2.0
+            out = fraction(x)
+            f_hi = out[0]
         else:
             break
+    if abs(out[0] - 0.5) <= _MASS_TOL:
+        return x, out
     if f_lo > 0.5 or f_hi < 0.5:
         raise AlgorithmError(f"could not bracket the {what} in the box")
     for _ in range(_MAX_BISECT):
@@ -534,7 +524,7 @@ def dilation_normalize(u: ScalarField, q: float):
         if m <= 0:
             return 0.0, nu, None
         dens = MassDensity(ScalarField(nu.grid, np.abs(nu.values) ** q / m, nu.mask))
-        frac, center = concentration(dens, 1.0, _CENTER_STRIDE)
+        frac, center = concentration(dens, 1.0)
         return frac, nu, center
 
     lam, (_, nu, center) = _half_mass_scale(ball_fraction, "half-mass dilation")
@@ -592,27 +582,19 @@ class TrichotomyResult:
         }
 
 
-def _second_cluster(density: MassDensity, R: float, z1: GroupPoint, stride: int):
+def _second_cluster(density: MassDensity, R: float, z1: GroupPoint):
     """Best ball mass over centers, excluding nodes within B_2R(z1)."""
     grid = density.field.grid
-    # past the cap the excluded ball holds every node; the cap keeps R^4 finite
-    r_excl = 2.0 * min(R, _radius_cap(grid, z1.x, z1.y, z1.t, z1.t))
-    keep = _gauge_dist_sq4(grid, z1) >= r_excl**4
-    vals = np.where(keep, density.field.values, 0.0)
+    vals = np.where(_open_ball(grid, z1, 2.0 * R), 0.0, density.field.values)
     trimmed = MassDensity(ScalarField(grid, vals, full_mask(grid)))
-    return concentration(trimmed, R, stride)
+    return concentration(trimmed, R)
 
 
 # The classifier reads the last _TAIL densities of a sequence.
 _TAIL = 3
 
 
-def classify_sequence(
-    densities,
-    eps: float,
-    R_grid,
-    center_stride: int = 2,
-) -> TrichotomyResult:
+def classify_sequence(densities, eps: float, R_grid) -> TrichotomyResult:
     """Finite-sequence verdict: compactness / vanishing / dichotomy, or
     inconclusive when no rule holds.
 
@@ -641,7 +623,7 @@ def classify_sequence(
         by_grid.setdefault(d.field.grid, []).append(i)
     profiles = [None] * len(densities)
     for idx in by_grid.values():
-        group = _lattice_profiles([densities[i] for i in idx], R_grid, center_stride)
+        group = _lattice_profiles([densities[i] for i in idx], R_grid)
         for i, prof in zip(idx, group):
             profiles[i] = prof
     tail = profiles[-_TAIL:]
@@ -669,7 +651,7 @@ def classify_sequence(
         seps = []
         for prof, dens in zip(tail, densities[-_TAIL:]):
             z1 = prof[j][2]
-            m2, z2 = _second_cluster(dens, R, z1, center_stride)
+            m2, z2 = _second_cluster(dens, R, z1)
             if m2 < eps:
                 break
             seps.append(gauge(group_mul(group_inverse(z1), z2)))

@@ -39,8 +39,13 @@ _SOLVER_FLAGS = {
 }
 
 
+def _json(obj) -> str:
+    """The JSON text of every report and verdict: indented, keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _write_json(path: str, obj) -> None:
-    hgf.atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    hgf.atomic_write(path, (_json(obj) + "\n").encode())
 
 
 def _fmt(v) -> str:
@@ -119,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--eps", type=float, default=0.1)
     pk.add_argument("--radii", default="0.5,1.0,1.5",
                     help="comma-separated probe ball radii")
-    pk.add_argument("--stride", type=int, default=2)
     pk.add_argument("--out", default="", help="JSON verdict path")
     pk.add_argument("--profiles-csv", default="", help="CSV of Q(R) profiles")
 
@@ -135,10 +139,9 @@ def cmd_calculus_check(args) -> int:
     checks = calculus_check_suite(seed=args.seed)
     failed = [c["name"] for c in checks if not c["passed"]]
     out = {"checks": checks, "failed": failed, "passed": not failed}
-    text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        hgf.atomic_write(args.out, (text + "\n").encode())
-    print(text)
+        _write_json(args.out, out)
+    print(_json(out))
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -163,7 +166,7 @@ def cmd_solve(args) -> int:
     if args.report:
         _write_json(args.report, report)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED
 
 
@@ -223,14 +226,11 @@ def cmd_classify(args) -> int:
             return EXIT_IO
         fields.append(f)
     densities = [cc_diag.normalize_mass(f, args.q) for f in fields]
-    result = cc_diag.classify_sequence(
-        densities, eps=args.eps, R_grid=radii, center_stride=args.stride
-    )
+    result = cc_diag.classify_sequence(densities, eps=args.eps, R_grid=radii)
     out = result.as_dict()
-    text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
-        hgf.atomic_write(args.out, (text + "\n").encode())
-    print(text)
+        _write_json(args.out, out)
+    print(_json(out))
     if args.profiles_csv:
         rows = []
         for m, prof in enumerate(result.profiles):

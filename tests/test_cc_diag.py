@@ -12,7 +12,6 @@ from heisground import cc_diag
 from heisground.cc_diag import (
     _MAX_BISECT,
     _TIE_REL,
-    _ball_masses,
     _gather,
     _gauge_dist_sq4,
     _half_mass_scale,
@@ -191,12 +190,15 @@ def center_lattice(grid, stride):
 
 
 def lattice_masses(density, R, stride):
-    """The kernel on concentration's center lattice: (masses, a, b, ts)."""
+    """The kernel on concentration's center lattice, every center gathered:
+    (masses, a, b, ts)."""
     grid = density.field.grid
     ia, ib, a, b, ts = center_lattice(grid, stride)
     csum = _padded_cumsum(density.field.values, stride * (len(ts) - 1))
-    masses = _ball_masses(grid, csum, R, ia, ib, a, b, ts[0], stride, len(ts))
-    assert masses.shape == (len(a), len(ts))
+    rows = _strided_rows(csum, stride, len(ts))
+    masses = np.empty((len(a), len(ts)))
+    for k, _, hi, lo in _window_ends(grid, R, ia, ib, stride, len(ts)):
+        masses[k] = _gather(rows, hi, lo, grid.cell_volume)
     return masses, a, b, ts
 
 
@@ -205,14 +207,15 @@ class TestBallMassOracle:
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("R", [0.25, 0.5, 1.0, 2.0, 50.0])
-    def test_concentration_matches_brute_force(self, small_density, R, stride):
+    def test_concentration_matches_brute_force(self, small_density, monkeypatch, R, stride):
+        monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
         grid = small_density.field.grid
         xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
         best = max(
             brute_ball_mass(small_density, R, GroupPoint.of(a, b, c))
             for a in xs for b in ys for c in ts
         )
-        q, center = concentration(small_density, R, stride)
+        q, center = concentration(small_density, R)
         assert q == pytest.approx(best, abs=1e-12)
         assert brute_ball_mass(small_density, R, center) == pytest.approx(q, abs=1e-12)
 
@@ -234,9 +237,7 @@ class TestBallMassOracle:
         density = random_density(Grid3((10, 10, 13), (0.3, 0.3, 0.3), (-1.5, -1.5, -1.95)), 11)
         masses, a, b, ts = lattice_masses(density, R, stride)
         centers = [[GroupPoint.of(x, y, t) for t in ts] for x, y in zip(a, b)]
-        single = np.array([[ball_mass(density, R, z) for z in row] for row in centers])
         brute = np.array([[brute_ball_mass(density, R, z) for z in row] for row in centers])
-        assert np.all(np.abs(masses - single) <= 1e-14 * single)
         assert np.max(np.abs(masses - brute)) <= 1e-12
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -257,15 +258,6 @@ class TestBallMassOracle:
     def test_rejects_nonfinite_center(self, small_density, center):
         with pytest.raises(DomainError):
             ball_mass(small_density, 1.0, GroupPoint.of(*center))
-
-    @pytest.mark.parametrize("stride", [0, -3, 1.5])
-    def test_rejects_bad_stride(self, small_density, stride):
-        with pytest.raises(DomainError):
-            concentration(small_density, 1.0, stride)
-        with pytest.raises(DomainError):
-            concentration_profile(small_density, [1.0], stride)
-        with pytest.raises(DomainError):
-            classify_sequence([small_density] * 3, 0.1, [1.0], center_stride=stride)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, -0.1, float("nan")])
     def test_rejects_bad_eps(self, small_density, eps):
@@ -301,18 +293,24 @@ def flat_vanishing_density():
     return normalize_mass(dilate_field(base, 1.0 / (1.0 + rate * 6), Q_EXP), Q_EXP)
 
 
+def second_cluster_input(density, R, z1, monkeypatch):
+    """The trimmed density that `_second_cluster(density, R, z1)` probes."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(cc_diag, "concentration", lambda dens, *_: seen.append(dens) or (0.0, z1))
+        cc_diag._second_cluster(density, R, z1)
+    return seen[0]
+
+
 def trimmed_density(monkeypatch):
     """The density `_second_cluster` probes for a separating pair: zero
     within B_2(z1) of the witness z1 of Q(1)."""
     grid, mask = flat_grid()
     d = normalize_mass(ScalarField(grid, separating_pair(grid, 1.2), mask), Q_EXP)
     _, z1 = concentration(d, 1.0)
-    seen = []
-    with monkeypatch.context() as m:
-        m.setattr(cc_diag, "concentration", lambda dens, *_: seen.append(dens) or (0.0, z1))
-        cc_diag._second_cluster(d, 1.0, z1, 2)
-    assert 0.0 < seen[0].field.values.sum() < d.field.values.sum()
-    return seen[0]
+    trimmed = second_cluster_input(d, 1.0, z1, monkeypatch)
+    assert 0.0 < trimmed.field.values.sum() < d.field.values.sum()
+    return trimmed
 
 
 class TestProfilePass:
@@ -329,7 +327,8 @@ class TestProfilePass:
             "flat": flat_vanishing_density,
             "trimmed": lambda: trimmed_density(monkeypatch),
         }[kind]()
-        prof = concentration_profile(density, radii, stride)
+        monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
+        prof = concentration_profile(density, radii)
         for R, (r, q, z) in zip(radii, prof):
             assert (r, q, (z.x[0], z.y[0], z.t)) == (R, *unpruned_concentration(density, R, stride))
 
@@ -356,7 +355,7 @@ class TestProfilePass:
         ia, ib, a, b, ts = center_lattice(grid, stride)
         csum = _padded_cumsum(vals, stride * (len(ts) - 1))
         rows = _strided_rows(csum, stride, len(ts))
-        for _, row, hi, lo in _window_ends(grid, R, ia, ib, a, b, ts[0], stride, len(ts)):
+        for _, row, hi, lo in _window_ends(grid, R, ia, ib, stride, len(ts)):
             bound = _mass_bounds(csum[None, :, -1], row, hi, lo, grid.cell_volume)[0]
             masses = _gather(rows, hi, lo, grid.cell_volume)
             assert np.all(masses <= bound[:, None])
@@ -369,7 +368,7 @@ class TestProfilePass:
         d = normalize_mass(ScalarField(grid, mask.astype(float), mask), 1.0)
         tracemalloc.start()
         try:
-            (_, q, _), = concentration_profile(d, [1e308], 2)
+            (_, q, _), = concentration_profile(d, [1e308])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,11 +400,12 @@ class TestSolverGrids:
     """
 
     @pytest.mark.parametrize("k, n, stride, R", SOLVER_GRID_CASES)
-    def test_concentration_matches_brute_force(self, k, n, stride, R):
+    def test_concentration_matches_brute_force(self, monkeypatch, k, n, stride, R):
+        monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
         grid, mask = build_ball_grid(k, n)
         rng = np.random.default_rng(n + stride)
         d = normalize_mass(ScalarField(grid, rng.uniform(size=grid.shape) * mask, mask), 1.0)
-        q, z = concentration(d, R, stride)
+        q, z = concentration(d, R)
         xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
         sample = [z] + [GroupPoint.of(rng.choice(xs), rng.choice(ys), rng.choice(ts))
                         for _ in range(12)]
@@ -413,7 +413,7 @@ class TestSolverGrids:
         assert ball_mass(d, R, z) == pytest.approx(q, rel=1e-12)
 
     @pytest.mark.parametrize("R", [1.0, 1.5])
-    def test_nodes_on_the_sphere_are_outside(self, R):
+    def test_nodes_on_the_sphere_are_outside(self, monkeypatch, R):
         # the nodes R^2 above and below a center in its own column have
         # rho = R exactly; the open ball holds neither
         grid = Grid3((8, 8, 24), (0.25, 0.25, 0.25), (-1.0, -1.0, -3.0))
@@ -424,7 +424,8 @@ class TestSolverGrids:
         z = grid.node_point((3, 4, 11))
         assert ball_mass(d, R, z) == brute_ball_mass(d, R, z) == 0.0
         assert ball_mass(d, R * (1.0 + 1e-9), z) == pytest.approx(1.0, abs=1e-15)
-        q, _ = concentration(d, R, 1)
+        monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", 1)
+        q, _ = concentration(d, R)
         assert q == pytest.approx(0.5, abs=1e-15)  # the balls that hold one node
 
 
@@ -545,6 +546,20 @@ class TestDilation:
         at_origin = ball_mass(dens, 1.0, GroupPoint.of(0.0, 0.0, 0.0))
         assert at_origin == pytest.approx(0.5, abs=2e-3)
 
+    @pytest.mark.parametrize("w, r_m", [(0.7, 0.66065), (1.3, 0.32990)])
+    def test_dilation_normalize_on_solver_grid(self, w, r_m):
+        # On the 48^3 grid of k = 6 (h_t = 1.5) the unit-ball fraction of
+        # these bumps comes within tolerance of 1/2 at a bracket scale, but
+        # does not cross 1/2 before the dilated field misses every node, so
+        # only an accepted bracket point avoids "could not bracket".
+        grid, _ = build_ball_grid(6.0, 48)
+        v = np.exp(-(np.broadcast_to(grid.gauge_array(), grid.shape) / w) ** 2)
+        v /= (float((v**Q_EXP).sum()) * grid.cell_volume) ** (1.0 / Q_EXP)
+        nu, got = dilation_normalize(ScalarField(grid, v, full_mask(grid)), Q_EXP)
+        assert got == pytest.approx(r_m, rel=1e-4)
+        at_origin = ball_mass(normalize_mass(nu, Q_EXP), 1.0, GroupPoint.of(0.0, 0.0, 0.0))
+        assert abs(at_origin - 0.5) <= cc_diag._MASS_TOL
+
     def test_dilation_normalize_rejects_unnormalized(self, box):
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.5), mask)
@@ -570,6 +585,13 @@ class TestHalfMassScale:
         assert abs(frac - 0.5) <= 1e-3 and arg == x == calls[-1]
         assert calls[0] == 1.0
         assert x == pytest.approx(x_half, rel=5e-3)
+
+    def test_accepts_a_bracket_point(self):
+        # The fraction comes within tolerance of 1/2 at x = 2 and never
+        # crosses it: the bracket point is the answer.
+        f, calls = self.recorded(lambda x: 0.4995 if x >= 2.0 else 0.3)
+        assert _half_mass_scale(f, "test scale") == (2.0, (0.4995, 2.0))
+        assert calls == [1.0, 2.0]
 
     def test_no_bracket_raises_before_bisecting(self):
         # A fraction that never reaches 1/2: 1 + 20 bracket evaluations,
@@ -678,6 +700,20 @@ class TestClassifier:
         assert twice["verdict"] == ("dichotomy" if step else "compactness")
         assert twice.pop("profiles") == [[a, b, b, c] for a, b, c in once.pop("profiles")]
         assert twice == once
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1e308])
+    def test_second_cluster_trims_one_ball(self, monkeypatch, R):
+        # The density the second carrier is sought in lacks exactly the
+        # mass of ball_mass's B_2R(z1).  The binary-fraction spacings put
+        # nodes exactly on the sphere of radius 2R; 1e308 is past the cap.
+        grid, _ = build_ball_grid(4.0, 32)
+        d = random_density(grid, 17)
+        z1 = grid.node_point((13, 17, 14))
+        if R < 1e308:
+            assert np.any(_gauge_dist_sq4(grid, z1) == (2.0 * R) ** 4)
+        trimmed = second_cluster_input(d, R, z1, monkeypatch)
+        outside = integrate(d.field) - ball_mass(d, 2.0 * R, z1)
+        assert integrate(trimmed.field) == pytest.approx(outside, abs=1e-14)
 
     def test_rejects_empty_radius_grid(self, small_density):
         # all() over no radii would call it vanishing

@@ -1,11 +1,14 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
-name things that exist, and what a module exports of its own is documented."""
+name things that exist, what a module exports of its own is documented, and
+the README's CLI section names the parser's flags."""
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,23 @@ def test_own_public_names_have_docstrings(module):
     own = [obj for obj in own if (inspect.isfunction(obj) or inspect.isclass(obj))
            and obj.__module__ == module.__name__]
     assert [obj.__name__ for obj in own if _undocumented(obj)] == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _parser_flags():
+    from heisground import cli
+
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for sub in subparsers.choices.values() for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+
+
+def test_readme_cli_section_names_the_parser_flags():
+    # A flag deleted from the parser but still documented (or added but not
+    # documented) shows up as a difference of the two sets.
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(_FLAG.findall(section)) - {"--help"} == _parser_flags()
