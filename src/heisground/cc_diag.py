@@ -460,20 +460,24 @@ def _lq_mass(u: ScalarField, q: float) -> float:
 
 
 # `dilation_normalize`: the tolerance on the half-mass fraction and the
-# bisection budget of each scale.
+# regula falsi budget of each scale.
 _MASS_TOL = 1e-3
 _MAX_BISECT = 60
 
 
-def _half_mass_scale(fraction, what: str):
+def _half_mass_scale(fraction, what: str, step: float = 2.0):
     """The scale x at which a ball fraction reaches 1/2 (+- _MASS_TOL).
 
     fraction(x) returns a tuple whose first item is the fraction, which
-    grows with x.  The bracket grows from x = 1 by halving or doubling, at
-    most 20 times, and is then bisected at most _MAX_BISECT times.  Returns
-    (x, fraction(x)) of the first x within tolerance, a bracket point
-    included; raises AlgorithmError when there is no bracket or the
-    bisection does not converge.
+    grows with x.  The bracket grows from x = 1 by dividing or multiplying
+    by `step`, at most 20 times; the step squares after each failed move
+    until it reaches 2.  The bracket is then closed by Illinois regula falsi
+    on log x (Dowell & Jarratt, BIT 11, 1971), at most _MAX_BISECT steps:
+    the secant between the two ends, the fraction of an end kept twice in a
+    row halved, and the midpoint when the secant leaves the open bracket.
+    Returns (x, fraction(x)) of the first x within tolerance, a bracket point
+    included; raises AlgorithmError when there is no bracket or the search
+    does not converge.
     """
     x = lo = hi = 1.0
     out = fraction(x)
@@ -482,37 +486,53 @@ def _half_mass_scale(fraction, what: str):
         if abs(out[0] - 0.5) <= _MASS_TOL:
             break
         if f_lo > 0.5:
-            x = lo = lo / 2.0
+            x = lo = lo / step
             out = fraction(x)
             f_lo = out[0]
         elif f_hi < 0.5:
-            x = hi = hi * 2.0
+            x = hi = hi * step
             out = fraction(x)
             f_hi = out[0]
         else:
             break
+        step = min(step * step, 2.0)
     if abs(out[0] - 0.5) <= _MASS_TOL:
         return x, out
     if f_lo > 0.5 or f_hi < 0.5:
         raise AlgorithmError(f"could not bracket the {what} in the box")
+    a, b = math.log(lo), math.log(hi)
+    g_a, g_b = f_lo - 0.5, f_hi - 0.5
+    moved = 0  # +1 when the lower end moved last, -1 when the upper end did
     for _ in range(_MAX_BISECT):
-        x = 0.5 * (lo + hi)
+        u = b - g_b * (b - a) / (g_b - g_a)
+        if not a < u < b:
+            u = 0.5 * (a + b)
+        x = math.exp(u)
         out = fraction(x)
-        if abs(out[0] - 0.5) <= _MASS_TOL:
+        g = out[0] - 0.5
+        if abs(g) <= _MASS_TOL:
             return x, out
-        if out[0] < 0.5:
-            lo = x
+        if g < 0.0:
+            a, g_a = u, g
+            if moved > 0:
+                g_b *= 0.5
+            moved = 1
         else:
-            hi = x
+            b, g_b = u, g
+            if moved < 0:
+                g_a *= 0.5
+            moved = -1
     raise AlgorithmError(f"{what} did not converge")
 
 
 def dilation_normalize(u: ScalarField, q: float):
     """Rescale and recenter so the best unit gauge ball holds half the mass.
 
-    Bisection on lam for nu = lam^(Q/q) u o delta_lam until the sup-center
-    unit-ball mass of |nu|^q is 1/2 (+- _MASS_TOL), then a group translation
-    moves the maximizing center to the origin.  Returns (nu, R_m = 1/lam).
+    `_half_mass_scale` finds lam for nu = lam^(Q/q) u o delta_lam at which
+    the sup-center unit-ball mass of |nu|^q is 1/2 (+- _MASS_TOL), then a
+    group translation moves the maximizing center to the origin, and a
+    second search refines the scale s against the origin-centered ball.
+    Returns (nu, R_m = 1/(lam s)).
     """
     total = _lq_mass(u, q)
     if abs(total - 1.0) > 1e-6:
@@ -535,7 +555,9 @@ def dilation_normalize(u: ScalarField, q: float):
     nu = nu.with_values(nu.values / m ** (1.0 / q))
 
     # The recentering resample perturbs the ball mass, so refine the scale
-    # against the origin-centered ball of the actual output field.
+    # against the origin-centered ball of the actual output field.  That
+    # field is already near half mass at s = 1, so the bracket starts with
+    # a small step.
     origin = GroupPoint.of(0.0, 0.0, 0.0)
 
     def origin_fraction(s):
@@ -547,7 +569,8 @@ def dilation_normalize(u: ScalarField, q: float):
         dens = MassDensity(ScalarField(w.grid, np.abs(w.values) ** q, w.mask))
         return ball_mass(dens, 1.0, origin), w
 
-    s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement")
+    s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement",
+                                 step=2.0 ** (1.0 / 16.0))
     return w, 1.0 / (lam * s)
 
 

@@ -533,12 +533,26 @@ class TestDilation:
             qv, _ = concentration(dv, R)
             assert qu == pytest.approx(qv, abs=0.05)
 
-    def test_dilation_normalize(self, box):
+    def test_dilation_normalize(self, box, monkeypatch):
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
         total = float((np.abs(u.values) ** Q_EXP).sum()) * grid.cell_volume
         u = u.with_values(u.values / total ** (1.0 / Q_EXP))
+        calls = {}
+        search = cc_diag._half_mass_scale
+
+        def counted(fraction, what, **kwargs):
+            def f(x):
+                calls[what] = calls.get(what, 0) + 1
+                return fraction(x)
+
+            return search(f, what, **kwargs)
+
+        monkeypatch.setattr(cc_diag, "_half_mass_scale", counted)
         nu, r_m = dilation_normalize(u, Q_EXP)
+        # Each fraction call dilates the whole field; bisection takes 9 + 9.
+        assert calls["half-mass dilation"] <= 5
+        assert calls["origin-ball refinement"] <= 3
         mass = float((np.abs(nu.values) ** Q_EXP).sum()) * nu.grid.cell_volume
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert r_m > 0.0
@@ -546,7 +560,7 @@ class TestDilation:
         at_origin = ball_mass(dens, 1.0, GroupPoint.of(0.0, 0.0, 0.0))
         assert at_origin == pytest.approx(0.5, abs=2e-3)
 
-    @pytest.mark.parametrize("w, r_m", [(0.7, 0.66065), (1.3, 0.32990)])
+    @pytest.mark.parametrize("w, r_m", [(0.7, 0.66065), (1.3, 0.32994)])
     def test_dilation_normalize_on_solver_grid(self, w, r_m):
         # On the 48^3 grid of k = 6 (h_t = 1.5) the unit-ball fraction of
         # these bumps comes within tolerance of 1/2 at a bracket scale, but
@@ -578,13 +592,42 @@ class TestHalfMassScale:
 
         return f, calls
 
-    @pytest.mark.parametrize("x_half", [0.3, 1.0, 5.7])
+    # Fraction calls of the search on x / (x + x_half); bisection to the
+    # same tolerance takes 14, 11, 1, 10 and 14.
+    MAX_CALLS = {0.05: 8, 0.3: 5, 1.0: 1, 5.7: 6, 40.0: 9}
+
+    @pytest.mark.parametrize("x_half", [0.05, 0.3, 1.0, 5.7, 40.0])
     def test_brackets_then_bisects(self, x_half):
         f, calls = self.recorded(lambda x: x / (x + x_half))
         x, (frac, arg) = _half_mass_scale(f, "test scale")
         assert abs(frac - 0.5) <= 1e-3 and arg == x == calls[-1]
         assert calls[0] == 1.0
         assert x == pytest.approx(x_half, rel=5e-3)
+        assert len(calls) <= self.MAX_CALLS[x_half]
+
+    def test_small_first_step(self):
+        # The bracket steps by 2^(1/16), 2^(1/8), 2^(1/4), 2^(1/2), then 2.
+        f, calls = self.recorded(lambda x: x / (x + 0.05))
+        x, _ = _half_mass_scale(f, "test scale", step=2.0 ** (1.0 / 16.0))
+        assert x == pytest.approx(0.05, rel=5e-3)
+        ratios = [calls[i] / calls[i + 1] for i in range(8)]
+        exponents = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1, 1, 1, 1)
+        assert ratios == pytest.approx([2.0**e for e in exponents])
+        assert calls[8] < 0.05 < calls[7]
+        # Near 1/2 at x = 1 the small step brackets and closes in 3 calls.
+        f, calls = self.recorded(lambda x: x / (x + 0.97))
+        x, _ = _half_mass_scale(f, "test scale", step=2.0 ** (1.0 / 16.0))
+        assert x == pytest.approx(0.97, rel=5e-3)
+        assert len(calls) <= 3
+
+    def test_halves_an_end_kept_twice(self):
+        # Convex in log x, so plain regula falsi keeps the upper end [2, 4]
+        # and creeps up from below: 38 calls, against 13 when the kept end's
+        # fraction is halved.
+        f, calls = self.recorded(lambda x: 0.5 * (x / 3.0) ** 8)
+        x, _ = _half_mass_scale(f, "test scale")
+        assert x == pytest.approx(3.0, rel=5e-3)
+        assert len(calls) <= 13
 
     def test_accepts_a_bracket_point(self):
         # The fraction comes within tolerance of 1/2 at x = 2 and never

@@ -176,6 +176,8 @@ class TestSolve:
         ["exhaust", "--tau", "0.1"],
         ["exhaust", "--path-points", "11"],
         ["calculus-check", "--flip-y-sign"],
+        ["classify", "--inputs", "a.hgf", "b.hgf", "c.hgf", "--stride", "0"],
+        ["classify", "--inputs", "a.hgf", "b.hgf", "c.hgf", "--stride", "-3"],
     ])
     def test_rejects_unknown_flags(self, capsys, argv):
         assert main(argv) == 64
@@ -354,7 +356,6 @@ class TestClassify:
             assert prof[1][1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("flag, value", [
-        ("--stride", "0"), ("--stride", "-3"),
         ("--q", "0"), ("--q", "-1"), ("--q", "0.5"), ("--q", "nan"), ("--q", "inf"),
         ("--eps", "nan"), ("--eps", "2"), ("--eps", "0"), ("--eps", "0.5"),
         ("--eps", "-0.1"),

@@ -1,8 +1,10 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
-name things that exist, what a module exports of its own is documented, and
-the README's CLI section names the parser's flags."""
+name things that exist, the harness's half-mass check uses the library's
+tolerance, what a module exports of its own is documented, and the README's
+CLI section names the parser's flags."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -16,6 +18,7 @@ import pytest
 import heisground
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 def _targets():
@@ -30,6 +33,20 @@ def test_trace_target_resolves(module, attribute):
     # Tracer.install reads every target with getattr, so a deleted name
     # would stop `perfbench/run.py --trace 1` before it measures anything.
     assert hasattr(importlib.import_module(f"heisground.{module}"), attribute)
+
+
+def test_worker_half_mass_tolerance_is_the_library_one():
+    # The cc-diag worker checks each `dilation_normalize` output against its
+    # own copy of the tolerance.  It is read from the source: the worker
+    # imports the harness's `inputs` by bare name, so it loads only as a
+    # script beside it.
+    (workload,) = [node for node in ast.parse(WORKER.read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == "CcDiagWorkload"]
+    (value,) = [node.value for node in workload.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["MASS_TOL"]]
+    from heisground import cc_diag
+
+    assert ast.literal_eval(value) == cc_diag._MASS_TOL
 
 
 def _modules_with_all():
