@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AlgorithmError, DomainError
 from .functionals import check_exponent
-from .grid import Grid3, ScalarField, e_norm_sq, full_mask
+from .grid import Grid3, ScalarField, _check_lq_exponent, _lq_mass, e_norm_sq, full_mask
 from .heis_core import GroupPoint, gauge, group_inverse, group_mul, homogeneous_dimension
 
 __all__ = [
@@ -59,7 +59,7 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
     field of any scale neither overflows nor loses its mass to underflow,
     and scaling u by a power of two leaves the density bit-identical.
     """
-    _check_exponent(q)
+    _check_lq_exponent(q)
     dens = np.abs(u.values)
     top = float(dens.max())
     if top == 0.0:
@@ -79,11 +79,6 @@ def _gauge_dist_sq4(grid: Grid3, center: GroupPoint):
     dt = ts - c - 2.0 * b * xs + 2.0 * a * ys
     r2 = dx * dx + dy * dy
     return r2 * r2 + dt * dt
-
-
-def _check_exponent(q: float) -> None:
-    if not (math.isfinite(q) and q >= 1.0):
-        raise DomainError(f"mass exponent q must be finite and >= 1, got {q}")
 
 
 def _check_radius(R: float) -> None:
@@ -443,9 +438,9 @@ def dilate_field(u: ScalarField, lam: float, q: float) -> ScalarField:
     t -> lam^2 t), so the trilinear resample with zero fill is one 1-D
     interpolation matrix applied along each axis.
     """
-    if lam <= 0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
-    _check_exponent(q)
+    if not 0.0 < lam < math.inf:  # NaN fails it too
+        raise DomainError(f"dilation factor lam must be finite and positive, got {lam}")
+    _check_lq_exponent(q)
     xs, ys, ts = (u.grid.axis_coords(i) for i in range(3))
     mx = _linear_weights(xs, lam * xs)
     my = _linear_weights(ys, lam * ys)
@@ -453,10 +448,6 @@ def dilate_field(u: ScalarField, lam: float, q: float) -> ScalarField:
     vals = (mx @ u.values.reshape(len(xs), -1)).reshape(u.grid.shape)
     vals = (my @ vals) @ mt.T
     return ScalarField(u.grid, lam ** (_Q_HOM / q) * vals, full_mask(u.grid))
-
-
-def _lq_mass(u: ScalarField, q: float) -> float:
-    return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
 
 
 # `dilation_normalize`: the tolerance on the half-mass fraction and the
@@ -469,10 +460,14 @@ def _half_mass_scale(fraction, what: str, step: float = 2.0):
     """The scale x at which a ball fraction reaches 1/2 (+- _MASS_TOL).
 
     fraction(x) returns a tuple whose first item is the fraction, which
-    grows with x.  The bracket grows from x = 1 by dividing or multiplying
-    by `step`, at most 20 times; the step squares after each failed move
-    until it reaches 2.  The bracket is then closed by Illinois regula falsi
-    on log x (Dowell & Jarratt, BIT 11, 1971), at most _MAX_BISECT steps:
+    grows with x, and whose last item is None when the field scaled by x
+    holds no mass in the box.  The bracket grows from x = 1 by dividing or
+    multiplying by `step`, at most 20 times; the step squares after each
+    failed move until it reaches 2.  A larger scale holds no mass either, so
+    the first move up to a scale without mass ends the search: the box
+    cannot hold the field at its half-mass scale.  The bracket is then
+    closed by Illinois regula falsi on log x (Dowell & Jarratt, BIT 11,
+    1971), at most _MAX_BISECT steps:
     the secant between the two ends, the fraction of an end kept twice in a
     row halved, and the midpoint when the secant leaves the open bracket.
     Returns (x, fraction(x)) of the first x within tolerance, a bracket point
@@ -492,6 +487,11 @@ def _half_mass_scale(fraction, what: str, step: float = 2.0):
         elif f_hi < 0.5:
             x = hi = hi * step
             out = fraction(x)
+            if out[-1] is None:
+                raise AlgorithmError(
+                    f"could not bracket the {what} in the box: the scaled field "
+                    f"holds no mass from scale {x:.6g} on, so the box cannot hold "
+                    "the field at its half-mass scale")
             f_hi = out[0]
         else:
             break
@@ -695,8 +695,8 @@ def classify_sequence(densities, eps: float, R_grid) -> TrichotomyResult:
 
 def cutoff(r: float, grid: Grid3) -> ScalarField:
     """C^1 smoothstep in the gauge: 1 on B_r, 0 outside B_2r."""
-    if r <= 0:
-        raise DomainError(f"cutoff radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:  # NaN fails it too
+        raise DomainError(f"cutoff radius r must be finite and positive, got {r}")
     rho = grid.gauge_array()
     s = np.clip((2.0 * r - rho) / r, 0.0, 1.0)
     phi = s * s * (3.0 - 2.0 * s)

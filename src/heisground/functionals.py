@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grid import ScalarField, e_norm_sq, energy_operator, l2_norm
+from .heis_core import critical_exponent
 
 __all__ = [
     "EnergyBreakdown",
@@ -39,11 +40,16 @@ __all__ = [
 ]
 
 
+# The Folland-Stein-Sobolev threshold of H^1, a Fraction: a float compares
+# with it exactly.
+_P_CRITICAL = critical_exponent(1)
+
+
 def check_exponent(p: float) -> None:
-    """Numeric path is restricted to subcritical 1 < p < 3 (n = 1)."""
-    if not 1.0 < p < 3.0:
+    """Numeric path is restricted to subcritical 1 < p < (Q+2)/(Q-2) (n = 1)."""
+    if not 1.0 < p < _P_CRITICAL:
         raise ConfigurationError(
-            f"exponent p must lie in (1, 3) for n = 1; got p = {p}"
+            f"exponent p must lie in (1, {_P_CRITICAL}) for n = 1; got p = {p}"
         )
 
 

@@ -304,18 +304,24 @@ def integrate(u: ScalarField) -> float:
     return float(u.values.sum()) * u.grid.cell_volume
 
 
+def _check_lq_exponent(q: float) -> None:
+    """The exponent of an L^q mass or norm is a finite q >= 1 (not NaN)."""
+    if not 1.0 <= q < math.inf:
+        raise DomainError(f"L^q exponent q must be finite and >= 1, got {q}")
+
+
+def _lq_mass(u: ScalarField, q: float) -> float:
+    """Midpoint-rule int |u|^q."""
+    return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
+
+
 def lq_norm(u: ScalarField, q: float) -> float:
     """Midpoint-rule L^q norm (int |u|^q)^(1/q), for a finite q >= 1."""
-    if not 1 <= q < math.inf:
-        raise DomainError(f"L^q norm needs a finite q >= 1, got {q}")
+    _check_lq_exponent(q)
     if q == 2.0:
         s = float(np.dot(u.values.ravel(), u.values.ravel()))
         return (s * u.grid.cell_volume) ** 0.5
-    if q == 1.0:
-        s = float(np.abs(u.values).sum())
-    else:
-        s = float((np.abs(u.values) ** q).sum())
-    return (s * u.grid.cell_volume) ** (1.0 / q)
+    return _lq_mass(u, q) ** (1.0 / q)
 
 
 def l2_norm(u: ScalarField) -> float:

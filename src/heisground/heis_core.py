@@ -116,8 +116,8 @@ def gauge(z: GroupPoint) -> float:
 
 def dilate(lam: float, z: GroupPoint) -> GroupPoint:
     """Anisotropic dilation delta_lam(x, y, t) = (lam x, lam y, lam^2 t)."""
-    if lam <= 0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:  # NaN fails it too
+        raise DomainError(f"dilation factor lam must be finite and positive, got {lam}")
     return GroupPoint(
         tuple(lam * c for c in z.x),
         tuple(lam * c for c in z.y),
@@ -172,10 +172,8 @@ def apply_left_invariant(
     Richardson-extrapolated central differences along the group flow;
     exact on polynomials up to degree 4.
     """
-    fn = f.eval if isinstance(f, TestFunction) else f
-
     def central(h: float) -> float:
-        return (fn(_flow(z, field_id, h)) - fn(_flow(z, field_id, -h))) / (2 * h)
+        return (f(_flow(z, field_id, h)) - f(_flow(z, field_id, -h))) / (2 * h)
 
     d = (4.0 * central(_FLOW_STEP / 2) - central(_FLOW_STEP)) / 3.0
     if not math.isfinite(d):
@@ -187,13 +185,11 @@ def commutator_XY(
     f: Callable[[GroupPoint], float], z: GroupPoint, i: int = 1, j: int = 1
 ) -> float:
     """[X_i, Y_j] f (z) = X_i(Y_j f)(z) - Y_j(X_i f)(z), numerically."""
-    fn = f.eval if isinstance(f, TestFunction) else f
-
     def yf(w: GroupPoint) -> float:
-        return apply_left_invariant(f"Y{j}", fn, w)
+        return apply_left_invariant(f"Y{j}", f, w)
 
     def xf(w: GroupPoint) -> float:
-        return apply_left_invariant(f"X{i}", fn, w)
+        return apply_left_invariant(f"X{i}", f, w)
 
     return apply_left_invariant(f"X{i}", yf, z) - apply_left_invariant(f"Y{j}", xf, z)
 

@@ -58,7 +58,6 @@ from .functionals import (
     check_exponent,
     critical_identity_defect,
     energy_breakdown,
-    eval_J,
 )
 from .grid import (
     Grid3,
@@ -212,14 +211,6 @@ class DecayFit:
     r_squared: float
     shell_samples: list
 
-    def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "delta": self.delta,
-            "r_squared": self.r_squared,
-            "shell_samples": [list(s) for s in self.shell_samples],
-        }
-
 
 def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, *, level,
             iterations, trace, converged, grad_norm, multiplier=None, **extra):
@@ -268,7 +259,8 @@ class _Energy:
     A vector holds a field's values on the mask nodes in C order, the order
     of `u.values[u.mask]` and of the cached operators B and A.  The energy
     norm is summed as squares of B v and v (see `grid`), and the formulas
-    are the ones the public field functions use.
+    are the ones the public field functions use.  inv_diag = diag(A)^-1 is
+    the Jacobi preconditioner of the CG, the polish and the index.
     """
 
     def __init__(self, domain: Domain, p: float):
@@ -276,6 +268,7 @@ class _Energy:
         self.w = domain.grid.cell_volume
         self.B = horizontal_gradient(domain.grid, domain.mask)
         self.A = energy_operator(domain.grid, domain.mask)
+        self.inv_diag = 1.0 / self.A.diagonal()
 
     def field(self, v: np.ndarray) -> ScalarField:
         return ScalarField.from_interior(self.grid, self.mask, v)
@@ -455,7 +448,7 @@ def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
     """
     atol = rtol * math.sqrt(b @ b)
     max_iters = _CG_MAX_ITERS_PER_UNKNOWN * b.size
-    r = b - A @ x if x.any() else b.copy()
+    r = b - A @ x
     z = np.empty_like(r)
     p = rho_prev = None
     for it in range(max_iters):
@@ -511,7 +504,6 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     |g|, stop_reason, CG iterations, refused mixes) with v on the constraint.
     """
     i_u, v = energy.constrained(v)
-    inv_diag = 1.0 / energy.A.diagonal()
     cg_iters = refused = 0
     # The last _CG_STARTS iterates, newest first, and their Gram matrix in A:
     # z_j = s_j v_(j+1), so they span what the last CG solutions span, and
@@ -547,7 +539,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
         z = _projected_start(basis, gram, normal)
         rhs = abs(mu) * nn ** 0.5  # 0 only where v_+^(2p) underflows
         rtol = min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn / rhs) if rhs > 0.0 else _CG_RTOL_MAX
-        n_cg, solved = _pcg(energy.A, normal, z, inv_diag, rtol)
+        n_cg, solved = _pcg(energy.A, normal, z, energy.inv_diag, rtol)
         cg_iters += n_cg
         if not solved:
             stop = "no_descent"
@@ -619,7 +611,7 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
         return 0.5 * gn_sq, (x, g, gn_sq)
 
     _, (w, g, gn_sq) = objective(w)
-    M = sparse.diags_array(1.0 / energy.A.diagonal())
+    M = sparse.diags_array(energy.inv_diag)
     while gn_sq > 0.0:
         d, _ = minres(_hessian(energy, w), -g, M=M)
         step = _armijo_descent(w, 0.5 * gn_sq, -d, gn_sq, 1.0, objective)
@@ -644,7 +636,7 @@ def _morse_index(energy: _Energy, w: np.ndarray):
 
     start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
     eigs, vecs = lobpcg(_hessian(energy, w), start, largest=False, maxiter=_LOBPCG_MAX_ITERS,
-                        M=sparse.diags_array(1.0 / energy.A.diagonal()))
+                        M=sparse.diags_array(energy.inv_diag))
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
     return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order]
 
@@ -960,9 +952,7 @@ class ComparisonReport:
             "c_k": self.mountain_pass.level,
             "alpha": self.constrained.level,
             "lambda": self.constrained.multiplier,
-            "J_of_rescaled_minimizer": eval_J(
-                self.constrained.field, self.constrained.breakdown.p
-            ),
+            "J_of_rescaled_minimizer": self.constrained.breakdown.J,
             "level_gap_rel": self.level_gap_rel,
             "bridge_defect_rel": self.bridge_defect_rel,
             "field_distance_rel": self.field_distance_rel,
@@ -987,8 +977,7 @@ def compare_methods(
     rep_cm = solve_constrained_min(config, domain=domain)
     p = config.p
     c_k = rep_mp.level
-    j_star = eval_J(rep_cm.field, p)
-    level_gap = abs(j_star - c_k) / abs(c_k)
+    level_gap = abs(rep_cm.breakdown.J - c_k) / abs(c_k)
     lam = rep_cm.multiplier
     bridge = (p - 1.0) / (2.0 * (p + 1.0)) * lam ** ((p + 1.0) / (p - 1.0))
     bridge_defect = abs(bridge - c_k) / abs(c_k)

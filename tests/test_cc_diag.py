@@ -574,6 +574,38 @@ class TestDilation:
         at_origin = ball_mass(normalize_mass(nu, Q_EXP), 1.0, GroupPoint.of(0.0, 0.0, 0.0))
         assert abs(at_origin - 0.5) <= cc_diag._MASS_TOL
 
+    def test_dilation_normalize_says_the_box_cannot_hold_the_field(self):
+        # On the 48^3 grid of k = 6 the unit-ball fraction of this wide bump
+        # is 0.1234, 0.4055 and 0.4963 at lam = 1, 2 and 4; at lam = 8 the
+        # nearest t-node maps to 0.75 lam^2 = 48, beyond the box's t-extent
+        # of 36, and the dilated field holds no mass.
+        grid, _ = build_ball_grid(6.0, 48)
+        v = np.exp(-(np.broadcast_to(grid.gauge_array(), grid.shape) / 2.0) ** 2)
+        v /= (float((v**Q_EXP).sum()) * grid.cell_volume) ** (1.0 / Q_EXP)
+        with pytest.raises(AlgorithmError,
+                           match="could not bracket .* no mass from scale 8 on, so the box "
+                                 "cannot hold the field at its half-mass scale"):
+            dilation_normalize(ScalarField(grid, v, full_mask(grid)), Q_EXP)
+
+    def test_dilation_normalize_mass_lost_during_recentering(self, box, monkeypatch):
+        grid, mask = box
+        u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
+        total = float((np.abs(u.values) ** Q_EXP).sum()) * grid.cell_volume
+        u = u.with_values(u.values / total ** (1.0 / Q_EXP))
+        monkeypatch.setattr(cc_diag, "group_translate_field",
+                            lambda v, z0: v.with_values(np.zeros(v.grid.shape)))
+        with pytest.raises(AlgorithmError, match="mass lost during recentering"):
+            dilation_normalize(u, Q_EXP)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_dilate_field_rejects_bad_factor(self, box, lam):
+        # NaN and inf used to pass `lam <= 0`, warn in numpy and fail as
+        # "field values must be finite"
+        grid, mask = box
+        u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.9), mask)
+        with pytest.raises(DomainError, match="lam"):
+            dilate_field(u, lam, Q_EXP)
+
     def test_dilation_normalize_rejects_unnormalized(self, box):
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.5), mask)
@@ -813,6 +845,20 @@ class TestCutoffSplit:
         u = ScalarField(grid, np.ones(grid.shape), mask)
         with pytest.raises(ConfigurationError):
             energy_split(u, 1.0, p)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_cutoff_rejects_bad_radius(self, r):
+        # NaN and inf used to pass `r <= 0`, warn in numpy and fail as
+        # "field values must be finite"
+        grid, _ = build_ball_grid(2.0, 12)
+        with pytest.raises(DomainError, match="cutoff radius r"):
+            cutoff(r, grid)
+
+    def test_split_rejects_nan_radius(self):
+        grid, mask = build_ball_grid(2.0, 12)
+        u = ScalarField(grid, np.ones(grid.shape), mask)
+        with pytest.raises(DomainError, match="cutoff radius r"):
+            energy_split(u, float("nan"), 2.0)
 
     def test_rejects_huge_radius(self):
         grid, mask = build_ball_grid(2.0, 12)

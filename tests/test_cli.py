@@ -10,6 +10,7 @@ import pytest
 from conftest import flip_y_twist
 from heisground import solvers
 from heisground.cli import _build_parser, main
+from heisground.errors import AlgorithmError, NumericError
 from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.hgf import write_hgf
 from heisground.solvers import SolverConfig
@@ -40,6 +41,10 @@ class TestCalculusCheck:
     def test_rejects_bad_seed(self, capsys, seed):
         assert main(["calculus-check", f"--seed={seed}"]) == 64
         assert "non-negative integer" in capsys.readouterr().err
+
+    def test_accepts_a_seed(self, capsys):
+        assert main(["calculus-check", "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 class TestSolve:
@@ -216,6 +221,24 @@ class TestSolve:
         assert doc["converged"] is False and doc["stop_reason"] == "no_descent"
         assert doc["iterations"] == 1 and doc["cg_iterations"] == 4
 
+    def test_report_goes_to_stdout_without_report_path(self, capsys):
+        assert main(["solve", *SOLVE_FAST]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True and doc["config"]["report"] == ""
+
+    def test_unwritable_out_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.hgf"
+        assert main(["solve", *SOLVE_FAST, "--out", str(out)]) == 66
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
+    def test_solver_fault_is_a_failed_solve(self, capsys, monkeypatch):
+        def fault(config):
+            raise NumericError("injected fault")
+
+        monkeypatch.setattr(solvers, "solve_constrained_min", fault)
+        assert main(["solve", *SOLVE_FAST]) == 2
+        assert capsys.readouterr().err == "error: injected fault\n"
+
     def test_tight_tolerance_converges(self, tmp_path, capsys):
         # 1e-7 is above the constrained solve's rounding floor on this ball.
         report = tmp_path / "r.json"
@@ -259,6 +282,26 @@ class TestExhaust:
 
     def test_rejects_nonincreasing_radii(self, capsys):
         assert main(["exhaust", "--radii", "2.0,1.5", "--grid", "10"]) == 64
+
+    def test_failed_exhaustion_writes_empty_outputs(self, tmp_path, capsys, monkeypatch):
+        def fault(radii, config):
+            raise AlgorithmError("injected fault")
+
+        monkeypatch.setattr(solvers, "exhaust_domains", fault)
+        csv_path, json_path = tmp_path / "ex.csv", tmp_path / "ex.json"
+        code = main(["exhaust", "--radii", "1.5,2.0", "--grid", "10",
+                     "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "exhaust failed: injected fault\n"
+        assert csv_path.read_text().splitlines() == ["k,c_k,max_value,xi_gauge,delta,r2"]
+        assert json.loads(json_path.read_text()) == {"entries": [], "monotone": False}
+
+    @pytest.mark.parametrize("radii", ["--radii=0,2", "--radii=-1,2", "--radii=inf,2"])
+    def test_rejects_nonpositive_radii(self, tmp_path, capsys, radii):
+        assert main(["exhaust", radii, "--grid", "10",
+                     "--out-csv", str(tmp_path / "ex.csv"),
+                     "--out-json", str(tmp_path / "ex.json")]) == 64
+        assert "radii must be finite and positive" in capsys.readouterr().err
 
     def test_unreachable_endpoint_is_a_failed_entry(self, tmp_path, capsys):
         json_path = tmp_path / "ex.json"
@@ -338,6 +381,15 @@ class TestClassify:
     def test_rejects_nonnumeric_radii(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "translating")
         assert main(["classify", "--inputs", *paths, "--radii", "a,b"]) == 64
+
+    @pytest.mark.parametrize("radii, message", [
+        ("0,1", "radii must be finite and positive"),
+        ("-1,2", "expected one argument"),  # argparse reads -1,2 as an option
+    ])
+    def test_rejects_nonpositive_radii(self, tmp_path, capsys, radii, message):
+        paths = self._write_sequence(tmp_path, "translating")[:3]
+        assert main(["classify", "--inputs", *paths, "--radii", radii]) == 64
+        assert message in capsys.readouterr().err
 
     def test_too_few_inputs(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "translating")[:2]

@@ -308,6 +308,7 @@ class TestQuadrature:
         grid, mask = build_ball_grid(1.0, 12)
         u = ScalarField(grid, np.ones(grid.shape), mask)
         assert integrate(u) == pytest.approx(mask.sum() * grid.cell_volume, rel=1e-13)
+        assert lq_norm(u, 1.0) == integrate(u)
 
     def test_gaussian_l2_closed_form(self):
         grid, mask = build_ball_grid(3.0, 40)

@@ -84,6 +84,12 @@ class TestGaugeDilation:
         with pytest.raises(DomainError):
             dilate(-2.0, origin())
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_dilate_rejects_nonfinite(self, lam):
+        # NaN used to give a NaN point and inf infinite coordinates
+        with pytest.raises(DomainError, match="lam"):
+            dilate(lam, origin())
+
     def test_gauge_homogeneity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
@@ -153,6 +159,20 @@ class TestDerivatives:
                 ana = analytic_horizontal_derivative(tf, z, which)
                 num = apply_left_invariant(which, tf, z)
                 assert num == pytest.approx(ana, abs=1e-6)
+
+    def test_gaussian_hessian_matches_nested_flow_derivatives(self):
+        # The closed-form second derivatives against X(Xf) + Y(Yf), each
+        # derivative taken along the group flow.
+        tf = gaussian_test_function(0.8, 0.3)
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            z = rand_point(rng, scale=1.0)
+            num = sum(
+                apply_left_invariant(which, lambda w, which=which:
+                                     apply_left_invariant(which, tf, w), z)
+                for which in ("X", "Y")
+            )
+            assert num == pytest.approx(analytic_sublaplacian(tf, z), abs=1e-6)
 
 
 class TestSuite:

@@ -1,7 +1,7 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, and the README's
-CLI section names the parser's flags."""
+CLI section names the parser's flags and the CLI's exit codes."""
 
 import argparse
 import ast
@@ -92,8 +92,22 @@ def _parser_flags():
             for flag in action.option_strings if flag.startswith("--")} - {"--help"}
 
 
+def _readme_cli_section() -> str:
+    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_cli_section_names_the_parser_flags():
     # A flag deleted from the parser but still documented (or added but not
     # documented) shows up as a difference of the two sets.
-    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    assert set(_FLAG.findall(section)) - {"--help"} == _parser_flags()
+    assert set(_FLAG.findall(_readme_cli_section())) - {"--help"} == _parser_flags()
+
+
+def test_readme_exit_codes_are_the_cli_ones():
+    # The integers of the "Exit codes:" sentence, which ends at its first
+    # full stop, against the codes `main` returns.
+    from heisground import cli
+
+    sentence = _readme_cli_section().split("Exit codes:", 1)[1].split(".", 1)[0]
+    documented = {int(n) for n in re.findall(r"\b\d+\b", sentence)}
+    assert documented == {cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_NONCONVERGED,
+                          cli.EXIT_USAGE, cli.EXIT_IO}
