@@ -2,14 +2,16 @@
 
 Commands: calculus-check, solve, exhaust, classify.  JSON is the control
 plane (configs, reports), CSV carries plot series, HGF stores fields.
-Exit codes: 0 success, 1 invariant failure, 2 non-convergence, 64 usage,
-66 I/O.
+Exit codes: 0 success, 1 invariant failure, 2 non-convergence, 64 usage
+(also a request too large to allocate), 66 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
@@ -26,6 +28,20 @@ EXIT_INVARIANT = 1
 EXIT_NONCONVERGED = 2
 EXIT_USAGE = 64
 EXIT_IO = 66
+
+
+# mallopt parameters of glibc's malloc (malloc.h).  A freed block above
+# M_MMAP_THRESHOLD goes back to the kernel, and so does the free top of the
+# heap beyond M_TRIM_THRESHOLD; the next array of that size faults its
+# pages in afresh.  Both start at 128 KiB and rise only as large blocks are
+# freed, so a command's field-sized temporaries (219 KiB on the classifier's
+# 20 x 20 x 70 box, 256 KiB at 32^3) kept faulting: about 60 000 minor
+# faults per pass of the benchmark's cc-diag operation, and 2 000 with the
+# thresholds below.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest on 64-bit systems
+_TRIM_THRESHOLD_BYTES = 64 << 20  # twice that, glibc's own ratio
 
 
 # Solver flags of `solve` and `exhaust`: flag -> SolverConfig field.  Each
@@ -96,7 +112,10 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and kept: parsing
+    leaves it unchanged, and a process may call `main` many times."""
     parser = _Parser(prog="heisground", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,6 +147,22 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--profiles-csv", default="", help="CSV of Q(R) profiles")
 
     return parser
+
+
+@functools.cache
+def _reuse_freed_memory() -> None:
+    """Let glibc's malloc keep freed arrays of up to 32 MiB for reuse, and
+    up to 64 MiB free at the top of its heap, in this process.  Elsewhere
+    (another C library or platform) nothing changes."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +276,7 @@ def cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
+    _reuse_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -260,6 +296,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a grid or radius list too large to allocate
+        request = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"error: not enough memory for `heisground {request}`"
+              + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
     except HeisgroundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

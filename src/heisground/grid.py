@@ -3,15 +3,21 @@
 Fields are sampled at cell centers; the Dirichlet condition of the energy
 space is imposed by zero extension: field values are identically zero on
 nodes outside the ball mask, and differences see zeros beyond the box
-edges.  The horizontal derivatives are forward differences, written down
-once, as one sparse matrix per (grid, mask):
+edges.  The horizontal derivatives are forward differences,
 
     B = [X_h; Y_h],   X_h = D_x + 2y D_t,   Y_h = D_y - 2x D_t,
 
-with D the 1-D forward differences (u[+1] - u) / h put together by
-Kronecker products.  B takes the field's mask values v (C order) to both
-derivatives on every box node, so a larger mask only adds columns.  Every
-other discrete object comes from B, cached beside it:
+with D the 1-D forward differences (u[+1] - u) / h.  B is written down
+once, as numpy stencil coefficients per grid (`_stencil`): each row of X_h
+or Y_h sums c0 u + c1 u[+t] + c2 u[+x or +y] over a node and its forward
+neighbours.  `e_norm_sq`, `apply_Xh` and `apply_Yh` apply the stencil to a
+field's box array, whose zeros off the mask stand for the missing nodes.
+The solvers multiply by B and A thousands of times, where scipy's CSR
+product is faster, so the CSR B of a (grid, mask) is assembled from the
+same coefficients on first use and cached (`horizontal_gradient`); its
+rows are the box nodes and its columns the mask nodes, so a larger mask
+only adds columns.  `scipy.sparse` is imported only there, so the field
+functions need numpy alone.  Every other discrete object comes from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -37,15 +43,19 @@ them with spurious negative lobes.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, DomainError
 from .heis_core import GroupPoint, homogeneous_dimension
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Grid3",
@@ -194,6 +204,73 @@ def full_mask(grid: Grid3) -> np.ndarray:
     return np.ones(grid.shape, dtype=bool)
 
 
+# Grids whose stencil is kept: an entry is a few rows of n_y n_t or n_x floats.
+_STENCIL_CACHE_SIZE = 8
+
+
+def _stencil(grid: Grid3) -> tuple:
+    """B's coefficients on grid: (c0, taps) for X_h, then for Y_h.
+
+    Row r of a derivative sums c0 v[r], then c v[r + k] for each tap
+    (axis, c) in order, where r + k is r's forward neighbour along the axis
+    (k the axis's stride in C order); the taps go by increasing k, so the
+    terms come in column order.  A neighbour beyond the box edge is zero.
+    Each coefficient broadcasts against the (n_x, n_y n_t) view of the
+    box: a row of n_y n_t (it varies with y), a column of n_x (with x) or a
+    scalar.  The expressions are those of the sparse sums of the Kronecker
+    factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.  The
+    arrays are cached and shared by every caller: read them only.
+    """
+    return _stencil_of(tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner))
+
+
+@functools.lru_cache(maxsize=_STENCIL_CACHE_SIZE)
+def _stencil_of(shape: tuple, spacing: tuple, corner: tuple) -> tuple:
+    grid = Grid3(shape, spacing, corner)
+    hx, hy, ht = spacing
+    y2 = np.repeat(2.0 * grid.axis_coords(1), shape[2])  # 2y over a plane, C order
+    x2 = 2.0 * grid.axis_coords(0)[:, None]  # 2x per plane
+    inv_ht = 1.0 / ht
+    x_h = (-1.0 / hx + y2 * -inv_ht, ((2, y2 * inv_ht), (0, 1.0 / hx)))
+    y_h = (-1.0 / hy - x2 * -inv_ht, ((2, -(x2 * inv_ht)), (1, 1.0 / hy)))
+    return x_h, y_h
+
+
+def _forward_neighbour(a: np.ndarray, axis: int, shape: tuple, out: np.ndarray,
+                       edge, scale=1) -> np.ndarray:
+    """out[r] = scale * a[r + k], from the entry of node r's forward neighbour
+    along axis, and `edge` where that neighbour lies beyond the box (a and
+    out flat, in C order over shape)."""
+    k = math.prod(shape[axis + 1:])
+    np.multiply(a[k:], scale, out=out[:-k])
+    out.reshape(-1, shape[axis], k)[:, -1] = edge
+    return out
+
+
+def _gradient_values(u: ScalarField) -> np.ndarray:
+    """B v on the box, X_h block first, by the stencil on u's box array.
+
+    The box array is zero off the mask, which stands for B's missing
+    columns.  Each row sums its terms in column order, as the CSR product
+    does, so the result equals B @ v (a zero sum may come out as -0.0).
+    """
+    shape = u.grid.shape
+    v = u.values.reshape(-1)
+    rows = (shape[0], v.size // shape[0])
+    g = np.empty((2,) + rows)
+    s = np.empty(rows)
+    for out, (c0, taps) in zip(g, _stencil(u.grid)):
+        np.multiply(v.reshape(rows), c0, out=out)
+        for axis, c in taps:
+            if np.ndim(c):  # a row or a column scales in the box view
+                _forward_neighbour(v, axis, shape, s.reshape(-1), 0.0)
+                s *= c
+            else:
+                _forward_neighbour(v, axis, shape, s.reshape(-1), 0.0, c)
+            out += s
+    return g.reshape(-1)
+
+
 # Most recently used last.  Bounded because each nested ball mask of
 # `exhaust_domains` at 48^3 carries B and A, about 15 MB together.
 _OPERATOR_CACHE_SIZE = 3
@@ -231,54 +308,66 @@ def energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
     """
     ops = _operators(grid, mask)
     if ops[1] is None:
+        from scipy import sparse
+
         B = ops[0]
         ops[1] = (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
     return ops[1]
 
 
 def _assemble_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """X_h = D_x + 2y D_t and Y_h = D_y - 2x D_t from 1-D forward differences
-    (u[+1] - u) / h, with u = 0 beyond the box edge.
+    """B as a CSR matrix from the stencil's coefficients.
 
-    Each Kronecker factor keeps only the mask columns before the sums, which
-    halves the assembly's peak memory against slicing the finished B.
+    Row r of a derivative holds c0 at column r and each tap's coefficient
+    at the column of r's neighbour, in that order.  A term whose node is off
+    the mask or beyond the box, or whose coefficient is 0, is no entry, as
+    in the sparse sums of the Kronecker factors.
     """
-    (nx, ny, nt), (hx, hy, ht) = grid.shape, grid.spacing
-    cols = np.flatnonzero(mask)
+    from scipy import sparse
 
-    def diff(before: int, n: int, h: float, after: int):
-        d = sparse.diags_array([np.full(n, -1.0 / h), np.full(n - 1, 1.0 / h)],
-                               offsets=[0, 1])
-        return sparse.kron(sparse.kron(sparse.eye_array(before), d),
-                           sparse.eye_array(after), format="csr")[:, cols]
+    shape = grid.shape
+    n = mask.size
+    rows = (shape[0], n // shape[0])
+    inside = mask.reshape(-1)
+    m = np.count_nonzero(inside)
+    # 32-bit indices whenever the entries and the shape fit, as scipy chooses
+    index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.intp
+    col = np.full(n, -1, dtype=index)  # the column of each box node, -1 off the mask
+    col[inside] = np.arange(m)
+    cols, data = [], []
+    for c0, taps in _stencil(grid):
+        cols.append(np.stack([col, *(_forward_neighbour(col, axis, shape, np.empty_like(col), -1)
+                                     for axis, _ in taps)], axis=1))
+        data.append(np.stack([np.broadcast_to(c, rows).reshape(-1)
+                              for c in (c0, *(c for _, c in taps))], axis=1))
+    cols, data = np.concatenate(cols), np.concatenate(data)
+    keep = (cols >= 0) & (data != 0.0)
+    indptr = np.zeros(2 * n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csr_array((data[keep], cols[keep], indptr), shape=(2 * n, m))
 
-    xs, ys, _ = grid.coordinate_arrays()
-    dt = diff(nx * ny, nt, ht, 1)
-    gx = diff(1, nx, hx, ny * nt) + sparse.diags_array(
-        np.broadcast_to(2.0 * ys, grid.shape).ravel()) @ dt
-    gy = diff(nx, ny, hy, nt) - sparse.diags_array(
-        np.broadcast_to(2.0 * xs, grid.shape).ravel()) @ dt
-    B = sparse.vstack([gx, gy], format="csr")
-    B.sort_indices()  # rows sum in column order, whatever the mask
-    return B
 
-
-def _energy_norm_sq(B: sparse.csr_array, v: np.ndarray, w: float) -> float:
-    """w (||B v||^2 + ||v||^2), summed as squares (see the module docstring).
+def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:
+    """w (||g||^2 + ||v||^2) for g = B v, summed as squares (see the module
+    docstring); g is overwritten.
 
     The squares are summed pairwise by `np.sum`, not by a BLAS dot, whose
     sum carried four times the rounding noise of J near the desk ground state.
     """
-    g = B @ v
     g *= g
     return (float(g.sum()) + float(np.sum(v * v))) * w
 
 
+def _energy_norm_sq(B: sparse.csr_array, v: np.ndarray, w: float) -> float:
+    """w (||B v||^2 + ||v||^2) of the mask-node vector v, by the CSR B."""
+    return _sum_squares(B @ v, v, w)
+
+
 def _box_rows(u: ScalarField, block: int) -> ScalarField:
     n = u.values.size
-    g = horizontal_gradient(u.grid, u.mask) @ u.interior()
-    return ScalarField(u.grid, g[block * n:(block + 1) * n].reshape(u.grid.shape),
-                       full_mask(u.grid))
+    # + 0.0 makes a zero sum +0.0, as the CSR product's sums are
+    g = _gradient_values(u)[block * n:(block + 1) * n] + 0.0
+    return ScalarField(u.grid, g.reshape(u.grid.shape), full_mask(u.grid))
 
 
 def apply_Xh(u: ScalarField) -> ScalarField:
@@ -340,9 +429,11 @@ def e_norm(u: ScalarField) -> float:
 
 
 def e_norm_sq(u: ScalarField) -> float:
-    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2."""
-    return _energy_norm_sq(horizontal_gradient(u.grid, u.mask), u.interior(),
-                           u.grid.cell_volume)
+    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2, by the stencil.
+
+    ||u||^2 sums over the box array, so zero extension keeps it bit for bit.
+    """
+    return _sum_squares(_gradient_values(u), u.values.reshape(-1), u.grid.cell_volume)
 
 
 def embedding_ratio(u: ScalarField, q: float) -> float:

@@ -6,7 +6,7 @@ of minimizing I on the constraint {int v_+^(p+1) = 1}.  There the ray
 maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is monotone in
 I, so the loop lowers the top of the ray through v.  A^-1 is applied by
 `_pcg`, a Jacobi-preconditioned CG in numpy that repeats scipy's `cg` bit
-for bit, so start-up loads no `scipy.sparse.linalg`; each solve starts
+for bit, so constrained-min loads no `scipy.sparse.linalg`; each solve starts
 from the Galerkin projection onto the last four iterates.  The plain step
 converges linearly, and after it the loop Anderson-mixes over the same
 four iterates (`_anderson_mix`), keeping the mix only where I is no higher
@@ -28,7 +28,8 @@ u* = lambda^(1/(p-1)) u.
 `compare_methods` checks the bridge identity
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
-Comput., 2001).  The polish and the index load `scipy.sparse.linalg`.
+Comput., 2001).  The polish and the index load `scipy.sparse.linalg`, and
+`scipy.sparse` loads with a solve's first operator (see `grid`).
 All work on mask-node vectors through one `_Energy` per (domain, p); a
 `ScalarField` is built only for the start and the report.
 """
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     AlgorithmError,
@@ -589,6 +589,8 @@ _LOBPCG_MAX_ITERS = 1000
 
 def _hessian(energy: _Energy, w: np.ndarray):
     """H = A - p diag(w_+^(p-1)), the Hessian of J at w over the cell volume."""
+    from scipy import sparse
+
     return energy.A - sparse.diags_array(energy.p * _pos_pow(w, energy.p - 1.0))
 
 
@@ -603,6 +605,7 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
     after one that does not cut |G| by _POLISH_RATE.  It converges only from
     near a critical point.
     """
+    from scipy import sparse
     from scipy.sparse.linalg import minres  # not loaded at start-up
 
     def objective(x):
@@ -632,6 +635,7 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     diag(A)^-1, from a seeded random block so that the result is
     deterministic.
     """
+    from scipy import sparse
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))

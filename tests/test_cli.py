@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -239,6 +240,19 @@ class TestSolve:
         assert main(["solve", *SOLVE_FAST]) == 2
         assert capsys.readouterr().err == "error: injected fault\n"
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+    def test_memory_error_is_a_usage_error(self, capsys, monkeypatch, message):
+        # injected: a grid too large to allocate must not be allocated here
+        def fault(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solvers, "make_domain", fault)
+        assert main(["solve", "--grid", "100000"]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "solve --grid 100000" in err[0]
+        assert message in err[0]
+
     def test_tight_tolerance_converges(self, tmp_path, capsys):
         # 1e-7 is above the constrained solve's rounding floor on this ball.
         report = tmp_path / "r.json"
@@ -395,6 +409,20 @@ class TestClassify:
         paths = self._write_sequence(tmp_path, "translating")[:2]
         assert main(["classify", "--inputs", *paths]) == 64
 
+    def test_one_parser_serves_many_calls(self, tmp_path, capsys):
+        # the parser is built on the first call and reused, in one process
+        _build_parser.cache_clear()
+        paths = self._write_sequence(tmp_path, "translating")
+        assert main(["classify", "--inputs", *paths, "--q", "nan"]) == 64
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--inputs", *paths, "--q", "3.0", "--eps", "0.05",
+                     "--radii", "0.5,1.0,2.0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "compactness"
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert "calculus-check" in capsys.readouterr().out
+        assert _build_parser.cache_info().misses == 1
+
     @pytest.mark.parametrize("huge", ["1e100", "1e308"])
     def test_huge_radius_holds_all_mass(self, tmp_path, capsys, huge):
         paths = self._write_sequence(tmp_path, "translating")[:3]
@@ -417,49 +445,84 @@ class TestClassify:
         assert main(["classify", "--inputs", *paths, flag, value]) == 64
 
 
-def test_console_script_help():
+def _run_python(*args):
+    """Run this interpreter on args in a fresh process, with heisground
+    importable as it is here."""
     import os
     import subprocess
-    import sys
 
     import heisground
 
     # the package may be importable only through this process's sys.path
     src = os.path.dirname(os.path.dirname(os.path.abspath(heisground.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "heisground.cli", "--help"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_help():
+    proc = _run_python("-m", "heisground.cli", "--help")
     assert proc.returncode == 0
     assert "calculus-check" in proc.stdout
 
 
-def test_cli_import_loads_no_interpolation_module(tmp_path):
-    # The group translation is resampled by numpy alone, and the
-    # constrained-min CG is numpy too: neither import heisground.cli nor a
-    # constrained-min solve loads scipy.interpolate (and the scipy.optimize
-    # and scipy.special it pulls in), scipy.sparse.linalg or scipy.linalg.
-    import os
-    import subprocess
-    import sys
-
-    import heisground
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(heisground.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_scipy_loads_only_with_a_solver_operator(tmp_path):
+    # The field functions apply B's stencil in numpy, so the CLI and the
+    # concentration-compactness tools load no scipy module at all.  A solve
+    # loads scipy.sparse when it builds its first operator, and its CG is
+    # numpy: no scipy.sparse.linalg, and no scipy.interpolate.
+    inputs = TestClassify._write_sequence(tmp_path, "translating")
     code = (
-        "import sys, heisground.cli\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith(\n"
-        "        ('scipy.interpolate', 'scipy.sparse.linalg', 'scipy.linalg')))\n"
-        "print(loaded())\n"
-        "code = heisground.cli.main(['solve', '--method', 'constrained-min',\n"
-        "    '--radius', '2.5', '--grid', '12', '--report', sys.argv[1]])\n"
-        "print(code, loaded())\n"
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import heisground.cli\n"
+        "from heisground import cc_diag, grid, hgf\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "report, *inputs = sys.argv[1:]\n"
+        "assert heisground.cli.main(['classify', '--inputs', *inputs]) == 0\n"
+        "u = hgf.read_hgf(inputs[0])[0]\n"
+        "cc_diag.dilation_normalize(u.with_values(u.values / grid.lq_norm(u, 3.0)), 3.0)\n"
+        "g, mask = grid.build_ball_grid(2.0, 12)\n"
+        "f = grid.ScalarField(g, np.random.default_rng(0).standard_normal(g.shape), mask)\n"
+        "cc_diag.energy_split(f, 0.5, 2.0)\n"
+        "grid.e_norm_sq(f)\n"
+        "grid.apply_Xh(f)\n"
+        "before = scipy_modules()\n"
+        "rc = heisground.cli.main(['solve', '--method', 'constrained-min',\n"
+        "    '--radius', '2.5', '--grid', '12', '--report', report])\n"
+        "after = scipy_modules()\n"
+        "print(json.dumps([before, rc, 'scipy.sparse' in after, [m for m in after if\n"
+        "    m.startswith(('scipy.sparse.linalg', 'scipy.interpolate'))]]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _run_python("-c", code, str(tmp_path / "r.json"), *inputs)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, True, []]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc only")
+def test_main_keeps_freed_arrays_for_reuse():
+    # By default glibc trims the 3 MiB that three freed 1 MiB arrays leave
+    # at the top of its heap, so the next three fault hundreds of pages in
+    # again; after `main` the heap keeps them for reuse.
+    code = (
+        "import contextlib, io, resource\n"
+        "import numpy as np\n"
+        "import heisground.cli\n"
+        "def faults():\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(40):\n"
+        "        arrays = [np.ones(1 << 17) for _ in range(3)]\n"
+        "        del arrays\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "faults()\n"
+        "default = faults()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert heisground.cli.main(['--help']) == 0\n"
+        "faults()\n"
+        "print(default, faults())\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    default, after = map(int, proc.stdout.split())
+    assert default >= 40 * 256 and after < 40

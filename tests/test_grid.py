@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.ndimage import binary_erosion
 
 from heisground import grid as grid_module
@@ -163,7 +164,7 @@ class TestOperators:
 
 
 class TestHorizontalGradient:
-    """X_h and Y_h checked without the assembled B that they read."""
+    """X_h and Y_h checked without the stencil that they apply."""
 
     @pytest.mark.parametrize("ball", [False, True])
     def test_matches_per_node_loop(self, ball):
@@ -204,6 +205,71 @@ class TestHorizontalGradient:
             return max(errs)
 
         assert 1.6 < max_err(16) / max_err(32) < 2.5
+
+
+def kronecker_gradient(grid, mask):
+    """B = [X_h; Y_h] by Kronecker products of the 1-D forward differences
+    (u[+1] - u) / h, with u = 0 beyond the box edge: X_h = D_x + diag(2y) D_t
+    and Y_h = D_y - diag(2x) D_t, keeping the mask columns."""
+    (nx, ny, nt), (hx, hy, ht) = grid.shape, grid.spacing
+    cols = np.flatnonzero(mask)
+
+    def diff(before, n, h, after):
+        d = sparse.diags_array([np.full(n, -1.0 / h), np.full(n - 1, 1.0 / h)],
+                               offsets=[0, 1])
+        return sparse.kron(sparse.kron(sparse.eye_array(before), d),
+                           sparse.eye_array(after), format="csr")[:, cols]
+
+    xs, ys, _ = grid.coordinate_arrays()
+    dt = diff(nx * ny, nt, ht, 1)
+    gx = diff(1, nx, hx, ny * nt) + sparse.diags_array(
+        np.broadcast_to(2.0 * ys, grid.shape).ravel()) @ dt
+    gy = diff(nx, ny, hy, nt) - sparse.diags_array(
+        np.broadcast_to(2.0 * xs, grid.shape).ravel()) @ dt
+    B = sparse.vstack([gx, gy], format="csr")
+    B.sort_indices()
+    return B
+
+
+class TestStencilAgainstKronecker:
+    """The stencil and the CSR B assembled from it, bit for bit against the
+    Kronecker-product assembly of the same differences."""
+
+    @staticmethod
+    def _grid_and_mask(k, n, kind):
+        if isinstance(n, tuple):  # t-resolved: h_t = k h_x / 2
+            hx = 2.0 * k / n[0]
+            grid = Grid3(n, (hx, hx, 2.0 * k * k / n[2]), (-k, -k, -k * k))
+            mask = ball_mask(grid, k)
+        else:
+            grid, mask = build_ball_grid(k, n)
+        if kind == "random":
+            mask = np.random.default_rng(25).random(grid.shape) < 0.6
+        elif kind == "full":
+            mask = full_mask(grid)
+        return grid, mask
+
+    @pytest.mark.parametrize("kind", ["ball", "random", "full"])
+    @pytest.mark.parametrize("k, n", [(2.0, 10), (2.5, 12), (4.0, 32), (6.0, 48),
+                                      (4.0, (32, 32, 64))])
+    def test_bit_for_bit(self, k, n, kind):
+        grid, mask = self._grid_and_mask(k, n, kind)
+        want = kronecker_gradient(grid, mask)
+        got = grid_module._assemble_gradient(grid, mask)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+        u = ScalarField(grid, np.random.default_rng(26).standard_normal(grid.shape), mask)
+        g = want @ u.interior()
+        n_box = u.values.size
+        for apply, block in ((apply_Xh, g[:n_box]), (apply_Yh, g[n_box:])):
+            values = apply(u).values.ravel()
+            assert np.array_equal(values.view(np.uint64), block.view(np.uint64))
+        v = u.values.ravel()
+        assert e_norm_sq(u) == (float(np.sum(g * g)) + float(np.sum(v * v))) * grid.cell_volume
 
 
 def reference_energy(u):
@@ -353,14 +419,21 @@ class TestEmbeddingAndExtension:
             embedding_ratio(z, 3.0)
 
     def test_zero_extension_preserves_norms(self):
-        rng = np.random.default_rng(15)
-        grid, _ = build_ball_grid(2.0, 16)
-        m1 = ball_mask(grid, 1.0)
-        m2 = ball_mask(grid, 2.0)
-        u = ScalarField(grid, rng.standard_normal(grid.shape), m1)
-        v = zero_extend(u, m2)
-        assert l2_norm(u) == l2_norm(v)
-        assert e_norm_sq(u) == e_norm_sq(v)
+        # ||u||^2 sums over the box array, so the added zeros change no sum
+        for k, n in [(2.0, 16), (2.5, 12), (4.0, 32)]:
+            grid, _ = build_ball_grid(k, n)
+            xs, ys, ts = grid.coordinate_arrays()
+            gaussian = np.exp(-(xs**2 + ys**2) - 0.25 * ts**2)
+            fields = [gaussian] + [np.random.default_rng(seed).standard_normal(grid.shape)
+                                   for seed in (15, 16, 17)]
+            for frac in (0.5, 0.6, 0.7, 0.8, 0.9):
+                small = ball_mask(grid, frac * k)
+                for values in fields:
+                    u = ScalarField(grid, values, small)
+                    for big in (ball_mask(grid, k), full_mask(grid)):
+                        v = zero_extend(u, big)
+                        assert l2_norm(u) == l2_norm(v)
+                        assert e_norm_sq(u) == e_norm_sq(v)
 
     def test_zero_extension_rejects_shrinking(self):
         grid, _ = build_ball_grid(2.0, 16)
