@@ -11,8 +11,10 @@ Ball geometry is the group geometry throughout: the ball around z is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -176,10 +178,12 @@ def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
     order, off-grid ones reading the zero row.
 
     Yields (k, row, hi, lo): the slice k of centers and, per (center,
-    column), the column's row of `_padded_cumsum(values, last)` and the
-    flat indices into that array of the window's two ends, hi >= lo.  The
-    ball is open, so a node exactly on its sphere lies outside at either
-    end.  None of them depends on the density.
+    column), the row of `_padded_cumsum(values, last)` whose total bounds
+    the window sum (the column's row, or the zero row when the window is
+    empty) and the flat indices into that array of the window's two ends,
+    hi >= lo.  The ball is open, so a node exactly on its sphere lies
+    outside at either end.  None of them depends on the density, so
+    `_window_blocks` keeps the blocks of small lattices.
     """
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
@@ -215,7 +219,7 @@ def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
         lo = np.minimum(np.clip(np.floor(mid - half) + 1.0, -last, nt), hi)
         hi = start + hi.astype(np.int64)
         lo = start + lo.astype(np.int64)
-        yield k, row, hi, lo
+        yield k, np.where(hi > lo, row, nx * ny), hi, lo
 
 
 def _strided_rows(csum: np.ndarray, t_stride: int, ntc: int) -> np.ndarray:
@@ -297,14 +301,15 @@ def concentration_profile(density: MassDensity, R_grid) -> list:
     return _lattice_profiles([density], R_grid)[0]
 
 
-def _mass_bounds(totals: np.ndarray, row, hi, lo, w: float) -> np.ndarray:
+def _mass_bounds(totals: np.ndarray, row, w: float) -> np.ndarray:
     """Upper bounds on the computed ball masses of a block of centers at
     every t-center: one row per density (a row of `totals`, its column
     totals with 0 last for the zero row), one entry per center.
 
     The bound is B (1 + 4(n + 1)u), u = 2^-53, where B is the sum of the
-    column totals over the center's n columns, empty windows (hi == lo)
-    reading 0, times the cell volume w.  Each computed window sum is at
+    column totals over the center's n columns, times the cell volume w;
+    `_window_ends` points empty windows (hi == lo) at the zero row, so they
+    read 0.  Each computed window sum is at
     most its column total (see `_padded_cumsum`), and a computed sum of n
     terms >= 0, in any order, is within gamma = (n-1)u / (1 - (n-1)u) of
     the exact sum.  With the roundings of the two products by w, the
@@ -313,8 +318,8 @@ def _mass_bounds(totals: np.ndarray, row, hi, lo, w: float) -> np.ndarray:
     covers the two roundings of the product by 1 + 4(n + 1)u.  (The
     relative bounds assume no result is subnormal, below about 2e-308.)
     """
-    n = hi.shape[1]
-    sums = totals[:, np.where(hi > lo, row, totals.shape[1] - 1)].sum(axis=2)
+    n = row.shape[1]
+    sums = totals[:, row].sum(axis=2)
     return sums * w * (1.0 + 4 * (n + 1) * _U)
 
 
@@ -330,25 +335,83 @@ def _witness(R: float, k, masses, a, b, cts):
     return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
 
 
+# The ball geometries kept by `_center_lattice` and `_window_blocks`.  A
+# kept block has at most _CHUNK (center, column) pairs, so the window ends
+# take at most _GEOMETRY_CACHE_BYTES in all.
+_GEOMETRY_CACHE_SIZE = 8
+_GEOMETRY_CACHE_BYTES = _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK  # three int64 arrays
+_window_cache = OrderedDict()  # (shape, spacing, corner, R, stride) -> blocks
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _center_lattice(grid: Grid3, stride: int) -> tuple:
+    """The candidate centers of `concentration_profile`, every stride-th
+    node along each axis: (ia, ib, a, b, cts), the node columns (ia[k],
+    ib[k]) at (a[k], b[k]) in row-major order and the t-centers cts.  The
+    arrays are cached and shared by every caller: read them only.
+    """
+    return _center_lattice_of(tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner),
+                              stride)
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _center_lattice_of(shape: tuple, spacing: tuple, corner: tuple, stride: int) -> tuple:
+    grid = Grid3(shape, spacing, corner)
+    ia = np.arange(0, shape[0], stride)
+    ib = np.arange(0, shape[1], stride)
+    cts = grid.axis_coords(2)[::stride]
+    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
+    return _read_only(ia, ib, grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], cts)
+
+
+def _window_blocks(grid: Grid3, R: float, stride: int):
+    """The blocks of `_window_ends` on the lattice `_center_lattice(grid,
+    stride)` at radius R.
+
+    A lattice whose window ends fit in one block of at most _CHUNK
+    (center, column) pairs keeps that block, read-only, for the next call
+    with the same (grid, R, stride); the last _GEOMETRY_CACHE_SIZE such
+    geometries are kept.  A larger lattice streams its blocks and keeps
+    nothing, so a call's working set stays that of one block.
+    """
+    key = (tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner), R, stride)
+    blocks = _window_cache.get(key)
+    if blocks is not None:
+        _window_cache.move_to_end(key)
+        return blocks
+    ia, ib, _, _, cts = _center_lattice(grid, stride)
+    ends = _window_ends(grid, R, ia, ib, stride, len(cts))
+    first = k, row, hi, lo = next(ends)
+    if k.stop < len(ia) or hi.size > _CHUNK:
+        return itertools.chain([first], ends)
+    blocks = _window_cache[key] = ((k, *_read_only(row, hi, lo)),)
+    if len(_window_cache) > _GEOMETRY_CACHE_SIZE:
+        _window_cache.popitem(last=False)
+    return blocks
+
+
 def _lattice_profiles(densities, R_grid) -> list:
     """`concentration_profile` of every density, all on one grid: one list
     of (R, Q, center) per density, in one pass.
 
     The padded t-cumsums depend on the density only and are built once for
     all R.  Per radius, each block of `_window_ends` is found once and
-    serves every density.  Per density, the block's center of largest bound
-    (see `concentration_profile`) is gathered first, then every other
-    center whose bound reaches the running maximum less the tie margin.
+    serves every density; `_window_blocks` keeps it for later calls when
+    the lattice fits in one block.  Per density, the block's center of
+    largest bound (see `concentration_profile`) is gathered first, then
+    every other center whose bound reaches the running maximum less the
+    tie margin.
     """
     for R in R_grid:
         _check_radius(R)
     grid = densities[0].field.grid
     stride = _CENTER_STRIDE
-    ia = np.arange(0, grid.shape[0], stride)
-    ib = np.arange(0, grid.shape[1], stride)
-    cts = grid.axis_coords(2)[::stride]
-    ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-    a, b = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib]
+    _, _, a, b, cts = _center_lattice(grid, stride)
     ntc, w = len(cts), grid.cell_volume
     csums = [_padded_cumsum(d.field.values, stride * (ntc - 1)) for d in densities]
     rows = [_strided_rows(csum, stride, ntc) for csum in csums]
@@ -357,8 +420,8 @@ def _lattice_profiles(densities, R_grid) -> list:
     for R in R_grid:
         q_run = [0.0] * len(densities)
         found = [([], []) for _ in densities]  # gathered centers and their masses
-        for k, row, hi, lo in _window_ends(grid, R, ia, ib, stride, ntc):
-            for i, bound in enumerate(_mass_bounds(totals, row, hi, lo, w)):
+        for k, row, hi, lo in _window_blocks(grid, float(R), stride):
+            for i, bound in enumerate(_mass_bounds(totals, row, w)):
                 order = np.argsort(-bound)
                 for take in (order[:1], order[1:]):  # the largest bound first
                     take = take[bound[take] >= q_run[i] * (1.0 - _TIE_REL)]

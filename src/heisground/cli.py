@@ -60,8 +60,9 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _write_json(path: str, obj) -> None:
-    hgf.atomic_write(path, (_json(obj) + "\n").encode())
+def _write_text(path: str, text: str) -> None:
+    """Write text and a newline to path: the bytes print(text) puts on stdout."""
+    hgf.atomic_write(path, (text + "\n").encode())
 
 
 def _fmt(v) -> str:
@@ -173,10 +174,10 @@ def _reuse_freed_memory() -> None:
 def cmd_calculus_check(args) -> int:
     checks = calculus_check_suite(seed=args.seed)
     failed = [c["name"] for c in checks if not c["passed"]]
-    out = {"checks": checks, "failed": failed, "passed": not failed}
+    text = _json({"checks": checks, "failed": failed, "passed": not failed})
     if args.out:
-        _write_json(args.out, out)
-    print(_json(out))
+        _write_text(args.out, text)
+    print(text)
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -199,7 +200,7 @@ def cmd_solve(args) -> int:
         hgf.write_hgf(args.out, rep.field, ball_radius=cfg.ball_radius, p=cfg.p,
                       metadata={"method": args.method})
     if args.report:
-        _write_json(args.report, report)
+        _write_text(args.report, _json(report))
     else:
         print(_json(report))
     return EXIT_OK if rep.converged else EXIT_NONCONVERGED
@@ -246,7 +247,7 @@ def cmd_exhaust(args) -> int:
             for r in rows
         ],
     )
-    _write_json(args.out_json, verdict)
+    _write_text(args.out_json, _json(verdict))
     return EXIT_NONCONVERGED if failed else EXIT_OK
 
 
@@ -262,10 +263,10 @@ def cmd_classify(args) -> int:
         fields.append(f)
     densities = [cc_diag.normalize_mass(f, args.q) for f in fields]
     result = cc_diag.classify_sequence(densities, eps=args.eps, R_grid=radii)
-    out = result.as_dict()
+    text = _json(result.as_dict())
     if args.out:
-        _write_json(args.out, out)
-    print(_json(out))
+        _write_text(args.out, text)
+    print(text)
     if args.profiles_csv:
         rows = []
         for m, prof in enumerate(result.profiles):

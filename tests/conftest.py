@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from heisground import cc_diag
 from heisground.grid import ScalarField
 from heisground.solvers import (
     Domain,
@@ -32,6 +33,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_ball_geometry():
+    """Empty the ball-geometry caches of cc_diag before each test, so a test
+    that patches `_window_ends` or a helper of it (`_disc_offsets`,
+    `_radius_cap`) finds the geometry anew under its patch."""
+    cc_diag._window_cache.clear()
+    cc_diag._center_lattice_of.cache_clear()
 
 
 def _timed(fn, *args, **kwargs):

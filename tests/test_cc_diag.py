@@ -356,7 +356,7 @@ class TestProfilePass:
         csum = _padded_cumsum(vals, stride * (len(ts) - 1))
         rows = _strided_rows(csum, stride, len(ts))
         for _, row, hi, lo in _window_ends(grid, R, ia, ib, stride, len(ts)):
-            bound = _mass_bounds(csum[None, :, -1], row, hi, lo, grid.cell_volume)[0]
+            bound = _mass_bounds(csum[None, :, -1], row, grid.cell_volume)[0]
             masses = _gather(rows, hi, lo, grid.cell_volume)
             assert np.all(masses <= bound[:, None])
 
@@ -427,6 +427,117 @@ class TestSolverGrids:
         monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", 1)
         q, _ = concentration(d, R)
         assert q == pytest.approx(0.5, abs=1e-15)  # the balls that hold one node
+
+
+def profile_floats(prof):
+    """A profile as plain floats, (R, Q, x, y, t) per radius, for == checks."""
+    return [(r, q, float(z.x[0]), float(z.y[0]), float(z.t)) for r, q, z in prof]
+
+
+def criterion_7_sequences(grid, mask, seed):
+    """The compactness, vanishing and dichotomy sequences of criterion 7 at
+    seed: {family: (densities, eps, radii)}."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 0.7)
+    cy, ct = rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5)
+    compact = [normalize_mass(ScalarField(grid, gauge_bump(grid, -1.2 + 0.4 * m, cy, ct, w),
+                                          mask), Q_EXP) for m in range(6)]
+    w, rate = rng.uniform(0.4, 0.6), rng.uniform(0.6, 0.8)
+    base = ScalarField(grid, gauge_bump(grid, 0, 0, 0, w), mask)
+    vanish = [normalize_mass(dilate_field(base, 1.0 / (1.0 + rate * m), Q_EXP), Q_EXP)
+              for m in range(1, 7)]
+    w, s0 = rng.uniform(0.4, 0.55), rng.uniform(0.6, 0.9)
+    pair = [normalize_mass(ScalarField(grid, separating_pair(grid, s0 + 0.5 * m, w), mask),
+                           Q_EXP) for m in range(6)]
+    return {"compactness": (compact, 0.05, [0.5, 1.0, 2.0]),
+            "vanishing": (vanish, 0.05, [0.25, 0.5, 1.0]),
+            "dichotomy": (pair, 0.1, [0.5, 1.0, 2.0])}
+
+
+class TestGeometryCache:
+    """`_window_blocks` keeps the window ends of small lattices per
+    (grid, R, stride); profiles read from it equal those found anew."""
+
+    @pytest.mark.parametrize("family", ["compactness", "vanishing", "dichotomy"])
+    def test_warm_equals_cold_on_criterion_7(self, box, family):
+        dens, eps, radii = criterion_7_sequences(*box, seed=0)[family]
+        cold = classify_sequence(dens, eps, radii)
+        assert cc_diag._window_cache  # the 20 x 20 x 70 lattice fits one block
+        warm = classify_sequence(dens, eps, radii)
+        assert warm.verdict == cold.verdict == family
+        assert warm.as_dict() == cold.as_dict()
+        assert ([profile_floats(p) for p in warm.profiles]
+                == [profile_floats(p) for p in cold.profiles])
+
+    def test_warm_equals_cold_on_solver_grid(self):
+        grid, mask = build_ball_grid(4.0, 32)
+        d = random_density(grid, 23)
+        radii = [0.5, 1.0, 2.0]
+        cold = profile_floats(concentration_profile(d, radii))
+        ia, ib, _, _, cts = cc_diag._center_lattice(grid, 2)
+        assert len(list(_window_ends(grid, 2.0, ia, ib, 2, len(cts)))) == 4
+        geometry = (grid.shape, grid.spacing, grid.corner)
+        assert (*geometry, 1.0, 2) in cc_diag._window_cache
+        assert (*geometry, 2.0, 2) not in cc_diag._window_cache  # streamed
+        assert profile_floats(concentration_profile(d, radii)) == cold
+
+    def test_strides_share_a_session(self, small_density, monkeypatch):
+        grid = small_density.field.grid
+        for stride in (1, 2, 1):
+            monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
+            xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
+            best = max(brute_ball_mass(small_density, 1.0, GroupPoint.of(a, b, c))
+                       for a in xs for b in ys for c in ts)
+            q, center = concentration(small_density, 1.0)
+            assert q == pytest.approx(best, abs=1e-12)
+            assert brute_ball_mass(small_density, 1.0, center) == pytest.approx(q, abs=1e-12)
+
+    def test_each_geometry_found_once(self, box, monkeypatch):
+        built = []
+
+        def window_ends(grid, R, ia, ib, t_stride, ntc):
+            built.append((grid, R, t_stride))
+            return _window_ends(grid, R, ia, ib, t_stride, ntc)
+
+        monkeypatch.setattr(cc_diag, "_window_ends", window_ends)
+        dens, eps, radii = criterion_7_sequences(*box, seed=1)["dichotomy"]
+        for _ in range(2):
+            assert classify_sequence(dens, eps, radii).verdict == "dichotomy"
+        u = dens[0].field.with_values(dens[0].field.values ** (1.0 / Q_EXP))
+        dilation_normalize(u, Q_EXP)
+        assert len(built) == len(set(built))
+        assert {R for _, R, _ in built} == set(radii)
+
+    def test_grid_of_lists(self, small_density):
+        grid = small_density.field.grid
+        listed = Grid3(list(grid.shape), list(grid.spacing), list(grid.corner))
+        d = normalize_mass(ScalarField(listed, small_density.field.values,
+                                       full_mask(grid)), 1.0)
+        want = profile_floats(concentration_profile(small_density, [0.5, 1.0]))
+        assert profile_floats(concentration_profile(d, [0.5, 1.0])) == want
+        assert len(cc_diag._window_cache) == 2  # the list grid found the tuple grid's blocks
+
+    def test_cached_arrays_refuse_writes(self, small_density):
+        concentration(small_density, 1.0)
+        (block,), = cc_diag._window_cache.values()
+        arrays = [*block[1:], *cc_diag._center_lattice(small_density.field.grid, 2)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+    def test_cache_stays_bounded(self, small_density):
+        radii = [0.1 * (j + 1) for j in range(2 * cc_diag._GEOMETRY_CACHE_SIZE)]
+        concentration_profile(small_density, radii)
+        grid, mask = build_ball_grid(4.0, 32)
+        d = normalize_mass(ScalarField(grid, mask.astype(float), mask), 1.0)
+        concentration_profile(d, [1e308])  # four blocks: streamed, not kept
+        cache = cc_diag._window_cache
+        assert len(cache) == cc_diag._GEOMETRY_CACHE_SIZE
+        assert all(key[0] == small_density.field.grid.shape for key in cache)
+        assert all(len(blocks) == 1 and blocks[0][2].size <= cc_diag._CHUNK
+                   for blocks in cache.values())
+        nbytes = sum(arr.nbytes for (block,) in cache.values() for arr in block[1:])
+        assert nbytes <= cc_diag._GEOMETRY_CACHE_BYTES
 
 
 def translated_by_interpolator(u, a, b, c):

@@ -30,6 +30,7 @@ class TestCalculusCheck:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert len(doc["checks"]) >= 5
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_fault_injection_fails(self, capsys, monkeypatch):
         flip_y_twist(monkeypatch)
@@ -370,6 +371,13 @@ class TestClassify:
         with open(prof) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["index"] for r in rows} == {"0", "1", "2", "3"}
+
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        paths = self._write_sequence(tmp_path, "separating")
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--inputs", *paths, "--q", "3.0", "--eps", "0.1",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_solver_grid_fields(self, tmp_path, capsys):
         # fields on the grid of `solve --radius 4 --grid 32`; the ball-mass
