@@ -340,7 +340,9 @@ def _witness(R: float, k, masses, a, b, cts):
 # take at most _GEOMETRY_CACHE_BYTES in all.
 _GEOMETRY_CACHE_SIZE = 8
 _GEOMETRY_CACHE_BYTES = _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK  # three int64 arrays
-_window_cache = OrderedDict()  # (shape, spacing, corner, R, stride) -> blocks
+# (grid, R, stride) -> blocks.  Not an lru_cache: a lattice that streams its
+# blocks must not be kept, and an lru_cache keeps every result it returns.
+_window_cache = OrderedDict()
 
 
 def _read_only(*arrays) -> tuple:
@@ -349,21 +351,15 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _center_lattice(grid: Grid3, stride: int) -> tuple:
     """The candidate centers of `concentration_profile`, every stride-th
     node along each axis: (ia, ib, a, b, cts), the node columns (ia[k],
     ib[k]) at (a[k], b[k]) in row-major order and the t-centers cts.  The
     arrays are cached and shared by every caller: read them only.
     """
-    return _center_lattice_of(tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner),
-                              stride)
-
-
-@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _center_lattice_of(shape: tuple, spacing: tuple, corner: tuple, stride: int) -> tuple:
-    grid = Grid3(shape, spacing, corner)
-    ia = np.arange(0, shape[0], stride)
-    ib = np.arange(0, shape[1], stride)
+    ia = np.arange(0, grid.shape[0], stride)
+    ib = np.arange(0, grid.shape[1], stride)
     cts = grid.axis_coords(2)[::stride]
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
     return _read_only(ia, ib, grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], cts)
@@ -379,7 +375,7 @@ def _window_blocks(grid: Grid3, R: float, stride: int):
     geometries are kept.  A larger lattice streams its blocks and keeps
     nothing, so a call's working set stays that of one block.
     """
-    key = (tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner), R, stride)
+    key = (grid, R, stride)
     blocks = _window_cache.get(key)
     if blocks is not None:
         _window_cache.move_to_end(key)
@@ -595,7 +591,9 @@ def dilation_normalize(u: ScalarField, q: float):
     the sup-center unit-ball mass of |nu|^q is 1/2 (+- _MASS_TOL), then a
     group translation moves the maximizing center to the origin, and a
     second search refines the scale s against the origin-centered ball.
-    Returns (nu, R_m = 1/(lam s)).
+    Every fraction is read from the `normalize_mass` density of the scaled
+    field; an all-zero field holds no mass.  Returns (w, R_m = 1/(lam s)),
+    w the refined field scaled to unit L^q mass.
     """
     total = _lq_mass(u, q)
     if abs(total - 1.0) > 1e-6:
@@ -603,19 +601,15 @@ def dilation_normalize(u: ScalarField, q: float):
 
     def ball_fraction(lam):
         nu = dilate_field(u, lam, q)
-        m = _lq_mass(nu, q)
-        if m <= 0:
+        if not nu.values.any():
             return 0.0, nu, None
-        dens = MassDensity(ScalarField(nu.grid, np.abs(nu.values) ** q / m, nu.mask))
-        frac, center = concentration(dens, 1.0)
+        frac, center = concentration(normalize_mass(nu, q), 1.0)
         return frac, nu, center
 
     lam, (_, nu, center) = _half_mass_scale(ball_fraction, "half-mass dilation")
     nu = group_translate_field(nu, center)
-    m = _lq_mass(nu, q)
-    if m <= 0:
+    if not nu.values.any():
         raise AlgorithmError("mass lost during recentering")
-    nu = nu.with_values(nu.values / m ** (1.0 / q))
 
     # The recentering resample perturbs the ball mass, so refine the scale
     # against the origin-centered ball of the actual output field.  That
@@ -625,16 +619,13 @@ def dilation_normalize(u: ScalarField, q: float):
 
     def origin_fraction(s):
         w = dilate_field(nu, s, q)
-        m_w = _lq_mass(w, q)
-        if m_w <= 0:
+        if not w.values.any():
             return 0.0, None
-        w = w.with_values(w.values / m_w ** (1.0 / q))
-        dens = MassDensity(ScalarField(w.grid, np.abs(w.values) ** q, w.mask))
-        return ball_mass(dens, 1.0, origin), w
+        return ball_mass(normalize_mass(w, q), 1.0, origin), w
 
     s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement",
                                  step=2.0 ** (1.0 / 16.0))
-    return w, 1.0 / (lam * s)
+    return w.with_values(w.values / _lq_mass(w, q) ** (1.0 / q)), 1.0 / (lam * s)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ functions apply it to a field, the solvers to mask-node vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -152,14 +152,7 @@ class EnergyBreakdown:
     p: float
 
     def as_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "I": self.I,
-            "e_norm_sq": self.e_norm_sq,
-            "lp1_norm": self.lp1_norm,
-            "residual_l2": self.residual_l2,
-            "p": self.p,
-        }
+        return asdict(self)
 
 
 def energy_breakdown(u: ScalarField, p: float) -> EnergyBreakdown:

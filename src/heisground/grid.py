@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -78,19 +79,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid3:
-    """Cell-centered uniform grid: node (i,j,l) sits at corner + (i+1/2)h."""
+    """Cell-centered uniform grid: node (i,j,l) sits at corner + (i+1/2)h.
+
+    A grid is a value.  Its shape is stored as three Python ints (a
+    fractional count is refused) and its spacing and corner as three Python
+    floats, however they were given, so grids of equal numbers compare and
+    hash equal: every per-grid cache keys on the grid itself.
+    """
 
     shape: tuple
     spacing: tuple
     corner: tuple
 
     def __post_init__(self):
+        for name, convert, kind in (("shape", operator.index, "integers"),
+                                    ("spacing", float, "numbers"), ("corner", float, "numbers")):
+            given = getattr(self, name)
+            try:
+                value = tuple(map(convert, given))
+            except (TypeError, ValueError):
+                value = ()
+            if len(value) != 3:
+                raise ConfigurationError(f"a grid's {name} must be 3 {kind}, got {given!r}")
+            object.__setattr__(self, name, value)
         if any(n < 8 for n in self.shape):
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.shape}")
         if not all(0 < h < math.inf for h in self.spacing):
-            raise ConfigurationError(
-                f"spacings must be positive and finite, got {self.spacing}"
-            )
+            raise ConfigurationError(f"spacings must be positive and finite, got {self.spacing}")
+        if not all(math.isfinite(c) for c in self.corner):
+            raise ConfigurationError(f"the corner must be finite, got {self.corner}")
 
     @property
     def cell_volume(self) -> float:
@@ -134,9 +151,9 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.shape != tuple(self.grid.shape):
+        if self.values.shape != self.grid.shape:
             raise ConfigurationError("values shape does not match grid")
-        if self.mask.shape != tuple(self.grid.shape):
+        if self.mask.shape != self.grid.shape:
             raise ConfigurationError("mask shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("field values must be finite")
@@ -208,6 +225,7 @@ def full_mask(grid: Grid3) -> np.ndarray:
 _STENCIL_CACHE_SIZE = 8
 
 
+@functools.lru_cache(maxsize=_STENCIL_CACHE_SIZE)
 def _stencil(grid: Grid3) -> tuple:
     """B's coefficients on grid: (c0, taps) for X_h, then for Y_h.
 
@@ -221,14 +239,8 @@ def _stencil(grid: Grid3) -> tuple:
     factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.  The
     arrays are cached and shared by every caller: read them only.
     """
-    return _stencil_of(tuple(grid.shape), tuple(grid.spacing), tuple(grid.corner))
-
-
-@functools.lru_cache(maxsize=_STENCIL_CACHE_SIZE)
-def _stencil_of(shape: tuple, spacing: tuple, corner: tuple) -> tuple:
-    grid = Grid3(shape, spacing, corner)
-    hx, hy, ht = spacing
-    y2 = np.repeat(2.0 * grid.axis_coords(1), shape[2])  # 2y over a plane, C order
+    hx, hy, ht = grid.spacing
+    y2 = np.repeat(2.0 * grid.axis_coords(1), grid.shape[2])  # 2y over a plane, C order
     x2 = 2.0 * grid.axis_coords(0)[:, None]  # 2x per plane
     inv_ht = 1.0 / ht
     x_h = (-1.0 / hx + y2 * -inv_ht, ((2, y2 * inv_ht), (0, 1.0 / hx)))

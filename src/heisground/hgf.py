@@ -51,9 +51,9 @@ def write_hgf(
     """Atomic write (`atomic_write`) of a field with its grid header."""
     header = {
         "n": 1,
-        "extents": list(field.grid.shape),
-        "spacing": list(field.grid.spacing),
-        "origin": list(field.grid.corner),
+        "extents": field.grid.shape,
+        "spacing": field.grid.spacing,
+        "origin": field.grid.corner,
         "ball_radius": ball_radius,
         "p": p,
         "metadata": metadata or {},
@@ -67,8 +67,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_header(path: str, header) -> tuple:
-    """Validate a decoded header; returns the extents as a shape tuple."""
+def _check_header(path: str, header) -> list:
+    """Validate a decoded header; returns its extents."""
     if not isinstance(header, dict):
         raise DomainError(f"{path}: header is not a JSON object")
     extents = header.get("extents")
@@ -90,7 +90,7 @@ def _check_header(path: str, header) -> tuple:
     radius = header.get("ball_radius")
     if radius is not None and not (_is_number(radius) and radius > 0):
         raise DomainError(f"{path}: ball_radius must be null or positive, got {radius!r}")
-    return tuple(extents)
+    return extents
 
 
 def read_hgf(path: str) -> tuple:
@@ -118,7 +118,7 @@ def read_hgf(path: str) -> tuple:
         except (ValueError, RecursionError) as exc:
             raise DomainError(f"{path}: unreadable header: {exc}") from None
         shape = _check_header(path, header)
-        count = shape[0] * shape[1] * shape[2]
+        count = math.prod(shape)
         if size != 8 + hlen + 8 * count:
             raise DomainError(
                 f"{path}: payload of {size - 8 - hlen} bytes, expected {8 * count}"
@@ -126,11 +126,7 @@ def read_hgf(path: str) -> tuple:
         payload = fh.read(8 * count)
     values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     try:
-        grid = Grid3(
-            shape=shape,
-            spacing=tuple(header["spacing"]),
-            corner=tuple(header["origin"]),
-        )
+        grid = Grid3(shape=shape, spacing=header["spacing"], corner=header["origin"])
         radius = header.get("ball_radius")
         mask = full_mask(grid) if radius is None else ball_mask(grid, float(radius))
         outside = np.count_nonzero(values[~mask])

@@ -37,6 +37,7 @@ All work on mask-node vectors through one `_Energy` per (domain, p); a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -111,6 +112,10 @@ class SolverConfig:
             # Written so that NaN fails it too.
             if not 0.0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        for name in ("nodes_per_axis", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_axis < 8:
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.nodes_per_axis}")
         if self.max_iters < 1:
@@ -147,7 +152,7 @@ def make_domain(config: SolverConfig) -> Domain:
     0.56 at p = 1.01).  Otherwise ConfigurationError.
     """
     grid, mask = build_ball_grid(config.ball_radius, config.nodes_per_axis)
-    hx, _, ht = (float(h) for h in grid.spacing)
+    hx, _, ht = grid.spacing
     k, p = config.ball_radius, config.p
     log_b = math.log(1.0 / hx + 2.0 * float(np.abs(grid.axis_coords(1)).max()) * (1.0 / ht))
     if not 8.0 * log_b < _LOG_MAX_FLOAT:

@@ -476,9 +476,8 @@ class TestGeometryCache:
         cold = profile_floats(concentration_profile(d, radii))
         ia, ib, _, _, cts = cc_diag._center_lattice(grid, 2)
         assert len(list(_window_ends(grid, 2.0, ia, ib, 2, len(cts)))) == 4
-        geometry = (grid.shape, grid.spacing, grid.corner)
-        assert (*geometry, 1.0, 2) in cc_diag._window_cache
-        assert (*geometry, 2.0, 2) not in cc_diag._window_cache  # streamed
+        assert (grid, 1.0, 2) in cc_diag._window_cache
+        assert (grid, 2.0, 2) not in cc_diag._window_cache  # streamed
         assert profile_floats(concentration_profile(d, radii)) == cold
 
     def test_strides_share_a_session(self, small_density, monkeypatch):
@@ -517,6 +516,19 @@ class TestGeometryCache:
         assert profile_floats(concentration_profile(d, [0.5, 1.0])) == want
         assert len(cc_diag._window_cache) == 2  # the list grid found the tuple grid's blocks
 
+    def test_classify_on_a_grid_of_lists(self, box):
+        # classify_sequence groups its densities in a dict keyed on the grid,
+        # which raised "unhashable type: 'list'" on a grid of lists
+        dens, eps, radii = criterion_7_sequences(*box, seed=0)["compactness"]
+        grid = box[0]
+        listed = Grid3(list(grid.shape), list(grid.spacing), list(grid.corner))
+        relisted = [cc_diag.MassDensity(ScalarField(listed, d.field.values, d.field.mask))
+                    for d in dens]
+        got = classify_sequence(relisted, eps, radii)
+        want = classify_sequence(dens, eps, radii)
+        assert got.verdict == want.verdict == "compactness"
+        assert got.as_dict() == want.as_dict()
+
     def test_cached_arrays_refuse_writes(self, small_density):
         concentration(small_density, 1.0)
         (block,), = cc_diag._window_cache.values()
@@ -533,7 +545,7 @@ class TestGeometryCache:
         concentration_profile(d, [1e308])  # four blocks: streamed, not kept
         cache = cc_diag._window_cache
         assert len(cache) == cc_diag._GEOMETRY_CACHE_SIZE
-        assert all(key[0] == small_density.field.grid.shape for key in cache)
+        assert all(key[0] == small_density.field.grid for key in cache)
         assert all(len(blocks) == 1 and blocks[0][2].size <= cc_diag._CHUNK
                    for blocks in cache.values())
         nbytes = sum(arr.nbytes for (block,) in cache.values() for arr in block[1:])

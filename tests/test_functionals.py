@@ -165,11 +165,11 @@ class TestIdentityAndBreakdown:
             bd.I - bd.lp1_norm ** (P + 1.0) / (P + 1.0), rel=1e-12
         )
         assert bd.p == P
-        assert set(bd.as_dict()) == {
-            "J",
-            "I",
-            "e_norm_sq",
-            "lp1_norm",
-            "residual_l2",
-            "p",
+        assert bd.as_dict() == {
+            "J": bd.J,
+            "I": bd.I,
+            "e_norm_sq": bd.e_norm_sq,
+            "lp1_norm": bd.lp1_norm,
+            "residual_l2": bd.residual_l2,
+            "p": bd.p,
         }

@@ -85,6 +85,27 @@ class TestGridConstruction:
         with pytest.raises(ConfigurationError):
             Grid3(shape=(8, 8, 8), spacing=(1.0, 1.0, h), corner=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("shape, corner", [
+        ((8.5, 8, 8), (0.0, 0.0, 0.0)),  # was accepted, with a 9-node x axis
+        ((8.0, 8, 8), (0.0, 0.0, 0.0)),
+        ((8, 8), (0.0, 0.0, 0.0)),
+        (8, (0.0, 0.0, 0.0)),
+        ((8, 8, 8), (np.nan, 0.0, 0.0)),  # was accepted
+        ((8, 8, 8), (0.0, -np.inf, 0.0)),
+        ((8, 8, 8), (0.0, 0.0)),
+        ((8, 8, 8), (0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_rejects_bad_shape_or_corner(self, shape, corner):
+        with pytest.raises(ConfigurationError, match="shape|corner"):
+            Grid3(shape=shape, spacing=(1.0, 1.0, 1.0), corner=corner)
+
+    def test_stores_python_numbers(self):
+        grid = Grid3(np.array([8, 9, 10]), np.array([0.5, 0.25, 1.0]),
+                     [np.float64(-1.0), np.float32(-2.0), -3])
+        assert grid == Grid3((8, 9, 10), (0.5, 0.25, 1.0), (-1.0, -2.0, -3.0))
+        assert [type(n) for n in grid.shape] == [int] * 3
+        assert [type(x) for x in grid.spacing + grid.corner] == [float] * 6
+
     @pytest.mark.parametrize("k", [1e-6, 0.3, 2.5, 4.0, 1e6])
     def test_equal_node_counts(self, k):
         grid, _ = build_ball_grid(k, 12)
@@ -314,6 +335,18 @@ class TestEnergyOperator:
             ref = reference_energy(u)
             assert float(v @ (a @ v)) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
             assert e_norm_sq(u) == pytest.approx(ref, rel=1e-13)
+
+    def test_grid_of_arrays_keys_the_cache(self, monkeypatch):
+        # The cache compares grids with ==, which raised numpy's "truth value
+        # of an array is ambiguous" for every later grid once a grid of
+        # ndarrays was cached.
+        monkeypatch.setattr(grid_module, "_operator_cache", [])
+        grid, mask = build_ball_grid(1.5, 12)
+        arrays = Grid3(np.array(grid.shape), np.array(grid.spacing), np.array(grid.corner))
+        a = energy_operator(arrays, mask)
+        assert energy_operator(grid, mask) is a
+        other, other_mask = build_ball_grid(2.0, 12)
+        assert energy_operator(other, other_mask).shape[0] == np.count_nonzero(other_mask)
 
     def test_cached_per_grid_and_mask(self, monkeypatch):
         monkeypatch.setattr(grid_module, "_operator_cache", [])

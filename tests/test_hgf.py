@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisground.grid import ScalarField, build_ball_grid
+from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.hgf import MAGIC, read_hgf, write_hgf
 
 
@@ -54,6 +54,47 @@ def test_values_and_mask_restored(tmp_path, sample_field):
     assert np.array_equal(field.values, sample_field.values)
     assert np.array_equal(field.mask, sample_field.mask)
     assert field.grid.spacing == sample_field.grid.spacing
+
+
+def test_numpy_node_counts_are_written(tmp_path, sample_field):
+    # numpy ints in the shape used to stop json.dumps: int64 is not JSON
+    # serializable
+    g = sample_field.grid
+    grid = Grid3(np.array(g.shape), g.spacing, g.corner)
+    path = str(tmp_path / "f.hgf")
+    write_hgf(path, ScalarField(grid, sample_field.values, sample_field.mask), ball_radius=1.5)
+    field, _ = read_hgf(path)
+    assert field.grid == g
+    assert np.array_equal(field.values, sample_field.values)
+
+
+_COUNT = st.integers(8, 10)
+_SPACING = st.floats(1e-3, 1e3)
+_COORD = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.tuples(_COUNT, _COUNT, _COUNT),
+       spacing=st.tuples(_SPACING, _SPACING, _SPACING),
+       corner=st.tuples(_COORD, _COORD, _COORD))
+def test_grid_is_a_value(shape, spacing, corner):
+    """Copies of the same numbers as lists, tuples, ndarrays and numpy
+    scalars make equal grids, with equal hashes, that read back equal."""
+    import tempfile
+
+    copies = [
+        Grid3(list(shape), list(spacing), list(corner)),
+        Grid3(shape, spacing, corner),
+        Grid3(np.array(shape), np.array(spacing), np.array(corner)),
+        Grid3([np.int32(n) for n in shape], [np.float64(h) for h in spacing],
+              [np.float64(c) for c in corner]),
+    ]
+    assert all(g == copies[1] and hash(g) == hash(copies[1]) for g in copies)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/g.hgf"
+        for g in copies:
+            write_hgf(path, ScalarField(g, np.zeros(g.shape), full_mask(g)))
+            assert read_hgf(path)[0].grid == copies[1]
 
 
 def test_read_missing_file(tmp_path):

@@ -22,7 +22,7 @@ from heisground.functionals import (
     grad_J,
     nehari_scale,
 )
-from heisground.grid import ScalarField, ball_mask, build_ball_grid, l2_norm, zero_extend
+from heisground.grid import Grid3, ScalarField, ball_mask, build_ball_grid, l2_norm, zero_extend
 from heisground.solvers import (
     Domain,
     SolverConfig,
@@ -56,6 +56,20 @@ def _k2_ball_of_the_desk_grid():
 
 
 class TestConfig:
+    @pytest.mark.parametrize("name, value", [("nodes_per_axis", 12.5), ("nodes_per_axis", 12.0),
+                                             ("max_iters", 2.5), ("max_iters", "5")])
+    def test_rejects_non_integral_counts(self, name, value):
+        # 12.5 nodes per axis made 13-node axes; 2.5 iterations raised a
+        # TypeError inside the descent
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: value})
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            replace(SolverConfig(), **{name: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolverConfig(nodes_per_axis=np.int64(12), max_iters=np.int32(5))
+        assert make_domain(cfg).grid.shape == (12, 12, 12)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SolverConfig(p=3.0)
@@ -516,6 +530,16 @@ class TestVectorEnergy:
         v[3] = np.nan
         with pytest.raises(NumericError):
             _ray_descent(energy, v, 1e-6, 10, [])
+
+    def test_mountain_pass_takes_u0_on_an_equal_grid(self, small_domain, small_config,
+                                                     small_mp):
+        # A grid of lists equals the domain's grid; it used to be refused.
+        g = small_domain.grid
+        listed = Grid3(list(g.shape), list(g.spacing), list(g.corner))
+        u0 = ScalarField(listed, small_mp.field.values, small_domain.mask)
+        rep = solve_mountain_pass(small_config, domain=small_domain, u0=u0)
+        assert (rep.converged, rep.iterations) == (True, 1)
+        assert rep.level == pytest.approx(small_mp.level, rel=1e-12)
 
     def test_mountain_pass_rejects_u0_off_the_domain(self, small_domain, small_config):
         u0 = ScalarField(small_domain.grid, np.ones(small_domain.grid.shape),

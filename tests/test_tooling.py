@@ -1,7 +1,8 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, and the README's
-CLI section names the parser's flags and the CLI's exit codes."""
+CLI section names the parser's flags and the CLI's exit codes; the autouse
+fixture empties every per-grid cache."""
 
 import argparse
 import ast
@@ -111,3 +112,26 @@ def test_readme_exit_codes_are_the_cli_ones():
     documented = {int(n) for n in re.findall(r"\b\d+\b", sentence)}
     assert documented == {cli.EXIT_OK, cli.EXIT_INVARIANT, cli.EXIT_NONCONVERGED,
                           cli.EXIT_USAGE, cli.EXIT_IO}
+
+
+def test_autouse_fixture_empties_every_per_grid_cache():
+    # Every `functools.lru_cache` of grid and cc_diag, and `_window_cache`,
+    # is filled here and must be empty after the autouse fixture of
+    # conftest.py, so no cache carries state from one test into the next.
+    from conftest import fresh_ball_geometry
+    from heisground import cc_diag, grid
+
+    lru_caches = {id(obj): obj for module in (grid, cc_diag) for obj in vars(module).values()
+                  if callable(getattr(obj, "cache_clear", None))}
+    sizes = {"_window_cache": lambda: len(cc_diag._window_cache)}
+    sizes.update((cache.__qualname__, lambda c=cache: c.cache_info().currsize)
+                 for cache in lru_caches.values())
+    assert {"_stencil", "_center_lattice"} <= set(sizes)
+    box, mask = grid.build_ball_grid(2.5, 12)
+    density = cc_diag.normalize_mass(grid.ScalarField(box, mask.astype(float), mask), 1.0)
+    cc_diag.concentration(density, 1.0)
+    grid.e_norm_sq(density.field)
+    # a cache that these calls leave empty needs a call here that fills it
+    assert [name for name, size in sizes.items() if not size()] == []
+    fresh_ball_geometry.__wrapped__()
+    assert {name: size() for name, size in sizes.items()} == dict.fromkeys(sizes, 0)
