@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AlgorithmError, DomainError
 from .functionals import check_exponent
-from .grid import Grid3, ScalarField, _check_lq_exponent, _lq_mass, e_norm_sq, full_mask
+from .grid import Grid3, ScalarField, _check_lq_exponent, _lq_mass, _power, e_norm_sq, full_mask
 from .heis_core import GroupPoint, gauge, group_inverse, group_mul, homogeneous_dimension
 
 __all__ = [
@@ -59,7 +59,9 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
 
     The powers are taken of |u| / max|u|, which lie in [0, 1], so a finite
     field of any scale neither overflows nor loses its mass to underflow,
-    and scaling u by a power of two leaves the density bit-identical.
+    and scaling u by a power of two leaves the density bit-identical.  They
+    are `grid._power`'s: two products at q = 3, numpy's general power at
+    every other q.
     """
     _check_lq_exponent(q)
     dens = np.abs(u.values)
@@ -67,7 +69,7 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
     if top == 0.0:
         raise DomainError("cannot normalize a field with zero L^q mass")
     dens /= top
-    dens **= q
+    dens = _power(dens, q)
     dens /= float(dens.sum()) * u.grid.cell_volume
     return MassDensity(ScalarField(u.grid, dens, u.mask))
 
@@ -144,21 +146,28 @@ def _disc_offsets(grid: Grid3, R: float):
     return ox[keep], oy[keep]
 
 
-def _padded_cumsum(values: np.ndarray, last: int) -> np.ndarray:
-    """Each column's t-cumsum with a leading 0, padded with `last` more zeros
-    before and `last` copies of the column total after, plus one zero row
-    that off-grid columns read: shape (nx ny + 1, nt + 2 last + 1).
+def _padded_cumsum(densities, last: int) -> np.ndarray:
+    """One plane per density array of `densities`, all of one shape: each
+    column's t-cumsum with a leading 0, padded with `last` more zeros before
+    and `last` copies of the column total after, plus one zero row that
+    off-grid columns read: shape (len(densities), nx ny + 1, nt + 2 last + 1).
 
-    It depends on the density and on `last` only, not on the radius.  The
-    density is >= 0 and np.cumsum adds along the column in order, so each
-    row is nondecreasing in floating point too (fl(F + v) >= F for v >= 0).
-    A window sum fl(F[hi] - F[lo]) with lo <= hi thus lies in [0, F[hi]]:
-    it is at most the row's last entry, the column total.
+    Only the padding is filled before the cumsums are written into place.
+    A plane depends on its density and on `last` only, not on the radius.
+    The density is >= 0 and np.cumsum adds along the column in order, so
+    each row is nondecreasing in floating point too (fl(F + v) >= F for
+    v >= 0).  A window sum fl(F[hi] - F[lo]) with lo <= hi thus lies in
+    [0, F[hi]]: it is at most the row's last entry, the column total.
     """
-    nx, ny, nt = values.shape
-    csum = np.zeros((nx * ny + 1, nt + 2 * last + 1))
-    np.cumsum(values.reshape(nx * ny, nt), axis=1, out=csum[:-1, last + 1:last + nt + 1])
-    csum[:-1, last + nt + 1:] = csum[:-1, last + nt, None]
+    nx, ny, nt = densities[0].shape
+    csum = np.empty((len(densities), nx * ny + 1, nt + 2 * last + 1))
+    csum[:, :, :last + 1] = 0.0
+    csum[:, -1] = 0.0
+    for plane, values in zip(csum, densities):
+        np.cumsum(values.reshape(nx * ny, nt), axis=1, out=plane[:-1, last + 1:last + nt + 1])
+    # numpy copies the source of an overlapping assignment at the size of
+    # its target; the totals alone are one column
+    csum[:, :-1, last + nt + 1:] = csum[:, :-1, last + nt, None].copy()
     return csum
 
 
@@ -178,12 +187,12 @@ def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
     order, off-grid ones reading the zero row.
 
     Yields (k, row, hi, lo): the slice k of centers and, per (center,
-    column), the row of `_padded_cumsum(values, last)` whose total bounds
-    the window sum (the column's row, or the zero row when the window is
-    empty) and the flat indices into that array of the window's two ends,
-    hi >= lo.  The ball is open, so a node exactly on its sphere lies
-    outside at either end.  None of them depends on the density, so
-    `_window_blocks` keeps the blocks of small lattices.
+    column), the row of a plane of `_padded_cumsum` whose total bounds the
+    window sum (the column's row, or the zero row when the window is empty)
+    and the flat indices into that plane of the window's two ends, hi >= lo.
+    The ball is open, so a node exactly on its sphere lies outside at either
+    end.  None of them depends on the density, so `_window_blocks` keeps the
+    blocks of small lattices.
     """
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
@@ -227,27 +236,32 @@ def _strided_rows(csum: np.ndarray, t_stride: int, ntc: int) -> np.ndarray:
     last = t_stride (ntc - 1): a window end's entries at the ntc t-centers.
 
     The padding of `_padded_cumsum` makes an end clipped to [-last, nt]
-    read 0 or the column total at every t-center.
+    read 0 or the column total at every t-center, and keeps the rows of an
+    end within its own plane.
     """
-    step = csum.strides[1]
+    step = csum.strides[-1]
     return np.lib.stride_tricks.as_strided(
         csum.ravel(), (csum.size - t_stride * (ntc - 1), ntc), (step, t_stride * step),
         writeable=False)
 
 
-def _gather(rows: np.ndarray, hi, lo, w: float) -> np.ndarray:
+def _gather(rows: np.ndarray, hi, lo, w: float, centers, shift) -> np.ndarray:
     """Ball masses at every t-center of the centers whose window ends are
-    the rows of hi and lo: the column differences of the strided rows,
-    summed in the columns' row-major order, times the cell volume w.
+    the rows `centers` of hi and lo, the ends of centers[j] moved by
+    shift[j] (the offset of its density's plane in the stacked cumsum): the
+    column differences of the strided rows, summed in the columns'
+    row-major order, times the cell volume w.
 
-    A center's masses do not depend on the centers gathered with it.
+    The ends are indexed, shifted and read for at most _CHUNK entries at a
+    time.  A center's masses do not depend on the centers gathered with it.
     """
     ncol, ntc = hi.shape[1], rows.shape[1]
     n = max(1, _CHUNK // (ncol * ntc))  # centers per gather
-    masses = np.empty((len(hi), ntc))
-    for j in range(0, len(hi), n):
-        col = rows[hi[j:j + n]]
-        col -= rows[lo[j:j + n]]
+    masses = np.empty((len(centers), ntc))
+    for j in range(0, len(centers), n):
+        c, s = centers[j:j + n], shift[j:j + n, None]
+        col = rows[hi[c] + s]
+        col -= rows[lo[c] + s]
         masses[j:j + n] = col.sum(axis=1) * w
     return masses
 
@@ -317,20 +331,29 @@ def _mass_bounds(totals: np.ndarray, row, w: float) -> np.ndarray:
     <= B / (1 - 2nu) <= B (1 + 4nu) for 2nu <= 1/2, and the extra 4u
     covers the two roundings of the product by 1 + 4(n + 1)u.  (The
     relative bounds assume no result is subnormal, below about 2e-308.)
+    The sums of all densities come from one `np.take`, laid out with the
+    columns in the middle axis so that each is summed in column order, bit
+    for bit as `totals[:, row].sum(axis=2)` sums (a sum along a contiguous
+    last axis would be numpy's unrolled pairwise sum, another order).
     """
     n = row.shape[1]
-    sums = totals[:, row].sum(axis=2)
+    sums = np.take(totals, row.T, axis=1).sum(axis=1)
     return sums * w * (1.0 + 4 * (n + 1) * _U)
 
 
 def _witness(R: float, k, masses, a, b, cts):
     """(R, Q, center) from the masses of the xy-centers k, which hold every
-    center of the lattice that can tie with the maximum."""
-    order = np.argsort(k)  # back to (x, y, t) order
-    k, masses = k[order], masses[order]
+    center of the lattice that can tie with the maximum.  A lone
+    near-maximal center is the center at once."""
     q = float(masses.max())
-    i, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
-    near = np.stack([a[k[i]], b[k[i]], cts[l]], axis=1)
+    tie = masses >= q * (1.0 - _TIE_REL)
+    if np.count_nonzero(tie) == 1:
+        i, l = np.divmod(int(np.argmax(tie)), len(cts))
+        return float(R), q, GroupPoint.of(float(a[k[i]]), float(b[k[i]]), float(cts[l]))
+    order = np.argsort(k)  # back to (x, y, t) order
+    i, l = np.divmod(np.flatnonzero(tie[order]), len(cts))
+    k = k[order][i]
+    near = np.stack([a[k], b[k], cts[l]], axis=1)
     j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
     return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
 
@@ -395,12 +418,14 @@ def _lattice_profiles(densities, R_grid) -> list:
     """`concentration_profile` of every density, all on one grid: one list
     of (R, Q, center) per density, in one pass.
 
-    The padded t-cumsums depend on the density only and are built once for
-    all R.  Per radius, each block of `_window_ends` is found once and
+    The padded t-cumsums depend on the density only: one array holds a
+    plane per density, built once for all R, and one strided view reads
+    them all.  Per radius, each block of `_window_ends` is found once and
     serves every density; `_window_blocks` keeps it for later calls when
-    the lattice fits in one block.  Per density, the block's center of
-    largest bound (see `concentration_profile`) is gathered first, then
-    every other center whose bound reaches the running maximum less the
+    the lattice fits in one block.  Per block, the bounds of every
+    (density, center) pair come at once (see `concentration_profile`); one
+    gather takes each density's center of largest bound, and a second every
+    other pair whose bound reaches its density's running maximum less the
     tie margin.
     """
     for R in R_grid:
@@ -409,25 +434,29 @@ def _lattice_profiles(densities, R_grid) -> list:
     stride = _CENTER_STRIDE
     _, _, a, b, cts = _center_lattice(grid, stride)
     ntc, w = len(cts), grid.cell_volume
-    csums = [_padded_cumsum(d.field.values, stride * (ntc - 1)) for d in densities]
-    rows = [_strided_rows(csum, stride, ntc) for csum in csums]
-    totals = np.stack([csum[:, -1] for csum in csums])
+    csum = _padded_cumsum([d.field.values for d in densities], stride * (ntc - 1))
+    rows = _strided_rows(csum, stride, ntc)
+    totals = csum[:, :, -1].copy()
+    plane = csum[0].size  # flat offset of one density's plane from the last
     profiles = [[] for _ in densities]
     for R in R_grid:
-        q_run = [0.0] * len(densities)
-        found = [([], []) for _ in densities]  # gathered centers and their masses
+        q_run = np.zeros(len(densities))
+        found = []  # per gather: the densities, centers and masses
         for k, row, hi, lo in _window_blocks(grid, float(R), stride):
-            for i, bound in enumerate(_mass_bounds(totals, row, w)):
-                order = np.argsort(-bound)
-                for take in (order[:1], order[1:]):  # the largest bound first
-                    take = take[bound[take] >= q_run[i] * (1.0 - _TIE_REL)]
-                    if len(take):
-                        masses = _gather(rows[i], hi[take], lo[take], w)
-                        q_run[i] = max(q_run[i], float(masses.max()))
-                        found[i][0].append(take + k.start)
-                        found[i][1].append(masses)
-        for prof, (ks, ms) in zip(profiles, found):
-            prof.append(_witness(R, np.concatenate(ks), np.concatenate(ms), a, b, cts))
+            bound = _mass_bounds(totals, row, w)
+            top = np.zeros(bound.shape, dtype=bool)
+            top[np.arange(len(bound)), bound.argmax(axis=1)] = True
+            for pick in (top, ~top):  # each density's largest bound first
+                pick &= bound >= (q_run * (1.0 - _TIE_REL))[:, None]
+                dens, centers = np.nonzero(pick)
+                if len(dens):
+                    masses = _gather(rows, hi, lo, w, centers, dens * plane)
+                    np.maximum.at(q_run, dens, masses.max(axis=1))
+                    found.append((dens, centers + k.start, masses))
+        dens, centers, masses = (np.concatenate(parts) for parts in zip(*found))
+        for i, prof in enumerate(profiles):
+            mine = dens == i
+            prof.append(_witness(R, centers[mine], masses[mine], a, b, cts))
     return profiles
 
 
@@ -747,14 +776,17 @@ def classify_sequence(densities, eps: float, R_grid) -> TrichotomyResult:
 # ---------------------------------------------------------------------------
 
 
-def cutoff(r: float, grid: Grid3) -> ScalarField:
-    """C^1 smoothstep in the gauge: 1 on B_r, 0 outside B_2r."""
+def _cutoff_values(r: float, rho: np.ndarray) -> np.ndarray:
+    """The values of `cutoff` at radius r, from the box gauge rho."""
     if not 0.0 < r < math.inf:  # NaN fails it too
         raise DomainError(f"cutoff radius r must be finite and positive, got {r}")
-    rho = grid.gauge_array()
     s = np.clip((2.0 * r - rho) / r, 0.0, 1.0)
-    phi = s * s * (3.0 - 2.0 * s)
-    return ScalarField(grid, np.broadcast_to(phi, grid.shape).copy(), full_mask(grid))
+    return s * s * (3.0 - 2.0 * s)
+
+
+def cutoff(r: float, grid: Grid3) -> ScalarField:
+    """C^1 smoothstep in the gauge: 1 on B_r, 0 outside B_2r."""
+    return ScalarField(grid, _cutoff_values(r, grid.gauge_array()), full_mask(grid))
 
 
 def energy_split(u: ScalarField, r: float, p: float):
@@ -768,12 +800,10 @@ def energy_split(u: ScalarField, r: float, p: float):
     rho = u.grid.gauge_array()
     if r > float(rho.max()):
         raise DomainError(f"r = {r} exceeds the box gauge radius {rho.max():.3g}")
-    phi = cutoff(r, u.grid)
-    inner_part = u.with_values(phi.values * u.values)
-    outer_part = u.with_values((1.0 - phi.values) * u.values)
+    phi = _cutoff_values(r, rho)
+    inner_part = u.with_values(phi * u.values)
+    outer_part = u.with_values((1.0 - phi) * u.values)
     defect = abs(e_norm_sq(inner_part) + e_norm_sq(outer_part) - e_norm_sq(u))
     ann = (rho >= r) & (rho < 2.0 * r)
-    annulus_mass = float(
-        (np.abs(u.values[ann]) ** (p + 1.0)).sum()
-    ) * u.grid.cell_volume
+    annulus_mass = float(_power(np.abs(u.values[ann]), p + 1.0).sum()) * u.grid.cell_volume
     return defect, annulus_mass

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import ScalarField, e_norm_sq, energy_operator, l2_norm
+from .grid import ScalarField, _power, e_norm_sq, energy_operator, l2_norm
 from .heis_core import critical_exponent
 
 __all__ = [
@@ -54,12 +54,7 @@ def check_exponent(p: float) -> None:
 
 
 def _pos_pow_sum(values: np.ndarray, expo: float) -> float:
-    up = np.maximum(values, 0.0)
-    if expo == 3.0:
-        cube = up * up
-        cube *= up
-        return float(cube.sum())
-    return float(np.sum(up**expo))
+    return float(_power(np.maximum(values, 0.0), expo).sum())
 
 
 def _pos_pow(values: np.ndarray, expo: float) -> np.ndarray:

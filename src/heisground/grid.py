@@ -411,9 +411,24 @@ def _check_lq_exponent(q: float) -> None:
         raise DomainError(f"L^q exponent q must be finite and >= 1, got {q}")
 
 
+def _power(a: np.ndarray, q: float) -> np.ndarray:
+    """a^q of an array a >= 0, as a new array: (a a) a at q = 3, numpy's
+    general power at every other q.
+
+    The two products are within 2 ulps of the general power (each rounds
+    by half an ulp) and several times faster, the most on fields that are
+    mostly zeros.
+    """
+    if q == 3.0:
+        cube = a * a
+        cube *= a
+        return cube
+    return a**q
+
+
 def _lq_mass(u: ScalarField, q: float) -> float:
-    """Midpoint-rule int |u|^q."""
-    return float((np.abs(u.values) ** q).sum()) * u.grid.cell_volume
+    """Midpoint-rule int |u|^q, the powers by `_power`."""
+    return float(_power(np.abs(u.values), q).sum()) * u.grid.cell_volume
 
 
 def lq_norm(u: ScalarField, q: float) -> float:

@@ -105,6 +105,29 @@ class TestNormalizeMass:
 
         assert verdict(scale) == verdict(1.0)
 
+    @pytest.mark.parametrize("q", [1.0, 2.5, Q_EXP, 4.0])
+    @pytest.mark.parametrize("zeros", [0.0, 0.9])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_of_two_scale_is_bit_identical(self, box, zeros, q):
+        grid, mask = box
+        rng = np.random.default_rng(32)
+        vals = rng.standard_normal(grid.shape)
+        vals[rng.uniform(size=grid.shape) < zeros] = 0.0
+        want = normalize_mass(ScalarField(grid, vals, mask), q).field.values
+        for scale in (2.0**-600, 2.0**-3, 2.0**7, 2.0**600):
+            got = normalize_mass(ScalarField(grid, scale * vals, mask), q).field.values
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 2.5, Q_EXP, 4.0])
+    def test_powers_follow_the_rule(self, box, q):
+        # two products at q = 3, numpy's general power at every other q
+        grid, mask = box
+        vals = np.random.default_rng(33).standard_normal(grid.shape)
+        dens = np.abs(vals) / np.abs(vals).max()
+        dens = (dens * dens) * dens if q == 3.0 else dens**q
+        dens /= float(dens.sum()) * grid.cell_volume
+        assert np.array_equal(normalize_mass(ScalarField(grid, vals, mask), q).field.values, dens)
+
 
 class TestConcentration:
     def test_whole_box_captured(self, centered_density):
@@ -194,11 +217,11 @@ def lattice_masses(density, R, stride):
     (masses, a, b, ts)."""
     grid = density.field.grid
     ia, ib, a, b, ts = center_lattice(grid, stride)
-    csum = _padded_cumsum(density.field.values, stride * (len(ts) - 1))
+    csum = _padded_cumsum([density.field.values], stride * (len(ts) - 1))
     rows = _strided_rows(csum, stride, len(ts))
     masses = np.empty((len(a), len(ts)))
     for k, _, hi, lo in _window_ends(grid, R, ia, ib, stride, len(ts)):
-        masses[k] = _gather(rows, hi, lo, grid.cell_volume)
+        masses[k] = _gather(rows, hi, lo, grid.cell_volume, np.arange(len(hi)), np.zeros(len(hi), int))
     return masses, a, b, ts
 
 
@@ -335,9 +358,9 @@ class TestProfilePass:
     def test_leaves_out_centers(self, centered_density, monkeypatch):
         gathered = []
 
-        def gather(rows, hi, lo, w):
-            gathered.append(len(hi))
-            return _gather(rows, hi, lo, w)
+        def gather(rows, hi, lo, w, centers, shift):
+            gathered.append(len(centers))
+            return _gather(rows, hi, lo, w, centers, shift)
 
         monkeypatch.setattr(cc_diag, "_gather", gather)
         concentration(centered_density, 1.0)
@@ -347,18 +370,30 @@ class TestProfilePass:
     @given(seed=st.integers(0, 2**32 - 1), zero_frac=st.floats(0.0, 1.0),
            stride=st.integers(1, 3), R=st.sampled_from([1e-300, 0.2, 0.5, 1.0, 2.0, 1e308]))
     def test_bound_holds_at_every_t_center(self, seed, zero_frac, stride, R):
-        # values from 1e-300 to 1, whole columns of zeros
+        # three densities, values from 1e-300 to 1 and whole columns of
+        # zeros; the bounds equal the fancy-index sums bit for bit, and each
+        # density's gather from the stacked cumsum equals its own
         grid = Grid3((8, 9, 11), (0.3, 0.25, 0.2), (-1.2, -1.1, -1.1))
         rng = np.random.default_rng(seed)
-        vals = 10.0 ** rng.uniform(-300.0, 0.0, grid.shape)
-        vals[rng.uniform(size=grid.shape[:2]) < zero_frac] = 0.0
+        vals = [10.0 ** rng.uniform(-300.0, 0.0, grid.shape) for _ in range(3)]
+        for v in vals:
+            v[rng.uniform(size=grid.shape[:2]) < zero_frac] = 0.0
         ia, ib, a, b, ts = center_lattice(grid, stride)
-        csum = _padded_cumsum(vals, stride * (len(ts) - 1))
+        last, w = stride * (len(ts) - 1), grid.cell_volume
+        csum = _padded_cumsum(vals, last)
         rows = _strided_rows(csum, stride, len(ts))
+        totals = csum[:, :, -1].copy()
         for _, row, hi, lo in _window_ends(grid, R, ia, ib, stride, len(ts)):
-            bound = _mass_bounds(csum[None, :, -1], row, grid.cell_volume)[0]
-            masses = _gather(rows, hi, lo, grid.cell_volume)
-            assert np.all(masses <= bound[:, None])
+            bounds = _mass_bounds(totals, row, w)
+            fancy = totals[:, row].sum(axis=2) * w * (1.0 + 4 * (row.shape[1] + 1) * 2.0**-53)
+            assert np.array_equal(bounds, fancy)
+            centers = np.arange(len(hi))
+            for i, (v, bound) in enumerate(zip(vals, bounds)):
+                masses = _gather(rows, hi, lo, w, centers, np.full(len(hi), i * csum[0].size))
+                assert np.all(masses <= bound[:, None])
+                alone = _strided_rows(_padded_cumsum([v], last), stride, len(ts))
+                zero = np.zeros(len(hi), int)
+                assert np.array_equal(masses, _gather(alone, hi, lo, w, centers, zero))
 
     def test_memory_stays_blocked(self):
         # Every window end of this lattice at once would take 2 x 8.1 MB
@@ -550,6 +585,97 @@ class TestGeometryCache:
                    for blocks in cache.values())
         nbytes = sum(arr.nbytes for (block,) in cache.values() for arr in block[1:])
         assert nbytes <= cc_diag._GEOMETRY_CACHE_BYTES
+
+
+def witness_oracle(R, k, masses, a, b, cts):
+    """`_witness`'s rule over every near-maximal (center, t-center), in
+    (x, y, t) order: the one nearest their mean, the first on a tie."""
+    order = np.argsort(k)
+    k, masses = k[order], masses[order]
+    q = float(masses.max())
+    i, l = np.divmod(np.flatnonzero(masses >= q * (1.0 - _TIE_REL)), len(cts))
+    near = np.stack([a[k[i]], b[k[i]], cts[l]], axis=1)
+    j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
+    return float(R), q, tuple(float(c) for c in near[j])
+
+
+class TestBatchedPass:
+    """`_lattice_profiles` handles the densities of a grid together; each
+    profile equals the one-density profile and the unpruned lattice."""
+
+    @staticmethod
+    def check(densities, radii, stride=2):
+        batched = cc_diag._lattice_profiles(densities, radii)
+        for d, prof in zip(densities, batched):
+            assert profile_floats(prof) == profile_floats(concentration_profile(d, radii))
+            for R, (r, q, z) in zip(radii, prof):
+                want = unpruned_concentration(d, R, stride)
+                assert (r, q, (z.x[0], z.y[0], z.t)) == (R, *want)
+
+    @pytest.mark.parametrize("family", ["compactness", "vanishing", "dichotomy"])
+    def test_criterion_7(self, box, family):
+        dens, _, radii = criterion_7_sequences(*box, seed=2)[family]
+        self.check(dens, radii)
+
+    def test_trimmed_density_among_others(self, box, monkeypatch):
+        dens, _, radii = criterion_7_sequences(*box, seed=3)["dichotomy"]
+        self.check([dens[0], trimmed_density(monkeypatch), dens[-1]], radii)
+
+    def test_mixed_grids(self, box, small_density):
+        grid, mask = box
+        on_box = [normalize_mass(ScalarField(grid, gauge_bump(grid, x, -0.3, 0.1, 0.5), mask),
+                                 Q_EXP) for x in (-1.0, 0.9)]
+        for group in (on_box, [small_density, random_density(small_density.field.grid, 4)]):
+            self.check(group, [0.5, 1.0, 2.0])
+
+    def test_streamed_solver_grid(self):
+        grid, mask = build_ball_grid(4.0, 32)
+        ia, ib, _, _, cts = cc_diag._center_lattice(grid, 2)
+        assert len(list(_window_ends(grid, 2.0, ia, ib, 2, len(cts)))) > 1
+        dens = [random_density(grid, 40 + m) for m in range(2)]
+        rho = grid.gauge_array()
+        dens.append(normalize_mass(ScalarField(grid, np.exp(-rho * rho) * mask, mask), Q_EXP))
+        self.check(dens, [1.0, 2.0])
+
+
+class TestWitness:
+    """`_witness` returns a lone near-maximal center at once; the rule of
+    the tie set picks the same center."""
+
+    @staticmethod
+    def lattice():
+        ia, ib, a, b, cts = center_lattice(flat_grid()[0], 2)
+        return a, b, cts
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.integers(1, 3))
+    def test_fast_path_equals_the_tie_rule(self, seed, ties):
+        a, b, cts = self.lattice()
+        rng = np.random.default_rng(seed)
+        k = rng.permutation(len(a))[:rng.integers(1, 12)]
+        masses = rng.uniform(0.0, 0.5, (len(k), len(cts)))
+        flat = rng.permutation(masses.size)[:ties]
+        masses.flat[flat] = 0.75  # the maximum, held by `ties` entries
+        r, q, z = cc_diag._witness(1.5, k, masses, a, b, cts)
+        assert (r, q, (z.x[0], z.y[0], z.t)) == witness_oracle(1.5, k, masses, a, b, cts)
+
+    def test_two_way_tie(self):
+        # two centers hold the maximum and the tie rule picks; with the
+        # other pushed below the tie margin, one holds it alone
+        a, b, cts = self.lattice()
+        k = np.array([7, 3, 12])
+        masses = np.full((3, len(cts)), 0.25)
+        masses[0, 4] = masses[1, 9] = 1.0
+        for lone in (None, 0, 1):
+            if lone is not None:
+                masses[1 - lone, (4, 9)[1 - lone]] = 1.0 - _TIE_REL * 1.5
+            r, q, z = cc_diag._witness(1.0, k, masses, a, b, cts)
+            got = (r, q, (z.x[0], z.y[0], z.t))
+            assert got == witness_oracle(1.0, k, masses, a, b, cts)
+            if lone is not None:
+                c = k[lone]
+                assert got[2] == (a[c], b[c], cts[(4, 9)[lone]])
+            masses[0, 4] = masses[1, 9] = 1.0
 
 
 def translated_by_interpolator(u, a, b, c):

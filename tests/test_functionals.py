@@ -5,6 +5,7 @@ import pytest
 
 from heisground.errors import ConfigurationError, DomainError
 from heisground.functionals import (
+    _constraint_mass,
     check_exponent,
     critical_identity_defect,
     energy_breakdown,
@@ -173,3 +174,20 @@ class TestIdentityAndBreakdown:
             "residual_l2": bd.residual_l2,
             "p": bd.p,
         }
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 2.9])
+def test_constraint_mass_keeps_its_products(p):
+    # int u_+^(p+1) is summed as before the power rule moved to `grid`: at
+    # p = 2 the cube is (u_+ u_+) u_+, elsewhere numpy's general power.
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(3000) * 10.0 ** rng.uniform(-100.0, 2.0, 3000)
+    w = 0.37
+    up = np.maximum(v, 0.0)
+    if p == 2.0:
+        cube = up * up
+        cube *= up
+        want = float(cube.sum()) * w
+    else:
+        want = float(np.sum(up ** (p + 1.0))) * w
+    assert _constraint_mass(v, p, w) == want

@@ -432,6 +432,48 @@ class TestQuadrature:
             lq_norm(u, q)
 
 
+def power_test_arrays():
+    """Nonnegative arrays with exact zeros, values down to 1e-108 and 1."""
+    rng = np.random.default_rng(5)
+    spread = 10.0 ** rng.uniform(-108.0, 0.0, 4000)
+    spread[rng.uniform(size=spread.size) < 0.3] = 0.0
+    return {"spread": np.concatenate([spread, [0.0, 1.0, 1e-108]]),
+            "unit": rng.uniform(size=(12, 12, 12)),
+            "sparse": np.where(rng.uniform(size=(12, 12, 12)) < 0.9, 0.0,
+                               rng.uniform(size=(12, 12, 12)))}
+
+
+class TestPowerRule:
+    """`grid._power`: two products at q = 3, numpy's general power elsewhere."""
+
+    @pytest.mark.parametrize("name", ["spread", "unit", "sparse"])
+    def test_cube_within_two_ulps(self, name):
+        a = power_test_arrays()[name]
+        ref = a**3.0
+        got = grid_module._power(a, 3.0)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.array_equal(got, (a * a) * a)
+        assert got is not a
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 2.5, 2.999999999999, 3.5, 4.0, 6.0])
+    @pytest.mark.parametrize("name", ["spread", "unit", "sparse"])
+    def test_other_exponents_are_the_general_power(self, name, q):
+        a = power_test_arrays()[name]
+        assert np.array_equal(grid_module._power(a, q), a**q)
+
+    def test_lq_mass_uses_the_rule(self):
+        grid, mask = build_ball_grid(2.0, 12)
+        rng = np.random.default_rng(6)
+        u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
+        for q in (1.5, 3.0, 4.0):
+            want = float(grid_module._power(np.abs(u.values), q).sum()) * grid.cell_volume
+            assert grid_module._lq_mass(u, q) == want
+            assert lq_norm(u, q) == want ** (1.0 / q)
+        general = float((np.abs(u.values) ** 3.0).sum()) * grid.cell_volume
+        assert grid_module._lq_mass(u, 3.0) == pytest.approx(general, rel=1e-15)
+
+
 class TestEmbeddingAndExtension:
     def test_embedding_ratio_scale_invariant(self):
         rng = np.random.default_rng(14)

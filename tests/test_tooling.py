@@ -2,7 +2,8 @@
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, and the README's
 CLI section names the parser's flags and the CLI's exit codes; the autouse
-fixture empties every per-grid cache."""
+fixture empties every per-grid cache; the CI workflow runs the tier-1
+command."""
 
 import argparse
 import ast
@@ -135,3 +136,21 @@ def test_autouse_fixture_empties_every_per_grid_cache():
     assert [name for name, size in sizes.items() if not size()] == []
     fresh_ball_geometry.__wrapped__()
     assert {name: size() for name, size in sizes.items()} == dict.fromkeys(sizes, 0)
+
+
+ROADMAP = README.with_name("ROADMAP.md")
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def test_ci_runs_the_tier_1_command():
+    # The command is the one ROADMAP's "Tier-1 verify" line names, so the
+    # two cannot drift apart.
+    import yaml
+
+    (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", ROADMAP.read_text())
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    python = [step["with"]["python-version"] for step in steps
+              if step.get("uses", "").startswith("actions/setup-python")]
+    assert python == ["3.11"]
+    assert command in [step.get("run", "").strip() for step in steps]
