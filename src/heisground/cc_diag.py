@@ -11,7 +11,6 @@ Ball geometry is the group geometry throughout: the ball around z is
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -358,9 +357,9 @@ def _witness(R: float, k, masses, a, b, cts):
     return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
 
 
-# The ball geometries kept by `_center_lattice` and `_window_blocks`.  A
-# kept block has at most _CHUNK (center, column) pairs, so the window ends
-# take at most _GEOMETRY_CACHE_BYTES in all.
+# The ball geometries kept by `_window_blocks`.  A kept block has at most
+# _CHUNK (center, column) pairs, so the window ends take at most
+# _GEOMETRY_CACHE_BYTES in all.
 _GEOMETRY_CACHE_SIZE = 8
 _GEOMETRY_CACHE_BYTES = _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK  # three int64 arrays
 # (grid, R, stride) -> blocks.  Not an lru_cache: a lattice that streams its
@@ -368,24 +367,16 @@ _GEOMETRY_CACHE_BYTES = _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK  # three int64 arr
 _window_cache = OrderedDict()
 
 
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _center_lattice(grid: Grid3, stride: int) -> tuple:
     """The candidate centers of `concentration_profile`, every stride-th
     node along each axis: (ia, ib, a, b, cts), the node columns (ia[k],
-    ib[k]) at (a[k], b[k]) in row-major order and the t-centers cts.  The
-    arrays are cached and shared by every caller: read them only.
+    ib[k]) at (a[k], b[k]) in row-major order and the t-centers cts.
     """
     ia = np.arange(0, grid.shape[0], stride)
     ib = np.arange(0, grid.shape[1], stride)
     cts = grid.axis_coords(2)[::stride]
     ia, ib = np.repeat(ia, len(ib)), np.tile(ib, len(ia))
-    return _read_only(ia, ib, grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], cts)
+    return ia, ib, grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], cts
 
 
 def _window_blocks(grid: Grid3, R: float, stride: int):
@@ -408,7 +399,9 @@ def _window_blocks(grid: Grid3, R: float, stride: int):
     first = k, row, hi, lo = next(ends)
     if k.stop < len(ia) or hi.size > _CHUNK:
         return itertools.chain([first], ends)
-    blocks = _window_cache[key] = ((k, *_read_only(row, hi, lo)),)
+    for arr in (row, hi, lo):
+        arr.flags.writeable = False
+    blocks = _window_cache[key] = ((k, row, hi, lo),)
     if len(_window_cache) > _GEOMETRY_CACHE_SIZE:
         _window_cache.popitem(last=False)
     return blocks

@@ -58,10 +58,7 @@ def _pos_pow_sum(values: np.ndarray, expo: float) -> float:
 
 
 def _pos_pow(values: np.ndarray, expo: float) -> np.ndarray:
-    up = np.maximum(values, 0.0)
-    if expo == 2.0:
-        return up * up
-    return up**expo
+    return _power(np.maximum(values, 0.0), expo)
 
 
 def _constraint_mass(values: np.ndarray, p: float, w: float) -> float:
@@ -129,10 +126,14 @@ def nehari_scale(u: ScalarField, p: float):
     return _ray_max(e_norm_sq(u), mass, p)
 
 
+def _identity_defect(J: float, nsq: float, p: float) -> float:
+    """J - (p-1)/(2(p+1)) ||u||^2 from J and ||u||^2, as in an `EnergyBreakdown`."""
+    return J - (p - 1.0) / (2.0 * (p + 1.0)) * nsq
+
+
 def critical_identity_defect(u: ScalarField, p: float) -> float:
     """J(u) - (p-1)/(2(p+1)) ||u||^2; vanishes exactly at critical points."""
-    check_exponent(p)
-    return eval_J(u, p) - (p - 1.0) / (2.0 * (p + 1.0)) * e_norm_sq(u)
+    return _identity_defect(eval_J(u, p), e_norm_sq(u), p)
 
 
 @dataclass(frozen=True)

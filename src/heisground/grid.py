@@ -43,8 +43,8 @@ them with spurious negative lobes.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -77,6 +77,13 @@ __all__ = [
 ]
 
 
+def _real(x):
+    """x if it is a real number; a bool or a string raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"not a real number: {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Cell-centered uniform grid: node (i,j,l) sits at corner + (i+1/2)h.
@@ -84,7 +91,9 @@ class Grid3:
     A grid is a value.  Its shape is stored as three Python ints (a
     fractional count is refused) and its spacing and corner as three Python
     floats, however they were given, so grids of equal numbers compare and
-    hash equal: every per-grid cache keys on the grid itself.
+    hash equal: every per-grid cache keys on the grid itself.  A string or
+    a bool is no number here, and a grid beyond the range rule of
+    `__post_init__`, the package's one copy of it, raises ConfigurationError.
     """
 
     shape: tuple
@@ -96,7 +105,7 @@ class Grid3:
                                     ("spacing", float, "numbers"), ("corner", float, "numbers")):
             given = getattr(self, name)
             try:
-                value = tuple(map(convert, given))
+                value = tuple(convert(_real(x)) for x in given)
             except (TypeError, ValueError):
                 value = ()
             if len(value) != 3:
@@ -108,6 +117,24 @@ class Grid3:
             raise ConfigurationError(f"spacings must be positive and finite, got {self.spacing}")
         if not all(math.isfinite(c) for c in self.corner):
             raise ConfigurationError(f"the corner must be finite, got {self.corner}")
+        # The range rule, in Python floats (inf on overflow, 0 on underflow,
+        # no warning): the largest r2^2 + t^2 over the nodes, which the gauge
+        # squares, 1/h_t^2, an entry of the operator, and the cell volume w
+        # are finite, normal doubles.  A density of unit mass sums to 1/w,
+        # which a subnormal w overflows.  An axis is extreme at its end
+        # nodes: corner + (i + 1/2) h rounds monotonically in i.
+        try:
+            xm, ym, tm = (max(abs(c + 0.5 * h), abs(c + (n - 0.5) * h))
+                          for n, h, c in zip(self.shape, self.spacing, self.corner))
+        except OverflowError:  # a node count beyond the largest double
+            xm = ym = tm = math.inf
+        r2 = xm * xm + ym * ym
+        inv_ht = 1.0 / self.spacing[2]
+        if not all(sys.float_info.min <= v < math.inf
+                   for v in (r2 * r2 + tm * tm, inv_ht * inv_ht, self.cell_volume)):
+            raise ConfigurationError(
+                f"grid of spacing {self.spacing} and corner {self.corner} is out of range: "
+                "r^4 + t^2 on it, 1/h_t^2 or its cell volume overflows or underflows")
 
     @property
     def cell_volume(self) -> float:
@@ -183,32 +210,19 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
 
     Every axis has nodes_per_axis nodes, so the t spacing is 2k^2/N = h_x k
-    despite the parabolic t extent.  A radius whose grid arithmetic
-    overflows or underflows raises ConfigurationError: the spacings, the
-    largest r2^2 + t^2 on the grid (about 5 k^4, squared by the gauge) and
-    1/h_t^2 (an entry of the operator) must all be finite, normal doubles.
+    despite the parabolic t extent.  A radius whose grid `Grid3` refuses
+    (its arithmetic overflows or underflows) raises ConfigurationError.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
     if nodes_per_axis < 8:
         raise ConfigurationError(f"need >= 8 nodes per axis, got {nodes_per_axis}")
     hx = 2.0 * k / nodes_per_axis
-    ht = 2.0 * k * k / nodes_per_axis
     grid = Grid3(
         shape=(nodes_per_axis,) * 3,
-        spacing=(hx, hx, ht),
+        spacing=(hx, hx, 2.0 * k * k / nodes_per_axis),
         corner=(-k, -k, -k * k),
     )
-    # Python floats: an overflow gives inf and an underflow 0, with no warning
-    xm, ym, tm = (float(np.abs(grid.axis_coords(i)).max()) for i in range(3))
-    r2 = xm * xm + ym * ym
-    inv_ht = 1.0 / ht
-    if not all(sys.float_info.min <= v < math.inf
-               for v in (r2 * r2 + tm * tm, inv_ht * inv_ht)):
-        raise ConfigurationError(
-            f"ball radius {k} is out of range: r^4 + t^2 on its grid or 1/h_t^2 "
-            "overflows or underflows"
-        )
     return grid, ball_mask(grid, k)
 
 
@@ -221,11 +235,6 @@ def full_mask(grid: Grid3) -> np.ndarray:
     return np.ones(grid.shape, dtype=bool)
 
 
-# Grids whose stencil is kept: an entry is a few rows of n_y n_t or n_x floats.
-_STENCIL_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_STENCIL_CACHE_SIZE)
 def _stencil(grid: Grid3) -> tuple:
     """B's coefficients on grid: (c0, taps) for X_h, then for Y_h.
 
@@ -236,8 +245,7 @@ def _stencil(grid: Grid3) -> tuple:
     Each coefficient broadcasts against the (n_x, n_y n_t) view of the
     box: a row of n_y n_t (it varies with y), a column of n_x (with x) or a
     scalar.  The expressions are those of the sparse sums of the Kronecker
-    factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.  The
-    arrays are cached and shared by every caller: read them only.
+    factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.
     """
     hx, hy, ht = grid.spacing
     y2 = np.repeat(2.0 * grid.axis_coords(1), grid.shape[2])  # 2y over a plane, C order

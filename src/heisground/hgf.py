@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -63,34 +64,17 @@ def write_hgf(
     atomic_write(path, b"".join((MAGIC, struct.pack("<I", len(raw)), raw, payload)))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _check_header(path: str, header) -> list:
-    """Validate a decoded header; returns its extents."""
+def _check_header(path: str, header):
+    """Check that the header is a JSON object whose ball_radius is null or
+    a positive finite number, and return that radius; the header's grid is
+    `Grid3`'s to check."""
     if not isinstance(header, dict):
         raise DomainError(f"{path}: header is not a JSON object")
-    extents = header.get("extents")
-    if not (
-        isinstance(extents, list)
-        and len(extents) == 3
-        and all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in extents)
-    ):
-        raise DomainError(f"{path}: extents must be 3 positive integers, got {extents!r}")
-    for key, positive in (("spacing", True), ("origin", False)):
-        vals = header.get(key)
-        if not (
-            isinstance(vals, list)
-            and len(vals) == 3
-            and all(_is_number(x) and (x > 0 or not positive) for x in vals)
-        ):
-            kind = "finite positive" if positive else "finite"
-            raise DomainError(f"{path}: {key} must be 3 {kind} numbers, got {vals!r}")
     radius = header.get("ball_radius")
-    if radius is not None and not (_is_number(radius) and radius > 0):
+    if radius is not None and not (type(radius) in (int, float)
+                                   and 0 < radius <= sys.float_info.max):
         raise DomainError(f"{path}: ball_radius must be null or positive, got {radius!r}")
-    return extents
+    return radius
 
 
 def read_hgf(path: str) -> tuple:
@@ -117,23 +101,23 @@ def read_hgf(path: str) -> tuple:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise DomainError(f"{path}: unreadable header: {exc}") from None
-        shape = _check_header(path, header)
-        count = math.prod(shape)
+        radius = _check_header(path, header)
+        try:
+            grid = Grid3(header.get("extents"), header.get("spacing"), header.get("origin"))
+        except ConfigurationError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+        count = math.prod(grid.shape)
         if size != 8 + hlen + 8 * count:
             raise DomainError(
                 f"{path}: payload of {size - 8 - hlen} bytes, expected {8 * count}"
             )
         payload = fh.read(8 * count)
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
+    mask = full_mask(grid) if radius is None else ball_mask(grid, float(radius))
+    outside = np.count_nonzero(values[~mask])
+    if outside:
+        raise DomainError(f"{path}: {outside} nonzero values outside the ball of radius {radius}")
     try:
-        grid = Grid3(shape=shape, spacing=header["spacing"], corner=header["origin"])
-        radius = header.get("ball_radius")
-        mask = full_mask(grid) if radius is None else ball_mask(grid, float(radius))
-        outside = np.count_nonzero(values[~mask])
-        if outside:
-            raise DomainError(
-                f"{path}: {outside} nonzero values outside the ball of radius {radius}"
-            )
         return ScalarField(grid, values, mask), header
-    except ConfigurationError as exc:  # grid too small, non-finite values
+    except ConfigurationError as exc:  # non-finite values
         raise DomainError(f"{path}: {exc}") from None

@@ -54,10 +54,10 @@ from .functionals import (
     EnergyBreakdown,
     _constraint_mass,
     _gradient,
+    _identity_defect,
     _pos_pow,
     _ray_max,
     check_exponent,
-    critical_identity_defect,
     energy_breakdown,
 )
 from .grid import (
@@ -141,7 +141,7 @@ _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 def make_domain(config: SolverConfig) -> Domain:
     """The ball grid of `config`, if the solvers can represent its scale.
 
-    Beyond `build_ball_grid`'s checks, b^8 and (b^2 a)^2 must be finite, with
+    Beyond `Grid3`'s range rule, b^8 and (b^2 a)^2 must be finite, with
     b = 1/h_x + 2 max|y| / h_t (about 1.5 N / k) and a = (1 + 10 / k^2)^(1/(p-1)).
     b bounds the entries of B, and b^2 those of A.  a is the amplitude of
     the ground state: as k -> 0 it grows like k^(-2/(p-1)), times a factor
@@ -696,12 +696,13 @@ def solve_mountain_pass(
     # The exact maximum of J over the ray through the state, in closed form
     # in t; at a critical point it is J(u_k).
     _, level = energy.ray_max(v_k)
+    bd = energy_breakdown(u_k, p)
     return _report(
-        u_k, energy_breakdown(u_k, p), "mountain-pass", level=level,
+        u_k, bd, "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
         grad_norm=gn, stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
-        identity_defect=critical_identity_defect(u_k, p),
+        identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
     )
 
 
@@ -748,7 +749,7 @@ def solve_constrained_min(
         stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
         constraint_defect=abs(energy.mass(v) - 1.0),
         residual_rel=bd.residual_l2 / l2_norm(u_star),
-        identity_defect=critical_identity_defect(u_star, p),
+        identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
     )
 
 

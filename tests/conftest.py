@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heisground import cc_diag, grid
+from heisground import cc_diag
 from heisground.grid import ScalarField
 from heisground.solvers import (
     Domain,
@@ -37,13 +37,11 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def fresh_ball_geometry():
-    """Empty the per-grid caches of grid and cc_diag before each test, so a
-    test that patches `_window_ends` or a helper of it (`_disc_offsets`,
+    """Empty the per-grid caches of cc_diag before each test, so a test
+    that patches `_window_ends` or a helper of it (`_disc_offsets`,
     `_radius_cap`) finds the geometry anew under its patch, and no test
     reads a cache another test filled."""
     cc_diag._window_cache.clear()
-    cc_diag._center_lattice.cache_clear()
-    grid._stencil.cache_clear()
 
 
 def _timed(fn, *args, **kwargs):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 import sys
 from dataclasses import asdict
 
@@ -13,7 +14,7 @@ from heisground import solvers
 from heisground.cli import _build_parser, main
 from heisground.errors import AlgorithmError, NumericError
 from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
-from heisground.hgf import write_hgf
+from heisground.hgf import MAGIC, write_hgf
 from heisground.solvers import SolverConfig
 
 SOLVE_FAST = [
@@ -451,6 +452,33 @@ class TestClassify:
     def test_rejects_bad_numeric_input(self, tmp_path, capsys, flag, value):
         paths = self._write_sequence(tmp_path, "translating")[:3]
         assert main(["classify", "--inputs", *paths, flag, value]) == 64
+
+    @pytest.mark.parametrize("spacing, radii", [
+        ((1e150,) * 3, []),  # r^4 + t^2 overflows; was a ValueError traceback
+        ((1e200,) * 3, ["--radii", "1e200,2e200"]),  # was an OverflowError traceback
+        # only the cell volume 1e-400 is out of range; was a RuntimeWarning,
+        # then "field values must be finite" (64)
+        ((1e-200, 1e-200, 1.0), []),
+        ((1.0, 1.0, 1e155), []),  # 1/h_t^2 underflows; was 0 with overflow warnings
+        ((1.0, 1.0, 1e-160), []),  # 1/h_t^2 overflows; was 0
+    ], ids=["gauge_overflow", "gauge_overflow_huge_radii", "cell_volume_underflow",
+            "inverse_ht_underflow", "inverse_ht_overflow"])
+    def test_refuses_grid_out_of_range(self, tmp_path, capsys, spacing, radii):
+        # the files come from outside the package, so they are written byte
+        # by byte: Grid3 refuses these grids
+        header = json.dumps({"n": 1, "extents": [8, 8, 8], "spacing": list(spacing),
+                             "origin": [-4.0 * h for h in spacing], "ball_radius": None,
+                             "p": None, "metadata": {}}).encode()
+        paths = []
+        for m in range(3):
+            values = np.random.default_rng(m).random((8, 8, 8)).astype("<f8")
+            path = tmp_path / f"s{m}.hgf"
+            path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                             + values.tobytes())
+            paths.append(str(path))
+        assert main(["classify", "--inputs", *paths, *radii]) == 66
+        err = capsys.readouterr().err
+        assert "out of range" in err and len(err.splitlines()) == 1
 
 
 def _run_python(*args):

@@ -99,6 +99,35 @@ class TestGridConstruction:
         with pytest.raises(ConfigurationError, match="shape|corner"):
             Grid3(shape=shape, spacing=(1.0, 1.0, 1.0), corner=corner)
 
+    @pytest.mark.parametrize("shape, spacing, corner", [
+        ((8, 8, 8), ("1", "1", "1"), (0.0, 0.0, 0.0)),  # was accepted
+        ((8, 8, 8), (1.0, 1.0, 1.0), ("0", 0.0, 0.0)),
+        (("8", 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((8, 8, 8), (True, 1.0, 1.0), (0.0, 0.0, 0.0)),  # was accepted
+        ((8, 8, 8), (1.0, 1.0, np.True_), (0.0, 0.0, 0.0)),
+        ((8, 8, 8), (1.0, 1.0, 1.0), (False, 0.0, 0.0)),
+        ((8, True, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    ])
+    def test_rejects_strings_and_bools(self, shape, spacing, corner):
+        with pytest.raises(ConfigurationError, match="must be 3"):
+            Grid3(shape=shape, spacing=spacing, corner=corner)
+
+    @pytest.mark.parametrize("spacing", [
+        (1e-200, 1e-200, 1.0),  # h_x h_y h_t underflows to 0
+        (1e-160, 1e-160, 1e10),  # subnormal, 1e-310
+        (1e110, 1e110, 1e110),  # overflows (and so does r^4 + t^2)
+    ])
+    def test_rejects_cell_volume_out_of_range(self, spacing):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            Grid3(shape=(8, 8, 8), spacing=spacing, corner=tuple(-4.0 * h for h in spacing))
+
+    @pytest.mark.parametrize("k, n", [(2e-77, 8), (1e-76, 48)])
+    def test_rejects_ball_grid_of_subnormal_cell_volume(self, k, n):
+        # r^4 + t^2 and 1/h_t^2 are normal, but a unit-mass density sums to
+        # 1/w, which overflows: was accepted, and classify overflowed
+        with pytest.raises(ConfigurationError, match="out of range"):
+            build_ball_grid(k, n)
+
     def test_stores_python_numbers(self):
         grid = Grid3(np.array([8, 9, 10]), np.array([0.5, 0.25, 1.0]),
                      [np.float64(-1.0), np.float32(-2.0), -3])

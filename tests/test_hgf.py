@@ -150,6 +150,11 @@ def _valid_header(field):
         "two_extents",
         "float_extents",
         "negative_ball_radius",
+        "string_spacing",
+        "bool_extents",
+        "huge_spacing",
+        "count_beyond_double",
+        "huge_ball_radius",
         "grid_too_small",
         "nan_payload",
         "nonzero_outside_ball",
@@ -167,6 +172,12 @@ def test_read_rejects_malformed(tmp_path, sample_field, case):
         "two_extents": lambda h: h.update(extents=h["extents"][:2]),
         "float_extents": lambda h: h.update(extents=[float(n) for n in h["extents"]]),
         "negative_ball_radius": lambda h: h.update(ball_radius=-1.5),
+        "string_spacing": lambda h: h.update(spacing=[str(x) for x in h["spacing"]]),
+        "bool_extents": lambda h: h.update(extents=[True] * 3),
+        "huge_spacing": lambda h: h.update(spacing=[1e150] * 3),  # r^4 + t^2 overflows
+        "count_beyond_double": lambda h: h.update(extents=[10**400, 8, 8]),
+        # was an OverflowError: int too large to convert to float
+        "huge_ball_radius": lambda h: h.update(ball_radius=10**400),
     }
     if case in edits:
         edits[case](header)

@@ -127,11 +127,9 @@ def test_autouse_fixture_empties_every_per_grid_cache():
     sizes = {"_window_cache": lambda: len(cc_diag._window_cache)}
     sizes.update((cache.__qualname__, lambda c=cache: c.cache_info().currsize)
                  for cache in lru_caches.values())
-    assert {"_stencil", "_center_lattice"} <= set(sizes)
     box, mask = grid.build_ball_grid(2.5, 12)
     density = cc_diag.normalize_mass(grid.ScalarField(box, mask.astype(float), mask), 1.0)
     cc_diag.concentration(density, 1.0)
-    grid.e_norm_sq(density.field)
     # a cache that these calls leave empty needs a call here that fills it
     assert [name for name, size in sizes.items() if not size()] == []
     fresh_ball_geometry.__wrapped__()
