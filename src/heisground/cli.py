@@ -257,8 +257,11 @@ def cmd_classify(args) -> int:
     for path in args.inputs:
         try:
             f, _ = hgf.read_hgf(path)
-        except (OSError, HeisgroundError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
+        except HeisgroundError as exc:  # read_hgf's messages start with the path
+            print(f"cannot read {exc}", file=sys.stderr)
+            return EXIT_IO
+        except OSError as exc:  # str(exc) names the path too
+            print(f"cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
         fields.append(f)
     densities = [cc_diag.normalize_mass(f, args.q) for f in fields]

@@ -1,18 +1,16 @@
 """The two solution procedures and the domain-exhaustion driver.
 
-Both methods run one loop, `_ray_descent`: the normalized inverse iteration
-v <- z / ||z||_{L^(p+1)} with A z = v_+^p, the H^1 (Sobolev) gradient step
-of minimizing I on the constraint {int v_+^(p+1) = 1}.  There the ray
-maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is monotone in
-I, so the loop lowers the top of the ray through v.  A^-1 is applied by
-`_pcg`, a Jacobi-preconditioned CG in numpy that repeats scipy's `cg` bit
-for bit, so constrained-min loads no `scipy.sparse.linalg`; each solve starts
-from the Galerkin projection onto the last four iterates.  The plain step
-converges linearly, and after it the loop Anderson-mixes over the same
-four iterates (`_anderson_mix`), keeping the mix only where I is no higher
-than after the plain step, so I still never rises.  By default
-both methods start from `radial_bump`, the gauge bump about the t-node
--h_t/2 where the discrete ground state peaks (see there for why).
+Both methods run one loop, `_ray_descent`: it minimizes I on the constraint
+{int v_+^(p+1) = 1} as the scale-invariant quotient R(v) = v^T A v /
+(sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG preconditioned by
+diag(A)^-1 (Antoine, Levitt & Tang, J. Comput. Phys. 343, 2017).  On the
+constraint the ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1))
+is monotone in I, so the loop lowers the top of the ray through v.  An
+iteration costs one product with A: along a direction the numerator of R is
+an exact quadratic, and the line search `_line_min` needs only vector sums.
+No step raises I by more than rounding.  By default both methods start
+from `radial_bump`, the gauge bump about the t-node -h_t/2 where the
+discrete ground state peaks (see there for why).
 
 Mountain-pass: the path is the ray through a start u0.  J(t u0) -> -inf
 when u0 has a positive part, so every such ray joins 0 to negative energy,
@@ -64,6 +62,7 @@ from .grid import (
     Grid3,
     ScalarField,
     _energy_norm_sq,
+    _power,
     ball_mask,
     build_ball_grid,
     energy_operator,
@@ -241,11 +240,11 @@ def radial_bump(domain: Domain) -> ScalarField:
     On the cell-centered grid the origin lies halfway between the t-nodes
     +-h_t/2, and with the forward gradient B the discrete ground state peaks
     at the node t = -h_t/2.  A bump centered at the origin is symmetric about
-    that midpoint, and the descent from it lingers beside the symmetric
-    critical point (the Peierls-Nabarro barrier in t) until rounding tips it
-    over: 67 steps in place of 17 at k = 4, N = 32 and grad_tol 1e-5 (129
-    in place of 68 without the Anderson mix).  From +h_t/2 it lands on the
-    mirror member of the pair, a higher minimum.
+    that midpoint, and the descent from it is drawn to the symmetric
+    critical point (the Peierls-Nabarro barrier in t): at k = 4, N = 32 and
+    grad_tol 1e-5 it stops there, at alpha 3.5661065625, after 260
+    iterations, where from this bump it reaches 3.5661056272 in 94.  From
+    +h_t/2 it lands on the mirror member of the pair, a higher minimum.
     """
     xs, ys, ts = domain.grid.coordinate_arrays()
     r2 = xs * xs + ys * ys
@@ -265,7 +264,7 @@ class _Energy:
     of `u.values[u.mask]` and of the cached operators B and A.  The energy
     norm is summed as squares of B v and v (see `grid`), and the formulas
     are the ones the public field functions use.  inv_diag = diag(A)^-1 is
-    the Jacobi preconditioner of the CG, the polish and the index.
+    the Jacobi preconditioner of the descent, the polish and the index.
     """
 
     def __init__(self, domain: Domain, p: float):
@@ -306,14 +305,10 @@ class _Energy:
             raise AlgorithmError("flow escaped: positive-part mass vanished")
         return v / mass ** (1.0 / (self.p + 1.0))
 
-    def constrained(self, c: np.ndarray):
-        """(I(v), v) for v = c renormalized onto the constraint."""
-        v = self.renormalize(c)
-        return 0.5 * self.norm_sq(v), v
 
 
-# `_armijo_descent`: the sufficient-decrease constant, the step factor on a
-# rejected step, and the backtracking budget.
+# `_armijo_descent`: the sufficient-decrease constant; its and `_line_min`'s
+# step factor on a rejected step, and their backtracking budget.
 _ARMIJO_C1 = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 40
@@ -341,195 +336,153 @@ def _check_finite(what: str, it: int, f: float, gn: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The H^1 ray descent (normalized inverse iteration)
+# The descent: preconditioned nonlinear CG on the quotient R
 # ---------------------------------------------------------------------------
 
-# Steps in a row that set a new smallest value of neither I nor |g| before
-# the descent stops unconverged (`stall`).
+# Iterations in a row that set a new smallest value of neither I nor |g|
+# before the descent stops unconverged (`stall`).
 _STALL_STEPS = 20
-# The CG relative tolerance of one step: min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD
-# * |g| / |mu v_+^p|), so that the CG residual, scaled as g is, stays a
-# tenth of |g| at any scale of the state.
-_CG_RTOL_MAX = 1e-3
-_CG_RTOL_PER_GRAD = 0.1
-# A step may raise I by this many ulps of I (rounding of the energy sum).
+# A step may raise I by this many ulps of I (rounding of the energy sum),
+# read as a rise of log R.
 _ROUNDING_RISE = 64 * np.finfo(float).eps
-# CG gives up after this many iterations per unknown, as scipy's `cg` does.
-_CG_MAX_ITERS_PER_UNKNOWN = 10
-# Each CG solve starts from the Galerkin projection onto the span of the last
-# _CG_STARTS iterates (Fischer 1998, successive right-hand sides), and the
-# Anderson mix runs over the same iterates.  A vector whose Cholesky pivot
-# falls below _START_PIVOT_TOL of the largest diagonal of their Gram matrix
-# is left out: successive iterates become nearly collinear as the solve
-# converges.
-_CG_STARTS = 4
-_START_PIVOT_TOL = 1e-12
+# A v is carried by the recurrence A v += tau A d, and recomputed by an
+# exact product after this many updates, so its rounding cannot build up.
+_EXACT_EVERY = 20
 
 
-def _gram_solve(gram, rhs):
-    """Solve the small Gram system gram c = rhs; returns (kept, c).
+def _mass_terms(p: float, x: np.ndarray):
+    """(x_+^(p-1), x_+^p, sum x_+^(p+1)) of the vector x."""
+    xp = np.maximum(x, 0.0)
+    pm1 = _power(xp, p - 1.0)
+    normal = pm1 * xp
+    return pm1, normal, float(normal @ xp)
 
-    A Cholesky in plain Python that leaves out an unknown whose pivot is
-    below _START_PIVOT_TOL of the largest diagonal, so unknowns nearer the
-    front win.  kept lists the unknowns it solved for, in order, and c their
-    values; the others are 0.
+
+def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
+    """The step tau along d that lowers log R(v + tau d) the most, for
+    R(v) = v^T A v / M(v)^(2/(p+1)) with M(v) = sum v_+^(p+1).
+
+    Along d the numerator is n_v + 2 b tau + c tau^2 exactly (n_v = v^T A v,
+    b = d^T A v, c = d^T A d), and M and its first two derivatives are
+    vector sums: M' = (p+1) sum x_+^p d and M'' = p (p+1) sum x_+^(p-1) d^2
+    at x = v + tau d; at tau = 0 they come from normal = v_+^p, pm1 =
+    v_+^(p-1) and m = M(v).  tau0 is the Newton step on (log R)' = 0 from
+    tau = 0 (1 where the curvature there is not positive), and tau1 one
+    Newton correction from tau0, or the secant step where tau0 overshoots
+    and Newton leaves the bracket (0, tau0).  Of the two, the one with the
+    lower R is kept, and if it raises R by more than rounding the smaller
+    step is halved until one does not, as far from a minimizer an overshoot
+    can.  Returns (tau, change of log R, `_mass_terms` at v + tau d); the
+    change is inf where M vanishes.  A d that rounding has left without a
+    descent slope gets the step 0.
     """
-    tol = _START_PIVOT_TOL * max(gram[i][i] for i in range(len(rhs)))
-    keep, rows = [], []  # rows[a] is row a of the Cholesky factor L
-    for i in range(len(rhs)):
-        row = []
-        for a, j in enumerate(keep):
-            row.append((gram[i][j] - sum(row[q] * rows[a][q] for q in range(a))) / rows[a][a])
-        pivot = gram[i][i] - sum(x * x for x in row)
-        if pivot > tol:
-            rows.append(row + [pivot ** 0.5])
-            keep.append(i)
-    y = []
-    for a, i in enumerate(keep):
-        y.append((rhs[i] - sum(rows[a][q] * y[q] for q in range(a))) / rows[a][a])
-    c = [0.0] * len(keep)
-    for a in reversed(range(len(keep))):
-        c[a] = (y[a] - sum(rows[q][a] * c[q] for q in range(a + 1, len(keep)))) / rows[a][a]
-    return keep, c
+    q = 2.0 / (p + 1.0)
+    d2 = d * d
+
+    def derivs(tau, terms):
+        """(slope, curvature) of log R at tau, from `_mass_terms` there."""
+        pm1_t, normal_t, m_t = terms
+        n_t = n_v + tau * (2.0 * b + c * tau)
+        dn = 2.0 * (b + c * tau) / n_t
+        dl = (p + 1.0) * float(normal_t @ d) / m_t
+        ddl = p * (p + 1.0) * float(pm1_t @ d2) / m_t
+        return dn - q * dl, 2.0 * c / n_t - dn * dn - q * (ddl - dl * dl)
+
+    def trial(tau):
+        """(tau, change of log R, `_mass_terms`) at tau."""
+        x = tau * d
+        x += v
+        terms = _mass_terms(p, x)
+        rise = tau * (2.0 * b + c * tau) / n_v
+        if not (terms[2] > 0.0 and rise > -1.0):
+            return tau, np.inf, terms
+        return tau, math.log1p(rise) - q * math.log(terms[2] / m), terms
+
+    slope0, curv0 = derivs(0.0, (pm1, normal, m))
+    if not slope0 < 0.0:  # rounding: d is no descent direction
+        return 0.0, 0.0, (pm1, normal, m)
+    best = trial(-slope0 / curv0 if curv0 > 0.0 else 1.0)
+    tau0, phi0, terms0 = best
+    slope1, curv1 = derivs(tau0, terms0) if phi0 < np.inf else (np.nan, np.nan)
+    tau1 = tau0 - slope1 / curv1 if curv1 > 0.0 else np.nan
+    if slope1 > 0.0 and not 0.0 < tau1 < tau0:
+        tau1 = tau0 * slope0 / (slope0 - slope1)  # secant in the bracket (0, tau0)
+    if tau1 > 0.0:
+        second = trial(tau1)
+        if second[1] < phi0:
+            best = second
+    tau = min(tau0, tau1) if tau1 > 0.0 else tau0
+    for _ in range(_MAX_BACKTRACKS):
+        if best[1] <= _ROUNDING_RISE:
+            break
+        tau *= _SHRINK
+        best = trial(tau)
+    return best
 
 
-def _projected_start(basis, gram, b: np.ndarray) -> np.ndarray:
-    """The A-norm-best approximation to A^-1 b in the span of `basis`.
-
-    x = sum_j c_j basis[j] with (V^T A V) c = V^T b, where gram[i][j] =
-    basis[i] . A basis[j], solved by `_gram_solve`: a vector nearly in the
-    span of those before it is left out.  Returns a new array.
-    """
-    keep, c = _gram_solve(gram, [float(u @ b) for u in basis])
-    if not keep:
-        return np.zeros_like(b)
-    x = c[0] * basis[keep[0]]
-    for a in range(1, len(keep)):
-        x += c[a] * basis[keep[a]]
-    return x
-
-
-def _anderson_mix(basis, resid, rgram, g0: np.ndarray):
-    """The Anderson (type II) candidate from the newest iterates, or None.
-
-    resid[j] = G(basis[j]) - basis[j] is the residual of the fixed-point map
-    G at the j-th newest iterate, g0 = G(basis[0]), and rgram[i][j] =
-    resid[i] . resid[j].  With the differences df_j = resid[j] - resid[j+1],
-    gamma minimizes |resid[0] - sum_j gamma_j df_j| in the plain dot
-    product, through their Gram matrix, which rgram gives without forming
-    them.  The candidate is g0 - sum_j gamma_j (G_j - G_(j+1)), with G_j =
-    basis[j] + resid[j] (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  None
-    when every difference vanishes.
-    """
-    m = len(resid) - 1
-    r = rgram
-    gram = [[r[i][j] - r[i][j + 1] - r[i + 1][j] + r[i + 1][j + 1] for j in range(m)]
-            for i in range(m)]
-    keep, c = _gram_solve(gram, [r[j][0] - r[j + 1][0] for j in range(m)])
-    if not keep:
-        return None
-    gamma = [0.0] * (m + 1)  # gamma[m] = 0 closes the telescoping below
-    for a, j in enumerate(keep):
-        gamma[j] = c[a]
-    # G_0 - sum_j gamma_j (G_j - G_(j+1)) = sum_j (gamma_(j-1) - gamma_j) G_j,
-    # with gamma_(-1) = 1
-    x = (1.0 - gamma[0]) * g0
-    for j in range(1, m + 1):
-        w = gamma[j - 1] - gamma[j]
-        x += w * basis[j]
-        x += w * resid[j]
-    return x
-
-
-def _pcg(A, b: np.ndarray, x: np.ndarray, inv_diag: np.ndarray, rtol: float):
-    """Solve A x = b in place by Jacobi-preconditioned CG, started from x.
-
-    This is the arithmetic of `scipy.sparse.linalg.cg` with M = diag(inv_diag),
-    in its order, so the iterates are scipy's bit for bit.  The test
-    ||b - A x|| < rtol ||b|| comes before each step.  z also holds the
-    updates alpha p and alpha q.  Returns (iterations, converged).  The
-    solve has not converged after _CG_MAX_ITERS_PER_UNKNOWN * n iterations,
-    or when p.Ap is not a positive finite number (a breakdown).
-    """
-    atol = rtol * math.sqrt(b @ b)
-    max_iters = _CG_MAX_ITERS_PER_UNKNOWN * b.size
-    r = b - A @ x
-    z = np.empty_like(r)
-    p = rho_prev = None
-    for it in range(max_iters):
-        if math.sqrt(r @ r) < atol:
-            return it, True
-        np.multiply(inv_diag, r, out=z)
-        rho = r @ z
-        if p is None:
-            p = z.copy()
-        else:
-            p *= rho / rho_prev
-            p += z
-        q = A @ p
-        pq = p @ q
-        if not 0.0 < pq < np.inf:
-            return it, False
-        alpha = rho / pq
-        x += np.multiply(alpha, p, out=z)
-        r -= np.multiply(alpha, q, out=z)
-        rho_prev = rho
-    return max_iters, False
+def _projected_gradient_norm(energy: _Energy, av: np.ndarray, normal: np.ndarray) -> float:
+    """|g| for g = A v - mu v_+^p, mu = <A v, v_+^p> / |v_+^p|^2: the L^2
+    gradient of I projected onto the constraint's tangent space at v."""
+    nn = float(normal @ normal)
+    mu = float(av @ normal) / nn if nn > 0 else 0.0
+    return energy.norm(av - mu * normal)
 
 
 def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     """Minimize I on {int v_+^(p+1) = 1} from v's direction; max_iters >= 1.
 
-    The plain step is G(v) = z / ||z||_{L^(p+1)} with A z = v_+^p solved by
-    `_pcg` to the relative tolerance above, from `_projected_start`: the
-    A-norm-best vector in the span of the last _CG_STARTS iterates, which
-    holds the last z.  The iterates' A-products are the A v each step
-    computes anyway, so the start costs at most 2 * _CG_STARTS dot products.
-    g = A v - mu v_+^p, the L^2 gradient projected onto the constraint's
-    tangent space, gives the stopping test.  trace gets (iteration, I, |g|).
+    The loop minimizes the scale-invariant quotient R(v) = v^T A v /
+    M(v)^(2/(p+1)), M(v) = sum v_+^(p+1), whose minimizers are, up to
+    scale, those of I on the constraint, by Polak-Ribiere+ nonlinear CG
+    preconditioned by diag(A)^-1 (as for NLS ground states in Antoine,
+    Levitt & Tang, J. Comput. Phys. 343, 2017).  G = (A v - (v^T A v / M)
+    v_+^p) / (w M)^(2/(p+1)) is grad R times a constant and P = diag(A)^-1 G;
+    the direction is d = -P + beta d_prev with beta = max(0, <G - G_prev, P>
+    / <G_prev, P_prev>), and -P where that is no descent direction.  Like
+    grad R, G scales as 1/|v|; without the divisor it scales as |v|, and
+    from a sign-changing start at p = 2.9 beta grew with |v| until v
+    overflowed.  `_line_min` finds the step from the exact numerator along
+    d, so an iteration costs one operator product, A d.  A v follows by A v
+    += tau A d and is recomputed exactly every _EXACT_EVERY updates and
+    before a grad_tol exit; v^T A v is read from it at every iteration, so
+    that G stays orthogonal to v (carried by its own recurrence, it drifted,
+    and the descent stalled at |g| = 3e-13 in place of 8e-15 on the k = 2.5,
+    N = 12 ball).
 
-    The plain step converges linearly, so each step then mixes over the
-    same window: `_anderson_mix` combines the G(v_j) of the iterates in
-    `basis` from their residuals f_j = G(v_j) - v_j, and the candidate,
-    renormalized, replaces G(v) if its I is no higher.  A candidate with a
-    higher I, or without a positive part, is refused: the step keeps G(v)
-    and the residuals older than f of this step are forgotten.  The
-    residuals' Gram matrix is updated by one row a step, as the A-Gram is,
-    so the mix costs no operator product beyond the candidate's I (one B v).
-    With every candidate refused, the iterates are those of the plain step.
-
-    A plain step is kept while I rises by no more than rounding.  A larger
-    rise stops the descent unconverged (`no_descent`), and so does a CG solve
-    that does not converge: it reaches _CG_MAX_ITERS_PER_UNKNOWN * n
-    iterations, or p.Ap is not a positive finite number.  The descent also
-    stops unconverged after _STALL_STEPS steps in a row in which neither I
-    nor |g| reaches a new minimum (`stall`).  I reaches its rounding floor
-    long before |g| does, and may then cycle among a few rounded values, so
-    the stall rule watches the record lows of both.  Returns (v, iterations,
-    |g|, stop_reason, CG iterations, refused mixes) with v on the constraint.
+    v is not renormalized in the loop: g = A v - mu v_+^p and I are scaled
+    by (int v_+^(p+1))^(1/(p+1)) to read as at v on the constraint.  |g|
+    gives the stopping test, and trace gets (iteration, I, |g|).  A step
+    that raises I by more than rounding is retried along -P, and a rise
+    there too stops the descent unconverged (`no_descent`).  The descent
+    also stops unconverged after _STALL_STEPS iterations in a row in which
+    neither I nor |g| reaches a new minimum (`stall`): I reaches its
+    rounding floor long before |g| does.  Returns (v, iterations, |g|,
+    stop_reason, operator products) with v on the constraint; |g| and the
+    last trace record are those of the returned v, from an exact A v.
     """
-    i_u, v = energy.constrained(v)
-    cg_iters = refused = 0
-    # The last _CG_STARTS iterates, newest first, and their Gram matrix in A:
-    # z_j = s_j v_(j+1), so they span what the last CG solutions span, and
-    # A v is the `av` each step computes anyway.  resid[j] = G(basis[j]) -
-    # basis[j], back to the last refused mix, and rgram their plain Gram
-    # matrix.
-    basis, gram, resid, rgram = [], [], [], []
-    i_best, gn_best = i_u, np.inf
-    flat = 0
+    p, w, A = energy.p, energy.w, energy.A
+    v = energy.renormalize(v)  # a new array: the loop updates it in place
+    av = A @ v
+    pm1, normal, m = _mass_terms(p, v)
+    products, drift = 1, 0  # drift: recurrence updates of av since its last exact product
+    i_best = gn_best = np.inf
+    flat, it, d = 0, 0, None
     stop = "max_iters"
-    for it in range(max_iters):
-        normal = _pos_pow(v, energy.p)
-        av = energy.A @ v
-        nn = energy.inner(normal, normal)
-        mu = energy.inner(av, normal) / nn if nn > 0 else 0.0
-        g = av - mu * normal
-        gn = energy.norm(g)
-        _check_finite("inverse iteration", it, i_u, gn)
+    while True:
+        if drift == _EXACT_EVERY:
+            av = A @ v
+            products, drift = products + 1, 0
+        n_v = float(v @ av)
+        scale = (w * m) ** (1.0 / (p + 1.0))
+        i_u = 0.5 * w * n_v / (scale * scale)
+        gn = _projected_gradient_norm(energy, av, normal) / scale
+        _check_finite("descent", it, i_u, gn)
+        if gn < grad_tol and drift:
+            drift = _EXACT_EVERY  # accept grad_tol only on an exact A v
+            continue
         trace.append((it, i_u, gn))
-        if gn < gn_best:
-            gn_best, flat = gn, 0
+        flat = 0 if i_u < i_best or gn < gn_best else flat + 1
+        i_best, gn_best = min(i_best, i_u), min(gn_best, gn)
         if gn < grad_tol:
             stop = "grad_tol"
             break
@@ -538,43 +491,44 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
         if flat == _STALL_STEPS:
             stop = "stall"
             break
-        basis = [v] + basis[: _CG_STARTS - 1]
-        row = [float(u @ av) for u in basis]  # basis[j] . A v, A symmetric
-        gram = [row] + [[a] + old[: _CG_STARTS - 1] for a, old in zip(row[1:], gram)]
-        z = _projected_start(basis, gram, normal)
-        rhs = abs(mu) * nn ** 0.5  # 0 only where v_+^(2p) underflows
-        rtol = min(_CG_RTOL_MAX, _CG_RTOL_PER_GRAD * gn / rhs) if rhs > 0.0 else _CG_RTOL_MAX
-        n_cg, solved = _pcg(energy.A, normal, z, energy.inv_diag, rtol)
-        cg_iters += n_cg
-        if not solved:
+        G = (av - (n_v / m) * normal) / (scale * scale)
+        P = energy.inv_diag * G
+        gp = float(G @ P)
+        steepest = d is None or not gp_prev > 0.0
+        if not steepest:
+            d *= max(0.0, (gp - float(g_prev @ P)) / gp_prev)
+            d -= P
+            steepest = float(G @ d) >= 0.0
+        if steepest:
+            d = -P
+        while True:
+            ad = A @ d
+            products += 1
+            b, c = float(d @ av), float(d @ ad)
+            tau, dphi, terms = _line_min(p, v, d, n_v, b, c, m, normal, pm1)
+            if math.isnan(dphi):
+                raise NumericError(f"non-finite step of the descent at iteration {it}")
+            if dphi <= _ROUNDING_RISE or steepest:
+                break
+            d, steepest = -P, True
+        if dphi > _ROUNDING_RISE:
             stop = "no_descent"
             break
-        i_next, v_next = energy.constrained(z)
-        _check_finite("inverse iteration", it + 1, i_next, gn)
-        if i_next > i_u + _ROUNDING_RISE * abs(i_u):
-            stop = "no_descent"
-            break
-        f = v_next - v
-        resid = [f] + resid[: _CG_STARTS - 1]
-        rrow = [float(r @ f) for r in resid]
-        rgram = [rrow] + [[a] + old[: _CG_STARTS - 1] for a, old in zip(rrow[1:], rgram)]
-        mix = _anderson_mix(basis, resid, rgram, v_next) if len(resid) > 1 else None
-        if mix is not None:
-            try:
-                i_mix, v_mix = energy.constrained(mix)
-            except AlgorithmError:  # the candidate has no positive part
-                i_mix = np.inf
-            if i_mix <= i_next:
-                i_next, v_next = i_mix, v_mix
-            else:
-                refused += 1
-                resid, rgram = resid[:1], [rrow[:1]]
-        if i_next < i_best:
-            i_best, flat = i_next, 0
-        else:
-            flat += 1
-        i_u, v = i_next, v_next
-    return v, it + 1, gn, stop, cg_iters, refused
+        v += tau * d
+        av += tau * ad
+        pm1, normal, m = terms
+        drift += 1
+        g_prev, gp_prev = G, gp
+        it += 1
+    v /= scale
+    if drift:
+        av = A @ v
+        products += 1
+    else:
+        av /= scale
+    gn = _projected_gradient_norm(energy, av, _pos_pow(v, p))
+    trace[-1] = (it, 0.5 * energy.norm_sq(v), gn)
+    return v, it + 1, gn, stop, products
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +621,9 @@ def solve_mountain_pass(
     maximum.  A converged descent's state, scaled onto the Nehari set, is
     polished by `_newton_polish`.  c_k is the ray maximum of the reported
     state and grad_norm is |grad J| there; the solve has converged when the
-    descent has and that norm is below grad_tol.  The trace, cg_iterations
-    and mix_refused are the descent's.  A u0 without a positive part has no
-    top: DomainError.
+    descent has and that norm is below grad_tol.  The trace and
+    operator_products are the descent's.  A u0 without a positive part has
+    no top: DomainError.
     """
     if domain is None:
         domain = make_domain(config)
@@ -682,7 +636,7 @@ def solve_mountain_pass(
     v0 = u0.values[domain.mask]
     energy.ray_max(v0)  # DomainError without a positive part
     trace = []
-    v, iters, _, stop, cg_iters, refused = _ray_descent(
+    v, iters, _, stop, products = _ray_descent(
         energy, v0, config.grad_tol, config.max_iters, trace)
     t_star, _ = energy.ray_max(v)
     w = t_star * v
@@ -700,7 +654,7 @@ def solve_mountain_pass(
     return _report(
         u_k, bd, "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
-        grad_norm=gn, stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
+        grad_norm=gn, stop_reason=stop, operator_products=products,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
     )
@@ -722,8 +676,8 @@ def solve_constrained_min(
     - constraint_defect: |int v_+^(p+1) - 1| of the reported v;
     - residual_rel: the L^2 norm of that equation's residual at u*, over
       ||u*||_2;
-    - cg_iterations: the CG iterations of all the descent's solves, and
-      mix_refused: the mixed candidates it refused;
+    - operator_products: the descent's products with A, exact ones
+      included;
     - stop_reason: grad_tol, max_iters, stall or no_descent (see
       `_ray_descent`); the solve has converged when it is grad_tol;
     - grad_norm, |g| at the last step, and identity_defect at u*.
@@ -733,7 +687,7 @@ def solve_constrained_min(
     p = config.p
     energy = _Energy(domain, p)
     trace = []
-    v, iters, gn, stop, cg_iters, refused = _ray_descent(
+    v, iters, gn, stop, products = _ray_descent(
         energy, radial_bump(domain).interior(), config.grad_tol, config.max_iters, trace)
 
     # Final positivity projection + exact renormalization; for a converged
@@ -746,7 +700,7 @@ def solve_constrained_min(
     return _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
         iterations=iters, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
-        stop_reason=stop, cg_iterations=cg_iters, mix_refused=refused,
+        stop_reason=stop, operator_products=products,
         constraint_defect=abs(energy.mass(v) - 1.0),
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),

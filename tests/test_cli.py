@@ -62,7 +62,7 @@ class TestSolve:
         doc = json.loads(report.read_text())
         assert doc["converged"] is True
         assert doc["stop_reason"] == "grad_tol"
-        assert doc["cg_iterations"] > 0
+        assert doc["operator_products"] > doc["iterations"] > 0
         assert doc["level"] > 0.0
         assert doc["config"] == {
             "method": "constrained-min", "p": 2.0, "ball_radius": 2.0,
@@ -215,14 +215,16 @@ class TestSolve:
         assert doc["stop_reason"] == "stall"
         assert doc["iterations"] < 2000
 
-    def test_unconverged_cg_writes_report(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(solvers, "_pcg", lambda A, b, x, inv_diag, rtol: (4, False))
+    def test_no_descent_writes_report(self, tmp_path, capsys, monkeypatch):
+        # every line search reports a rise: the first step, along -P, ends
+        # the solve
+        monkeypatch.setattr(solvers, "_line_min", lambda *args: (0.5, 1.0, None))
         report = tmp_path / "r.json"
         code = main(["solve", "--radius", "2.5", "--grid", "12", "--report", str(report)])
         assert code == 2
         doc = json.loads(report.read_text(), parse_constant=_reject_constant)
         assert doc["converged"] is False and doc["stop_reason"] == "no_descent"
-        assert doc["iterations"] == 1 and doc["cg_iterations"] == 4
+        assert doc["iterations"] == 1 and doc["operator_products"] == 2
 
     def test_report_goes_to_stdout_without_report_path(self, capsys):
         assert main(["solve", *SOLVE_FAST]) == 0
@@ -400,6 +402,18 @@ class TestClassify:
         paths = self._write_sequence(tmp_path, "translating")
         paths[1] = str(tmp_path / "missing.hgf")
         assert main(["classify", "--inputs", *paths]) == 66
+
+    @pytest.mark.parametrize("how", ["truncated", "missing"])
+    def test_unreadable_input_names_its_path_once(self, tmp_path, capsys, how):
+        paths = self._write_sequence(tmp_path, "translating")
+        bad = tmp_path / "bad.hgf"
+        if how == "truncated":
+            bad.write_bytes(open(paths[1], "rb").read()[:-8])
+        paths[1] = str(bad)
+        assert main(["classify", "--inputs", *paths]) == 66
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("cannot read ")
+        assert err.count(str(bad)) == 1
 
     def test_rejects_nonnumeric_radii(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "translating")

@@ -400,16 +400,14 @@ class TestEnergyOperator:
         assert len(grid_module._operator_cache) <= grid_module._OPERATOR_CACHE_SIZE
 
     def test_constrained_min_regression(self, small_cm):
-        # k = 2.5, N = 12, grad_tol 1e-4: the figures of the Anderson-mixed
-        # normalized inverse iteration from the bump at t = -h_t/2, with the
-        # projected CG start and the CG tolerance relative to the right-hand
-        # side (57 steps to 3.361380576873721 without the mix; 71 steps to
-        # 3.361380577059283 from the origin-centered bump; 74 steps to
-        # 3.36138057632623 with 0.1 |g| as the relative tolerance; 68 steps
-        # to 3.361380576604642 from the last solution alone; the L^2 flow
-        # took 1016 steps to 3.361380577693041).
-        assert small_cm.iterations == 19
-        assert small_cm.level == pytest.approx(3.3613805759909603, rel=1e-12)
+        # k = 2.5, N = 12, grad_tol 1e-4: the figures of the Jacobi-
+        # preconditioned nonlinear CG from the bump at t = -h_t/2, 49
+        # iterations and 52 operator products (the Anderson-mixed inverse
+        # iteration with inner CG solves took 19 steps and 169 products to
+        # 3.3613805759909603; the L^2 flow took 1016 steps to
+        # 3.361380577693041).
+        assert (small_cm.iterations, small_cm.extra["operator_products"]) == (49, 52)
+        assert small_cm.level == pytest.approx(3.361380574876119, rel=1e-12)
 
     def test_energy_precise_enough_for_default_tolerance(self):
         # Evaluated as w v^T A v, the energy's rounding noise stalled the L^2

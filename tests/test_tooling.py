@@ -152,3 +152,15 @@ def test_ci_runs_the_tier_1_command():
               if step.get("uses", "").startswith("actions/setup-python")]
     assert python == ["3.11"]
     assert command in [step.get("run", "").strip() for step in steps]
+
+
+def test_ci_runs_the_benchmark_self_test_after_tier_1():
+    # The self-test checks the solve workloads' outputs, so a descent that
+    # breaks a benchmark check fails CI.
+    import yaml
+
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "").strip() for job in workflow["jobs"].values()
+            for step in job["steps"]]
+    tier1 = next(i for i, run in enumerate(runs) if "pytest" in run)
+    assert runs.index("python3 perfbench/selftest.py") > tier1
