@@ -11,13 +11,17 @@ with D the 1-D forward differences (u[+1] - u) / h.  B is written down
 once, as numpy stencil coefficients per grid (`_stencil`): each row of X_h
 or Y_h sums c0 u + c1 u[+t] + c2 u[+x or +y] over a node and its forward
 neighbours.  `e_norm_sq`, `apply_Xh` and `apply_Yh` apply the stencil to a
-field's box array, whose zeros off the mask stand for the missing nodes.
-The solvers multiply by B and A thousands of times, where scipy's CSR
-product is faster, so the CSR B of a (grid, mask) is assembled from the
-same coefficients on first use and cached (`horizontal_gradient`); its
-rows are the box nodes and its columns the mask nodes, so a larger mask
-only adds columns.  `scipy.sparse` is imported only there, so the field
-functions need numpy alone.  Every other discrete object comes from B:
+field's box array, whose zeros off the mask stand for the missing nodes,
+and so does the solvers' energy norm (`_box_norm_sq`).  The solvers
+multiply by A thousands of times, where scipy's CSR product is faster, so
+A of a (grid, mask) is assembled on first use from the CSR B of the same
+coefficients (`horizontal_gradient`) and cached; B is not kept.  B's rows
+are the box nodes and its columns the mask nodes, so a larger mask only
+adds columns.  Beside A the cache keeps A's strictly lower blocks in a
+three-colour order of the mask nodes, for the descent's symmetric
+Gauss-Seidel sweep (`_colour_blocks`).  `scipy.sparse` is imported only
+there, so the field functions need numpy alone.  Every other discrete
+object comes from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -267,19 +271,20 @@ def _forward_neighbour(a: np.ndarray, axis: int, shape: tuple, out: np.ndarray,
     return out
 
 
-def _gradient_values(u: ScalarField) -> np.ndarray:
-    """B v on the box, X_h block first, by the stencil on u's box array.
+def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
+    """B v on the box, X_h block first, by the stencil on the box array
+    `values` of grid.
 
     The box array is zero off the mask, which stands for B's missing
     columns.  Each row sums its terms in column order, as the CSR product
     does, so the result equals B @ v (a zero sum may come out as -0.0).
     """
-    shape = u.grid.shape
-    v = u.values.reshape(-1)
+    shape = grid.shape
+    v = values.reshape(-1)
     rows = (shape[0], v.size // shape[0])
     g = np.empty((2,) + rows)
     s = np.empty(rows)
-    for out, (c0, taps) in zip(g, _stencil(u.grid)):
+    for out, (c0, taps) in zip(g, _stencil(grid)):
         np.multiply(v.reshape(rows), c0, out=out)
         for axis, c in taps:
             if np.ndim(c):  # a row or a column scales in the box view
@@ -292,51 +297,91 @@ def _gradient_values(u: ScalarField) -> np.ndarray:
 
 
 # Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` at 48^3 carries B and A, about 15 MB together.
+# `exhaust_domains` at 48^3 carries A and its colour blocks, about 13 MB
+# together.
 _OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(copy of the mask, grid, [B, A])]
+_operator_cache = []  # [(copy of the mask, grid, [A, colour blocks])]
 
 
 def _operators(grid: Grid3, mask: np.ndarray) -> list:
-    """The cache entry [B, A] of one (grid, mask); A is None until asked for.
+    """The cache entry [A, colour blocks] of one (grid, mask); the blocks are
+    None until asked for.
 
     Entries are keyed by the grid and a copy of the mask's contents, so a
     mask edited in place gets fresh operators and an equal mask in another
-    array reuses the cached ones.
+    array reuses the cached ones.  B is assembled for A and then dropped.
     """
     for k, (contents, g, ops) in enumerate(_operator_cache):
         if g == grid and np.array_equal(contents, mask):
             _operator_cache.append(_operator_cache.pop(k))
             return ops
-    ops = [_assemble_gradient(grid, mask), None]
+    from scipy import sparse
+
+    B = horizontal_gradient(grid, mask)
+    ops = [(B.T @ B + sparse.eye_array(B.shape[1])).tocsr(), None]
     _operator_cache.append((mask.copy(), grid, ops))
     del _operator_cache[:-_OPERATOR_CACHE_SIZE]
     return ops
-
-
-def horizontal_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """B = [X_h; Y_h]: mask-node values in C order to both derivatives on
-    every box node (X_h rows first), cached per (grid, mask)."""
-    return _operators(grid, mask)[0]
 
 
 def energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
     """A = B^T B + I on the mask nodes, cached per (grid, mask).
 
     Rows and columns follow the mask nodes in C order, the order of
-    `u.values[u.mask]`.  Built on first use: the energy's value needs only B.
+    `u.values[u.mask]`.
+    """
+    return _operators(grid, mask)[0]
+
+
+def _node_colours(grid: Grid3, mask: np.ndarray) -> np.ndarray:
+    """The colour (i + j + 2 l) mod 3 of each mask node (i, j, l), in C order.
+
+    A couples a node only to the offsets +-e_x, +-e_y, +-e_t, +-(e_x - e_t)
+    and +-(e_y - e_t), along which i + j + 2 l changes by 1, 1, 2, 2 and 2
+    mod 3: no two nodes of one colour are coupled.
+    """
+    i, j, l = np.indices(grid.shape, sparse=True)
+    return ((i + j + 2 * l) % 3)[mask]
+
+
+def _colour_blocks(grid: Grid3, mask: np.ndarray) -> tuple:
+    """(nodes, (A_10, A_20, A_21)): the mask nodes of each colour of
+    `_node_colours`, as ascending positions in the mask's C order, and the
+    strictly lower blocks A_rc = A[nodes[r]][:, nodes[c]] as CSR, cached per
+    (grid, mask) beside A.
+
+    The blocks are cut from row subsets of A, so no permuted copy of A is
+    made; they hold half of A's off-diagonal entries, and their transposes
+    (CSC views, not copies) are the upper blocks.
     """
     ops = _operators(grid, mask)
     if ops[1] is None:
         from scipy import sparse
 
-        B = ops[0]
-        ops[1] = (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
+        A = ops[0]
+        colour = _node_colours(grid, mask)
+        nodes = [np.flatnonzero(colour == c) for c in range(3)]
+        rank = np.empty(colour.size, dtype=A.indices.dtype)  # a node's place in its colour
+        for c in range(3):
+            rank[nodes[c]] = np.arange(nodes[c].size)
+        blocks = []
+        for r, c in ((1, 0), (2, 0), (2, 1)):
+            rows = A[nodes[r]]
+            keep = colour[rows.indices] == c
+            # kept[k]: entries kept among the first k, in A's index width
+            kept = np.zeros(keep.size + 1, dtype=A.indptr.dtype)
+            np.cumsum(keep, out=kept[1:])
+            blocks.append(sparse.csr_array((rows.data[keep], rank[rows.indices[keep]],
+                                            kept[rows.indptr]),
+                                           shape=(nodes[r].size, nodes[c].size)))
+        ops[1] = (tuple(nodes), tuple(blocks))
     return ops[1]
 
 
-def _assemble_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """B as a CSR matrix from the stencil's coefficients.
+def horizontal_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
+    """B = [X_h; Y_h] as a CSR matrix, assembled anew at each call from the
+    stencil's coefficients: mask-node values in C order to both derivatives
+    on every box node (X_h rows first).
 
     Row r of a derivative holds c0 at column r and each tap's coefficient
     at the column of r's neighbour, in that order.  A term whose node is off
@@ -378,15 +423,19 @@ def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:
     return (float(g.sum()) + float(np.sum(v * v))) * w
 
 
-def _energy_norm_sq(B: sparse.csr_array, v: np.ndarray, w: float) -> float:
-    """w (||B v||^2 + ||v||^2) of the mask-node vector v, by the CSR B."""
-    return _sum_squares(B @ v, v, w)
+def _box_norm_sq(grid: Grid3, values: np.ndarray) -> float:
+    """w (||B v||^2 + ||v||^2) of the box array `values` of grid, zero off
+    the mask, by the stencil.
+
+    ||v||^2 sums over the box array, so zero extension keeps it bit for bit.
+    """
+    return _sum_squares(_gradient_values(grid, values), values.reshape(-1), grid.cell_volume)
 
 
 def _box_rows(u: ScalarField, block: int) -> ScalarField:
     n = u.values.size
     # + 0.0 makes a zero sum +0.0, as the CSR product's sums are
-    g = _gradient_values(u)[block * n:(block + 1) * n] + 0.0
+    g = _gradient_values(u.grid, u.values)[block * n:(block + 1) * n] + 0.0
     return ScalarField(u.grid, g.reshape(u.grid.shape), full_mask(u.grid))
 
 
@@ -464,11 +513,8 @@ def e_norm(u: ScalarField) -> float:
 
 
 def e_norm_sq(u: ScalarField) -> float:
-    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2, by the stencil.
-
-    ||u||^2 sums over the box array, so zero extension keeps it bit for bit.
-    """
-    return _sum_squares(_gradient_values(u), u.values.reshape(-1), u.grid.cell_volume)
+    """||X_h u||^2 + ||Y_h u||^2 + ||u||^2, by the stencil (`_box_norm_sq`)."""
+    return _box_norm_sq(u.grid, u.values)
 
 
 def embedding_ratio(u: ScalarField, q: float) -> float:

@@ -2,8 +2,9 @@
 
 Both methods run one loop, `_ray_descent`: it minimizes I on the constraint
 {int v_+^(p+1) = 1} as the scale-invariant quotient R(v) = v^T A v /
-(sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG preconditioned by
-diag(A)^-1 (Antoine, Levitt & Tang, J. Comput. Phys. 343, 2017).  On the
+(sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG (Antoine, Levitt &
+Tang, J. Comput. Phys. 343, 2017) preconditioned by a symmetric
+Gauss-Seidel sweep of A in a three-colour order (`_Energy.sweep`).  On the
 constraint the ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1))
 is monotone in I, so the loop lowers the top of the ray through v.  An
 iteration costs one product with A: along a direction the numerator of R is
@@ -26,8 +27,10 @@ u* = lambda^(1/(p-1)) u.
 `compare_methods` checks the bridge identity
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
-Comput., 2001).  The polish and the index load `scipy.sparse.linalg`, and
-`scipy.sparse` loads with a solve's first operator (see `grid`).
+Comput., 2001).  The polish and the index are preconditioned by
+diag(A)^-1 (`_Energy.inv_diag`), which serves nothing else.  They load
+`scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's first
+operator (see `grid`).
 All work on mask-node vectors through one `_Energy` per (domain, p); a
 `ScalarField` is built only for the start and the report.
 """
@@ -61,12 +64,12 @@ from .functionals import (
 from .grid import (
     Grid3,
     ScalarField,
-    _energy_norm_sq,
+    _box_norm_sq,
+    _colour_blocks,
     _power,
     ball_mask,
     build_ball_grid,
     energy_operator,
-    horizontal_gradient,
     l2_norm,
     zero_extend,
 )
@@ -239,12 +242,15 @@ def radial_bump(domain: Domain) -> ScalarField:
 
     On the cell-centered grid the origin lies halfway between the t-nodes
     +-h_t/2, and with the forward gradient B the discrete ground state peaks
-    at the node t = -h_t/2.  A bump centered at the origin is symmetric about
-    that midpoint, and the descent from it is drawn to the symmetric
-    critical point (the Peierls-Nabarro barrier in t): at k = 4, N = 32 and
-    grad_tol 1e-5 it stops there, at alpha 3.5661065625, after 260
-    iterations, where from this bump it reaches 3.5661056272 in 94.  From
-    +h_t/2 it lands on the mirror member of the pair, a higher minimum.
+    at the node t = -h_t/2; the mirror state, peaked at +h_t/2, is a higher
+    minimum.  At k = 4, N = 32 and grad_tol 1e-5 the descent reaches the
+    ground state from this bump, alpha 3.5661056272, in 40 iterations, and
+    the mirror state from the bump about +h_t/2, at alpha 3.5661065625.  A
+    bump centered at the origin is symmetric about the midpoint.  The colour
+    order of the descent's sweep breaks the symmetry, and from that bump the
+    descent reaches the ground state in 60; preconditioned by diag(A)^-1,
+    which keeps the symmetry up to rounding, it lingered by the symmetric
+    critical point and landed on the mirror state after 260.
     """
     xs, ys, ts = domain.grid.coordinate_arrays()
     r2 = xs * xs + ys * ys
@@ -261,18 +267,63 @@ class _Energy:
     """J and its pieces on the mask-node vectors of one domain, for one p.
 
     A vector holds a field's values on the mask nodes in C order, the order
-    of `u.values[u.mask]` and of the cached operators B and A.  The energy
-    norm is summed as squares of B v and v (see `grid`), and the formulas
-    are the ones the public field functions use.  inv_diag = diag(A)^-1 is
-    the Jacobi preconditioner of the descent, the polish and the index.
+    of `u.values[u.mask]` and of the cached operator A.  The energy norm is
+    summed as squares of B v and v by the stencil (see `grid`), and the
+    formulas are the ones the public field functions use.  `sweep` is the
+    descent's preconditioner; inv_diag = diag(A)^-1, the Jacobi one, serves
+    the polish and the index.
     """
 
     def __init__(self, domain: Domain, p: float):
         self.grid, self.mask, self.p = domain.grid, domain.mask, p
         self.w = domain.grid.cell_volume
-        self.B = horizontal_gradient(domain.grid, domain.mask)
         self.A = energy_operator(domain.grid, domain.mask)
         self.inv_diag = 1.0 / self.A.diagonal()
+        self._nodes, self._lower = _colour_blocks(domain.grid, domain.mask)
+        # CSC views of the same arrays; each .T builds a new object (15 us)
+        self._upper = [a.T for a in self._lower]
+        self._inv_diags = [self.inv_diag[nodes] for nodes in self._nodes]
+
+    def sweep(self, g: np.ndarray) -> np.ndarray:
+        """M^-1 g for the symmetric Gauss-Seidel M = (D + L) D^-1 (D + U) of
+        A in the three-colour order of `grid._node_colours` (Saad, Iterative
+        Methods for Sparse Linear Systems, 2nd ed., 2003, 12.4).
+
+        Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
+        is its whole block, and each half-sweep is a few products with the
+        lower colour blocks A_10, A_20, A_21 and their transposes:
+            y0 = D0^-1 g0,  y1 = D1^-1 (g1 - A_10 y0),
+            y2 = D2^-1 (g2 - A_20 y0 - A_21 y1);
+            z2 = y2,  z1 = y1 - D1^-1 A_21^T z2,
+            z0 = y0 - D0^-1 (A_10^T z1 + A_20^T z2).
+        M is symmetric positive definite, as A is.
+        """
+        (a10, a20, a21), (u01, u02, u12) = self._lower, self._upper
+        (n0, n1, n2), (d0, d1, d2) = self._nodes, self._inv_diags
+        # Each colour is written out once final, and every temporary is a
+        # third of a vector: with more of them alive at once, the peak heap
+        # of a k = 4, N = 32 solve was 0.4 MB higher.
+        out = np.empty_like(g)
+        y0 = g[n0]
+        y0 *= d0
+        y1 = g[n1]
+        y1 -= a10 @ y0
+        y1 *= d1
+        y2 = g[n2]
+        y2 -= a20 @ y0
+        y2 -= a21 @ y1
+        y2 *= d2
+        out[n2] = y2
+        t = u12 @ y2
+        t *= d1
+        y1 -= t
+        out[n1] = y1
+        t = u01 @ y1
+        t += u02 @ y2
+        t *= d0
+        y0 -= t
+        out[n0] = y0
+        return out
 
     def field(self, v: np.ndarray) -> ScalarField:
         return ScalarField.from_interior(self.grid, self.mask, v)
@@ -285,8 +336,11 @@ class _Energy:
         return self.inner(v, v) ** 0.5
 
     def norm_sq(self, v: np.ndarray) -> float:
-        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2."""
-        return _energy_norm_sq(self.B, v, self.w)
+        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2, by the stencil on
+        v's zero-extended box array."""
+        box = np.zeros(self.grid.shape)
+        box[self.mask] = v
+        return _box_norm_sq(self.grid, box)
 
     def mass(self, v: np.ndarray) -> float:
         return _constraint_mass(v, self.p, self.w)
@@ -433,12 +487,15 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
 
     The loop minimizes the scale-invariant quotient R(v) = v^T A v /
     M(v)^(2/(p+1)), M(v) = sum v_+^(p+1), whose minimizers are, up to
-    scale, those of I on the constraint, by Polak-Ribiere+ nonlinear CG
-    preconditioned by diag(A)^-1 (as for NLS ground states in Antoine,
-    Levitt & Tang, J. Comput. Phys. 343, 2017).  G = (A v - (v^T A v / M)
-    v_+^p) / (w M)^(2/(p+1)) is grad R times a constant and P = diag(A)^-1 G;
-    the direction is d = -P + beta d_prev with beta = max(0, <G - G_prev, P>
-    / <G_prev, P_prev>), and -P where that is no descent direction.  Like
+    scale, those of I on the constraint, by Polak-Ribiere+ nonlinear CG (as
+    for NLS ground states in Antoine, Levitt & Tang, J. Comput. Phys. 343,
+    2017).  G = (A v - (v^T A v / M) v_+^p) / (w M)^(2/(p+1)) is grad R
+    times a constant and P = M_s^-1 G, by the symmetric Gauss-Seidel sweep
+    `energy.sweep`; at k = 4, N = 32 and grad_tol 1e-5 the descent takes 40
+    iterations where diag(A)^-1 took 94, and a sweep costs about two
+    products with A.  The direction is d = -P + beta d_prev with beta =
+    max(0, <G - G_prev, P> / <G_prev, P_prev>), and -P where that is no
+    descent direction.  Like
     grad R, G scales as 1/|v|; without the divisor it scales as |v|, and
     from a sign-changing start at p = 2.9 beta grew with |v| until v
     overflowed.  `_line_min` finds the step from the exact numerator along
@@ -492,7 +549,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
             stop = "stall"
             break
         G = (av - (n_v / m) * normal) / (scale * scale)
-        P = energy.inv_diag * G
+        P = energy.sweep(G)
         gp = float(G @ P)
         steepest = d is None or not gp_prev > 0.0
         if not steepest:
@@ -835,9 +892,11 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
 
     A state of Morse index above 1 is pushed along H's second eigenvector,
     in which the ray maximum falls, and solved again.  From a symmetric
-    start the descent can stop beside a symmetric saddle: on the 48^3 grid
-    of k = 6, the k = 2 ball's bump centered at the origin reaches one of
-    index 2 at 82.709, where the ground state is at 61.739.
+    start a descent can stop beside a symmetric saddle: on the 48^3 grid of
+    k = 6, from the k = 2 ball's bump centered at the origin, the descent
+    preconditioned by diag(A)^-1 reached one of index 2 at 82.709, where the
+    ground state is at 61.739.  The colour sweep reaches 61.739 from that
+    bump, but a caller's u0 can still stop at a saddle.
     """
     energy = _Energy(domain, config.p)
     w = rep.field.interior()

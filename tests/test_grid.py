@@ -18,6 +18,7 @@ from heisground.grid import (
     embedding_ratio,
     energy_operator,
     full_mask,
+    horizontal_gradient,
     inner,
     integrate,
     l2_norm,
@@ -305,7 +306,7 @@ class TestStencilAgainstKronecker:
     def test_bit_for_bit(self, k, n, kind):
         grid, mask = self._grid_and_mask(k, n, kind)
         want = kronecker_gradient(grid, mask)
-        got = grid_module._assemble_gradient(grid, mask)
+        got = horizontal_gradient(grid, mask)
         assert got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
@@ -400,14 +401,15 @@ class TestEnergyOperator:
         assert len(grid_module._operator_cache) <= grid_module._OPERATOR_CACHE_SIZE
 
     def test_constrained_min_regression(self, small_cm):
-        # k = 2.5, N = 12, grad_tol 1e-4: the figures of the Jacobi-
-        # preconditioned nonlinear CG from the bump at t = -h_t/2, 49
-        # iterations and 52 operator products (the Anderson-mixed inverse
-        # iteration with inner CG solves took 19 steps and 169 products to
-        # 3.3613805759909603; the L^2 flow took 1016 steps to
-        # 3.361380577693041).
-        assert (small_cm.iterations, small_cm.extra["operator_products"]) == (49, 52)
-        assert small_cm.level == pytest.approx(3.361380574876119, rel=1e-12)
+        # k = 2.5, N = 12, grad_tol 1e-4: the figures of the nonlinear CG
+        # preconditioned by the three-colour symmetric Gauss-Seidel sweep,
+        # from the bump at t = -h_t/2, 22 iterations and 24 operator products
+        # (preconditioned by diag(A)^-1 it took 49 and 52 to
+        # 3.361380574876119; the Anderson-mixed inverse iteration with inner
+        # CG solves 19 steps and 169 products to 3.3613805759909603; the L^2
+        # flow 1016 steps to 3.361380577693041).
+        assert (small_cm.iterations, small_cm.extra["operator_products"]) == (22, 24)
+        assert small_cm.level == pytest.approx(3.3613805749102594, rel=1e-12)
 
     def test_energy_precise_enough_for_default_tolerance(self):
         # Evaluated as w v^T A v, the energy's rounding noise stalled the L^2
@@ -421,6 +423,40 @@ class TestEnergyOperator:
         )
         assert rep.converged
         assert rep.level == pytest.approx(3.5661056271755, rel=1e-9)
+
+
+class TestColourBlocks:
+    """The three-colour order of the descent's Gauss-Seidel sweep."""
+
+    @staticmethod
+    def _grids():
+        ball = build_ball_grid(4.0, 32)
+        box = build_ball_grid(2.5, 12)[0]
+        # (k, N, N_t) = (3, 24, 72): h_t = h_x
+        t_resolved = Grid3((24, 24, 72), (0.25, 0.25, 0.125), (-3.0, -3.0, -9.0))
+        return [ball, (box, full_mask(box)), (t_resolved, ball_mask(t_resolved, 3.0))]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_no_entry_joins_two_nodes_of_one_colour(self, case):
+        grid, mask = self._grids()[case]
+        a = energy_operator(grid, mask).tocoo()
+        colour = grid_module._node_colours(grid, mask)
+        off = a.row != a.col
+        assert off.any()
+        assert np.all(colour[a.row[off]] != colour[a.col[off]])
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_blocks_are_the_lower_blocks_of_a(self, case):
+        grid, mask = self._grids()[case]
+        a = energy_operator(grid, mask)
+        nodes, blocks = grid_module._colour_blocks(grid, mask)
+        assert np.array_equal(np.sort(np.concatenate(nodes)), np.arange(a.shape[0]))
+        for (r, c), block in zip(((1, 0), (2, 0), (2, 1)), blocks):
+            assert block.format == "csr" and block.indices.dtype == a.indices.dtype
+            assert (block != a[nodes[r]][:, nodes[c]]).nnz == 0
+        # the strictly lower blocks hold half of A's off-diagonal entries
+        assert 2 * sum(b.nnz for b in blocks) + a.shape[0] == a.nnz
+        assert grid_module._colour_blocks(grid, mask)[1] is blocks
 
 
 class TestQuadrature:

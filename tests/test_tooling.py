@@ -3,7 +3,7 @@ name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, and the README's
 CLI section names the parser's flags and the CLI's exit codes; the autouse
 fixture empties every per-grid cache; the CI workflow runs the tier-1
-command."""
+command single-threaded, within a time limit."""
 
 import argparse
 import ast
@@ -164,3 +164,17 @@ def test_ci_runs_the_benchmark_self_test_after_tier_1():
             for step in job["steps"]]
     tier1 = next(i for i, run in enumerate(runs) if "pytest" in run)
     assert runs.index("python3 perfbench/selftest.py") > tier1
+
+
+def test_ci_tests_run_single_threaded_within_a_time_limit():
+    # The pinned iteration counts were taken with one BLAS thread, and a
+    # descent that never stops must end the job, not hold a runner for 6 h.
+    import yaml
+
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    for job in workflow["jobs"].values():
+        assert 0 < job["timeout-minutes"] <= 20
+        for step in job["steps"]:
+            if "-m pytest" in step.get("run", "") or "selftest.py" in step.get("run", ""):
+                env = step.get("env", {})
+                assert (env.get("OPENBLAS_NUM_THREADS"), env.get("OMP_NUM_THREADS")) == ("1", "1")
