@@ -17,10 +17,12 @@ multiply by A thousands of times, where scipy's CSR product is faster, so
 A of a (grid, mask) is assembled on first use from the CSR B of the same
 coefficients (`horizontal_gradient`) and cached; B is not kept.  B's rows
 are the box nodes and its columns the mask nodes, so a larger mask only
-adds columns.  Beside A the cache keeps A's strictly lower blocks in a
-three-colour order of the mask nodes, for the descent's symmetric
-Gauss-Seidel sweep (`_colour_blocks`).  `scipy.sparse` is imported only
-there, so the field functions need numpy alone.  Every other discrete
+adds columns.  Beside A the cache entry keeps, built when a solver first
+asks, the solvers' view of A in a three-colour order of the mask nodes
+(`_colour_order`): the order itself, diag(A)^-1 in C and in colour order,
+and L, the strictly lower part of A in colour order, which is all the
+descent's symmetric Gauss-Seidel sweep reads.  `scipy.sparse` is imported
+only there, so the field functions need numpy alone.  Every other discrete
 object comes from B:
 
     A = B^T B + I   on the mask nodes,
@@ -52,7 +54,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -297,15 +299,15 @@ def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
 
 
 # Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` at 48^3 carries A and its colour blocks, about 13 MB
+# `exhaust_domains` at 48^3 carries A and its colour order, about 13 MB
 # together.
 _OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(copy of the mask, grid, [A, colour blocks])]
+_operator_cache = []  # [(copy of the mask, grid, [A, colour order])]
 
 
 def _operators(grid: Grid3, mask: np.ndarray) -> list:
-    """The cache entry [A, colour blocks] of one (grid, mask); the blocks are
-    None until asked for.
+    """The cache entry [A, colour order] of one (grid, mask); the colour
+    order is None until asked for.
 
     Entries are keyed by the grid and a copy of the mask's contents, so a
     mask edited in place gets fresh operators and an equal mask in another
@@ -344,15 +346,43 @@ def _node_colours(grid: Grid3, mask: np.ndarray) -> np.ndarray:
     return ((i + j + 2 * l) % 3)[mask]
 
 
-def _colour_blocks(grid: Grid3, mask: np.ndarray) -> tuple:
-    """(nodes, (A_10, A_20, A_21)): the mask nodes of each colour of
-    `_node_colours`, as ascending positions in the mask's C order, and the
-    strictly lower blocks A_rc = A[nodes[r]][:, nodes[c]] as CSR, cached per
-    (grid, mask) beside A.
+class _ColourOrder(NamedTuple):
+    """A in the three-colour order of `_node_colours`, as the solvers use it.
 
-    The blocks are cut from row subsets of A, so no permuted copy of A is
-    made; they hold half of A's off-diagonal entries, and their transposes
-    (CSC views, not copies) are the upper blocks.
+    The colour order lists the colour-0 mask nodes, then colour 1, then
+    colour 2, each in C order: position k holds mask node perm[k] (a
+    position in the mask's C order), and colours 0, 1 and 2 fill the
+    positions [0, split[0]), [split[0], split[1]) and [split[1], m).
+
+    - inv_diag: diag(A)^-1 in C order;
+    - inv_diag_colour: diag(A)^-1 in colour order;
+    - lower: L, the strictly lower part of A in colour order, CSR with A's
+      index width, each row's entries in their nodes' C order, as in A.
+      Nodes of one colour are uncoupled, so L's colour-0 rows are empty,
+      and its entries are half of A's off-diagonal ones;
+    - rows: (L_1, L_2), L's colour-1 and colour-2 rows as CSR views of its
+      data and indices, L_1 over the colour-0 positions and L_2 over the
+      colour-0 and colour-1 ones;
+    - upper: (L_1^T, L_2^T), their CSC views, the pieces of U = L^T.
+    """
+
+    perm: np.ndarray
+    split: tuple
+    inv_diag: np.ndarray
+    inv_diag_colour: np.ndarray
+    lower: sparse.csr_array
+    rows: tuple
+    upper: tuple
+
+
+def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
+    """The `_ColourOrder` of one (grid, mask), built on first use and cached
+    beside A.
+
+    L is cut from row subsets of A, one colour at a time, so no permuted
+    copy of A is made.  The order is built without argsort, and L's
+    indices are left unsorted: an argsort, or sorting them, each raised the
+    peak resident memory of a k = 4, N = 32 solve by 0.15-0.3 MB.
     """
     ops = _operators(grid, mask)
     if ops[1] is None:
@@ -360,22 +390,57 @@ def _colour_blocks(grid: Grid3, mask: np.ndarray) -> tuple:
 
         A = ops[0]
         colour = _node_colours(grid, mask)
-        nodes = [np.flatnonzero(colour == c) for c in range(3)]
-        rank = np.empty(colour.size, dtype=A.indices.dtype)  # a node's place in its colour
-        for c in range(3):
-            rank[nodes[c]] = np.arange(nodes[c].size)
-        blocks = []
-        for r, c in ((1, 0), (2, 0), (2, 1)):
-            rows = A[nodes[r]]
-            keep = colour[rows.indices] == c
-            # kept[k]: entries kept among the first k, in A's index width
-            kept = np.zeros(keep.size + 1, dtype=A.indptr.dtype)
-            np.cumsum(keep, out=kept[1:])
-            blocks.append(sparse.csr_array((rows.data[keep], rank[rows.indices[keep]],
-                                            kept[rows.indptr]),
-                                           shape=(nodes[r].size, nodes[c].size)))
-        ops[1] = (tuple(nodes), tuple(blocks))
+        perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)])
+        m = perm.size
+        n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
+        pos = np.empty(m, dtype=A.indices.dtype)  # a node's place in colour order
+        pos[perm] = np.arange(m, dtype=pos.dtype)
+        nnz = (A.nnz - m) // 2  # A is symmetric with a full diagonal
+        arrays = (np.empty(nnz), np.empty(nnz, dtype=A.indices.dtype),
+                  np.zeros(m + 1, dtype=A.indptr.dtype))
+        for c, first, last in ((1, n0, n0 + n1), (2, n0 + n1, m)):
+            _fill_lower_rows(*arrays, first, A[perm[first:last]], colour < c, pos)
+        lower = sparse.csr_array(arrays, shape=(m, m))
+        data, index, indptr = lower.data, lower.indices, lower.indptr
+        rows, upper = [], []
+        for first, last in ((n0, n0 + n1), (n0 + n1, m)):
+            lo, hi = indptr[first], indptr[last]
+            pieces = data[lo:hi], index[lo:hi], indptr[first:last + 1] - lo
+            rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
+            upper.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
+        inv_diag = 1.0 / A.diagonal()
+        ops[1] = _ColourOrder(perm, (n0, n0 + n1), inv_diag, inv_diag[perm], lower,
+                              tuple(rows), tuple(upper))
     return ops[1]
+
+
+def _fill_lower_rows(data, index, indptr, first: int, rows, lower_colour: np.ndarray,
+                     pos: np.ndarray) -> None:
+    """Write the CSR arrays of L from row `first` on, the rows before it
+    written already: the entries of rows (A's rows of those nodes) whose
+    column node has lower_colour, at the column pos of that node."""
+    keep = lower_colour[rows.indices]
+    # kept[k]: entries kept among the first k, in A's index width
+    kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    at = indptr[first]
+    indptr[first + 1:first + rows.shape[0] + 1] = at + kept[rows.indptr[1:]]
+    np.compress(keep, rows.data, out=data[at:at + kept[-1]])
+    np.take(pos, np.compress(keep, rows.indices), out=index[at:at + kept[-1]])
+
+
+def _compressed(kind, shape: tuple, data: np.ndarray, index: np.ndarray,
+                indptr: np.ndarray):
+    """A compressed sparse array of scipy's class kind (CSR or CSC) that
+    holds these arrays themselves.
+
+    The (data, indices, indptr) constructor, and so `.T`, copies an array
+    that is a view of less than half its base (`prune`), as L_1's are of
+    L's; so the arrays are set on an empty array of the shape.
+    """
+    a = kind(shape, dtype=data.dtype)
+    a.data, a.indices, a.indptr = data, index, indptr
+    return a
 
 
 def horizontal_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:

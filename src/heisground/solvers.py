@@ -7,9 +7,12 @@ Tang, J. Comput. Phys. 343, 2017) preconditioned by a symmetric
 Gauss-Seidel sweep of A in a three-colour order (`_Energy.sweep`).  On the
 constraint the ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1))
 is monotone in I, so the loop lowers the top of the ray through v.  An
-iteration costs one product with A: along a direction the numerator of R is
-an exact quadratic, and the line search `_line_min` needs only vector sums.
-No step raises I by more than rounding.  By default both methods start
+iteration costs one sweep and no product with A: the loop runs in the
+colour order, the sweep returns A times its result too (Eisenstat's
+identity), along a direction the numerator of R is an exact quadratic, and
+the line search `_line_min` needs only vector sums.  A v is recomputed by
+an exact product only every few iterations.  No step raises I by more than
+rounding.  By default both methods start
 from `radial_bump`, the gauge bump about the t-node -h_t/2 where the
 discrete ground state peaks (see there for why).
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -65,7 +69,7 @@ from .grid import (
     Grid3,
     ScalarField,
     _box_norm_sq,
-    _colour_blocks,
+    _colour_order,
     _power,
     ball_mask,
     build_ball_grid,
@@ -267,62 +271,69 @@ class _Energy:
     """J and its pieces on the mask-node vectors of one domain, for one p.
 
     A vector holds a field's values on the mask nodes in C order, the order
-    of `u.values[u.mask]` and of the cached operator A.  The energy norm is
+    of `u.values[u.mask]` and of the cached operator A.  Only `_ray_descent`
+    works in the colour order of `grid._ColourOrder` (`order`), where each
+    colour is a contiguous slice: `sweep` is its preconditioner, `product`
+    its exact A v, and `c_order` puts its vectors back.  The energy norm is
     summed as squares of B v and v by the stencil (see `grid`), and the
-    formulas are the ones the public field functions use.  `sweep` is the
-    descent's preconditioner; inv_diag = diag(A)^-1, the Jacobi one, serves
-    the polish and the index.
+    formulas are the ones the public field functions use.  inv_diag =
+    diag(A)^-1 in C order, the Jacobi preconditioner, serves the polish and
+    the index.  A and the colour order come from the operator cache, so an
+    _Energy builds no array.
     """
 
     def __init__(self, domain: Domain, p: float):
         self.grid, self.mask, self.p = domain.grid, domain.mask, p
         self.w = domain.grid.cell_volume
         self.A = energy_operator(domain.grid, domain.mask)
-        self.inv_diag = 1.0 / self.A.diagonal()
-        self._nodes, self._lower = _colour_blocks(domain.grid, domain.mask)
-        # CSC views of the same arrays; each .T builds a new object (15 us)
-        self._upper = [a.T for a in self._lower]
-        self._inv_diags = [self.inv_diag[nodes] for nodes in self._nodes]
+        self.order = _colour_order(domain.grid, domain.mask)
+        self.inv_diag = self.order.inv_diag
 
-    def sweep(self, g: np.ndarray) -> np.ndarray:
-        """M^-1 g for the symmetric Gauss-Seidel M = (D + L) D^-1 (D + U) of
-        A in the three-colour order of `grid._node_colours` (Saad, Iterative
-        Methods for Sparse Linear Systems, 2nd ed., 2003, 12.4).
+    def sweep(self, g: np.ndarray):
+        """(P, A P) for P = M^-1 g, M = (D + L) D^-1 (D + U) the symmetric
+        Gauss-Seidel of A in colour order (Saad, Iterative Methods for Sparse
+        Linear Systems, 2nd ed., 2003, 12.4); g, P and A P in colour order.
 
         Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
-        is its whole block, and each half-sweep is a few products with the
-        lower colour blocks A_10, A_20, A_21 and their transposes:
-            y0 = D0^-1 g0,  y1 = D1^-1 (g1 - A_10 y0),
-            y2 = D2^-1 (g2 - A_20 y0 - A_21 y1);
-            z2 = y2,  z1 = y1 - D1^-1 A_21^T z2,
-            z0 = y0 - D0^-1 (A_10^T z1 + A_20^T z2).
-        M is symmetric positive definite, as A is.
+        is its whole block.  With L_1, L_2 the colour-1 and colour-2 rows of
+        L (`grid._ColourOrder`) and y_01 the colour-0 and colour-1 slices of
+        y, the forward half-sweep y = (D + L)^-1 g is
+            r0 = g0,  r1 = g1 - L_1 y0,  r2 = g2 - L_2 y_01,  yc = Dc^-1 rc,
+        and the backward one P = (D + U)^-1 D y, U = L^T, is
+            P2 = y2,  t = L_2^T P2,  P1 = y1 - D1^-1 t1,
+            P0 = y0 - D0^-1 (t0 + L_1^T P1).
+        As (D + U) P = D y = r, A P = r + L P (Eisenstat, SIAM J. Sci. Stat.
+        Comput. 2, 1981).  So the sweep is five sparse products with L or
+        its pieces, whose entries are half of A's off-diagonal ones, and no
+        product with A.  M is symmetric positive definite, as A is.
         """
-        (a10, a20, a21), (u01, u02, u12) = self._lower, self._upper
-        (n0, n1, n2), (d0, d1, d2) = self._nodes, self._inv_diags
-        # Each colour is written out once final, and every temporary is a
-        # third of a vector: with more of them alive at once, the peak heap
-        # of a k = 4, N = 32 solve was 0.4 MB higher.
-        out = np.empty_like(g)
-        y0 = g[n0]
-        y0 *= d0
-        y1 = g[n1]
-        y1 -= a10 @ y0
-        y1 *= d1
-        y2 = g[n2]
-        y2 -= a20 @ y0
-        y2 -= a21 @ y1
-        y2 *= d2
-        out[n2] = y2
-        t = u12 @ y2
-        t *= d1
-        y1 -= t
-        out[n1] = y1
-        t = u01 @ y1
-        t += u02 @ y2
-        t *= d0
-        y0 -= t
-        out[n0] = y0
+        (n0, n01), d = self.order.split, self.order.inv_diag_colour
+        (l1, l2), (u1, u2) = self.order.rows, self.order.upper
+        r = g.copy()  # becomes A P
+        y = np.empty_like(g)  # becomes P
+        np.multiply(r[:n0], d[:n0], out=y[:n0])
+        r[n0:n01] -= l1 @ y[:n0]
+        np.multiply(r[n0:n01], d[n0:n01], out=y[n0:n01])
+        r[n01:] -= l2 @ y[:n01]
+        np.multiply(r[n01:], d[n01:], out=y[n01:])
+        t = u2 @ y[n01:]
+        t[n0:] *= d[n0:n01]
+        y[n0:n01] -= t[n0:]
+        t = t[:n0]
+        t += u1 @ y[n0:n01]
+        t *= d[:n0]
+        y[:n0] -= t
+        r += self.order.lower @ y
+        return y, r
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """A v of a colour-order vector v, in colour order, by the C-order A."""
+        return (self.A @ self.c_order(v))[self.order.perm]
+
+    def c_order(self, v: np.ndarray) -> np.ndarray:
+        """The colour-order vector v in the mask's C order, as a new array."""
+        out = np.empty_like(v)
+        out[self.order.perm] = v
         return out
 
     def field(self, v: np.ndarray) -> ScalarField:
@@ -405,9 +416,10 @@ _EXACT_EVERY = 20
 
 
 def _mass_terms(p: float, x: np.ndarray):
-    """(x_+^(p-1), x_+^p, sum x_+^(p+1)) of the vector x."""
+    """(x_+^(p-1), x_+^p, sum x_+^(p+1)) of the vector x; at p = 2 the
+    first is x_+ itself, which x_+^1 equals exactly."""
     xp = np.maximum(x, 0.0)
-    pm1 = _power(xp, p - 1.0)
+    pm1 = xp if p == 2.0 else _power(xp, p - 1.0)
     normal = pm1 * xp
     return pm1, normal, float(normal @ xp)
 
@@ -426,9 +438,9 @@ def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
     and Newton leaves the bracket (0, tau0).  Of the two, the one with the
     lower R is kept, and if it raises R by more than rounding the smaller
     step is halved until one does not, as far from a minimizer an overshoot
-    can.  Returns (tau, change of log R, `_mass_terms` at v + tau d); the
-    change is inf where M vanishes.  A d that rounding has left without a
-    descent slope gets the step 0.
+    can.  Returns (tau, change of log R, x = v + tau d, `_mass_terms` at
+    x); the change is inf where M vanishes.  A d that rounding has left
+    without a descent slope gets the step 0, and x is v itself.
     """
     q = 2.0 / (p + 1.0)
     d2 = d * d
@@ -443,20 +455,20 @@ def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
         return dn - q * dl, 2.0 * c / n_t - dn * dn - q * (ddl - dl * dl)
 
     def trial(tau):
-        """(tau, change of log R, `_mass_terms`) at tau."""
+        """(tau, change of log R, x, `_mass_terms` at x) at tau."""
         x = tau * d
         x += v
         terms = _mass_terms(p, x)
         rise = tau * (2.0 * b + c * tau) / n_v
         if not (terms[2] > 0.0 and rise > -1.0):
-            return tau, np.inf, terms
-        return tau, math.log1p(rise) - q * math.log(terms[2] / m), terms
+            return tau, np.inf, x, terms
+        return tau, math.log1p(rise) - q * math.log(terms[2] / m), x, terms
 
     slope0, curv0 = derivs(0.0, (pm1, normal, m))
     if not slope0 < 0.0:  # rounding: d is no descent direction
-        return 0.0, 0.0, (pm1, normal, m)
+        return 0.0, 0.0, v, (pm1, normal, m)
     best = trial(-slope0 / curv0 if curv0 > 0.0 else 1.0)
-    tau0, phi0, terms0 = best
+    tau0, phi0, _, terms0 = best
     slope1, curv1 = derivs(tau0, terms0) if phi0 < np.inf else (np.nan, np.nan)
     tau1 = tau0 - slope1 / curv1 if curv1 > 0.0 else np.nan
     if slope1 > 0.0 and not 0.0 < tau1 < tau0:
@@ -492,19 +504,23 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     2017).  G = (A v - (v^T A v / M) v_+^p) / (w M)^(2/(p+1)) is grad R
     times a constant and P = M_s^-1 G, by the symmetric Gauss-Seidel sweep
     `energy.sweep`; at k = 4, N = 32 and grad_tol 1e-5 the descent takes 40
-    iterations where diag(A)^-1 took 94, and a sweep costs about two
-    products with A.  The direction is d = -P + beta d_prev with beta =
-    max(0, <G - G_prev, P> / <G_prev, P_prev>), and -P where that is no
-    descent direction.  Like
-    grad R, G scales as 1/|v|; without the divisor it scales as |v|, and
-    from a sign-changing start at p = 2.9 beta grew with |v| until v
-    overflowed.  `_line_min` finds the step from the exact numerator along
-    d, so an iteration costs one operator product, A d.  A v follows by A v
-    += tau A d and is recomputed exactly every _EXACT_EVERY updates and
-    before a grad_tol exit; v^T A v is read from it at every iteration, so
-    that G stays orthogonal to v (carried by its own recurrence, it drifted,
-    and the descent stalled at |g| = 3e-13 in place of 8e-15 on the k = 2.5,
-    N = 12 ball).
+    iterations where diag(A)^-1 took 94.  The direction is d = -P + beta
+    d_prev with beta = max(0, <G - G_prev, P> / <G_prev, P_prev>), and -P
+    where that is no descent direction.  Like grad R, G scales as 1/|v|;
+    without the divisor it scales as |v|, and from a sign-changing start at
+    p = 2.9 beta grew with |v| until v overflowed.
+
+    The loop runs in the colour order of `energy.order`: the start is
+    permuted into it once, and the returned v is in C order again; the
+    caller's start is left as it was.  The sweep also returns A P, so A d
+    follows as -A P + beta A d_prev, and `_line_min` finds the step from the
+    exact numerator along d: an iteration makes no product with A, and
+    reads about one and a half times A's entries.  A v follows by A v += tau
+    A d and is recomputed exactly (`energy.product`) every _EXACT_EVERY
+    updates and before a grad_tol exit; v^T A v is read from it at every
+    iteration, so that G stays orthogonal to v (carried by its own
+    recurrence, it drifted, and the descent stalled at |g| = 3e-13 in place
+    of 8e-15 on the k = 2.5, N = 12 ball).
 
     v is not renormalized in the loop: g = A v - mu v_+^p and I are scaled
     by (int v_+^(p+1))^(1/(p+1)) to read as at v on the constraint.  |g|
@@ -515,11 +531,13 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     neither I nor |g| reaches a new minimum (`stall`): I reaches its
     rounding floor long before |g| does.  Returns (v, iterations, |g|,
     stop_reason, operator products) with v on the constraint; |g| and the
-    last trace record are those of the returned v, from an exact A v.
+    last trace record are those of the returned v, from an exact A v.  The
+    products count the applications of A: the exact ones, and each sweep's
+    A P once.
     """
-    p, w, A = energy.p, energy.w, energy.A
-    v = energy.renormalize(v)  # a new array: the loop updates it in place
-    av = A @ v
+    p, w = energy.p, energy.w
+    v = energy.renormalize(v[energy.order.perm])
+    av = energy.product(v)
     pm1, normal, m = _mass_terms(p, v)
     products, drift = 1, 0  # drift: recurrence updates of av since its last exact product
     i_best = gn_best = np.inf
@@ -527,7 +545,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     stop = "max_iters"
     while True:
         if drift == _EXACT_EVERY:
-            av = A @ v
+            av = energy.product(v)
             products, drift = products + 1, 0
         n_v = float(v @ av)
         scale = (w * m) ** (1.0 / (p + 1.0))
@@ -549,39 +567,43 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
             stop = "stall"
             break
         G = (av - (n_v / m) * normal) / (scale * scale)
-        P = energy.sweep(G)
+        P, ap = energy.sweep(G)
+        products += 1
         gp = float(G @ P)
         steepest = d is None or not gp_prev > 0.0
         if not steepest:
-            d *= max(0.0, (gp - float(g_prev @ P)) / gp_prev)
+            beta = max(0.0, (gp - float(g_prev @ P)) / gp_prev)
+            d *= beta
             d -= P
+            ad *= beta
+            ad -= ap
             steepest = float(G @ d) >= 0.0
         if steepest:
-            d = -P
+            d, ad = -P, -ap
         while True:
-            ad = A @ d
-            products += 1
             b, c = float(d @ av), float(d @ ad)
-            tau, dphi, terms = _line_min(p, v, d, n_v, b, c, m, normal, pm1)
+            tau, dphi, x, terms = _line_min(p, v, d, n_v, b, c, m, normal, pm1)
             if math.isnan(dphi):
                 raise NumericError(f"non-finite step of the descent at iteration {it}")
             if dphi <= _ROUNDING_RISE or steepest:
                 break
-            d, steepest = -P, True
+            d, ad, steepest = -P, -ap, True
         if dphi > _ROUNDING_RISE:
             stop = "no_descent"
             break
-        v += tau * d
+        v = x
         av += tau * ad
         pm1, normal, m = terms
         drift += 1
         g_prev, gp_prev = G, gp
         it += 1
+    v = energy.c_order(v)
     v /= scale
     if drift:
-        av = A @ v
+        av = energy.A @ v
         products += 1
     else:
+        av = energy.c_order(av)
         av /= scale
     gn = _projected_gradient_norm(energy, av, _pos_pow(v, p))
     trace[-1] = (it, 0.5 * energy.norm_sq(v), gn)
@@ -661,6 +683,15 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order]
 
 
+def _state_index(energy: _Energy, rep: SolveReport):
+    """`_morse_index` at the state of the mountain-pass report rep, whose
+    timings get its seconds as "index"."""
+    start = time.perf_counter()
+    result = _morse_index(energy, rep.field.interior())
+    rep.extra["timings"]["index"] = time.perf_counter() - start
+    return result
+
+
 # ---------------------------------------------------------------------------
 # The two methods
 # ---------------------------------------------------------------------------
@@ -679,8 +710,10 @@ def solve_mountain_pass(
     polished by `_newton_polish`.  c_k is the ray maximum of the reported
     state and grad_norm is |grad J| there; the solve has converged when the
     descent has and that norm is below grad_tol.  The trace and
-    operator_products are the descent's.  A u0 without a positive part has
-    no top: DomainError.
+    operator_products are the descent's, and timings holds the seconds of
+    the descent, the polish and the report (`compare_methods` and
+    `_leave_saddle` add the Morse index's).  A u0 without a positive part
+    has no top: DomainError.
     """
     if domain is None:
         domain = make_domain(config)
@@ -693,14 +726,17 @@ def solve_mountain_pass(
     v0 = u0.values[domain.mask]
     energy.ray_max(v0)  # DomainError without a positive part
     trace = []
+    start = time.perf_counter()
     v, iters, _, stop, products = _ray_descent(
         energy, v0, config.grad_tol, config.max_iters, trace)
+    descent = time.perf_counter()
     t_star, _ = energy.ray_max(v)
     w = t_star * v
     if stop == "grad_tol":
         w, gn = _newton_polish(energy, w)
     else:
         gn = energy.norm(energy.grad(w))
+    polish = time.perf_counter()
 
     v_k = np.maximum(w, 0.0)
     u_k = energy.field(v_k)
@@ -708,13 +744,16 @@ def solve_mountain_pass(
     # in t; at a critical point it is J(u_k).
     _, level = energy.ray_max(v_k)
     bd = energy_breakdown(u_k, p)
-    return _report(
+    rep = _report(
         u_k, bd, "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
         grad_norm=gn, stop_reason=stop, operator_products=products,
         inner_gu=energy.inner(energy.grad(v_k), v_k),
         identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
     )
+    rep.extra["timings"] = {"descent": descent - start, "polish": polish - descent,
+                            "report": time.perf_counter() - polish}
+    return rep
 
 
 def solve_constrained_min(
@@ -733,19 +772,22 @@ def solve_constrained_min(
     - constraint_defect: |int v_+^(p+1) - 1| of the reported v;
     - residual_rel: the L^2 norm of that equation's residual at u*, over
       ||u*||_2;
-    - operator_products: the descent's products with A, exact ones
-      included;
+    - operator_products: the descent's applications of A, each sweep's
+      A P and the exact products;
     - stop_reason: grad_tol, max_iters, stall or no_descent (see
       `_ray_descent`); the solve has converged when it is grad_tol;
-    - grad_norm, |g| at the last step, and identity_defect at u*.
+    - grad_norm, |g| at the last step, and identity_defect at u*;
+    - timings: the seconds of the descent and of the report.
     """
     if domain is None:
         domain = make_domain(config)
     p = config.p
     energy = _Energy(domain, p)
     trace = []
+    start = time.perf_counter()
     v, iters, gn, stop, products = _ray_descent(
         energy, radial_bump(domain).interior(), config.grad_tol, config.max_iters, trace)
+    descent = time.perf_counter()
 
     # Final positivity projection + exact renormalization; for a converged
     # run this is a no-op beyond stripping round-off undershoots.
@@ -754,7 +796,7 @@ def solve_constrained_min(
     alpha = 0.5 * lam
     u_star = energy.field(lam ** (1.0 / (p - 1.0)) * v)
     bd = energy_breakdown(u_star, p)
-    return _report(
+    rep = _report(
         u_star, bd, "constrained-min", level=alpha, multiplier=lam,
         iterations=iters, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
         stop_reason=stop, operator_products=products,
@@ -762,6 +804,8 @@ def solve_constrained_min(
         residual_rel=bd.residual_l2 / l2_norm(u_star),
         identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
     )
+    rep.extra["timings"] = {"descent": descent - start, "report": time.perf_counter() - descent}
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +944,7 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     """
     energy = _Energy(domain, config.p)
     w = rep.field.interior()
-    index, _, vecs = _morse_index(energy, w)
+    index, _, vecs = _state_index(energy, rep)
     if index <= 1:
         return rep
     e = vecs[:, 1]
@@ -1020,5 +1064,5 @@ def compare_methods(
         bridge_defect_rel=bridge_defect,
         field_distance_rel=field_dist,
         both_positive=both_pos,
-        morse_index=_morse_index(_Energy(domain, p), a.interior())[0],
+        morse_index=_state_index(_Energy(domain, p), rep_mp)[0],
     )

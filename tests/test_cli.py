@@ -104,6 +104,7 @@ class TestSolve:
             assert code == 0
             doc = json.loads(report.read_text())
             doc.pop("timestamp")
+            assert set(doc.pop("timings")) == {"descent", "report"}
             doc["config"].pop("report")
             docs.append(doc)
         assert docs[0] == docs[1]
@@ -218,7 +219,7 @@ class TestSolve:
     def test_no_descent_writes_report(self, tmp_path, capsys, monkeypatch):
         # every line search reports a rise: the first step, along -P, ends
         # the solve
-        monkeypatch.setattr(solvers, "_line_min", lambda *args: (0.5, 1.0, None))
+        monkeypatch.setattr(solvers, "_line_min", lambda *args: (0.5, 1.0, None, None))
         report = tmp_path / "r.json"
         code = main(["solve", "--radius", "2.5", "--grid", "12", "--report", str(report)])
         assert code == 2

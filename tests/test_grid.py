@@ -447,16 +447,38 @@ class TestColourBlocks:
 
     @pytest.mark.parametrize("case", range(3))
     def test_blocks_are_the_lower_blocks_of_a(self, case):
+        # L's colour-1 rows are the block A_10, its colour-2 rows [A_20 A_21],
+        # and their CSC transposes the upper blocks.
         grid, mask = self._grids()[case]
         a = energy_operator(grid, mask)
-        nodes, blocks = grid_module._colour_blocks(grid, mask)
-        assert np.array_equal(np.sort(np.concatenate(nodes)), np.arange(a.shape[0]))
-        for (r, c), block in zip(((1, 0), (2, 0), (2, 1)), blocks):
-            assert block.format == "csr" and block.indices.dtype == a.indices.dtype
-            assert (block != a[nodes[r]][:, nodes[c]]).nnz == 0
-        # the strictly lower blocks hold half of A's off-diagonal entries
-        assert 2 * sum(b.nnz for b in blocks) + a.shape[0] == a.nnz
-        assert grid_module._colour_blocks(grid, mask)[1] is blocks
+        order = grid_module._colour_order(grid, mask)
+        perm, (n0, n01) = order.perm, order.split
+        assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
+        for rows, row, upper in zip((perm[n0:n01], perm[n01:]), order.rows, order.upper):
+            assert row.format == "csr" and upper.format == "csc"
+            assert (row != a[rows][:, perm[:row.shape[1]]]).nnz == 0
+            assert (upper != row.T).nnz == 0
+        assert grid_module._colour_order(grid, mask) is order
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_lower_is_the_strictly_lower_part_in_colour_order(self, case):
+        from scipy import sparse
+
+        grid, mask = self._grids()[case]
+        a = energy_operator(grid, mask)
+        order = grid_module._colour_order(grid, mask)
+        lower, perm = order.lower, order.perm
+        want = sparse.tril(a[perm][:, perm], k=-1).tocsr()
+        assert lower.format == "csr"
+        assert lower.nnz == want.nnz and (lower != want).nnz == 0
+        # the strictly lower part holds half of A's off-diagonal entries
+        assert 2 * lower.nnz + a.shape[0] == a.nnz
+        assert lower.indices.dtype == lower.indptr.dtype == np.int32 == a.indices.dtype
+        for piece in order.rows + order.upper:
+            assert np.shares_memory(piece.data, lower.data)
+            assert np.shares_memory(piece.indices, lower.indices)
+        np.testing.assert_array_equal(order.inv_diag, 1.0 / a.diagonal())
+        np.testing.assert_array_equal(order.inv_diag_colour, order.inv_diag[perm])
 
 
 class TestQuadrature:

@@ -24,7 +24,6 @@ from heisground.functionals import (
 from heisground.grid import (
     Grid3,
     ScalarField,
-    _colour_blocks,
     ball_mask,
     build_ball_grid,
     l2_norm,
@@ -219,10 +218,10 @@ class TestConstrainedMin:
 
         def rising(p, v, d, *args):
             directions.append((v.copy(), d.copy(), args))
-            tau, change, terms = line_min(p, v, d, *args)
+            tau, change, x, terms = line_min(p, v, d, *args)
             if calls is None or len(directions) in calls:
                 change = rise
-            return tau, change, terms
+            return tau, change, x, terms
 
         monkeypatch.setattr(solvers, "_line_min", rising)
         return directions
@@ -241,15 +240,15 @@ class TestConstrainedMin:
                                                        monkeypatch):
         # The second search (step 1, along the CG direction) rises; the third
         # is along -P of the same iterate (P = M^-1 G for the colour sweep M,
-        # G a positive multiple of A v - (v^T A v / M) v_+^p), and the descent
-        # goes on to converge.
+        # G a positive multiple of A v - (v^T A v / M) v_+^p, all in colour
+        # order), and the descent goes on to converge.
         energy = _Energy(small_domain, small_config.p)
         directions = self._rising_steps(monkeypatch, 1e-12, calls={2})
         rep = solve_constrained_min(small_config, domain=small_domain)
         assert rep.converged and rep.extra["operator_products"] > rep.iterations
         (v1, d1, _), (v2, d2, (n_v, _, _, m, normal, _)) = directions[1:3]
         assert np.array_equal(v1, v2) and not np.allclose(d1, d2)
-        minus_p = -energy.sweep(energy.A @ v2 - n_v / m * normal)
+        minus_p = -energy.sweep(energy.product(v2) - n_v / m * normal)[0]
         ratio = float(d2 @ minus_p) / float(minus_p @ minus_p)
         assert ratio > 0.0
         np.testing.assert_allclose(d2, ratio * minus_p, rtol=1e-9,
@@ -257,12 +256,12 @@ class TestConstrainedMin:
 
     def test_rise_along_both_directions_ends_the_solve(self, small_config, small_domain,
                                                          monkeypatch):
-        # Products: the start, step 0, both searches of step 1, and the
-        # exact A v of the returned iterate.
+        # Products: the start, the A P of steps 0 and 1 (the search along -P
+        # reuses step 1's), and the exact A v of the returned iterate.
         self._rising_steps(monkeypatch, 1e-12, calls={2, 3})
         rep = solve_constrained_min(small_config, domain=small_domain)
         assert not rep.converged and rep.extra["stop_reason"] == "no_descent"
-        assert rep.iterations == 2 and rep.extra["operator_products"] == 5
+        assert rep.iterations == 2 and rep.extra["operator_products"] == 4
         assert np.isfinite(rep.level) and rep.extra["constraint_defect"] < 1e-12
 
     def test_origin_bump_reaches_the_ground_state(self, monkeypatch):
@@ -406,33 +405,51 @@ class TestNewtonPolish:
 
 class TestColourSweep:
     """`_Energy.sweep`, the descent's preconditioner: M^-1 for the symmetric
-    Gauss-Seidel M = (D + L) D^-1 (D + U) of A in colour order."""
+    Gauss-Seidel M = (D + L) D^-1 (D + U) of A in colour order, and A M^-1
+    by Eisenstat's identity."""
 
     def test_symmetric_positive(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
         rng = np.random.default_rng(33)
         for _ in range(5):
             x, y = rng.standard_normal((2, energy.A.shape[0]))
-            assert float(x @ energy.sweep(y)) == pytest.approx(float(energy.sweep(x) @ y),
-                                                               rel=1e-12)
-            assert float(x @ energy.sweep(x)) > 0.0
+            assert float(x @ energy.sweep(y)[0]) == pytest.approx(
+                float(energy.sweep(x)[0] @ y), rel=1e-12)
+            assert float(x @ energy.sweep(x)[0]) > 0.0
 
     def test_matches_a_dense_reference(self, small_domain, small_config):
         from scipy.linalg import solve_triangular
 
         energy = _Energy(small_domain, small_config.p)
-        order = np.concatenate(_colour_blocks(small_domain.grid, small_domain.mask)[0])
-        m = order.size
-        assert m == 1088 and np.array_equal(np.sort(order), np.arange(m))
-        a = energy.A.toarray()[np.ix_(order, order)]
+        perm = energy.order.perm
+        m = perm.size
+        assert m == 1088 and np.array_equal(np.sort(perm), np.arange(m))
+        a = energy.A.toarray()[np.ix_(perm, perm)]
         d = np.diag(np.diag(a))
         lower = solve_triangular(a, np.eye(m), lower=True)  # (D + L)^-1
         want_inv = solve_triangular(a, d @ lower, lower=False)  # (D + U)^-1 D (D + L)^-1
         g = np.random.default_rng(34).standard_normal((m, 3))
         for col in g.T:
-            want = want_inv @ col[order]
-            np.testing.assert_allclose(energy.sweep(col)[order], want, rtol=1e-12,
+            want = want_inv @ col
+            np.testing.assert_allclose(energy.sweep(col)[0], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("domain", [
+        lambda: make_domain(SolverConfig(ball_radius=2.5, nodes_per_axis=12)),
+        lambda: make_domain(SolverConfig(ball_radius=4.0, nodes_per_axis=32)),
+        lambda: _t_resolved_domain(3.0, 24, 72),
+    ], ids=["12", "4-32", "3-24-72"])
+    def test_returns_a_times_p(self, domain):
+        # A P from the two half-sweeps equals the product of the C-order A
+        # with P, permuted, to rounding.
+        energy = _Energy(domain(), 2.0)
+        perm = energy.order.perm
+        for g in np.random.default_rng(35).standard_normal((3, perm.size)):
+            p, ap = energy.sweep(g)
+            x = np.empty_like(p)
+            x[perm] = p
+            want = (energy.A @ x)[perm]
+            assert np.linalg.norm(ap - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestVectorEnergy:
@@ -472,6 +489,38 @@ class TestVectorEnergy:
         assert stop == "stall" and iters < 500 and products < 250
         TestConstrainedMin._rising_steps(monkeypatch, 1.0)
         assert _ray_descent(energy, v, 1e-12, 5, [])[1:] == (1, ANY, "no_descent", 2)
+
+    def test_ray_descent_leaves_the_start_and_returns_c_order(self, small_domain, small_config):
+        # The loop runs in colour order on a copy; the returned state is in
+        # the mask's C order, so its field peaks at the ground state's node
+        # t = -h_t/2.
+        energy = _Energy(small_domain, small_config.p)
+        v0 = radial_bump(small_domain).interior()
+        start = v0.copy()
+        v, *_ = _ray_descent(energy, v0, small_config.grad_tol, 1000, [])
+        assert np.array_equal(v0, start)
+        peak = small_domain.grid.node_point(energy.field(v).max_node()[0])
+        assert peak.t == pytest.approx(-0.5 * small_domain.grid.spacing[2], rel=1e-12)
+
+    def test_ray_descent_multiplies_by_a_only_on_exact_products(self, small_domain,
+                                                                small_config):
+        # 22 iterations take 24 applications of A: the start, the refresh
+        # after step 20 and the one before the grad_tol exit are products
+        # with A, and the 21 steps' A P come from the sweep.
+        class Counting:
+            def __init__(self, a):
+                self.a, self.calls = a, 0
+
+            def __matmul__(self, x):
+                self.calls += 1
+                return self.a @ x
+
+        energy = _Energy(small_domain, small_config.p)
+        energy.A = Counting(energy.A)
+        _, iters, _, stop, products = _ray_descent(
+            energy, radial_bump(small_domain).interior(), small_config.grad_tol, 1000, [])
+        assert (iters, stop, products) == (22, "grad_tol", 24)
+        assert energy.A.calls == 3
 
     def test_ray_descent_keeps_a_sign_changing_start(self, small_domain, small_config):
         # With no step taken the descent returns its start, negative part
@@ -592,6 +641,11 @@ class TestCrossMethod:
         # one loop from one bump: the fields are compared where they lie
         assert rep.field_distance_rel < 1e-4
         assert rep.morse_index == 1 and rep.as_dict()["morse_index"] == 1
+        # the index's seconds go to the mountain-pass report's timings
+        timings = rep.mountain_pass.extra["timings"]
+        assert set(timings) == {"descent", "polish", "report", "index"}
+        assert set(rep.constrained.extra["timings"]) == {"descent", "report"}
+        assert all(0.0 <= t < 60.0 for t in timings.values())
 
 
 class TestFitDecay:
@@ -647,7 +701,11 @@ class TestExhaustion:
         # when the descent is preconditioned by diag(A)^-1, which keeps the
         # bump's t-reflection symmetry up to rounding.  The colour sweep
         # breaks it and reaches the ground state from that bump.
-        monkeypatch.setattr(_Energy, "sweep", lambda self, g: self.inv_diag * g)
+        def jacobi(self, g):
+            p = self.order.inv_diag_colour * g
+            return p, self.product(p)
+
+        monkeypatch.setattr(_Energy, "sweep", jacobi)
         cfg, dom = _k2_ball_of_the_desk_grid()
         energy = _Energy(dom, cfg.p)
         saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
@@ -689,6 +747,18 @@ def test_report_serializes(small_cm):
     json.dumps(d)
     assert d["method"] == "constrained-min"
     assert d["converged"] is True
+
+
+@pytest.mark.parametrize("solve, phases", [
+    (solve_constrained_min, {"descent", "report"}),
+    (solve_mountain_pass, {"descent", "polish", "report"}),
+])
+def test_reports_carry_phase_timings(small_config, small_domain, solve, phases):
+    # Seconds per phase; every other reported number is as without them.
+    rep = solve(small_config, domain=small_domain)
+    timings = rep.as_dict()["timings"]
+    assert set(timings) == phases
+    assert all(isinstance(t, float) and 0.0 <= t < 60.0 for t in timings.values())
 
 
 @pytest.mark.parametrize("solve, changes", [
