@@ -10,7 +10,6 @@ gauge-ball Dirichlet masks.
 from .errors import (
     AlgorithmError,
     ConfigurationError,
-    DimensionMismatchError,
     DomainError,
     HeisgroundError,
     InsufficientDataError,

@@ -75,7 +75,7 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
 
 def _gauge_dist_sq4(grid: Grid3, center: GroupPoint):
     """rho(center^-1 w)^4 on all nodes, vectorized."""
-    a, b, c = float(center.x[0]), float(center.y[0]), float(center.t)
+    a, b, c = center.x, center.y, center.t
     xs, ys, ts = grid.coordinate_arrays()
     dx = xs - a
     dy = ys - b
@@ -348,13 +348,13 @@ def _witness(R: float, k, masses, a, b, cts):
     tie = masses >= q * (1.0 - _TIE_REL)
     if np.count_nonzero(tie) == 1:
         i, l = np.divmod(int(np.argmax(tie)), len(cts))
-        return float(R), q, GroupPoint.of(float(a[k[i]]), float(b[k[i]]), float(cts[l]))
+        return float(R), q, GroupPoint(a[k[i]], b[k[i]], cts[l])
     order = np.argsort(k)  # back to (x, y, t) order
     i, l = np.divmod(np.flatnonzero(tie[order]), len(cts))
     k = k[order][i]
     near = np.stack([a[k], b[k], cts[l]], axis=1)
     j = int(np.argmin(((near - near.mean(axis=0)) ** 2).sum(axis=1)))
-    return float(R), q, GroupPoint.of(*(float(c) for c in near[j]))
+    return float(R), q, GroupPoint(*near[j])
 
 
 # The ball geometries kept by `_window_blocks`.  A kept block has at most
@@ -481,9 +481,11 @@ def group_translate_field(u: ScalarField, z0: GroupPoint) -> ScalarField:
     (wx wy) wt, are added one by one in the order scipy's
     RegularGridInterpolator adds them, so the two agree bit for bit.
     """
+    if not z0.is_finite():
+        raise DomainError(f"translation must be finite, got {z0}")
     grid = u.grid
     _, ny, nt = grid.shape
-    a, b, c = float(z0.x[0]), float(z0.y[0]), float(z0.t)
+    a, b, c = z0.x, z0.y, z0.t
     xs, ys, ts = grid.coordinate_arrays()
     (ix, wx, out_x), (iy, wy, out_y), (it, wt, out_t) = (
         _cell_coords(grid.axis_coords(axis), p) for axis, p in
@@ -637,7 +639,7 @@ def dilation_normalize(u: ScalarField, q: float):
     # against the origin-centered ball of the actual output field.  That
     # field is already near half mass at s = 1, so the bracket starts with
     # a small step.
-    origin = GroupPoint.of(0.0, 0.0, 0.0)
+    origin = GroupPoint(0.0, 0.0, 0.0)
 
     def origin_fraction(s):
         w = dilate_field(nu, s, q)
@@ -674,7 +676,7 @@ class TrichotomyResult:
             "split_mass": self.split_mass,
             "eps": self.eps,
             "witness_centers": [
-                {"x": float(c.x[0]), "y": float(c.y[0]), "t": float(c.t)}
+                {"x": c.x, "y": c.y, "t": c.t}
                 for c in self.witness_centers
             ],
             "profiles": [[[r, q] for r, q, _ in prof] for prof in self.profiles],

@@ -5,10 +5,6 @@ class HeisgroundError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(HeisgroundError):
-    """Group points of different Heisenberg dimension were combined."""
-
-
 class DomainError(HeisgroundError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 

@@ -50,7 +50,6 @@ them with spurious negative lobes.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .heis_core import GroupPoint, homogeneous_dimension
+from .heis_core import GroupPoint, _real, homogeneous_dimension
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -81,13 +80,6 @@ __all__ = [
     "inner",
     "zero_extend",
 ]
-
-
-def _real(x):
-    """x if it is a real number; a bool or a string raises TypeError."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise TypeError(f"not a real number: {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -166,11 +158,7 @@ class Grid3:
 
     def node_point(self, idx) -> GroupPoint:
         i, j, l = idx
-        return GroupPoint.of(
-            float(self.axis_coords(0)[i]),
-            float(self.axis_coords(1)[j]),
-            float(self.axis_coords(2)[l]),
-        )
+        return GroupPoint(self.axis_coords(0)[i], self.axis_coords(1)[j], self.axis_coords(2)[l])
 
 
 @dataclass
@@ -221,8 +209,6 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
-    if nodes_per_axis < 8:
-        raise ConfigurationError(f"need >= 8 nodes per axis, got {nodes_per_axis}")
     hx = 2.0 * k / nodes_per_axis
     grid = Grid3(
         shape=(nodes_per_axis,) * 3,

@@ -1,19 +1,21 @@
-"""Exact calculus on the Heisenberg group H^n.
+"""Exact calculus on the Heisenberg group H^1.
 
 Group law, Koranyi gauge, anisotropic dilations and the left-invariant
-horizontal vector fields, for arbitrary n.  Everything here is closed-form
-or high-order finite differencing on analytic test functions; it serves as
-the oracle against which the discrete grid operators are verified.
+horizontal vector fields on H^1; the homogeneous dimension Q = 2n + 2 and
+the Folland-Stein exponent (Q+2)/(Q-2) stay functions of n.  Everything
+here is closed-form or high-order finite differencing on analytic test
+functions; it serves as the oracle against which the discrete grid
+operators are verified.
 
 The group law is the unique one making
 
-    X_i = d/dx_i + 2 y_i d/dt,    Y_i = d/dy_i - 2 x_i d/dt
+    X = d/dx + 2 y d/dt,    Y = d/dy - 2 x d/dt
 
 left-invariant:
 
-    (x, y, t) * (x', y', t') = (x+x', y+y', t+t' + 2(<y,x'> - <x,y'>)).
+    (x, y, t) * (x', y', t') = (x+x', y+y', t+t' + 2(y x' - x y')).
 
-Note: direct computation from these fields gives [X_i, Y_j] = -4 delta_ij d/dt.
+Note: direct computation from these fields gives [X, Y] = -4 d/dt.
 We implement the computed sign; all commutator checks assert magnitude 4 and
 this sign.
 """
@@ -21,13 +23,14 @@ this sign.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "GroupPoint",
@@ -52,77 +55,66 @@ __all__ = [
 _FLOW_STEP = 1.0e-3
 
 
+def _real(x):
+    """x if it is a real number; a bool or a string raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"not a real number: {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GroupPoint:
-    """A point (x, y, t) of H^n; x, y are n-tuples, t is scalar."""
+    """A point (x, y, t) of H^1, stored as three Python floats.
 
-    x: tuple
-    y: tuple
+    A coordinate passes `_real`, the rule `Grid3` takes its numbers by, so
+    a bool or a string raises DomainError; numpy scalars are stored as
+    Python floats, so points of equal numbers compare and hash equal.
+    Finiteness is the consumer's to check (`is_finite`).
+    """
+
+    x: float
+    y: float
     t: float
 
-    @classmethod
-    def of(cls, x, y, t) -> "GroupPoint":
-        """Build a point, accepting scalars for n = 1."""
-        xs = (x,) if np.isscalar(x) else tuple(x)
-        ys = (y,) if np.isscalar(y) else tuple(y)
-        if len(xs) != len(ys):
-            raise DimensionMismatchError(
-                f"x has length {len(xs)} but y has length {len(ys)}"
-            )
-        return cls(xs, ys, t)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
+    def __post_init__(self):
+        for name in ("x", "y", "t"):
+            given = getattr(self, name)
+            try:
+                value = float(_real(given))
+            except (TypeError, OverflowError):  # OverflowError: an int beyond the largest double
+                raise DomainError(
+                    f"a point's {name} must be a real number, got {given!r}") from None
+            object.__setattr__(self, name, value)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(float(c)) for c in (*self.x, *self.y, self.t))
+        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.t)
 
 
-def origin(n: int = 1) -> GroupPoint:
-    return GroupPoint((0,) * n, (0,) * n, 0)
-
-
-def _check_same_n(a: GroupPoint, b: GroupPoint) -> None:
-    if a.n != b.n:
-        raise DimensionMismatchError(f"points live in H^{a.n} and H^{b.n}")
+def origin() -> GroupPoint:
+    return GroupPoint(0.0, 0.0, 0.0)
 
 
 def group_mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    """Group product a * b.
-
-    Exact for int/Fraction components (no float coercion is introduced).
-    """
-    _check_same_n(a, b)
-    x = tuple(ax + bx for ax, bx in zip(a.x, b.x))
-    y = tuple(ay + by for ay, by in zip(a.y, b.y))
-    twist = 2 * (
-        sum(ay * bx for ay, bx in zip(a.y, b.x))
-        - sum(ax * by for ax, by in zip(a.x, b.y))
-    )
-    return GroupPoint(x, y, a.t + b.t + twist)
+    """Group product a * b."""
+    return GroupPoint(a.x + b.x, a.y + b.y, a.t + b.t + 2 * (a.y * b.x - a.x * b.y))
 
 
 def group_inverse(z: GroupPoint) -> GroupPoint:
     """z^-1 = (-x, -y, -t): the twist of z z^-1 vanishes."""
-    return GroupPoint(tuple(-c for c in z.x), tuple(-c for c in z.y), -z.t)
+    return GroupPoint(-z.x, -z.y, -z.t)
 
 
 def gauge(z: GroupPoint) -> float:
-    """Koranyi gauge rho(z) = ((sum_i (x_i^2+y_i^2))^2 + t^2)^(1/4)."""
-    r2 = sum(float(xi) ** 2 + float(yi) ** 2 for xi, yi in zip(z.x, z.y))
-    return (r2 * r2 + float(z.t) ** 2) ** 0.25
+    """Koranyi gauge rho(z) = ((x^2 + y^2)^2 + t^2)^(1/4)."""
+    r2 = z.x**2 + z.y**2
+    return (r2 * r2 + z.t**2) ** 0.25
 
 
 def dilate(lam: float, z: GroupPoint) -> GroupPoint:
     """Anisotropic dilation delta_lam(x, y, t) = (lam x, lam y, lam^2 t)."""
     if not 0.0 < lam < math.inf:  # NaN fails it too
         raise DomainError(f"dilation factor lam must be finite and positive, got {lam}")
-    return GroupPoint(
-        tuple(lam * c for c in z.x),
-        tuple(lam * c for c in z.y),
-        lam * lam * z.t,
-    )
+    return GroupPoint(lam * z.x, lam * z.y, lam * lam * z.t)
 
 
 def homogeneous_dimension(n: int) -> int:
@@ -144,33 +136,28 @@ def critical_exponent(n: int) -> Fraction:
 
 
 def _flow(z: GroupPoint, field_id: str, s: float) -> GroupPoint:
-    """Point reached from z after time s along the named generator.
+    """Point reached from z after time s along the generator X, Y or T.
 
     Left-invariant fields generate right translations, so the flow is
     z * exp(s * generator).
     """
-    kind = field_id[0].upper()
-    if kind == "T":
+    if field_id == "X":
+        return GroupPoint(z.x + s, z.y, z.t + 2 * s * z.y)
+    if field_id == "Y":
+        return GroupPoint(z.x, z.y + s, z.t - 2 * s * z.x)
+    if field_id == "T":
         return GroupPoint(z.x, z.y, z.t + s)
-    i = int(field_id[1:] or 1) - 1
-    if i < 0 or i >= z.n:
-        raise DomainError(f"field index out of range for H^{z.n}: {field_id}")
-    if kind == "X":
-        x = tuple(c + s if j == i else c for j, c in enumerate(z.x))
-        return GroupPoint(x, z.y, z.t + 2 * s * z.y[i])
-    if kind == "Y":
-        y = tuple(c + s if j == i else c for j, c in enumerate(z.y))
-        return GroupPoint(z.x, y, z.t - 2 * s * z.x[i])
-    raise DomainError(f"unknown field id {field_id!r}; expected X<i>, Y<i> or T")
+    raise DomainError(f"unknown field id {field_id!r}; expected 'X', 'Y' or 'T'")
 
 
 def apply_left_invariant(
     field_id: str, f: Callable[[GroupPoint], float], z: GroupPoint
 ) -> float:
-    """Directional derivative of f at z along X_i, Y_i or T.
+    """Directional derivative of f at z along X, Y or T ("X", "Y", "T").
 
     Richardson-extrapolated central differences along the group flow;
-    exact on polynomials up to degree 4.
+    exact on polynomials up to degree 4.  Any other field id raises
+    DomainError.
     """
     def central(h: float) -> float:
         return (f(_flow(z, field_id, h)) - f(_flow(z, field_id, -h))) / (2 * h)
@@ -181,21 +168,19 @@ def apply_left_invariant(
     return d
 
 
-def commutator_XY(
-    f: Callable[[GroupPoint], float], z: GroupPoint, i: int = 1, j: int = 1
-) -> float:
-    """[X_i, Y_j] f (z) = X_i(Y_j f)(z) - Y_j(X_i f)(z), numerically."""
+def commutator_XY(f: Callable[[GroupPoint], float], z: GroupPoint) -> float:
+    """[X, Y] f (z) = X(Y f)(z) - Y(X f)(z), numerically."""
     def yf(w: GroupPoint) -> float:
-        return apply_left_invariant(f"Y{j}", f, w)
+        return apply_left_invariant("Y", f, w)
 
     def xf(w: GroupPoint) -> float:
-        return apply_left_invariant(f"X{i}", f, w)
+        return apply_left_invariant("X", f, w)
 
-    return apply_left_invariant(f"X{i}", yf, z) - apply_left_invariant(f"Y{j}", xf, z)
+    return apply_left_invariant("X", yf, z) - apply_left_invariant("Y", xf, z)
 
 
 # ---------------------------------------------------------------------------
-# Analytic test functions (n = 1 oracle helpers)
+# Analytic test functions (oracle helpers)
 # ---------------------------------------------------------------------------
 
 
@@ -213,17 +198,17 @@ class TestFunction:
     hess: Optional[Callable] = None
 
     def eval(self, z: GroupPoint) -> float:
-        return float(self.eval_fn(float(z.x[0]), float(z.y[0]), float(z.t)))
+        return float(self.eval_fn(z.x, z.y, z.t))
 
     def __call__(self, z: GroupPoint) -> float:
         return self.eval(z)
 
 
 def analytic_horizontal_derivative(tf: TestFunction, z: GroupPoint, which: str) -> float:
-    """X f or Y f at z from the supplied closed-form gradient (n = 1)."""
+    """X f or Y f at z from the supplied closed-form gradient."""
     if tf.grad is None:
         raise DomainError("test function carries no analytic gradient")
-    x, y, t = float(z.x[0]), float(z.y[0]), float(z.t)
+    x, y, t = z.x, z.y, z.t
     fx, fy, ft = tf.grad(x, y, t)
     if which.upper().startswith("X"):
         return fx + 2 * y * ft
@@ -233,14 +218,14 @@ def analytic_horizontal_derivative(tf: TestFunction, z: GroupPoint, which: str) 
 
 
 def analytic_sublaplacian(tf: TestFunction, z: GroupPoint) -> float:
-    """Delta_H f at z for n = 1 from closed-form second derivatives.
+    """Delta_H f at z from closed-form second derivatives.
 
     Expanding X^2 + Y^2 gives
         f_xx + f_yy + 4 (x^2 + y^2) f_tt + 4 y f_xt - 4 x f_yt.
     """
     if tf.hess is None:
         raise DomainError("test function carries no analytic hessian")
-    x, y, t = float(z.x[0]), float(z.y[0]), float(z.t)
+    x, y, t = z.x, z.y, z.t
     h = tf.hess(x, y, t)
     return (
         h["xx"]
@@ -316,11 +301,11 @@ def polynomial_test_function(coeffs: dict) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def _random_point(rng: np.random.Generator, n: int = 1, scale: float = 2.0) -> GroupPoint:
+def _random_point(rng: np.random.Generator, scale: float = 2.0) -> GroupPoint:
     return GroupPoint(
-        tuple(rng.uniform(-scale, scale, n)),
-        tuple(rng.uniform(-scale, scale, n)),
-        float(rng.uniform(-scale * scale, scale * scale)),
+        rng.uniform(-scale, scale),
+        rng.uniform(-scale, scale),
+        rng.uniform(-scale * scale, scale * scale),
     )
 
 
@@ -350,11 +335,9 @@ def calculus_check_suite(seed: int = 0) -> list:
         rhs = group_mul(a, group_mul(b, c))
         defect = max(
             defect,
-            max(
-                abs(lhs.x[0] - rhs.x[0]),
-                abs(lhs.y[0] - rhs.y[0]),
-                abs(lhs.t - rhs.t),
-            ),
+            abs(lhs.x - rhs.x),
+            abs(lhs.y - rhs.y),
+            abs(lhs.t - rhs.t),
         )
     record("group_associativity", defect, 1e-12)
 
@@ -363,7 +346,7 @@ def calculus_check_suite(seed: int = 0) -> list:
     for _ in range(10):
         z = _random_point(rng)
         e = group_mul(z, group_inverse(z))
-        defect = max(defect, abs(e.x[0]), abs(e.y[0]), abs(e.t))
+        defect = max(defect, abs(e.x), abs(e.y), abs(e.t))
     record("group_inverse", defect, 1e-12)
 
     # Gauge homogeneity under dilations.
@@ -381,12 +364,12 @@ def calculus_check_suite(seed: int = 0) -> list:
         lam, mu = rng.uniform(0.3, 2.0, 2)
         a = dilate(float(lam), dilate(float(mu), z))
         b = dilate(float(lam * mu), z)
-        defect = max(defect, abs(a.x[0] - b.x[0]), abs(a.y[0] - b.y[0]), abs(a.t - b.t))
+        defect = max(defect, abs(a.x - b.x), abs(a.y - b.y), abs(a.t - b.t))
     record("dilation_composition", defect, 1e-12)
 
     # Left-invariance: X(f o L_g)(z) = (X f)(g z), same for Y.
     tf = gaussian_test_function(0.4, 0.15)
-    for fid in ("X1", "Y1"):
+    for fid in ("X", "Y"):
         defect = 0.0
         for _ in range(10):
             z, g = _random_point(rng, scale=1.0), _random_point(rng, scale=1.0)
@@ -397,7 +380,7 @@ def calculus_check_suite(seed: int = 0) -> list:
             lhs = apply_left_invariant(fid, shifted, z)
             rhs = apply_left_invariant(fid, tf, group_mul(g, z))
             defect = max(defect, abs(lhs - rhs))
-        record(f"left_invariance_{fid[0]}", defect, 1e-6)
+        record(f"left_invariance_{fid}", defect, 1e-6)
 
     # Commutator: [X, Y] f = -4 d/dt f on polynomials of degree <= 3.
     defect = 0.0
@@ -407,17 +390,17 @@ def calculus_check_suite(seed: int = 0) -> list:
         tfp = polynomial_test_function(coeffs)
         z = _random_point(rng, scale=1.0)
         comm = commutator_XY(tfp, z)
-        _, _, ft = tfp.grad(float(z.x[0]), float(z.y[0]), float(z.t))
+        _, _, ft = tfp.grad(z.x, z.y, z.t)
         defect = max(defect, abs(comm + 4.0 * ft))
     record("commutator", defect, 1e-6)
 
     # Measure homogeneity: int f(delta_lam z) dz = lam^(-Q) int f dz.
     q_hom = homogeneous_dimension(1)
-    ax = np.linspace(-5, 5, 96)
-    at = np.linspace(-12, 12, 120)
-    hx = ax[1] - ax[0]
-    ht = at[1] - at[0]
-    xg, yg, tg = np.meshgrid(ax, ax, at, indexing="ij")
+    xs = np.linspace(-5, 5, 96)
+    ts = np.linspace(-12, 12, 120)
+    hx = xs[1] - xs[0]
+    ht = ts[1] - ts[0]
+    xg, yg, tg = np.meshgrid(xs, xs, ts, indexing="ij")
     dens = np.exp(-(xg**2 + yg**2) - 0.5 * tg**2)
     base = dens.sum() * hx * hx * ht
     defect = 0.0

@@ -65,11 +65,14 @@ def write_hgf(
 
 
 def _check_header(path: str, header):
-    """Check that the header is a JSON object whose ball_radius is null or
-    a positive finite number, and return that radius; the header's grid is
-    `Grid3`'s to check."""
+    """Check that the header is a JSON object whose n is the integer 1 and
+    whose ball_radius is null or a positive finite number, and return that
+    radius; the header's grid is `Grid3`'s to check."""
     if not isinstance(header, dict):
         raise DomainError(f"{path}: header is not a JSON object")
+    n = header.get("n")
+    if type(n) is not int or n != 1:
+        raise DomainError(f"{path}: n must be the integer 1 (a field on H^1), got {n!r}")
     radius = header.get("ball_radius")
     if radius is not None and not (type(radius) in (int, float)
                                    and 0 < radius <= sys.float_info.max):

@@ -202,11 +202,7 @@ class SolveReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "breakdown": self.breakdown.as_dict(),
-            "max_point": {
-                "x": float(self.max_point.x[0]),
-                "y": float(self.max_point.y[0]),
-                "t": float(self.max_point.t),
-            },
+            "max_point": {"x": self.max_point.x, "y": self.max_point.y, "t": self.max_point.t},
             "max_value": self.max_value,
             "trace": [list(rec) for rec in self.trace[:-1:_TRACE_STRIDE] + self.trace[-1:]],
             **self.extra,

@@ -136,7 +136,7 @@ def make_random_smooth_field(domain: Domain, rng, n_bumps: int = 5) -> ScalarFie
 
 
 def flip_y_twist(monkeypatch) -> None:
-    """Give the Y_i flow the twist +2 s x_i in t in place of -2 s x_i, which
+    """Give the Y flow the twist +2 s x in t in place of -2 s x, which
     breaks [X, Y] = -4 d/dt while X and T stay intact."""
     from heisground import heis_core
 
@@ -144,9 +144,8 @@ def flip_y_twist(monkeypatch) -> None:
 
     def flow(z, field_id, s):
         w = original(z, field_id, s)
-        if field_id[0].upper() != "Y":
+        if field_id != "Y":
             return w
-        i = int(field_id[1:] or 1) - 1
-        return heis_core.GroupPoint(w.x, w.y, z.t + 2 * s * z.x[i])
+        return heis_core.GroupPoint(w.x, w.y, z.t + 2 * s * z.x)
 
     monkeypatch.setattr(heis_core, "_flow", flow)

@@ -170,7 +170,7 @@ def test_criterion_7_trichotomy_classifier():
     mask = full_mask(grid)
 
     def gbump(cx, cy, ct, w):
-        d4 = _gauge_dist_sq4(grid, GroupPoint.of(cx, cy, ct))
+        d4 = _gauge_dist_sq4(grid, GroupPoint(cx, cy, ct))
         return np.exp(-np.sqrt(d4 + 1e-300) / w**2)
 
     q = 3.0

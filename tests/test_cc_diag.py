@@ -47,7 +47,7 @@ def flat_grid(k=3.5, n=20):
 
 def gauge_bump(grid, cx, cy, ct, w):
     """exp(-d(z, c)^2 / w^2) in the gauge distance."""
-    d4 = _gauge_dist_sq4(grid, GroupPoint.of(cx, cy, ct))
+    d4 = _gauge_dist_sq4(grid, GroupPoint(cx, cy, ct))
     return np.exp(-np.sqrt(d4 + 1e-300) / w**2)
 
 
@@ -131,7 +131,7 @@ class TestNormalizeMass:
 
 class TestConcentration:
     def test_whole_box_captured(self, centered_density):
-        m = ball_mass(centered_density, 50.0, GroupPoint.of(0.0, 0.0, 0.0))
+        m = ball_mass(centered_density, 50.0, GroupPoint(0.0, 0.0, 0.0))
         assert m == pytest.approx(1.0, abs=1e-10)
 
     def test_monotone_in_R(self, centered_density):
@@ -146,7 +146,7 @@ class TestConcentration:
         q, center = concentration(centered_density, 1.8)
         assert q > 0.99
         # argmax center stays near the origin
-        assert abs(center.x[0]) < 0.5 and abs(center.y[0]) < 0.5
+        assert abs(center.x) < 0.5 and abs(center.y) < 0.5
 
     def test_translation_moves_witness(self, box):
         grid, mask = box
@@ -154,7 +154,7 @@ class TestConcentration:
         d = normalize_mass(u, Q_EXP)
         q, center = concentration(d, 1.5)
         assert q > 0.9
-        assert center.x[0] == pytest.approx(-1.0, abs=0.5)
+        assert center.x == pytest.approx(-1.0, abs=0.5)
 
     def test_center_ignores_rounding_ties(self):
         # The criterion-7 vanishing family is nearly flat, so many balls hold
@@ -176,7 +176,7 @@ class TestConcentration:
                     q, c = concentration(d, R)
                     qp, cp = concentration(dp, R)
                     assert qp == pytest.approx(q, rel=1e-14)
-                    moved += (c.x[0], c.y[0], c.t) != (cp.x[0], cp.y[0], cp.t)
+                    moved += (c.x, c.y, c.t) != (cp.x, cp.y, cp.t)
         assert moved == 0
 
 
@@ -235,7 +235,7 @@ class TestBallMassOracle:
         grid = small_density.field.grid
         xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
         best = max(
-            brute_ball_mass(small_density, R, GroupPoint.of(a, b, c))
+            brute_ball_mass(small_density, R, GroupPoint(a, b, c))
             for a in xs for b in ys for c in ts
         )
         q, center = concentration(small_density, R)
@@ -247,7 +247,7 @@ class TestBallMassOracle:
         "center", [(0.0, 0.0, 0.0), (0.1, -0.27, 0.33), (-1.0, 0.5, 1.7), (3.0, 0.0, 0.0)]
     )
     def test_ball_mass_off_lattice(self, small_density, R, center):
-        z = GroupPoint.of(*center)
+        z = GroupPoint(*center)
         assert ball_mass(small_density, R, z) == pytest.approx(
             brute_ball_mass(small_density, R, z), abs=1e-12
         )
@@ -259,7 +259,7 @@ class TestBallMassOracle:
         # 2 nor 3), so the node-to-sphere margin above still holds
         density = random_density(Grid3((10, 10, 13), (0.3, 0.3, 0.3), (-1.5, -1.5, -1.95)), 11)
         masses, a, b, ts = lattice_masses(density, R, stride)
-        centers = [[GroupPoint.of(x, y, t) for t in ts] for x, y in zip(a, b)]
+        centers = [[GroupPoint(x, y, t) for t in ts] for x, y in zip(a, b)]
         brute = np.array([[brute_ball_mass(density, R, z) for z in row] for row in centers])
         assert np.max(np.abs(masses - brute)) <= 1e-12
 
@@ -274,13 +274,13 @@ class TestBallMassOracle:
     def test_huge_radius_holds_all_mass(self, small_density):
         q, _ = concentration(small_density, 1e308)
         assert q == pytest.approx(1.0, abs=1e-12)
-        m = ball_mass(small_density, 1e308, GroupPoint.of(0.1, -0.2, 0.3))
+        m = ball_mass(small_density, 1e308, GroupPoint(0.1, -0.2, 0.3))
         assert m == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("center", [(float("nan"), 0.0, 0.0), (0.0, 0.0, float("inf"))])
     def test_rejects_nonfinite_center(self, small_density, center):
         with pytest.raises(DomainError):
-            ball_mass(small_density, 1.0, GroupPoint.of(*center))
+            ball_mass(small_density, 1.0, GroupPoint(*center))
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, -0.1, float("nan")])
     def test_rejects_bad_eps(self, small_density, eps):
@@ -353,7 +353,7 @@ class TestProfilePass:
         monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
         prof = concentration_profile(density, radii)
         for R, (r, q, z) in zip(radii, prof):
-            assert (r, q, (z.x[0], z.y[0], z.t)) == (R, *unpruned_concentration(density, R, stride))
+            assert (r, q, (z.x, z.y, z.t)) == (R, *unpruned_concentration(density, R, stride))
 
     def test_leaves_out_centers(self, centered_density, monkeypatch):
         gathered = []
@@ -412,10 +412,10 @@ class TestProfilePass:
 
     def test_mixed_grids_match_single_profiles(self, box, small_density):
         grid, mask = box
-        on_box = [normalize_mass(ScalarField(grid, gauge_bump(grid, x, 0.2, 0.3, 0.6), mask),
-                                 Q_EXP) for x in (-0.8, 0.0, 0.8)]
-        dens = [on_box[0], small_density, on_box[1], random_density(small_density.field.grid, 3),
-                on_box[2]]
+        left, middle, right = (
+            normalize_mass(ScalarField(grid, gauge_bump(grid, x, 0.2, 0.3, 0.6), mask), Q_EXP)
+            for x in (-0.8, 0.0, 0.8))
+        dens = [left, small_density, middle, random_density(small_density.field.grid, 3), right]
         radii = [0.5, 1.0, 2.0]
         r = classify_sequence(dens, eps=0.05, R_grid=radii)
         assert r.profiles == [concentration_profile(d, radii) for d in dens]
@@ -442,7 +442,7 @@ class TestSolverGrids:
         d = normalize_mass(ScalarField(grid, rng.uniform(size=grid.shape) * mask, mask), 1.0)
         q, z = concentration(d, R)
         xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
-        sample = [z] + [GroupPoint.of(rng.choice(xs), rng.choice(ys), rng.choice(ts))
+        sample = [z] + [GroupPoint(rng.choice(xs), rng.choice(ys), rng.choice(ts))
                         for _ in range(12)]
         assert max(brute_ball_mass(d, R, c) for c in sample) == pytest.approx(q, rel=1e-12)
         assert ball_mass(d, R, z) == pytest.approx(q, rel=1e-12)
@@ -466,7 +466,7 @@ class TestSolverGrids:
 
 def profile_floats(prof):
     """A profile as plain floats, (R, Q, x, y, t) per radius, for == checks."""
-    return [(r, q, float(z.x[0]), float(z.y[0]), float(z.t)) for r, q, z in prof]
+    return [(r, q, z.x, z.y, z.t) for r, q, z in prof]
 
 
 def criterion_7_sequences(grid, mask, seed):
@@ -520,7 +520,7 @@ class TestGeometryCache:
         for stride in (1, 2, 1):
             monkeypatch.setattr(cc_diag, "_CENTER_STRIDE", stride)
             xs, ys, ts = (grid.axis_coords(i)[::stride] for i in range(3))
-            best = max(brute_ball_mass(small_density, 1.0, GroupPoint.of(a, b, c))
+            best = max(brute_ball_mass(small_density, 1.0, GroupPoint(a, b, c))
                        for a in xs for b in ys for c in ts)
             q, center = concentration(small_density, 1.0)
             assert q == pytest.approx(best, abs=1e-12)
@@ -555,7 +555,7 @@ class TestGeometryCache:
         # classify_sequence groups its densities in a dict keyed on the grid,
         # which raised "unhashable type: 'list'" on a grid of lists
         dens, eps, radii = criterion_7_sequences(*box, seed=0)["compactness"]
-        grid = box[0]
+        grid, _ = box
         listed = Grid3(list(grid.shape), list(grid.spacing), list(grid.corner))
         relisted = [cc_diag.MassDensity(ScalarField(listed, d.field.values, d.field.mask))
                     for d in dens]
@@ -579,7 +579,7 @@ class TestGeometryCache:
         concentration_profile(d, [1e308])  # four blocks: streamed, not kept
         cache = cc_diag._window_cache
         assert len(cache) == cc_diag._GEOMETRY_CACHE_SIZE
-        assert all(key[0] == small_density.field.grid for key in cache)
+        assert all(key_grid == small_density.field.grid for key_grid, *_ in cache)
         assert all(len(blocks) == 1 and blocks[0][2].size <= cc_diag._CHUNK
                    for blocks in cache.values())
         nbytes = sum(arr.nbytes for (block,) in cache.values() for arr in block[1:])
@@ -609,7 +609,7 @@ class TestBatchedPass:
             assert profile_floats(prof) == profile_floats(concentration_profile(d, radii))
             for R, (r, q, z) in zip(radii, prof):
                 want = unpruned_concentration(d, R, stride)
-                assert (r, q, (z.x[0], z.y[0], z.t)) == (R, *want)
+                assert (r, q, (z.x, z.y, z.t)) == (R, *want)
 
     @pytest.mark.parametrize("family", ["compactness", "vanishing", "dichotomy"])
     def test_criterion_7(self, box, family):
@@ -656,7 +656,7 @@ class TestWitness:
         flat = rng.permutation(masses.size)[:ties]
         masses.flat[flat] = 0.75  # the maximum, held by `ties` entries
         r, q, z = cc_diag._witness(1.5, k, masses, a, b, cts)
-        assert (r, q, (z.x[0], z.y[0], z.t)) == witness_oracle(1.5, k, masses, a, b, cts)
+        assert (r, q, (z.x, z.y, z.t)) == witness_oracle(1.5, k, masses, a, b, cts)
 
     def test_two_way_tie(self):
         # two centers hold the maximum and the tie rule picks; with the
@@ -669,7 +669,7 @@ class TestWitness:
             if lone is not None:
                 masses[1 - lone, (4, 9)[1 - lone]] = 1.0 - _TIE_REL * 1.5
             r, q, z = cc_diag._witness(1.0, k, masses, a, b, cts)
-            got = (r, q, (z.x[0], z.y[0], z.t))
+            got = (r, q, (z.x, z.y, z.t))
             assert got == witness_oracle(1.0, k, masses, a, b, cts)
             if lone is not None:
                 c = k[lone]
@@ -712,7 +712,7 @@ class TestDilation:
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
         a, b, c = 0.6, -0.4, 0.3
-        got = group_translate_field(u, GroupPoint.of(a, b, c)).values
+        got = group_translate_field(u, GroupPoint(a, b, c)).values
         assert np.array_equal(got, translated_by_interpolator(u, a, b, c))
 
     @pytest.mark.parametrize("geometry", ["box", "unequal-spacings"])
@@ -735,7 +735,7 @@ class TestDilation:
         scale = grid.spacing if kind == "node-aligned" else [-x0 for x0 in grid.corner]
         a, b, c = (s * h for s, h in zip(shift, scale))
         u = ScalarField(grid, gauge_bump(grid, 0.3, -0.2, 0.2, 0.9), mask)
-        got = group_translate_field(u, GroupPoint.of(a, b, c)).values
+        got = group_translate_field(u, GroupPoint(a, b, c)).values
         assert np.array_equal(got, translated_by_interpolator(u, a, b, c))
         assert got.any() != kind.startswith("beyond")
 
@@ -773,13 +773,23 @@ class TestDilation:
     def test_translation_preserves_profile(self, box):
         grid, mask = box
         u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.5), mask)
-        v = group_translate_field(u, GroupPoint.of(0.6, -0.4, 0.3))
+        v = group_translate_field(u, GroupPoint(0.6, -0.4, 0.3))
         du = normalize_mass(u, Q_EXP)
         dv = normalize_mass(v, Q_EXP)
         for R in (1.0, 1.5):
             qu, _ = concentration(du, R)
             qv, _ = concentration(dv, R)
             assert qu == pytest.approx(qv, abs=0.05)
+
+    @pytest.mark.parametrize("z0", [(float("nan"), 0.0, 0.0), (0.0, 0.0, float("inf")),
+                                    (0.0, -float("inf"), 0.0)], ids=["nan_x", "inf_t", "inf_y"])
+    def test_translation_refuses_nonfinite_shift(self, box, z0):
+        # a NaN used to raise ConfigurationError after RuntimeWarnings, and
+        # t = inf to give an all-zero field
+        grid, mask = box
+        u = ScalarField(grid, gauge_bump(grid, 0.0, 0.0, 0.0, 0.5), mask)
+        with pytest.raises(DomainError, match="finite"):
+            group_translate_field(u, GroupPoint(*z0))
 
     def test_dilation_normalize(self, box, monkeypatch):
         grid, mask = box
@@ -805,7 +815,7 @@ class TestDilation:
         assert mass == pytest.approx(1.0, abs=1e-6)
         assert r_m > 0.0
         dens = normalize_mass(nu, Q_EXP)
-        at_origin = ball_mass(dens, 1.0, GroupPoint.of(0.0, 0.0, 0.0))
+        at_origin = ball_mass(dens, 1.0, GroupPoint(0.0, 0.0, 0.0))
         assert at_origin == pytest.approx(0.5, abs=2e-3)
 
     @pytest.mark.parametrize("w, r_m", [(0.7, 0.66065), (1.3, 0.32994)])
@@ -819,7 +829,7 @@ class TestDilation:
         v /= (float((v**Q_EXP).sum()) * grid.cell_volume) ** (1.0 / Q_EXP)
         nu, got = dilation_normalize(ScalarField(grid, v, full_mask(grid)), Q_EXP)
         assert got == pytest.approx(r_m, rel=1e-4)
-        at_origin = ball_mass(normalize_mass(nu, Q_EXP), 1.0, GroupPoint.of(0.0, 0.0, 0.0))
+        at_origin = ball_mass(normalize_mass(nu, Q_EXP), 1.0, GroupPoint(0.0, 0.0, 0.0))
         assert abs(at_origin - 0.5) <= cc_diag._MASS_TOL
 
     def test_dilation_normalize_says_the_box_cannot_hold_the_field(self):

@@ -346,7 +346,7 @@ class TestClassify:
         from heisground.heis_core import GroupPoint
 
         def bump(cx):
-            d4 = _gauge_dist_sq4(grid, GroupPoint.of(cx, 0.0, 0.0))
+            d4 = _gauge_dist_sq4(grid, GroupPoint(cx, 0.0, 0.0))
             return np.exp(-np.sqrt(d4 + 1e-300) / 0.36)
 
         paths = []

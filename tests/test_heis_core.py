@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import flip_y_twist
-from heisground.errors import DimensionMismatchError, DomainError
+from heisground.errors import DomainError
 from heisground.heis_core import (
     GroupPoint,
     analytic_horizontal_derivative,
@@ -27,27 +27,27 @@ from heisground.heis_core import (
 def rand_point(rng, scale=2.0):
     x, y = rng.uniform(-scale, scale, 2)
     t = rng.uniform(-scale * scale, scale * scale)
-    return GroupPoint.of(x, y, t)
+    return GroupPoint(x, y, t)
 
 
 class TestGroupLaw:
     def test_identity(self):
-        z = GroupPoint.of(0.7, -1.2, 3.0)
+        z = GroupPoint(0.7, -1.2, 3.0)
         assert group_mul(origin(), z) == z
         assert group_mul(z, origin()) == z
 
     def test_inverse(self):
-        z = GroupPoint.of(0.7, -1.2, 3.0)
+        z = GroupPoint(0.7, -1.2, 3.0)
         zi = group_inverse(z)
-        assert zi == GroupPoint.of(-0.7, 1.2, -3.0)
+        assert zi == GroupPoint(-0.7, 1.2, -3.0)
         w = group_mul(z, zi)
-        assert abs(w.t) < 1e-14 and abs(w.x[0]) < 1e-14 and abs(w.y[0]) < 1e-14
+        assert abs(w.t) < 1e-14 and abs(w.x) < 1e-14 and abs(w.y) < 1e-14
 
     def test_noncommutative_example(self):
-        a = GroupPoint.of(1.0, 0.0, 0.0)
-        b = GroupPoint.of(0.0, 1.0, 0.0)
+        a = GroupPoint(1.0, 0.0, 0.0)
+        b = GroupPoint(0.0, 1.0, 0.0)
         c = group_mul(a, b)
-        assert c.x[0] == 1.0 and c.y[0] == 1.0
+        assert c.x == 1.0 and c.y == 1.0
         assert c.t == pytest.approx(-2.0, abs=1e-14)
 
     def test_associativity_random(self):
@@ -57,25 +57,40 @@ class TestGroupLaw:
             lhs = group_mul(group_mul(a, b), c)
             rhs = group_mul(a, group_mul(b, c))
             assert lhs.t == pytest.approx(rhs.t, abs=1e-12)
-            assert lhs.x[0] == pytest.approx(rhs.x[0], abs=1e-12)
+            assert lhs.x == pytest.approx(rhs.x, abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        a = GroupPoint(x=(1.0,), y=(0.0,), t=0.0)
-        b = GroupPoint(x=(1.0, 0.0), y=(0.0, 0.0), t=0.0)
-        with pytest.raises(DimensionMismatchError):
-            group_mul(a, b)
+
+class TestGroupPoint:
+    @pytest.mark.parametrize("bad", ["1", True, np.bool_(True), None, (1.0,), 10**400],
+                             ids=["str", "bool", "np_bool", "None", "tuple", "huge_int"])
+    def test_refuses_what_is_no_real_number(self, bad):
+        # a string and a bool used to be stored as they came
+        for coords in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(DomainError):
+                GroupPoint(*coords)
+
+    def test_stores_python_floats(self):
+        z = GroupPoint(np.float64(0.5), np.int64(2), np.float32(-0.25))
+        assert all(type(c) is float for c in (z.x, z.y, z.t))
+        w = GroupPoint(0.5, 2.0, -0.25)
+        assert z == w and hash(z) == hash(w)
+
+    def test_keeps_nonfinite_coordinates_for_the_consumer(self):
+        assert not GroupPoint(0.0, float("nan"), 0.0).is_finite()
+        assert not GroupPoint(0.0, 0.0, float("inf")).is_finite()
+        assert GroupPoint(0, 0, 0).is_finite()
 
 
 class TestGaugeDilation:
     def test_gauge_values(self):
         assert gauge(origin()) == 0.0
-        assert gauge(GroupPoint.of(1.0, 0.0, 0.0)) == pytest.approx(1.0)
-        assert gauge(GroupPoint.of(0.0, 0.0, 4.0)) == pytest.approx(2.0)
-        assert gauge(GroupPoint.of(0.0, 0.0, 16.0)) == pytest.approx(4.0)
+        assert gauge(GroupPoint(1.0, 0.0, 0.0)) == pytest.approx(1.0)
+        assert gauge(GroupPoint(0.0, 0.0, 4.0)) == pytest.approx(2.0)
+        assert gauge(GroupPoint(0.0, 0.0, 16.0)) == pytest.approx(4.0)
 
     def test_dilate_example(self):
-        z = dilate(2.0, GroupPoint.of(1.0, 1.0, 1.0))
-        assert (z.x[0], z.y[0], z.t) == (2.0, 2.0, 4.0)
+        z = dilate(2.0, GroupPoint(1.0, 1.0, 1.0))
+        assert (z.x, z.y, z.t) == (2.0, 2.0, 4.0)
         assert dilate(1.0, z) == z
 
     def test_dilate_rejects_nonpositive(self):
@@ -97,7 +112,7 @@ class TestGaugeDilation:
             assert gauge(dilate(3.0, z)) == pytest.approx(3.0 * gauge(z), rel=1e-12)
 
     def test_dilation_composition(self):
-        z = GroupPoint.of(0.3, -0.8, 1.7)
+        z = GroupPoint(0.3, -0.8, 1.7)
         a = dilate(2.0, dilate(1.5, z))
         b = dilate(3.0, z)
         assert a.t == pytest.approx(b.t, rel=1e-14)
@@ -129,11 +144,17 @@ class TestDerivatives:
         for _ in range(5):
             z = rand_point(rng)
             assert apply_left_invariant("X", f, z) == pytest.approx(
-                2.0 * z.y[0], abs=1e-7
+                2.0 * z.y, abs=1e-7
             )
             assert apply_left_invariant("Y", f, z) == pytest.approx(
-                -2.0 * z.x[0], abs=1e-7
+                -2.0 * z.x, abs=1e-7
             )
+
+    @pytest.mark.parametrize("field_id", ["X1", "Y1", "Z", "x", ""])
+    def test_refuses_unknown_field_id(self, field_id):
+        f = polynomial_test_function({(1, 0, 0): 1.0})
+        with pytest.raises(DomainError, match="field id"):
+            apply_left_invariant(field_id, f, origin())
 
     def test_commutator_on_t(self):
         f = polynomial_test_function({(0, 0, 1): 1.0})

@@ -158,6 +158,13 @@ def _valid_header(field):
         "grid_too_small",
         "nan_payload",
         "nonzero_outside_ball",
+        "n_missing",
+        "n_two",
+        "n_zero",
+        "n_string",
+        "n_null",
+        "n_true",
+        "n_float",
     ],
 )
 def test_read_rejects_malformed(tmp_path, sample_field, case):
@@ -178,6 +185,14 @@ def test_read_rejects_malformed(tmp_path, sample_field, case):
         "count_beyond_double": lambda h: h.update(extents=[10**400, 8, 8]),
         # was an OverflowError: int too large to convert to float
         "huge_ball_radius": lambda h: h.update(ball_radius=10**400),
+        # n other than the JSON integer 1 used to be read without a word
+        "n_missing": lambda h: h.pop("n"),
+        "n_two": lambda h: h.update(n=2),
+        "n_zero": lambda h: h.update(n=0),
+        "n_string": lambda h: h.update(n="one"),
+        "n_null": lambda h: h.update(n=None),
+        "n_true": lambda h: h.update(n=True),
+        "n_float": lambda h: h.update(n=1.0),
     }
     if case in edits:
         edits[case](header)
@@ -242,6 +257,23 @@ def test_classify_refuses_values_outside_ball(tmp_path, capsys):
     write_hgf(paths[1], ones, ball_radius=1.5)
     assert main(["classify", "--inputs", *paths]) == 66
     assert f"{(~mask).sum()} nonzero values outside the ball" in capsys.readouterr().err
+
+
+def test_classify_refuses_header_n_other_than_1(tmp_path, capsys):
+    from heisground.cli import main
+
+    paths = [str(tmp_path / f"s{m}.hgf") for m in range(3)]
+    for path, raw in zip(paths, _SEQUENCE):
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    raw = _SEQUENCE[1]
+    header = json.loads(raw[8:_HEADER_END])
+    header["n"] = 2
+    with open(paths[1], "wb") as fh:
+        fh.write(_hgf_bytes(header, raw[_HEADER_END:]))
+    assert main(["classify", "--inputs", *paths]) == 66
+    err = capsys.readouterr().err
+    assert "n must be the integer 1" in err and len(err.splitlines()) == 1
 
 
 @settings(max_examples=150, deadline=None)
