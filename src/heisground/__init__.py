@@ -33,7 +33,6 @@ from .grid import (
     apply_Yh,
     build_ball_grid,
     e_norm,
-    embedding_ratio,
     integrate,
     lq_norm,
 )

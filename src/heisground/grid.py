@@ -19,11 +19,11 @@ coefficients (`horizontal_gradient`) and cached; B is not kept.  B's rows
 are the box nodes and its columns the mask nodes, so a larger mask only
 adds columns.  Beside A the cache entry keeps, built when a solver first
 asks, the solvers' view of A in a three-colour order of the mask nodes
-(`_colour_order`): the order itself, diag(A)^-1 in C and in colour order,
-and L, the strictly lower part of A in colour order, which is all the
-descent's symmetric Gauss-Seidel sweep reads.  `scipy.sparse` is imported
-only there, so the field functions need numpy alone.  Every other discrete
-object comes from B:
+(`_colour_order`): the order itself, diag(A)^-1 in colour order and L,
+the strictly lower part of A in colour order, which is all that the
+solvers' one preconditioner, a symmetric Gauss-Seidel sweep, reads.
+`scipy.sparse` is imported only there, so the field functions need numpy
+alone.  Every other discrete object comes from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .heis_core import GroupPoint, _real, homogeneous_dimension
+from .heis_core import GroupPoint, _real
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -76,7 +76,6 @@ __all__ = [
     "lq_norm",
     "l2_norm",
     "e_norm",
-    "embedding_ratio",
     "inner",
     "zero_extend",
 ]
@@ -204,15 +203,17 @@ def build_ball_grid(k: float, nodes_per_axis: int):
     """Grid over [-k,k]^2 x [-k^2,k^2] with interior mask {gauge < k}.
 
     Every axis has nodes_per_axis nodes, so the t spacing is 2k^2/N = h_x k
-    despite the parabolic t extent.  A radius whose grid `Grid3` refuses
-    (its arithmetic overflows or underflows) raises ConfigurationError.
+    despite the parabolic t extent.  A count or a radius whose grid `Grid3`
+    refuses (too few nodes, or arithmetic that overflows or underflows)
+    raises ConfigurationError.
     """
     if k <= 0:
         raise DomainError(f"ball radius must be positive, got {k}")
-    hx = 2.0 * k / nodes_per_axis
+    n = nodes_per_axis or math.nan  # no 1/0: `Grid3` refuses the count 0 itself
+    hx = 2.0 * k / n
     grid = Grid3(
         shape=(nodes_per_axis,) * 3,
-        spacing=(hx, hx, 2.0 * k * k / nodes_per_axis),
+        spacing=(hx, hx, 2.0 * k * k / n),
         corner=(-k, -k, -k * k),
     )
     return grid, ball_mask(grid, k)
@@ -340,7 +341,6 @@ class _ColourOrder(NamedTuple):
     position in the mask's C order), and colours 0, 1 and 2 fill the
     positions [0, split[0]), [split[0], split[1]) and [split[1], m).
 
-    - inv_diag: diag(A)^-1 in C order;
     - inv_diag_colour: diag(A)^-1 in colour order;
     - lower: L, the strictly lower part of A in colour order, CSR with A's
       index width, each row's entries in their nodes' C order, as in A.
@@ -354,7 +354,6 @@ class _ColourOrder(NamedTuple):
 
     perm: np.ndarray
     split: tuple
-    inv_diag: np.ndarray
     inv_diag_colour: np.ndarray
     lower: sparse.csr_array
     rows: tuple
@@ -394,8 +393,7 @@ def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
             pieces = data[lo:hi], index[lo:hi], indptr[first:last + 1] - lo
             rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
             upper.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
-        inv_diag = 1.0 / A.diagonal()
-        ops[1] = _ColourOrder(perm, (n0, n0 + n1), inv_diag, inv_diag[perm], lower,
+        ops[1] = _ColourOrder(perm, (n0, n0 + n1), 1.0 / A.diagonal()[perm], lower,
                               tuple(rows), tuple(upper))
     return ops[1]
 
@@ -566,18 +564,6 @@ def e_norm(u: ScalarField) -> float:
 def e_norm_sq(u: ScalarField) -> float:
     """||X_h u||^2 + ||Y_h u||^2 + ||u||^2, by the stencil (`_box_norm_sq`)."""
     return _box_norm_sq(u.grid, u.values)
-
-
-def embedding_ratio(u: ScalarField, q: float) -> float:
-    """||u||_{L^q} / ||u|| for 1 < q <= 2Q/(Q-2)."""
-    q_hom = homogeneous_dimension(1)
-    q_max = 2 * q_hom / (q_hom - 2)
-    if not 1 < q <= q_max:
-        raise DomainError(f"q must lie in (1, {q_max}], got {q}")
-    en = e_norm(u)
-    if en == 0.0:
-        raise DomainError("embedding ratio undefined for the zero field")
-    return lq_norm(u, q) / en
 
 
 def zero_extend(u: ScalarField, new_mask: np.ndarray) -> ScalarField:

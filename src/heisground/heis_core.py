@@ -205,14 +205,15 @@ class TestFunction:
 
 
 def analytic_horizontal_derivative(tf: TestFunction, z: GroupPoint, which: str) -> float:
-    """X f or Y f at z from the supplied closed-form gradient."""
+    """X f or Y f at z from the supplied closed-form gradient; which is
+    "X" or "Y", and any other value raises DomainError."""
     if tf.grad is None:
         raise DomainError("test function carries no analytic gradient")
     x, y, t = z.x, z.y, z.t
     fx, fy, ft = tf.grad(x, y, t)
-    if which.upper().startswith("X"):
+    if which == "X":
         return fx + 2 * y * ft
-    if which.upper().startswith("Y"):
+    if which == "Y":
         return fy - 2 * x * ft
     raise DomainError(f"which must be 'X' or 'Y', got {which!r}")
 

@@ -30,8 +30,8 @@ u* = lambda^(1/(p-1)) u.
 `compare_methods` checks the bridge identity
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
-Comput., 2001).  The polish and the index are preconditioned by
-diag(A)^-1 (`_Energy.inv_diag`), which serves nothing else.  They load
+Comput., 2001).  The polish and the index are preconditioned by the
+descent's sweep too, applied in C order (`_sweep_operator`).  They load
 `scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's first
 operator (see `grid`).
 All work on mask-node vectors through one `_Energy` per (domain, p); a
@@ -272,10 +272,10 @@ class _Energy:
     colour is a contiguous slice: `sweep` is its preconditioner, `product`
     its exact A v, and `c_order` puts its vectors back.  The energy norm is
     summed as squares of B v and v by the stencil (see `grid`), and the
-    formulas are the ones the public field functions use.  inv_diag =
-    diag(A)^-1 in C order, the Jacobi preconditioner, serves the polish and
-    the index.  A and the colour order come from the operator cache, so an
-    _Energy builds no array.
+    formulas are the ones the public field functions use.  The sweep is the
+    package's one preconditioner: the polish and the index apply it in C
+    order through `_sweep_operator`.  A and the colour order come from the
+    operator cache, so an _Energy builds no array.
     """
 
     def __init__(self, domain: Domain, p: float):
@@ -283,7 +283,6 @@ class _Energy:
         self.w = domain.grid.cell_volume
         self.A = energy_operator(domain.grid, domain.mask)
         self.order = _colour_order(domain.grid, domain.mask)
-        self.inv_diag = self.order.inv_diag
 
     def sweep(self, g: np.ndarray):
         """(P, A P) for P = M^-1 g, M = (D + L) D^-1 (D + U) the symmetric
@@ -628,18 +627,31 @@ def _hessian(energy: _Energy, w: np.ndarray):
     return energy.A - sparse.diags_array(energy.p * _pos_pow(w, energy.p - 1.0))
 
 
+def _sweep_operator(energy: _Energy):
+    """`energy.sweep` on C-order vectors, g -> M^-1 g, as a LinearOperator.
+
+    M is symmetric positive definite, so MINRES and LOBPCG take it.  A
+    block is swept one column at a time, each handed over as an (m, 1)
+    array.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    perm = energy.order.perm
+    return LinearOperator((perm.size,) * 2, dtype=float,
+                          matvec=lambda g: energy.c_order(energy.sweep(g.reshape(-1)[perm])[0]))
+
+
 def _newton_polish(energy: _Energy, w: np.ndarray):
     """Newton steps H d = -G on G = grad J(w) = 0; returns (w, |G|).
 
     H is indefinite at a mountain-pass point, so MINRES (Paige & Saunders
-    1975) solves each step, preconditioned by diag(A)^-1, which is positive
-    definite whatever H's inertia (Knoll & Keyes, JCP 2004).  The step is
-    accepted by `_armijo_descent` on phi = |G|^2 / 2, whose slope along d is
-    -|G|^2, so no step raises |G|.  The polish ends when no step passes, or
-    after one that does not cut |G| by _POLISH_RATE.  It converges only from
-    near a critical point.
+    1975) solves each step, preconditioned by the descent's colour sweep
+    (`_sweep_operator`), which is positive definite whatever H's inertia
+    (Knoll & Keyes, JCP 2004).  The step is accepted by `_armijo_descent`
+    on phi = |G|^2 / 2, whose slope along d is -|G|^2, so no step raises
+    |G|.  The polish ends when no step passes, or after one that does not
+    cut |G| by _POLISH_RATE.  It converges only from near a critical point.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import minres  # not loaded at start-up
 
     def objective(x):
@@ -648,7 +660,7 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
         return 0.5 * gn_sq, (x, g, gn_sq)
 
     _, (w, g, gn_sq) = objective(w)
-    M = sparse.diags_array(energy.inv_diag)
+    M = _sweep_operator(energy)
     while gn_sq > 0.0:
         d, _ = minres(_hessian(energy, w), -g, M=M)
         step = _armijo_descent(w, 0.5 * gn_sq, -d, gn_sq, 1.0, objective)
@@ -665,16 +677,15 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     """(negative count, eigenvalues, eigenvectors) of H's smallest at w.
 
     The _MORSE_EIGENVALUES smallest eigenvalues, ascending, and their
-    eigenvectors as columns.  LOBPCG (Knyazev 2001) preconditioned by
-    diag(A)^-1, from a seeded random block so that the result is
-    deterministic.
+    eigenvectors as columns.  LOBPCG (Knyazev 2001) preconditioned by the
+    descent's colour sweep (`_sweep_operator`), from a seeded random block
+    so that the result is deterministic.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
     eigs, vecs = lobpcg(_hessian(energy, w), start, largest=False, maxiter=_LOBPCG_MAX_ITERS,
-                        M=sparse.diags_array(energy.inv_diag))
+                        M=_sweep_operator(energy))
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
     return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order]
 

@@ -181,6 +181,12 @@ class TestDerivatives:
                 num = apply_left_invariant(which, tf, z)
                 assert num == pytest.approx(ana, abs=1e-6)
 
+    @pytest.mark.parametrize("which", ["x", "y", "x1", "Xyz", "yellow", "T", ""])
+    def test_analytic_derivative_refuses_other_fields(self, which):
+        # Only "X" and "Y" name a horizontal field; "yellow" returned Y f.
+        with pytest.raises(DomainError, match="which"):
+            analytic_horizontal_derivative(gaussian_test_function(0.8, 0.3), origin(), which)
+
     def test_gaussian_hessian_matches_nested_flow_derivatives(self):
         # The closed-form second derivatives against X(Xf) + Y(Yf), each
         # derivative taken along the group flow.

@@ -402,6 +402,24 @@ class TestNewtonPolish:
         index, eigs, _ = _morse_index(energy, -radial_bump(small_domain).interior())
         assert index == 0 and eigs[0] > 1.0
 
+    def test_polish_and_index_are_preconditioned_by_the_sweep(
+            self, small_mp, small_domain, small_config, monkeypatch):
+        calls = []
+        sweep = _Energy.sweep
+
+        def counting(self, g):
+            calls.append(g.size)
+            return sweep(self, g)
+
+        monkeypatch.setattr(_Energy, "sweep", counting)
+        energy = _Energy(small_domain, small_config.p)
+        w = small_mp.field.interior()
+        _newton_polish(energy, 1.01 * w)
+        polish = len(calls)
+        assert _morse_index(energy, w)[0] == 1
+        assert polish > 0 and len(calls) > polish
+        assert set(calls) == {w.size}
+
 
 class TestColourSweep:
     """`_Energy.sweep`, the descent's preconditioner: M^-1 for the symmetric
@@ -433,6 +451,20 @@ class TestColourSweep:
             want = want_inv @ col
             np.testing.assert_allclose(energy.sweep(col)[0], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
+
+    def test_c_order_operator_is_the_permuted_sweep(self, small_domain, small_config):
+        # The polish and the index take the sweep in C order: symmetric,
+        # positive, and a block swept column by column.
+        energy = _Energy(small_domain, small_config.p)
+        m, perm = solvers._sweep_operator(energy), energy.order.perm
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            x, y = rng.standard_normal((2, perm.size))
+            assert float(x @ (m @ y)) == pytest.approx(float((m @ x) @ y), rel=1e-12)
+            assert float(x @ (m @ x)) > 0.0
+            np.testing.assert_array_equal(m @ x, energy.c_order(energy.sweep(x[perm])[0]))
+        block = rng.standard_normal((perm.size, 2))
+        np.testing.assert_array_equal(m @ block, np.stack([m @ c for c in block.T], axis=1))
 
     @pytest.mark.parametrize("domain", [
         lambda: make_domain(SolverConfig(ball_radius=2.5, nodes_per_axis=12)),

@@ -2,8 +2,9 @@
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, and the README's
 CLI section names the parser's flags and the CLI's exit codes; the autouse
-fixture empties every per-grid cache; the CI workflow runs the tier-1
-command single-threaded, within a time limit."""
+fixture empties every per-grid cache; the CI workflow installs the
+declared dependencies and runs the tier-1 command single-threaded, within
+a time limit."""
 
 import argparse
 import ast
@@ -152,6 +153,17 @@ def test_ci_runs_the_tier_1_command():
               if step.get("uses", "").startswith("actions/setup-python")]
     assert python == ["3.11"]
     assert command in [step.get("run", "").strip() for step in steps]
+
+
+def test_ci_installs_the_declared_dependencies():
+    # The test extra of pyproject.toml, so CI resolves its floors (scipy
+    # >= 1.12) and keeps no list of its own.
+    import yaml
+
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "").strip() for job in workflow["jobs"].values()
+            for step in job["steps"]]
+    assert [run for run in runs if "pip install" in run] == ['python -m pip install ".[test]"']
 
 
 def test_ci_runs_the_benchmark_self_test_after_tier_1():
