@@ -9,9 +9,9 @@ converged states automatic and is invisible once u > 0.  The gradient is the
 exact derivative of the discrete energy (discretize-then-differentiate), so
 descent line searches are variationally consistent with the stencil.  Both
 come from the grid's one horizontal gradient B = [X_h; Y_h]: the gradients go
-through A = B^T B + I (grad I = A v, with v the field's mask values), and the
-energy's value is summed as squares, I(u) = w (||B v||^2 + ||v||^2) / 2
-(see `grid`).
+through A = B^T B + I (grad I = A v, with v the field's mask values, applied
+by the operator cache in the mask's C order), and the energy's value is
+summed as squares, I(u) = w (||B v||^2 + ||v||^2) / 2 (see `grid`).
 
 Each formula is one private function of numbers and arrays; the public
 functions apply it to a field, the solvers to mask-node vectors.
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import ScalarField, _power, e_norm_sq, energy_operator, l2_norm
+from .grid import ScalarField, _energy_product, _power, e_norm_sq, l2_norm
 from .heis_core import critical_exponent
 
 __all__ = [
@@ -82,9 +82,15 @@ def _ray_max(nsq: float, mass: float, p: float):
     return t_star, 0.5 * t_star**2 * nsq - t_star ** (p + 1.0) * mass / (p + 1.0)
 
 
-def _gradient(A, v: np.ndarray, p: float) -> np.ndarray:
-    """grad J = A v - v_+^p of the mask-node vector v, A its energy operator."""
-    return A @ v - _pos_pow(v, p)
+def _gradient(av: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """grad J = A v - v_+^p of the mask-node vector v, from av = A v."""
+    return av - _pos_pow(v, p)
+
+
+def _field_gradient(u: ScalarField, p: float) -> np.ndarray:
+    """grad J of the field u on its mask nodes, in C order."""
+    v = u.interior()
+    return _gradient(_energy_product(u.grid, u.mask, v), v, p)
 
 
 def eval_I(u: ScalarField) -> float:
@@ -101,22 +107,20 @@ def eval_J(u: ScalarField, p: float) -> float:
 def grad_J(u: ScalarField, p: float) -> ScalarField:
     """L^2 representative of dJ: A v - v_+^p on interior nodes."""
     check_exponent(p)
-    A = energy_operator(u.grid, u.mask)
-    return ScalarField.from_interior(u.grid, u.mask, _gradient(A, u.interior(), p))
+    return ScalarField.from_interior(u.grid, u.mask, _field_gradient(u, p))
 
 
 def grad_I(u: ScalarField) -> ScalarField:
     """L^2 representative of dI: A v = -Delta_h u + u on interior nodes."""
     return ScalarField.from_interior(
-        u.grid, u.mask, energy_operator(u.grid, u.mask) @ u.interior()
+        u.grid, u.mask, _energy_product(u.grid, u.mask, u.interior())
     )
 
 
 def residual(u: ScalarField, p: float) -> ScalarField:
     """Pointwise Delta_h u - u + u_+^p = -grad J on interior nodes."""
     check_exponent(p)
-    A = energy_operator(u.grid, u.mask)
-    return ScalarField.from_interior(u.grid, u.mask, -_gradient(A, u.interior(), p))
+    return ScalarField.from_interior(u.grid, u.mask, -_field_gradient(u, p))
 
 
 def nehari_scale(u: ScalarField, p: float):

@@ -12,18 +12,8 @@ once, as numpy stencil coefficients per grid (`_stencil`): each row of X_h
 or Y_h sums c0 u + c1 u[+t] + c2 u[+x or +y] over a node and its forward
 neighbours.  `e_norm_sq`, `apply_Xh` and `apply_Yh` apply the stencil to a
 field's box array, whose zeros off the mask stand for the missing nodes,
-and so does the solvers' energy norm (`_box_norm_sq`).  The solvers
-multiply by A thousands of times, where scipy's CSR product is faster, so
-A of a (grid, mask) is assembled on first use from the CSR B of the same
-coefficients (`horizontal_gradient`) and cached; B is not kept.  B's rows
-are the box nodes and its columns the mask nodes, so a larger mask only
-adds columns.  Beside A the cache entry keeps, built when a solver first
-asks, the solvers' view of A in a three-colour order of the mask nodes
-(`_colour_order`): the order itself, diag(A)^-1 in colour order and L,
-the strictly lower part of A in colour order, which is all that the
-solvers' one preconditioner, a symmetric Gauss-Seidel sweep, reads.
-`scipy.sparse` is imported only there, so the field functions need numpy
-alone.  Every other discrete object comes from B:
+and so does the solvers' energy norm (`_box_norm_sq`).  Every other
+discrete object comes from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -32,6 +22,20 @@ The L^2 gradient of I = ||u||^2 / 2 is A v and the discrete sub-Laplacian
 is Delta_h v = v - A v.  The energy and its exact discrete derivative thus
 share one matrix, summation by parts is exact on the box, A is exactly
 symmetric, and the sub-Laplacian is second-order accurate.
+
+A is applied and never stored.  The solvers multiply by it thousands of
+times, in a three-colour order of the mask nodes (`_node_colours`) that
+their one preconditioner, a symmetric Gauss-Seidel sweep, needs.  So the
+operator cache keeps, per (grid, mask), only that order, diag(A) and L,
+the strictly lower part of A in that order (`_ColourOrder`), and applies
+A as D v + L v + L^T v; the field functions apply it in the mask's C
+order through a permutation (`_energy_product`).  Each off-diagonal entry
+of A is one or two products of stencil coefficients, and each diagonal
+entry a sum of up to six squares, so L and diag(A) are filled from the
+coefficients on first use (`_assemble`), bit for bit as scipy's sparse
+product B^T B would give them, with no B and no sparse product.
+`scipy.sparse` is imported only there, so the field functions need numpy
+alone.
 
 The energy's value is summed as squares, not as w v^T A v.  The entries
 of A reach 1/h^2 + (2|y|/h_t)^2, hundreds of times the size of (A v)_i, so
@@ -70,8 +74,6 @@ __all__ = [
     "ball_mask",
     "apply_Xh",
     "apply_Yh",
-    "energy_operator",
-    "horizontal_gradient",
     "integrate",
     "lq_norm",
     "l2_norm",
@@ -286,40 +288,10 @@ def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
 
 
 # Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` at 48^3 carries A and its colour order, about 13 MB
-# together.
+# `exhaust_domains` keeps an entry, about 5.5 MiB at 48^3 (4.0 MiB of it L;
+# C-order A, no longer kept, was 8.6 MiB more).
 _OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(copy of the mask, grid, [A, colour order])]
-
-
-def _operators(grid: Grid3, mask: np.ndarray) -> list:
-    """The cache entry [A, colour order] of one (grid, mask); the colour
-    order is None until asked for.
-
-    Entries are keyed by the grid and a copy of the mask's contents, so a
-    mask edited in place gets fresh operators and an equal mask in another
-    array reuses the cached ones.  B is assembled for A and then dropped.
-    """
-    for k, (contents, g, ops) in enumerate(_operator_cache):
-        if g == grid and np.array_equal(contents, mask):
-            _operator_cache.append(_operator_cache.pop(k))
-            return ops
-    from scipy import sparse
-
-    B = horizontal_gradient(grid, mask)
-    ops = [(B.T @ B + sparse.eye_array(B.shape[1])).tocsr(), None]
-    _operator_cache.append((mask.copy(), grid, ops))
-    del _operator_cache[:-_OPERATOR_CACHE_SIZE]
-    return ops
-
-
-def energy_operator(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """A = B^T B + I on the mask nodes, cached per (grid, mask).
-
-    Rows and columns follow the mask nodes in C order, the order of
-    `u.values[u.mask]`.
-    """
-    return _operators(grid, mask)[0]
+_operator_cache = []  # [(copy of the mask, grid, `_ColourOrder`)]
 
 
 def _node_colours(grid: Grid3, mask: np.ndarray) -> np.ndarray:
@@ -333,84 +305,173 @@ def _node_colours(grid: Grid3, mask: np.ndarray) -> np.ndarray:
     return ((i + j + 2 * l) % 3)[mask]
 
 
+def _by_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d shaped to scale the rows of v: d itself for a vector, a column for
+    an (m, b) block."""
+    return d if v.ndim == 1 else d[:, None]
+
+
 class _ColourOrder(NamedTuple):
-    """A in the three-colour order of `_node_colours`, as the solvers use it.
+    """A of one (grid, mask) in the three-colour order of `_node_colours`,
+    the one form in which the package keeps it.
 
     The colour order lists the colour-0 mask nodes, then colour 1, then
     colour 2, each in C order: position k holds mask node perm[k] (a
     position in the mask's C order), and colours 0, 1 and 2 fill the
     positions [0, split[0]), [split[0], split[1]) and [split[1], m).
 
-    - inv_diag_colour: diag(A)^-1 in colour order;
-    - lower: L, the strictly lower part of A in colour order, CSR with A's
-      index width, each row's entries in their nodes' C order, as in A.
-      Nodes of one colour are uncoupled, so L's colour-0 rows are empty,
-      and its entries are half of A's off-diagonal ones;
+    - diag: diag(A) in colour order, and inv_diag its inverse;
+    - lower: L, the strictly lower part of A in colour order, CSR, each
+      row's entries in their nodes' C order.  Nodes of one colour are
+      uncoupled, so L's colour-0 rows are empty, and its entries are half
+      of A's off-diagonal ones;
+    - upper: U = L^T, the CSC view of L's arrays;
     - rows: (L_1, L_2), L's colour-1 and colour-2 rows as CSR views of its
       data and indices, L_1 over the colour-0 positions and L_2 over the
       colour-0 and colour-1 ones;
-    - upper: (L_1^T, L_2^T), their CSC views, the pieces of U = L^T.
+    - columns: (L_1^T, L_2^T), their CSC views, U's colour-1 and colour-2
+      columns.
+
+    perm and L's indices are 32-bit wherever L's entries fit.  A itself is
+    applied (`product`) and never stored.
     """
 
     perm: np.ndarray
     split: tuple
-    inv_diag_colour: np.ndarray
+    diag: np.ndarray
+    inv_diag: np.ndarray
     lower: sparse.csr_array
+    upper: sparse.csc_array
     rows: tuple
-    upper: tuple
+    columns: tuple
+
+    def apply(self, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """diag v + L v + L^T v of a colour-order vector v, or of an (m, b)
+        block column by column, as a new array."""
+        out = _by_rows(diag, v) * v
+        out += self.lower @ v
+        out += self.upper @ v
+        return out
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """A v = D v + L v + L^T v, D = diag(A), in colour order (`apply`)."""
+        return self.apply(self.diag, v)
 
 
 def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
-    """The `_ColourOrder` of one (grid, mask), built on first use and cached
-    beside A.
+    """The `_ColourOrder` of one (grid, mask), built on first use
+    (`_assemble`) and cached.
 
-    L is cut from row subsets of A, one colour at a time, so no permuted
-    copy of A is made.  The order is built without argsort, and L's
-    indices are left unsorted: an argsort, or sorting them, each raised the
-    peak resident memory of a k = 4, N = 32 solve by 0.15-0.3 MB.
+    Entries are keyed by the grid and a copy of the mask's contents, so a
+    mask edited in place gets a fresh entry and an equal mask in another
+    array reuses the cached one.
     """
-    ops = _operators(grid, mask)
-    if ops[1] is None:
-        from scipy import sparse
-
-        A = ops[0]
-        colour = _node_colours(grid, mask)
-        perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)])
-        m = perm.size
-        n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
-        pos = np.empty(m, dtype=A.indices.dtype)  # a node's place in colour order
-        pos[perm] = np.arange(m, dtype=pos.dtype)
-        nnz = (A.nnz - m) // 2  # A is symmetric with a full diagonal
-        arrays = (np.empty(nnz), np.empty(nnz, dtype=A.indices.dtype),
-                  np.zeros(m + 1, dtype=A.indptr.dtype))
-        for c, first, last in ((1, n0, n0 + n1), (2, n0 + n1, m)):
-            _fill_lower_rows(*arrays, first, A[perm[first:last]], colour < c, pos)
-        lower = sparse.csr_array(arrays, shape=(m, m))
-        data, index, indptr = lower.data, lower.indices, lower.indptr
-        rows, upper = [], []
-        for first, last in ((n0, n0 + n1), (n0 + n1, m)):
-            lo, hi = indptr[first], indptr[last]
-            pieces = data[lo:hi], index[lo:hi], indptr[first:last + 1] - lo
-            rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
-            upper.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
-        ops[1] = _ColourOrder(perm, (n0, n0 + n1), 1.0 / A.diagonal()[perm], lower,
-                              tuple(rows), tuple(upper))
-    return ops[1]
+    for k, (contents, g, order) in enumerate(_operator_cache):
+        if g == grid and np.array_equal(contents, mask):
+            _operator_cache.append(_operator_cache.pop(k))
+            return order
+    order = _assemble(grid, mask)
+    _operator_cache.append((mask.copy(), grid, order))
+    del _operator_cache[:-_OPERATOR_CACHE_SIZE]
+    return order
 
 
-def _fill_lower_rows(data, index, indptr, first: int, rows, lower_colour: np.ndarray,
-                     pos: np.ndarray) -> None:
-    """Write the CSR arrays of L from row `first` on, the rows before it
-    written already: the entries of rows (A's rows of those nodes) whose
-    column node has lower_colour, at the column pos of that node."""
-    keep = lower_colour[rows.indices]
-    # kept[k]: entries kept among the first k, in A's index width
-    kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    at = indptr[first]
-    indptr[first + 1:first + rows.shape[0] + 1] = at + kept[rows.indptr[1:]]
-    np.compress(keep, rows.data, out=data[at:at + kept[-1]])
-    np.take(pos, np.compress(keep, rows.indices), out=index[at:at + kept[-1]])
+# A's off-diagonal entries of a node: the offset (dx, dy, dt) to the
+# neighbour, by increasing C order of the neighbour, and the coupling's
+# name in `_assemble`'s tables.
+_NEIGHBOURS = (((-1, 0, 0), "x"), ((-1, 0, 1), "xt"), ((0, -1, 0), "y"), ((0, -1, 1), "yt"),
+               ((0, 0, -1), "t"), ((0, 0, 1), "t"), ((0, 1, -1), "yt"), ((0, 1, 0), "y"),
+               ((1, 0, -1), "xt"), ((1, 0, 0), "x"))
+
+
+def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
+    """The `_ColourOrder` of A = B^T B + I, filled from `_stencil`'s
+    coefficients with no B and no sparse product.
+
+    (B^T B)_ij sums B_ri B_rj over B's rows r, X_h's rows (box nodes in C
+    order) before Y_h's.  X_h's row r holds c0x at r, ctx at r + e_t and
+    1/h_x at r + e_x, and Y_h's c0y, cty and 1/h_y at r, r + e_t and r + e_y;
+    X_h's coefficients vary with y alone and Y_h's with x alone.  So a
+    node's entry towards each of its ten neighbours is one product, or two
+    along t, of coefficients at the node's (x, y) (the tables below), and
+    its diagonal is a sum of up to six squares, then 1.  Both are summed in
+    B's row order, as scipy's sparse product B^T B sums them, so the
+    entries are bit for bit those of that product; like it, an entry that
+    sums to 0 is no entry.  L is written one neighbour offset at a time into
+    CSR arrays sized by a first pass, each row's entries in their nodes' C
+    order, and no argsort or copy of A is made.
+    """
+    from scipy import sparse
+
+    n_x, n_y, n_t = grid.shape
+    (c0x, ((_, ctx), (_, ix))), (c0y, ((_, cty), (_, iy))) = _stencil(grid)
+    c0x, ctx = (c.reshape(n_y, n_t)[:, 0] for c in (c0x, ctx))  # per y
+    tables = {name: np.broadcast_to(c, (n_x, n_y)).ravel()
+              for name, c in (("t", c0x * ctx + c0y * cty), ("x", c0x * ix), ("xt", ctx * ix),
+                              ("y", c0y * iy), ("yt", cty * iy))}
+    # B's rows that hold a node, in order: X_h's of its -x and -t neighbours
+    # and its own, then Y_h's of its -y and -t neighbours and its own
+    diag = np.zeros(grid.shape)
+    diag[1:] += ix * ix
+    diag[:, :, 1:] += (ctx * ctx)[:, None]
+    diag += (c0x * c0x)[:, None]
+    diag[:, 1:] += iy * iy
+    diag[:, :, 1:] += (cty * cty)[:, :, None]
+    diag += (c0y * c0y)[:, :, None]
+    diag += 1.0
+
+    colour = _node_colours(grid, mask)
+    m = colour.size
+    # 32-bit indices whenever A's entries fit, as scipy chooses
+    index = np.int32 if 11 * m <= np.iinfo(np.int32).max else np.intp
+    perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)]).astype(index)
+    n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
+    n01 = n0 + n1
+    node = np.flatnonzero(mask)[perm]  # box index of each position
+    diag = diag.reshape(-1)[node]
+    # A node's position, padded by one layer of m: a neighbour beyond the
+    # box or off the mask is at m, after every position
+    place = np.empty(m, dtype=index)  # the position of each mask node
+    place[perm] = np.arange(m, dtype=index)
+    pos = np.full((n_x + 2, n_y + 2, n_t + 2), m, dtype=index)
+    pos[1:-1, 1:-1, 1:-1][mask] = place
+    padded = np.flatnonzero(np.pad(mask, 1))[perm[n0:]]  # of L's rows n0..m
+    xy = node[n0:] // n_t
+    start = np.full(m - n0, n01, dtype=index)  # the first position of the row's colour
+    start[:n1] = n0
+
+    def entries():
+        """(column, value, in L) of each row's entry towards each neighbour."""
+        for (dx, dy, dt), name in _NEIGHBOURS:
+            col = pos.take(padded + ((dx * (n_y + 2) + dy) * (n_t + 2) + dt))
+            value = tables[name].take(xy)
+            keep = col < start
+            keep &= value != 0.0
+            yield col, value, keep
+
+    indptr = np.zeros(m + 1, dtype=index)
+    counts = indptr[n0 + 1:]
+    for _, _, keep in entries():
+        counts += keep
+    np.cumsum(counts, out=counts)
+    data, indices = np.empty(int(indptr[-1])), np.empty(int(indptr[-1]), dtype=index)
+    slot = indptr[n0:m].astype(np.intp)  # each row's next free entry
+    for col, value, keep in entries():
+        at = slot[keep]
+        data[at] = value[keep]
+        indices[at] = col[keep]
+        slot[keep] += 1
+
+    rows, columns = [], []
+    for first, last in ((n0, n01), (n01, m)):
+        lo, hi = indptr[first], indptr[last]
+        pieces = data[lo:hi], indices[lo:hi], indptr[first:last + 1] - lo
+        rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
+        columns.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
+    return _ColourOrder(perm, (n0, n01), diag, 1.0 / diag,
+                        _compressed(sparse.csr_array, (m, m), data, indices, indptr),
+                        _compressed(sparse.csc_array, (m, m), data, indices, indptr),
+                        tuple(rows), tuple(columns))
 
 
 def _compressed(kind, shape: tuple, data: np.ndarray, index: np.ndarray,
@@ -427,38 +488,13 @@ def _compressed(kind, shape: tuple, data: np.ndarray, index: np.ndarray,
     return a
 
 
-def horizontal_gradient(grid: Grid3, mask: np.ndarray) -> sparse.csr_array:
-    """B = [X_h; Y_h] as a CSR matrix, assembled anew at each call from the
-    stencil's coefficients: mask-node values in C order to both derivatives
-    on every box node (X_h rows first).
-
-    Row r of a derivative holds c0 at column r and each tap's coefficient
-    at the column of r's neighbour, in that order.  A term whose node is off
-    the mask or beyond the box, or whose coefficient is 0, is no entry, as
-    in the sparse sums of the Kronecker factors.
-    """
-    from scipy import sparse
-
-    shape = grid.shape
-    n = mask.size
-    rows = (shape[0], n // shape[0])
-    inside = mask.reshape(-1)
-    m = np.count_nonzero(inside)
-    # 32-bit indices whenever the entries and the shape fit, as scipy chooses
-    index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.intp
-    col = np.full(n, -1, dtype=index)  # the column of each box node, -1 off the mask
-    col[inside] = np.arange(m)
-    cols, data = [], []
-    for c0, taps in _stencil(grid):
-        cols.append(np.stack([col, *(_forward_neighbour(col, axis, shape, np.empty_like(col), -1)
-                                     for axis, _ in taps)], axis=1))
-        data.append(np.stack([np.broadcast_to(c, rows).reshape(-1)
-                              for c in (c0, *(c for _, c in taps))], axis=1))
-    cols, data = np.concatenate(cols), np.concatenate(data)
-    keep = (cols >= 0) & (data != 0.0)
-    indptr = np.zeros(2 * n + 1, dtype=index)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sparse.csr_array((data[keep], cols[keep], indptr), shape=(2 * n, m))
+def _energy_product(grid: Grid3, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v of a mask-node vector v in the mask's C order, in that order: v
+    permuted into the colour order, multiplied there and permuted back."""
+    order = _colour_order(grid, mask)
+    out = np.empty_like(v)
+    out[order.perm] = order.product(v.take(order.perm))
+    return out
 
 
 def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:
@@ -502,7 +538,7 @@ def sublaplacian_values(u: ScalarField) -> np.ndarray:
     """Delta_h u = v - A v on the mask nodes, zero elsewhere, as a box array."""
     v = u.interior()
     out = np.zeros(u.grid.shape)
-    out[u.mask] = v - energy_operator(u.grid, u.mask) @ v
+    out[u.mask] = v - _energy_product(u.grid, u.mask, v)
     return out
 
 

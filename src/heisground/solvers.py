@@ -30,8 +30,8 @@ u* = lambda^(1/(p-1)) u.
 `compare_methods` checks the bridge identity
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
-Comput., 2001).  The polish and the index are preconditioned by the
-descent's sweep too, applied in C order (`_sweep_operator`).  They load
+Comput., 2001).  The polish and the index run in the colour order too,
+preconditioned by the descent's sweep (`_sweep_operator`).  They load
 `scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's first
 operator (see `grid`).
 All work on mask-node vectors through one `_Energy` per (domain, p); a
@@ -69,15 +69,15 @@ from .grid import (
     Grid3,
     ScalarField,
     _box_norm_sq,
+    _by_rows,
     _colour_order,
     _power,
     ball_mask,
     build_ball_grid,
-    energy_operator,
     l2_norm,
     zero_extend,
 )
-from .heis_core import GroupPoint, gauge
+from .heis_core import GroupPoint, _real, gauge
 
 __all__ = [
     "SolverConfig",
@@ -102,7 +102,9 @@ class SolverConfig:
     """Solver knobs; defaults suit the desk-scale runs.
 
     Checked on construction (and so by `dataclasses.replace`): an invalid
-    config raises ConfigurationError and never exists.
+    config raises ConfigurationError and never exists.  A field's number
+    passes `_real`, the rule `Grid3` takes its numbers by, so a bool or a
+    string is refused; numpy scalars are numbers.
     """
 
     p: float = 2.0
@@ -112,16 +114,22 @@ class SolverConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
+        for name, kind in (("p", numbers.Real), ("ball_radius", numbers.Real),
+                           ("grad_tol", numbers.Real), ("nodes_per_axis", numbers.Integral),
+                           ("max_iters", numbers.Integral)):
+            value = getattr(self, name)
+            try:
+                if not isinstance(_real(value), kind):
+                    raise TypeError
+            except TypeError:
+                what = "a real number" if kind is numbers.Real else "an integer"
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}") from None
         check_exponent(self.p)
         for name in ("ball_radius", "grad_tol"):
             value = getattr(self, name)
             # Written so that NaN fails it too.
             if not 0.0 < value < np.inf:
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
-        for name in ("nodes_per_axis", "max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_axis < 8:
             raise ConfigurationError(f"need >= 8 nodes per axis, got {self.nodes_per_axis}")
         if self.max_iters < 1:
@@ -266,46 +274,59 @@ def radial_bump(domain: Domain) -> ScalarField:
 class _Energy:
     """J and its pieces on the mask-node vectors of one domain, for one p.
 
-    A vector holds a field's values on the mask nodes in C order, the order
-    of `u.values[u.mask]` and of the cached operator A.  Only `_ray_descent`
-    works in the colour order of `grid._ColourOrder` (`order`), where each
-    colour is a contiguous slice: `sweep` is its preconditioner, `product`
-    its exact A v, and `c_order` puts its vectors back.  The energy norm is
-    summed as squares of B v and v by the stencil (see `grid`), and the
-    formulas are the ones the public field functions use.  The sweep is the
-    package's one preconditioner: the polish and the index apply it in C
-    order through `_sweep_operator`.  A and the colour order come from the
-    operator cache, so an _Energy builds no array.
+    A state comes in and goes out in the mask's C order, the order of
+    `u.values[u.mask]`: `field`, `norm_sq` and `ray_max` read C-order
+    vectors.  The descent, the polish and the index work in the colour
+    order of `grid._ColourOrder` (`order`), where each colour is a
+    contiguous slice and A is kept: `product` is A v, `grad` grad J and
+    `sweep` (or its `half_sweeps`) the package's one preconditioner there,
+    and `colour` and `c_order` permute a vector in and out.  `mass`,
+    `inner`, `norm` and `renormalize` take either order.  The energy norm
+    is summed as squares of B v and v by the stencil (see `grid`), and the
+    formulas are the ones the public field functions use.  The colour
+    order comes from the operator cache, so an _Energy builds no array.
     """
 
     def __init__(self, domain: Domain, p: float):
         self.grid, self.mask, self.p = domain.grid, domain.mask, p
         self.w = domain.grid.cell_volume
-        self.A = energy_operator(domain.grid, domain.mask)
         self.order = _colour_order(domain.grid, domain.mask)
 
     def sweep(self, g: np.ndarray):
         """(P, A P) for P = M^-1 g, M = (D + L) D^-1 (D + U) the symmetric
         Gauss-Seidel of A in colour order (Saad, Iterative Methods for Sparse
         Linear Systems, 2nd ed., 2003, 12.4); g, P and A P in colour order.
+        g is a vector or an (m, b) block, swept column by column at once.
+
+        `half_sweeps` gives P and r = (D + U) P = D y, so A P = r + L P
+        (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  So the sweep is five
+        sparse products with L or its pieces, whose entries are half of A's
+        off-diagonal ones, and no product with A.  M is symmetric positive
+        definite, as A is.
+        """
+        p, r = self.half_sweeps(g)
+        r += self.order.lower @ p
+        return p, r
+
+    def half_sweeps(self, g: np.ndarray):
+        """(P, D y) for the forward half-sweep y = (D + L)^-1 g and the
+        backward one P = (D + U)^-1 D y, U = L^T, of `sweep`; the polish and
+        the index precondition by P alone.
 
         Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
         is its whole block.  With L_1, L_2 the colour-1 and colour-2 rows of
         L (`grid._ColourOrder`) and y_01 the colour-0 and colour-1 slices of
-        y, the forward half-sweep y = (D + L)^-1 g is
+        y, the forward half-sweep is
             r0 = g0,  r1 = g1 - L_1 y0,  r2 = g2 - L_2 y_01,  yc = Dc^-1 rc,
-        and the backward one P = (D + U)^-1 D y, U = L^T, is
+        and the backward one is
             P2 = y2,  t = L_2^T P2,  P1 = y1 - D1^-1 t1,
-            P0 = y0 - D0^-1 (t0 + L_1^T P1).
-        As (D + U) P = D y = r, A P = r + L P (Eisenstat, SIAM J. Sci. Stat.
-        Comput. 2, 1981).  So the sweep is five sparse products with L or
-        its pieces, whose entries are half of A's off-diagonal ones, and no
-        product with A.  M is symmetric positive definite, as A is.
+            P0 = y0 - D0^-1 (t0 + L_1^T P1),
+        four sparse products; r = D y.
         """
-        (n0, n01), d = self.order.split, self.order.inv_diag_colour
-        (l1, l2), (u1, u2) = self.order.rows, self.order.upper
-        r = g.copy()  # becomes A P
-        y = np.empty_like(g)  # becomes P
+        (n0, n01), d = self.order.split, _by_rows(self.order.inv_diag, g)
+        (l1, l2), (u1, u2) = self.order.rows, self.order.columns
+        r = g.copy()  # becomes D y
+        y = np.empty_like(r)  # becomes P
         np.multiply(r[:n0], d[:n0], out=y[:n0])
         r[n0:n01] -= l1 @ y[:n0]
         np.multiply(r[n0:n01], d[n0:n01], out=y[n0:n01])
@@ -318,12 +339,15 @@ class _Energy:
         t += u1 @ y[n0:n01]
         t *= d[:n0]
         y[:n0] -= t
-        r += self.order.lower @ y
         return y, r
 
     def product(self, v: np.ndarray) -> np.ndarray:
-        """A v of a colour-order vector v, in colour order, by the C-order A."""
-        return (self.A @ self.c_order(v))[self.order.perm]
+        """A v = D v + L v + L^T v of a colour-order vector or block v."""
+        return self.order.product(v)
+
+    def colour(self, v: np.ndarray) -> np.ndarray:
+        """The C-order vector v in colour order, as a new array."""
+        return v.take(self.order.perm)
 
     def c_order(self, v: np.ndarray) -> np.ndarray:
         """The colour-order vector v in the mask's C order, as a new array."""
@@ -332,6 +356,7 @@ class _Energy:
         return out
 
     def field(self, v: np.ndarray) -> ScalarField:
+        """The field of the C-order vector v."""
         return ScalarField.from_interior(self.grid, self.mask, v)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
@@ -342,8 +367,8 @@ class _Energy:
         return self.inner(v, v) ** 0.5
 
     def norm_sq(self, v: np.ndarray) -> float:
-        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2, by the stencil on
-        v's zero-extended box array."""
+        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2 of the C-order
+        vector v, by the stencil on its zero-extended box array."""
         box = np.zeros(self.grid.shape)
         box[self.mask] = v
         return _box_norm_sq(self.grid, box)
@@ -352,10 +377,12 @@ class _Energy:
         return _constraint_mass(v, self.p, self.w)
 
     def grad(self, v: np.ndarray) -> np.ndarray:
-        return _gradient(self.A, v, self.p)
+        """grad J = A v - v_+^p of the colour-order vector v."""
+        return _gradient(self.product(v), v, self.p)
 
     def ray_max(self, v: np.ndarray):
-        """(t*, max_t J(t v)); DomainError when v has no positive-part mass."""
+        """(t*, max_t J(t v)) of the C-order vector v; DomainError when v
+        has no positive-part mass."""
         return _ray_max(self.norm_sq(v), self.mass(v), self.p)
 
     def renormalize(self, v: np.ndarray) -> np.ndarray:
@@ -364,7 +391,6 @@ class _Energy:
         if mass <= 0.0:
             raise AlgorithmError("flow escaped: positive-part mass vanished")
         return v / mass ** (1.0 / (self.p + 1.0))
-
 
 
 # `_armijo_descent`: the sufficient-decrease constant; its and `_line_min`'s
@@ -592,15 +618,14 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
         drift += 1
         g_prev, gp_prev = G, gp
         it += 1
-    v = energy.c_order(v)
     v /= scale
     if drift:
-        av = energy.A @ v
+        av = energy.product(v)
         products += 1
     else:
-        av = energy.c_order(av)
         av /= scale
     gn = _projected_gradient_norm(energy, av, _pos_pow(v, p))
+    v = energy.c_order(v)
     trace[-1] = (it, 0.5 * energy.norm_sq(v), gn)
     return v, it + 1, gn, stop, products
 
@@ -621,36 +646,48 @@ _LOBPCG_MAX_ITERS = 1000
 
 
 def _hessian(energy: _Energy, w: np.ndarray):
-    """H = A - p diag(w_+^(p-1)), the Hessian of J at w over the cell volume."""
-    from scipy import sparse
+    """H = A - p diag(w_+^(p-1)), the Hessian of J at the colour-order w over
+    the cell volume, as a LinearOperator on colour-order vectors and blocks:
+    H x = (D - p w_+^(p-1)) x + L x + L^T x."""
+    from scipy.sparse.linalg import LinearOperator
 
-    return energy.A - sparse.diags_array(energy.p * _pos_pow(w, energy.p - 1.0))
+    diag = energy.order.diag - energy.p * _pos_pow(w, energy.p - 1.0)
+
+    def apply(x):
+        return energy.order.apply(diag, x)
+
+    return LinearOperator((w.size,) * 2, matvec=apply, matmat=apply, dtype=float)
 
 
 def _sweep_operator(energy: _Energy):
-    """`energy.sweep` on C-order vectors, g -> M^-1 g, as a LinearOperator.
+    """The descent's sweep as a LinearOperator, g -> M^-1 g on colour-order
+    vectors, and on a block in one sweep (`energy.half_sweeps`, without the
+    product for A P).
 
-    M is symmetric positive definite, so MINRES and LOBPCG take it.  A
-    block is swept one column at a time, each handed over as an (m, 1)
-    array.
+    M is symmetric positive definite, so MINRES and LOBPCG take it.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    perm = energy.order.perm
-    return LinearOperator((perm.size,) * 2, dtype=float,
-                          matvec=lambda g: energy.c_order(energy.sweep(g.reshape(-1)[perm])[0]))
+    def sweep(g):
+        return energy.half_sweeps(g)[0]
+
+    return LinearOperator((energy.order.perm.size,) * 2, matvec=sweep, matmat=sweep,
+                          dtype=float)
 
 
 def _newton_polish(energy: _Energy, w: np.ndarray):
-    """Newton steps H d = -G on G = grad J(w) = 0; returns (w, |G|).
+    """Newton steps H d = -G on G = grad J(w) = 0 from the colour-order w;
+    returns (w, |G|, MINRES iterations of each step), w in colour order.
 
     H is indefinite at a mountain-pass point, so MINRES (Paige & Saunders
     1975) solves each step, preconditioned by the descent's colour sweep
     (`_sweep_operator`), which is positive definite whatever H's inertia
-    (Knoll & Keyes, JCP 2004).  The step is accepted by `_armijo_descent`
-    on phi = |G|^2 / 2, whose slope along d is -|G|^2, so no step raises
-    |G|.  The polish ends when no step passes, or after one that does not
-    cut |G| by _POLISH_RATE.  It converges only from near a critical point.
+    (Knoll & Keyes, JCP 2004).  H and M both act in colour order
+    (`_hessian`), so no vector is permuted.  The step is accepted by
+    `_armijo_descent` on phi = |G|^2 / 2, whose slope along d is -|G|^2, so
+    no step raises |G|.  The polish ends when no step passes, or after one
+    that does not cut |G| by _POLISH_RATE.  It converges only from near a
+    critical point.
     """
     from scipy.sparse.linalg import minres  # not loaded at start-up
 
@@ -659,10 +696,16 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
         gn_sq = energy.inner(g, g)
         return 0.5 * gn_sq, (x, g, gn_sq)
 
+    iterations = []
+
+    def count(_):
+        iterations[-1] += 1
+
     _, (w, g, gn_sq) = objective(w)
     M = _sweep_operator(energy)
     while gn_sq > 0.0:
-        d, _ = minres(_hessian(energy, w), -g, M=M)
+        iterations.append(0)
+        d, _ = minres(_hessian(energy, w), -g, M=M, callback=count)
         step = _armijo_descent(w, 0.5 * gn_sq, -d, gn_sq, 1.0, objective)
         if step is None:
             break
@@ -670,33 +713,41 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
         w, g, gn_sq = step
         if gn_sq > _POLISH_RATE ** 2 * last:
             break
-    return w, gn_sq ** 0.5
+    return w, gn_sq ** 0.5, iterations
 
 
 def _morse_index(energy: _Energy, w: np.ndarray):
-    """(negative count, eigenvalues, eigenvectors) of H's smallest at w.
+    """(negative count, eigenvalues, eigenvectors, LOBPCG iterations) of H's
+    smallest at the colour-order w.
 
     The _MORSE_EIGENVALUES smallest eigenvalues, ascending, and their
-    eigenvectors as columns.  LOBPCG (Knyazev 2001) preconditioned by the
-    descent's colour sweep (`_sweep_operator`), from a seeded random block
-    so that the result is deterministic.
+    eigenvectors as columns, in colour order.  LOBPCG (Knyazev 2001)
+    preconditioned by the descent's colour sweep (`_sweep_operator`), which
+    it applies to its whole block at once, from a seeded random block so
+    that the result is deterministic (drawn in the mask's C order, so the
+    start does not depend on the colouring).  The iterations are those of the
+    block it returns, from its residual-norm history (which also holds the
+    start's and the final check's norms).
     """
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
-    eigs, vecs = lobpcg(_hessian(energy, w), start, largest=False, maxiter=_LOBPCG_MAX_ITERS,
-                        M=_sweep_operator(energy))
+    eigs, vecs, history = lobpcg(_hessian(energy, w), start[energy.order.perm], largest=False,
+                                 maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
+                                 retResidualNormsHistory=True)
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
-    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order]
+    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order], len(history) - 2
 
 
 def _state_index(energy: _Energy, rep: SolveReport):
-    """`_morse_index` at the state of the mountain-pass report rep, whose
-    timings get its seconds as "index"."""
+    """`_morse_index` at the state of the mountain-pass report rep, permuted
+    into colour order once; rep's timings get its seconds as "index", and
+    its extra the LOBPCG iterations as index_lobpcg_iterations."""
     start = time.perf_counter()
-    result = _morse_index(energy, rep.field.interior())
+    index, eigs, vecs, iterations = _morse_index(energy, energy.colour(rep.field.interior()))
     rep.extra["timings"]["index"] = time.perf_counter() - start
-    return result
+    rep.extra["index_lobpcg_iterations"] = iterations
+    return index, eigs, vecs
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +768,12 @@ def solve_mountain_pass(
     polished by `_newton_polish`.  c_k is the ray maximum of the reported
     state and grad_norm is |grad J| there; the solve has converged when the
     descent has and that norm is below grad_tol.  The trace and
-    operator_products are the descent's, and timings holds the seconds of
-    the descent, the polish and the report (`compare_methods` and
-    `_leave_saddle` add the Morse index's).  A u0 without a positive part
-    has no top: DomainError.
+    operator_products are the descent's, polish_minres_iterations holds the
+    MINRES iterations of each Newton step (none without a polish), and
+    timings holds the seconds of the descent, the polish and the report
+    (`compare_methods` and `_leave_saddle` add the Morse index's seconds,
+    and its LOBPCG iterations as index_lobpcg_iterations).  A u0 without a
+    positive part has no top: DomainError.
     """
     if domain is None:
         domain = make_domain(config)
@@ -738,14 +791,16 @@ def solve_mountain_pass(
         energy, v0, config.grad_tol, config.max_iters, trace)
     descent = time.perf_counter()
     t_star, _ = energy.ray_max(v)
-    w = t_star * v
+    w = energy.colour(t_star * v)  # the polish works in colour order
+    minres_iterations = []
     if stop == "grad_tol":
-        w, gn = _newton_polish(energy, w)
+        w, gn, minres_iterations = _newton_polish(energy, w)
     else:
         gn = energy.norm(energy.grad(w))
     polish = time.perf_counter()
 
-    v_k = np.maximum(w, 0.0)
+    x_k = np.maximum(w, 0.0)
+    v_k = energy.c_order(x_k)
     u_k = energy.field(v_k)
     # The exact maximum of J over the ray through the state, in closed form
     # in t; at a critical point it is J(u_k).
@@ -755,8 +810,9 @@ def solve_mountain_pass(
         u_k, bd, "mountain-pass", level=level,
         iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
         grad_norm=gn, stop_reason=stop, operator_products=products,
-        inner_gu=energy.inner(energy.grad(v_k), v_k),
+        inner_gu=energy.inner(energy.grad(x_k), x_k),
         identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
+        polish_minres_iterations=minres_iterations,
     )
     rep.extra["timings"] = {"descent": descent - start, "polish": polish - descent,
                             "report": time.perf_counter() - polish}
@@ -942,7 +998,8 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     """rep, or the solve restarted off its state if that is a saddle.
 
     A state of Morse index above 1 is pushed along H's second eigenvector,
-    in which the ray maximum falls, and solved again.  From a symmetric
+    in which the ray maximum falls (permuted out of the index's colour
+    order), and solved again.  From a symmetric
     start a descent can stop beside a symmetric saddle: on the 48^3 grid of
     k = 6, from the k = 2 ball's bump centered at the origin, the descent
     preconditioned by diag(A)^-1 reached one of index 2 at 82.709, where the
@@ -954,7 +1011,7 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     index, _, vecs = _state_index(energy, rep)
     if index <= 1:
         return rep
-    e = vecs[:, 1]
+    e = energy.c_order(vecs[:, 1])
     u0 = energy.field(w + _SADDLE_PUSH * np.abs(w).max() / np.abs(e).max() * e)
     return solve_mountain_pass(config, domain=domain, u0=u0)
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heisground import cc_diag
+from heisground import cc_diag, grid
 from heisground.grid import ScalarField
 from heisground.solvers import (
     Domain,
@@ -42,6 +42,16 @@ def fresh_ball_geometry():
     `_radius_cap`) finds the geometry anew under its patch, and no test
     reads a cache another test filled."""
     cc_diag._window_cache.clear()
+
+
+@pytest.fixture
+def fresh_operators(monkeypatch):
+    """An empty operator cache (`grid._operator_cache`) for one test, and the
+    session's cache back afterwards.  The autouse fixture above keeps the
+    operator cache for the whole session, because the desk fixtures reuse
+    it; a test of the assembly takes this one, so it cannot pass on an
+    entry another test built."""
+    monkeypatch.setattr(grid, "_operator_cache", [])
 
 
 def _timed(fn, *args, **kwargs):
@@ -149,3 +159,66 @@ def flip_y_twist(monkeypatch) -> None:
         return heis_core.GroupPoint(w.x, w.y, z.t + 2 * s * z.x)
 
     monkeypatch.setattr(heis_core, "_flow", flow)
+
+
+# ---------------------------------------------------------------------------
+# The operator oracle: A = B^T B + I by scipy's sparse product
+# ---------------------------------------------------------------------------
+
+
+def horizontal_gradient(g, mask):
+    """B = [X_h; Y_h] as a CSR matrix from the stencil's coefficients: mask-node
+    values in C order to both derivatives on every box node (X_h rows first).
+
+    Row r of a derivative holds c0 at column r and each tap's coefficient
+    at the column of r's neighbour, in that order.  A term whose node is off
+    the mask or beyond the box, or whose coefficient is 0, is no entry, as
+    in the sparse sums of the Kronecker factors (`test_grid`'s
+    `kronecker_gradient` checks it bit for bit).
+    """
+    from scipy import sparse
+
+    shape = g.shape
+    n = mask.size
+    rows = (shape[0], n // shape[0])
+    inside = mask.reshape(-1)
+    m = np.count_nonzero(inside)
+    index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.intp
+    col = np.full(n, -1, dtype=index)  # the column of each box node, -1 off the mask
+    col[inside] = np.arange(m)
+    cols, data = [], []
+    for c0, taps in grid._stencil(g):
+        cols.append(np.stack([col, *(grid._forward_neighbour(col, axis, shape,
+                                                              np.empty_like(col), -1)
+                                     for axis, _ in taps)], axis=1))
+        data.append(np.stack([np.broadcast_to(c, rows).reshape(-1)
+                              for c in (c0, *(c for _, c in taps))], axis=1))
+    cols, data = np.concatenate(cols), np.concatenate(data)
+    keep = (cols >= 0) & (data != 0.0)
+    indptr = np.zeros(2 * n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csr_array((data[keep], cols[keep], indptr), shape=(2 * n, m))
+
+
+def oracle_operator(g, mask):
+    """A = B^T B + I on the mask nodes in C order, by scipy's sparse product
+    of `horizontal_gradient` with itself."""
+    from scipy import sparse
+
+    B = horizontal_gradient(g, mask)
+    return (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
+
+
+def oracle_lower(a, colour, perm):
+    """The CSR arrays (data, indices, indptr) of the strictly lower part of
+    the C-order A in the colour order perm, where colour is each node's
+    colour: A's rows in that order, each row's entries in its nodes' C
+    order, those of a lower colour kept at their positions."""
+    rows = a[perm]
+    row = np.repeat(np.arange(perm.size), np.diff(rows.indptr))  # of each entry
+    keep = colour[rows.indices] < colour[perm][row]
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    indptr = np.zeros(perm.size + 1, dtype=rows.indptr.dtype)
+    np.cumsum(np.bincount(row[keep], minlength=perm.size), out=indptr[1:])
+    return rows.data[keep], pos[rows.indices[keep]].astype(rows.indices.dtype), indptr

@@ -112,7 +112,8 @@ def test_criterion_5_mountain_pass(mp_run, cm_run, desk_domain):
     id_def = abs(mp.extra["identity_defect"])
     gap_methods = abs(eval_J(cm.field, 2.0) - c_k) / c_k
     # A mountain-pass ground state is a saddle of Morse index 1.
-    index, eigs, _ = _morse_index(_Energy(desk_domain, 2.0), mp.field.interior())
+    energy = _Energy(desk_domain, 2.0)
+    index, eigs, *_ = _morse_index(energy, energy.colour(mp.field.interior()))
     ok = (
         mp.converged
         and c_k > 0.0

@@ -5,19 +5,20 @@ import pytest
 from scipy import sparse
 from scipy.ndimage import binary_erosion
 
+from conftest import horizontal_gradient, oracle_lower, oracle_operator
 from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
 from heisground.grid import (
     Grid3,
     ScalarField,
+    _colour_order,
+    _energy_product,
     apply_Xh,
     apply_Yh,
     ball_mask,
     build_ball_grid,
     e_norm_sq,
-    energy_operator,
     full_mask,
-    horizontal_gradient,
     inner,
     integrate,
     l2_norm,
@@ -283,7 +284,8 @@ def kronecker_gradient(grid, mask):
 
 
 class TestStencilAgainstKronecker:
-    """The stencil and the CSR B assembled from it, bit for bit against the
+    """The stencil and the operator oracle's CSR B assembled from it
+    (`conftest.horizontal_gradient`), bit for bit against the
     Kronecker-product assembly of the same differences."""
 
     @staticmethod
@@ -344,11 +346,20 @@ def reference_energy(u):
 
 
 class TestEnergyOperator:
+    """A = B^T B + I, kept as its colour order (`grid._ColourOrder`) and
+    applied as D + L + L^T."""
+
     @pytest.mark.parametrize("k, n", [(1.5, 12), (4.0, 32)])
     def test_exactly_symmetric(self, k, n):
+        # The oracle's B^T B + I is exactly symmetric, so its lower half and
+        # diagonal, which the cache keeps, give back all of it.
         grid, mask = build_ball_grid(k, n)
-        a = energy_operator(grid, mask)
+        a = oracle_operator(grid, mask)
         assert (a != a.T).nnz == 0
+        order = _colour_order(grid, mask)
+        kept = sparse.diags_array(order.diag) + order.lower + order.lower.T
+        perm = order.perm
+        assert (kept != a[perm][:, perm]).nnz == 0
 
     @pytest.mark.parametrize(
         "k, n, box", [(1.5, 12, False), (4.0, 32, False), (1.5, 12, True)]
@@ -358,38 +369,36 @@ class TestEnergyOperator:
         grid, mask = build_ball_grid(k, n)
         if box:
             mask = full_mask(grid)
-        a = energy_operator(grid, mask)
         for _ in range(3):
             u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
             v = u.interior()
             ref = reference_energy(u)
-            assert float(v @ (a @ v)) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
+            av = _energy_product(grid, mask, v)
+            assert float(v @ av) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
             assert e_norm_sq(u) == pytest.approx(ref, rel=1e-13)
 
-    def test_grid_of_arrays_keys_the_cache(self, monkeypatch):
+    def test_grid_of_arrays_keys_the_cache(self, fresh_operators):
         # The cache compares grids with ==, which raised numpy's "truth value
         # of an array is ambiguous" for every later grid once a grid of
         # ndarrays was cached.
-        monkeypatch.setattr(grid_module, "_operator_cache", [])
         grid, mask = build_ball_grid(1.5, 12)
         arrays = Grid3(np.array(grid.shape), np.array(grid.spacing), np.array(grid.corner))
-        a = energy_operator(arrays, mask)
-        assert energy_operator(grid, mask) is a
+        a = _colour_order(arrays, mask)
+        assert _colour_order(grid, mask) is a
         other, other_mask = build_ball_grid(2.0, 12)
-        assert energy_operator(other, other_mask).shape[0] == np.count_nonzero(other_mask)
+        assert _colour_order(other, other_mask).perm.size == np.count_nonzero(other_mask)
 
-    def test_cached_per_grid_and_mask(self, monkeypatch):
-        monkeypatch.setattr(grid_module, "_operator_cache", [])
+    def test_cached_per_grid_and_mask(self, fresh_operators):
         grid, mask = build_ball_grid(1.5, 12)
-        a = energy_operator(grid, mask)
-        assert energy_operator(grid, mask) is a
+        a = _colour_order(grid, mask)
+        assert _colour_order(grid, mask) is a
         entries = len(grid_module._operator_cache)
-        assert energy_operator(grid, mask.copy()) is a
+        assert _colour_order(grid, mask.copy()) is a
         assert len(grid_module._operator_cache) == entries  # no duplicate entry
-        assert energy_operator(grid, ball_mask(grid, 1.0)) is not a
+        assert _colour_order(grid, ball_mask(grid, 1.0)) is not a
         mask[tuple(n // 2 for n in grid.shape)] = False  # edited in place
-        b = energy_operator(grid, mask)
-        assert b is not a and b.shape[0] == a.shape[0] - 1
+        b = _colour_order(grid, mask)
+        assert b is not a and b.perm.size == a.perm.size - 1
 
     def test_cache_bounded_across_exhaustion(self):
         from heisground.solvers import SolverConfig, exhaust_domains
@@ -425,6 +434,105 @@ class TestEnergyOperator:
         assert rep.level == pytest.approx(3.5661056271755, rel=1e-9)
 
 
+def _assembly_cases():
+    """(id, grid, mask) of the assembly tests: ball grids, a hand-built
+    t-resolved grid and a full mask.  At N = 13 the nodes x = 0 and y = 0
+    make stencil coefficients 0, whose entries are no entries."""
+    t_resolved = Grid3((24, 24, 72), (0.25, 0.25, 0.125), (-3.0, -3.0, -9.0))  # (3, 24, 72)
+    box = build_ball_grid(2.5, 12)[0]
+    return [(f"{k}-{n}",) + build_ball_grid(k, n)
+            for k, n in ((4.0, 32), (2.5, 12), (6.0, 48), (1e-4, 8), (2.5, 13))] + [
+        ("3-24-72", t_resolved, ball_mask(t_resolved, 3.0)), ("full", box, full_mask(box))]
+
+
+ASSEMBLY_CASES = _assembly_cases()
+
+
+class TestAssembly:
+    """The colour order filled from the stencil (`grid._assemble`) against
+    the oracle A = B^T B + I of `conftest.oracle_operator`."""
+
+    @pytest.mark.parametrize("name, grid, mask", ASSEMBLY_CASES,
+                             ids=[c[0] for c in ASSEMBLY_CASES])
+    def test_bit_identical_to_the_oracle(self, name, grid, mask, fresh_operators):
+        order = _colour_order(grid, mask)
+        a = oracle_operator(grid, mask)
+        colour = grid_module._node_colours(grid, mask)
+        perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)])
+        assert np.array_equal(order.perm, perm)
+        assert order.split == (np.count_nonzero(colour == 0), np.count_nonzero(colour < 2))
+        assert np.array_equal(order.diag.view(np.uint64), a.diagonal()[perm].view(np.uint64))
+        assert np.array_equal(order.inv_diag.view(np.uint64),
+                              (1.0 / a.diagonal()[perm]).view(np.uint64))
+        want = oracle_lower(a, colour, perm)
+        for got, ref in zip((order.lower.data, order.lower.indices, order.lower.indptr), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+        assert order.lower.indices.dtype == np.int32 == a.indices.dtype
+
+    @pytest.mark.parametrize("name, grid, mask", ASSEMBLY_CASES,
+                             ids=[c[0] for c in ASSEMBLY_CASES])
+    def test_product_matches_the_oracle(self, name, grid, mask):
+        order = _colour_order(grid, mask)
+        a = oracle_operator(grid, mask)
+        perm = order.perm
+        rng = np.random.default_rng(37)
+        for v in rng.standard_normal((2, perm.size)):
+            want = a @ v
+            got = _energy_product(grid, mask, v)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+            np.testing.assert_array_equal(order.product(v[perm]), got[perm])
+        block = rng.standard_normal((perm.size, 3))
+        np.testing.assert_array_equal(order.product(block),
+                                      np.stack([order.product(c) for c in block.T], axis=1))
+
+    def test_no_gradient_matrix_and_no_sparse_product(self, monkeypatch, fresh_operators):
+        # On an emptied cache a solve and a polish assemble their operator
+        # with no B (the oracle's horizontal_gradient raises) and no product
+        # of two sparse matrices (scipy's sparse-by-sparse product raises).
+        import conftest
+        from scipy.sparse._compressed import _cs_matrix
+
+        from heisground import solvers
+        from heisground.solvers import SolverConfig, make_domain, radial_bump
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the package built B or multiplied two sparse matrices")
+
+        monkeypatch.setattr(conftest, "horizontal_gradient", refuse)
+        monkeypatch.setattr(_cs_matrix, "_matmul_sparse", refuse)
+        assert not hasattr(grid_module, "horizontal_gradient")
+        assert not hasattr(grid_module, "energy_operator")
+        cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-4)
+        domain = make_domain(cfg)
+        rep = solvers.solve_constrained_min(cfg, domain=domain)
+        assert rep.converged and len(grid_module._operator_cache) == 1
+        energy = solvers._Energy(domain, cfg.p)
+        v = energy.colour(radial_bump(domain).interior())
+        w0 = energy.ray_max(energy.c_order(v))[0] * v
+        _, gn, steps = solvers._newton_polish(energy, w0)
+        assert steps and gn < energy.norm(energy.grad(w0))
+
+    def test_entry_holds_l_and_three_vectors(self, fresh_operators):
+        # The cache entry of the k = 4, N = 32 ball: L's arrays, the order,
+        # diag(A) and its inverse, and L's pieces (views of its data and
+        # indices, with their own row pointers); no copy of A.
+        grid, mask = build_ball_grid(4.0, 32)
+        order = _colour_order(grid, mask)
+        arrays = [order.perm, order.diag, order.inv_diag]
+        for a in (order.lower, order.upper) + order.rows + order.columns:
+            arrays += [a.data, a.indices, a.indptr]
+        bases = {}
+        for a in arrays:
+            while a.base is not None:
+                a = a.base
+            bases[id(a)] = a.nbytes
+        lower = order.lower
+        m = order.perm.size
+        l_bytes = lower.data.nbytes + lower.indices.nbytes + lower.indptr.nbytes
+        assert sum(bases.values()) <= l_bytes + 3 * m * 8
+
+
 class TestColourBlocks:
     """The three-colour order of the descent's Gauss-Seidel sweep."""
 
@@ -439,7 +547,7 @@ class TestColourBlocks:
     @pytest.mark.parametrize("case", range(3))
     def test_no_entry_joins_two_nodes_of_one_colour(self, case):
         grid, mask = self._grids()[case]
-        a = energy_operator(grid, mask).tocoo()
+        a = oracle_operator(grid, mask).tocoo()
         colour = grid_module._node_colours(grid, mask)
         off = a.row != a.col
         assert off.any()
@@ -450,11 +558,11 @@ class TestColourBlocks:
         # L's colour-1 rows are the block A_10, its colour-2 rows [A_20 A_21],
         # and their CSC transposes the upper blocks.
         grid, mask = self._grids()[case]
-        a = energy_operator(grid, mask)
+        a = oracle_operator(grid, mask)
         order = grid_module._colour_order(grid, mask)
         perm, (n0, n01) = order.perm, order.split
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
-        for rows, row, upper in zip((perm[n0:n01], perm[n01:]), order.rows, order.upper):
+        for rows, row, upper in zip((perm[n0:n01], perm[n01:]), order.rows, order.columns):
             assert row.format == "csr" and upper.format == "csc"
             assert (row != a[rows][:, perm[:row.shape[1]]]).nnz == 0
             assert (upper != row.T).nnz == 0
@@ -462,22 +570,21 @@ class TestColourBlocks:
 
     @pytest.mark.parametrize("case", range(3))
     def test_lower_is_the_strictly_lower_part_in_colour_order(self, case):
-        from scipy import sparse
-
         grid, mask = self._grids()[case]
-        a = energy_operator(grid, mask)
+        a = oracle_operator(grid, mask)
         order = grid_module._colour_order(grid, mask)
-        lower, perm = order.lower, order.perm
+        lower, upper, perm = order.lower, order.upper, order.perm
         want = sparse.tril(a[perm][:, perm], k=-1).tocsr()
-        assert lower.format == "csr"
+        assert lower.format == "csr" and upper.format == "csc"
         assert lower.nnz == want.nnz and (lower != want).nnz == 0
+        assert (upper != want.T).nnz == 0
         # the strictly lower part holds half of A's off-diagonal entries
         assert 2 * lower.nnz + a.shape[0] == a.nnz
         assert lower.indices.dtype == lower.indptr.dtype == np.int32 == a.indices.dtype
-        for piece in order.rows + order.upper:
+        for piece in (upper,) + order.rows + order.columns:
             assert np.shares_memory(piece.data, lower.data)
             assert np.shares_memory(piece.indices, lower.indices)
-        np.testing.assert_array_equal(order.inv_diag_colour, 1.0 / a.diagonal()[perm])
+        np.testing.assert_array_equal(order.inv_diag, 1.0 / a.diagonal()[perm])
 
 
 class TestQuadrature:

@@ -6,7 +6,7 @@ from unittest.mock import ANY
 import numpy as np
 import pytest
 
-from conftest import make_random_smooth_field
+from conftest import make_random_smooth_field, oracle_operator
 from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
@@ -24,6 +24,8 @@ from heisground.functionals import (
 from heisground.grid import (
     Grid3,
     ScalarField,
+    _by_rows,
+    _energy_product,
     ball_mask,
     build_ball_grid,
     l2_norm,
@@ -78,6 +80,25 @@ class TestConfig:
     def test_accepts_numpy_integers(self):
         cfg = SolverConfig(nodes_per_axis=np.int64(12), max_iters=np.int32(5))
         assert make_domain(cfg).grid.shape == (12, 12, 12)
+
+    @pytest.mark.parametrize("name", ["p", "ball_radius", "grad_tol", "nodes_per_axis",
+                                      "max_iters"])
+    @pytest.mark.parametrize("value", [True, "4", "2", None, 1j])
+    def test_takes_numbers_by_the_grid_rule(self, name, value):
+        # A bool was accepted as 1 (ball_radius, grad_tol, max_iters), and a
+        # string or None raised TypeError from a comparison; `_real`, the
+        # rule of Grid3 and GroupPoint, refuses both.
+        kind = "an integer" if name in ("nodes_per_axis", "max_iters") else "a real number"
+        with pytest.raises(ConfigurationError, match=f"{name} must be {kind}"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("p", np.float64(2.5)), ("p", np.float32(1.5)),
+                                             ("ball_radius", np.float64(3.0)),
+                                             ("grad_tol", np.float32(1e-4)),
+                                             ("nodes_per_axis", np.int16(12)),
+                                             ("max_iters", np.uint8(9))])
+    def test_accepts_numpy_scalars(self, name, value):
+        assert getattr(SolverConfig(**{name: value}), name) == value
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -374,11 +395,12 @@ class TestNewtonPolish:
     def test_reaches_the_rounding_floor(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
         v, *_ = _ray_descent(energy, radial_bump(small_domain).interior(), 1e-3, 1000, [])
-        w0 = energy.ray_max(v)[0] * v
+        w0 = energy.colour(energy.ray_max(v)[0] * v)
         start = energy.norm(energy.grad(w0))
-        w, gn = _newton_polish(energy, w0)
+        w, gn, minres_iterations = _newton_polish(energy, w0)
         assert start > 1e-4 and gn <= 1e-11
         assert gn == energy.norm(energy.grad(w))
+        assert len(minres_iterations) >= 2 and all(i > 0 for i in minres_iterations)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     def test_never_raises_the_gradient(self, small_domain, small_config, scale):
@@ -386,39 +408,47 @@ class TestNewtonPolish:
         # the line search accepts raises |G|.
         energy = _Energy(small_domain, small_config.p)
         w0 = scale * energy.ray_max(radial_bump(small_domain).interior())[0] \
-            * radial_bump(small_domain).interior()
-        w, gn = _newton_polish(energy, w0)
+            * energy.colour(radial_bump(small_domain).interior())
+        w, gn, _ = _newton_polish(energy, w0)
         assert np.isfinite(gn) and gn <= energy.norm(energy.grad(w0))
 
     def test_index_one_at_the_ground_state(self, small_mp, small_domain, small_config):
-        index, eigs, _ = _morse_index(_Energy(small_domain, small_config.p),
-                                   small_mp.field.interior())
-        assert index == 1 and len(eigs) == 3
+        energy = _Energy(small_domain, small_config.p)
+        index, eigs, vecs, iterations = _morse_index(energy,
+                                                     energy.colour(small_mp.field.interior()))
+        assert index == 1 and len(eigs) == 3 and vecs.shape == (energy.order.perm.size, 3)
+        assert 0 < iterations < solvers._LOBPCG_MAX_ITERS
         assert eigs[0] < -1.0 < 0.5 < eigs[1] <= eigs[2]
 
     def test_index_zero_where_the_hessian_is_a(self, small_domain, small_config):
         # With no positive part, H = A, whose spectrum lies above 1.
         energy = _Energy(small_domain, small_config.p)
-        index, eigs, _ = _morse_index(energy, -radial_bump(small_domain).interior())
+        index, eigs, *_ = _morse_index(energy, -energy.colour(radial_bump(small_domain).interior()))
         assert index == 0 and eigs[0] > 1.0
 
     def test_polish_and_index_are_preconditioned_by_the_sweep(
             self, small_mp, small_domain, small_config, monkeypatch):
+        # The polish sweeps one vector per MINRES iteration, and the index
+        # LOBPCG's whole block of residuals at once.
         calls = []
-        sweep = _Energy.sweep
+        half_sweeps = _Energy.half_sweeps
 
         def counting(self, g):
-            calls.append(g.size)
-            return sweep(self, g)
+            calls.append(g.shape)
+            return half_sweeps(self, g)
 
-        monkeypatch.setattr(_Energy, "sweep", counting)
+        monkeypatch.setattr(_Energy, "half_sweeps", counting)
         energy = _Energy(small_domain, small_config.p)
-        w = small_mp.field.interior()
-        _newton_polish(energy, 1.01 * w)
+        w = energy.colour(small_mp.field.interior())
+        m = w.size
+        _, _, minres_iterations = _newton_polish(energy, 1.01 * w)
         polish = len(calls)
+        assert set(calls) == {(m,)}
+        assert polish >= sum(minres_iterations) > 0
         assert _morse_index(energy, w)[0] == 1
-        assert polish > 0 and len(calls) > polish
-        assert set(calls) == {w.size}
+        index = set(calls[polish:])
+        assert index and all(len(shape) == 2 and shape[0] == m for shape in index)
+        assert max(shape[1] for shape in index) == solvers._MORSE_EIGENVALUES + 1
 
 
 class TestColourSweep:
@@ -430,7 +460,7 @@ class TestColourSweep:
         energy = _Energy(small_domain, small_config.p)
         rng = np.random.default_rng(33)
         for _ in range(5):
-            x, y = rng.standard_normal((2, energy.A.shape[0]))
+            x, y = rng.standard_normal((2, energy.order.perm.size))
             assert float(x @ energy.sweep(y)[0]) == pytest.approx(
                 float(energy.sweep(x)[0] @ y), rel=1e-12)
             assert float(x @ energy.sweep(x)[0]) > 0.0
@@ -442,7 +472,7 @@ class TestColourSweep:
         perm = energy.order.perm
         m = perm.size
         assert m == 1088 and np.array_equal(np.sort(perm), np.arange(m))
-        a = energy.A.toarray()[np.ix_(perm, perm)]
+        a = oracle_operator(small_domain.grid, small_domain.mask).toarray()[np.ix_(perm, perm)]
         d = np.diag(np.diag(a))
         lower = solve_triangular(a, np.eye(m), lower=True)  # (D + L)^-1
         want_inv = solve_triangular(a, d @ lower, lower=False)  # (D + U)^-1 D (D + L)^-1
@@ -452,19 +482,39 @@ class TestColourSweep:
             np.testing.assert_allclose(energy.sweep(col)[0], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
-    def test_c_order_operator_is_the_permuted_sweep(self, small_domain, small_config):
-        # The polish and the index take the sweep in C order: symmetric,
-        # positive, and a block swept column by column.
+    def test_operator_is_the_sweep(self, small_domain, small_config):
+        # The polish and the index take the sweep in colour order, with no
+        # permutation: symmetric, positive, and a block swept in one call.
         energy = _Energy(small_domain, small_config.p)
-        m, perm = solvers._sweep_operator(energy), energy.order.perm
+        m, size = solvers._sweep_operator(energy), energy.order.perm.size
         rng = np.random.default_rng(36)
         for _ in range(5):
-            x, y = rng.standard_normal((2, perm.size))
+            x, y = rng.standard_normal((2, size))
             assert float(x @ (m @ y)) == pytest.approx(float((m @ x) @ y), rel=1e-12)
             assert float(x @ (m @ x)) > 0.0
-            np.testing.assert_array_equal(m @ x, energy.c_order(energy.sweep(x[perm])[0]))
-        block = rng.standard_normal((perm.size, 2))
+            np.testing.assert_array_equal(m @ x, energy.sweep(x)[0])
+            np.testing.assert_array_equal(energy.half_sweeps(x)[0], energy.sweep(x)[0])
+        block = rng.standard_normal((size, 2))
         np.testing.assert_array_equal(m @ block, np.stack([m @ c for c in block.T], axis=1))
+
+    @pytest.mark.parametrize("domain", [
+        lambda: make_domain(SolverConfig(ball_radius=2.5, nodes_per_axis=12)),
+        lambda: make_domain(SolverConfig(ball_radius=4.0, nodes_per_axis=32)),
+    ], ids=["12", "4-32"])
+    def test_block_sweep_is_the_column_sweeps(self, domain):
+        # An (m, b) block is swept at once, bit for bit as its columns one
+        # at a time, P and A P both; so is a block's product with A.
+        energy = _Energy(domain(), 2.0)
+        block = np.random.default_rng(38).standard_normal((energy.order.perm.size, 4))
+        p, ap = energy.sweep(block)
+        for k, col in enumerate(block.T):
+            want_p, want_ap = energy.sweep(col)
+            assert np.array_equal(p[:, k].view(np.uint64), want_p.view(np.uint64))
+            assert np.array_equal(ap[:, k].view(np.uint64), want_ap.view(np.uint64))
+        f_order = np.asfortranarray(block)
+        np.testing.assert_array_equal(energy.sweep(f_order)[0], p)
+        np.testing.assert_array_equal(
+            energy.product(block), np.stack([energy.product(c) for c in block.T], axis=1))
 
     @pytest.mark.parametrize("domain", [
         lambda: make_domain(SolverConfig(ball_radius=2.5, nodes_per_axis=12)),
@@ -480,7 +530,7 @@ class TestColourSweep:
             p, ap = energy.sweep(g)
             x = np.empty_like(p)
             x[perm] = p
-            want = (energy.A @ x)[perm]
+            want = (oracle_operator(energy.grid, energy.mask) @ x)[perm]
             assert np.linalg.norm(ap - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -491,7 +541,8 @@ class TestVectorEnergy:
         u = radial_bump(small_domain)
         u = u.with_values(0.4 * (16 * u.values))
         v = u.interior()
-        assert np.allclose(energy.grad(v), grad_J(u, p).interior(), rtol=0, atol=1e-13)
+        assert np.allclose(energy.c_order(energy.grad(energy.colour(v))),
+                           grad_J(u, p).interior(), rtol=0, atol=1e-13)
         assert energy.ray_max(v) == pytest.approx(nehari_scale(u, p), rel=1e-13)
         assert energy.norm(v) == pytest.approx(l2_norm(u), rel=1e-13)
         assert np.array_equal(energy.field(v).values, u.values)
@@ -506,7 +557,7 @@ class TestVectorEnergy:
             energy, radial_bump(small_domain).interior(), 1e-12, 5, trace)
         assert (stop, iters, len(trace)) == ("max_iters", 5, 5)
         normal = _pos_pow(v, p)
-        av = energy.A @ v
+        av = _energy_product(small_domain.grid, small_domain.mask, v)
         g = av - energy.inner(av, normal) / energy.inner(normal, normal) * normal
         assert gn == pytest.approx(energy.norm(g), rel=1e-12)
         assert trace[-1] == (4, 0.5 * energy.norm_sq(v), gn)
@@ -539,20 +590,19 @@ class TestVectorEnergy:
         # 22 iterations take 24 applications of A: the start, the refresh
         # after step 20 and the one before the grad_tol exit are products
         # with A, and the 21 steps' A P come from the sweep.
-        class Counting:
-            def __init__(self, a):
-                self.a, self.calls = a, 0
-
-            def __matmul__(self, x):
-                self.calls += 1
-                return self.a @ x
-
         energy = _Energy(small_domain, small_config.p)
-        energy.A = Counting(energy.A)
+        calls = []
+        product = energy.product
+
+        def counting(v):
+            calls.append(v.shape)
+            return product(v)
+
+        energy.product = counting
         _, iters, _, stop, products = _ray_descent(
             energy, radial_bump(small_domain).interior(), small_config.grad_tol, 1000, [])
         assert (iters, stop, products) == (22, "grad_tol", 24)
-        assert energy.A.calls == 3
+        assert calls == [(energy.order.perm.size,)] * 3
 
     def test_ray_descent_keeps_a_sign_changing_start(self, small_domain, small_config):
         # With no step taken the descent returns its start, negative part
@@ -583,7 +633,7 @@ class TestVectorEnergy:
         assert rep.trace[0][1] == pytest.approx(i_start, rel=1e-10)
         assert rep.converged and rep.extra["grad_norm"] <= 1e-11
         assert rep.extra["operator_products"] < 200
-        assert _morse_index(energy, rep.field.interior())[0] == 1
+        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
         assert rep.level >= GROUND_LEVEL_K2_5_N12 * (1.0 - 1e-12)
 
     def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
@@ -673,9 +723,15 @@ class TestCrossMethod:
         # one loop from one bump: the fields are compared where they lie
         assert rep.field_distance_rel < 1e-4
         assert rep.morse_index == 1 and rep.as_dict()["morse_index"] == 1
-        # the index's seconds go to the mountain-pass report's timings
+        # the index's seconds go to the mountain-pass report's timings, and
+        # its LOBPCG iterations to the report beside the polish's MINRES ones
         timings = rep.mountain_pass.extra["timings"]
         assert set(timings) == {"descent", "polish", "report", "index"}
+        extra = rep.mountain_pass.as_dict()
+        assert 0 < extra["index_lobpcg_iterations"] < solvers._LOBPCG_MAX_ITERS
+        assert extra["polish_minres_iterations"] and all(
+            isinstance(i, int) and i > 0 for i in extra["polish_minres_iterations"])
+        assert "index_lobpcg_iterations" not in rep.constrained.extra
         assert set(rep.constrained.extra["timings"]) == {"descent", "report"}
         assert all(0.0 <= t < 60.0 for t in timings.values())
 
@@ -734,7 +790,7 @@ class TestExhaustion:
         # bump's t-reflection symmetry up to rounding.  The colour sweep
         # breaks it and reaches the ground state from that bump.
         def jacobi(self, g):
-            p = self.order.inv_diag_colour * g
+            p = _by_rows(self.order.inv_diag, g) * g
             return p, self.product(p)
 
         monkeypatch.setattr(_Energy, "sweep", jacobi)
@@ -742,10 +798,10 @@ class TestExhaustion:
         energy = _Energy(dom, cfg.p)
         saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
         assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
-        assert _morse_index(energy, saddle.field.interior())[0] == 2
+        assert _morse_index(energy, energy.colour(saddle.field.interior()))[0] == 2
         rep = solvers._leave_saddle(cfg, dom, saddle)
         assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
-        assert _morse_index(energy, rep.field.interior())[0] == 1
+        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
         # exhaust_domains certifies its first ball the same way
         monkeypatch.setattr(solvers, "radial_bump", _origin_bump)
         first = exhaust_domains([2.0, 6.0], cfg).entries[0]
@@ -757,7 +813,8 @@ class TestExhaustion:
         cfg, dom = _k2_ball_of_the_desk_grid()
         rep = solve_mountain_pass(cfg, domain=dom)
         assert rep.converged and rep.level == pytest.approx(61.73916509504, rel=1e-9)
-        assert _morse_index(_Energy(dom, cfg.p), rep.field.interior())[0] == 1
+        energy = _Energy(dom, cfg.p)
+        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
         cm = solve_constrained_min(cfg, domain=dom)
         assert cm.converged and cm.iterations < 60
         assert cm.level == pytest.approx(3.590933303923609, rel=1e-9)

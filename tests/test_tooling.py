@@ -120,6 +120,11 @@ def test_autouse_fixture_empties_every_per_grid_cache():
     # Every `functools.lru_cache` of grid and cc_diag, and `_window_cache`,
     # is filled here and must be empty after the autouse fixture of
     # conftest.py, so no cache carries state from one test into the next.
+    # The operator cache, `grid._operator_cache`, is not among them on
+    # purpose: it is kept for the whole session, because the desk fixtures
+    # reuse its entries.  A test of the operator's assembly takes the
+    # `fresh_operators` fixture, which empties it for that test, so that a
+    # patched assembly cannot pass on an entry built before the patch.
     from conftest import fresh_ball_geometry
     from heisground import cc_diag, grid
 
