@@ -33,12 +33,10 @@ from .grid import (
     apply_Yh,
     build_ball_grid,
     e_norm,
-    integrate,
     lq_norm,
 )
 from .functionals import (
     EnergyBreakdown,
-    critical_identity_defect,
     energy_breakdown,
     eval_I,
     eval_J,

@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import cc_diag, hgf, solvers
+from . import __version__, cc_diag, hgf, solvers
 from .errors import ConfigurationError, DomainError, HeisgroundError
 from .heis_core import calculus_check_suite
 
@@ -58,6 +58,12 @@ _SOLVER_FLAGS = {
 def _json(obj) -> str:
     """The JSON text of every report and verdict: indented, keys sorted."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _config(args, **parsed) -> dict:
+    """A report's "config": the subcommand's parsed arguments, each value
+    that the command parses further given as parsed."""
+    return {**{k: v for k, v in vars(args).items() if k != "command"}, **parsed}
 
 
 def _write_text(path: str, text: str) -> None:
@@ -174,7 +180,8 @@ def _reuse_freed_memory() -> None:
 def cmd_calculus_check(args) -> int:
     checks = calculus_check_suite(seed=args.seed)
     failed = [c["name"] for c in checks if not c["passed"]]
-    text = _json({"checks": checks, "failed": failed, "passed": not failed})
+    text = _json({"checks": checks, "failed": failed, "passed": not failed,
+                  "version": __version__})
     if args.out:
         _write_text(args.out, text)
     print(text)
@@ -194,6 +201,7 @@ def cmd_solve(args) -> int:
         "config": {"method": args.method, **asdict(cfg), "out": args.out,
                    "report": args.report},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "version": __version__,
         **rep.as_dict(),
     }
     if args.out:
@@ -238,6 +246,7 @@ def cmd_exhaust(args) -> int:
             failed = failed or not e.report.converged
     else:
         verdict = {"monotone": False, "entries": []}
+    verdict.update(version=__version__, config=_config(args, radii=radii))
     _write_csv(
         args.out_csv,
         ["k", "c_k", "max_value", "xi_gauge", "delta", "r2"],
@@ -266,7 +275,8 @@ def cmd_classify(args) -> int:
         fields.append(f)
     densities = [cc_diag.normalize_mass(f, args.q) for f in fields]
     result = cc_diag.classify_sequence(densities, eps=args.eps, R_grid=radii)
-    text = _json(result.as_dict())
+    text = _json({**result.as_dict(), "version": __version__,
+                  "config": _config(args, radii=radii)})
     if args.out:
         _write_text(args.out, text)
     print(text)

@@ -35,7 +35,6 @@ __all__ = [
     "grad_J",
     "residual",
     "nehari_scale",
-    "critical_identity_defect",
     "energy_breakdown",
 ]
 
@@ -133,11 +132,6 @@ def nehari_scale(u: ScalarField, p: float):
 def _identity_defect(J: float, nsq: float, p: float) -> float:
     """J - (p-1)/(2(p+1)) ||u||^2 from J and ||u||^2, as in an `EnergyBreakdown`."""
     return J - (p - 1.0) / (2.0 * (p + 1.0)) * nsq
-
-
-def critical_identity_defect(u: ScalarField, p: float) -> float:
-    """J(u) - (p-1)/(2(p+1)) ||u||^2; vanishes exactly at critical points."""
-    return _identity_defect(eval_J(u, p), e_norm_sq(u), p)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ A is applied and never stored.  The solvers multiply by it thousands of
 times, in a three-colour order of the mask nodes (`_node_colours`) that
 their one preconditioner, a symmetric Gauss-Seidel sweep, needs.  So the
 operator cache keeps, per (grid, mask), only that order, diag(A) and L,
-the strictly lower part of A in that order (`_ColourOrder`), and applies
-A as D v + L v + L^T v; the field functions apply it in the mask's C
-order through a permutation (`_energy_product`).  Each off-diagonal entry
+the strictly lower part of A in that order.  `_ColourOrder` owns the
+colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
+package's only permutations between the mask's C order and the colour
+order, which the solvers and the field functions (`_energy_product`) go
+through.  No other module reads its layout.  Each off-diagonal entry
 of A is one or two products of stencil coefficients, and each diagonal
 entry a sum of up to six squares, so L and diag(A) are filled from the
 coefficients on first use (`_assemble`), bit for bit as scipy's sparse
@@ -74,7 +76,6 @@ __all__ = [
     "ball_mask",
     "apply_Xh",
     "apply_Yh",
-    "integrate",
     "lq_norm",
     "l2_norm",
     "e_norm",
@@ -313,7 +314,10 @@ def _by_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 class _ColourOrder(NamedTuple):
     """A of one (grid, mask) in the three-colour order of `_node_colours`,
-    the one form in which the package keeps it.
+    the one form in which the package keeps it, and the one owner of that
+    order: it applies A (`product`), sweeps (`sweep`, `half_sweeps`) and
+    translates vectors between the mask's C order and the colour order
+    (`colour`, `c_order`).  No other module reads its layout.
 
     The colour order lists the colour-0 mask nodes, then colour 1, then
     colour 2, each in C order: position k holds mask node perm[k] (a
@@ -333,7 +337,8 @@ class _ColourOrder(NamedTuple):
       columns.
 
     perm and L's indices are 32-bit wherever L's entries fit.  A itself is
-    applied (`product`) and never stored.
+    applied and never stored.  Every method takes a vector or an (m, b)
+    block, column by column at once.
     """
 
     perm: np.ndarray
@@ -345,9 +350,18 @@ class _ColourOrder(NamedTuple):
     rows: tuple
     columns: tuple
 
+    def colour(self, v: np.ndarray) -> np.ndarray:
+        """The C-order v in colour order, as a new array."""
+        return v.take(self.perm, axis=0)
+
+    def c_order(self, v: np.ndarray) -> np.ndarray:
+        """The colour-order v in the mask's C order, as a new array."""
+        out = np.empty_like(v)
+        out[self.perm.astype(np.intp, copy=False)] = v  # numpy scatters faster by intp
+        return out
+
     def apply(self, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """diag v + L v + L^T v of a colour-order vector v, or of an (m, b)
-        block column by column, as a new array."""
+        """diag v + L v + L^T v of a colour-order v, as a new array."""
         out = _by_rows(diag, v) * v
         out += self.lower @ v
         out += self.upper @ v
@@ -356,6 +370,54 @@ class _ColourOrder(NamedTuple):
     def product(self, v: np.ndarray) -> np.ndarray:
         """A v = D v + L v + L^T v, D = diag(A), in colour order (`apply`)."""
         return self.apply(self.diag, v)
+
+    def sweep(self, g: np.ndarray):
+        """(P, A P) for P = M^-1 g, M = (D + L) D^-1 (D + U) the symmetric
+        Gauss-Seidel of A in colour order (Saad, Iterative Methods for Sparse
+        Linear Systems, 2nd ed., 2003, 12.4); g, P and A P in colour order.
+
+        `half_sweeps` gives P and r = (D + U) P = D y, so A P = r + L P
+        (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  So the sweep is five
+        sparse products with L or its pieces, whose entries are half of A's
+        off-diagonal ones, and no product with A.  M is symmetric positive
+        definite, as A is.
+        """
+        p, r = self.half_sweeps(g)
+        r += self.lower @ p
+        return p, r
+
+    def half_sweeps(self, g: np.ndarray):
+        """(P, D y) for the forward half-sweep y = (D + L)^-1 g and the
+        backward one P = (D + U)^-1 D y, U = L^T, of `sweep`; the solvers'
+        polish and index precondition by P alone.
+
+        Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
+        is its whole block.  With L_1, L_2 the colour-1 and colour-2 rows of
+        L and y_01 the colour-0 and colour-1 slices of y, the forward
+        half-sweep is
+            r0 = g0,  r1 = g1 - L_1 y0,  r2 = g2 - L_2 y_01,  yc = Dc^-1 rc,
+        and the backward one is
+            P2 = y2,  t = L_2^T P2,  P1 = y1 - D1^-1 t1,
+            P0 = y0 - D0^-1 (t0 + L_1^T P1),
+        four sparse products; r = D y.
+        """
+        (n0, n01), d = self.split, _by_rows(self.inv_diag, g)
+        (l1, l2), (u1, u2) = self.rows, self.columns
+        r = g.copy()  # becomes D y
+        y = np.empty_like(r)  # becomes P
+        np.multiply(r[:n0], d[:n0], out=y[:n0])
+        r[n0:n01] -= l1 @ y[:n0]
+        np.multiply(r[n0:n01], d[n0:n01], out=y[n0:n01])
+        r[n01:] -= l2 @ y[:n01]
+        np.multiply(r[n01:], d[n01:], out=y[n01:])
+        t = u2 @ y[n01:]
+        t[n0:] *= d[n0:n01]
+        y[n0:n01] -= t[n0:]
+        t = t[:n0]
+        t += u1 @ y[n0:n01]
+        t *= d[:n0]
+        y[:n0] -= t
+        return y, r
 
 
 def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
@@ -492,9 +554,7 @@ def _energy_product(grid: Grid3, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v of a mask-node vector v in the mask's C order, in that order: v
     permuted into the colour order, multiplied there and permuted back."""
     order = _colour_order(grid, mask)
-    out = np.empty_like(v)
-    out[order.perm] = order.product(v.take(order.perm))
-    return out
+    return order.c_order(order.product(order.colour(v)))
 
 
 def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:
@@ -540,11 +600,6 @@ def sublaplacian_values(u: ScalarField) -> np.ndarray:
     out = np.zeros(u.grid.shape)
     out[u.mask] = v - _energy_product(u.grid, u.mask, v)
     return out
-
-
-def integrate(u: ScalarField) -> float:
-    """Midpoint rule: cell volume times the sum over (masked-in) nodes."""
-    return float(u.values.sum()) * u.grid.cell_volume
 
 
 def _check_lq_exponent(q: float) -> None:

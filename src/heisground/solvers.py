@@ -4,7 +4,7 @@ Both methods run one loop, `_ray_descent`: it minimizes I on the constraint
 {int v_+^(p+1) = 1} as the scale-invariant quotient R(v) = v^T A v /
 (sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG (Antoine, Levitt &
 Tang, J. Comput. Phys. 343, 2017) preconditioned by a symmetric
-Gauss-Seidel sweep of A in a three-colour order (`_Energy.sweep`).  On the
+Gauss-Seidel sweep of A in a three-colour order (`grid._ColourOrder`).  On the
 constraint the ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1))
 is monotone in I, so the loop lowers the top of the ray through v.  An
 iteration costs one sweep and no product with A: the loop runs in the
@@ -31,7 +31,9 @@ u* = lambda^(1/(p-1)) u.
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
 Comput., 2001).  The polish and the index run in the colour order too,
-preconditioned by the descent's sweep (`_sweep_operator`).  They load
+preconditioned by the descent's sweep (`_sweep_operator`).  The colour
+order, its sweep and its permutations are `grid._ColourOrder`'s; this
+module reads them through an `_Energy`'s `order`.  They load
 `scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's first
 operator (see `grid`).
 All work on mask-node vectors through one `_Energy` per (domain, p); a
@@ -69,7 +71,6 @@ from .grid import (
     Grid3,
     ScalarField,
     _box_norm_sq,
-    _by_rows,
     _colour_order,
     _power,
     ball_mask,
@@ -277,83 +278,19 @@ class _Energy:
     A state comes in and goes out in the mask's C order, the order of
     `u.values[u.mask]`: `field`, `norm_sq` and `ray_max` read C-order
     vectors.  The descent, the polish and the index work in the colour
-    order of `grid._ColourOrder` (`order`), where each colour is a
-    contiguous slice and A is kept: `product` is A v, `grad` grad J and
-    `sweep` (or its `half_sweeps`) the package's one preconditioner there,
-    and `colour` and `c_order` permute a vector in and out.  `mass`,
-    `inner`, `norm` and `renormalize` take either order.  The energy norm
-    is summed as squares of B v and v by the stencil (see `grid`), and the
-    formulas are the ones the public field functions use.  The colour
-    order comes from the operator cache, so an _Energy builds no array.
+    order, which `order`, the domain's `grid._ColourOrder`, owns: it applies
+    A, sweeps, and permutes a vector in (`colour`) and out (`c_order`).
+    `grad` reads colour-order vectors, and `mass`, `inner`, `norm` and
+    `renormalize` take either order.  The energy norm is summed as squares
+    of B v and v by the stencil (see `grid`), and the formulas are the ones
+    the public field functions use.  The colour order comes from the
+    operator cache, so an _Energy builds no array.
     """
 
     def __init__(self, domain: Domain, p: float):
         self.grid, self.mask, self.p = domain.grid, domain.mask, p
         self.w = domain.grid.cell_volume
         self.order = _colour_order(domain.grid, domain.mask)
-
-    def sweep(self, g: np.ndarray):
-        """(P, A P) for P = M^-1 g, M = (D + L) D^-1 (D + U) the symmetric
-        Gauss-Seidel of A in colour order (Saad, Iterative Methods for Sparse
-        Linear Systems, 2nd ed., 2003, 12.4); g, P and A P in colour order.
-        g is a vector or an (m, b) block, swept column by column at once.
-
-        `half_sweeps` gives P and r = (D + U) P = D y, so A P = r + L P
-        (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981).  So the sweep is five
-        sparse products with L or its pieces, whose entries are half of A's
-        off-diagonal ones, and no product with A.  M is symmetric positive
-        definite, as A is.
-        """
-        p, r = self.half_sweeps(g)
-        r += self.order.lower @ p
-        return p, r
-
-    def half_sweeps(self, g: np.ndarray):
-        """(P, D y) for the forward half-sweep y = (D + L)^-1 g and the
-        backward one P = (D + U)^-1 D y, U = L^T, of `sweep`; the polish and
-        the index precondition by P alone.
-
-        Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
-        is its whole block.  With L_1, L_2 the colour-1 and colour-2 rows of
-        L (`grid._ColourOrder`) and y_01 the colour-0 and colour-1 slices of
-        y, the forward half-sweep is
-            r0 = g0,  r1 = g1 - L_1 y0,  r2 = g2 - L_2 y_01,  yc = Dc^-1 rc,
-        and the backward one is
-            P2 = y2,  t = L_2^T P2,  P1 = y1 - D1^-1 t1,
-            P0 = y0 - D0^-1 (t0 + L_1^T P1),
-        four sparse products; r = D y.
-        """
-        (n0, n01), d = self.order.split, _by_rows(self.order.inv_diag, g)
-        (l1, l2), (u1, u2) = self.order.rows, self.order.columns
-        r = g.copy()  # becomes D y
-        y = np.empty_like(r)  # becomes P
-        np.multiply(r[:n0], d[:n0], out=y[:n0])
-        r[n0:n01] -= l1 @ y[:n0]
-        np.multiply(r[n0:n01], d[n0:n01], out=y[n0:n01])
-        r[n01:] -= l2 @ y[:n01]
-        np.multiply(r[n01:], d[n01:], out=y[n01:])
-        t = u2 @ y[n01:]
-        t[n0:] *= d[n0:n01]
-        y[n0:n01] -= t[n0:]
-        t = t[:n0]
-        t += u1 @ y[n0:n01]
-        t *= d[:n0]
-        y[:n0] -= t
-        return y, r
-
-    def product(self, v: np.ndarray) -> np.ndarray:
-        """A v = D v + L v + L^T v of a colour-order vector or block v."""
-        return self.order.product(v)
-
-    def colour(self, v: np.ndarray) -> np.ndarray:
-        """The C-order vector v in colour order, as a new array."""
-        return v.take(self.order.perm)
-
-    def c_order(self, v: np.ndarray) -> np.ndarray:
-        """The colour-order vector v in the mask's C order, as a new array."""
-        out = np.empty_like(v)
-        out[self.order.perm] = v
-        return out
 
     def field(self, v: np.ndarray) -> ScalarField:
         """The field of the C-order vector v."""
@@ -378,7 +315,7 @@ class _Energy:
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         """grad J = A v - v_+^p of the colour-order vector v."""
-        return _gradient(self.product(v), v, self.p)
+        return _gradient(self.order.product(v), v, self.p)
 
     def ray_max(self, v: np.ndarray):
         """(t*, max_t J(t v)) of the C-order vector v; DomainError when v
@@ -524,8 +461,8 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     for NLS ground states in Antoine, Levitt & Tang, J. Comput. Phys. 343,
     2017).  G = (A v - (v^T A v / M) v_+^p) / (w M)^(2/(p+1)) is grad R
     times a constant and P = M_s^-1 G, by the symmetric Gauss-Seidel sweep
-    `energy.sweep`; at k = 4, N = 32 and grad_tol 1e-5 the descent takes 40
-    iterations where diag(A)^-1 took 94.  The direction is d = -P + beta
+    `energy.order.sweep`; at k = 4, N = 32 and grad_tol 1e-5 the descent
+    takes 40 iterations where diag(A)^-1 took 94.  The direction is d = -P + beta
     d_prev with beta = max(0, <G - G_prev, P> / <G_prev, P_prev>), and -P
     where that is no descent direction.  Like grad R, G scales as 1/|v|;
     without the divisor it scales as |v|, and from a sign-changing start at
@@ -537,7 +474,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     follows as -A P + beta A d_prev, and `_line_min` finds the step from the
     exact numerator along d: an iteration makes no product with A, and
     reads about one and a half times A's entries.  A v follows by A v += tau
-    A d and is recomputed exactly (`energy.product`) every _EXACT_EVERY
+    A d and is recomputed exactly (`energy.order.product`) every _EXACT_EVERY
     updates and before a grad_tol exit; v^T A v is read from it at every
     iteration, so that G stays orthogonal to v (carried by its own
     recurrence, it drifted, and the descent stalled at |g| = 3e-13 in place
@@ -556,9 +493,9 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     products count the applications of A: the exact ones, and each sweep's
     A P once.
     """
-    p, w = energy.p, energy.w
-    v = energy.renormalize(v[energy.order.perm])
-    av = energy.product(v)
+    p, w, order = energy.p, energy.w, energy.order
+    v = energy.renormalize(order.colour(v))
+    av = order.product(v)
     pm1, normal, m = _mass_terms(p, v)
     products, drift = 1, 0  # drift: recurrence updates of av since its last exact product
     i_best = gn_best = np.inf
@@ -566,7 +503,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     stop = "max_iters"
     while True:
         if drift == _EXACT_EVERY:
-            av = energy.product(v)
+            av = order.product(v)
             products, drift = products + 1, 0
         n_v = float(v @ av)
         scale = (w * m) ** (1.0 / (p + 1.0))
@@ -588,7 +525,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
             stop = "stall"
             break
         G = (av - (n_v / m) * normal) / (scale * scale)
-        P, ap = energy.sweep(G)
+        P, ap = order.sweep(G)
         products += 1
         gp = float(G @ P)
         steepest = d is None or not gp_prev > 0.0
@@ -620,12 +557,12 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
         it += 1
     v /= scale
     if drift:
-        av = energy.product(v)
+        av = order.product(v)
         products += 1
     else:
         av /= scale
     gn = _projected_gradient_norm(energy, av, _pos_pow(v, p))
-    v = energy.c_order(v)
+    v = order.c_order(v)
     trace[-1] = (it, 0.5 * energy.norm_sq(v), gn)
     return v, it + 1, gn, stop, products
 
@@ -661,15 +598,15 @@ def _hessian(energy: _Energy, w: np.ndarray):
 
 def _sweep_operator(energy: _Energy):
     """The descent's sweep as a LinearOperator, g -> M^-1 g on colour-order
-    vectors, and on a block in one sweep (`energy.half_sweeps`, without the
-    product for A P).
+    vectors, and on a block in one sweep (`_ColourOrder.half_sweeps`,
+    without the product for A P).
 
     M is symmetric positive definite, so MINRES and LOBPCG take it.
     """
     from scipy.sparse.linalg import LinearOperator
 
     def sweep(g):
-        return energy.half_sweeps(g)[0]
+        return energy.order.half_sweeps(g)[0]
 
     return LinearOperator((energy.order.perm.size,) * 2, matvec=sweep, matmat=sweep,
                           dtype=float)
@@ -732,7 +669,7 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
-    eigs, vecs, history = lobpcg(_hessian(energy, w), start[energy.order.perm], largest=False,
+    eigs, vecs, history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
                                  maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
                                  retResidualNormsHistory=True)
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
@@ -744,7 +681,8 @@ def _state_index(energy: _Energy, rep: SolveReport):
     into colour order once; rep's timings get its seconds as "index", and
     its extra the LOBPCG iterations as index_lobpcg_iterations."""
     start = time.perf_counter()
-    index, eigs, vecs, iterations = _morse_index(energy, energy.colour(rep.field.interior()))
+    index, eigs, vecs, iterations = _morse_index(energy,
+                                                 energy.order.colour(rep.field.interior()))
     rep.extra["timings"]["index"] = time.perf_counter() - start
     rep.extra["index_lobpcg_iterations"] = iterations
     return index, eigs, vecs
@@ -791,7 +729,7 @@ def solve_mountain_pass(
         energy, v0, config.grad_tol, config.max_iters, trace)
     descent = time.perf_counter()
     t_star, _ = energy.ray_max(v)
-    w = energy.colour(t_star * v)  # the polish works in colour order
+    w = energy.order.colour(t_star * v)  # the polish works in colour order
     minres_iterations = []
     if stop == "grad_tol":
         w, gn, minres_iterations = _newton_polish(energy, w)
@@ -800,7 +738,7 @@ def solve_mountain_pass(
     polish = time.perf_counter()
 
     x_k = np.maximum(w, 0.0)
-    v_k = energy.c_order(x_k)
+    v_k = energy.order.c_order(x_k)
     u_k = energy.field(v_k)
     # The exact maximum of J over the ray through the state, in closed form
     # in t; at a critical point it is J(u_k).
@@ -1011,7 +949,7 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     index, _, vecs = _state_index(energy, rep)
     if index <= 1:
         return rep
-    e = energy.c_order(vecs[:, 1])
+    e = energy.order.c_order(vecs[:, 1])
     u0 = energy.field(w + _SADDLE_PUSH * np.abs(w).max() / np.abs(e).max() * e)
     return solve_mountain_pass(config, domain=domain, u0=u0)
 

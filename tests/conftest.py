@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from heisground import cc_diag, grid
-from heisground.grid import ScalarField
+from heisground.functionals import eval_J
+from heisground.grid import ScalarField, e_norm_sq
 from heisground.solvers import (
     Domain,
     SolverConfig,
@@ -138,6 +139,21 @@ def make_random_smooth_field(domain: Domain, rng, n_bumps: int = 5) -> ScalarFie
         r4 = ((xs - cx) ** 2 + (ys - cy) ** 2) ** 2 + (ts - ct) ** 2
         vals = vals + amp * np.exp(-np.sqrt(r4 + 1e-300) / w**2)
     return ScalarField(domain.grid, np.where(domain.mask, vals, 0.0), domain.mask)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature and critical-point oracles
+# ---------------------------------------------------------------------------
+
+
+def midpoint_integral(u: ScalarField) -> float:
+    """Midpoint rule: cell volume times the sum over (masked-in) nodes."""
+    return float(u.values.sum()) * u.grid.cell_volume
+
+
+def identity_defect(u: ScalarField, p: float) -> float:
+    """J(u) - (p-1)/(2(p+1)) ||u||^2; vanishes exactly at critical points."""
+    return eval_J(u, p) - (p - 1.0) / (2.0 * (p + 1.0)) * e_norm_sq(u)
 
 
 # ---------------------------------------------------------------------------

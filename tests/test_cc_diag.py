@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
+from conftest import midpoint_integral
+
 from heisground import cc_diag
 from heisground.cc_diag import (
     _MAX_BISECT,
@@ -31,7 +33,7 @@ from heisground.cc_diag import (
     normalize_mass,
 )
 from heisground.errors import AlgorithmError, ConfigurationError, DomainError
-from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask, integrate
+from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.heis_core import GroupPoint
 
 Q_EXP = 3.0  # L^q exponent used throughout (p + 1 with p = 2)
@@ -69,7 +71,7 @@ class TestNormalizeMass:
         rng = np.random.default_rng(31)
         u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
         d = normalize_mass(u, Q_EXP)
-        assert integrate(d.field) == pytest.approx(1.0, abs=1e-10)
+        assert midpoint_integral(d.field) == pytest.approx(1.0, abs=1e-10)
         assert d.field.values.min() >= 0.0
 
     def test_scale_invariant(self, box):
@@ -91,7 +93,7 @@ class TestNormalizeMass:
         grid, mask = box
         d = normalize_mass(ScalarField(grid, np.full(grid.shape, value), mask), Q_EXP)
         assert np.all(d.field.values == d.field.values.flat[0])
-        assert integrate(d.field) == pytest.approx(1.0, abs=1e-12)
+        assert midpoint_integral(d.field) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1045,8 +1047,8 @@ class TestClassifier:
         if R < 1e308:
             assert np.any(_gauge_dist_sq4(grid, z1) == (2.0 * R) ** 4)
         trimmed = second_cluster_input(d, R, z1, monkeypatch)
-        outside = integrate(d.field) - ball_mass(d, 2.0 * R, z1)
-        assert integrate(trimmed.field) == pytest.approx(outside, abs=1e-14)
+        outside = midpoint_integral(d.field) - ball_mass(d, 2.0 * R, z1)
+        assert midpoint_integral(trimmed.field) == pytest.approx(outside, abs=1e-14)
 
     def test_rejects_empty_radius_grid(self, small_density):
         # all() over no radii would call it vanishing

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import flip_y_twist
-from heisground import solvers
+from heisground import __version__, solvers
 from heisground.cli import _build_parser, main
 from heisground.errors import AlgorithmError, NumericError
 from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
@@ -49,6 +49,10 @@ class TestCalculusCheck:
         assert main(["calculus-check", "--seed", "7"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_report_names_the_version(self, capsys):
+        assert main(["calculus-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["version"] == __version__
+
 
 class TestSolve:
     def test_constrained_min(self, tmp_path, capsys):
@@ -80,6 +84,10 @@ class TestSolve:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["level"] > 0.0
+
+    def test_report_names_the_version(self, capsys):
+        assert main(["solve", *SOLVE_FAST]) == 0
+        assert json.loads(capsys.readouterr().out)["version"] == __version__
 
     def test_mountain_pass_starts_at_path_top(self, tmp_path, capsys):
         # The descent from the unit bump's direction converges, and the
@@ -302,6 +310,17 @@ class TestExhaust:
     def test_rejects_nonincreasing_radii(self, capsys):
         assert main(["exhaust", "--radii", "2.0,1.5", "--grid", "10"]) == 64
 
+    def test_report_names_the_version_and_config(self, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "ex.csv", tmp_path / "ex.json"
+        assert main(["exhaust", "--radii", "1.5,2", "--grid", "10", "--grad-tol", "1e-3",
+                     "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+        doc = json.loads(json_path.read_text())
+        assert doc["version"] == __version__
+        assert doc["config"] == {
+            "radii": [1.5, 2.0], "p": 2.0, "nodes_per_axis": 10, "max_iters": 40000,
+            "grad_tol": 1e-3, "out_csv": str(csv_path), "out_json": str(json_path),
+        }
+
     def test_failed_exhaustion_writes_empty_outputs(self, tmp_path, capsys, monkeypatch):
         def fault(radii, config):
             raise AlgorithmError("injected fault")
@@ -313,7 +332,9 @@ class TestExhaust:
         assert code == 2
         assert capsys.readouterr().err == "exhaust failed: injected fault\n"
         assert csv_path.read_text().splitlines() == ["k,c_k,max_value,xi_gauge,delta,r2"]
-        assert json.loads(json_path.read_text()) == {"entries": [], "monotone": False}
+        doc = json.loads(json_path.read_text())
+        assert doc.pop("version") == __version__ and doc.pop("config")["radii"] == [1.5, 2.0]
+        assert doc == {"entries": [], "monotone": False}
 
     @pytest.mark.parametrize("radii", ["--radii=0,2", "--radii=-1,2", "--radii=inf,2"])
     def test_rejects_nonpositive_radii(self, tmp_path, capsys, radii):
@@ -375,6 +396,14 @@ class TestClassify:
         with open(prof) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["index"] for r in rows} == {"0", "1", "2", "3"}
+
+    def test_verdict_names_the_version_and_config(self, tmp_path, capsys):
+        paths = self._write_sequence(tmp_path, "translating")
+        assert main(["classify", "--inputs", *paths, "--radii", "1,0.5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == __version__
+        assert doc["config"] == {"inputs": paths, "q": 3.0, "eps": 0.1, "radii": [1.0, 0.5],
+                                 "out": "", "profiles_csv": ""}
 
     def test_stdout_equals_out_file(self, tmp_path, capsys):
         paths = self._write_sequence(tmp_path, "separating")

@@ -7,7 +7,6 @@ from heisground.errors import ConfigurationError, DomainError
 from heisground.functionals import (
     _constraint_mass,
     check_exponent,
-    critical_identity_defect,
     energy_breakdown,
     eval_I,
     eval_J,
@@ -26,7 +25,7 @@ from heisground.grid import (
     zero_extend,
 )
 
-from conftest import make_random_smooth_field
+from conftest import identity_defect, make_random_smooth_field
 
 P = 2.0
 
@@ -152,11 +151,11 @@ class TestIdentityAndBreakdown:
     def test_zero_defect_for_zero(self, setup):
         grid, mask, _ = setup
         z = ScalarField(grid, np.zeros(grid.shape), mask)
-        assert critical_identity_defect(z, P) == 0.0
+        assert identity_defect(z, P) == 0.0
 
     def test_generic_nonzero(self, setup):
         _, _, bump = setup
-        assert abs(critical_identity_defect(bump, P)) > 1e-8
+        assert abs(identity_defect(bump, P)) > 1e-8
 
     def test_breakdown_invariants(self, setup):
         _, _, bump = setup

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.ndimage import binary_erosion
 
-from conftest import horizontal_gradient, oracle_lower, oracle_operator
+from conftest import horizontal_gradient, midpoint_integral, oracle_lower, oracle_operator
 from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
 from heisground.grid import (
@@ -20,7 +20,6 @@ from heisground.grid import (
     e_norm_sq,
     full_mask,
     inner,
-    integrate,
     l2_norm,
     lq_norm,
     sublaplacian_values,
@@ -508,8 +507,8 @@ class TestAssembly:
         rep = solvers.solve_constrained_min(cfg, domain=domain)
         assert rep.converged and len(grid_module._operator_cache) == 1
         energy = solvers._Energy(domain, cfg.p)
-        v = energy.colour(radial_bump(domain).interior())
-        w0 = energy.ray_max(energy.c_order(v))[0] * v
+        v = energy.order.colour(radial_bump(domain).interior())
+        w0 = energy.ray_max(energy.order.c_order(v))[0] * v
         _, gn, steps = solvers._newton_polish(energy, w0)
         assert steps and gn < energy.norm(energy.grad(w0))
 
@@ -568,6 +567,22 @@ class TestColourBlocks:
             assert (upper != row.T).nnz == 0
         assert grid_module._colour_order(grid, mask) is order
 
+    @pytest.mark.parametrize("case", [0, 2], ids=["4-32", "3-24-72"])
+    def test_permutations_are_inverse(self, case):
+        # `colour` and `c_order`, the package's only translation between
+        # the mask's C order and the colour order, undo each other bit for
+        # bit, on a vector and on an (m, 4) block.
+        grid, mask = self._grids()[case]
+        order = grid_module._colour_order(grid, mask)
+        rng = np.random.default_rng(39)
+        for shape in ((order.perm.size,), (order.perm.size, 4)):
+            v, x = rng.standard_normal((2,) + shape)
+            for got, want in ((order.c_order(order.colour(v)), v),
+                              (order.colour(order.c_order(x)), x)):
+                assert got.shape == shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(order.colour(np.arange(order.perm.size)), order.perm)
+
     @pytest.mark.parametrize("case", range(3))
     def test_lower_is_the_strictly_lower_part_in_colour_order(self, case):
         grid, mask = self._grids()[case]
@@ -591,14 +606,14 @@ class TestQuadrature:
     def test_zero_norms(self):
         grid, mask = build_ball_grid(1.0, 12)
         u = ScalarField(grid, np.zeros(grid.shape), mask)
-        assert integrate(u) == 0.0
+        assert midpoint_integral(u) == 0.0
         assert l2_norm(u) == 0.0
 
     def test_plateau_integral(self):
         grid, mask = build_ball_grid(1.0, 12)
         u = ScalarField(grid, np.ones(grid.shape), mask)
-        assert integrate(u) == pytest.approx(mask.sum() * grid.cell_volume, rel=1e-13)
-        assert lq_norm(u, 1.0) == integrate(u)
+        assert midpoint_integral(u) == pytest.approx(mask.sum() * grid.cell_volume, rel=1e-13)
+        assert lq_norm(u, 1.0) == midpoint_integral(u)
 
     def test_gaussian_l2_closed_form(self):
         grid, mask = build_ball_grid(3.0, 40)

@@ -6,7 +6,7 @@ from unittest.mock import ANY
 import numpy as np
 import pytest
 
-from conftest import make_random_smooth_field, oracle_operator
+from conftest import identity_defect, make_random_smooth_field, oracle_operator
 from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
@@ -16,7 +16,6 @@ from heisground.errors import (
 )
 from heisground.functionals import (
     _pos_pow,
-    critical_identity_defect,
     eval_J,
     grad_J,
     nehari_scale,
@@ -25,6 +24,7 @@ from heisground.grid import (
     Grid3,
     ScalarField,
     _by_rows,
+    _ColourOrder,
     _energy_product,
     ball_mask,
     build_ball_grid,
@@ -269,7 +269,7 @@ class TestConstrainedMin:
         assert rep.converged and rep.extra["operator_products"] > rep.iterations
         (v1, d1, _), (v2, d2, (n_v, _, _, m, normal, _)) = directions[1:3]
         assert np.array_equal(v1, v2) and not np.allclose(d1, d2)
-        minus_p = -energy.sweep(energy.product(v2) - n_v / m * normal)[0]
+        minus_p = -energy.order.sweep(energy.order.product(v2) - n_v / m * normal)[0]
         ratio = float(d2 @ minus_p) / float(minus_p @ minus_p)
         assert ratio > 0.0
         np.testing.assert_allclose(d2, ratio * minus_p, rtol=1e-9,
@@ -362,7 +362,7 @@ class TestMountainPass:
         gn = l2_norm(grad_J(u, small_config.p))
         assert gn < 10.0 * small_config.grad_tol
         assert abs(small_mp.extra["inner_gu"]) < 1e-6 * small_mp.level
-        defect = critical_identity_defect(u, small_config.p)
+        defect = identity_defect(u, small_config.p)
         assert abs(defect) < 1e-6 * small_mp.level
 
     def test_level_matches_field_energy(self, small_mp, small_config):
@@ -395,7 +395,7 @@ class TestNewtonPolish:
     def test_reaches_the_rounding_floor(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
         v, *_ = _ray_descent(energy, radial_bump(small_domain).interior(), 1e-3, 1000, [])
-        w0 = energy.colour(energy.ray_max(v)[0] * v)
+        w0 = energy.order.colour(energy.ray_max(v)[0] * v)
         start = energy.norm(energy.grad(w0))
         w, gn, minres_iterations = _newton_polish(energy, w0)
         assert start > 1e-4 and gn <= 1e-11
@@ -408,14 +408,14 @@ class TestNewtonPolish:
         # the line search accepts raises |G|.
         energy = _Energy(small_domain, small_config.p)
         w0 = scale * energy.ray_max(radial_bump(small_domain).interior())[0] \
-            * energy.colour(radial_bump(small_domain).interior())
+            * energy.order.colour(radial_bump(small_domain).interior())
         w, gn, _ = _newton_polish(energy, w0)
         assert np.isfinite(gn) and gn <= energy.norm(energy.grad(w0))
 
     def test_index_one_at_the_ground_state(self, small_mp, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
-        index, eigs, vecs, iterations = _morse_index(energy,
-                                                     energy.colour(small_mp.field.interior()))
+        w = energy.order.colour(small_mp.field.interior())
+        index, eigs, vecs, iterations = _morse_index(energy, w)
         assert index == 1 and len(eigs) == 3 and vecs.shape == (energy.order.perm.size, 3)
         assert 0 < iterations < solvers._LOBPCG_MAX_ITERS
         assert eigs[0] < -1.0 < 0.5 < eigs[1] <= eigs[2]
@@ -423,7 +423,8 @@ class TestNewtonPolish:
     def test_index_zero_where_the_hessian_is_a(self, small_domain, small_config):
         # With no positive part, H = A, whose spectrum lies above 1.
         energy = _Energy(small_domain, small_config.p)
-        index, eigs, *_ = _morse_index(energy, -energy.colour(radial_bump(small_domain).interior()))
+        w = -energy.order.colour(radial_bump(small_domain).interior())
+        index, eigs, *_ = _morse_index(energy, w)
         assert index == 0 and eigs[0] > 1.0
 
     def test_polish_and_index_are_preconditioned_by_the_sweep(
@@ -431,15 +432,15 @@ class TestNewtonPolish:
         # The polish sweeps one vector per MINRES iteration, and the index
         # LOBPCG's whole block of residuals at once.
         calls = []
-        half_sweeps = _Energy.half_sweeps
+        half_sweeps = _ColourOrder.half_sweeps
 
         def counting(self, g):
             calls.append(g.shape)
             return half_sweeps(self, g)
 
-        monkeypatch.setattr(_Energy, "half_sweeps", counting)
+        monkeypatch.setattr(_ColourOrder, "half_sweeps", counting)
         energy = _Energy(small_domain, small_config.p)
-        w = energy.colour(small_mp.field.interior())
+        w = energy.order.colour(small_mp.field.interior())
         m = w.size
         _, _, minres_iterations = _newton_polish(energy, 1.01 * w)
         polish = len(calls)
@@ -452,7 +453,7 @@ class TestNewtonPolish:
 
 
 class TestColourSweep:
-    """`_Energy.sweep`, the descent's preconditioner: M^-1 for the symmetric
+    """`grid._ColourOrder.sweep`, the descent's preconditioner: M^-1 for the symmetric
     Gauss-Seidel M = (D + L) D^-1 (D + U) of A in colour order, and A M^-1
     by Eisenstat's identity."""
 
@@ -461,9 +462,9 @@ class TestColourSweep:
         rng = np.random.default_rng(33)
         for _ in range(5):
             x, y = rng.standard_normal((2, energy.order.perm.size))
-            assert float(x @ energy.sweep(y)[0]) == pytest.approx(
-                float(energy.sweep(x)[0] @ y), rel=1e-12)
-            assert float(x @ energy.sweep(x)[0]) > 0.0
+            assert float(x @ energy.order.sweep(y)[0]) == pytest.approx(
+                float(energy.order.sweep(x)[0] @ y), rel=1e-12)
+            assert float(x @ energy.order.sweep(x)[0]) > 0.0
 
     def test_matches_a_dense_reference(self, small_domain, small_config):
         from scipy.linalg import solve_triangular
@@ -479,7 +480,7 @@ class TestColourSweep:
         g = np.random.default_rng(34).standard_normal((m, 3))
         for col in g.T:
             want = want_inv @ col
-            np.testing.assert_allclose(energy.sweep(col)[0], want, rtol=1e-12,
+            np.testing.assert_allclose(energy.order.sweep(col)[0], want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
     def test_operator_is_the_sweep(self, small_domain, small_config):
@@ -492,8 +493,8 @@ class TestColourSweep:
             x, y = rng.standard_normal((2, size))
             assert float(x @ (m @ y)) == pytest.approx(float((m @ x) @ y), rel=1e-12)
             assert float(x @ (m @ x)) > 0.0
-            np.testing.assert_array_equal(m @ x, energy.sweep(x)[0])
-            np.testing.assert_array_equal(energy.half_sweeps(x)[0], energy.sweep(x)[0])
+            np.testing.assert_array_equal(m @ x, energy.order.sweep(x)[0])
+            np.testing.assert_array_equal(energy.order.half_sweeps(x)[0], energy.order.sweep(x)[0])
         block = rng.standard_normal((size, 2))
         np.testing.assert_array_equal(m @ block, np.stack([m @ c for c in block.T], axis=1))
 
@@ -506,15 +507,16 @@ class TestColourSweep:
         # at a time, P and A P both; so is a block's product with A.
         energy = _Energy(domain(), 2.0)
         block = np.random.default_rng(38).standard_normal((energy.order.perm.size, 4))
-        p, ap = energy.sweep(block)
+        p, ap = energy.order.sweep(block)
         for k, col in enumerate(block.T):
-            want_p, want_ap = energy.sweep(col)
+            want_p, want_ap = energy.order.sweep(col)
             assert np.array_equal(p[:, k].view(np.uint64), want_p.view(np.uint64))
             assert np.array_equal(ap[:, k].view(np.uint64), want_ap.view(np.uint64))
         f_order = np.asfortranarray(block)
-        np.testing.assert_array_equal(energy.sweep(f_order)[0], p)
+        np.testing.assert_array_equal(energy.order.sweep(f_order)[0], p)
         np.testing.assert_array_equal(
-            energy.product(block), np.stack([energy.product(c) for c in block.T], axis=1))
+            energy.order.product(block),
+            np.stack([energy.order.product(c) for c in block.T], axis=1))
 
     @pytest.mark.parametrize("domain", [
         lambda: make_domain(SolverConfig(ball_radius=2.5, nodes_per_axis=12)),
@@ -527,7 +529,7 @@ class TestColourSweep:
         energy = _Energy(domain(), 2.0)
         perm = energy.order.perm
         for g in np.random.default_rng(35).standard_normal((3, perm.size)):
-            p, ap = energy.sweep(g)
+            p, ap = energy.order.sweep(g)
             x = np.empty_like(p)
             x[perm] = p
             want = (oracle_operator(energy.grid, energy.mask) @ x)[perm]
@@ -541,7 +543,7 @@ class TestVectorEnergy:
         u = radial_bump(small_domain)
         u = u.with_values(0.4 * (16 * u.values))
         v = u.interior()
-        assert np.allclose(energy.c_order(energy.grad(energy.colour(v))),
+        assert np.allclose(energy.order.c_order(energy.grad(energy.order.colour(v))),
                            grad_J(u, p).interior(), rtol=0, atol=1e-13)
         assert energy.ray_max(v) == pytest.approx(nehari_scale(u, p), rel=1e-13)
         assert energy.norm(v) == pytest.approx(l2_norm(u), rel=1e-13)
@@ -586,19 +588,19 @@ class TestVectorEnergy:
         assert peak.t == pytest.approx(-0.5 * small_domain.grid.spacing[2], rel=1e-12)
 
     def test_ray_descent_multiplies_by_a_only_on_exact_products(self, small_domain,
-                                                                small_config):
+                                                                small_config, monkeypatch):
         # 22 iterations take 24 applications of A: the start, the refresh
         # after step 20 and the one before the grad_tol exit are products
         # with A, and the 21 steps' A P come from the sweep.
         energy = _Energy(small_domain, small_config.p)
         calls = []
-        product = energy.product
+        product = _ColourOrder.product
 
-        def counting(v):
+        def counting(self, v):
             calls.append(v.shape)
-            return product(v)
+            return product(self, v)
 
-        energy.product = counting
+        monkeypatch.setattr(_ColourOrder, "product", counting)
         _, iters, _, stop, products = _ray_descent(
             energy, radial_bump(small_domain).interior(), small_config.grad_tol, 1000, [])
         assert (iters, stop, products) == (22, "grad_tol", 24)
@@ -633,7 +635,7 @@ class TestVectorEnergy:
         assert rep.trace[0][1] == pytest.approx(i_start, rel=1e-10)
         assert rep.converged and rep.extra["grad_norm"] <= 1e-11
         assert rep.extra["operator_products"] < 200
-        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
         assert rep.level >= GROUND_LEVEL_K2_5_N12 * (1.0 - 1e-12)
 
     def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
@@ -790,18 +792,18 @@ class TestExhaustion:
         # bump's t-reflection symmetry up to rounding.  The colour sweep
         # breaks it and reaches the ground state from that bump.
         def jacobi(self, g):
-            p = _by_rows(self.order.inv_diag, g) * g
+            p = _by_rows(self.inv_diag, g) * g
             return p, self.product(p)
 
-        monkeypatch.setattr(_Energy, "sweep", jacobi)
+        monkeypatch.setattr(_ColourOrder, "sweep", jacobi)
         cfg, dom = _k2_ball_of_the_desk_grid()
         energy = _Energy(dom, cfg.p)
         saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
         assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
-        assert _morse_index(energy, energy.colour(saddle.field.interior()))[0] == 2
+        assert _morse_index(energy, energy.order.colour(saddle.field.interior()))[0] == 2
         rep = solvers._leave_saddle(cfg, dom, saddle)
         assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
-        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
         # exhaust_domains certifies its first ball the same way
         monkeypatch.setattr(solvers, "radial_bump", _origin_bump)
         first = exhaust_domains([2.0, 6.0], cfg).entries[0]
@@ -814,7 +816,7 @@ class TestExhaustion:
         rep = solve_mountain_pass(cfg, domain=dom)
         assert rep.converged and rep.level == pytest.approx(61.73916509504, rel=1e-9)
         energy = _Energy(dom, cfg.p)
-        assert _morse_index(energy, energy.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
         cm = solve_constrained_min(cfg, domain=dom)
         assert cm.converged and cm.iterations < 60
         assert cm.level == pytest.approx(3.590933303923609, rel=1e-9)

@@ -1,10 +1,10 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
 name things that exist, the harness's half-mass check uses the library's
-tolerance, what a module exports of its own is documented, and the README's
-CLI section names the parser's flags and the CLI's exit codes; the autouse
-fixture empties every per-grid cache; the CI workflow installs the
-declared dependencies and runs the tier-1 command single-threaded, within
-a time limit."""
+tolerance, what a module exports of its own is documented, only `grid`
+reads the colour order's layout, and the README's CLI section names the
+parser's flags and the CLI's exit codes; the autouse fixture empties every
+per-grid cache; the CI workflow installs the declared dependencies and
+runs the tier-1 command single-threaded, within a time limit."""
 
 import argparse
 import ast
@@ -63,6 +63,26 @@ def test_all_names_resolve(module):
     # `from heisground.<module> import *` reads every name in __all__, so a
     # stale entry breaks it.
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+_LAYOUT = {"split", "rows", "columns", "inv_diag"}
+
+
+def test_only_grid_reads_the_colour_layout():
+    # `grid._ColourOrder` owns the colour order: its sweep and permutations
+    # are its methods, so no other module reads the fields that lay the
+    # order out.  A method call of that name (`str.split`) is no such read.
+    source = Path(heisground.__file__).parent
+    reads = []
+    for path in sorted(source.glob("*.py")):
+        if path.stem == "grid":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _LAYOUT
+                  and id(node) not in called]
+    assert reads == []
 
 
 def _undocumented(obj) -> bool:
