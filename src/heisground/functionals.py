@@ -10,11 +10,12 @@ exact derivative of the discrete energy (discretize-then-differentiate), so
 descent line searches are variationally consistent with the stencil.  Both
 come from the grid's one horizontal gradient B = [X_h; Y_h]: the gradients go
 through A = B^T B + I (grad I = A v, with v the field's mask values, applied
-by the operator cache in the mask's C order), and the energy's value is
-summed as squares, I(u) = w (||B v||^2 + ||v||^2) / 2 (see `grid`).
+by the operator cache in its colour order and written back to a box array),
+and the energy's value is summed as squares, I(u) = w (||B v||^2 + ||v||^2)
+/ 2 (see `grid`).
 
 Each formula is one private function of numbers and arrays; the public
-functions apply it to a field, the solvers to mask-node vectors.
+functions apply it to a field, the solvers to colour-order vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import ScalarField, _energy_product, _power, e_norm_sq, l2_norm
+from .grid import ScalarField, _colour_order, _power, e_norm_sq, l2_norm
 from .heis_core import critical_exponent
 
 __all__ = [
@@ -61,7 +62,7 @@ def _pos_pow(values: np.ndarray, expo: float) -> np.ndarray:
 
 
 def _constraint_mass(values: np.ndarray, p: float, w: float) -> float:
-    """int u_+^(p+1) of a box array or a mask-node vector, w the cell volume."""
+    """int u_+^(p+1) of a box array or a colour-order vector, w the cell volume."""
     return _pos_pow_sum(values, p + 1.0) * w
 
 
@@ -82,14 +83,15 @@ def _ray_max(nsq: float, mass: float, p: float):
 
 
 def _gradient(av: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """grad J = A v - v_+^p of the mask-node vector v, from av = A v."""
+    """grad J = A v - v_+^p of the colour-order vector v, from av = A v."""
     return av - _pos_pow(v, p)
 
 
 def _field_gradient(u: ScalarField, p: float) -> np.ndarray:
-    """grad J of the field u on its mask nodes, in C order."""
-    v = u.interior()
-    return _gradient(_energy_product(u.grid, u.mask, v), v, p)
+    """grad J of the field u, as a box array."""
+    order = _colour_order(u.grid, u.mask)
+    v = order.colour(u.values)
+    return order.box(_gradient(order.product(v), v, p))
 
 
 def eval_I(u: ScalarField) -> float:
@@ -106,20 +108,19 @@ def eval_J(u: ScalarField, p: float) -> float:
 def grad_J(u: ScalarField, p: float) -> ScalarField:
     """L^2 representative of dJ: A v - v_+^p on interior nodes."""
     check_exponent(p)
-    return ScalarField.from_interior(u.grid, u.mask, _field_gradient(u, p))
+    return ScalarField(u.grid, _field_gradient(u, p), u.mask)
 
 
 def grad_I(u: ScalarField) -> ScalarField:
     """L^2 representative of dI: A v = -Delta_h u + u on interior nodes."""
-    return ScalarField.from_interior(
-        u.grid, u.mask, _energy_product(u.grid, u.mask, u.interior())
-    )
+    order = _colour_order(u.grid, u.mask)
+    return ScalarField(u.grid, order.box(order.product(order.colour(u.values))), u.mask)
 
 
 def residual(u: ScalarField, p: float) -> ScalarField:
     """Pointwise Delta_h u - u + u_+^p = -grad J on interior nodes."""
     check_exponent(p)
-    return ScalarField.from_interior(u.grid, u.mask, -_field_gradient(u, p))
+    return ScalarField(u.grid, -_field_gradient(u, p), u.mask)
 
 
 def nehari_scale(u: ScalarField, p: float):

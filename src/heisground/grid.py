@@ -29,13 +29,14 @@ their one preconditioner, a symmetric Gauss-Seidel sweep, needs.  So the
 operator cache keeps, per (grid, mask), only that order, diag(A) and L,
 the strictly lower part of A in that order.  `_ColourOrder` owns the
 colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
-package's only permutations between the mask's C order and the colour
-order, which the solvers and the field functions (`_energy_product`) go
-through.  No other module reads its layout.  Each off-diagonal entry
-of A is one or two products of stencil coefficients, and each diagonal
-entry a sum of up to six squares, so L and diag(A) are filled from the
-coefficients on first use (`_assemble`), bit for bit as scipy's sparse
-product B^T B would give them, with no B and no sparse product.
+package's only translations of a vector, between a field's box array and
+the colour order (`colour`, `box`), which the solvers and the field
+functions go through.  No other module reads its layout.  Each
+off-diagonal entry of A is one or two products of stencil coefficients,
+and each diagonal entry a sum of up to six squares, so L and diag(A) are
+filled from the coefficients on first use (`_assemble`), bit for bit as
+scipy's sparse product B^T B would give them, with no B and no sparse
+product.
 `scipy.sparse` is imported only there, so the field functions need numpy
 alone.
 
@@ -183,18 +184,12 @@ class ScalarField:
         # Dirichlet invariant: hard zero outside the mask.
         self.values = np.where(self.mask, self.values, 0.0)
 
-    @classmethod
-    def from_interior(cls, grid: Grid3, mask: np.ndarray, v: np.ndarray) -> "ScalarField":
-        """Field with the mask-node values v (C order), zero elsewhere."""
-        values = np.zeros(grid.shape)
-        values[mask] = v
-        return cls(grid, values, mask)
-
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values, self.mask)
 
     def interior(self) -> np.ndarray:
-        """Values on the mask nodes, in C order: the vectors A acts on."""
+        """Values on the mask nodes, in C order (the package's own vectors
+        are in the colour order of `_ColourOrder`, read from `values`)."""
         return self.values[self.mask]
 
     def max_node(self):
@@ -316,13 +311,13 @@ class _ColourOrder(NamedTuple):
     """A of one (grid, mask) in the three-colour order of `_node_colours`,
     the one form in which the package keeps it, and the one owner of that
     order: it applies A (`product`), sweeps (`sweep`, `half_sweeps`) and
-    translates vectors between the mask's C order and the colour order
-    (`colour`, `c_order`).  No other module reads its layout.
+    translates vectors between a field's box array and the colour order
+    (`colour`, `box`).  No other module reads its layout.
 
     The colour order lists the colour-0 mask nodes, then colour 1, then
-    colour 2, each in C order: position k holds mask node perm[k] (a
-    position in the mask's C order), and colours 0, 1 and 2 fill the
-    positions [0, split[0]), [split[0], split[1]) and [split[1], m).
+    colour 2, each in C order: position k holds the box node node[k] (an
+    index into the flat box array of shape), and colours 0, 1 and 2 fill
+    the positions [0, split[0]), [split[0], split[1]) and [split[1], m).
 
     - diag: diag(A) in colour order, and inv_diag its inverse;
     - lower: L, the strictly lower part of A in colour order, CSR, each
@@ -336,12 +331,13 @@ class _ColourOrder(NamedTuple):
     - columns: (L_1^T, L_2^T), their CSC views, U's colour-1 and colour-2
       columns.
 
-    perm and L's indices are 32-bit wherever L's entries fit.  A itself is
-    applied and never stored.  Every method takes a vector or an (m, b)
-    block, column by column at once.
+    node and L's indices are 32-bit wherever the box and L's entries fit.
+    A itself is applied and never stored.  Every method but `box` takes a
+    vector or a block, column by column at once.
     """
 
-    perm: np.ndarray
+    node: np.ndarray
+    shape: tuple
     split: tuple
     diag: np.ndarray
     inv_diag: np.ndarray
@@ -350,14 +346,16 @@ class _ColourOrder(NamedTuple):
     rows: tuple
     columns: tuple
 
-    def colour(self, v: np.ndarray) -> np.ndarray:
-        """The C-order v in colour order, as a new array."""
-        return v.take(self.perm, axis=0)
+    def colour(self, values: np.ndarray) -> np.ndarray:
+        """The box array values at the mask nodes, in colour order, as a new
+        array; a (box nodes, b) block gives an (m, b) block."""
+        return (values.reshape(-1) if values.ndim == 3 else values).take(self.node, axis=0)
 
-    def c_order(self, v: np.ndarray) -> np.ndarray:
-        """The colour-order v in the mask's C order, as a new array."""
-        out = np.empty_like(v)
-        out[self.perm.astype(np.intp, copy=False)] = v  # numpy scatters faster by intp
+    def box(self, v: np.ndarray) -> np.ndarray:
+        """The box array of the colour-order vector v: v at its nodes, zero
+        elsewhere."""
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.node.astype(np.intp, copy=False)] = v  # numpy scatters faster by intp
         return out
 
     def apply(self, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -484,12 +482,12 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
 
     colour = _node_colours(grid, mask)
     m = colour.size
-    # 32-bit indices whenever A's entries fit, as scipy chooses
-    index = np.int32 if 11 * m <= np.iinfo(np.int32).max else np.intp
+    # 32-bit indices whenever the box and A's entries fit, as scipy chooses
+    index = np.int32 if max(11 * m, mask.size) <= np.iinfo(np.int32).max else np.intp
     perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)]).astype(index)
     n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
     n01 = n0 + n1
-    node = np.flatnonzero(mask)[perm]  # box index of each position
+    node = np.flatnonzero(mask).astype(index)[perm]  # box index of each position
     diag = diag.reshape(-1)[node]
     # A node's position, padded by one layer of m: a neighbour beyond the
     # box or off the mask is at m, after every position
@@ -530,7 +528,7 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
         pieces = data[lo:hi], indices[lo:hi], indptr[first:last + 1] - lo
         rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
         columns.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
-    return _ColourOrder(perm, (n0, n01), diag, 1.0 / diag,
+    return _ColourOrder(node, grid.shape, (n0, n01), diag, 1.0 / diag,
                         _compressed(sparse.csr_array, (m, m), data, indices, indptr),
                         _compressed(sparse.csc_array, (m, m), data, indices, indptr),
                         tuple(rows), tuple(columns))
@@ -548,13 +546,6 @@ def _compressed(kind, shape: tuple, data: np.ndarray, index: np.ndarray,
     a = kind(shape, dtype=data.dtype)
     a.data, a.indices, a.indptr = data, index, indptr
     return a
-
-
-def _energy_product(grid: Grid3, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v of a mask-node vector v in the mask's C order, in that order: v
-    permuted into the colour order, multiplied there and permuted back."""
-    order = _colour_order(grid, mask)
-    return order.c_order(order.product(order.colour(v)))
 
 
 def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:
@@ -596,10 +587,9 @@ def apply_Yh(u: ScalarField) -> ScalarField:
 
 def sublaplacian_values(u: ScalarField) -> np.ndarray:
     """Delta_h u = v - A v on the mask nodes, zero elsewhere, as a box array."""
-    v = u.interior()
-    out = np.zeros(u.grid.shape)
-    out[u.mask] = v - _energy_product(u.grid, u.mask, v)
-    return out
+    order = _colour_order(u.grid, u.mask)
+    v = order.colour(u.values)
+    return order.box(v - order.product(v))
 
 
 def _check_lq_exponent(q: float) -> None:

@@ -32,12 +32,13 @@ c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
 Comput., 2001).  The polish and the index run in the colour order too,
 preconditioned by the descent's sweep (`_sweep_operator`).  The colour
-order, its sweep and its permutations are `grid._ColourOrder`'s; this
-module reads them through an `_Energy`'s `order`.  They load
-`scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's first
-operator (see `grid`).
-All work on mask-node vectors through one `_Energy` per (domain, p); a
-`ScalarField` is built only for the start and the report.
+order, its sweep and its translations are `grid._ColourOrder`'s; this
+module reads them through an `_Energy`'s `order`.  The polish and the
+index load `scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's
+first operator (see `grid`).
+All work on colour-order vectors through one `_Energy` per (domain, p): a
+start's box array is read into the colour order once, and a
+`ScalarField` is built from a vector only for the report.
 """
 
 from __future__ import annotations
@@ -268,23 +269,21 @@ def radial_bump(domain: Domain) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# The energy on mask-node vectors
+# The energy on colour-order vectors
 # ---------------------------------------------------------------------------
 
 
 class _Energy:
-    """J and its pieces on the mask-node vectors of one domain, for one p.
+    """J and its pieces on the colour-order vectors of one domain, for one p.
 
-    A state comes in and goes out in the mask's C order, the order of
-    `u.values[u.mask]`: `field`, `norm_sq` and `ray_max` read C-order
-    vectors.  The descent, the polish and the index work in the colour
-    order, which `order`, the domain's `grid._ColourOrder`, owns: it applies
-    A, sweeps, and permutes a vector in (`colour`) and out (`c_order`).
-    `grad` reads colour-order vectors, and `mass`, `inner`, `norm` and
-    `renormalize` take either order.  The energy norm is summed as squares
-    of B v and v by the stencil (see `grid`), and the formulas are the ones
-    the public field functions use.  The colour order comes from the
-    operator cache, so an _Energy builds no array.
+    Every vector is in the colour order of `order`, the domain's
+    `grid._ColourOrder`: it applies A, sweeps, reads a field's box array
+    into the colour order (`colour`) and writes a vector back to one
+    (`box`), which `field` and `norm_sq` go through.  The energy norm is
+    summed as squares of B v and v by the stencil on that box array (see
+    `grid`), and the formulas are the ones the public field functions use.
+    The colour order comes from the operator cache, so an _Energy builds no
+    array.
     """
 
     def __init__(self, domain: Domain, p: float):
@@ -293,8 +292,8 @@ class _Energy:
         self.order = _colour_order(domain.grid, domain.mask)
 
     def field(self, v: np.ndarray) -> ScalarField:
-        """The field of the C-order vector v."""
-        return ScalarField.from_interior(self.grid, self.mask, v)
+        """The field of the vector v."""
+        return ScalarField(self.grid, self.order.box(v), self.mask)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Discrete L^2 inner product."""
@@ -304,22 +303,20 @@ class _Energy:
         return self.inner(v, v) ** 0.5
 
     def norm_sq(self, v: np.ndarray) -> float:
-        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2 of the C-order
-        vector v, by the stencil on its zero-extended box array."""
-        box = np.zeros(self.grid.shape)
-        box[self.mask] = v
-        return _box_norm_sq(self.grid, box)
+        """||v||^2 = ||X_h v||^2 + ||Y_h v||^2 + ||v||^2 of the vector v,
+        by the stencil on its box array."""
+        return _box_norm_sq(self.grid, self.order.box(v))
 
     def mass(self, v: np.ndarray) -> float:
         return _constraint_mass(v, self.p, self.w)
 
     def grad(self, v: np.ndarray) -> np.ndarray:
-        """grad J = A v - v_+^p of the colour-order vector v."""
+        """grad J = A v - v_+^p of the vector v."""
         return _gradient(self.order.product(v), v, self.p)
 
     def ray_max(self, v: np.ndarray):
-        """(t*, max_t J(t v)) of the C-order vector v; DomainError when v
-        has no positive-part mass."""
+        """(t*, max_t J(t v)) of the vector v; DomainError when v has no
+        positive-part mass."""
         return _ray_max(self.norm_sq(v), self.mass(v), self.p)
 
     def renormalize(self, v: np.ndarray) -> np.ndarray:
@@ -468,9 +465,9 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     without the divisor it scales as |v|, and from a sign-changing start at
     p = 2.9 beta grew with |v| until v overflowed.
 
-    The loop runs in the colour order of `energy.order`: the start is
-    permuted into it once, and the returned v is in C order again; the
-    caller's start is left as it was.  The sweep also returns A P, so A d
+    The start and the returned v are colour-order vectors, as is every
+    vector of the loop; the caller's start is left as it was.  The sweep
+    also returns A P, so A d
     follows as -A P + beta A d_prev, and `_line_min` finds the step from the
     exact numerator along d: an iteration makes no product with A, and
     reads about one and a half times A's entries.  A v follows by A v += tau
@@ -494,7 +491,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     A P once.
     """
     p, w, order = energy.p, energy.w, energy.order
-    v = energy.renormalize(order.colour(v))
+    v = energy.renormalize(v)
     av = order.product(v)
     pm1, normal, m = _mass_terms(p, v)
     products, drift = 1, 0  # drift: recurrence updates of av since its last exact product
@@ -562,7 +559,6 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     else:
         av /= scale
     gn = _projected_gradient_norm(energy, av, _pos_pow(v, p))
-    v = order.c_order(v)
     trace[-1] = (it, 0.5 * energy.norm_sq(v), gn)
     return v, it + 1, gn, stop, products
 
@@ -608,7 +604,7 @@ def _sweep_operator(energy: _Energy):
     def sweep(g):
         return energy.order.half_sweeps(g)[0]
 
-    return LinearOperator((energy.order.perm.size,) * 2, matvec=sweep, matmat=sweep,
+    return LinearOperator((energy.order.diag.size,) * 2, matvec=sweep, matmat=sweep,
                           dtype=float)
 
 
@@ -620,7 +616,7 @@ def _newton_polish(energy: _Energy, w: np.ndarray):
     1975) solves each step, preconditioned by the descent's colour sweep
     (`_sweep_operator`), which is positive definite whatever H's inertia
     (Knoll & Keyes, JCP 2004).  H and M both act in colour order
-    (`_hessian`), so no vector is permuted.  The step is accepted by
+    (`_hessian`).  The step is accepted by
     `_armijo_descent` on phi = |G|^2 / 2, whose slope along d is -|G|^2, so
     no step raises |G|.  The polish ends when no step passes, or after one
     that does not cut |G| by _POLISH_RATE.  It converges only from near a
@@ -661,14 +657,17 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     eigenvectors as columns, in colour order.  LOBPCG (Knyazev 2001)
     preconditioned by the descent's colour sweep (`_sweep_operator`), which
     it applies to its whole block at once, from a seeded random block so
-    that the result is deterministic (drawn in the mask's C order, so the
-    start does not depend on the colouring).  The iterations are those of the
-    block it returns, from its residual-norm history (which also holds the
-    start's and the final check's norms).
+    that the result is deterministic.  The block is drawn over the mask
+    nodes in their C order, so that it does not depend on the colouring,
+    and read into the colour order as a (box nodes, b) block.  The
+    iterations are those of the block it returns, from its residual-norm
+    history (which also holds the start's and the final check's norms).
     """
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
-    start = np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1))
+    start = np.zeros((energy.mask.size, _MORSE_EIGENVALUES + 1))
+    start[energy.mask.reshape(-1)] = np.random.default_rng(0).standard_normal(
+        (w.size, _MORSE_EIGENVALUES + 1))
     eigs, vecs, history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
                                  maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
                                  retResidualNormsHistory=True)
@@ -677,12 +676,11 @@ def _morse_index(energy: _Energy, w: np.ndarray):
 
 
 def _state_index(energy: _Energy, rep: SolveReport):
-    """`_morse_index` at the state of the mountain-pass report rep, permuted
-    into colour order once; rep's timings get its seconds as "index", and
-    its extra the LOBPCG iterations as index_lobpcg_iterations."""
+    """`_morse_index` at the state of the mountain-pass report rep, read
+    into the colour order from its field; rep's timings get its seconds as
+    "index", and its extra the LOBPCG iterations as index_lobpcg_iterations."""
     start = time.perf_counter()
-    index, eigs, vecs, iterations = _morse_index(energy,
-                                                 energy.order.colour(rep.field.interior()))
+    index, eigs, vecs, iterations = _morse_index(energy, energy.order.colour(rep.field.values))
     rep.extra["timings"]["index"] = time.perf_counter() - start
     rep.extra["index_lobpcg_iterations"] = iterations
     return index, eigs, vecs
@@ -721,7 +719,7 @@ def solve_mountain_pass(
         u0 = radial_bump(domain)
     elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
         raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
-    v0 = u0.values[domain.mask]
+    v0 = energy.order.colour(u0.values)
     energy.ray_max(v0)  # DomainError without a positive part
     trace = []
     start = time.perf_counter()
@@ -729,7 +727,7 @@ def solve_mountain_pass(
         energy, v0, config.grad_tol, config.max_iters, trace)
     descent = time.perf_counter()
     t_star, _ = energy.ray_max(v)
-    w = energy.order.colour(t_star * v)  # the polish works in colour order
+    w = t_star * v
     minres_iterations = []
     if stop == "grad_tol":
         w, gn, minres_iterations = _newton_polish(energy, w)
@@ -738,11 +736,10 @@ def solve_mountain_pass(
     polish = time.perf_counter()
 
     x_k = np.maximum(w, 0.0)
-    v_k = energy.order.c_order(x_k)
-    u_k = energy.field(v_k)
+    u_k = energy.field(x_k)
     # The exact maximum of J over the ray through the state, in closed form
     # in t; at a critical point it is J(u_k).
-    _, level = energy.ray_max(v_k)
+    _, level = energy.ray_max(x_k)
     bd = energy_breakdown(u_k, p)
     rep = _report(
         u_k, bd, "mountain-pass", level=level,
@@ -787,7 +784,8 @@ def solve_constrained_min(
     trace = []
     start = time.perf_counter()
     v, iters, gn, stop, products = _ray_descent(
-        energy, radial_bump(domain).interior(), config.grad_tol, config.max_iters, trace)
+        energy, energy.order.colour(radial_bump(domain).values), config.grad_tol,
+        config.max_iters, trace)
     descent = time.perf_counter()
 
     # Final positivity projection + exact renormalization; for a converged
@@ -920,6 +918,9 @@ class ExhaustionReport:
                     "xi_gauge": e.xi_gauge,
                     "delta": e.decay.delta,
                     "r_squared": e.decay.r_squared,
+                    "iterations": e.report.iterations,
+                    **{key: e.report.extra[key]
+                       for key in ("stop_reason", "operator_products", "timings")},
                 }
                 for e in self.entries
             ],
@@ -936,8 +937,8 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     """rep, or the solve restarted off its state if that is a saddle.
 
     A state of Morse index above 1 is pushed along H's second eigenvector,
-    in which the ray maximum falls (permuted out of the index's colour
-    order), and solved again.  From a symmetric
+    in which the ray maximum falls, in the colour order of the index, and
+    solved again.  From a symmetric
     start a descent can stop beside a symmetric saddle: on the 48^3 grid of
     k = 6, from the k = 2 ball's bump centered at the origin, the descent
     preconditioned by diag(A)^-1 reached one of index 2 at 82.709, where the
@@ -945,11 +946,10 @@ def _leave_saddle(config: SolverConfig, domain: Domain, rep: SolveReport) -> Sol
     bump, but a caller's u0 can still stop at a saddle.
     """
     energy = _Energy(domain, config.p)
-    w = rep.field.interior()
     index, _, vecs = _state_index(energy, rep)
     if index <= 1:
         return rep
-    e = energy.order.c_order(vecs[:, 1])
+    w, e = energy.order.colour(rep.field.values), vecs[:, 1]
     u0 = energy.field(w + _SADDLE_PUSH * np.abs(w).max() / np.abs(e).max() * e)
     return solve_mountain_pass(config, domain=domain, u0=u0)
 
@@ -962,14 +962,22 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     is exact.  The smallest ball starts from its `radial_bump`, and a
     converged state there is certified by `_leave_saddle`.  Each larger
     ball starts from the previous ball's field, zero-extended, so its
-    descent starts at the previous ball's critical point.
+    descent starts at the previous ball's critical point.  Radii that are
+    not at least two finite, positive numbers in increasing order, or a
+    smallest ball that holds no node of the master grid, raise
+    ConfigurationError.
     """
     radii = list(radii)
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii[:-1], radii[1:])):
-        raise ConfigurationError("radii must be a strictly increasing list (>= 2)")
+    bounds = [0.0, *radii, math.inf]  # a NaN fails each comparison
+    if len(radii) < 2 or not all(a < b for a, b in zip(bounds[:-1], bounds[1:])):
+        raise ConfigurationError(f"radii must be >= 2 increasing finite, positive numbers: {radii}")
     cfg = replace(config, ball_radius=radii[-1])
     master = make_domain(cfg)
     masks = {k: ball_mask(master.grid, k) for k in radii}
+    if not masks[radii[0]].any():
+        raise ConfigurationError(
+            f"the ball of radius {radii[0]} holds no node of the {cfg.nodes_per_axis}^3 "
+            f"grid of radius {radii[-1]}: raise the smallest radius or the grid")
     u0 = radial_bump(Domain(master.grid, masks[radii[0]], radii[0]))
     entries = []
     for k in radii:

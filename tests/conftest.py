@@ -225,6 +225,13 @@ def oracle_operator(g, mask):
     return (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
 
 
+def colour_perm(order, mask):
+    """The index among the mask nodes, in C order, of each position of the
+    colour order `order`: the permutation that takes the oracle's C-order A
+    to the colour order."""
+    return order.colour(np.cumsum(mask.reshape(-1)) - 1)
+
+
 def oracle_lower(a, colour, perm):
     """The CSR arrays (data, indices, indptr) of the strictly lower part of
     the C-order A in the colour order perm, where colour is each node's

@@ -113,7 +113,7 @@ def test_criterion_5_mountain_pass(mp_run, cm_run, desk_domain):
     gap_methods = abs(eval_J(cm.field, 2.0) - c_k) / c_k
     # A mountain-pass ground state is a saddle of Morse index 1.
     energy = _Energy(desk_domain, 2.0)
-    index, eigs, *_ = _morse_index(energy, energy.order.colour(mp.field.interior()))
+    index, eigs, *_ = _morse_index(energy, energy.order.colour(mp.field.values))
     ok = (
         mp.converged
         and c_k > 0.0

@@ -310,6 +310,34 @@ class TestExhaust:
     def test_rejects_nonincreasing_radii(self, capsys):
         assert main(["exhaust", "--radii", "2.0,1.5", "--grid", "10"]) == 64
 
+    def test_ball_without_nodes_is_a_usage_error(self, tmp_path, capsys):
+        # The k = 1 ball of the 8^3 grid of radius 6 holds no node: the radius
+        # is refused before any solve, and no output is written.
+        csv_path, json_path = tmp_path / "ex.csv", tmp_path / "ex.json"
+        assert main(["exhaust", "--radii", "1,6", "--grid", "8", "--out-csv", str(csv_path),
+                     "--out-json", str(json_path)]) == 64
+        assert "the ball of radius 1.0 holds no node" in capsys.readouterr().err
+        assert not csv_path.exists() and not json_path.exists()
+
+    def test_entries_carry_each_solve_s_diagnostics(self, tmp_path, capsys):
+        # Each JSON entry holds its ball's iterations, stop_reason,
+        # operator_products and timings; the first ball's Morse index adds
+        # its seconds.  The CSV keeps its six columns.
+        csv_path, json_path = tmp_path / "ex.csv", tmp_path / "ex.json"
+        assert main(["exhaust", "--radii", "1.5,2", "--grid", "10", "--grad-tol", "1e-3",
+                     "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+        entries = json.loads(json_path.read_text())["entries"]
+        assert len(entries) == 2
+        for entry, timed in zip(entries, ({"descent", "polish", "report", "index"},
+                                          {"descent", "polish", "report"})):
+            assert entry["stop_reason"] == "grad_tol"
+            assert 1 <= entry["iterations"] <= entry["operator_products"]
+            assert set(entry["timings"]) == timed
+            assert all(t >= 0.0 for t in entry["timings"].values())
+        rows = csv_path.read_text().splitlines()
+        assert rows[0] == "k,c_k,max_value,xi_gauge,delta,r2"
+        assert [len(row.split(",")) for row in rows[1:]] == [6, 6]
+
     def test_report_names_the_version_and_config(self, tmp_path, capsys):
         csv_path, json_path = tmp_path / "ex.csv", tmp_path / "ex.json"
         assert main(["exhaust", "--radii", "1.5,2", "--grid", "10", "--grad-tol", "1e-3",

@@ -5,14 +5,19 @@ import pytest
 from scipy import sparse
 from scipy.ndimage import binary_erosion
 
-from conftest import horizontal_gradient, midpoint_integral, oracle_lower, oracle_operator
+from conftest import (
+    colour_perm,
+    horizontal_gradient,
+    midpoint_integral,
+    oracle_lower,
+    oracle_operator,
+)
 from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
 from heisground.grid import (
     Grid3,
     ScalarField,
     _colour_order,
-    _energy_product,
     apply_Xh,
     apply_Yh,
     ball_mask,
@@ -357,7 +362,7 @@ class TestEnergyOperator:
         assert (a != a.T).nnz == 0
         order = _colour_order(grid, mask)
         kept = sparse.diags_array(order.diag) + order.lower + order.lower.T
-        perm = order.perm
+        perm = colour_perm(order, mask)
         assert (kept != a[perm][:, perm]).nnz == 0
 
     @pytest.mark.parametrize(
@@ -368,11 +373,12 @@ class TestEnergyOperator:
         grid, mask = build_ball_grid(k, n)
         if box:
             mask = full_mask(grid)
+        order = _colour_order(grid, mask)
         for _ in range(3):
             u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
-            v = u.interior()
+            v = order.colour(u.values)
             ref = reference_energy(u)
-            av = _energy_product(grid, mask, v)
+            av = order.product(v)
             assert float(v @ av) * grid.cell_volume == pytest.approx(ref, rel=1e-13)
             assert e_norm_sq(u) == pytest.approx(ref, rel=1e-13)
 
@@ -385,7 +391,7 @@ class TestEnergyOperator:
         a = _colour_order(arrays, mask)
         assert _colour_order(grid, mask) is a
         other, other_mask = build_ball_grid(2.0, 12)
-        assert _colour_order(other, other_mask).perm.size == np.count_nonzero(other_mask)
+        assert _colour_order(other, other_mask).node.size == np.count_nonzero(other_mask)
 
     def test_cached_per_grid_and_mask(self, fresh_operators):
         grid, mask = build_ball_grid(1.5, 12)
@@ -397,7 +403,7 @@ class TestEnergyOperator:
         assert _colour_order(grid, ball_mask(grid, 1.0)) is not a
         mask[tuple(n // 2 for n in grid.shape)] = False  # edited in place
         b = _colour_order(grid, mask)
-        assert b is not a and b.perm.size == a.perm.size - 1
+        assert b is not a and b.node.size == a.node.size - 1
 
     def test_cache_bounded_across_exhaustion(self):
         from heisground.solvers import SolverConfig, exhaust_domains
@@ -458,7 +464,8 @@ class TestAssembly:
         a = oracle_operator(grid, mask)
         colour = grid_module._node_colours(grid, mask)
         perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)])
-        assert np.array_equal(order.perm, perm)
+        assert np.array_equal(order.node, np.flatnonzero(mask)[perm])
+        assert order.node.dtype == np.int32 and order.shape == grid.shape
         assert order.split == (np.count_nonzero(colour == 0), np.count_nonzero(colour < 2))
         assert np.array_equal(order.diag.view(np.uint64), a.diagonal()[perm].view(np.uint64))
         assert np.array_equal(order.inv_diag.view(np.uint64),
@@ -474,13 +481,17 @@ class TestAssembly:
     def test_product_matches_the_oracle(self, name, grid, mask):
         order = _colour_order(grid, mask)
         a = oracle_operator(grid, mask)
-        perm = order.perm
+        perm = colour_perm(order, mask)
         rng = np.random.default_rng(37)
         for v in rng.standard_normal((2, perm.size)):
-            want = a @ v
-            got = _energy_product(grid, mask, v)
+            want = (a @ v)[perm]
+            got = order.product(v[perm])
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
-            np.testing.assert_array_equal(order.product(v[perm]), got[perm])
+            # the field functions' product is this one, written to the box
+            values = np.zeros(grid.shape)
+            values[mask] = v
+            delta = sublaplacian_values(ScalarField(grid, values, mask))
+            np.testing.assert_array_equal(order.colour(delta), v[perm] - got)
         block = rng.standard_normal((perm.size, 3))
         np.testing.assert_array_equal(order.product(block),
                                       np.stack([order.product(c) for c in block.T], axis=1))
@@ -507,8 +518,8 @@ class TestAssembly:
         rep = solvers.solve_constrained_min(cfg, domain=domain)
         assert rep.converged and len(grid_module._operator_cache) == 1
         energy = solvers._Energy(domain, cfg.p)
-        v = energy.order.colour(radial_bump(domain).interior())
-        w0 = energy.ray_max(energy.order.c_order(v))[0] * v
+        v = energy.order.colour(radial_bump(domain).values)
+        w0 = energy.ray_max(v)[0] * v
         _, gn, steps = solvers._newton_polish(energy, w0)
         assert steps and gn < energy.norm(energy.grad(w0))
 
@@ -518,7 +529,7 @@ class TestAssembly:
         # indices, with their own row pointers); no copy of A.
         grid, mask = build_ball_grid(4.0, 32)
         order = _colour_order(grid, mask)
-        arrays = [order.perm, order.diag, order.inv_diag]
+        arrays = [order.node, order.diag, order.inv_diag]
         for a in (order.lower, order.upper) + order.rows + order.columns:
             arrays += [a.data, a.indices, a.indptr]
         bases = {}
@@ -527,7 +538,7 @@ class TestAssembly:
                 a = a.base
             bases[id(a)] = a.nbytes
         lower = order.lower
-        m = order.perm.size
+        m = order.node.size
         l_bytes = lower.data.nbytes + lower.indices.nbytes + lower.indptr.nbytes
         assert sum(bases.values()) <= l_bytes + 3 * m * 8
 
@@ -559,7 +570,7 @@ class TestColourBlocks:
         grid, mask = self._grids()[case]
         a = oracle_operator(grid, mask)
         order = grid_module._colour_order(grid, mask)
-        perm, (n0, n01) = order.perm, order.split
+        perm, (n0, n01) = colour_perm(order, mask), order.split
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
         for rows, row, upper in zip((perm[n0:n01], perm[n01:]), order.rows, order.columns):
             assert row.format == "csr" and upper.format == "csc"
@@ -568,27 +579,33 @@ class TestColourBlocks:
         assert grid_module._colour_order(grid, mask) is order
 
     @pytest.mark.parametrize("case", [0, 2], ids=["4-32", "3-24-72"])
-    def test_permutations_are_inverse(self, case):
-        # `colour` and `c_order`, the package's only translation between
-        # the mask's C order and the colour order, undo each other bit for
-        # bit, on a vector and on an (m, 4) block.
+    def test_box_round_trip(self, case):
+        # `colour` and `box`, the package's only translations between a
+        # field's box array and the colour order: a vector written to the
+        # box and read back is itself, bit for bit, and a box array read and
+        # written back is itself off-mask zeroed.  A (box nodes, 4) block is
+        # read column by column at once.
         grid, mask = self._grids()[case]
         order = grid_module._colour_order(grid, mask)
         rng = np.random.default_rng(39)
-        for shape in ((order.perm.size,), (order.perm.size, 4)):
-            v, x = rng.standard_normal((2,) + shape)
-            for got, want in ((order.c_order(order.colour(v)), v),
-                              (order.colour(order.c_order(x)), x)):
-                assert got.shape == shape
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(order.colour(np.arange(order.perm.size)), order.perm)
+        v = rng.standard_normal(order.node.size)
+        x = rng.standard_normal(grid.shape)
+        for got, want in ((order.colour(order.box(v)), v),
+                          (order.box(order.colour(x)), np.where(mask, x, 0.0))):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        block = rng.standard_normal((mask.size, 4))
+        got = order.colour(block)
+        assert got.shape == (order.node.size, 4)
+        assert np.array_equal(got, np.stack([order.colour(c) for c in block.T], axis=1))
+        assert np.array_equal(order.colour(np.arange(mask.size).reshape(grid.shape)), order.node)
 
     @pytest.mark.parametrize("case", range(3))
     def test_lower_is_the_strictly_lower_part_in_colour_order(self, case):
         grid, mask = self._grids()[case]
         a = oracle_operator(grid, mask)
         order = grid_module._colour_order(grid, mask)
-        lower, upper, perm = order.lower, order.upper, order.perm
+        lower, upper, perm = order.lower, order.upper, colour_perm(order, mask)
         want = sparse.tril(a[perm][:, perm], k=-1).tocsr()
         assert lower.format == "csr" and upper.format == "csc"
         assert lower.nnz == want.nnz and (lower != want).nnz == 0

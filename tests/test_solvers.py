@@ -6,7 +6,7 @@ from unittest.mock import ANY
 import numpy as np
 import pytest
 
-from conftest import identity_defect, make_random_smooth_field, oracle_operator
+from conftest import colour_perm, identity_defect, make_random_smooth_field, oracle_operator
 from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
@@ -25,7 +25,6 @@ from heisground.grid import (
     ScalarField,
     _by_rows,
     _ColourOrder,
-    _energy_product,
     ball_mask,
     build_ball_grid,
     l2_norm,
@@ -394,8 +393,9 @@ class TestMountainPass:
 class TestNewtonPolish:
     def test_reaches_the_rounding_floor(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
-        v, *_ = _ray_descent(energy, radial_bump(small_domain).interior(), 1e-3, 1000, [])
-        w0 = energy.order.colour(energy.ray_max(v)[0] * v)
+        v, *_ = _ray_descent(energy, energy.order.colour(radial_bump(small_domain).values),
+                             1e-3, 1000, [])
+        w0 = energy.ray_max(v)[0] * v
         start = energy.norm(energy.grad(w0))
         w, gn, minres_iterations = _newton_polish(energy, w0)
         assert start > 1e-4 and gn <= 1e-11
@@ -407,23 +407,23 @@ class TestNewtonPolish:
         # Far from a critical point Newton need not converge, but no step
         # the line search accepts raises |G|.
         energy = _Energy(small_domain, small_config.p)
-        w0 = scale * energy.ray_max(radial_bump(small_domain).interior())[0] \
-            * energy.order.colour(radial_bump(small_domain).interior())
+        v = energy.order.colour(radial_bump(small_domain).values)
+        w0 = scale * energy.ray_max(v)[0] * v
         w, gn, _ = _newton_polish(energy, w0)
         assert np.isfinite(gn) and gn <= energy.norm(energy.grad(w0))
 
     def test_index_one_at_the_ground_state(self, small_mp, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
-        w = energy.order.colour(small_mp.field.interior())
+        w = energy.order.colour(small_mp.field.values)
         index, eigs, vecs, iterations = _morse_index(energy, w)
-        assert index == 1 and len(eigs) == 3 and vecs.shape == (energy.order.perm.size, 3)
+        assert index == 1 and len(eigs) == 3 and vecs.shape == (energy.order.node.size, 3)
         assert 0 < iterations < solvers._LOBPCG_MAX_ITERS
         assert eigs[0] < -1.0 < 0.5 < eigs[1] <= eigs[2]
 
     def test_index_zero_where_the_hessian_is_a(self, small_domain, small_config):
         # With no positive part, H = A, whose spectrum lies above 1.
         energy = _Energy(small_domain, small_config.p)
-        w = -energy.order.colour(radial_bump(small_domain).interior())
+        w = -energy.order.colour(radial_bump(small_domain).values)
         index, eigs, *_ = _morse_index(energy, w)
         assert index == 0 and eigs[0] > 1.0
 
@@ -440,7 +440,7 @@ class TestNewtonPolish:
 
         monkeypatch.setattr(_ColourOrder, "half_sweeps", counting)
         energy = _Energy(small_domain, small_config.p)
-        w = energy.order.colour(small_mp.field.interior())
+        w = energy.order.colour(small_mp.field.values)
         m = w.size
         _, _, minres_iterations = _newton_polish(energy, 1.01 * w)
         polish = len(calls)
@@ -461,7 +461,7 @@ class TestColourSweep:
         energy = _Energy(small_domain, small_config.p)
         rng = np.random.default_rng(33)
         for _ in range(5):
-            x, y = rng.standard_normal((2, energy.order.perm.size))
+            x, y = rng.standard_normal((2, energy.order.node.size))
             assert float(x @ energy.order.sweep(y)[0]) == pytest.approx(
                 float(energy.order.sweep(x)[0] @ y), rel=1e-12)
             assert float(x @ energy.order.sweep(x)[0]) > 0.0
@@ -470,7 +470,7 @@ class TestColourSweep:
         from scipy.linalg import solve_triangular
 
         energy = _Energy(small_domain, small_config.p)
-        perm = energy.order.perm
+        perm = colour_perm(energy.order, energy.mask)
         m = perm.size
         assert m == 1088 and np.array_equal(np.sort(perm), np.arange(m))
         a = oracle_operator(small_domain.grid, small_domain.mask).toarray()[np.ix_(perm, perm)]
@@ -487,7 +487,7 @@ class TestColourSweep:
         # The polish and the index take the sweep in colour order, with no
         # permutation: symmetric, positive, and a block swept in one call.
         energy = _Energy(small_domain, small_config.p)
-        m, size = solvers._sweep_operator(energy), energy.order.perm.size
+        m, size = solvers._sweep_operator(energy), energy.order.node.size
         rng = np.random.default_rng(36)
         for _ in range(5):
             x, y = rng.standard_normal((2, size))
@@ -506,7 +506,7 @@ class TestColourSweep:
         # An (m, b) block is swept at once, bit for bit as its columns one
         # at a time, P and A P both; so is a block's product with A.
         energy = _Energy(domain(), 2.0)
-        block = np.random.default_rng(38).standard_normal((energy.order.perm.size, 4))
+        block = np.random.default_rng(38).standard_normal((energy.order.node.size, 4))
         p, ap = energy.order.sweep(block)
         for k, col in enumerate(block.T):
             want_p, want_ap = energy.order.sweep(col)
@@ -527,7 +527,7 @@ class TestColourSweep:
         # A P from the two half-sweeps equals the product of the C-order A
         # with P, permuted, to rounding.
         energy = _Energy(domain(), 2.0)
-        perm = energy.order.perm
+        perm = colour_perm(energy.order, energy.mask)
         for g in np.random.default_rng(35).standard_normal((3, perm.size)):
             p, ap = energy.order.sweep(g)
             x = np.empty_like(p)
@@ -542,9 +542,9 @@ class TestVectorEnergy:
         energy = _Energy(small_domain, p)
         u = radial_bump(small_domain)
         u = u.with_values(0.4 * (16 * u.values))
-        v = u.interior()
-        assert np.allclose(energy.order.c_order(energy.grad(energy.order.colour(v))),
-                           grad_J(u, p).interior(), rtol=0, atol=1e-13)
+        v = energy.order.colour(u.values)
+        assert np.allclose(energy.order.box(energy.grad(v)), grad_J(u, p).values,
+                           rtol=0, atol=1e-13)
         assert energy.ray_max(v) == pytest.approx(nehari_scale(u, p), rel=1e-13)
         assert energy.norm(v) == pytest.approx(l2_norm(u), rel=1e-13)
         assert np.array_equal(energy.field(v).values, u.values)
@@ -556,10 +556,10 @@ class TestVectorEnergy:
         energy = _Energy(small_domain, p)
         trace = []
         v, iters, gn, stop, *_ = _ray_descent(
-            energy, radial_bump(small_domain).interior(), 1e-12, 5, trace)
+            energy, energy.order.colour(radial_bump(small_domain).values), 1e-12, 5, trace)
         assert (stop, iters, len(trace)) == ("max_iters", 5, 5)
         normal = _pos_pow(v, p)
-        av = _energy_product(small_domain.grid, small_domain.mask, v)
+        av = energy.order.product(v)
         g = av - energy.inner(av, normal) / energy.inner(normal, normal) * normal
         assert gn == pytest.approx(energy.norm(g), rel=1e-12)
         assert trace[-1] == (4, 0.5 * energy.norm_sq(v), gn)
@@ -567,7 +567,7 @@ class TestVectorEnergy:
 
     def test_ray_descent_stop_reasons(self, small_domain, small_config, monkeypatch):
         energy = _Energy(small_domain, small_config.p)
-        v = radial_bump(small_domain).interior()
+        v = energy.order.colour(radial_bump(small_domain).values)
         assert _ray_descent(energy, v, 1e-12, 5, [])[1:] == (5, ANY, "max_iters", 6)
         assert _ray_descent(energy, v, 1e3, 5, [])[1:] == (1, ANY, "grad_tol", 1)
         iters, _, stop, products = _ray_descent(energy, v, 1e-15, 1000, [])[1:]
@@ -575,12 +575,13 @@ class TestVectorEnergy:
         TestConstrainedMin._rising_steps(monkeypatch, 1.0)
         assert _ray_descent(energy, v, 1e-12, 5, [])[1:] == (1, ANY, "no_descent", 2)
 
-    def test_ray_descent_leaves_the_start_and_returns_c_order(self, small_domain, small_config):
-        # The loop runs in colour order on a copy; the returned state is in
-        # the mask's C order, so its field peaks at the ground state's node
-        # t = -h_t/2.
+    def test_ray_descent_leaves_the_start_and_returns_colour_order(self, small_domain,
+                                                                   small_config):
+        # The loop runs on a copy of its colour-order start, and the returned
+        # state is in the colour order too, so its field peaks at the ground
+        # state's node t = -h_t/2.
         energy = _Energy(small_domain, small_config.p)
-        v0 = radial_bump(small_domain).interior()
+        v0 = energy.order.colour(radial_bump(small_domain).values)
         start = v0.copy()
         v, *_ = _ray_descent(energy, v0, small_config.grad_tol, 1000, [])
         assert np.array_equal(v0, start)
@@ -602,15 +603,17 @@ class TestVectorEnergy:
 
         monkeypatch.setattr(_ColourOrder, "product", counting)
         _, iters, _, stop, products = _ray_descent(
-            energy, radial_bump(small_domain).interior(), small_config.grad_tol, 1000, [])
+            energy, energy.order.colour(radial_bump(small_domain).values),
+            small_config.grad_tol, 1000, [])
         assert (iters, stop, products) == (22, "grad_tol", 24)
-        assert calls == [(energy.order.perm.size,)] * 3
+        assert calls == [(energy.order.node.size,)] * 3
 
     def test_ray_descent_keeps_a_sign_changing_start(self, small_domain, small_config):
         # With no step taken the descent returns its start, negative part
         # and all, scaled onto the constraint.
         energy = _Energy(small_domain, small_config.p)
-        v = make_random_smooth_field(small_domain, np.random.default_rng(6), n_bumps=8).interior()
+        u = make_random_smooth_field(small_domain, np.random.default_rng(6), n_bumps=8)
+        v = energy.order.colour(u.values)
         assert v.min() < 0.0
         out, iters, gn, stop, products = _ray_descent(energy, v, 1e-12, 1, [])
         assert (iters, stop, products) == (1, "max_iters", 1)
@@ -630,17 +633,18 @@ class TestVectorEnergy:
         cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-6)
         u0 = make_random_smooth_field(small_domain, np.random.default_rng(seed), n_bumps=8)
         rep = solve_mountain_pass(cfg, domain=small_domain, u0=u0)
-        energy, v0 = _Energy(small_domain, cfg.p), u0.interior()
+        energy = _Energy(small_domain, cfg.p)
+        v0 = energy.order.colour(u0.values)
         i_start = 0.5 * energy.norm_sq(v0) / energy.mass(v0) ** (2.0 / (cfg.p + 1.0))
         assert rep.trace[0][1] == pytest.approx(i_start, rel=1e-10)
         assert rep.converged and rep.extra["grad_norm"] <= 1e-11
         assert rep.extra["operator_products"] < 200
-        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.values))[0] == 1
         assert rep.level >= GROUND_LEVEL_K2_5_N12 * (1.0 - 1e-12)
 
     def test_ray_descent_rejects_non_finite(self, small_domain, small_config):
         energy = _Energy(small_domain, small_config.p)
-        v = radial_bump(small_domain).interior()
+        v = energy.order.colour(radial_bump(small_domain).values)
         v[3] = np.nan
         with pytest.raises(NumericError):
             _ray_descent(energy, v, 1e-6, 10, [])
@@ -800,10 +804,10 @@ class TestExhaustion:
         energy = _Energy(dom, cfg.p)
         saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
         assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
-        assert _morse_index(energy, energy.order.colour(saddle.field.interior()))[0] == 2
+        assert _morse_index(energy, energy.order.colour(saddle.field.values))[0] == 2
         rep = solvers._leave_saddle(cfg, dom, saddle)
         assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
-        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.values))[0] == 1
         # exhaust_domains certifies its first ball the same way
         monkeypatch.setattr(solvers, "radial_bump", _origin_bump)
         first = exhaust_domains([2.0, 6.0], cfg).entries[0]
@@ -816,7 +820,7 @@ class TestExhaustion:
         rep = solve_mountain_pass(cfg, domain=dom)
         assert rep.converged and rep.level == pytest.approx(61.73916509504, rel=1e-9)
         energy = _Energy(dom, cfg.p)
-        assert _morse_index(energy, energy.order.colour(rep.field.interior()))[0] == 1
+        assert _morse_index(energy, energy.order.colour(rep.field.values))[0] == 1
         cm = solve_constrained_min(cfg, domain=dom)
         assert cm.converged and cm.iterations < 60
         assert cm.level == pytest.approx(3.590933303923609, rel=1e-9)
@@ -829,6 +833,19 @@ class TestExhaustion:
             exhaust_domains([2.0], small_config)
         with pytest.raises(ConfigurationError):
             exhaust_domains([2.0, 1.5], small_config)
+
+    @pytest.mark.parametrize("radii", [[np.nan, 2.0], [-1.0, 2.0], [0.0, 2.0], [2.0, np.inf]],
+                             ids=["nan", "negative", "zero", "inf"])
+    def test_rejects_radii_that_are_not_finite_and_positive(self, small_config, radii):
+        # a NaN fails every comparison, so it must be refused as not a < b
+        with pytest.raises(ConfigurationError, match="finite, positive"):
+            exhaust_domains(radii, small_config)
+
+    def test_rejects_a_ball_without_nodes(self):
+        # On the 8^3 grid of radius 6 the nodes nearest the origin lie at
+        # gauge (2 * 0.75^2)^(1/2) > 1, so the k = 1 ball holds none.
+        with pytest.raises(ConfigurationError, match="radius 1.0 holds no node of the 8"):
+            exhaust_domains([1.0, 6.0], SolverConfig(nodes_per_axis=8))
 
 
 def test_report_serializes(small_cm):

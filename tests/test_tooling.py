@@ -1,10 +1,12 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, only `grid`
-reads the colour order's layout, and the README's CLI section names the
+reads the colour order's layout, no module reads a field's mask nodes in
+C order, and the README's CLI section names the
 parser's flags and the CLI's exit codes; the autouse fixture empties every
-per-grid cache; the CI workflow installs the declared dependencies and
-runs the tier-1 command single-threaded, within a time limit."""
+per-grid cache; the CI workflow installs the declared dependencies, runs
+the installed console script, and runs the tier-1 command single-threaded,
+within a time limit."""
 
 import argparse
 import ast
@@ -65,11 +67,11 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-_LAYOUT = {"split", "rows", "columns", "inv_diag"}
+_LAYOUT = {"node", "split", "rows", "columns", "inv_diag"}
 
 
 def test_only_grid_reads_the_colour_layout():
-    # `grid._ColourOrder` owns the colour order: its sweep and permutations
+    # `grid._ColourOrder` owns the colour order: its sweep and translations
     # are its methods, so no other module reads the fields that lay the
     # order out.  A method call of that name (`str.split`) is no such read.
     source = Path(heisground.__file__).parent
@@ -83,6 +85,21 @@ def test_only_grid_reads_the_colour_layout():
                   if isinstance(node, ast.Attribute) and node.attr in _LAYOUT
                   and id(node) not in called]
     assert reads == []
+
+
+def test_no_module_reads_the_mask_nodes_in_c_order():
+    # The package's vectors are in the colour order, read from and written
+    # to a field's box array by `_ColourOrder.colour` and `.box`.
+    # `ScalarField.interior()`, the mask nodes in C order, is the tests'
+    # view only: a call of it in the package would bring back a third layout.
+    source = Path(heisground.__file__).parent
+    calls = []
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "interior"]
+    assert calls == []
 
 
 def _undocumented(obj) -> bool:
@@ -201,6 +218,21 @@ def test_ci_runs_the_benchmark_self_test_after_tier_1():
             for step in job["steps"]]
     tier1 = next(i for i, run in enumerate(runs) if "pytest" in run)
     assert runs.index("python3 perfbench/selftest.py") > tier1
+
+
+def test_ci_runs_the_installed_console_script():
+    # The tests import the package from src/, so only this step, after the
+    # install, runs the entry point that [project.scripts] declares.
+    import yaml
+
+    scripts = (README.parent / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    (name,) = re.findall(r'^([\w-]+) = "heisground\.cli:main"$', scripts.split("\n[", 1)[0],
+                         re.M)
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "").strip() for job in workflow["jobs"].values()
+            for step in job["steps"]]
+    install = runs.index('python -m pip install ".[test]"')
+    assert runs.index(f"{name} calculus-check > /dev/null") > install
 
 
 def test_ci_tests_run_single_threaded_within_a_time_limit():
