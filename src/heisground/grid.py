@@ -7,13 +7,15 @@ edges.  The horizontal derivatives are forward differences,
 
     B = [X_h; Y_h],   X_h = D_x + 2y D_t,   Y_h = D_y - 2x D_t,
 
-with D the 1-D forward differences (u[+1] - u) / h.  B is written down
-once, as numpy stencil coefficients per grid (`_stencil`): each row of X_h
-or Y_h sums c0 u + c1 u[+t] + c2 u[+x or +y] over a node and its forward
-neighbours.  `e_norm_sq`, `apply_Xh` and `apply_Yh` apply the stencil to a
-field's box array, whose zeros off the mask stand for the missing nodes,
-and so does the solvers' energy norm (`_box_norm_sq`).  Every other
-discrete object comes from B:
+with D the 1-D forward differences (u[+1] - u) / h.  B is stated once,
+as its taps per grid (`_stencil`): each row of X_h or Y_h sums c u[+offset]
+over the taps (offset, c), a node and its forward neighbours along t and
+along x or y.  Nothing else in the module writes an offset or a
+coefficient of B; the rest is read from the taps.  `e_norm_sq`, `apply_Xh`
+and `apply_Yh` apply them to a field's box array (`_gradient_values`),
+whose zeros off the mask stand for the missing nodes, and so does the
+solvers' energy norm (`_box_norm_sq`).  Every other discrete object comes
+from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -32,11 +34,11 @@ colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
 package's only translations of a vector, between a field's box array and
 the colour order (`colour`, `box`), which the solvers and the field
 functions go through.  No other module reads its layout.  Each
-off-diagonal entry of A is one or two products of stencil coefficients,
-and each diagonal entry a sum of up to six squares, so L and diag(A) are
-filled from the coefficients on first use (`_assemble`), bit for bit as
-scipy's sparse product B^T B would give them, with no B and no sparse
-product.
+off-diagonal entry of A, at offset b - a, sums the products c_a c_b of
+two taps of a row, and each diagonal entry the squares of the taps that
+reach the node, so L and diag(A) are read from the taps on first use
+(`_assemble`), bit for bit as scipy's sparse product B^T B would give
+them, with no B and no sparse product.
 `scipy.sparse` is imported only there, so the field functions need numpy
 alone.
 
@@ -56,6 +58,7 @@ them with spurious negative lobes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -227,58 +230,52 @@ def full_mask(grid: Grid3) -> np.ndarray:
 
 
 def _stencil(grid: Grid3) -> tuple:
-    """B's coefficients on grid: (c0, taps) for X_h, then for Y_h.
+    """B on grid, as its taps: X_h's, then Y_h's.
 
-    Row r of a derivative sums c0 v[r], then c v[r + k] for each tap
-    (axis, c) in order, where r + k is r's forward neighbour along the axis
-    (k the axis's stride in C order); the taps go by increasing k, so the
-    terms come in column order.  A neighbour beyond the box edge is zero.
-    Each coefficient broadcasts against the (n_x, n_y n_t) view of the
-    box: a row of n_y n_t (it varies with y), a column of n_x (with x) or a
-    scalar.  The expressions are those of the sparse sums of the Kronecker
-    factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.
+    A row r of a derivative sums c v[r + offset] over its taps (offset, c),
+    where r is a box node, offset a step (dx, dy, dt) to r itself or to its
+    forward neighbour along one axis, and a neighbour beyond the box is
+    zero.  The taps go (0, 0, 0), (0, 0, 1), then (1, 0, 0) for X_h or
+    (0, 1, 0) for Y_h, so the terms come in column order.  Each c is a
+    scalar or an array that broadcasts to (n_x, n_y, 1): B's coefficients
+    do not vary along t.  This is the one statement of B: the gradient
+    (`_gradient_values`), diag(A) and A's couplings (`_assemble`) are read
+    from the taps.  The expressions are those of the sparse sums of the
+    Kronecker factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.
     """
     hx, hy, ht = grid.spacing
-    y2 = np.repeat(2.0 * grid.axis_coords(1), grid.shape[2])  # 2y over a plane, C order
-    x2 = 2.0 * grid.axis_coords(0)[:, None]  # 2x per plane
+    x2 = 2.0 * grid.axis_coords(0)[:, None, None]
+    y2 = 2.0 * grid.axis_coords(1)[None, :, None]
     inv_ht = 1.0 / ht
-    x_h = (-1.0 / hx + y2 * -inv_ht, ((2, y2 * inv_ht), (0, 1.0 / hx)))
-    y_h = (-1.0 / hy - x2 * -inv_ht, ((2, -(x2 * inv_ht)), (1, 1.0 / hy)))
+    x_h = (((0, 0, 0), -1.0 / hx + y2 * -inv_ht), ((0, 0, 1), y2 * inv_ht), ((1, 0, 0), 1.0 / hx))
+    y_h = (((0, 0, 0), -1.0 / hy - x2 * -inv_ht), ((0, 0, 1), -(x2 * inv_ht)),
+           ((0, 1, 0), 1.0 / hy))
     return x_h, y_h
 
 
-def _forward_neighbour(a: np.ndarray, axis: int, shape: tuple, out: np.ndarray,
-                       edge, scale=1) -> np.ndarray:
-    """out[r] = scale * a[r + k], from the entry of node r's forward neighbour
-    along axis, and `edge` where that neighbour lies beyond the box (a and
-    out flat, in C order over shape)."""
-    k = math.prod(shape[axis + 1:])
-    np.multiply(a[k:], scale, out=out[:-k])
-    out.reshape(-1, shape[axis], k)[:, -1] = edge
-    return out
-
-
 def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
-    """B v on the box, X_h block first, by the stencil on the box array
+    """B v on the box, X_h block first, by `_stencil`'s taps on the box array
     `values` of grid.
 
     The box array is zero off the mask, which stands for B's missing
-    columns.  Each row sums its terms in column order, as the CSR product
+    columns.  A tap's term is its c times the box shifted by its offset,
+    one slice of the flat box, zero on the box's far layer along the
+    offset.  Each row sums its terms in column order, as the CSR product
     does, so the result equals B @ v (a zero sum may come out as -0.0).
     """
     shape = grid.shape
     v = values.reshape(-1)
-    rows = (shape[0], v.size // shape[0])
-    g = np.empty((2,) + rows)
-    s = np.empty(rows)
-    for out, (c0, taps) in zip(g, _stencil(grid)):
-        np.multiply(v.reshape(rows), c0, out=out)
-        for axis, c in taps:
-            if np.ndim(c):  # a row or a column scales in the box view
-                _forward_neighbour(v, axis, shape, s.reshape(-1), 0.0)
+    g = np.empty((2,) + shape)
+    s = np.empty(shape)
+    for out, ((_, c0), *taps) in zip(g, _stencil(grid)):
+        np.multiply(values, c0, out=out)
+        for offset, c in taps:
+            k = (offset[0] * shape[1] + offset[1]) * shape[2] + offset[2]  # in the flat box
+            scalar = not np.ndim(c)  # a scalar scales in the shift; an array in the box
+            np.multiply(v[k:], c if scalar else 1.0, out=s.reshape(-1)[:-k])
+            s[tuple(slice(n - o, None) if o else slice(None) for n, o in zip(shape, offset))] = 0.0
+            if not scalar:
                 s *= c
-            else:
-                _forward_neighbour(v, axis, shape, s.reshape(-1), 0.0, c)
             out += s
     return g.reshape(-1)
 
@@ -436,54 +433,44 @@ def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     return order
 
 
-# A's off-diagonal entries of a node: the offset (dx, dy, dt) to the
-# neighbour, by increasing C order of the neighbour, and the coupling's
-# name in `_assemble`'s tables.
-_NEIGHBOURS = (((-1, 0, 0), "x"), ((-1, 0, 1), "xt"), ((0, -1, 0), "y"), ((0, -1, 1), "yt"),
-               ((0, 0, -1), "t"), ((0, 0, 1), "t"), ((0, 1, -1), "yt"), ((0, 1, 0), "y"),
-               ((1, 0, -1), "xt"), ((1, 0, 0), "x"))
-
-
 def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
-    """The `_ColourOrder` of A = B^T B + I, filled from `_stencil`'s
-    coefficients with no B and no sparse product.
+    """The `_ColourOrder` of A = B^T B + I, read from `_stencil`'s taps with
+    no B and no sparse product.
 
     (B^T B)_ij sums B_ri B_rj over B's rows r, X_h's rows (box nodes in C
-    order) before Y_h's.  X_h's row r holds c0x at r, ctx at r + e_t and
-    1/h_x at r + e_x, and Y_h's c0y, cty and 1/h_y at r, r + e_t and r + e_y;
-    X_h's coefficients vary with y alone and Y_h's with x alone.  So a
-    node's entry towards each of its ten neighbours is one product, or two
-    along t, of coefficients at the node's (x, y) (the tables below), and
-    its diagonal is a sum of up to six squares, then 1.  Both are summed in
+    order) before Y_h's, and row r's tap (a, c) puts c at r + a.  So
+    diag(A) sums, over the rows that hold a node in C order, the square of
+    the tap that reaches it, then 1; and a node's entry towards its
+    neighbour at offset b - a sums c_a c_b over the rows' tap pairs (a, b),
+    X_h's first.  A row's coefficients do not vary along its own offsets
+    (X_h's vary with y and step in x and t, Y_h's vary with x and step in y
+    and t), so each entry is read at the node's (x, y).  Both are summed in
     B's row order, as scipy's sparse product B^T B sums them, so the
     entries are bit for bit those of that product; like it, an entry that
-    sums to 0 is no entry.  L is written one neighbour offset at a time into
-    CSR arrays sized by a first pass, each row's entries in their nodes' C
-    order, and no argsort or copy of A is made.
+    sums to 0 is no entry.  L is written one neighbour offset at a time
+    into CSR arrays sized by a first pass, each row's entries in their
+    nodes' C order, and no argsort or copy of A is made.
     """
     from scipy import sparse
 
     n_x, n_y, n_t = grid.shape
-    (c0x, ((_, ctx), (_, ix))), (c0y, ((_, cty), (_, iy))) = _stencil(grid)
-    c0x, ctx = (c.reshape(n_y, n_t)[:, 0] for c in (c0x, ctx))  # per y
-    tables = {name: np.broadcast_to(c, (n_x, n_y)).ravel()
-              for name, c in (("t", c0x * ctx + c0y * cty), ("x", c0x * ix), ("xt", ctx * ix),
-                              ("y", c0y * iy), ("yt", cty * iy))}
-    # B's rows that hold a node, in order: X_h's of its -x and -t neighbours
-    # and its own, then Y_h's of its -y and -t neighbours and its own
     diag = np.zeros(grid.shape)
-    diag[1:] += ix * ix
-    diag[:, :, 1:] += (ctx * ctx)[:, None]
-    diag += (c0x * c0x)[:, None]
-    diag[:, 1:] += iy * iy
-    diag[:, :, 1:] += (cty * cty)[:, :, None]
-    diag += (c0y * c0y)[:, :, None]
+    plane = np.zeros((n_x, n_y, 1))  # its +0.0 moves only entries that sum to 0
+    couplings = {}  # offset b - a: the entry at each (x, y)
+    for row in _stencil(grid):
+        # the rows r = node - a that hold a node, in C order
+        for a, c in sorted(row, key=operator.itemgetter(0), reverse=True):
+            diag[tuple(slice(o, None) for o in a)] += c * c
+        for (a, c_a), (b, c_b) in itertools.permutations(row, 2):
+            d = tuple(j - i for i, j in zip(a, b))
+            couplings[d] = couplings.get(d, plane) + c_a * c_b
     diag += 1.0
 
     colour = _node_colours(grid, mask)
     m = colour.size
     # 32-bit indices whenever the box and A's entries fit, as scipy chooses
-    index = np.int32 if max(11 * m, mask.size) <= np.iinfo(np.int32).max else np.intp
+    width = len(couplings) + 1  # A's entries per row
+    index = np.int32 if max(width * m, mask.size) <= np.iinfo(np.int32).max else np.intp
     perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)]).astype(index)
     n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
     n01 = n0 + n1
@@ -501,10 +488,11 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     start[:n1] = n0
 
     def entries():
-        """(column, value, in L) of each row's entry towards each neighbour."""
-        for (dx, dy, dt), name in _NEIGHBOURS:
+        """(column, value, in L) of each row's entry towards each neighbour,
+        by increasing C order of the neighbour."""
+        for (dx, dy, dt), table in sorted(couplings.items(), key=operator.itemgetter(0)):
             col = pos.take(padded + ((dx * (n_y + 2) + dy) * (n_t + 2) + dt))
-            value = tables[name].take(xy)
+            value = table.reshape(-1).take(xy)
             keep = col < start
             keep &= value != 0.0
             yield col, value, keep

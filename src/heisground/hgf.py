@@ -29,17 +29,20 @@ __all__ = ["write_hgf", "read_hgf", "MAGIC"]
 
 def atomic_write(path: str, data: bytes) -> None:
     """Write data to path by a temp file in its directory and a rename, so
-    the path holds its old content or all of data, never a part."""
+    the path holds its old content or all of data, never a part.  An
+    OSError names path, not the temp file."""
     dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_hgf(

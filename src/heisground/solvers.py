@@ -295,6 +295,16 @@ class _Energy:
         """The field of the vector v."""
         return ScalarField(self.grid, self.order.box(v), self.mask)
 
+    def start(self, u0: ScalarField) -> np.ndarray:
+        """The vector of the start u0; DomainError when its positive part
+        has no mass, which neither method can scale or descend from."""
+        v0 = self.order.colour(u0.values)
+        if self.mass(v0) <= 0.0:
+            raise DomainError(
+                "the start has no positive-part mass: int u_+^(p+1) is 0 on this ball "
+                "(the default bump exp(-rho^2) underflows when every node is far from its center)")
+        return v0
+
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Discrete L^2 inner product."""
         return float(a @ b) * self.w
@@ -719,8 +729,7 @@ def solve_mountain_pass(
         u0 = radial_bump(domain)
     elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
         raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
-    v0 = energy.order.colour(u0.values)
-    energy.ray_max(v0)  # DomainError without a positive part
+    v0 = energy.start(u0)
     trace = []
     start = time.perf_counter()
     v, iters, _, stop, products = _ray_descent(
@@ -776,6 +785,7 @@ def solve_constrained_min(
       `_ray_descent`); the solve has converged when it is grad_tol;
     - grad_norm, |g| at the last step, and identity_defect at u*;
     - timings: the seconds of the descent and of the report.
+    A start with no positive-part mass (`_Energy.start`) is a DomainError.
     """
     if domain is None:
         domain = make_domain(config)
@@ -784,8 +794,7 @@ def solve_constrained_min(
     trace = []
     start = time.perf_counter()
     v, iters, gn, stop, products = _ray_descent(
-        energy, energy.order.colour(radial_bump(domain).values), config.grad_tol,
-        config.max_iters, trace)
+        energy, energy.start(radial_bump(domain)), config.grad_tol, config.max_iters, trace)
     descent = time.perf_counter()
 
     # Final positivity projection + exact renormalization; for a converged

@@ -182,46 +182,40 @@ def flip_y_twist(monkeypatch) -> None:
 # ---------------------------------------------------------------------------
 
 
-def horizontal_gradient(g, mask):
-    """B = [X_h; Y_h] as a CSR matrix from the stencil's coefficients: mask-node
-    values in C order to both derivatives on every box node (X_h rows first).
-
-    Row r of a derivative holds c0 at column r and each tap's coefficient
-    at the column of r's neighbour, in that order.  A term whose node is off
-    the mask or beyond the box, or whose coefficient is 0, is no entry, as
-    in the sparse sums of the Kronecker factors (`test_grid`'s
-    `kronecker_gradient` checks it bit for bit).
-    """
+def kronecker_gradient(grid, mask):
+    """B = [X_h; Y_h] by Kronecker products of the 1-D forward differences
+    (u[+1] - u) / h, with u = 0 beyond the box edge: X_h = D_x + diag(2y) D_t
+    and Y_h = D_y - diag(2x) D_t, keeping the mask columns.  It reads no
+    code of the package, so it checks the stencil (`test_grid`) and gives
+    the operator oracle its B."""
     from scipy import sparse
 
-    shape = g.shape
-    n = mask.size
-    rows = (shape[0], n // shape[0])
-    inside = mask.reshape(-1)
-    m = np.count_nonzero(inside)
-    index = np.int32 if 6 * n <= np.iinfo(np.int32).max else np.intp
-    col = np.full(n, -1, dtype=index)  # the column of each box node, -1 off the mask
-    col[inside] = np.arange(m)
-    cols, data = [], []
-    for c0, taps in grid._stencil(g):
-        cols.append(np.stack([col, *(grid._forward_neighbour(col, axis, shape,
-                                                              np.empty_like(col), -1)
-                                     for axis, _ in taps)], axis=1))
-        data.append(np.stack([np.broadcast_to(c, rows).reshape(-1)
-                              for c in (c0, *(c for _, c in taps))], axis=1))
-    cols, data = np.concatenate(cols), np.concatenate(data)
-    keep = (cols >= 0) & (data != 0.0)
-    indptr = np.zeros(2 * n + 1, dtype=index)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sparse.csr_array((data[keep], cols[keep], indptr), shape=(2 * n, m))
+    (nx, ny, nt), (hx, hy, ht) = grid.shape, grid.spacing
+    cols = np.flatnonzero(mask)
+
+    def diff(before, n, h, after):
+        d = sparse.diags_array([np.full(n, -1.0 / h), np.full(n - 1, 1.0 / h)],
+                               offsets=[0, 1])
+        return sparse.kron(sparse.kron(sparse.eye_array(before), d),
+                           sparse.eye_array(after), format="csr")[:, cols]
+
+    xs, ys, _ = grid.coordinate_arrays()
+    dt = diff(nx * ny, nt, ht, 1)
+    gx = diff(1, nx, hx, ny * nt) + sparse.diags_array(
+        np.broadcast_to(2.0 * ys, grid.shape).ravel()) @ dt
+    gy = diff(nx, ny, hy, nt) - sparse.diags_array(
+        np.broadcast_to(2.0 * xs, grid.shape).ravel()) @ dt
+    B = sparse.vstack([gx, gy], format="csr")
+    B.sort_indices()
+    return B
 
 
 def oracle_operator(g, mask):
     """A = B^T B + I on the mask nodes in C order, by scipy's sparse product
-    of `horizontal_gradient` with itself."""
+    of `kronecker_gradient` with itself."""
     from scipy import sparse
 
-    B = horizontal_gradient(g, mask)
+    B = kronecker_gradient(g, mask)
     return (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
 
 

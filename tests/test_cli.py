@@ -241,9 +241,19 @@ class TestSolve:
         assert doc["converged"] is True and doc["config"]["report"] == ""
 
     def test_unwritable_out_is_an_io_error(self, tmp_path, capsys):
+        # the error names the file asked for, not the temp file it was to
+        # be renamed from
         out = tmp_path / "missing" / "x.hgf"
         assert main(["solve", *SOLVE_FAST, "--out", str(out)]) == 66
-        assert capsys.readouterr().err.startswith("I/O error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(out) in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("method", ["constrained-min", "mountain-pass"])
+    def test_start_without_positive_mass_is_a_usage_error(self, capsys, method):
+        # every node of this ball lies so far from the bump's center that
+        # the default start underflows to 0: no solve can begin
+        assert main(["solve", "--method", method, "--radius", "1000", "--grid", "8"]) == 64
+        assert "the start has no positive-part mass" in capsys.readouterr().err
 
     def test_solver_fault_is_a_failed_solve(self, capsys, monkeypatch):
         def fault(config):

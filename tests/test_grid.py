@@ -7,7 +7,7 @@ from scipy.ndimage import binary_erosion
 
 from conftest import (
     colour_perm,
-    horizontal_gradient,
+    kronecker_gradient,
     midpoint_integral,
     oracle_lower,
     oracle_operator,
@@ -263,34 +263,11 @@ class TestHorizontalGradient:
         assert 1.6 < max_err(16) / max_err(32) < 2.5
 
 
-def kronecker_gradient(grid, mask):
-    """B = [X_h; Y_h] by Kronecker products of the 1-D forward differences
-    (u[+1] - u) / h, with u = 0 beyond the box edge: X_h = D_x + diag(2y) D_t
-    and Y_h = D_y - diag(2x) D_t, keeping the mask columns."""
-    (nx, ny, nt), (hx, hy, ht) = grid.shape, grid.spacing
-    cols = np.flatnonzero(mask)
-
-    def diff(before, n, h, after):
-        d = sparse.diags_array([np.full(n, -1.0 / h), np.full(n - 1, 1.0 / h)],
-                               offsets=[0, 1])
-        return sparse.kron(sparse.kron(sparse.eye_array(before), d),
-                           sparse.eye_array(after), format="csr")[:, cols]
-
-    xs, ys, _ = grid.coordinate_arrays()
-    dt = diff(nx * ny, nt, ht, 1)
-    gx = diff(1, nx, hx, ny * nt) + sparse.diags_array(
-        np.broadcast_to(2.0 * ys, grid.shape).ravel()) @ dt
-    gy = diff(nx, ny, hy, nt) - sparse.diags_array(
-        np.broadcast_to(2.0 * xs, grid.shape).ravel()) @ dt
-    B = sparse.vstack([gx, gy], format="csr")
-    B.sort_indices()
-    return B
-
-
 class TestStencilAgainstKronecker:
-    """The stencil and the operator oracle's CSR B assembled from it
-    (`conftest.horizontal_gradient`), bit for bit against the
-    Kronecker-product assembly of the same differences."""
+    """The stencil's gradient and energy norm, bit for bit against the
+    Kronecker-product assembly of the same differences
+    (`conftest.kronecker_gradient`), which also gives the operator oracle
+    its B."""
 
     @staticmethod
     def _grid_and_mask(k, n, kind):
@@ -312,13 +289,6 @@ class TestStencilAgainstKronecker:
     def test_bit_for_bit(self, k, n, kind):
         grid, mask = self._grid_and_mask(k, n, kind)
         want = kronecker_gradient(grid, mask)
-        got = horizontal_gradient(grid, mask)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
-
         u = ScalarField(grid, np.random.default_rng(26).standard_normal(grid.shape), mask)
         g = want @ u.interior()
         n_box = u.values.size
@@ -498,7 +468,7 @@ class TestAssembly:
 
     def test_no_gradient_matrix_and_no_sparse_product(self, monkeypatch, fresh_operators):
         # On an emptied cache a solve and a polish assemble their operator
-        # with no B (the oracle's horizontal_gradient raises) and no product
+        # with no B (the oracle's kronecker_gradient raises) and no product
         # of two sparse matrices (scipy's sparse-by-sparse product raises).
         import conftest
         from scipy.sparse._compressed import _cs_matrix
@@ -509,9 +479,9 @@ class TestAssembly:
         def refuse(*args, **kwargs):
             raise AssertionError("the package built B or multiplied two sparse matrices")
 
-        monkeypatch.setattr(conftest, "horizontal_gradient", refuse)
+        monkeypatch.setattr(conftest, "kronecker_gradient", refuse)
         monkeypatch.setattr(_cs_matrix, "_matmul_sparse", refuse)
-        assert not hasattr(grid_module, "horizontal_gradient")
+        assert not hasattr(grid_module, "kronecker_gradient")
         assert not hasattr(grid_module, "energy_operator")
         cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-4)
         domain = make_domain(cfg)

@@ -185,16 +185,20 @@ WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 def test_ci_runs_the_tier_1_command():
     # The command is the one ROADMAP's "Tier-1 verify" line names, so the
-    # two cannot drift apart.
+    # two cannot drift apart.  It runs on the oldest Python that
+    # pyproject.toml's requires-python admits, and on 3.11.
     import yaml
 
     (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", ROADMAP.read_text())
+    (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$',
+                          (README.parent / "pyproject.toml").read_text(), re.M)
     workflow = yaml.safe_load(WORKFLOW.read_text())
-    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
-    python = [step["with"]["python-version"] for step in steps
+    (job,) = workflow["jobs"].values()
+    python = [step["with"]["python-version"] for step in job["steps"]
               if step.get("uses", "").startswith("actions/setup-python")]
-    assert python == ["3.11"]
-    assert command in [step.get("run", "").strip() for step in steps]
+    assert python == ["${{ matrix.python-version }}"]
+    assert job["strategy"]["matrix"]["python-version"] == [floor, "3.11"]
+    assert command in [step.get("run", "").strip() for step in job["steps"]]
 
 
 def test_ci_installs_the_declared_dependencies():
