@@ -26,8 +26,10 @@ share one matrix, summation by parts is exact on the box, A is exactly
 symmetric, and the sub-Laplacian is second-order accurate.
 
 A is applied and never stored.  The solvers multiply by it thousands of
-times, in a three-colour order of the mask nodes (`_node_colours`) that
-their one preconditioner, a symmetric Gauss-Seidel sweep, needs.  So the
+times, in a multicolour order of the mask nodes that their one
+preconditioner, a symmetric Gauss-Seidel sweep, needs; the colouring and
+its colour count are worked out from the taps' coupling offsets
+(`_node_colours`), three colours for forward B.  So the
 operator cache keeps, per (grid, mask), only that order, diag(A) and L,
 the strictly lower part of A in that order.  `_ColourOrder` owns the
 colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
@@ -190,11 +192,6 @@ class ScalarField:
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.grid, values, self.mask)
 
-    def interior(self) -> np.ndarray:
-        """Values on the mask nodes, in C order (the package's own vectors
-        are in the colour order of `_ColourOrder`, read from `values`)."""
-        return self.values[self.mask]
-
     def max_node(self):
         idx = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return idx, float(self.values[idx])
@@ -233,15 +230,25 @@ def _stencil(grid: Grid3) -> tuple:
     """B on grid, as its taps: X_h's, then Y_h's.
 
     A row r of a derivative sums c v[r + offset] over its taps (offset, c),
-    where r is a box node, offset a step (dx, dy, dt) to r itself or to its
-    forward neighbour along one axis, and a neighbour beyond the box is
-    zero.  The taps go (0, 0, 0), (0, 0, 1), then (1, 0, 0) for X_h or
-    (0, 1, 0) for Y_h, so the terms come in column order.  Each c is a
+    where r is a box node, offset a step (dx, dy, dt) from r, the first
+    tap's (0, 0, 0), and a node beyond the box is zero.  The taps go
+    (0, 0, 0), (0, 0, 1), then (1, 0, 0) for X_h or (0, 1, 0) for Y_h, so
+    the terms come in column order.  Each c is a
     scalar or an array that broadcasts to (n_x, n_y, 1): B's coefficients
-    do not vary along t.  This is the one statement of B: the gradient
-    (`_gradient_values`), diag(A) and A's couplings (`_assemble`) are read
-    from the taps.  The expressions are those of the sparse sums of the
-    Kronecker factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit for bit.
+    do not vary along t.  The expressions are those of the sparse sums of
+    the Kronecker factors D_x + diag(2y) D_t and D_y - diag(2x) D_t, bit
+    for bit.
+
+    This is the one statement of B: the gradient and its row count
+    (`_gradient_values`), diag(A) and A's couplings (`_assemble`), and the
+    colouring of A's nodes and its colour count (`_node_colours`) are read
+    from the taps.  They hold for any taps that keep three premises:
+    - every offset steps 0 or 1 along each axis, so a term is the box
+      shifted forward and a coupling reaches one layer beyond the box;
+    - no two taps of a row share a nonzero axis, so each coupling offset
+      b - a of a row comes from one pair of its taps;
+    - a row's coefficients are constant along its offsets' axes, so an
+      entry of A can be read at its node's (x, y).
     """
     hx, hy, ht = grid.spacing
     x2 = 2.0 * grid.axis_coords(0)[:, None, None]
@@ -254,26 +261,29 @@ def _stencil(grid: Grid3) -> tuple:
 
 
 def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
-    """B v on the box, X_h block first, by `_stencil`'s taps on the box array
-    `values` of grid.
+    """B v on the box, one block per row of `_stencil`'s taps (X_h's
+    first, then Y_h's), on the box array `values` of grid.
 
     The box array is zero off the mask, which stands for B's missing
     columns.  A tap's term is its c times the box shifted by its offset,
-    one slice of the flat box, zero on the box's far layer along the
-    offset.  Each row sums its terms in column order, as the CSR product
-    does, so the result equals B @ v (a zero sum may come out as -0.0).
+    one slice of the flat box, zero on the box's far layers along each
+    nonzero axis of the offset, where the shifted node is beyond the box.
+    Each row sums its terms in column order, as the CSR product does, so
+    the result equals B @ v (a zero sum may come out as -0.0).
     """
-    shape = grid.shape
+    shape, stencil = grid.shape, _stencil(grid)
     v = values.reshape(-1)
-    g = np.empty((2,) + shape)
+    g = np.empty((len(stencil),) + shape)
     s = np.empty(shape)
-    for out, ((_, c0), *taps) in zip(g, _stencil(grid)):
+    for out, ((_, c0), *taps) in zip(g, stencil):
         np.multiply(values, c0, out=out)
         for offset, c in taps:
             k = (offset[0] * shape[1] + offset[1]) * shape[2] + offset[2]  # in the flat box
             scalar = not np.ndim(c)  # a scalar scales in the shift; an array in the box
             np.multiply(v[k:], c if scalar else 1.0, out=s.reshape(-1)[:-k])
-            s[tuple(slice(n - o, None) if o else slice(None) for n, o in zip(shape, offset))] = 0.0
+            for axis, o in enumerate(offset):
+                if o:
+                    s.swapaxes(0, axis)[-o:] = 0.0
             if not scalar:
                 s *= c
             out += s
@@ -281,21 +291,28 @@ def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
 
 
 # Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` keeps an entry, about 5.5 MiB at 48^3 (4.0 MiB of it L;
-# C-order A, no longer kept, was 8.6 MiB more).
+# `exhaust_domains` keeps an entry, about 5.5 MiB at 48^3 (4.0 MiB of it L).
 _OPERATOR_CACHE_SIZE = 3
 _operator_cache = []  # [(copy of the mask, grid, `_ColourOrder`)]
 
 
-def _node_colours(grid: Grid3, mask: np.ndarray) -> np.ndarray:
-    """The colour (i + j + 2 l) mod 3 of each mask node (i, j, l), in C order.
+def _node_colours(grid: Grid3, mask: np.ndarray, offsets) -> tuple:
+    """(colour, c): the colour of each mask node (i, j, l), in C order, and
+    the colour count c, for A's coupling offsets (dx, dy, dt).
 
-    A couples a node only to the offsets +-e_x, +-e_y, +-e_t, +-(e_x - e_t)
-    and +-(e_y - e_t), along which i + j + 2 l changes by 1, 1, 2, 2 and 2
-    mod 3: no two nodes of one colour are coupled.
+    Node (i, j, l) has colour (alpha i + beta j + gamma l) mod c, for the
+    least c and the lexicographically first weights (alpha, beta, gamma) in
+    [0, c)^3 with alpha dx + beta dy + gamma dt != 0 mod c on every offset,
+    so no two nodes of one colour are coupled.  Forward B's offsets give
+    (1, 1, 2) mod 3.  Such weights exist for every set of nonzero offsets
+    (a multicolour order; Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., 2003, 12.4).
     """
-    i, j, l = np.indices(grid.shape, sparse=True)
-    return ((i + j + 2 * l) % 3)[mask]
+    for c in itertools.count(1):
+        for weights in itertools.product(range(c), repeat=len(grid.shape)):
+            if all(np.dot(weights, d) % c for d in offsets):
+                indices = np.indices(grid.shape, sparse=True)
+                return (sum(w * n for w, n in zip(weights, indices)) % c)[mask], c
 
 
 def _by_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -305,16 +322,18 @@ def _by_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _ColourOrder(NamedTuple):
-    """A of one (grid, mask) in the three-colour order of `_node_colours`,
-    the one form in which the package keeps it, and the one owner of that
-    order: it applies A (`product`), sweeps (`sweep`, `half_sweeps`) and
-    translates vectors between a field's box array and the colour order
-    (`colour`, `box`).  No other module reads its layout.
+    """A of one (grid, mask) in the multicolour order of `_node_colours`,
+    whose colouring and colour count c come from the taps' coupling offsets
+    (c = 3 for forward B), the one form in which the package keeps A, and
+    the one owner of that order: it applies A (`product`), sweeps (`sweep`,
+    `half_sweeps`) and translates vectors between a field's box array and
+    the colour order (`colour`, `box`).  No other module reads its layout.
 
-    The colour order lists the colour-0 mask nodes, then colour 1, then
-    colour 2, each in C order: position k holds the box node node[k] (an
-    index into the flat box array of shape), and colours 0, 1 and 2 fill
-    the positions [0, split[0]), [split[0], split[1]) and [split[1], m).
+    The colour order lists the colour-0 mask nodes, then colour 1, and so
+    on to colour c - 1, each in C order: position k holds the box node
+    node[k] (an index into the flat box array of shape), and split holds
+    the c - 1 boundaries, so colour 0 fills the positions [0, split[0]) and
+    the last colour [split[-1], m).
 
     - diag: diag(A) in colour order, and inv_diag its inverse;
     - lower: L, the strictly lower part of A in colour order, CSR, each
@@ -322,11 +341,10 @@ class _ColourOrder(NamedTuple):
       uncoupled, so L's colour-0 rows are empty, and its entries are half
       of A's off-diagonal ones;
     - upper: U = L^T, the CSC view of L's arrays;
-    - rows: (L_1, L_2), L's colour-1 and colour-2 rows as CSR views of its
-      data and indices, L_1 over the colour-0 positions and L_2 over the
-      colour-0 and colour-1 ones;
-    - columns: (L_1^T, L_2^T), their CSC views, U's colour-1 and colour-2
-      columns.
+    - rows: (L_1, ..., L_{c-1}), L's rows of colours 1 to c - 1 as CSR
+      views of its data and indices, L_k over the positions of the colours
+      before k;
+    - columns: their CSC views, U's columns of colours 1 to c - 1.
 
     node and L's indices are 32-bit wherever the box and L's entries fit.
     A itself is applied and never stored.  Every method but `box` takes a
@@ -386,32 +404,30 @@ class _ColourOrder(NamedTuple):
         backward one P = (D + U)^-1 D y, U = L^T, of `sweep`; the solvers'
         polish and index precondition by P alone.
 
-        Nodes of one colour are uncoupled, so D_c, the diagonal of colour c,
-        is its whole block.  With L_1, L_2 the colour-1 and colour-2 rows of
-        L and y_01 the colour-0 and colour-1 slices of y, the forward
-        half-sweep is
-            r0 = g0,  r1 = g1 - L_1 y0,  r2 = g2 - L_2 y_01,  yc = Dc^-1 rc,
-        and the backward one is
-            P2 = y2,  t = L_2^T P2,  P1 = y1 - D1^-1 t1,
-            P0 = y0 - D0^-1 (t0 + L_1^T P1),
-        four sparse products; r = D y.
+        Nodes of one colour are uncoupled, so D_k, the diagonal of colour
+        k, is its whole block.  With L_k the colour-k rows of L (`rows`) and
+        y_<k the slices of y of the colours before k, the forward
+        half-sweep runs k = 0, ..., c - 1:
+            rk = gk - L_k y_<k  (r0 = g0),  yk = Dk^-1 rk,
+        and the backward one k = c - 1, ..., 1, from P_{c-1} = y_{c-1} and
+        t = L_k^T P_k summed over the colours done:
+            t += L_k^T P_k,  P_{k-1} = y_{k-1} - D_{k-1}^-1 t_{k-1},
+        2 (c - 1) sparse products, four for forward B's three colours;
+        r = D y.
         """
-        (n0, n01), d = self.split, _by_rows(self.inv_diag, g)
-        (l1, l2), (u1, u2) = self.rows, self.columns
+        d, ends = _by_rows(self.inv_diag, g), (0,) + self.split + (len(g),)
         r = g.copy()  # becomes D y
         y = np.empty_like(r)  # becomes P
-        np.multiply(r[:n0], d[:n0], out=y[:n0])
-        r[n0:n01] -= l1 @ y[:n0]
-        np.multiply(r[n0:n01], d[n0:n01], out=y[n0:n01])
-        r[n01:] -= l2 @ y[:n01]
-        np.multiply(r[n01:], d[n01:], out=y[n01:])
-        t = u2 @ y[n01:]
-        t[n0:] *= d[n0:n01]
-        y[n0:n01] -= t[n0:]
-        t = t[:n0]
-        t += u1 @ y[n0:n01]
-        t *= d[:n0]
-        y[:n0] -= t
+        np.multiply(r[:ends[1]], d[:ends[1]], out=y[:ends[1]])
+        for lo, hi, lower in zip(ends[1:], ends[2:], self.rows):  # colour k: [lo, hi)
+            r[lo:hi] -= lower @ y[:lo]
+            np.multiply(r[lo:hi], d[lo:hi], out=y[lo:hi])
+        t = None  # U P over the colours done, at the positions before them
+        for first, lo, hi, upper in reversed(tuple(zip(ends, ends[1:], ends[2:], self.columns))):
+            p = upper @ y[lo:hi]
+            t = p if t is None else np.add(p, t[:lo], out=p)
+            t[first:] *= d[first:lo]  # finishes colour k - 1: [first, lo)
+            y[first:lo] -= t[first:]
         return y, r
 
 
@@ -442,14 +458,16 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     diag(A) sums, over the rows that hold a node in C order, the square of
     the tap that reaches it, then 1; and a node's entry towards its
     neighbour at offset b - a sums c_a c_b over the rows' tap pairs (a, b),
-    X_h's first.  A row's coefficients do not vary along its own offsets
-    (X_h's vary with y and step in x and t, Y_h's vary with x and step in y
-    and t), so each entry is read at the node's (x, y).  Both are summed in
-    B's row order, as scipy's sparse product B^T B sums them, so the
-    entries are bit for bit those of that product; like it, an entry that
-    sums to 0 is no entry.  L is written one neighbour offset at a time
-    into CSR arrays sized by a first pass, each row's entries in their
-    nodes' C order, and no argsort or copy of A is made.
+    X_h's first, each read at the node's (x, y) (`_stencil`'s premises).
+    Both are summed in B's row order, as scipy's sparse product B^T B sums
+    them, so the entries are bit for bit those of that product; like it, an
+    entry that sums to 0 is no entry.  The offsets b - a also give the
+    colouring and the colour count c (`_node_colours`), so the colour order
+    fits whatever taps `_stencil` returns.  L is written one neighbour
+    offset at a time into CSR arrays sized by a first pass, each row's
+    entries in their nodes' C order, and no argsort or copy of A is made;
+    its rows of colours 1 to c - 1 give the c - 1 pieces of `rows` and
+    `columns`.
     """
     from scipy import sparse
 
@@ -466,14 +484,14 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
             couplings[d] = couplings.get(d, plane) + c_a * c_b
     diag += 1.0
 
-    colour = _node_colours(grid, mask)
+    colour, c = _node_colours(grid, mask, couplings)
     m = colour.size
     # 32-bit indices whenever the box and A's entries fit, as scipy chooses
     width = len(couplings) + 1  # A's entries per row
     index = np.int32 if max(width * m, mask.size) <= np.iinfo(np.int32).max else np.intp
-    perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)]).astype(index)
-    n0, n1 = (int(np.count_nonzero(colour == c)) for c in (0, 1))
-    n01 = n0 + n1
+    perm = np.concatenate([np.flatnonzero(colour == k) for k in range(c)]).astype(index)
+    ends = np.cumsum(np.bincount(colour, minlength=c)).tolist()  # the end of each colour
+    n0 = ends[0]
     node = np.flatnonzero(mask).astype(index)[perm]  # box index of each position
     diag = diag.reshape(-1)[node]
     # A node's position, padded by one layer of m: a neighbour beyond the
@@ -484,8 +502,8 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     pos[1:-1, 1:-1, 1:-1][mask] = place
     padded = np.flatnonzero(np.pad(mask, 1))[perm[n0:]]  # of L's rows n0..m
     xy = node[n0:] // n_t
-    start = np.full(m - n0, n01, dtype=index)  # the first position of the row's colour
-    start[:n1] = n0
+    # the first position of the row's colour
+    start = np.repeat(np.array(ends[:-1], dtype=index), np.diff(ends))
 
     def entries():
         """(column, value, in L) of each row's entry towards each neighbour,
@@ -511,12 +529,12 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
         slot[keep] += 1
 
     rows, columns = [], []
-    for first, last in ((n0, n01), (n01, m)):
+    for first, last in zip(ends, ends[1:]):
         lo, hi = indptr[first], indptr[last]
         pieces = data[lo:hi], indices[lo:hi], indptr[first:last + 1] - lo
         rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
         columns.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
-    return _ColourOrder(node, grid.shape, (n0, n01), diag, 1.0 / diag,
+    return _ColourOrder(node, grid.shape, tuple(ends[:-1]), diag, 1.0 / diag,
                         _compressed(sparse.csr_array, (m, m), data, indices, indptr),
                         _compressed(sparse.csc_array, (m, m), data, indices, indptr),
                         tuple(rows), tuple(columns))

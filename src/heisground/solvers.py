@@ -4,9 +4,10 @@ Both methods run one loop, `_ray_descent`: it minimizes I on the constraint
 {int v_+^(p+1) = 1} as the scale-invariant quotient R(v) = v^T A v /
 (sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG (Antoine, Levitt &
 Tang, J. Comput. Phys. 343, 2017) preconditioned by a symmetric
-Gauss-Seidel sweep of A in a three-colour order (`grid._ColourOrder`).  On the
-constraint the ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1))
-is monotone in I, so the loop lowers the top of the ray through v.  An
+Gauss-Seidel sweep of A in a multicolour order (`grid._ColourOrder`), whose
+colouring `grid` works out from the stencil's taps.  On the constraint the
+ray maximum max_t J(t v) = (p-1)/(2(p+1)) (2 I(v))^((p+1)/(p-1)) is
+monotone in I, so the loop lowers the top of the ray through v.  An
 iteration costs one sweep and no product with A: the loop runs in the
 colour order, the sweep returns A times its result too (Eisenstat's
 identity), along a direction the numerator of R is an exact quadratic, and

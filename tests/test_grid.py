@@ -1,5 +1,7 @@
 """Grids, masks, discrete operators, quadrature and norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -290,7 +292,7 @@ class TestStencilAgainstKronecker:
         grid, mask = self._grid_and_mask(k, n, kind)
         want = kronecker_gradient(grid, mask)
         u = ScalarField(grid, np.random.default_rng(26).standard_normal(grid.shape), mask)
-        g = want @ u.interior()
+        g = want @ u.values[u.mask]
         n_box = u.values.size
         for apply, block in ((apply_Xh, g[:n_box]), (apply_Yh, g[n_box:])):
             values = apply(u).values.ravel()
@@ -423,6 +425,35 @@ def _assembly_cases():
 ASSEMBLY_CASES = _assembly_cases()
 
 
+def coupling_offsets(grid):
+    """A's coupling offsets b - a over the pairs of taps (a, b) of each row
+    of `grid._stencil`."""
+    return {tuple(int(x) for x in np.subtract(b, a)) for row in grid_module._stencil(grid)
+            for (a, _), (b, _) in itertools.permutations(row, 2)}
+
+
+def tap_gradient(grid, mask):
+    """B by the definition of `grid._stencil`'s taps, whatever they are, as a
+    sparse matrix: in each block, row r holds c, read at r, in the column
+    r + offset of each tap (offset, c) whose node r + offset is in the box
+    (entries of one column summed); the mask columns are kept."""
+    shape = np.array(grid.shape)[:, None]
+    r = np.indices(grid.shape).reshape(3, -1)
+    n = r.shape[1]
+    rows, cols, vals = [], [], []
+    stencil = grid_module._stencil(grid)
+    for block, taps in enumerate(stencil):
+        for offset, c in taps:
+            to = r + np.array(offset)[:, None]
+            inside = np.all((to >= 0) & (to < shape), axis=0)
+            rows.append(block * n + np.flatnonzero(inside))
+            cols.append(np.ravel_multi_index(to[:, inside], grid.shape))
+            vals.append(np.broadcast_to(c, grid.shape).reshape(-1)[inside])
+    b = sparse.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(len(stencil) * n, n))
+    return b.tocsr()[:, np.flatnonzero(mask)]
+
+
 class TestAssembly:
     """The colour order filled from the stencil (`grid._assemble`) against
     the oracle A = B^T B + I of `conftest.oracle_operator`."""
@@ -432,8 +463,8 @@ class TestAssembly:
     def test_bit_identical_to_the_oracle(self, name, grid, mask, fresh_operators):
         order = _colour_order(grid, mask)
         a = oracle_operator(grid, mask)
-        colour = grid_module._node_colours(grid, mask)
-        perm = np.concatenate([np.flatnonzero(colour == c) for c in range(3)])
+        colour, count = grid_module._node_colours(grid, mask, coupling_offsets(grid))
+        perm = np.concatenate([np.flatnonzero(colour == c) for c in range(count)])
         assert np.array_equal(order.node, np.flatnonzero(mask)[perm])
         assert order.node.dtype == np.int32 and order.shape == grid.shape
         assert order.split == (np.count_nonzero(colour == 0), np.count_nonzero(colour < 2))
@@ -465,6 +496,32 @@ class TestAssembly:
         block = rng.standard_normal((perm.size, 3))
         np.testing.assert_array_equal(order.product(block),
                                       np.stack([order.product(c) for c in block.T], axis=1))
+
+    @pytest.mark.parametrize("kind", ["full", "ball"])
+    def test_follows_a_third_row_of_taps(self, kind, monkeypatch, fresh_operators):
+        # A third row of taps, whose coupling offset +-(1, 0, 1) keeps
+        # i + j + 2 l unchanged mod 3, so forward B's colouring would put
+        # its neighbours in one colour and the sweep's L would miss their
+        # entries.  The colouring, A and the energy norm follow the taps.
+        stencil = grid_module._stencil
+        third = (((0, 0, 0), -0.7), ((1, 0, 1), 0.7))
+        monkeypatch.setattr(grid_module, "_stencil", lambda grid: stencil(grid) + (third,))
+        grid = Grid3((10, 11, 12), (0.4, 0.4, 0.35), (-2.0, -2.2, -2.1))
+        mask = full_mask(grid) if kind == "full" else ball_mask(grid, 2.0)
+        b = tap_gradient(grid, mask)
+        order = _colour_order(grid, mask)
+        perm = colour_perm(order, mask)
+        want = (b.T @ b).toarray()[np.ix_(perm, perm)] + np.eye(perm.size)
+        got = (sparse.diags_array(order.diag) + order.lower + order.lower.T).toarray()
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        values = np.where(mask, np.random.default_rng(41).standard_normal(grid.shape), 0.0)
+        bv, v = b @ values[mask], values.reshape(-1)
+        assert grid_module._box_norm_sq(grid, values) == pytest.approx(
+            grid.cell_volume * (bv @ bv + v @ v), rel=1e-13)
+        colour = np.searchsorted(order.split, np.arange(perm.size), side="right")
+        row, col = np.nonzero(want)
+        off = row != col
+        assert off.any() and np.all(colour[row[off]] != colour[col[off]])
 
     def test_no_gradient_matrix_and_no_sparse_product(self, monkeypatch, fresh_operators):
         # On an emptied cache a solve and a polish assemble their operator
@@ -528,10 +585,32 @@ class TestColourBlocks:
     def test_no_entry_joins_two_nodes_of_one_colour(self, case):
         grid, mask = self._grids()[case]
         a = oracle_operator(grid, mask).tocoo()
-        colour = grid_module._node_colours(grid, mask)
+        colour, _ = grid_module._node_colours(grid, mask, coupling_offsets(grid))
         off = a.row != a.col
         assert off.any()
         assert np.all(colour[a.row[off]] != colour[a.col[off]])
+
+    @pytest.mark.parametrize("name, grid, mask", ASSEMBLY_CASES,
+                             ids=[c[0] for c in ASSEMBLY_CASES])
+    def test_forward_b_gives_three_colours(self, name, grid, mask):
+        # (1, 1, 2) mod 3: no two colours keep forward B's coupling offsets
+        # apart, and these are the first weights mod 3 that do.
+        colour, count = grid_module._node_colours(grid, mask, coupling_offsets(grid))
+        i, j, l = np.indices(grid.shape)
+        assert count == 3
+        assert np.array_equal(colour, ((i + j + 2 * l) % 3)[mask])
+
+    def test_symmetric_b_gives_four_colours(self):
+        # B_s couples a node along +-e_x, +-e_y, +-e_t, +-e_x +- e_t and
+        # +-e_y +- e_t, which no weights mod 3 keep apart: (1, 1, 2) mod 4.
+        e = np.eye(3, dtype=int)
+        steps = [e[0], e[1], e[2]] + [e[a] + s * e[2] for a in (0, 1) for s in (1, -1)]
+        offsets = {tuple(int(x) for x in sign * d) for d in steps for sign in (1, -1)}
+        grid = build_ball_grid(2.5, 12)[0]
+        colour, count = grid_module._node_colours(grid, full_mask(grid), offsets)
+        i, j, l = np.indices(grid.shape)
+        assert count == 4
+        assert np.array_equal(colour, ((i + j + 2 * l) % 4).reshape(-1))
 
     @pytest.mark.parametrize("case", range(3))
     def test_blocks_are_the_lower_blocks_of_a(self, case):

@@ -2,7 +2,8 @@
 name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, only `grid`
 reads the colour order's layout, no module reads a field's mask nodes in
-C order, and the README's CLI section names the
+C order, `grid` writes no offset or colouring outside its stencil, and
+the README's CLI section names the
 parser's flags and the CLI's exit codes; the autouse fixture empties every
 per-grid cache; the CI workflow installs the declared dependencies, runs
 the installed console script, and runs the tier-1 command single-threaded,
@@ -89,9 +90,9 @@ def test_only_grid_reads_the_colour_layout():
 
 def test_no_module_reads_the_mask_nodes_in_c_order():
     # The package's vectors are in the colour order, read from and written
-    # to a field's box array by `_ColourOrder.colour` and `.box`.
-    # `ScalarField.interior()`, the mask nodes in C order, is the tests'
-    # view only: a call of it in the package would bring back a third layout.
+    # to a field's box array by `_ColourOrder.colour` and `.box`.  A field's
+    # mask nodes in C order (`values[mask]`) are the tests' view only: a
+    # package call of an `interior` method would bring back a third layout.
     source = Path(heisground.__file__).parent
     calls = []
     for path in sorted(source.glob("*.py")):
@@ -100,6 +101,28 @@ def test_no_module_reads_the_mask_nodes_in_c_order():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "interior"]
     assert calls == []
+
+
+def _integer(node) -> bool:
+    try:
+        return type(ast.literal_eval(node)) is int
+    except ValueError:
+        return False
+
+
+def test_grid_writes_no_offset_and_no_colouring_by_hand():
+    # B's shape is stated once, as `grid._stencil`'s taps, and the colouring
+    # is worked out from them.  So outside `_stencil` grid.py holds no
+    # offset (a tuple of three integers) and no colouring rule (a remainder
+    # by an integer) that a change of B would leave stale.
+    tree = ast.parse((Path(heisground.__file__).parent / "grid.py").read_text())
+    (stencil,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_stencil"]
+    taps = {id(node) for node in ast.walk(stencil)}
+    found = [f"grid.py:{node.lineno}" for node in ast.walk(tree) if id(node) not in taps and (
+        isinstance(node, ast.Tuple) and len(node.elts) == 3 and all(map(_integer, node.elts))
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _integer(node.right))]
+    assert found == []
 
 
 def _undocumented(obj) -> bool:
