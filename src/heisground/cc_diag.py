@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import AlgorithmError, DomainError
 from .functionals import check_exponent
-from .grid import Grid3, ScalarField, _check_lq_exponent, _lq_mass, _power, e_norm_sq, full_mask
+from .grid import (Grid3, ScalarField, _check_lq_exponent, _gauge_dist_sq4, _lq_mass, _power,
+                   e_norm_sq, full_mask)
 from .heis_core import GroupPoint, gauge, group_inverse, group_mul, homogeneous_dimension
 
 __all__ = [
@@ -71,17 +72,6 @@ def normalize_mass(u: ScalarField, q: float) -> MassDensity:
     dens = _power(dens, q)
     dens /= float(dens.sum()) * u.grid.cell_volume
     return MassDensity(ScalarField(u.grid, dens, u.mask))
-
-
-def _gauge_dist_sq4(grid: Grid3, center: GroupPoint):
-    """rho(center^-1 w)^4 on all nodes, vectorized."""
-    a, b, c = center.x, center.y, center.t
-    xs, ys, ts = grid.coordinate_arrays()
-    dx = xs - a
-    dy = ys - b
-    dt = ts - c - 2.0 * b * xs + 2.0 * a * ys
-    r2 = dx * dx + dy * dy
-    return r2 * r2 + dt * dt
 
 
 def _check_radius(R: float) -> None:

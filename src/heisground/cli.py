@@ -198,8 +198,7 @@ def cmd_solve(args) -> int:
     else:
         rep = solvers.solve_constrained_min(cfg)
     report = {
-        "config": {"method": args.method, **asdict(cfg), "out": args.out,
-                   "report": args.report},
+        "config": _config(args),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "version": __version__,
         **rep.as_dict(),

@@ -1,6 +1,7 @@
 """The two solution procedures and the domain-exhaustion driver.
 
-Both methods run one loop, `_ray_descent`: it minimizes I on the constraint
+Both methods read one run of one loop, `_ray_descent`, which `_descend`
+alone runs and times: it minimizes I on the constraint
 {int v_+^(p+1) = 1} as the scale-invariant quotient R(v) = v^T A v /
 (sum v_+^(p+1))^(2/(p+1)), by Polak-Ribiere+ nonlinear CG (Antoine, Levitt &
 Tang, J. Comput. Phys. 343, 2017) preconditioned by a symmetric
@@ -28,7 +29,9 @@ Constrained minimization: the loop from `radial_bump`.  The minimum alpha
 and multiplier lambda = ||u||^2 convert into a PDE solution via
 u* = lambda^(1/(p-1)) u.
 
-`compare_methods` checks the bridge identity
+Each method is `_descend` and its own reading of the run's state, and
+`compare_methods` descends once and reads both reports from that run.  It
+checks the bridge identity
 c = (p-1)/(2(p+1)) * lambda^((p+1)/(p-1)) and the Morse index of the
 mountain-pass state, which is 1 at a ground state (Li & Zhou, SIAM J. Sci.
 Comput., 2001).  The polish and the index run in the colour order too,
@@ -74,6 +77,7 @@ from .grid import (
     ScalarField,
     _box_norm_sq,
     _colour_order,
+    _gauge_dist_sq4,
     _power,
     ball_mask,
     build_ball_grid,
@@ -230,15 +234,21 @@ class DecayFit:
     shell_samples: list
 
 
-def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, *, level,
-            iterations, trace, converged, grad_norm, multiplier=None, **extra):
-    """The SolveReport of a solver's final field u; extra holds its checks."""
+def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, run: dict, *, level,
+            converged, grad_norm, multiplier=None, **extra):
+    """The SolveReport of a solver's final field u, read from the `_descend`
+    record run: its iterations, a copy of its trace, its stop_reason and
+    operator_products; extra holds the method's own checks, and
+    identity_defect is read from the breakdown."""
     idx, top = u.max_node()
     return SolveReport(
-        field=u, level=level, multiplier=multiplier, iterations=iterations,
-        trace=trace, breakdown=breakdown, max_point=u.grid.node_point(idx),
+        field=u, level=level, multiplier=multiplier, iterations=run["iterations"],
+        trace=list(run["trace"]), breakdown=breakdown, max_point=u.grid.node_point(idx),
         max_value=top, converged=converged, method=method,
-        extra={"grad_norm": float(grad_norm), **extra},
+        extra={"grad_norm": float(grad_norm), "stop_reason": run["stop_reason"],
+               "operator_products": run["operator_products"],
+               "identity_defect": _identity_defect(breakdown.J, breakdown.e_norm_sq, breakdown.p),
+               **extra},
     )
 
 
@@ -249,7 +259,7 @@ def _report(u: ScalarField, breakdown: EnergyBreakdown, method: str, *, level,
 
 def radial_bump(domain: Domain) -> ScalarField:
     """The gauge bump exp(-rho(z0^-1 w)^2) about z0 = (0, 0, -h_t/2), masked
-    to the ball; rho(z0^-1 w)^4 = (x^2 + y^2)^2 + (t + h_t/2)^2.
+    to the ball, with rho(z0^-1 w)^4 from `grid._gauge_dist_sq4`.
 
     On the cell-centered grid the origin lies halfway between the t-nodes
     +-h_t/2, and with the forward gradient B the discrete ground state peaks
@@ -263,10 +273,9 @@ def radial_bump(domain: Domain) -> ScalarField:
     which keeps the symmetry up to rounding, it lingered by the symmetric
     critical point and landed on the mirror state after 260.
     """
-    xs, ys, ts = domain.grid.coordinate_arrays()
-    r2 = xs * xs + ys * ys
-    s = ts + 0.5 * domain.grid.spacing[2]
-    return ScalarField(domain.grid, np.exp(-np.sqrt(r2 * r2 + s * s)), domain.mask)
+    z0 = GroupPoint(0.0, 0.0, -0.5 * domain.grid.spacing[2])
+    values = np.exp(-np.sqrt(_gauge_dist_sq4(domain.grid, z0)))
+    return ScalarField(domain.grid, values, domain.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +711,81 @@ def _state_index(energy: _Energy, rep: SolveReport):
 # ---------------------------------------------------------------------------
 
 
+def _descend(config: SolverConfig, domain: Domain, u0: Optional[ScalarField] = None):
+    """One `_ray_descent` run from u0 (`radial_bump` by default) at config's
+    grad_tol and max_iters.
+
+    Returns (energy, v, |g|, run): the run's `_Energy`, its colour-order
+    state on the constraint, |g| there, and its record, read by `_report`:
+    iterations, trace, stop_reason, operator_products, and the descent's
+    seconds.  Both methods read their reports from such a run.  A start
+    with no positive-part mass (`_Energy.start`) is a DomainError.
+    """
+    energy = _Energy(domain, config.p)
+    # The default start is built after the operator and dropped before the
+    # loop: a bump held across the assembly raised a (4, 32) solve's peak
+    # RSS by 0.7 MB.
+    v0 = energy.start(radial_bump(domain) if u0 is None else u0)
+    trace = []
+    start = time.perf_counter()
+    v, iterations, gn, stop, products = _ray_descent(
+        energy, v0, config.grad_tol, config.max_iters, trace)
+    return energy, v, gn, {"iterations": iterations, "trace": trace, "stop_reason": stop,
+                           "operator_products": products,
+                           "descent": time.perf_counter() - start}
+
+
+def _mountain_pass_report(config: SolverConfig, energy: _Energy, v: np.ndarray, run: dict):
+    """The mountain-pass reading of a `_descend` run: its state scaled onto
+    the Nehari set and, if the run converged, polished (see
+    `solve_mountain_pass`)."""
+    start = time.perf_counter()
+    t_star, _ = energy.ray_max(v)
+    w = t_star * v
+    minres_iterations = []
+    if run["stop_reason"] == "grad_tol":
+        w, gn, minres_iterations = _newton_polish(energy, w)
+    else:
+        gn = energy.norm(energy.grad(w))
+    polish = time.perf_counter()
+
+    x_k = np.maximum(w, 0.0)
+    u_k = energy.field(x_k)
+    # The exact maximum of J over the ray through the state, in closed form
+    # in t; at a critical point it is J(u_k).
+    _, level = energy.ray_max(x_k)
+    rep = _report(
+        u_k, energy_breakdown(u_k, config.p), "mountain-pass", run, level=level,
+        converged=run["stop_reason"] == "grad_tol" and gn < config.grad_tol, grad_norm=gn,
+        inner_gu=energy.inner(energy.grad(x_k), x_k), polish_minres_iterations=minres_iterations,
+    )
+    rep.extra["timings"] = {"descent": run["descent"], "polish": polish - start,
+                            "report": time.perf_counter() - polish}
+    return rep
+
+
+def _constrained_report(config: SolverConfig, energy: _Energy, v: np.ndarray, gn: float,
+                        run: dict):
+    """The constrained-min reading of a `_descend` run: its state's positive
+    part on the constraint, rescaled by the multiplier (see
+    `solve_constrained_min`)."""
+    start = time.perf_counter()
+    p = config.p
+    # Final positivity projection + exact renormalization; for a converged
+    # run this is a no-op beyond stripping round-off undershoots.
+    v = energy.renormalize(np.maximum(v, 0.0))
+    lam = energy.norm_sq(v)
+    u_star = energy.field(lam ** (1.0 / (p - 1.0)) * v)
+    bd = energy_breakdown(u_star, p)
+    rep = _report(
+        u_star, bd, "constrained-min", run, level=0.5 * lam, multiplier=lam,
+        converged=run["stop_reason"] == "grad_tol", grad_norm=gn,
+        constraint_defect=abs(energy.mass(v) - 1.0), residual_rel=bd.residual_l2 / l2_norm(u_star),
+    )
+    rep.extra["timings"] = {"descent": run["descent"], "report": time.perf_counter() - start}
+    return rep
+
+
 def solve_mountain_pass(
     config: SolverConfig,
     domain: Optional[Domain] = None,
@@ -724,44 +808,10 @@ def solve_mountain_pass(
     """
     if domain is None:
         domain = make_domain(config)
-    p = config.p
-    energy = _Energy(domain, p)
-    if u0 is None:
-        u0 = radial_bump(domain)
-    elif u0.grid != domain.grid or np.any(u0.values[~domain.mask]):
+    if u0 is not None and (u0.grid != domain.grid or np.any(u0.values[~domain.mask])):
         raise ConfigurationError("u0 must lie on the domain's grid, zero off its ball")
-    v0 = energy.start(u0)
-    trace = []
-    start = time.perf_counter()
-    v, iters, _, stop, products = _ray_descent(
-        energy, v0, config.grad_tol, config.max_iters, trace)
-    descent = time.perf_counter()
-    t_star, _ = energy.ray_max(v)
-    w = t_star * v
-    minres_iterations = []
-    if stop == "grad_tol":
-        w, gn, minres_iterations = _newton_polish(energy, w)
-    else:
-        gn = energy.norm(energy.grad(w))
-    polish = time.perf_counter()
-
-    x_k = np.maximum(w, 0.0)
-    u_k = energy.field(x_k)
-    # The exact maximum of J over the ray through the state, in closed form
-    # in t; at a critical point it is J(u_k).
-    _, level = energy.ray_max(x_k)
-    bd = energy_breakdown(u_k, p)
-    rep = _report(
-        u_k, bd, "mountain-pass", level=level,
-        iterations=iters, trace=trace, converged=stop == "grad_tol" and gn < config.grad_tol,
-        grad_norm=gn, stop_reason=stop, operator_products=products,
-        inner_gu=energy.inner(energy.grad(x_k), x_k),
-        identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
-        polish_minres_iterations=minres_iterations,
-    )
-    rep.extra["timings"] = {"descent": descent - start, "polish": polish - descent,
-                            "report": time.perf_counter() - polish}
-    return rep
+    energy, v, _, run = _descend(config, domain, u0)
+    return _mountain_pass_report(config, energy, v, run)
 
 
 def solve_constrained_min(
@@ -790,31 +840,7 @@ def solve_constrained_min(
     """
     if domain is None:
         domain = make_domain(config)
-    p = config.p
-    energy = _Energy(domain, p)
-    trace = []
-    start = time.perf_counter()
-    v, iters, gn, stop, products = _ray_descent(
-        energy, energy.start(radial_bump(domain)), config.grad_tol, config.max_iters, trace)
-    descent = time.perf_counter()
-
-    # Final positivity projection + exact renormalization; for a converged
-    # run this is a no-op beyond stripping round-off undershoots.
-    v = energy.renormalize(np.maximum(v, 0.0))
-    lam = energy.norm_sq(v)
-    alpha = 0.5 * lam
-    u_star = energy.field(lam ** (1.0 / (p - 1.0)) * v)
-    bd = energy_breakdown(u_star, p)
-    rep = _report(
-        u_star, bd, "constrained-min", level=alpha, multiplier=lam,
-        iterations=iters, trace=trace, converged=stop == "grad_tol", grad_norm=gn,
-        stop_reason=stop, operator_products=products,
-        constraint_defect=abs(energy.mass(v) - 1.0),
-        residual_rel=bd.residual_l2 / l2_norm(u_star),
-        identity_defect=_identity_defect(bd.J, bd.e_norm_sq, p),
-    )
-    rep.extra["timings"] = {"descent": descent - start, "report": time.perf_counter() - descent}
-    return rep
+    return _constrained_report(config, *_descend(config, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -1051,17 +1077,20 @@ class ComparisonReport:
 def compare_methods(
     config: SolverConfig, domain: Optional[Domain] = None
 ) -> ComparisonReport:
-    """Run both methods on one instance and check they agree.
+    """Read both methods from one descent and check they agree.
 
-    Both reach one state from one bump, so the fields are compared as they
-    are.  morse_index counts the negative eigenvalues among the Hessian's
-    smallest at the mountain-pass state (`_morse_index`): 1 at a ground
-    state.
+    One `_descend` run from `radial_bump` gives both reports, each the one
+    its solver would give, so the checks compare two readings of one
+    state, and the fields are compared as they are.  Both reports' descent
+    seconds are that run's.  morse_index counts the negative eigenvalues
+    among the Hessian's smallest at the mountain-pass state, with the run's
+    `_Energy` (`_morse_index`): 1 at a ground state.
     """
     if domain is None:
         domain = make_domain(config)
-    rep_mp = solve_mountain_pass(config, domain=domain)
-    rep_cm = solve_constrained_min(config, domain=domain)
+    energy, v, gn, run = _descend(config, domain)
+    rep_mp = _mountain_pass_report(config, energy, v, run)
+    rep_cm = _constrained_report(config, energy, v, gn, run)
     p = config.p
     c_k = rep_mp.level
     level_gap = abs(rep_cm.breakdown.J - c_k) / abs(c_k)
@@ -1084,5 +1113,5 @@ def compare_methods(
         bridge_defect_rel=bridge_defect,
         field_distance_rel=field_dist,
         both_positive=both_pos,
-        morse_index=_state_index(_Energy(domain, p), rep_mp)[0],
+        morse_index=_state_index(energy, rep_mp)[0],
     )

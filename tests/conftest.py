@@ -239,3 +239,38 @@ def oracle_lower(a, colour, perm):
     indptr = np.zeros(perm.size + 1, dtype=rows.indptr.dtype)
     np.cumsum(np.bincount(row[keep], minlength=perm.size), out=indptr[1:])
     return rows.data[keep], pos[rows.indices[keep]].astype(rows.indices.dtype), indptr
+
+
+# ---------------------------------------------------------------------------
+# The inertia oracle: the Hessian's negative count by Sylvester's law
+# ---------------------------------------------------------------------------
+
+# `inertia_count` trusts a factorization only while every pivot is at least
+# this in magnitude; on the states of the tests they are 2.6-14.
+INERTIA_PIVOT_FLOOR = 1e-6
+
+
+def inertia_count(g, mask, values, p, sigma=0.0):
+    """The number of eigenvalues below sigma of the Hessian H = A -
+    diag(p u_+^(p-1)) at the state u of box array values, by Sylvester's law
+    of inertia: an independent check of the solvers' Morse index.
+
+    H - sigma I is built on the mask nodes in C order from
+    `oracle_operator`, which reads no package code, and factored by SuperLU
+    with one symmetric permutation and diagonal pivots, P (H - sigma I) P^T
+    = L U with L unit lower triangular.  For a symmetric matrix U = D L^T,
+    so H - sigma I is congruent to D = diag(U), and the count is D's
+    negative entries.  A row interchange or a pivot below
+    INERTIA_PIVOT_FLOOR would void the congruence, so neither is allowed.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    u = np.maximum(values[mask], 0.0)
+    h = oracle_operator(g, mask) - sparse.diags_array(p * u ** (p - 1.0) + sigma)
+    lu = splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    pivots = lu.U.diagonal()
+    assert np.abs(pivots).min() >= INERTIA_PIVOT_FLOOR
+    return int(np.sum(pivots < 0.0))

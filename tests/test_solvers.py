@@ -6,7 +6,8 @@ from unittest.mock import ANY
 import numpy as np
 import pytest
 
-from conftest import colour_perm, identity_defect, make_random_smooth_field, oracle_operator
+from conftest import (colour_perm, identity_defect, inertia_count, make_random_smooth_field,
+                      oracle_operator)
 from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
@@ -427,6 +428,20 @@ class TestNewtonPolish:
         index, eigs, *_ = _morse_index(energy, w)
         assert index == 0 and eigs[0] > 1.0
 
+    @pytest.mark.parametrize("k, n", [(2.5, 12), (3.0, 20)])
+    def test_index_is_the_inertia_of_the_hessian(self, k, n):
+        # Sylvester's law of inertia counts the oracle Hessian's eigenvalues
+        # below a shift from a factorization, without LOBPCG or the package's
+        # operator: one below 0, and two below the midpoint of LOBPCG's
+        # second and third eigenvalues.
+        cfg = SolverConfig(p=2.0, ball_radius=k, nodes_per_axis=n, grad_tol=1e-4)
+        dom = make_domain(cfg)
+        u = solve_mountain_pass(cfg, domain=dom).field.values
+        energy = _Energy(dom, cfg.p)
+        index, eigs, *_ = _morse_index(energy, energy.order.colour(u))
+        assert index == inertia_count(dom.grid, dom.mask, u, cfg.p) == 1
+        assert inertia_count(dom.grid, dom.mask, u, cfg.p, sigma=0.5 * (eigs[1] + eigs[2])) == 2
+
     def test_polish_and_index_are_preconditioned_by_the_sweep(
             self, small_mp, small_domain, small_config, monkeypatch):
         # The polish sweeps one vector per MINRES iteration, and the index
@@ -741,6 +756,26 @@ class TestCrossMethod:
         assert set(rep.constrained.extra["timings"]) == {"descent", "report"}
         assert all(0.0 <= t < 60.0 for t in timings.values())
 
+    def test_compare_methods_descends_once(self, small_config, small_domain, small_mp, small_cm,
+                                          monkeypatch):
+        # Both reports read one `_ray_descent` run from `radial_bump`, each
+        # with its own copy of the trace, and are the two solvers' reports.
+        calls = []
+        descent = solvers._ray_descent
+
+        def counting(*args):
+            calls.append(args)
+            return descent(*args)
+
+        monkeypatch.setattr(solvers, "_ray_descent", counting)
+        rep = compare_methods(small_config, domain=small_domain)
+        assert len(calls) == 1
+        mp, cm = rep.mountain_pass, rep.constrained
+        assert mp.trace == cm.trace and mp.trace is not cm.trace
+        for got, solved in ((mp, small_mp), (cm, small_cm)):
+            assert np.array_equal(got.field.values, solved.field.values)
+            assert got.level == solved.level and got.trace == solved.trace
+
 
 class TestFitDecay:
     def test_recovers_exact_exponential(self):
@@ -805,6 +840,7 @@ class TestExhaustion:
         saddle = solve_mountain_pass(cfg, domain=dom, u0=_origin_bump(dom))
         assert saddle.converged and saddle.level == pytest.approx(82.7088501721573, rel=1e-9)
         assert _morse_index(energy, energy.order.colour(saddle.field.values))[0] == 2
+        assert inertia_count(dom.grid, dom.mask, saddle.field.values, cfg.p) == 2
         rep = solvers._leave_saddle(cfg, dom, saddle)
         assert rep.converged and rep.level == pytest.approx(61.73916509504538, rel=1e-9)
         assert _morse_index(energy, energy.order.colour(rep.field.values))[0] == 1

@@ -1,7 +1,8 @@
 """The benchmark harness's trace targets and the modules' `__all__` lists
 name things that exist, the harness's half-mass check uses the library's
-tolerance, what a module exports of its own is documented, only `grid`
-reads the colour order's layout, no module reads a field's mask nodes in
+tolerance, what a module exports of its own is documented, only
+`solvers._descend` runs the descent, only `grid` reads the colour order's
+layout, no module reads a field's mask nodes in
 C order, `grid` writes no offset or colouring outside its stencil, and
 the README's CLI section names the
 parser's flags and the CLI's exit codes; the autouse fixture empties every
@@ -66,6 +67,17 @@ def test_all_names_resolve(module):
     # `from heisground.<module> import *` reads every name in __all__, so a
     # stale entry breaks it.
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_only_descend_runs_the_descent():
+    # `solvers._descend` is the one place that runs `_ray_descent`: both
+    # methods read their reports from its run, and `compare_methods` reads
+    # both from one.
+    tree = ast.parse((Path(heisground.__file__).parent / "solvers.py").read_text())
+    callers = [getattr(top, "name", f"line {top.lineno}") for top in tree.body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_ray_descent"]
+    assert callers == ["_descend"]
 
 
 _LAYOUT = {"node", "split", "rows", "columns", "inv_diag"}
