@@ -227,24 +227,15 @@ def _parse_radii(text: str):
 def cmd_exhaust(args) -> int:
     radii = _parse_radii(args.radii)
     cfg = _solver_config(args)
-    rows = []
-    failed = False
     try:
-        report = solvers.exhaust_domains(radii, cfg)
+        verdict = solvers.exhaust_domains(radii, cfg).as_dict()
     except ConfigurationError:
         raise  # bad radii: a usage error, not a failed solve
     except HeisgroundError as exc:
         print(f"exhaust failed: {exc}", file=sys.stderr)
-        failed = True
-        report = None
-    if report is not None:
-        verdict = report.as_dict()
-        rows = verdict["entries"]
-        for entry, e in zip(rows, report.entries):
-            entry["converged"] = e.report.converged
-            failed = failed or not e.report.converged
-    else:
         verdict = {"monotone": False, "entries": []}
+    rows = verdict["entries"]
+    failed = not rows or not all(r["converged"] for r in rows)
     verdict.update(version=__version__, config=_config(args, radii=radii))
     _write_csv(
         args.out_csv,

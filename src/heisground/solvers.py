@@ -859,8 +859,8 @@ def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
     Shells cover [0.4 k, 0.9 k] of the ball radius k; each sample records
     the gauge radius at the shell's maximizing node, so an exact
     exponential input fits with delta recovered and R^2 = 1.  Fewer than
-    four shells, or shells that all sit at one radius up to rounding, raise
-    InsufficientDataError.
+    four usable nodes, or shells that all sit at one radius up to rounding,
+    raise InsufficientDataError.
     """
     if float(np.min(u.values)) < 0.0:
         raise DomainError("decay fit expects a nonnegative field")
@@ -885,18 +885,13 @@ def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
     rs_all, vs_all = rs_all[order], vs_all[order]
     hx = u.grid.spacing[0]
     n_shells = int(max(4, min(12, np.floor((hi - lo) / hx), rs_all.size)))
+    # 4 <= n_shells <= rs_all.size, so every chunk holds a node.
     samples = []
     for chunk_r, chunk_v in zip(
         np.array_split(rs_all, n_shells), np.array_split(vs_all, n_shells)
     ):
-        if chunk_r.size == 0:
-            continue
         j = int(np.argmax(chunk_v))
         samples.append((float(chunk_r[j]), float(chunk_v[j])))
-    if len(samples) < 4:
-        raise InsufficientDataError(
-            f"only {len(samples)} usable gauge shells in [{lo:.3g}, {hi:.3g}]"
-        )
     rs = np.array([s[0] for s in samples])
     if np.ptp(rs) <= _RADIUS_ROUNDING * rs.max():
         raise InsufficientDataError(
@@ -923,15 +918,29 @@ def fit_decay(u: ScalarField, ball_radius: float) -> DecayFit:
 
 @dataclass
 class ExhaustionEntry:
-    """One ball of `exhaust_domains`: its level, peak and decay fit."""
+    """One ball of `exhaust_domains`: its solve and its state's decay fit;
+    the level and the peak are read from the solve's report."""
 
     radius: float
-    level: float
-    max_point: GroupPoint
-    max_value: float
-    xi_gauge: float
     decay: DecayFit
     report: SolveReport
+
+    @property
+    def level(self) -> float:
+        return self.report.level
+
+    @property
+    def max_point(self) -> GroupPoint:
+        return self.report.max_point
+
+    @property
+    def max_value(self) -> float:
+        return self.report.max_value
+
+    @property
+    def xi_gauge(self) -> float:
+        """The gauge radius of the state's peak."""
+        return gauge(self.report.max_point)
 
 
 @dataclass
@@ -955,6 +964,7 @@ class ExhaustionReport:
                     "delta": e.decay.delta,
                     "r_squared": e.decay.r_squared,
                     "iterations": e.report.iterations,
+                    "converged": e.report.converged,
                     **{key: e.report.extra[key]
                        for key in ("stop_reason", "operator_products", "timings")},
                 }
@@ -1008,39 +1018,25 @@ def exhaust_domains(radii, config: SolverConfig) -> ExhaustionReport:
     if len(radii) < 2 or not all(a < b for a, b in zip(bounds[:-1], bounds[1:])):
         raise ConfigurationError(f"radii must be >= 2 increasing finite, positive numbers: {radii}")
     cfg = replace(config, ball_radius=radii[-1])
-    master = make_domain(cfg)
-    masks = {k: ball_mask(master.grid, k) for k in radii}
-    if not masks[radii[0]].any():
+    grid = make_domain(cfg).grid
+    domains = [Domain(grid, ball_mask(grid, k), k) for k in radii]
+    if not domains[0].mask.any():
         raise ConfigurationError(
             f"the ball of radius {radii[0]} holds no node of the {cfg.nodes_per_axis}^3 "
             f"grid of radius {radii[-1]}: raise the smallest radius or the grid")
-    u0 = radial_bump(Domain(master.grid, masks[radii[0]], radii[0]))
     entries = []
-    for k in radii:
-        dom = Domain(master.grid, masks[k], k)
-        rep = solve_mountain_pass(cfg, domain=dom, u0=zero_extend(u0, masks[k]))
+    for dom in domains:
+        u0 = zero_extend(entries[-1].report.field, dom.mask) if entries else None
+        rep = solve_mountain_pass(cfg, domain=dom, u0=u0)
         if not entries and rep.converged:
             rep = _leave_saddle(cfg, dom, rep)
-        u0 = rep.field
-        entries.append(
-            ExhaustionEntry(
-                radius=k,
-                level=rep.level,
-                max_point=rep.max_point,
-                max_value=rep.max_value,
-                xi_gauge=gauge(rep.max_point),
-                decay=fit_decay(rep.field, ball_radius=k),
-                report=rep,
-            )
-        )
-    monotone = True
-    slack = 0.0
-    for a, b in zip(entries[:-1], entries[1:]):
-        excess = (b.level - a.level) / abs(a.level)
-        slack = max(slack, excess)
-        if excess > _MONOTONE_REL_SLACK:
-            monotone = False
-    return ExhaustionReport(entries=entries, monotone=monotone, monotone_slack=slack)
+        entries.append(ExhaustionEntry(dom.ball_radius, fit_decay(rep.field, dom.ball_radius), rep))
+    # The builtin max passes over a NaN rise: it neither sets the slack nor
+    # breaks monotone.
+    slack = max([0.0, *((b.level - a.level) / abs(a.level)
+                        for a, b in zip(entries[:-1], entries[1:]))])
+    return ExhaustionReport(entries=entries, monotone=slack <= _MONOTONE_REL_SLACK,
+                            monotone_slack=slack)
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,15 @@ class TestSuite:
         checks = calculus_check_suite(seed=0)
         failed = {c["name"] for c in checks if not c["passed"]}
         assert "commutator" in failed
+
+    def test_a_nan_defect_fails(self, monkeypatch, capsys):
+        # Each check keeps its worst draw with np.max, which keeps a NaN
+        # that the builtin max would pass over.
+        from heisground import cli, heis_core
+
+        monkeypatch.setattr(heis_core, "gauge", lambda z: float("nan"))
+        (check,) = [c for c in calculus_check_suite(seed=0)
+                    if c["name"] == "gauge_dilation_homogeneity"]
+        assert np.isnan(check["defect"]) and not check["passed"]
+        assert cli.main(["calculus-check"]) == 1
+        assert "gauge_dilation_homogeneity" in capsys.readouterr().err

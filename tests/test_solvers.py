@@ -823,6 +823,9 @@ class TestExhaustion:
         for e in rep.entries:
             assert e.max_value > 0.95
             assert e.decay.delta > 0.0
+            assert e.level == e.report.level
+        rows = rep.as_dict()["entries"]
+        assert [row["converged"] for row in rows] == [e.report.converged for e in rep.entries]
 
     def test_first_ball_leaves_a_symmetric_saddle(self, monkeypatch):
         # On the 48^3 grid of k = 6 the k = 2 ball's origin-centered bump

@@ -3,7 +3,8 @@ name things that exist, the harness's half-mass check uses the library's
 tolerance, what a module exports of its own is documented, only
 `solvers._descend` runs the descent, only `grid` reads the colour order's
 layout, no module reads a field's mask nodes in
-C order, `grid` writes no offset or colouring outside its stencil, and
+C order, `grid` writes no offset or colouring outside its stencil,
+`calculus_check_suite` takes no maximum by the builtin max, and
 the README's CLI section names the
 parser's flags and the CLI's exit codes; the autouse fixture empties every
 per-grid cache; the CI workflow installs the declared dependencies, runs
@@ -135,6 +136,19 @@ def test_grid_writes_no_offset_and_no_colouring_by_hand():
         isinstance(node, ast.Tuple) and len(node.elts) == 3 and all(map(_integer, node.elts))
         or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _integer(node.right))]
     assert found == []
+
+
+def test_calculus_check_takes_each_worst_defect_in_record():
+    # `calculus_check_suite`'s `record` takes each check's worst draw with
+    # np.max, which keeps a NaN defect, and so fails it; the builtin max
+    # passes over a NaN, so no check takes its maximum by it.
+    tree = ast.parse((Path(heisground.__file__).parent / "heis_core.py").read_text())
+    (suite,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "calculus_check_suite"]
+    calls = [f"heis_core.py:{node.lineno}" for node in ast.walk(suite)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "max"]
+    assert calls == []
 
 
 def _undocumented(obj) -> bool:
