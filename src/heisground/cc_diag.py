@@ -529,62 +529,55 @@ _MASS_TOL = 1e-3
 _MAX_BISECT = 60
 
 
-def _half_mass_scale(fraction, what: str, step: float = 2.0):
+def _half_mass_scale(fraction, what: str, *, step: float = 2.0):
     """The scale x at which a ball fraction reaches 1/2 (+- _MASS_TOL).
 
-    fraction(x) returns a tuple whose first item is the fraction, which
-    grows with x, and whose last item is None when the field scaled by x
-    holds no mass in the box.  The bracket grows from x = 1 by dividing or
-    multiplying by `step`, at most 20 times; the step squares after each
-    failed move until it reaches 2.  A larger scale holds no mass either, so
-    the first move up to a scale without mass ends the search: the box
-    cannot hold the field at its half-mass scale.  The bracket is then
-    closed by Illinois regula falsi on log x (Dowell & Jarratt, BIT 11,
-    1971), at most _MAX_BISECT steps:
-    the secant between the two ends, the fraction of an end kept twice in a
-    row halved, and the midpoint when the secant leaves the open bracket.
-    Returns (x, fraction(x)) of the first x within tolerance, a bracket point
-    included; raises AlgorithmError when there is no bracket or the search
-    does not converge.
+    fraction(x) returns (fraction, payload): the fraction grows with x, and
+    the payload is None when the field scaled by x holds no mass in the box.
+    The search walks from x = 1 towards 1/2, down by dividing by `step` when
+    the fraction at 1 exceeds 1/2 and up by multiplying otherwise, at most
+    20 moves; the step squares after each move until it reaches 2.  A larger
+    scale holds no mass either, so the first move up to a scale without mass
+    ends the search: the box cannot hold the field at its half-mass scale.
+    A move down to such a scale crosses 1/2 like any other.  Once the walk
+    crosses 1/2 at x, the bracket of x and 1 is closed by Illinois regula
+    falsi on log x (Dowell & Jarratt, BIT 11, 1971), at most _MAX_BISECT
+    steps: the secant between the two ends, the fraction of an end kept
+    twice in a row halved, and the midpoint when the secant leaves the open
+    bracket.
+    Returns (x, fraction(x)) of the first x within tolerance, a walk point
+    included; raises AlgorithmError when the walk does not cross 1/2 or the
+    search does not converge.
     """
-    x = lo = hi = 1.0
-    out = fraction(x)
-    f_lo = f_hi = out[0]
+    x, (frac, payload) = 1.0, fraction(1.0)
+    g_1 = frac - 0.5
+    down = frac > 0.5
     for _ in range(20):
-        if abs(out[0] - 0.5) <= _MASS_TOL:
+        if abs(frac - 0.5) <= _MASS_TOL or not (frac > 0.5 if down else frac < 0.5):
             break
-        if f_lo > 0.5:
-            x = lo = lo / step
-            out = fraction(x)
-            f_lo = out[0]
-        elif f_hi < 0.5:
-            x = hi = hi * step
-            out = fraction(x)
-            if out[-1] is None:
-                raise AlgorithmError(
-                    f"could not bracket the {what} in the box: the scaled field "
-                    f"holds no mass from scale {x:.6g} on, so the box cannot hold "
-                    "the field at its half-mass scale")
-            f_hi = out[0]
-        else:
-            break
+        x = x / step if down else x * step
+        frac, payload = fraction(x)
+        if payload is None and not down:
+            raise AlgorithmError(
+                f"could not bracket the {what} in the box: the scaled field "
+                f"holds no mass from scale {x:.6g} on, so the box cannot hold "
+                "the field at its half-mass scale")
         step = min(step * step, 2.0)
-    if abs(out[0] - 0.5) <= _MASS_TOL:
-        return x, out
-    if f_lo > 0.5 or f_hi < 0.5:
+    if abs(frac - 0.5) <= _MASS_TOL:
+        return x, (frac, payload)
+    if frac > 0.5 if down else frac < 0.5:
         raise AlgorithmError(f"could not bracket the {what} in the box")
-    a, b = math.log(lo), math.log(hi)
-    g_a, g_b = f_lo - 0.5, f_hi - 0.5
+    (a, g_a), (b, g_b) = sorted([(math.log(x), frac - 0.5), (0.0, g_1)])
     moved = 0  # +1 when the lower end moved last, -1 when the upper end did
     for _ in range(_MAX_BISECT):
         u = b - g_b * (b - a) / (g_b - g_a)
         if not a < u < b:
             u = 0.5 * (a + b)
         x = math.exp(u)
-        out = fraction(x)
-        g = out[0] - 0.5
+        frac, payload = fraction(x)
+        g = frac - 0.5
         if abs(g) <= _MASS_TOL:
-            return x, out
+            return x, (frac, payload)
         if g < 0.0:
             a, g_a = u, g
             if moved > 0:
@@ -605,40 +598,38 @@ def dilation_normalize(u: ScalarField, q: float):
     the sup-center unit-ball mass of |nu|^q is 1/2 (+- _MASS_TOL), then a
     group translation moves the maximizing center to the origin, and a
     second search refines the scale s against the origin-centered ball.
-    Every fraction is read from the `normalize_mass` density of the scaled
-    field; an all-zero field holds no mass.  Returns (w, R_m = 1/(lam s)),
-    w the refined field scaled to unit L^q mass.
+    Both searches read one fraction rule, `half_mass`: the measure of the
+    `normalize_mass` density of the scaled field, and no mass for an
+    all-zero field.  Returns (w, R_m = 1/(lam s)), w the refined field
+    scaled to unit L^q mass.
     """
     total = _lq_mass(u, q)
     if abs(total - 1.0) > 1e-6:
         raise DomainError(f"input must satisfy int |u|^q = 1, got {total}")
 
-    def ball_fraction(lam):
-        nu = dilate_field(u, lam, q)
-        if not nu.values.any():
-            return 0.0, nu, None
-        frac, center = concentration(normalize_mass(nu, q), 1.0)
-        return frac, nu, center
+    def half_mass(field, measure, what, step):
+        def fraction(x):
+            nu = dilate_field(field, x, q)
+            if not nu.values.any():
+                return 0.0, None
+            frac, payload = measure(normalize_mass(nu, q))
+            return frac, (nu, payload)
 
-    lam, (_, nu, center) = _half_mass_scale(ball_fraction, "half-mass dilation")
+        return _half_mass_scale(fraction, what, step=step)
+
+    lam, (_, (nu, center)) = half_mass(u, lambda d: concentration(d, 1.0),
+                                       "half-mass dilation", 2.0)
     nu = group_translate_field(nu, center)
     if not nu.values.any():
         raise AlgorithmError("mass lost during recentering")
 
     # The recentering resample perturbs the ball mass, so refine the scale
     # against the origin-centered ball of the actual output field.  That
-    # field is already near half mass at s = 1, so the bracket starts with
-    # a small step.
+    # field is already near half mass at s = 1, so the walk starts with a
+    # small step.
     origin = GroupPoint(0.0, 0.0, 0.0)
-
-    def origin_fraction(s):
-        w = dilate_field(nu, s, q)
-        if not w.values.any():
-            return 0.0, None
-        return ball_mass(normalize_mass(w, q), 1.0, origin), w
-
-    s, (_, w) = _half_mass_scale(origin_fraction, "origin-ball refinement",
-                                 step=2.0 ** (1.0 / 16.0))
+    s, (_, (w, _)) = half_mass(nu, lambda d: (ball_mass(d, 1.0, origin), None),
+                               "origin-ball refinement", 2.0 ** (1.0 / 16.0))
     return w.with_values(w.values / _lq_mass(w, q) ** (1.0 / q)), 1.0 / (lam * s)
 
 

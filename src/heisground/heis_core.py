@@ -374,7 +374,7 @@ def calculus_check_suite(seed: int = 0) -> list:
     ts = np.linspace(-12, 12, 120)
     hx = xs[1] - xs[0]
     ht = ts[1] - ts[0]
-    xg, yg, tg = np.meshgrid(xs, xs, ts, indexing="ij")
+    xg, yg, tg = np.meshgrid(xs, xs, ts, indexing="ij", sparse=True)
 
     def mass(lam):
         dens = np.exp(-((lam * xg) ** 2 + (lam * yg) ** 2) - 0.5 * (lam * lam * tg) ** 2)

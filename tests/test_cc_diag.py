@@ -897,6 +897,48 @@ class TestHalfMassScale:
         assert x == pytest.approx(x_half, rel=5e-3)
         assert len(calls) <= self.MAX_CALLS[x_half]
 
+    SMALL_STEP = 2.0 ** (1.0 / 16.0)  # `dilation_normalize`'s refinement step
+
+    # The search's fraction calls on x / (x + x_half), as float hex, for
+    # step 2 and the refinement's step 2^(1/16): a rewrite of the search
+    # that moves any evaluation point, and so `dilation_normalize`'s
+    # outputs, fails here.
+    CALLS = {
+        (0.05, 2.0): ('0x1.0000000000000p+0 0x1.0000000000000p-1 0x1.0000000000000p-2 '
+            '0x1.0000000000000p-3 0x1.0000000000000p-4 0x1.0000000000000p-5 '
+            '0x1.02e0ca3294e0fp-4 0x1.98ba1d6667576p-5'),
+        (0.3, 2.0): ('0x1.0000000000000p+0 0x1.0000000000000p-1 0x1.0000000000000p-2 '
+            '0x1.38c14421af31ep-2 0x1.332faec4130d9p-2'),
+        (1.0, 2.0): '0x1.0000000000000p+0',
+        (5.7, 2.0): ('0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.0000000000000p+2 '
+            '0x1.0000000000000p+3 0x1.56ab8e9ad9068p+2 0x1.6cfa455fdeb53p+2'),
+        (40.0, 2.0): ('0x1.0000000000000p+0 0x1.0000000000000p+1 0x1.0000000000000p+2 '
+            '0x1.0000000000000p+3 0x1.0000000000000p+4 0x1.0000000000000p+5 '
+            '0x1.0000000000000p+6 0x1.c6a31548e794cp+4 0x1.4089f8e06e8dfp+5'),
+        (0.05, SMALL_STEP): ('0x1.0000000000000p+0 0x1.ea4afa2a490dap-1 0x1.c199bdd85529ep-1 '
+            '0x1.7a11473eb018bp-1 0x1.0b5586cf98916p-1 0x1.0b5586cf9891ep-2 '
+            '0x1.0b5586cf9891ep-3 0x1.0b5586cf9891ep-4 0x1.0b5586cf9891ep-5 '
+            '0x1.fd98ef38994a0p-5 0x1.98f214a979cf3p-5'),
+        (0.3, SMALL_STEP): ('0x1.0000000000000p+0 0x1.ea4afa2a490dap-1 0x1.c199bdd85529ep-1 '
+            '0x1.7a11473eb018bp-1 0x1.0b5586cf98916p-1 0x1.0b5586cf9891ep-2 '
+            '0x1.37a04d0de7c76p-2 0x1.3331936c10536p-2'),
+        (1.0, SMALL_STEP): '0x1.0000000000000p+0',
+        (5.7, SMALL_STEP): ('0x1.0000000000000p+0 0x1.0b5586cf9890fp+0 0x1.2387a6e756237p+0 '
+            '0x1.5ab07dd485425p+0 0x1.ea4afa2a490ccp+0 0x1.ea4afa2a490bdp+1 '
+            '0x1.ea4afa2a490bdp+2 0x1.58b7bd78269aep+2 0x1.6cebdb5c1c59ep+2'),
+        (40.0, SMALL_STEP): ('0x1.0000000000000p+0 0x1.0b5586cf9890fp+0 0x1.2387a6e756237p+0 '
+            '0x1.5ab07dd485425p+0 0x1.ea4afa2a490ccp+0 0x1.ea4afa2a490bdp+1 '
+            '0x1.ea4afa2a490bdp+2 0x1.ea4afa2a490bdp+3 0x1.ea4afa2a490bdp+4 '
+            '0x1.ea4afa2a490bdp+5 0x1.d1a2b8056e8dap+4 0x1.406319918a4e1p+5'),
+    }
+
+    @pytest.mark.parametrize("key", list(CALLS), ids=lambda key: f"{key[0]}-{key[1]:.4f}")
+    def test_call_sequence_is_pinned(self, key):
+        x_half, step = key
+        f, calls = self.recorded(lambda x: x / (x + x_half))
+        _half_mass_scale(f, "test scale", step=step)
+        assert [x.hex() for x in calls] == self.CALLS[key].split()
+
     def test_small_first_step(self):
         # The bracket steps by 2^(1/16), 2^(1/8), 2^(1/4), 2^(1/2), then 2.
         f, calls = self.recorded(lambda x: x / (x + 0.05))
@@ -935,6 +977,26 @@ class TestHalfMassScale:
         with pytest.raises(AlgorithmError, match="could not bracket"):
             _half_mass_scale(f, "test scale")
         assert len(calls) == 21
+
+    def test_walk_down_into_no_mass_brackets(self):
+        # A move down to a scale without mass reads fraction 0, which
+        # crosses 1/2 and closes the bracket [1/4, 1]; only a move up to
+        # such a scale ends the search.
+        calls = []
+
+        def down(x):
+            calls.append(x)
+            return (x / (x + 0.45), x) if x >= 0.4 else (0.0, None)
+
+        x, (frac, arg) = _half_mass_scale(down, "test scale")
+        assert calls[:3] == [1.0, 0.5, 0.25]
+        assert abs(frac - 0.5) <= 1e-3 and arg == x == pytest.approx(0.45, rel=5e-3)
+
+        def up(x):
+            return (x / (x + 5.0), x) if x <= 3.0 else (0.0, None)
+
+        with pytest.raises(AlgorithmError, match="no mass from scale 4 on"):
+            _half_mass_scale(up, "test scale")
 
     def test_bisection_budget(self):
         # A step fraction is 0 or 1 at every scale, never within tolerance

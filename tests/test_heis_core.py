@@ -1,5 +1,7 @@
 """Group calculus: law, gauge, dilations, left-invariant derivatives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,15 @@ class TestSuite:
         assert np.isnan(check["defect"]) and not check["passed"]
         assert cli.main(["calculus-check"]) == 1
         assert "gauge_dilation_homogeneity" in capsys.readouterr().err
+
+    def test_measure_check_builds_no_dense_coordinate_grids(self):
+        # The measure check's coordinates are a sparse meshgrid, so only
+        # one 96 x 96 x 120 density (8.4 MiB) is alive at a time; three
+        # dense coordinate arrays beside it peak above 40 MiB.
+        tracemalloc.start()
+        try:
+            calculus_check_suite(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20

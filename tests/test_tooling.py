@@ -4,12 +4,13 @@ tolerance, what a module exports of its own is documented, only
 `solvers._descend` runs the descent, only `grid` reads the colour order's
 layout, no module reads a field's mask nodes in
 C order, `grid` writes no offset or colouring outside its stencil,
-`calculus_check_suite` takes no maximum by the builtin max, and
-the README's CLI section names the
+`calculus_check_suite` takes no maximum by the builtin max,
+`dilation_normalize` dilates in one place, pyproject.toml and the package
+carry one version, and the README's CLI section names the
 parser's flags and the CLI's exit codes; the autouse fixture empties every
 per-grid cache; the CI workflow installs the declared dependencies, runs
-the installed console script, and runs the tier-1 command single-threaded,
-within a time limit."""
+the installed console script (a self-check and a solve), and runs the
+tier-1 command single-threaded, within a time limit."""
 
 import argparse
 import ast
@@ -79,6 +80,18 @@ def test_only_descend_runs_the_descent():
                for node in ast.walk(top) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_ray_descent"]
     assert callers == ["_descend"]
+
+
+def test_dilation_normalize_dilates_in_one_place():
+    # Both of `dilation_normalize`'s searches read their fractions from one
+    # rule, so `dilate_field` is called once in its source.
+    tree = ast.parse((Path(heisground.__file__).parent / "cc_diag.py").read_text())
+    (normalize,) = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "dilation_normalize"]
+    calls = [f"cc_diag.py:{node.lineno}" for node in ast.walk(normalize)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "dilate_field"]
+    assert len(calls) == 1, calls
 
 
 _LAYOUT = {"node", "split", "rows", "columns", "inv_diag"}
@@ -286,6 +299,19 @@ def test_ci_runs_the_installed_console_script():
             for step in job["steps"]]
     install = runs.index('python -m pip install ".[test]"')
     assert runs.index(f"{name} calculus-check > /dev/null") > install
+    # calculus-check loads numpy only, so a solve checks that the install
+    # loads scipy.sparse and scipy.sparse.linalg.
+    solve = (f"{name} solve --method mountain-pass --radius 2.5 --grid 12 --grad-tol 1e-4"
+             " > /dev/null")
+    assert runs.index(solve) > install
+
+
+def test_one_version_string():
+    # Every JSON report carries `heisground.__version__`; pyproject.toml is
+    # read by regex, because Python 3.10 has no tomllib.
+    (version,) = re.findall(r'^version = "([^"]+)"$',
+                            (README.parent / "pyproject.toml").read_text(), re.M)
+    assert heisground.__version__ == version
 
 
 def test_ci_tests_run_single_threaded_within_a_time_limit():
