@@ -29,8 +29,6 @@ from .heis_core import (
 from .grid import (
     Grid3,
     ScalarField,
-    apply_Xh,
-    apply_Yh,
     build_ball_grid,
     e_norm,
     lq_norm,

@@ -348,10 +348,9 @@ def _witness(R: float, k, masses, a, b, cts):
 
 
 # The ball geometries kept by `_window_blocks`.  A kept block has at most
-# _CHUNK (center, column) pairs, so the window ends take at most
-# _GEOMETRY_CACHE_BYTES in all.
+# _CHUNK (center, column) pairs, so the window ends, three int64 arrays,
+# take at most _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK bytes, 3 MiB, in all.
 _GEOMETRY_CACHE_SIZE = 8
-_GEOMETRY_CACHE_BYTES = _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK  # three int64 arrays
 # (grid, R, stride) -> blocks.  Not an lru_cache: a lattice that streams its
 # blocks must not be kept, and an lru_cache keeps every result it returns.
 _window_cache = OrderedDict()

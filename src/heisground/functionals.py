@@ -10,9 +10,9 @@ exact derivative of the discrete energy (discretize-then-differentiate), so
 descent line searches are variationally consistent with the stencil.  Both
 come from the grid's one horizontal gradient B = [X_h; Y_h]: the gradients go
 through A = B^T B + I (grad I = A v, with v the field's mask values, applied
-by the operator cache in its colour order and written back to a box array),
-and the energy's value is summed as squares, I(u) = w (||B v||^2 + ||v||^2)
-/ 2 (see `grid`).
+by the grid's kept operator in its colour order and written back to a box
+array), and the energy's value is summed as squares, I(u) = w (||B v||^2 +
+||v||^2) / 2 (see `grid`).
 
 Each formula is one private function of numbers and arrays; the public
 functions apply it to a field, the solvers to colour-order vectors.

@@ -11,11 +11,10 @@ with D the 1-D forward differences (u[+1] - u) / h.  B is stated once,
 as its taps per grid (`_stencil`): each row of X_h or Y_h sums c u[+offset]
 over the taps (offset, c), a node and its forward neighbours along t and
 along x or y.  Nothing else in the module writes an offset or a
-coefficient of B; the rest is read from the taps.  `e_norm_sq`, `apply_Xh`
-and `apply_Yh` apply them to a field's box array (`_gradient_values`),
-whose zeros off the mask stand for the missing nodes, and so does the
-solvers' energy norm (`_box_norm_sq`).  Every other discrete object comes
-from B:
+coefficient of B; the rest is read from the taps.  `e_norm_sq` applies
+them to a field's box array (`_gradient_values`), whose zeros off the mask
+stand for the missing nodes, and so does the solvers' energy norm
+(`_box_norm_sq`).  Every other discrete object comes from B:
 
     A = B^T B + I   on the mask nodes,
     ||u||^2 = w (||B v||^2 + ||v||^2),   w the cell volume.
@@ -30,8 +29,10 @@ times, in a multicolour order of the mask nodes that their one
 preconditioner, a symmetric Gauss-Seidel sweep, needs; the colouring and
 its colour count are worked out from the taps' coupling offsets
 (`_node_colours`), three colours for forward B.  So the
-operator cache keeps, per (grid, mask), only that order, diag(A) and L,
-the strictly lower part of A in that order.  `_ColourOrder` owns the
+package keeps, for the one (grid, mask) asked for last (`_last_operator`),
+only that order, diag(A) and L, the strictly lower part of A in that
+order: no flow goes back to an earlier domain, and `exhaust_domains`
+solves its nested balls one after another.  `_ColourOrder` owns the
 colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
 package's only translations of a vector, between a field's box array and
 the colour order (`colour`, `box`), which the solvers and the field
@@ -80,8 +81,6 @@ __all__ = [
     "ScalarField",
     "build_ball_grid",
     "ball_mask",
-    "apply_Xh",
-    "apply_Yh",
     "lq_norm",
     "l2_norm",
     "e_norm",
@@ -305,10 +304,9 @@ def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
     return g.reshape(-1)
 
 
-# Most recently used last.  Bounded because each nested ball mask of
-# `exhaust_domains` keeps an entry, about 5.5 MiB at 48^3 (4.0 MiB of it L).
-_OPERATOR_CACHE_SIZE = 3
-_operator_cache = []  # [(copy of the mask, grid, `_ColourOrder`)]
+# The operator asked for last, (copy of the mask, grid, `_ColourOrder`), or
+# None: about 5.5 MiB at 48^3, 4.0 MiB of it L.
+_last_operator = None
 
 
 def _node_colours(grid: Grid3, mask: np.ndarray, offsets) -> tuple:
@@ -448,19 +446,21 @@ class _ColourOrder(NamedTuple):
 
 def _colour_order(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     """The `_ColourOrder` of one (grid, mask), built on first use
-    (`_assemble`) and cached.
+    (`_assemble`) and kept in `_last_operator` until another (grid, mask)
+    is asked for.
 
-    Entries are keyed by the grid and a copy of the mask's contents, so a
-    mask edited in place gets a fresh entry and an equal mask in another
-    array reuses the cached one.
+    The slot is keyed by the grid and a copy of the mask's contents, so a
+    mask edited in place gets a fresh operator and an equal mask in another
+    array reuses the kept one.
     """
-    for k, (contents, g, order) in enumerate(_operator_cache):
+    global _last_operator
+    if _last_operator is not None:
+        contents, g, order = _last_operator
         if g == grid and np.array_equal(contents, mask):
-            _operator_cache.append(_operator_cache.pop(k))
             return order
+    _last_operator = None  # the old operator is freed before the new one is built
     order = _assemble(grid, mask)
-    _operator_cache.append((mask.copy(), grid, order))
-    del _operator_cache[:-_OPERATOR_CACHE_SIZE]
+    _last_operator = (mask.copy(), grid, order)
     return order
 
 
@@ -478,11 +478,12 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     them, so the entries are bit for bit those of that product; like it, an
     entry that sums to 0 is no entry.  The offsets b - a also give the
     colouring and the colour count c (`_node_colours`), so the colour order
-    fits whatever taps `_stencil` returns.  L is written one neighbour
-    offset at a time into CSR arrays sized by a first pass, each row's
-    entries in their nodes' C order, and no argsort or copy of A is made;
-    its rows of colours 1 to c - 1 give the c - 1 pieces of `rows` and
-    `columns`.
+    fits whatever taps `_stencil` returns.  L is read in one pass from a
+    table of its rows by the neighbour offsets, in increasing C order of
+    the neighbour, whose row-major mask of the kept entries (lower and
+    nonzero) gives each row's entries in their nodes' C order; no argsort
+    or copy of A is made.  Its rows of colours 1 to c - 1 give the c - 1
+    pieces of `rows` and `columns`.
     """
     from scipy import sparse
 
@@ -520,28 +521,17 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     # the first position of the row's colour
     start = np.repeat(np.array(ends[:-1], dtype=index), np.diff(ends))
 
-    def entries():
-        """(column, value, in L) of each row's entry towards each neighbour,
-        by increasing C order of the neighbour."""
-        for (dx, dy, dt), table in sorted(couplings.items(), key=operator.itemgetter(0)):
-            col = pos.take(padded + ((dx * (n_y + 2) + dy) * (n_t + 2) + dt))
-            value = table.reshape(-1).take(xy)
-            keep = col < start
-            keep &= value != 0.0
-            yield col, value, keep
-
+    # one row per row of L, one column per neighbour offset, in increasing
+    # C order of the neighbour: a row-major mask keeps each row's entries in
+    # that order
+    table = sorted(couplings.items(), key=operator.itemgetter(0))
+    step = [(dx * (n_y + 2) + dy) * (n_t + 2) + dt for (dx, dy, dt), _ in table]
+    col = pos.take(padded[:, None] + step)
+    value = np.stack([entry.reshape(-1) for _, entry in table], axis=1).take(xy, axis=0)
+    keep = (col < start[:, None]) & (value != 0.0)
     indptr = np.zeros(m + 1, dtype=index)
-    counts = indptr[n0 + 1:]
-    for _, _, keep in entries():
-        counts += keep
-    np.cumsum(counts, out=counts)
-    data, indices = np.empty(int(indptr[-1])), np.empty(int(indptr[-1]), dtype=index)
-    slot = indptr[n0:m].astype(np.intp)  # each row's next free entry
-    for col, value, keep in entries():
-        at = slot[keep]
-        data[at] = value[keep]
-        indices[at] = col[keep]
-        slot[keep] += 1
+    np.cumsum(keep.sum(axis=1), out=indptr[n0 + 1:])
+    data, indices = value[keep], col[keep]
 
     rows, columns = [], []
     for first, last in zip(ends, ends[1:]):
@@ -587,23 +577,6 @@ def _box_norm_sq(grid: Grid3, values: np.ndarray) -> float:
     ||v||^2 sums over the box array, so zero extension keeps it bit for bit.
     """
     return _sum_squares(_gradient_values(grid, values), values.reshape(-1), grid.cell_volume)
-
-
-def _box_rows(u: ScalarField, block: int) -> ScalarField:
-    n = u.values.size
-    # + 0.0 makes a zero sum +0.0, as the CSR product's sums are
-    g = _gradient_values(u.grid, u.values)[block * n:(block + 1) * n] + 0.0
-    return ScalarField(u.grid, g.reshape(u.grid.shape), full_mask(u.grid))
-
-
-def apply_Xh(u: ScalarField) -> ScalarField:
-    """X_h u = D_x u + 2 y D_t u, forward differences, on the whole box."""
-    return _box_rows(u, 0)
-
-
-def apply_Yh(u: ScalarField) -> ScalarField:
-    """Y_h u = D_y u - 2 x D_t u, forward differences, on the whole box."""
-    return _box_rows(u, 1)
 
 
 def sublaplacian_values(u: ScalarField) -> np.ndarray:

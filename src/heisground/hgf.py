@@ -118,7 +118,8 @@ def read_hgf(path: str) -> tuple:
                 f"{path}: payload of {size - 8 - hlen} bytes, expected {8 * count}"
             )
         payload = fh.read(8 * count)
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
+    # read-only; `ScalarField` keeps a fresh, writeable copy of it
+    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
     mask = full_mask(grid) if radius is None else ball_mask(grid, float(radius))
     outside = np.count_nonzero(values[~mask])
     if outside:

@@ -292,8 +292,8 @@ class _Energy:
     (`box`), which `field` and `norm_sq` go through.  The energy norm is
     summed as squares of B v and v by the stencil on that box array (see
     `grid`), and the formulas are the ones the public field functions use.
-    The colour order comes from the operator cache, so an _Energy builds no
-    array.
+    The colour order is the one `grid` keeps for the domain asked for
+    last, so an _Energy of that domain builds no array.
     """
 
     def __init__(self, domain: Domain, p: float):
@@ -682,17 +682,20 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     and read into the colour order as a (box nodes, b) block.  The
     iterations are those of the block it returns, from its residual-norm
     history (which also holds the start's and the final check's norms).
+    Below five blocks of nodes (20 here) LOBPCG solves densely and returns
+    no history, and the iterations are 0.
     """
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.zeros((energy.mask.size, _MORSE_EIGENVALUES + 1))
     start[energy.mask.reshape(-1)] = np.random.default_rng(0).standard_normal(
         (w.size, _MORSE_EIGENVALUES + 1))
-    eigs, vecs, history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
-                                 maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
-                                 retResidualNormsHistory=True)
+    eigs, vecs, *history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
+                                  maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
+                                  retResidualNormsHistory=True)
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
-    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order], len(history) - 2
+    iterations = len(history[0]) - 2 if history else 0
+    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order], iterations
 
 
 def _state_index(energy: _Energy, rep: SolveReport):

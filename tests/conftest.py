@@ -47,12 +47,12 @@ def fresh_ball_geometry():
 
 @pytest.fixture
 def fresh_operators(monkeypatch):
-    """An empty operator cache (`grid._operator_cache`) for one test, and the
-    session's cache back afterwards.  The autouse fixture above keeps the
-    operator cache for the whole session, because the desk fixtures reuse
-    it; a test of the assembly takes this one, so it cannot pass on an
-    entry another test built."""
-    monkeypatch.setattr(grid, "_operator_cache", [])
+    """An empty operator slot (`grid._last_operator`) for one test, and the
+    session's operator back afterwards.  The autouse fixture above keeps
+    the slot across tests, because consecutive tests of one domain reuse
+    its operator; a test of the assembly takes this one, so it cannot pass
+    on an operator another test built."""
+    monkeypatch.setattr(grid, "_last_operator", None)
 
 
 def _timed(fn, *args, **kwargs):

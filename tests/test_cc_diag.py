@@ -585,7 +585,7 @@ class TestGeometryCache:
         assert all(len(blocks) == 1 and blocks[0][2].size <= cc_diag._CHUNK
                    for blocks in cache.values())
         nbytes = sum(arr.nbytes for (block,) in cache.values() for arr in block[1:])
-        assert nbytes <= cc_diag._GEOMETRY_CACHE_BYTES
+        assert nbytes <= cc_diag._GEOMETRY_CACHE_SIZE * 3 * 8 * cc_diag._CHUNK == 3 << 20
 
 
 def witness_oracle(R, k, masses, a, b, cts):

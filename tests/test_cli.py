@@ -374,6 +374,19 @@ class TestExhaust:
         assert doc.pop("version") == __version__ and doc.pop("config")["radii"] == [1.5, 2.0]
         assert doc == {"entries": [], "monotone": False}
 
+    @pytest.mark.parametrize("grid, radii", [("9", "2,6"), ("9", "0.9,6"), ("11", "1,6")])
+    def test_morse_index_on_a_ball_below_twenty_nodes(self, tmp_path, capsys, grid, radii):
+        # The first ball holds 9 or 1 nodes, fewer than five of LOBPCG's
+        # blocks, so scipy solves it densely and returns no residual
+        # history: the index runs, and the exhaustion fails on its fit of
+        # the decay, not on a traceback.
+        code = main(["exhaust", "--radii", radii, "--grid", grid, "--grad-tol", "1e-4",
+                     "--out-csv", str(tmp_path / "ex.csv"),
+                     "--out-json", str(tmp_path / "ex.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("exhaust failed: ")
+
     @pytest.mark.parametrize("radii", ["--radii=0,2", "--radii=-1,2", "--radii=inf,2"])
     def test_rejects_nonpositive_radii(self, tmp_path, capsys, radii):
         assert main(["exhaust", radii, "--grid", "10",
@@ -605,7 +618,6 @@ def test_scipy_loads_only_with_a_solver_operator(tmp_path):
         "f = grid.ScalarField(g, np.random.default_rng(0).standard_normal(g.shape), mask)\n"
         "cc_diag.energy_split(f, 0.5, 2.0)\n"
         "grid.e_norm_sq(f)\n"
-        "grid.apply_Xh(f)\n"
         "before = scipy_modules()\n"
         "rc = heisground.cli.main(['solve', '--method', 'constrained-min',\n"
         "    '--radius', '2.5', '--grid', '12', '--report', report])\n"

@@ -20,8 +20,7 @@ from heisground.grid import (
     Grid3,
     ScalarField,
     _colour_order,
-    apply_Xh,
-    apply_Yh,
+    _gradient_values,
     ball_mask,
     build_ball_grid,
     e_norm_sq,
@@ -37,6 +36,12 @@ from heisground.heis_core import analytic_horizontal_derivative, gaussian_test_f
 
 def deep_interior(mask, cells=2):
     return binary_erosion(mask, iterations=cells)
+
+
+def horizontal_gradient(u):
+    """(X_h u, Y_h u) on the whole box: the blocks of `_gradient_values`,
+    + 0.0 making a zero sum +0.0, as the CSR product's sums are."""
+    return _gradient_values(u.grid, u.values).reshape((2,) + u.grid.shape) + 0.0
 
 
 class TestGridConstruction:
@@ -154,15 +159,14 @@ class TestOperators:
     def test_zero_field(self):
         grid, mask = build_ball_grid(2.0, 12)
         u = ScalarField(grid, np.zeros(grid.shape), mask)
-        assert np.all(apply_Xh(u).values == 0.0)
-        assert np.all(apply_Yh(u).values == 0.0)
+        assert np.all(horizontal_gradient(u) == 0.0)
         assert np.all(sublaplacian_values(u) == 0.0)
 
     def test_X_of_linear(self):
         grid, mask = build_ball_grid(2.0, 16)
         xs, _, _ = grid.coordinate_arrays()
         u = ScalarField(grid, np.broadcast_to(xs, grid.shape).copy(), mask)
-        gx = apply_Xh(u).values
+        gx = horizontal_gradient(u)[0]
         deep = deep_interior(mask, 2)
         assert np.allclose(gx[deep], 1.0, atol=1e-12)
 
@@ -170,7 +174,7 @@ class TestOperators:
         grid, mask = build_ball_grid(2.0, 16)
         _, ys, ts = grid.coordinate_arrays()
         u = ScalarField(grid, np.broadcast_to(ts, grid.shape).copy(), mask)
-        gx = apply_Xh(u).values
+        gx = horizontal_gradient(u)[0]
         target = np.broadcast_to(2.0 * ys, grid.shape)
         deep = deep_interior(mask, 2)
         assert np.allclose(gx[deep], target[deep], atol=1e-10)
@@ -216,8 +220,8 @@ class TestOperators:
         grid, mask = build_ball_grid(1.5, 12)
         u = ScalarField(grid, rng.standard_normal(grid.shape), mask)
         quad = inner(ScalarField(grid, -sublaplacian_values(u), mask), u)
-        gx, gy = apply_Xh(u), apply_Yh(u)
-        direct = inner(gx, gx) + inner(gy, gy)
+        g = horizontal_gradient(u).reshape(-1)
+        direct = float(g @ g) * grid.cell_volume
         assert quad == pytest.approx(direct, rel=1e-12)
 
 
@@ -244,8 +248,7 @@ class TestHorizontalGradient:
             d_t = (at(i, j, l + 1) - f[i, j, l]) / ht
             gx[i, j, l] = (at(i + 1, j, l) - f[i, j, l]) / hx + 2.0 * ys[j] * d_t
             gy[i, j, l] = (at(i, j + 1, l) - f[i, j, l]) / hy - 2.0 * xs[i] * d_t
-        assert np.abs(apply_Xh(u).values - gx).max() < 1e-13
-        assert np.abs(apply_Yh(u).values - gy).max() < 1e-13
+        assert np.abs(horizontal_gradient(u) - np.stack([gx, gy])).max() < 1e-13
 
     def test_first_order_against_gaussian(self):
         tf = gaussian_test_function(1.0, 0.25)
@@ -254,7 +257,7 @@ class TestHorizontalGradient:
             grid, mask = build_ball_grid(2.0, n)
             xs, ys, ts = grid.coordinate_arrays()
             u = ScalarField(grid, np.exp(-(xs**2 + ys**2) - 0.25 * ts**2), mask)
-            gx, gy = apply_Xh(u).values, apply_Yh(u).values
+            gx, gy = horizontal_gradient(u)
             errs = []
             for idx in zip(*np.nonzero(grid.gauge_array() < 1.2)):
                 z = grid.node_point(idx)
@@ -293,10 +296,8 @@ class TestStencilAgainstKronecker:
         want = kronecker_gradient(grid, mask)
         u = ScalarField(grid, np.random.default_rng(26).standard_normal(grid.shape), mask)
         g = want @ u.values[u.mask]
-        n_box = u.values.size
-        for apply, block in ((apply_Xh, g[:n_box]), (apply_Yh, g[n_box:])):
-            values = apply(u).values.ravel()
-            assert np.array_equal(values.view(np.uint64), block.view(np.uint64))
+        got = horizontal_gradient(u).reshape(-1)
+        assert np.array_equal(got.view(np.uint64), g.view(np.uint64))
         v = u.values.ravel()
         assert e_norm_sq(u) == (float(np.sum(g * g)) + float(np.sum(v * v))) * grid.cell_volume
 
@@ -366,25 +367,41 @@ class TestEnergyOperator:
         assert _colour_order(other, other_mask).node.size == np.count_nonzero(other_mask)
 
     def test_cached_per_grid_and_mask(self, fresh_operators):
+        # The slot holds the (grid, mask) asked for last, keyed by a copy of
+        # the mask's contents.
         grid, mask = build_ball_grid(1.5, 12)
         a = _colour_order(grid, mask)
         assert _colour_order(grid, mask) is a
-        entries = len(grid_module._operator_cache)
-        assert _colour_order(grid, mask.copy()) is a
-        assert len(grid_module._operator_cache) == entries  # no duplicate entry
-        assert _colour_order(grid, ball_mask(grid, 1.0)) is not a
+        assert _colour_order(grid, mask.copy()) is a  # an equal mask in another array
+        contents, kept_grid, kept = grid_module._last_operator
+        assert kept is a and kept_grid == grid
+        assert contents is not mask and np.array_equal(contents, mask)
+        b = _colour_order(grid, ball_mask(grid, 1.0))
+        assert b is not a and grid_module._last_operator[2] is b
+        c = _colour_order(grid, mask)  # a is gone: built anew
+        assert c is not a and np.array_equal(c.node, a.node)
         mask[tuple(n // 2 for n in grid.shape)] = False  # edited in place
-        b = _colour_order(grid, mask)
-        assert b is not a and b.node.size == a.node.size - 1
+        d = _colour_order(grid, mask)
+        assert d is not c and d.node.size == c.node.size - 1
 
-    def test_cache_bounded_across_exhaustion(self):
+    def test_cache_bounded_across_exhaustion(self, monkeypatch, fresh_operators):
+        # Each nested ball is assembled once, and the slot keeps the last.
         from heisground.solvers import SolverConfig, exhaust_domains
 
+        assemble, built = grid_module._assemble, []
+
+        def counted(grid, mask):
+            built.append(np.count_nonzero(mask))
+            return assemble(grid, mask)
+
+        monkeypatch.setattr(grid_module, "_assemble", counted)
         cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-3)
         radii = [1.5, 1.75, 2.0, 2.25, 2.5]
-        exhaust_domains(radii, cfg)
-        assert len(radii) > grid_module._OPERATOR_CACHE_SIZE
-        assert len(grid_module._operator_cache) <= grid_module._OPERATOR_CACHE_SIZE
+        last = exhaust_domains(radii, cfg).entries[-1].report.field
+        assert len(built) == len(radii) and built == sorted(built)
+        contents, kept_grid, kept = grid_module._last_operator
+        assert kept_grid == last.grid and np.array_equal(contents, last.mask)
+        assert kept.node.size == built[-1]
 
     def test_constrained_min_regression(self, small_cm):
         # k = 2.5, N = 12, grad_tol 1e-4: the figures of the nonlinear CG
@@ -524,7 +541,7 @@ class TestAssembly:
         assert off.any() and np.all(colour[row[off]] != colour[col[off]])
 
     def test_no_gradient_matrix_and_no_sparse_product(self, monkeypatch, fresh_operators):
-        # On an emptied cache a solve and a polish assemble their operator
+        # On an empty slot a solve and a polish assemble their operator
         # with no B (the oracle's kronecker_gradient raises) and no product
         # of two sparse matrices (scipy's sparse-by-sparse product raises).
         import conftest
@@ -543,15 +560,15 @@ class TestAssembly:
         cfg = SolverConfig(p=2.0, ball_radius=2.5, nodes_per_axis=12, grad_tol=1e-4)
         domain = make_domain(cfg)
         rep = solvers.solve_constrained_min(cfg, domain=domain)
-        assert rep.converged and len(grid_module._operator_cache) == 1
         energy = solvers._Energy(domain, cfg.p)
+        assert rep.converged and grid_module._last_operator[2] is energy.order
         v = energy.order.colour(radial_bump(domain).values)
         w0 = energy.ray_max(v)[0] * v
         _, gn, steps = solvers._newton_polish(energy, w0)
         assert steps and gn < energy.norm(energy.grad(w0))
 
     def test_entry_holds_l_and_three_vectors(self, fresh_operators):
-        # The cache entry of the k = 4, N = 32 ball: L's arrays, the order,
+        # The kept operator of the k = 4, N = 32 ball: L's arrays, the order,
         # diag(A) and its inverse, and L's pieces (views of its data and
         # indices, with their own row pointers); no copy of A.
         grid, mask = build_ball_grid(4.0, 32)

@@ -442,6 +442,20 @@ class TestNewtonPolish:
         assert index == inertia_count(dom.grid, dom.mask, u, cfg.p) == 1
         assert inertia_count(dom.grid, dom.mask, u, cfg.p, sigma=0.5 * (eigs[1] + eigs[2])) == 2
 
+    @pytest.mark.parametrize("k, nodes", [(2.0, 9), (0.9, 1)])
+    def test_index_on_a_ball_below_twenty_nodes(self, k, nodes):
+        # Below five of LOBPCG's blocks of 4, scipy solves densely and
+        # returns no residual history; the index is still the inertia, and
+        # no LOBPCG iteration is reported.
+        grid = build_ball_grid(6.0, 9)[0]
+        dom = Domain(grid, ball_mask(grid, k), k)
+        assert np.count_nonzero(dom.mask) == nodes
+        cfg = SolverConfig(p=2.0, ball_radius=k, nodes_per_axis=9, grad_tol=1e-4)
+        cmp = compare_methods(cfg, domain=dom)
+        u = cmp.mountain_pass.field.values
+        assert cmp.morse_index == inertia_count(dom.grid, dom.mask, u, cfg.p) == 1
+        assert cmp.mountain_pass.extra["index_lobpcg_iterations"] == 0
+
     def test_polish_and_index_are_preconditioned_by_the_sweep(
             self, small_mp, small_domain, small_config, monkeypatch):
         # The polish sweeps one vector per MINRES iteration, and the index

@@ -219,11 +219,12 @@ def test_autouse_fixture_empties_every_per_grid_cache():
     # Every `functools.lru_cache` of grid and cc_diag, and `_window_cache`,
     # is filled here and must be empty after the autouse fixture of
     # conftest.py, so no cache carries state from one test into the next.
-    # The operator cache, `grid._operator_cache`, is not among them on
-    # purpose: it is kept for the whole session, because the desk fixtures
-    # reuse its entries.  A test of the operator's assembly takes the
-    # `fresh_operators` fixture, which empties it for that test, so that a
-    # patched assembly cannot pass on an entry built before the patch.
+    # The operator slot, `grid._last_operator`, is not among them on
+    # purpose: it is kept across tests, because consecutive tests of one
+    # domain reuse its operator.  A test of the operator's assembly takes
+    # the `fresh_operators` fixture, which empties it for that test, so
+    # that a patched assembly cannot pass on an operator built before the
+    # patch.
     from conftest import fresh_ball_geometry
     from heisground import cc_diag, grid
 
@@ -304,6 +305,10 @@ def test_ci_runs_the_installed_console_script():
     solve = (f"{name} solve --method mountain-pass --radius 2.5 --grid 12 --grad-tol 1e-4"
              " > /dev/null")
     assert runs.index(solve) > install
+    # exhaust runs the Morse index of its first ball, and so LOBPCG.
+    exhaust = (f'{name} exhaust --radii 1.5,2,2.5 --grid 12 --grad-tol 1e-3'
+               ' --out-csv "$RUNNER_TEMP/e.csv" --out-json "$RUNNER_TEMP/e.json"')
+    assert runs.index(exhaust) > install
 
 
 def test_one_version_string():
