@@ -83,6 +83,13 @@ def _check_radius(R: float) -> None:
 # of centers, or one gather), which keeps a call's working set at about
 # that of a loop over single centers.
 _CHUNK = 1 << 14
+# The most t-centers that one read of a window end covers (`_t_chunk`).  On
+# the 20 x 20 x 70 box (35 t-centers) 12 makes three chunks and a padded
+# cumsum row of 115 entries, against 207 for one chunk of all t-centers;
+# 18 makes two chunks and rows of 139, and raised a six-field classify's
+# tracemalloc peak from 4.3 to 4.8 MB.  Each chunk costs one more fancy
+# index per (center, column) pair in `_gather`.
+_T_CHUNK = 12
 
 
 def _radius_cap(grid: Grid3, a, b, c_lo: float, c_hi: float) -> float:
@@ -135,59 +142,82 @@ def _disc_offsets(grid: Grid3, R: float):
     return ox[keep], oy[keep]
 
 
-def _padded_cumsum(densities, last: int) -> np.ndarray:
+def _padded_cumsum(densities, pad: int) -> np.ndarray:
     """One plane per density array of `densities`, all of one shape: each
-    column's t-cumsum with a leading 0, padded with `last` more zeros before
-    and `last` copies of the column total after, plus one zero row that
-    off-grid columns read: shape (len(densities), nx ny + 1, nt + 2 last + 1).
+    column's t-cumsum with a leading 0, padded with `pad` more zeros before
+    and `pad` copies of the column total after, plus one zero row that
+    off-grid columns read: shape (len(densities), nx ny + 1, nt + 2 pad + 1).
 
-    Only the padding is filled before the cumsums are written into place.
-    A plane depends on its density and on `last` only, not on the radius.
-    The density is >= 0 and np.cumsum adds along the column in order, so
-    each row is nondecreasing in floating point too (fl(F + v) >= F for
-    v >= 0).  A window sum fl(F[hi] - F[lo]) with lo <= hi thus lies in
-    [0, F[hi]]: it is at most the row's last entry, the column total.
+    `_lattice_profiles` pads by one chunk of t-centers, t_stride (n_c - 1)
+    (see `_window_ends`).  Only the padding is filled before the cumsums are
+    written into place.  A plane depends on its density and on `pad` only,
+    not on the radius.  The density is >= 0 and np.cumsum adds along the
+    column in order, so each row is nondecreasing in floating point too
+    (fl(F + v) >= F for v >= 0).  A window sum fl(F[hi] - F[lo]) with
+    lo <= hi thus lies in [0, F[hi]]: it is at most the row's last entry,
+    the column total.
     """
     nx, ny, nt = densities[0].shape
-    csum = np.empty((len(densities), nx * ny + 1, nt + 2 * last + 1))
-    csum[:, :, :last + 1] = 0.0
+    csum = np.empty((len(densities), nx * ny + 1, nt + 2 * pad + 1))
+    csum[:, :, :pad + 1] = 0.0
     csum[:, -1] = 0.0
     for plane, values in zip(csum, densities):
-        np.cumsum(values.reshape(nx * ny, nt), axis=1, out=plane[:-1, last + 1:last + nt + 1])
+        np.cumsum(values.reshape(nx * ny, nt), axis=1, out=plane[:-1, pad + 1:pad + nt + 1])
     # numpy copies the source of an overlapping assignment at the size of
     # its target; the totals alone are one column
-    csum[:, :-1, last + nt + 1:] = csum[:, :-1, last + nt, None].copy()
+    csum[:, :-1, pad + nt + 1:] = csum[:, :-1, pad + nt, None].copy()
     return csum
 
 
-def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
-    """Window ends of the gauge balls about the nodes (a, b, c0) of the node
-    columns (ia[k], ib[k]) and the first t-node, one block of at most _CHUNK
-    (center, column) pairs at a time.
+def _t_chunk(ntc: int) -> int:
+    """t-centers per chunk, n_c: the ntc t-centers in the fewest chunks of
+    at most _T_CHUNK, made as equal as they can be, so that the chunks read
+    fewer t-centers past the lattice than there are chunks."""
+    chunks = -(-ntc // _T_CHUNK)
+    return -(-ntc // chunks)
+
+
+def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc, n_c):
+    """Window ends of the gauge balls about the nodes (a, b, c) of the node
+    columns (ia[k], ib[k]) and the ntc t-centers c = c0 + l t_stride ht,
+    read in chunks of n_c t-centers, one block of at most _CHUNK (center,
+    column) pairs at a time.
 
     The gauge-ball condition rho(z^-1 w) < R restricted to the column at
     (x, y) is the t-interval |t - c - 2b(x-a) + 2a(y-b)| < s with
     s = (R^4 - r2^2)^(1/2); interval sums are differences of a t-axis
     cumulative sum.  The t-centers sit on the node lattice, so the window
     ends of a (center column, disc column) pair move by exactly t_stride
-    cells from one t-center to the next: they are found once, at c0, and
-    clipped to [-last, nt], last = t_stride (ntc - 1).  Center k visits only
-    the columns (ia[k], ib[k]) + (ox, oy) within reach of R, in row-major
-    order, off-grid ones reading the zero row.
+    cells from one t-center to the next: an end e is found once, at c0,
+    and clipped to [-last, nt], last = t_stride (ntc - 1), which reads 0 or
+    the column total at every t-center where it lay beyond the column.
+    Chunk q of the t-centers reads the end from x = e + t_stride n_c q on,
+    clipped to [-pad, nt] with pad = t_stride (n_c - 1), its n_c reads
+    t_stride apart.  That clip is exact too: for x < -pad every read of the
+    chunk lies at or below 0 and reads 0, for x > nt every read is the
+    column total, and otherwise nothing is clipped.  So the chunks read the
+    masses of the whole range bit for bit, from a cumsum padded by one
+    chunk (`_padded_cumsum`); reads past the last t-center are dropped.
+    Center k visits only the columns (ia[k], ib[k]) + (ox, oy) within reach
+    of R, in row-major order, off-grid ones reading the zero row.
 
-    Yields (k, row, hi, lo): the slice k of centers and, per (center,
-    column), the row of a plane of `_padded_cumsum` whose total bounds the
-    window sum (the column's row, or the zero row when the window is empty)
-    and the flat indices into that plane of the window's two ends, hi >= lo.
-    The ball is open, so a node exactly on its sphere lies outside at either
-    end.  None of them depends on the density, so `_window_blocks` keeps the
+    Yields (k, row, hi, lo): the slice k of centers; per (center, column),
+    the row of a plane of `_padded_cumsum` (int32), which holds the window
+    (the column's row, or the zero row when the window is empty at every
+    t-center), so that its total bounds the window sum; and per (center,
+    column, chunk) the clipped ends as positions x + pad in that row, hi >=
+    lo, in the narrowest unsigned type that holds [0, nt + pad].  The ball
+    is open, so a node exactly on its sphere lies outside at either end.
+    None of them depends on the density, so `_window_blocks` keeps the
     blocks of small lattices.
     """
     nx, ny, nt = grid.shape
     ht, t0 = grid.spacing[2], grid.corner[2]
     a, b, c0 = grid.axis_coords(0)[ia], grid.axis_coords(1)[ib], grid.axis_coords(2)[0]
     last = t_stride * (ntc - 1)
-    width = nt + 2 * last + 1  # one row of the padded cumsum
+    pad = t_stride * (n_c - 1)
+    shifts = t_stride * n_c * np.arange(-(-ntc // n_c))  # each chunk's first read
+    position = np.min_scalar_type(nt + pad)
     R = min(R, _radius_cap(grid, a, b, c0, c0 + last * ht))
     ox, oy = _disc_offsets(grid, R)
     hx, hy = grid.spacing[:2]
@@ -199,59 +229,73 @@ def _window_ends(grid: Grid3, R: float, ia, ib, t_stride, ntc):
         # skip the offsets that leave the grid for every center of the block
         use = ((ox >= -ia[k].max()) & (ox < nx - ia[k].min())
                & (oy >= -ib[k].max()) & (oy < ny - ib[k].min()))
+        # Each per-pair array is dropped once used, and the chunks' ends are
+        # written one chunk at a time, so that a block's working set stays a
+        # few per-pair arrays.
         ci = ia[k, None] + ox[use]
         cj = ib[k, None] + oy[use]
+        on_grid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
+        row = np.where(on_grid, ci * ny + cj, nx * ny).astype(np.int32)
         # column coordinates by the same expression as Grid3.axis_coords
         dx = (grid.corner[0] + (ci + 0.5) * hx) - a[k, None]
         dy = (grid.corner[1] + (cj + 0.5) * hy) - b[k, None]
-        r2 = dx * dx + dy * dy
-        half = np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht
+        del ci, cj, on_grid
         # node t0 + (i + 1/2) ht is within s of c0 + 2b dx - 2a dy, strictly,
         # for mid - half < i < mid + half, so for lo <= i < hi; the min keeps
         # hi >= lo when mid - half == mid + half is an integer
         mid = (2.0 * b[k, None] * dx - 2.0 * a[k, None] * dy) / ht + mid0
-        on_grid = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-        row = np.where(on_grid, ci * ny + cj, nx * ny)
-        start = row * width + last
+        r2 = dx * dx + dy * dy
+        del dx, dy
+        half = np.sqrt(np.maximum(R4 - r2 * r2, 0.0)) / ht
+        del r2
         hi = np.clip(np.ceil(mid + half), -last, nt)
         lo = np.minimum(np.clip(np.floor(mid - half) + 1.0, -last, nt), hi)
-        hi = start + hi.astype(np.int64)
-        lo = start + lo.astype(np.int64)
-        yield k, np.where(hi > lo, row, nx * ny), hi, lo
+        del mid, half
+        row[hi <= lo] = nx * ny
+        ends = np.empty((2, *hi.shape, len(shifts)), position)
+        for q, shift in enumerate(shifts):
+            for e, out in zip((hi, lo), ends):
+                out[..., q] = np.clip(e + (shift + pad), 0, nt + pad)
+        del hi, lo
+        yield k, row, ends[0], ends[1]
 
 
-def _strided_rows(csum: np.ndarray, t_stride: int, ntc: int) -> np.ndarray:
-    """Read-only view with rows[i] = csum.flat[i : i + last + 1 : t_stride],
-    last = t_stride (ntc - 1): a window end's entries at the ntc t-centers.
+def _strided_rows(csum: np.ndarray, t_stride: int, n_c: int) -> np.ndarray:
+    """Read-only view of the rows of every plane of csum, stacked:
+    rows[r, x] = csum row r's entries x, x + t_stride, ..., x + pad,
+    pad = t_stride (n_c - 1): a window end's reads at one chunk of n_c
+    t-centers, from its position x in the row (see `_window_ends`).
 
-    The padding of `_padded_cumsum` makes an end clipped to [-last, nt]
-    read 0 or the column total at every t-center, and keeps the rows of an
-    end within its own plane.
+    The padding of `_padded_cumsum` by pad keeps the reads of every
+    position x in [0, nt + pad] within its own row.
     """
+    planes, nrow, width = csum.shape
     step = csum.strides[-1]
     return np.lib.stride_tricks.as_strided(
-        csum.ravel(), (csum.size - t_stride * (ntc - 1), ntc), (step, t_stride * step),
-        writeable=False)
+        csum, (planes * nrow, width - t_stride * (n_c - 1), n_c),
+        (width * step, step, t_stride * step), writeable=False)
 
 
-def _gather(rows: np.ndarray, hi, lo, w: float, centers, shift) -> np.ndarray:
-    """Ball masses at every t-center of the centers whose window ends are
-    the rows `centers` of hi and lo, the ends of centers[j] moved by
-    shift[j] (the offset of its density's plane in the stacked cumsum): the
-    column differences of the strided rows, summed in the columns'
+def _gather(rows: np.ndarray, ntc: int, row, hi, lo, w: float, centers, shift) -> np.ndarray:
+    """Ball masses at the ntc t-centers of the centers `centers` of a block
+    (row, hi, lo) of `_window_ends`, center j reading the rows
+    row + shift[j] of `_strided_rows` (shift[j] is the first row of its
+    density's plane): the column differences of the strided rows, their
+    chunks laid end to end and cut to ntc, summed in the columns'
     row-major order, times the cell volume w.
 
     The ends are indexed, shifted and read for at most _CHUNK entries at a
     time.  A center's masses do not depend on the centers gathered with it.
     """
-    ncol, ntc = hi.shape[1], rows.shape[1]
-    n = max(1, _CHUNK // (ncol * ntc))  # centers per gather
+    ncol, nread = hi.shape[1], hi.shape[2] * rows.shape[2]
+    n = max(1, _CHUNK // (ncol * nread))  # centers per gather
     masses = np.empty((len(centers), ntc))
     for j in range(0, len(centers), n):
-        c, s = centers[j:j + n], shift[j:j + n, None]
-        col = rows[hi[c] + s]
-        col -= rows[lo[c] + s]
-        masses[j:j + n] = col.sum(axis=1) * w
+        c = centers[j:j + n]
+        r = (row[c] + shift[j:j + n, None])[..., None]
+        col = rows[r, hi[c]]
+        col -= rows[r, lo[c]]
+        masses[j:j + n] = col.reshape(len(c), ncol, nread)[:, :, :ntc].sum(axis=1) * w
     return masses
 
 
@@ -347,10 +391,10 @@ def _witness(R: float, k, masses, a, b, cts):
     return float(R), q, GroupPoint(*near[j])
 
 
-# The ball geometries kept by `_window_blocks`.  A kept block has at most
-# _CHUNK (center, column) pairs, so the window ends, three int64 arrays,
-# take at most _GEOMETRY_CACHE_SIZE * 3 * 8 * _CHUNK bytes, 3 MiB, in all.
+# The ball geometries kept by `_window_blocks`, and the most bytes that the
+# arrays of a kept block take: 384 KiB, so 3 MiB in all.
 _GEOMETRY_CACHE_SIZE = 8
+_KEPT_BLOCK_BYTES = 24 * _CHUNK
 # (grid, R, stride) -> blocks.  Not an lru_cache: a lattice that streams its
 # blocks must not be kept, and an lru_cache keeps every result it returns.
 _window_cache = OrderedDict()
@@ -372,11 +416,15 @@ def _window_blocks(grid: Grid3, R: float, stride: int):
     """The blocks of `_window_ends` on the lattice `_center_lattice(grid,
     stride)` at radius R.
 
-    A lattice whose window ends fit in one block of at most _CHUNK
-    (center, column) pairs keeps that block, read-only, for the next call
-    with the same (grid, R, stride); the last _GEOMETRY_CACHE_SIZE such
-    geometries are kept.  A larger lattice streams its blocks and keeps
-    nothing, so a call's working set stays that of one block.
+    The t-centers are read in chunks of `_t_chunk(ntc)`.  A lattice whose
+    window ends fit in one block of at most _KEPT_BLOCK_BYTES keeps that
+    block, read-only, for the next call with the same (grid, R, stride);
+    the last _GEOMETRY_CACHE_SIZE such geometries are kept.  The narrow
+    types of `_window_ends` keep a block of _CHUNK (center, column) pairs
+    within that size while it has at most 10 chunks of one-byte ends or 5
+    of two-byte ends (24 bytes per pair).  A larger lattice streams its
+    blocks and keeps nothing, so a call's working set stays that of one
+    block.
     """
     key = (grid, R, stride)
     blocks = _window_cache.get(key)
@@ -384,9 +432,9 @@ def _window_blocks(grid: Grid3, R: float, stride: int):
         _window_cache.move_to_end(key)
         return blocks
     ia, ib, _, _, cts = _center_lattice(grid, stride)
-    ends = _window_ends(grid, R, ia, ib, stride, len(cts))
+    ends = _window_ends(grid, R, ia, ib, stride, len(cts), _t_chunk(len(cts)))
     first = k, row, hi, lo = next(ends)
-    if k.stop < len(ia) or hi.size > _CHUNK:
+    if k.stop < len(ia) or row.nbytes + hi.nbytes + lo.nbytes > _KEPT_BLOCK_BYTES:
         return itertools.chain([first], ends)
     for arr in (row, hi, lo):
         arr.flags.writeable = False
@@ -401,10 +449,11 @@ def _lattice_profiles(densities, R_grid) -> list:
     of (R, Q, center) per density, in one pass.
 
     The padded t-cumsums depend on the density only: one array holds a
-    plane per density, built once for all R, and one strided view reads
-    them all.  Per radius, each block of `_window_ends` is found once and
-    serves every density; `_window_blocks` keeps it for later calls when
-    the lattice fits in one block.  Per block, the bounds of every
+    plane per density, padded by one chunk of t-centers (`_t_chunk`) and
+    built once for all R, and one strided view reads them all.  Per
+    radius, each block of `_window_ends` is found once and serves every
+    density; `_window_blocks` keeps it for later calls when the lattice
+    fits in one block.  Per block, the bounds of every
     (density, center) pair come at once (see `concentration_profile`); one
     gather takes each density's center of largest bound, and a second every
     other pair whose bound reaches its density's running maximum less the
@@ -416,10 +465,11 @@ def _lattice_profiles(densities, R_grid) -> list:
     stride = _CENTER_STRIDE
     _, _, a, b, cts = _center_lattice(grid, stride)
     ntc, w = len(cts), grid.cell_volume
-    csum = _padded_cumsum([d.field.values for d in densities], stride * (ntc - 1))
-    rows = _strided_rows(csum, stride, ntc)
+    n_c = _t_chunk(ntc)
+    csum = _padded_cumsum([d.field.values for d in densities], stride * (n_c - 1))
+    rows = _strided_rows(csum, stride, n_c)
     totals = csum[:, :, -1].copy()
-    plane = csum[0].size  # flat offset of one density's plane from the last
+    plane = csum.shape[1]  # rows of one density's plane
     profiles = [[] for _ in densities]
     for R in R_grid:
         q_run = np.zeros(len(densities))
@@ -432,7 +482,7 @@ def _lattice_profiles(densities, R_grid) -> list:
                 pick &= bound >= (q_run * (1.0 - _TIE_REL))[:, None]
                 dens, centers = np.nonzero(pick)
                 if len(dens):
-                    masses = _gather(rows, hi, lo, w, centers, dens * plane)
+                    masses = _gather(rows, ntc, row, hi, lo, w, centers, dens * plane)
                     np.maximum.at(q_run, dens, masses.max(axis=1))
                     found.append((dens, centers + k.start, masses))
         dens, centers, masses = (np.concatenate(parts) for parts in zip(*found))
@@ -539,21 +589,21 @@ def _half_mass_scale(fraction, what: str, *, step: float = 2.0):
     scale holds no mass either, so the first move up to a scale without mass
     ends the search: the box cannot hold the field at its half-mass scale.
     A move down to such a scale crosses 1/2 like any other.  Once the walk
-    crosses 1/2 at x, the bracket of x and 1 is closed by Illinois regula
-    falsi on log x (Dowell & Jarratt, BIT 11, 1971), at most _MAX_BISECT
-    steps: the secant between the two ends, the fraction of an end kept
-    twice in a row halved, and the midpoint when the secant leaves the open
-    bracket.
+    crosses 1/2 at x, the bracket of x and the walk's point before it is
+    closed by Illinois regula falsi on log x (Dowell & Jarratt, BIT 11,
+    1971), at most _MAX_BISECT steps: the secant between the two ends, the
+    fraction of an end kept twice in a row halved, and the midpoint when the
+    secant leaves the open bracket.
     Returns (x, fraction(x)) of the first x within tolerance, a walk point
     included; raises AlgorithmError when the walk does not cross 1/2 or the
     search does not converge.
     """
     x, (frac, payload) = 1.0, fraction(1.0)
-    g_1 = frac - 0.5
     down = frac > 0.5
     for _ in range(20):
         if abs(frac - 0.5) <= _MASS_TOL or not (frac > 0.5 if down else frac < 0.5):
             break
+        x_prev, g_prev = x, frac - 0.5  # the walk's point before the move
         x = x / step if down else x * step
         frac, payload = fraction(x)
         if payload is None and not down:
@@ -566,7 +616,7 @@ def _half_mass_scale(fraction, what: str, *, step: float = 2.0):
         return x, (frac, payload)
     if frac > 0.5 if down else frac < 0.5:
         raise AlgorithmError(f"could not bracket the {what} in the box")
-    (a, g_a), (b, g_b) = sorted([(math.log(x), frac - 0.5), (0.0, g_1)])
+    (a, g_a), (b, g_b) = sorted([(math.log(x), frac - 0.5), (math.log(x_prev), g_prev)])
     moved = 0  # +1 when the lower end moved last, -1 when the upper end did
     for _ in range(_MAX_BISECT):
         u = b - g_b * (b - a) / (g_b - g_a)

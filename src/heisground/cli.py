@@ -255,16 +255,18 @@ def cmd_classify(args) -> int:
     fields = []
     for path in args.inputs:
         try:
-            f, _ = hgf.read_hgf(path)
+            fields.append(hgf.read_hgf(path)[0])
         except HeisgroundError as exc:  # read_hgf's messages start with the path
             print(f"cannot read {exc}", file=sys.stderr)
             return EXIT_IO
         except OSError as exc:  # str(exc) names the path too
             print(f"cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_IO
-        fields.append(f)
-    densities = [cc_diag.normalize_mass(f, args.q) for f in fields]
-    result = cc_diag.classify_sequence(densities, eps=args.eps, R_grid=radii)
+    # Every file is read before any is normalized, so a read error comes
+    # first; each field is then kept only as its density.
+    for i in range(len(fields)):
+        fields[i] = cc_diag.normalize_mass(fields[i], args.q)
+    result = cc_diag.classify_sequence(fields, eps=args.eps, R_grid=radii)
     text = _json({**result.as_dict(), "version": __version__,
                   "config": _config(args, radii=radii)})
     if args.out:

@@ -682,20 +682,23 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     and read into the colour order as a (box nodes, b) block.  The
     iterations are those of the block it returns, from its residual-norm
     history (which also holds the start's and the final check's norms).
-    Below five blocks of nodes (20 here) LOBPCG solves densely and returns
-    no history, and the iterations are 0.
+    Below five blocks of nodes (20 here), where LOBPCG would warn and solve
+    densely, numpy's eigh solves the dense H, and the iterations are 0.
     """
+    if w.size < 5 * (_MORSE_EIGENVALUES + 1):
+        eigs, vecs = np.linalg.eigh(_hessian(energy, w) @ np.eye(w.size))
+        eigs, vecs = eigs[:_MORSE_EIGENVALUES], vecs[:, :_MORSE_EIGENVALUES]
+        return int(np.sum(eigs < 0.0)), eigs, vecs, 0
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
     start = np.zeros((energy.mask.size, _MORSE_EIGENVALUES + 1))
     start[energy.mask.reshape(-1)] = np.random.default_rng(0).standard_normal(
         (w.size, _MORSE_EIGENVALUES + 1))
-    eigs, vecs, *history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
-                                  maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
-                                  retResidualNormsHistory=True)
+    eigs, vecs, history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
+                                 maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
+                                 retResidualNormsHistory=True)
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
-    iterations = len(history[0]) - 2 if history else 0
-    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order], iterations
+    return int(np.sum(eigs[order] < 0.0)), eigs[order], vecs[:, order], len(history) - 2
 
 
 def _state_index(energy: _Energy, rep: SolveReport):

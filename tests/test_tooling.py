@@ -309,6 +309,12 @@ def test_ci_runs_the_installed_console_script():
     exhaust = (f'{name} exhaust --radii 1.5,2,2.5 --grid 12 --grad-tol 1e-3'
                ' --out-csv "$RUNNER_TEMP/e.csv" --out-json "$RUNNER_TEMP/e.json"')
     assert runs.index(exhaust) > install
+    # classify reads a solved state as a three-field sequence and checks
+    # its verdict.
+    (classify,) = [run for run in runs if f"{name} classify --inputs" in run]
+    assert runs.index(classify) > install
+    assert f"{name} solve --method constrained-min" in classify
+    assert "== 'compactness'" in classify
 
 
 def test_one_version_string():
