@@ -41,9 +41,10 @@ off-diagonal entry of A, at offset b - a, sums the products c_a c_b of
 two taps of a row, and each diagonal entry the squares of the taps that
 reach the node, so L and diag(A) are read from the taps on first use
 (`_assemble`), bit for bit as scipy's sparse product B^T B would give
-them, with no B and no sparse product.
-`scipy.sparse` is imported only there, so the field functions need numpy
-alone.
+them, with no B and no sparse product.  L and its transpose are plain
+compressed arrays (`_Compressed`), multiplied by scipy's compiled CSR and
+CSC kernels (`_sparsetools`), which load on a solve's first product
+without any scipy package module; the field functions need numpy alone.
 
 The energy's value is summed as squares, not as w v^T A v.  The entries
 of A reach 1/h^2 + (2|y|/h_t)^2, hundreds of times the size of (A v)_i, so
@@ -61,20 +62,20 @@ them with spurious negative lobes.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .heis_core import GroupPoint, _real
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "Grid3",
@@ -334,6 +335,70 @@ def _by_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d if v.ndim == 1 else d[:, None]
 
 
+# scipy's compiled sparse kernels once `_sparsetools` has loaded them, or None
+_kernels = None
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels (`csr_matvec`, `csc_matvecs`, ...),
+    loaded once, on first use, and kept in `_kernels`.
+
+    The extension file `sparse/_sparsetools` of the installed scipy is
+    loaded by itself, under a name of this package, so no scipy package
+    module is imported: `scipy.sparse` would import some 300 modules,
+    about 20 MB, for this one loop.  `find_spec` locates scipy without
+    importing it, and a later `import scipy.sparse` loads its own copy.
+    """
+    global _kernels
+    if _kernels is not None:
+        return _kernels
+    scipy = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "sparse",
+                            "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"{__package__}._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            _kernels = module
+            return module
+    raise ImportError("found no compiled sparse kernels: scipy's sparse/_sparsetools "
+                      "extension file is missing")
+
+
+class _Compressed(NamedTuple):
+    """An m x n sparse matrix as its compressed arrays alone, in scipy's
+    layout: CSR (format "csr", row pointers indptr) or CSC ("csc", column
+    pointers), so a CSR matrix's arrays read as CSC are its transpose.
+
+    `@` takes a vector or an (n, b) block and calls scipy's compiled
+    kernel of the format (`_sparsetools`) as scipy.sparse's own product
+    does, on a fresh zero output and x raveled (a block in C order), a
+    single column by the vector kernel; so every product is scipy's bit
+    for bit.
+    """
+
+    format: str
+    shape: tuple
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m, n = self.shape
+        if x.ndim not in (1, 2) or x.shape[0] != n:  # the kernels read n rows of x unchecked
+            raise ValueError(f"cannot multiply a {m} x {n} matrix by an array of shape {x.shape}")
+        b = 1 if x.ndim == 1 else x.shape[1]
+        out = np.zeros((m,) + x.shape[1:])
+        if b == 1:
+            kernel = getattr(_sparsetools(), self.format + "_matvec")
+            kernel(m, n, self.indptr, self.indices, self.data, x.ravel(), out.ravel())
+        else:
+            kernel = getattr(_sparsetools(), self.format + "_matvecs")
+            kernel(m, n, b, self.indptr, self.indices, self.data, x.ravel(), out.ravel())
+        return out
+
+
 class _ColourOrder(NamedTuple):
     """A of one (grid, mask) in the multicolour order of `_node_colours`,
     whose colouring and colour count c come from the taps' coupling offsets
@@ -349,15 +414,16 @@ class _ColourOrder(NamedTuple):
     the last colour [split[-1], m).
 
     - diag: diag(A) in colour order, and inv_diag its inverse;
-    - lower: L, the strictly lower part of A in colour order, CSR, each
-      row's entries in their nodes' C order.  Nodes of one colour are
-      uncoupled, so L's colour-0 rows are empty, and its entries are half
-      of A's off-diagonal ones;
-    - upper: U = L^T, the CSC view of L's arrays;
+    - lower: L, the strictly lower part of A in colour order, a CSR
+      `_Compressed`, each row's entries in their nodes' C order.  Nodes of
+      one colour are uncoupled, so L's colour-0 rows are empty, and its
+      entries are half of A's off-diagonal ones;
+    - upper: U = L^T, L's arrays read as CSC;
     - rows: (L_1, ..., L_{c-1}), L's rows of colours 1 to c - 1 as CSR
       views of its data and indices, L_k over the positions of the colours
       before k;
-    - columns: their CSC views, U's columns of colours 1 to c - 1.
+    - columns: the same arrays read as CSC, U's columns of colours 1 to
+      c - 1.
 
     node and L's indices are 32-bit wherever the box and L's entries fit.
     A itself is applied and never stored.  Every method but `box` takes a
@@ -369,8 +435,8 @@ class _ColourOrder(NamedTuple):
     split: tuple
     diag: np.ndarray
     inv_diag: np.ndarray
-    lower: sparse.csr_array
-    upper: sparse.csc_array
+    lower: _Compressed
+    upper: _Compressed
     rows: tuple
     columns: tuple
 
@@ -485,8 +551,6 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     or copy of A is made.  Its rows of colours 1 to c - 1 give the c - 1
     pieces of `rows` and `columns`.
     """
-    from scipy import sparse
-
     n_x, n_y, n_t = grid.shape
     diag = np.zeros(grid.shape)
     plane = np.zeros((n_x, n_y, 1))  # its +0.0 moves only entries that sum to 0
@@ -537,26 +601,12 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     for first, last in zip(ends, ends[1:]):
         lo, hi = indptr[first], indptr[last]
         pieces = data[lo:hi], indices[lo:hi], indptr[first:last + 1] - lo
-        rows.append(_compressed(sparse.csr_array, (last - first, first), *pieces))
-        columns.append(_compressed(sparse.csc_array, (first, last - first), *pieces))
+        rows.append(_Compressed("csr", (last - first, first), *pieces))
+        columns.append(_Compressed("csc", (first, last - first), *pieces))
     return _ColourOrder(node, grid.shape, tuple(ends[:-1]), diag, 1.0 / diag,
-                        _compressed(sparse.csr_array, (m, m), data, indices, indptr),
-                        _compressed(sparse.csc_array, (m, m), data, indices, indptr),
+                        _Compressed("csr", (m, m), data, indices, indptr),
+                        _Compressed("csc", (m, m), data, indices, indptr),
                         tuple(rows), tuple(columns))
-
-
-def _compressed(kind, shape: tuple, data: np.ndarray, index: np.ndarray,
-                indptr: np.ndarray):
-    """A compressed sparse array of scipy's class kind (CSR or CSC) that
-    holds these arrays themselves.
-
-    The (data, indices, indptr) constructor, and so `.T`, copies an array
-    that is a view of less than half its base (`prune`), as L_1's are of
-    L's; so the arrays are set on an empty array of the shape.
-    """
-    a = kind(shape, dtype=data.dtype)
-    a.data, a.indices, a.indptr = data, index, indptr
-    return a
 
 
 def _sum_squares(g: np.ndarray, v: np.ndarray, w: float) -> float:

@@ -38,8 +38,9 @@ Comput., 2001).  The polish and the index run in the colour order too,
 preconditioned by the descent's sweep (`_sweep_operator`).  The colour
 order, its sweep and its translations are `grid._ColourOrder`'s; this
 module reads them through an `_Energy`'s `order`.  The polish and the
-index load `scipy.sparse.linalg`, and `scipy.sparse` loads with a solve's
-first operator (see `grid`).
+index load `scipy.sparse.linalg`; the descent loads no scipy package
+module, only scipy's compiled sparse kernels on its first product (see
+`grid`).
 All work on colour-order vectors through one `_Energy` per (domain, p): a
 start's box array is read into the colour order once, and a
 `ScalarField` is built from a vector only for the report.

@@ -219,6 +219,16 @@ def oracle_operator(g, mask):
     return (B.T @ B + sparse.eye_array(B.shape[1])).tocsr()
 
 
+def scipy_array(piece):
+    """scipy's csr_array or csc_array of the arrays of a compressed piece of
+    the colour order (`grid._Compressed`: L, U or one of their colour
+    pieces), for the tests' sparse algebra against the oracle."""
+    from scipy import sparse
+
+    kind = {"csr": sparse.csr_array, "csc": sparse.csc_array}[piece.format]
+    return kind((piece.data, piece.indices, piece.indptr), shape=piece.shape)
+
+
 def colour_perm(order, mask):
     """The index among the mask nodes, in C order, of each position of the
     colour order `order`: the permutation that takes the oracle's C-order A

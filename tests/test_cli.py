@@ -599,9 +599,11 @@ def test_console_script_help():
 
 def test_scipy_loads_only_with_a_solver_operator(tmp_path):
     # The field functions apply B's stencil in numpy, so the CLI and the
-    # concentration-compactness tools load no scipy module at all.  A solve
-    # loads scipy.sparse when it builds its first operator, and its CG is
-    # numpy: no scipy.sparse.linalg, and no scipy.interpolate.
+    # concentration-compactness tools load no scipy module at all.  A
+    # constrained-min solve multiplies by scipy's compiled sparse kernels,
+    # loaded from their file alone, and its CG is numpy: still no scipy
+    # module.  Mountain-pass's polish loads scipy.sparse.linalg for MINRES
+    # and its operators; no solve loads scipy.interpolate.
     inputs = TestClassify._write_sequence(tmp_path, "translating")
     code = (
         "import json, sys\n"
@@ -619,15 +621,52 @@ def test_scipy_loads_only_with_a_solver_operator(tmp_path):
         "cc_diag.energy_split(f, 0.5, 2.0)\n"
         "grid.e_norm_sq(f)\n"
         "before = scipy_modules()\n"
-        "rc = heisground.cli.main(['solve', '--method', 'constrained-min',\n"
-        "    '--radius', '2.5', '--grid', '12', '--report', report])\n"
-        "after = scipy_modules()\n"
-        "print(json.dumps([before, rc, 'scipy.sparse' in after, [m for m in after if\n"
-        "    m.startswith(('scipy.sparse.linalg', 'scipy.interpolate'))]]))\n"
+        "solve = ['solve', '--radius', '2.5', '--grid', '12', '--grad-tol', '1e-4',\n"
+        "         '--report', report, '--method']\n"
+        "cm = heisground.cli.main(solve + ['constrained-min'])\n"
+        "after_cm = scipy_modules()\n"
+        "mp = heisground.cli.main(solve + ['mountain-pass'])\n"
+        "after_mp = scipy_modules()\n"
+        "print(json.dumps([before, cm, after_cm, mp, 'scipy.sparse.linalg' in after_mp,\n"
+        "    [m for m in after_mp if m.startswith('scipy.interpolate')]]))\n"
     )
     proc = _run_python("-c", code, str(tmp_path / "r.json"), *inputs)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, True, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, [], 0, True, []]
+
+
+def test_solves_agree_whether_scipy_loads_first_or_later(tmp_path):
+    # The kernels load under the package's name, so scipy.sparse, imported
+    # after a constrained-min solve, loads its own copy, and a later
+    # mountain-pass solve runs beside it.  Every report and field is the
+    # one of a process that imported scipy.sparse before its first solve.
+    code = (
+        "import json, sys\n"
+        "from heisground import cli, grid\n"
+        "out, first = sys.argv[1:]\n"
+        "if first == 'scipy':\n"
+        "    import scipy.sparse\n"
+        "solve = ['solve', '--radius', '2.5', '--grid', '12', '--grad-tol', '1e-4']\n"
+        "rc = [cli.main(solve + ['--method', 'constrained-min', '--out', out + '-cm.hgf',\n"
+        "                        '--report', out + '-cm.json'])]\n"
+        "import scipy.sparse\n"
+        "rc.append(cli.main(solve + ['--method', 'mountain-pass', '--out', out + '-mp.hgf',\n"
+        "                            '--report', out + '-mp.json']))\n"
+        "print(json.dumps([rc, scipy.sparse._sparsetools is not grid._sparsetools()]))\n"
+    )
+    outputs = {}
+    for first in ("kernels", "scipy"):
+        out = str(tmp_path / first)
+        proc = _run_python("-c", code, out, first)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], True]
+        outputs[first] = []
+        for method in ("cm", "mp"):
+            report = json.loads(open(f"{out}-{method}.json").read())
+            del report["timestamp"], report["timings"], report["config"]["out"]
+            del report["config"]["report"]  # the paths differ
+            outputs[first] += [report, open(f"{out}-{method}.hgf", "rb").read()]
+    assert outputs["kernels"] == outputs["scipy"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc only")

@@ -13,6 +13,7 @@ from conftest import (
     midpoint_integral,
     oracle_lower,
     oracle_operator,
+    scipy_array,
 )
 from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
@@ -334,7 +335,8 @@ class TestEnergyOperator:
         a = oracle_operator(grid, mask)
         assert (a != a.T).nnz == 0
         order = _colour_order(grid, mask)
-        kept = sparse.diags_array(order.diag) + order.lower + order.lower.T
+        lower = scipy_array(order.lower)
+        kept = sparse.diags_array(order.diag) + lower + lower.T
         perm = colour_perm(order, mask)
         assert (kept != a[perm][:, perm]).nnz == 0
 
@@ -529,7 +531,8 @@ class TestAssembly:
         order = _colour_order(grid, mask)
         perm = colour_perm(order, mask)
         want = (b.T @ b).toarray()[np.ix_(perm, perm)] + np.eye(perm.size)
-        got = (sparse.diags_array(order.diag) + order.lower + order.lower.T).toarray()
+        lower = scipy_array(order.lower)
+        got = (sparse.diags_array(order.diag) + lower + lower.T).toarray()
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
         values = np.where(mask, np.random.default_rng(41).standard_normal(grid.shape), 0.0)
         bv, v = b @ values[mask], values.reshape(-1)
@@ -640,6 +643,7 @@ class TestColourBlocks:
         assert np.array_equal(np.sort(perm), np.arange(a.shape[0]))
         for rows, row, upper in zip((perm[n0:n01], perm[n01:]), order.rows, order.columns):
             assert row.format == "csr" and upper.format == "csc"
+            row, upper = scipy_array(row), scipy_array(upper)
             assert (row != a[rows][:, perm[:row.shape[1]]]).nnz == 0
             assert (upper != row.T).nnz == 0
         assert grid_module._colour_order(grid, mask) is order
@@ -674,15 +678,65 @@ class TestColourBlocks:
         lower, upper, perm = order.lower, order.upper, colour_perm(order, mask)
         want = sparse.tril(a[perm][:, perm], k=-1).tocsr()
         assert lower.format == "csr" and upper.format == "csc"
-        assert lower.nnz == want.nnz and (lower != want).nnz == 0
-        assert (upper != want.T).nnz == 0
+        got = scipy_array(lower)
+        assert got.nnz == want.nnz and (got != want).nnz == 0
+        assert (scipy_array(upper) != want.T).nnz == 0
         # the strictly lower part holds half of A's off-diagonal entries
-        assert 2 * lower.nnz + a.shape[0] == a.nnz
+        assert 2 * got.nnz + a.shape[0] == a.nnz
         assert lower.indices.dtype == lower.indptr.dtype == np.int32 == a.indices.dtype
         for piece in (upper,) + order.rows + order.columns:
             assert np.shares_memory(piece.data, lower.data)
             assert np.shares_memory(piece.indices, lower.indices)
         np.testing.assert_array_equal(order.inv_diag, 1.0 / a.diagonal()[perm])
+
+
+class TestKernels:
+    """`grid._Compressed`'s product, scipy's compiled CSR/CSC kernels called
+    on the piece's own arrays, against scipy's `@` on the same arrays."""
+
+    @pytest.mark.parametrize("case", range(3), ids=["4-32", "full-2.5-12", "3-24-72"])
+    def test_products_are_scipys_byte_for_byte(self, case):
+        # L, U and every colour piece, on a vector, a C- and an F-ordered
+        # (n, 4) block and a single column.
+        grid, mask = TestColourBlocks._grids()[case]
+        order = _colour_order(grid, mask)
+        rng = np.random.default_rng(43)
+        for piece in (order.lower, order.upper) + order.rows + order.columns:
+            n = piece.shape[1]
+            block = rng.standard_normal((n, 4))
+            for x in (rng.standard_normal(n), block, np.asfortranarray(block), block[:, :1]):
+                got, want = piece @ x, scipy_array(piece) @ x
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_refuses_a_vector_of_another_length(self):
+        # The kernels read n entries of x whatever its length.
+        grid, mask = build_ball_grid(2.5, 12)
+        lower = _colour_order(grid, mask).lower
+        for shape in ((lower.shape[1] + 1,), (lower.shape[1] - 1, 4), (lower.shape[1], 1, 1)):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                lower @ np.zeros(shape)
+
+    def test_kernels_are_a_private_copy(self):
+        # Loaded under the package's name, beside scipy.sparse's own copy.
+        kernels = grid_module._sparsetools()
+        assert kernels.__name__ == "heisground._sparsetools"
+        assert sparse._sparsetools is not kernels
+        assert grid_module._sparsetools() is kernels  # loaded once
+
+    @pytest.mark.parametrize("scipy_found", [True, False], ids=["no-kernel-file", "no-scipy"])
+    def test_missing_kernel_file_raises_import_error(self, scipy_found, monkeypatch, tmp_path):
+        import importlib.machinery
+        import importlib.util
+
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations.append(str(tmp_path))  # holds no sparse/
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: (
+            (scipy if scipy_found else None) if name == "scipy" else find_spec(name, package)))
+        monkeypatch.setattr(grid_module, "_kernels", None)  # not loaded yet
+        with pytest.raises(ImportError, match="scipy's sparse/_sparsetools"):
+            grid_module._sparsetools()
 
 
 class TestQuadrature:

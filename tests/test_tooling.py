@@ -300,8 +300,14 @@ def test_ci_runs_the_installed_console_script():
             for step in job["steps"]]
     install = runs.index('python -m pip install ".[test]"')
     assert runs.index(f"{name} calculus-check > /dev/null") > install
+    # A constrained-min solve through `cli.main` finds the install's
+    # compiled sparse kernels and loads no scipy package module.
+    (kernels,) = [run for run in runs if "heisground.cli.main(['solve'" in run]
+    assert runs.index(kernels) > install
+    assert kernels.startswith("python -c") and "'--method', 'constrained-min'" in kernels
+    assert "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']" in kernels
     # calculus-check loads numpy only, so a solve checks that the install
-    # loads scipy.sparse and scipy.sparse.linalg.
+    # loads the sparse kernels and scipy.sparse.linalg.
     solve = (f"{name} solve --method mountain-pass --radius 2.5 --grid 12 --grad-tol 1e-4"
              " > /dev/null")
     assert runs.index(solve) > install
