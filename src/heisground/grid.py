@@ -36,15 +36,17 @@ solves its nested balls one after another.  `_ColourOrder` owns the
 colour order: it applies A as D v + L v + L^T v, sweeps, and holds the
 package's only translations of a vector, between a field's box array and
 the colour order (`colour`, `box`), which the solvers and the field
-functions go through.  No other module reads its layout.  Each
-off-diagonal entry of A, at offset b - a, sums the products c_a c_b of
-two taps of a row, and each diagonal entry the squares of the taps that
-reach the node, so L and diag(A) are read from the taps on first use
-(`_assemble`), bit for bit as scipy's sparse product B^T B would give
-them, with no B and no sparse product.  L and its transpose are plain
-compressed arrays (`_Compressed`), multiplied by scipy's compiled CSR and
-CSC kernels (`_sparsetools`), which load on a solve's first product
-without any scipy package module; the field functions need numpy alone.
+functions go through, and from the mask nodes in C order
+(`from_mask_order`), in which the Morse index draws its start.  No other
+module reads its layout.  Each off-diagonal entry of A, at offset b - a,
+sums the products c_a c_b of two taps of a row, and each diagonal entry
+the squares of the taps that reach the node, so L and diag(A) are read
+from the taps on first use (`_assemble`), bit for bit as scipy's sparse
+product B^T B would give them, with no B and no sparse product.  L and
+its transpose are plain compressed arrays (`_Compressed`), multiplied by
+scipy's compiled CSR and CSC kernels (`_sparsetools`), which load on a
+solve's first product without any scipy package module; the field
+functions need numpy alone.
 
 The energy's value is summed as squares, not as w v^T A v.  The entries
 of A reach 1/h^2 + (2|y|/h_t)^2, hundreds of times the size of (A v)_i, so
@@ -308,6 +310,9 @@ def _gradient_values(grid: Grid3, values: np.ndarray) -> np.ndarray:
 # The operator asked for last, (copy of the mask, grid, `_ColourOrder`), or
 # None: about 5.5 MiB at 48^3, 4.0 MiB of it L.
 _last_operator = None
+# L's rows per block of `_assemble`'s fill; a block of forward B's table
+# takes about 0.25 MB
+_FILL_ROWS = 1024
 
 
 def _node_colours(grid: Grid3, mask: np.ndarray, offsets) -> tuple:
@@ -404,8 +409,10 @@ class _ColourOrder(NamedTuple):
     whose colouring and colour count c come from the taps' coupling offsets
     (c = 3 for forward B), the one form in which the package keeps A, and
     the one owner of that order: it applies A (`product`), sweeps (`sweep`,
-    `half_sweeps`) and translates vectors between a field's box array and
-    the colour order (`colour`, `box`).  No other module reads its layout.
+    `half_sweeps`), translates vectors between a field's box array and the
+    colour order (`colour`, `box`), and puts rows drawn over the mask nodes
+    in C order in colour order (`from_mask_order`).  No other module reads
+    its layout.
 
     The colour order lists the colour-0 mask nodes, then colour 1, and so
     on to colour c - 1, each in C order: position k holds the box node
@@ -444,6 +451,13 @@ class _ColourOrder(NamedTuple):
         """The box array values at the mask nodes, in colour order, as a new
         array; a (box nodes, b) block gives an (m, b) block."""
         return (values.reshape(-1) if values.ndim == 3 else values).take(self.node, axis=0)
+
+    def from_mask_order(self, block: np.ndarray) -> np.ndarray:
+        """The rows of block, one per mask node in C order, in colour order,
+        as a new array: its row k is the row of the box node node[k]."""
+        out = np.empty_like(block)
+        out[np.argsort(self.node, kind="stable")] = block  # merges the colours' C-order runs
+        return out
 
     def box(self, v: np.ndarray) -> np.ndarray:
         """The box array of the colour-order vector v: v at its nodes, zero
@@ -544,12 +558,15 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     them, so the entries are bit for bit those of that product; like it, an
     entry that sums to 0 is no entry.  The offsets b - a also give the
     colouring and the colour count c (`_node_colours`), so the colour order
-    fits whatever taps `_stencil` returns.  L is read in one pass from a
-    table of its rows by the neighbour offsets, in increasing C order of
-    the neighbour, whose row-major mask of the kept entries (lower and
-    nonzero) gives each row's entries in their nodes' C order; no argsort
-    or copy of A is made.  Its rows of colours 1 to c - 1 give the c - 1
-    pieces of `rows` and `columns`.
+    fits whatever taps `_stencil` returns.  L is read from a table of its
+    rows by the neighbour offsets, in increasing C order of the neighbour,
+    whose row-major mask of the kept entries (lower and nonzero) gives each
+    row's entries in their nodes' C order; no argsort or copy of A is made.
+    The table is read a block of _FILL_ROWS rows of one colour at a time,
+    twice: once to count each row's entries, and once to fill L's data and
+    indices, allocated at their final size.  So the assembly holds what it
+    keeps, the positions of the padded box and one block.  Its rows of
+    colours 1 to c - 1 give the c - 1 pieces of `rows` and `columns`.
     """
     n_x, n_y, n_t = grid.shape
     diag = np.zeros(grid.shape)
@@ -571,7 +588,7 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     index = np.int32 if max(width * m, mask.size) <= np.iinfo(np.int32).max else np.intp
     perm = np.concatenate([np.flatnonzero(colour == k) for k in range(c)]).astype(index)
     ends = np.cumsum(np.bincount(colour, minlength=c)).tolist()  # the end of each colour
-    n0 = ends[0]
+    del colour
     node = np.flatnonzero(mask).astype(index)[perm]  # box index of each position
     diag = diag.reshape(-1)[node]
     # A node's position, padded by one layer of m: a neighbour beyond the
@@ -580,22 +597,38 @@ def _assemble(grid: Grid3, mask: np.ndarray) -> _ColourOrder:
     place[perm] = np.arange(m, dtype=index)
     pos = np.full((n_x + 2, n_y + 2, n_t + 2), m, dtype=index)
     pos[1:-1, 1:-1, 1:-1][mask] = place
+    del place
+    n0 = ends[0]
     padded = np.flatnonzero(np.pad(mask, 1))[perm[n0:]]  # of L's rows n0..m
+    del perm
     xy = node[n0:] // n_t
-    # the first position of the row's colour
-    start = np.repeat(np.array(ends[:-1], dtype=index), np.diff(ends))
 
-    # one row per row of L, one column per neighbour offset, in increasing
-    # C order of the neighbour: a row-major mask keeps each row's entries in
-    # that order
+    # L's rows by the neighbour offsets, in increasing C order of the
+    # neighbour: a row-major mask keeps each row's entries in that order
     table = sorted(couplings.items(), key=operator.itemgetter(0))
     step = [(dx * (n_y + 2) + dy) * (n_t + 2) + dt for (dx, dy, dt), _ in table]
-    col = pos.take(padded[:, None] + step)
-    value = np.stack([entry.reshape(-1) for _, entry in table], axis=1).take(xy, axis=0)
-    keep = (col < start[:, None]) & (value != 0.0)
+    values = np.stack([entry.reshape(-1) for _, entry in table], axis=1)  # at each (x, y)
+
+    def block(lo, hi, first):
+        """(col, value, keep) of L's rows lo..hi, all of the colour that
+        starts at position first: each neighbour's position, its entry,
+        and whether that is an entry of L (lower and nonzero)."""
+        col = pos.take(padded[lo - n0:hi - n0, None] + step)
+        value = values.take(xy[lo - n0:hi - n0], axis=0)
+        return col, value, (col < first) & (value != 0.0)
+
+    blocks = [(lo, min(lo + _FILL_ROWS, last), first)
+              for first, last in zip(ends, ends[1:]) for lo in range(first, last, _FILL_ROWS)]
     indptr = np.zeros(m + 1, dtype=index)
-    np.cumsum(keep.sum(axis=1), out=indptr[n0 + 1:])
-    data, indices = value[keep], col[keep]
+    for lo, hi, first in blocks:
+        indptr[lo + 1:hi + 1] = block(lo, hi, first)[2].sum(axis=1)
+    np.cumsum(indptr, out=indptr)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
+    for lo, hi, first in blocks:
+        col, value, keep = block(lo, hi, first)
+        data[indptr[lo]:indptr[hi]] = value[keep]
+        indices[indptr[lo]:indptr[hi]] = col[keep]
+        del col, value, keep  # before the next block is read
 
     rows, columns = [], []
     for first, last in zip(ends, ends[1:]):

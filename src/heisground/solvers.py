@@ -391,13 +391,11 @@ _ROUNDING_RISE = 64 * np.finfo(float).eps
 _EXACT_EVERY = 20
 
 
-def _mass_terms(p: float, x: np.ndarray):
-    """(x_+^(p-1), x_+^p, sum x_+^(p+1)) of the vector x; at p = 2 the
-    first is x_+ itself, which x_+^1 equals exactly."""
-    xp = np.maximum(x, 0.0)
+def _mass_terms(p: float, xp: np.ndarray):
+    """(x_+^(p-1), x_+^p) of xp = x_+; at p = 2 the first is xp itself,
+    which x_+^1 equals exactly."""
     pm1 = xp if p == 2.0 else _power(xp, p - 1.0)
-    normal = pm1 * xp
-    return pm1, normal, float(normal @ xp)
+    return pm1, pm1 * xp
 
 
 def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
@@ -414,38 +412,50 @@ def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
     and Newton leaves the bracket (0, tau0).  Of the two, the one with the
     lower R is kept, and if it raises R by more than rounding the smaller
     step is halved until one does not, as far from a minimizer an overshoot
-    can.  Returns (tau, change of log R, x = v + tau d, `_mass_terms` at
-    x); the change is inf where M vanishes.  A d that rounding has left
+    can.  Returns (tau, change of log R, x = v + tau d, (x_+^(p-1), x_+^p,
+    M(x))); the change is inf where M vanishes.  A d that rounding has left
     without a descent slope gets the step 0, and x is v itself.
+
+    A trial keeps x_+ and its sums alone: M, and at tau0 also the two sums
+    of the Newton step from there.  The kept step's x and x_+^p are
+    computed again by the same expressions, bit for bit.  So beside the
+    trial in progress the search holds one vector of its own: d^2 during
+    the first trial, the best x_+ after it.
     """
     q = 2.0 / (p + 1.0)
-    d2 = d * d
 
-    def derivs(tau, terms):
-        """(slope, curvature) of log R at tau, from `_mass_terms` there."""
-        pm1_t, normal_t, m_t = terms
+    def derivs(tau, sums):
+        """(slope, curvature) of log R at tau, from the sums (M, sum x_+^p d,
+        sum x_+^(p-1) d^2) there."""
+        m_t, normal_d, pm1_d2 = sums
         n_t = n_v + tau * (2.0 * b + c * tau)
         dn = 2.0 * (b + c * tau) / n_t
-        dl = (p + 1.0) * float(normal_t @ d) / m_t
-        ddl = p * (p + 1.0) * float(pm1_t @ d2) / m_t
+        dl = (p + 1.0) * normal_d / m_t
+        ddl = p * (p + 1.0) * pm1_d2 / m_t
         return dn - q * dl, 2.0 * c / n_t - dn * dn - q * (ddl - dl * dl)
 
-    def trial(tau):
-        """(tau, change of log R, x, `_mass_terms` at x) at tau."""
-        x = tau * d
-        x += v
-        terms = _mass_terms(p, x)
+    def trial(tau, d2=None):
+        """(tau, change of log R, x_+, sums) at tau: the sums are (M,), or
+        with d2 = d^2 those of `derivs`."""
+        xp = tau * d
+        xp += v
+        np.maximum(xp, 0.0, out=xp)
+        pm1_t, normal_t = _mass_terms(p, xp)
+        m_t = float(normal_t @ xp)
+        sums = (m_t,) if d2 is None else (m_t, float(normal_t @ d), float(pm1_t @ d2))
         rise = tau * (2.0 * b + c * tau) / n_v
-        if not (terms[2] > 0.0 and rise > -1.0):
-            return tau, np.inf, x, terms
-        return tau, math.log1p(rise) - q * math.log(terms[2] / m), x, terms
+        if not (m_t > 0.0 and rise > -1.0):
+            return tau, np.inf, xp, sums
+        return tau, math.log1p(rise) - q * math.log(m_t / m), xp, sums
 
-    slope0, curv0 = derivs(0.0, (pm1, normal, m))
+    d2 = d * d
+    slope0, curv0 = derivs(0.0, (m, float(normal @ d), float(pm1 @ d2)))
     if not slope0 < 0.0:  # rounding: d is no descent direction
         return 0.0, 0.0, v, (pm1, normal, m)
-    best = trial(-slope0 / curv0 if curv0 > 0.0 else 1.0)
-    tau0, phi0, _, terms0 = best
-    slope1, curv1 = derivs(tau0, terms0) if phi0 < np.inf else (np.nan, np.nan)
+    best = trial(-slope0 / curv0 if curv0 > 0.0 else 1.0, d2)
+    del d2
+    tau0, phi0, _, sums0 = best
+    slope1, curv1 = derivs(tau0, sums0) if phi0 < np.inf else (np.nan, np.nan)
     tau1 = tau0 - slope1 / curv1 if curv1 > 0.0 else np.nan
     if slope1 > 0.0 and not 0.0 < tau1 < tau0:
         tau1 = tau0 * slope0 / (slope0 - slope1)  # secant in the bracket (0, tau0)
@@ -453,13 +463,17 @@ def _line_min(p, v, d, n_v, b, c, m, normal, pm1):
         second = trial(tau1)
         if second[1] < phi0:
             best = second
+        del second  # a backtracking trial holds the best point alone
     tau = min(tau0, tau1) if tau1 > 0.0 else tau0
     for _ in range(_MAX_BACKTRACKS):
         if best[1] <= _ROUNDING_RISE:
             break
         tau *= _SHRINK
         best = trial(tau)
-    return best
+    tau, phi, xp, sums = best
+    x = tau * d
+    x += v
+    return tau, phi, x, (*_mass_terms(p, xp), sums[0])
 
 
 def _projected_gradient_norm(energy: _Energy, av: np.ndarray, normal: np.ndarray) -> float:
@@ -510,11 +524,22 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
     last trace record are those of the returned v, from an exact A v.  The
     products count the applications of A: the exact ones, and each sweep's
     A P once.
+
+    The loop holds v, A v, v_+^(p-1), v_+^p, G, d and A d, and P and A P
+    until the step is accepted, for the search along -P, which makes no
+    sweep; the previous G goes once beta is formed, and a rejected point
+    before the search along -P.  With `_line_min`'s own vector and the
+    trial it is making, that is at most 12 vectors at p = 2, where
+    x_+^(p-1) is x_+ itself, and one more at other p.  Every loop vector
+    goes before the exit's exact product and the box-array norm.
     """
     p, w, order = energy.p, energy.w, energy.order
     v = energy.renormalize(v)
     av = order.product(v)
-    pm1, normal, m = _mass_terms(p, v)
+    xp = np.maximum(v, 0.0)
+    pm1, normal = _mass_terms(p, xp)
+    m = float(normal @ xp)
+    del xp  # pm1 at p = 2, and not kept at any other p
     products, drift = 1, 0  # drift: recurrence updates of av since its last exact product
     i_best = gn_best = np.inf
     flat, it, d = 0, 0, None
@@ -554,6 +579,7 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
             ad *= beta
             ad -= ap
             steepest = float(G @ d) >= 0.0
+        g_prev = None  # read for the last time
         if steepest:
             d, ad = -P, -ap
         while True:
@@ -563,16 +589,20 @@ def _ray_descent(energy: _Energy, v, grad_tol, max_iters, trace):
                 raise NumericError(f"non-finite step of the descent at iteration {it}")
             if dphi <= _ROUNDING_RISE or steepest:
                 break
+            x = terms = None  # the rejected point goes before the search along -P
             d, ad, steepest = -P, -ap, True
         if dphi > _ROUNDING_RISE:
             stop = "no_descent"
             break
+        P = ap = None  # kept until here for the search along -P
         v = x
         av += tau * ad
         pm1, normal, m = terms
         drift += 1
         g_prev, gp_prev = G, gp
         it += 1
+    # The loop's vectors go before the exact product and the box-array norm.
+    pm1 = normal = G = g_prev = P = ap = d = ad = x = terms = None
     v /= scale
     if drift:
         av = order.product(v)
@@ -680,7 +710,8 @@ def _morse_index(energy: _Energy, w: np.ndarray):
     it applies to its whole block at once, from a seeded random block so
     that the result is deterministic.  The block is drawn over the mask
     nodes in their C order, so that it does not depend on the colouring,
-    and read into the colour order as a (box nodes, b) block.  The
+    and its rows are put in colour order (`_ColourOrder.from_mask_order`),
+    with no block over the whole box.  The
     iterations are those of the block it returns, from its residual-norm
     history (which also holds the start's and the final check's norms).
     Below five blocks of nodes (20 here), where LOBPCG would warn and solve
@@ -692,10 +723,9 @@ def _morse_index(energy: _Energy, w: np.ndarray):
         return int(np.sum(eigs < 0.0)), eigs, vecs, 0
     from scipy.sparse.linalg import lobpcg  # not loaded at start-up
 
-    start = np.zeros((energy.mask.size, _MORSE_EIGENVALUES + 1))
-    start[energy.mask.reshape(-1)] = np.random.default_rng(0).standard_normal(
-        (w.size, _MORSE_EIGENVALUES + 1))
-    eigs, vecs, history = lobpcg(_hessian(energy, w), energy.order.colour(start), largest=False,
+    start = energy.order.from_mask_order(
+        np.random.default_rng(0).standard_normal((w.size, _MORSE_EIGENVALUES + 1)))
+    eigs, vecs, history = lobpcg(_hessian(energy, w), start, largest=False,
                                  maxiter=_LOBPCG_MAX_ITERS, M=_sweep_operator(energy),
                                  retResidualNormsHistory=True)
     order = np.argsort(eigs)[:_MORSE_EIGENVALUES]
@@ -725,18 +755,20 @@ def _descend(config: SolverConfig, domain: Domain, u0: Optional[ScalarField] = N
     Returns (energy, v, |g|, run): the run's `_Energy`, its colour-order
     state on the constraint, |g| there, and its record, read by `_report`:
     iterations, trace, stop_reason, operator_products, and the descent's
-    seconds.  Both methods read their reports from such a run.  A start
-    with no positive-part mass (`_Energy.start`) is a DomainError.
+    seconds, from the reading of the start on.  Both methods read their
+    reports from such a run.  A start with no positive-part mass
+    (`_Energy.start`) is a DomainError.  The start's vector is handed
+    straight to `_ray_descent`, which drops it once it has scaled it onto
+    the constraint.
     """
     energy = _Energy(domain, config.p)
-    # The default start is built after the operator and dropped before the
-    # loop: a bump held across the assembly raised a (4, 32) solve's peak
-    # RSS by 0.7 MB.
-    v0 = energy.start(radial_bump(domain) if u0 is None else u0)
     trace = []
     start = time.perf_counter()
+    # The default start is built after the operator: a bump held across the
+    # assembly raised a (4, 32) solve's peak RSS by 0.7 MB.
     v, iterations, gn, stop, products = _ray_descent(
-        energy, v0, config.grad_tol, config.max_iters, trace)
+        energy, energy.start(radial_bump(domain) if u0 is None else u0), config.grad_tol,
+        config.max_iters, trace)
     return energy, v, gn, {"iterations": iterations, "trace": trace, "stop_reason": stop,
                            "operator_products": products,
                            "descent": time.perf_counter() - start}

@@ -6,6 +6,7 @@ fixture also records its wall-clock time for the runtime budgets.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,18 @@ def fresh_operators(monkeypatch):
     its operator; a test of the assembly takes this one, so it cannot pass
     on an operator another test built."""
     monkeypatch.setattr(grid, "_last_operator", None)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the call's tracemalloc peak): the most memory,
+    in bytes, that the call held at once of what it allocated itself."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def _timed(fn, *args, **kwargs):

@@ -1,7 +1,6 @@
 """Concentration-compactness diagnostics."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from conftest import midpoint_integral
+from conftest import midpoint_integral, traced_peak
 
 from heisground import cc_diag, cli
 from heisground.cc_diag import (
@@ -447,12 +446,7 @@ class TestProfilePass:
         peak_bound = 4e6  # bytes
         grid, mask = build_ball_grid(4.0, 32)
         d = normalize_mass(ScalarField(grid, mask.astype(float), mask), 1.0)
-        tracemalloc.start()
-        try:
-            (_, q, _), = concentration_profile(d, [1e308])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ((_, q, _),), peak = traced_peak(concentration_profile, d, [1e308])
         assert q == pytest.approx(1.0, abs=1e-12)
         assert peak <= peak_bound
 
@@ -472,12 +466,7 @@ class TestProfilePass:
         argv = ["classify", "--inputs", *paths, "--q", repr(Q_EXP), "--eps", repr(eps),
                 "--radii", ",".join(map(str, radii)), "--out", str(tmp_path / "v.json")]
         for peak_bound in peak_bounds:
-            tracemalloc.start()
-            try:
-                code = cli.main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(cli.main, argv)
             assert code == 0
             assert json.loads(capsys.readouterr().out)["verdict"] == "compactness"
             assert peak <= peak_bound

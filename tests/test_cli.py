@@ -5,6 +5,7 @@ import json
 import struct
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,7 +490,7 @@ class TestClassify:
         paths = self._write_sequence(tmp_path, "translating")
         bad = tmp_path / "bad.hgf"
         if how == "truncated":
-            bad.write_bytes(open(paths[1], "rb").read()[:-8])
+            bad.write_bytes(Path(paths[1]).read_bytes()[:-8])
         paths[1] = str(bad)
         assert main(["classify", "--inputs", *paths]) == 66
         err = capsys.readouterr().err
@@ -662,10 +663,10 @@ def test_solves_agree_whether_scipy_loads_first_or_later(tmp_path):
         assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], True]
         outputs[first] = []
         for method in ("cm", "mp"):
-            report = json.loads(open(f"{out}-{method}.json").read())
+            report = json.loads(Path(f"{out}-{method}.json").read_text())
             del report["timestamp"], report["timings"], report["config"]["out"]
             del report["config"]["report"]  # the paths differ
-            outputs[first] += [report, open(f"{out}-{method}.hgf", "rb").read()]
+            outputs[first] += [report, Path(f"{out}-{method}.hgf").read_bytes()]
     assert outputs["kernels"] == outputs["scipy"]
 
 

@@ -14,6 +14,7 @@ from conftest import (
     oracle_lower,
     oracle_operator,
     scipy_array,
+    traced_peak,
 )
 from heisground import grid as grid_module
 from heisground.errors import ConfigurationError, DomainError
@@ -570,12 +571,9 @@ class TestAssembly:
         _, gn, steps = solvers._newton_polish(energy, w0)
         assert steps and gn < energy.norm(energy.grad(w0))
 
-    def test_entry_holds_l_and_three_vectors(self, fresh_operators):
-        # The kept operator of the k = 4, N = 32 ball: L's arrays, the order,
-        # diag(A) and its inverse, and L's pieces (views of its data and
-        # indices, with their own row pointers); no copy of A.
-        grid, mask = build_ball_grid(4.0, 32)
-        order = _colour_order(grid, mask)
+    @staticmethod
+    def _kept_bytes(order):
+        """The bytes of the distinct arrays that the colour order holds."""
         arrays = [order.node, order.diag, order.inv_diag]
         for a in (order.lower, order.upper) + order.rows + order.columns:
             arrays += [a.data, a.indices, a.indptr]
@@ -584,10 +582,27 @@ class TestAssembly:
             while a.base is not None:
                 a = a.base
             bases[id(a)] = a.nbytes
+        return sum(bases.values())
+
+    def test_entry_holds_l_and_three_vectors(self, fresh_operators):
+        # The kept operator of the k = 4, N = 32 ball: L's arrays, the order,
+        # diag(A) and its inverse, and L's pieces (views of its data and
+        # indices, with their own row pointers); no copy of A.
+        grid, mask = build_ball_grid(4.0, 32)
+        order = _colour_order(grid, mask)
         lower = order.lower
         m = order.node.size
         l_bytes = lower.data.nbytes + lower.indices.nbytes + lower.indptr.nbytes
-        assert sum(bases.values()) <= l_bytes + 3 * m * 8
+        assert self._kept_bytes(order) <= l_bytes + 3 * m * 8
+
+    def test_fill_holds_one_block_beside_what_it_keeps(self):
+        # L is filled from its table a block of `_FILL_ROWS` rows at a time,
+        # so the assembly's peak is what it keeps (1.6 MiB at k = 4, N = 32)
+        # and its row tables and one block.  Filled from the whole table at
+        # once, it peaked at 4.06 MiB.
+        grid, mask = build_ball_grid(4.0, 32)
+        order, peak = traced_peak(grid_module._assemble, grid, mask)
+        assert peak <= self._kept_bytes(order) + 2**20
 
 
 class TestColourBlocks:
@@ -669,6 +684,19 @@ class TestColourBlocks:
         assert got.shape == (order.node.size, 4)
         assert np.array_equal(got, np.stack([order.colour(c) for c in block.T], axis=1))
         assert np.array_equal(order.colour(np.arange(mask.size).reshape(grid.shape)), order.node)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_rows_in_the_masks_c_order_go_to_colour_order(self, case):
+        # A block drawn over the mask nodes in C order is put in colour order
+        # as if it were scattered into the box and read back by `colour`.
+        grid, mask = self._grids()[case]
+        order = grid_module._colour_order(grid, mask)
+        block = np.random.default_rng(50).standard_normal((order.node.size, 4))
+        scattered = np.zeros((mask.size, 4))
+        scattered[mask.reshape(-1)] = block
+        got = order.from_mask_order(block)
+        assert np.array_equal(got.view(np.uint64), order.colour(scattered).view(np.uint64))
+        assert np.array_equal(order.from_mask_order(np.flatnonzero(mask)), order.node)
 
     @pytest.mark.parametrize("case", range(3))
     def test_lower_is_the_strictly_lower_part_in_colour_order(self, case):

@@ -1,11 +1,9 @@
 """Group calculus: law, gauge, dilations, left-invariant derivatives."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import flip_y_twist
+from conftest import flip_y_twist, traced_peak
 from heisground.errors import DomainError
 from heisground.heis_core import (
     GroupPoint,
@@ -234,10 +232,5 @@ class TestSuite:
         # The measure check's coordinates are a sparse meshgrid, so only
         # one 96 x 96 x 120 density (8.4 MiB) is alive at a time; three
         # dense coordinate arrays beside it peak above 40 MiB.
-        tracemalloc.start()
-        try:
-            calculus_check_suite(seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(calculus_check_suite, seed=0)
         assert peak < 25 * 2**20

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from heisground.grid import Grid3, ScalarField, build_ball_grid, full_mask
 from heisground.hgf import MAGIC, read_hgf, write_hgf
 
@@ -60,18 +61,11 @@ def test_read_keeps_one_copy_of_the_payload(tmp_path):
     # The payload's bytes and the field's values are the only field-sized
     # arrays alive at once, 2.14 times the field's bytes on this box; a
     # third copy would pass 3.
-    import tracemalloc
-
     grid = Grid3((20, 20, 70), (0.1, 0.1, 0.05), (-1.0, -1.0, -1.75))
     values = np.random.default_rng(43).standard_normal(grid.shape)
     path = tmp_path / "f.hgf"
     write_hgf(str(path), ScalarField(grid, values, full_mask(grid)))
-    tracemalloc.start()
-    try:
-        field, _ = read_hgf(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (field, _), peak = traced_peak(read_hgf, str(path))
     assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
     assert field.values.flags.writeable
     assert peak < 2.5 * values.nbytes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (colour_perm, identity_defect, inertia_count, make_random_smooth_field,
-                      oracle_operator)
+                      oracle_operator, traced_peak)
 from heisground import solvers
 from heisground.errors import (
     ConfigurationError,
@@ -284,6 +284,27 @@ class TestConstrainedMin:
         assert not rep.converged and rep.extra["stop_reason"] == "no_descent"
         assert rep.iterations == 2 and rep.extra["operator_products"] == 4
         assert np.isfinite(rep.level) and rep.extra["constraint_defect"] < 1e-12
+
+    @pytest.mark.parametrize("calls, converged", [({2}, True), ({2, 3}, False)],
+                             ids=["cg-step-retried", "both-rise"])
+    def test_search_along_minus_p_makes_no_sweep(self, small_config, small_domain,
+                                                  monkeypatch, calls, converged):
+        # A step sweeps once, and the search along -P after a rising CG step
+        # reads that sweep's P and A P: one sweep per iteration that takes a
+        # step (all but a converged solve's last) and one search more than
+        # sweeps.
+        sweep, sweeps = _ColourOrder.sweep, []
+
+        def counted(order, g):
+            sweeps.append(g.shape)
+            return sweep(order, g)
+
+        monkeypatch.setattr(_ColourOrder, "sweep", counted)
+        directions = self._rising_steps(monkeypatch, 1e-12, calls=calls)
+        rep = solve_constrained_min(small_config, domain=small_domain)
+        assert rep.converged is converged
+        assert len(sweeps) == rep.iterations - converged
+        assert len(directions) == len(sweeps) + 1
 
     def test_origin_bump_reaches_the_ground_state(self, monkeypatch):
         # The colour order of the sweep breaks the t-reflection symmetry of
@@ -636,6 +657,20 @@ class TestVectorEnergy:
             small_config.grad_tol, 1000, [])
         assert (iters, stop, products) == (22, "grad_tol", 24)
         assert calls == [(energy.order.node.size,)] * 3
+
+    def test_descent_holds_thirteen_vectors(self):
+        # With the operator built, a descent at k = 4, N = 32 (40 iterations)
+        # holds at most 13 vectors of the mask's size at once; 12 were read:
+        # the loop's nine, `_line_min`'s one and the two of the trial it is
+        # making.  It held 18 while its caller kept the start and the search
+        # kept every trial's x, x_+ and x_+^p.
+        config = SolverConfig(p=2.0, ball_radius=4.0, nodes_per_axis=32, grad_tol=1e-5)
+        domain = make_domain(config)
+        energy = _Energy(domain, config.p)
+        energy.grad(energy.start(radial_bump(domain)))  # loads the kernels
+        (_, v, _, run), peak = traced_peak(solvers._descend, config, domain)
+        assert run["stop_reason"] == "grad_tol"
+        assert peak <= 13 * v.nbytes
 
     def test_ray_descent_keeps_a_sign_changing_start(self, small_domain, small_config):
         # With no step taken the descent returns its start, negative part
